@@ -1,31 +1,28 @@
-// Sharded streaming-runtime bench: what the persistent ShardExecutor and
-// the ingest/compute pipeline buy on the comparison protocol.
+// Streaming-runtime bench: what the method lanes and the ingest/compute
+// pipeline buy on the comparison protocol.
 //
-// One SOFIA instance (sparse kernels, csf pattern storage) is driven over a
-// 96-step stream through RunStreamPipeline under a matrix of runtime knobs:
-//
-//  - workers 1/2/4/8 (depth 1, window 1): steps/sec and p99 step latency of
-//    the sharded compute lane alone;
-//  - overlap off vs on (depth 1 vs 2) at a fixed worker count: how much of
-//    the slice ingest (pattern + CSF-delta build, eval-pattern sampling,
-//    truth gathers) hides under compute — the hidden fraction is
-//    1 - ingest_stall_s / ingest_s, taken straight from the pipeline
-//    telemetry;
-//  - per-slice vs windowed ingest (window 1 vs 4) at depth 2;
+//  - lanes 1/2/4/8 (depth 1, window 1): all nine comparison methods (the
+//    Fig. 3/5 protocol) over a stream of small slices through
+//    RunStreamPipeline; each slice's methods step and score side by side on
+//    min(lanes, 9) threads. Reports slices/sec over the streamed part
+//    (Initialize excluded) and the speedup against one lane;
+//  - overlap off vs on (depth 1 vs 2): one SOFIA instance (sparse kernels,
+//    csf pattern storage) on large slices, where ingest (pattern +
+//    CSF-delta build, eval-pattern sampling, truth gathers) is worth
+//    hiding — the hidden fraction is 1 - ingest_stall_s / ingest_s, taken
+//    straight from the pipeline telemetry; plus per-slice vs windowed
+//    ingest (window 1 vs 4) at depth 2;
 //  - executor dispatch vs an ephemeral pool: the per-batch cost of the
-//    persistent sharded runtime against constructing and joining a fresh
-//    ThreadPool per batch (the pattern the cached ParallelFor fallback and
-//    the ShardExecutor both replace). This win is real at any core count —
-//    it is thread create/join overhead, not parallel speedup.
+//    persistent executor against constructing and joining a fresh
+//    ThreadPool per batch.
 //
 // Scores are bitwise identical across the whole matrix (pinned by
-// tests/stream_pipeline_test.cc); this bench reports the measured
-// wall-clock shape of THIS machine — on a single-core container the
-// worker-count rows show contention, not speedup, and the machine block
-// records the core count so downstream readers can tell which they got.
+// tests/stream_pipeline_test.cc); this bench reports the wall-clock shape
+// of the machine it runs on, whose core count the machine block records.
 //
-//   bench_runtime [--out=BENCH_runtime.json] [--rows=224] [--cols=224]
-//                 [--steps=96] [--reps=3] [--density=5]
+//   bench_runtime [--out=BENCH_runtime.json] [--lane-size=40]
+//                 [--lane-steps=240] [--rows=224] [--cols=224] [--steps=96]
+//                 [--reps=5] [--density=5]
 //
 // Gated behind SOFIA_BUILD_BENCH like every other bench binary.
 
@@ -37,6 +34,14 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/brst.hpp"
+#include "baselines/cp_wopt_stream.hpp"
+#include "baselines/cphw.hpp"
+#include "baselines/mast.hpp"
+#include "baselines/olstec.hpp"
+#include "baselines/online_sgd.hpp"
+#include "baselines/or_mstc.hpp"
+#include "baselines/smf.hpp"
 #include "core/sofia_stream.hpp"
 #include "data/corruption.hpp"
 #include "data/synthetic.hpp"
@@ -63,7 +68,18 @@ Mask BernoulliMask(const Shape& shape, double density, Rng& rng) {
   return omega;
 }
 
-std::unique_ptr<SofiaStream> MakeSofia() {
+std::vector<DenseTensor> SinusoidSlices(size_t rows, size_t cols,
+                                        size_t steps, uint64_t seed) {
+  SyntheticTensor syn =
+      MakeSinusoidTensor(rows, cols, steps, kRank, kPeriod, seed);
+  std::vector<DenseTensor> slices;
+  for (size_t t = 0; t < steps; ++t) {
+    slices.push_back(syn.tensor.SliceLastMode(t));
+  }
+  return slices;
+}
+
+SofiaConfig BenchSofiaConfig() {
   SofiaConfig config;
   config.rank = kRank;
   config.period = kPeriod;
@@ -73,43 +89,71 @@ std::unique_ptr<SofiaStream> MakeSofia() {
   config.max_init_iterations = 1;
   config.max_als_iterations = 2;
   config.tolerance = 0.5;  // Measures runtime shape, not fit quality.
-  config.pattern_storage = PatternStorage::kCsf;
-  return std::make_unique<SofiaStream>(config);
+  return config;
 }
 
-struct RunStats {
-  double steps_per_s = 0.0;   ///< Post-init steps over summed step time.
-  double p99_ms = 0.0;        ///< 99th-percentile step latency.
-  double wall_s = 0.0;        ///< Whole protocol, init included.
+/// The nine comparison methods at library defaults (rank/period set).
+std::vector<std::unique_ptr<StreamingMethod>> MakeNine() {
+  std::vector<std::unique_ptr<StreamingMethod>> m;
+  m.push_back(std::make_unique<SofiaStream>(BenchSofiaConfig()));
+  m.push_back(std::make_unique<OnlineSgd>(OnlineSgdOptions{.rank = kRank}));
+  m.push_back(std::make_unique<Olstec>(OlstecOptions{.rank = kRank}));
+  m.push_back(std::make_unique<Mast>(MastOptions{.rank = kRank}));
+  m.push_back(std::make_unique<OrMstc>(OrMstcOptions{.rank = kRank}));
+  m.push_back(std::make_unique<BrstLite>(BrstOptions{.rank = kRank}));
+  m.push_back(
+      std::make_unique<Smf>(SmfOptions{.rank = kRank, .period = kPeriod}));
+  m.push_back(
+      std::make_unique<Cphw>(CphwOptions{.rank = kRank, .period = kPeriod}));
+  m.push_back(
+      std::make_unique<CpWoptStream>(CpWoptStreamOptions{.rank = kRank}));
+  return m;
+}
+
+/// Slices/sec of one nine-method comparison run under `options` (fresh
+/// methods — they are stateful). The streamed part is the Run's wall time
+/// minus its Initialize calls.
+double TimeNine(const CorruptedStream& stream,
+                const std::vector<DenseTensor>& truth,
+                const StreamEvalOptions& options) {
+  std::vector<std::unique_ptr<StreamingMethod>> owned = MakeNine();
+  std::vector<StreamingMethod*> methods;
+  for (const auto& m : owned) methods.push_back(m.get());
+  Stopwatch wall;
+  std::vector<MethodRunResult> results =
+      RunStreamPipeline(methods, stream, truth, options);
+  double streamed_s = wall.ElapsedSeconds();
+  for (const MethodRunResult& r : results) streamed_s -= r.run.init_seconds;
+  return streamed_s > 0.0 ? static_cast<double>(truth.size()) / streamed_s
+                          : 0.0;
+}
+
+struct OverlapStats {
+  double steps_per_s = 0.0;      ///< Post-init steps over summed step time.
   double hidden_fraction = 0.0;  ///< Of ingest time, under compute.
 };
 
-/// Best-of-`reps` pipelined run under `options` (fresh SOFIA per rep —
-/// methods are stateful). "Best" = max steps/sec.
-RunStats TimeRun(const CorruptedStream& stream,
-                 const std::vector<DenseTensor>& truth,
-                 const StreamEvalOptions& options, size_t reps) {
-  RunStats best;
+/// Best-of-`reps` single-SOFIA run under `options` ("best" = max
+/// steps/sec).
+OverlapStats TimeSofia(const CorruptedStream& stream,
+                       const std::vector<DenseTensor>& truth,
+                       const StreamEvalOptions& options, size_t reps) {
+  OverlapStats best;
   for (size_t rep = 0; rep < reps; ++rep) {
-    std::unique_ptr<SofiaStream> sofia = MakeSofia();
-    std::vector<StreamingMethod*> methods = {sofia.get()};
-    Stopwatch wall;
+    SofiaConfig config = BenchSofiaConfig();
+    config.pattern_storage = PatternStorage::kCsf;
+    SofiaStream sofia(config);
+    std::vector<StreamingMethod*> methods = {&sofia};
     std::vector<MethodRunResult> results =
         RunStreamPipeline(methods, stream, truth, options);
-    RunStats stats;
-    stats.wall_s = wall.ElapsedSeconds();
-    std::vector<double> latencies = results[0].run.step_seconds;
+    OverlapStats stats;
     double step_sum = 0.0;
-    for (double s : latencies) step_sum += s;
+    for (double s : results[0].run.step_seconds) step_sum += s;
     stats.steps_per_s =
-        step_sum > 0.0 ? static_cast<double>(latencies.size()) / step_sum
-                       : 0.0;
-    if (!latencies.empty()) {
-      std::sort(latencies.begin(), latencies.end());
-      const size_t idx =
-          std::min(latencies.size() - 1, (latencies.size() * 99) / 100);
-      stats.p99_ms = 1e3 * latencies[idx];
-    }
+        step_sum > 0.0
+            ? static_cast<double>(results[0].run.step_seconds.size()) /
+                  step_sum
+            : 0.0;
     const PipelineTelemetry& telemetry = results[0].run.pipeline;
     // Stall includes scheduler wakeup latency, so it can exceed raw ingest
     // time on a saturated machine — clamp the fraction to [0, 1].
@@ -127,8 +171,8 @@ RunStats TimeRun(const CorruptedStream& stream,
 /// trivial 16-task batches vs constructing + joining a fresh ThreadPool per
 /// batch. Returns microseconds per batch for each.
 std::pair<double, double> TimeDispatch(size_t threads, size_t batches) {
-  volatile double sink = 0.0;
-  auto task = [&](size_t t) { sink = sink + static_cast<double>(t); };
+  std::vector<double> sink(16, 0.0);  // Task t writes only sink[t].
+  auto task = [&](size_t t) { sink[t] += static_cast<double>(t); };
   Stopwatch persistent_timer;
   {
     ShardExecutor executor(threads);
@@ -153,87 +197,91 @@ int main(int argc, char** argv) {
   using namespace sofia;
   Flags flags(argc, argv);
   const std::string out_path = flags.GetString("out", "BENCH_runtime.json");
+  const size_t lane_size = static_cast<size_t>(flags.GetInt("lane-size", 40));
+  const size_t lane_steps =
+      static_cast<size_t>(flags.GetInt("lane-steps", 240));
   const size_t rows = static_cast<size_t>(flags.GetInt("rows", 224));
   const size_t cols = static_cast<size_t>(flags.GetInt("cols", 224));
   const size_t steps = static_cast<size_t>(flags.GetInt("steps", 96));
-  const size_t reps = static_cast<size_t>(flags.GetInt("reps", 3));
+  const size_t reps = static_cast<size_t>(flags.GetInt("reps", 5));
   const double density = flags.GetDouble("density", 5.0) / 100.0;
-
-  std::vector<DenseTensor> truth;
-  {
-    SyntheticTensor syn =
-        MakeSinusoidTensor(rows, cols, steps, kRank, kPeriod, /*seed=*/101);
-    for (size_t t = 0; t < steps; ++t) {
-      truth.push_back(syn.tensor.SliceLastMode(t));
-    }
-  }
-  // Mild mask churn (fresh Bernoulli mask every 8 steps) so ingest has real
-  // pattern + CSF-delta builds to hide, as a live stream would.
-  CorruptedStream stream;
-  stream.slices = truth;
-  Rng mask_rng(7);
-  Mask omega = BernoulliMask(truth[0].shape(), density, mask_rng);
-  for (size_t t = 0; t < steps; ++t) {
-    if (t > 0 && t % 8 == 0) {
-      omega = BernoulliMask(truth[0].shape(), density, mask_rng);
-    }
-    stream.masks.push_back(omega);
-  }
 
   std::map<std::string, double> results;
   std::map<std::string, double> speedups;
 
-  StreamEvalOptions base;
-  base.max_eval_entries = 512;
-  base.pattern_storage = PatternStorage::kCsf;
-  base.pipeline_depth = 1;
-  base.window = 1;
-
-  // Worker scaling, pipeline off.
-  RunStats w1;
-  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    StreamEvalOptions options = base;
-    options.workers = workers;
-    RunStats stats = TimeRun(stream, truth, options, reps);
-    if (workers == 1) w1 = stats;
-    const std::string arg = std::to_string(workers);
-    results["workers/" + arg + "_steps_per_s"] = stats.steps_per_s;
-    results["workers/" + arg + "_p99_ms"] = stats.p99_ms;
-    speedups["workers_" + arg + "_vs_1"] =
-        w1.steps_per_s > 0.0 ? stats.steps_per_s / w1.steps_per_s : 0.0;
-    std::printf("workers %zu: %8.1f steps/s, p99 %7.3f ms (%.2fx vs 1)\n",
-                workers, stats.steps_per_s, stats.p99_ms,
-                speedups["workers_" + arg + "_vs_1"]);
+  // Method lanes: the nine-method comparison on small corrupted slices
+  // (30% missing, 10% outliers of magnitude 3), pipeline off. Each rep
+  // runs every lane count in turn, so a slow phase of a shared host hits
+  // all of them alike; each lane count keeps its best rep.
+  {
+    const std::vector<DenseTensor> truth =
+        SinusoidSlices(lane_size, lane_size, lane_steps, /*seed=*/103);
+    const CorruptedStream stream = Corrupt(truth, {30.0, 10.0, 3.0}, 104);
+    StreamEvalOptions options;
+    options.pipeline_depth = 1;
+    const size_t lane_counts[] = {1, 2, 4, 8};
+    std::map<size_t, double> best;
+    for (size_t rep = 0; rep < reps; ++rep) {
+      for (const size_t lanes : lane_counts) {
+        options.workers = lanes;
+        best[lanes] = std::max(best[lanes], TimeNine(stream, truth, options));
+      }
+    }
+    for (const size_t lanes : lane_counts) {
+      const std::string arg = std::to_string(lanes);
+      results["lanes/" + arg + "_slices_per_s"] = best[lanes];
+      speedups["lanes_" + arg + "_vs_1"] =
+          best[1] > 0.0 ? best[lanes] / best[1] : 0.0;
+      std::printf("nine methods, %zu lane(s): %8.1f slices/s (%.2fx vs 1)\n",
+                  lanes, best[lanes], speedups["lanes_" + arg + "_vs_1"]);
+    }
   }
 
-  // Ingest/compute overlap, fixed 2 workers: depth 1 (off) vs 2 (on), and
-  // windowed ingest at depth 2.
-  StreamEvalOptions off = base;
-  off.workers = 2;
-  RunStats overlap_off = TimeRun(stream, truth, off, reps);
-  StreamEvalOptions on = off;
-  on.pipeline_depth = 2;
-  RunStats overlap_on = TimeRun(stream, truth, on, reps);
-  StreamEvalOptions windowed = on;
-  windowed.window = 4;
-  RunStats window4 = TimeRun(stream, truth, windowed, reps);
-  results["overlap/off_steps_per_s"] = overlap_off.steps_per_s;
-  results["overlap/on_steps_per_s"] = overlap_on.steps_per_s;
-  results["overlap/on_hidden_fraction"] = overlap_on.hidden_fraction;
-  results["overlap/on_window4_steps_per_s"] = window4.steps_per_s;
-  results["overlap/on_window4_hidden_fraction"] = window4.hidden_fraction;
-  speedups["overlap_on_vs_off"] = overlap_off.steps_per_s > 0.0
-                                      ? overlap_on.steps_per_s /
-                                            overlap_off.steps_per_s
-                                      : 0.0;
-  std::printf("overlap off %8.1f steps/s; on %8.1f steps/s, %.0f%% of "
-              "ingest hidden; window 4: %8.1f steps/s, %.0f%% hidden\n",
-              overlap_off.steps_per_s, overlap_on.steps_per_s,
-              100.0 * overlap_on.hidden_fraction, window4.steps_per_s,
-              100.0 * window4.hidden_fraction);
+  // Ingest/compute overlap, one SOFIA on large slices with mild mask churn
+  // (fresh Bernoulli mask every 8 steps, so ingest has real pattern +
+  // CSF-delta builds to hide, as a live stream would): depth 1 (off) vs 2,
+  // and windowed ingest at depth 2.
+  {
+    const std::vector<DenseTensor> truth =
+        SinusoidSlices(rows, cols, steps, /*seed=*/101);
+    CorruptedStream stream;
+    stream.slices = truth;
+    Rng mask_rng(7);
+    Mask omega = BernoulliMask(truth[0].shape(), density, mask_rng);
+    for (size_t t = 0; t < steps; ++t) {
+      if (t > 0 && t % 8 == 0) {
+        omega = BernoulliMask(truth[0].shape(), density, mask_rng);
+      }
+      stream.masks.push_back(omega);
+    }
+    StreamEvalOptions off;
+    off.max_eval_entries = 512;
+    off.pattern_storage = PatternStorage::kCsf;
+    off.pipeline_depth = 1;
+    const OverlapStats overlap_off = TimeSofia(stream, truth, off, reps);
+    StreamEvalOptions on = off;
+    on.pipeline_depth = 2;
+    const OverlapStats overlap_on = TimeSofia(stream, truth, on, reps);
+    StreamEvalOptions windowed = on;
+    windowed.window = 4;
+    const OverlapStats window4 = TimeSofia(stream, truth, windowed, reps);
+    results["overlap/off_steps_per_s"] = overlap_off.steps_per_s;
+    results["overlap/on_steps_per_s"] = overlap_on.steps_per_s;
+    results["overlap/on_hidden_fraction"] = overlap_on.hidden_fraction;
+    results["overlap/on_window4_steps_per_s"] = window4.steps_per_s;
+    results["overlap/on_window4_hidden_fraction"] = window4.hidden_fraction;
+    speedups["overlap_on_vs_off"] =
+        overlap_off.steps_per_s > 0.0
+            ? overlap_on.steps_per_s / overlap_off.steps_per_s
+            : 0.0;
+    std::printf("overlap off %8.1f steps/s; on %8.1f steps/s, %.0f%% of "
+                "ingest hidden; window 4: %8.1f steps/s, %.0f%% hidden\n",
+                overlap_off.steps_per_s, overlap_on.steps_per_s,
+                100.0 * overlap_on.hidden_fraction, window4.steps_per_s,
+                100.0 * window4.hidden_fraction);
+  }
 
-  // Persistent-vs-ephemeral dispatch (thread create/join overhead — real
-  // at any core count).
+  // Persistent-vs-ephemeral dispatch (thread create/join overhead).
   const auto [persistent_us, ephemeral_us] =
       TimeDispatch(/*threads=*/4, /*batches=*/2000);
   results["dispatch/persistent_us_per_batch"] = persistent_us;
@@ -252,27 +300,29 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f,
-               "  \"description\": \"Sharded streaming runtime "
-               "(eval/stream_pipeline.hpp): SOFIA (sparse kernels, csf "
-               "storage) over a %zu-step stream of %zux%zu slices, rank "
-               "%zu, %.0f%%%% observed, fresh Bernoulli mask every 8 steps. "
-               "workers/N = steps/sec and p99 step latency with N "
-               "persistent slab-owning workers (depth 1); overlap/* = "
-               "ingest/compute pipelining at 2 workers, depth 2 vs 1, "
-               "hidden_fraction = share of ingest time overlapped under "
-               "compute (1 - stall/ingest, from PipelineTelemetry), plus "
-               "the window=4 batched-ingest variant; dispatch/* = "
-               "microseconds per 16-task batch on the persistent executor "
-               "vs constructing a fresh ThreadPool per batch. Scores are "
-               "bitwise identical across the whole matrix "
-               "(tests/stream_pipeline_test.cc); numbers are best of %zu "
-               "repetitions on THIS machine — see the machine block: on a "
-               "single core, worker rows measure contention, and the "
-               "dispatch and overlap rows are the real wins. "
-               "(bench_runtime --out=BENCH_runtime.json)\",\n",
-               steps, rows, cols, kRank, 100.0 * density, reps);
+               "  \"description\": \"Streaming runtime "
+               "(eval/stream_pipeline.hpp). lanes/N = slices/sec of the "
+               "nine-method comparison (Fig. 3/5 protocol, library-default "
+               "baselines, rank %zu) over %zu %zux%zu slices (30%% "
+               "missing, 10%% outliers), each slice's methods stepped and "
+               "scored side by side on min(N, 9) lanes, Initialize "
+               "excluded (depth 1). overlap/* = one SOFIA (sparse kernels, "
+               "csf storage) over %zu %zux%zu slices, %.0f%% observed, "
+               "fresh Bernoulli mask every 8 steps: ingest/compute "
+               "pipelining depth 2 vs 1, hidden_fraction = share of ingest "
+               "time overlapped under compute (1 - stall/ingest, from "
+               "PipelineTelemetry), plus the window=4 batched-ingest "
+               "variant; dispatch/* = microseconds per 16-task batch on the "
+               "persistent executor vs constructing a fresh ThreadPool per "
+               "batch. Scores are bitwise identical across the whole matrix "
+               "(tests/stream_pipeline_test.cc); best of %zu repetitions on "
+               "the machine in the machine block. (bench_runtime "
+               "--out=BENCH_runtime.json)\",\n",
+               kRank, lane_steps, lane_size, lane_size, steps, rows, cols,
+               100.0 * density, reps);
   bench::WriteMachineBlock(f);
-  std::fprintf(f, "  \"unit\": \"steps_per_s | ms | us | fraction\",\n");
+  std::fprintf(f, "  \"unit\": \"slices_per_s | steps_per_s | us | "
+                  "fraction\",\n");
   std::fprintf(f, "  \"results\": {\n");
   size_t i = 0;
   for (const auto& [key, value] : results) {

@@ -40,13 +40,13 @@
 // whatever reached disk, resumes, and the demo verifies the recovered
 // estimates are bitwise identical to a run that never crashed.
 //
-// The run is driven by the sharded streaming runtime
-// (eval/stream_pipeline.hpp): --workers sizes the persistent ShardExecutor
-// (each worker keeps a stable slab range of every CSF tree),
-// --pipeline-depth >= 2 overlaps slice t+1's ingest (pattern build, CSF
-// delta, truth gathers) with slice t's solve on the executor's aux lane,
-// and --window batches that ingest k slices at a time. Scores are bitwise
-// identical for every knob combination.
+// The run is driven by the streaming runtime (eval/stream_pipeline.hpp):
+// --workers caps the method lanes (one method here, so it runs inline on
+// the caller with its kernels serial), --pipeline-depth >= 2 overlaps slice
+// t+1's ingest (pattern build, CSF delta, truth gathers) with slice t's
+// solve on the executor's aux lane, and --window batches that ingest k
+// slices at a time. Scores are bitwise identical for every knob
+// combination.
 
 #include <algorithm>
 #include <cstdio>
@@ -246,8 +246,8 @@ int main(int argc, char** argv) {
   stream.slices = loaded.slices;
   stream.masks = loaded.masks;
 
-  // Drive the run through the sharded, pipelined streaming runtime — the
-  // same path RunImputationComparison takes, with the knobs exposed.
+  // Drive the run through the pipelined streaming runtime — the same path
+  // RunImputationComparison takes, with the knobs exposed.
   StreamEvalOptions options;
   options.num_threads = config.num_threads;
   options.pattern_storage = config.pattern_storage;
@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
           ? std::max(0.0, std::min(1.0, 1.0 - pipe.ingest_stall_seconds /
                                               pipe.ingest_seconds))
           : 0.0;
-  std::printf("runtime: %zu workers, depth %zu, window %zu — %zu steps, "
+  std::printf("runtime: %zu lane(s), depth %zu, window %zu — %zu steps, "
               "%zu ingest jobs, %.0f%% of ingest hidden under compute, "
               "%llu arena growths after warm-up\n",
               pipe.workers, pipe.pipeline_depth, pipe.window, pipe.steps,

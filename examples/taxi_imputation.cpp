@@ -26,11 +26,11 @@
 //                        [--trace-out=FILE] [--metrics-out=FILE]
 //                        [--stats-every=N] [--obs=on|off]
 //
-// --workers/--pipeline-depth/--window configure the sharded streaming
-// runtime behind the comparison (eval/stream_pipeline.hpp): persistent
-// slab-owning workers, ingest/compute overlap at depth >= 2, and batched
-// ingest. All three change wall-clock shape only — scores are bitwise
-// identical at every setting.
+// --workers/--pipeline-depth/--window configure the streaming runtime
+// behind the comparison (eval/stream_pipeline.hpp): method lanes (the two
+// methods step side by side on min(workers, 2) threads), ingest/compute
+// overlap at depth >= 2, and batched ingest. All three change wall-clock
+// shape only — scores are bitwise identical at every setting.
 //
 // --scenario replaces the plain element-wise corruption with one of the
 // adversarial stream scenarios from data/scenarios.hpp; --guard wraps both
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
   }
 
   // Lazy comparison protocol: one shared pattern build per distinct mask
-  // per step, scores from gathers, one shared worker pool for everyone.
+  // per step, scores from gathers, the methods stepped side by side.
   StreamEvalOptions options;
   options.max_eval_entries =
       static_cast<size_t>(flags.GetInt("eval_cap", 1024));

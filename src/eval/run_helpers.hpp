@@ -41,17 +41,19 @@ void AttachGuardTelemetry(const StreamingMethod* method,
 std::shared_ptr<const CooList> BuildEvalPattern(const CooList& observed,
                                                 size_t max_entries);
 
-/// Per-step estimate-gather scratch, reused across methods and steps.
+/// Per-step estimate-gather scratch, reused across steps (one per method
+/// when methods are scored on parallel lanes).
 struct ScoreScratch {
   std::vector<double> est_observed, est_missing;
 };
 
 /// Score one estimate handle at the observed + held-out patterns against
 /// the pre-gathered truth values; appends the three NRE series entries.
+/// Serial: the pipeline already scores its methods on parallel lanes.
 void ScoreStep(const StepResult& estimate, const CooList& observed,
                const CooList& held_out,
                const std::vector<double>& truth_observed,
-               const std::vector<double>& truth_missing, WorkerPool* pool,
+               const std::vector<double>& truth_missing,
                ScoreScratch* scratch, StreamRunResult* result);
 
 }  // namespace eval_detail

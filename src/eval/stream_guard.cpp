@@ -9,6 +9,7 @@
 #include "obs/obs.hpp"
 #include "tensor/coo_list.hpp"
 #include "util/check.hpp"
+#include "util/state_io.hpp"
 
 namespace sofia {
 
@@ -95,6 +96,29 @@ void SerializeInto(const StreamingMethod& method, std::string* slot) {
   }
 }
 
+constexpr const char* kGuardStateTag = "stream-guard";
+constexpr int kGuardStateVersion = 1;
+
+void WriteWindow(std::ostream& out, const std::deque<double>& window) {
+  state_io::WriteVector(out, std::vector<double>(window.begin(), window.end()));
+}
+
+/// A rolling window of at most `cap` values (the guard never keeps more).
+std::deque<double> ReadWindow(std::istream& in, size_t cap) {
+  const std::vector<double> values = state_io::ReadVector(in);
+  state_io::Require(values.size() <= cap,
+                    "corrupt stream-guard checkpoint (window)");
+  return std::deque<double>(values.begin(), values.end());
+}
+
+template <typename T>
+T ReadField(std::istream& in) {
+  T value{};
+  state_io::Require(static_cast<bool>(in >> value),
+                    "corrupt stream-guard checkpoint");
+  return value;
+}
+
 double WindowMean(const std::deque<double>& window) {
   if (window.empty()) return 0.0;
   double sum = 0.0;
@@ -156,7 +180,8 @@ bool StreamGuard::CanCheckpoint() const {
 }
 
 void StreamGuard::SaveCheckpoint() {
-  const size_t slot = telemetry_.checkpoints_saved % ring_.size();
+  const size_t slot = ring_saved_ % ring_.size();
+  ++ring_saved_;
   ++telemetry_.checkpoints_saved;
   Gm().checkpoints->Add(1);
   // A fresh health-accepted checkpoint is the new best rollback target:
@@ -186,6 +211,52 @@ void StreamGuard::SyncCheckpoint() const {
 
 void StreamGuard::CaptureReinitSnapshot() {
   SerializeInto(*inner_, &reinit_snapshot_);
+}
+
+void StreamGuard::SaveState(std::ostream& out) const {
+  SyncCheckpoint();
+  state_io::BeginState(out, kGuardStateTag, kGuardStateVersion);
+  state_io::WriteShape(out, expected_shape_);
+  WriteWindow(out, payload_window_);
+  WriteWindow(out, nre_window_);
+  WriteWindow(out, norm_window_);
+  out << accepted_steps_ << ' ' << (in_fault_ ? 1 : 0) << ' '
+      << steps_since_fault_ << ' ' << frozen_baseline_ << ' '
+      << episode_rollback_depth_ << ' ' << steps_since_checkpoint_ << '\n';
+  inner_->SaveState(out);
+}
+
+void StreamGuard::RestoreState(std::istream& in) {
+  SyncCheckpoint();  // Restores mutate inner state.
+  // Parse everything before assigning anything, so a corrupt checkpoint
+  // leaves the guard as it was.
+  state_io::ReadStateHeader(in, kGuardStateTag, kGuardStateVersion);
+  Shape shape = state_io::ReadShape(in);
+  const size_t cap = options_.health_window;
+  std::deque<double> payload = ReadWindow(in, cap);
+  std::deque<double> nre = ReadWindow(in, cap);
+  std::deque<double> norm = ReadWindow(in, cap);
+  const size_t accepted = ReadField<size_t>(in);
+  const int in_fault = ReadField<int>(in);
+  state_io::Require(in_fault == 0 || in_fault == 1,
+                    "corrupt stream-guard checkpoint (fault flag)");
+  const size_t since_fault = ReadField<size_t>(in);
+  const double baseline = ReadField<double>(in);
+  const size_t rollback_depth = ReadField<size_t>(in);
+  const size_t since_checkpoint = ReadField<size_t>(in);
+  inner_->RestoreState(in);
+
+  expected_shape_ = std::move(shape);
+  payload_window_ = std::move(payload);
+  nre_window_ = std::move(nre);
+  norm_window_ = std::move(norm);
+  accepted_steps_ = accepted;
+  in_fault_ = in_fault == 1;
+  steps_since_fault_ = since_fault;
+  frozen_baseline_ = baseline;
+  episode_rollback_depth_ = rollback_depth;
+  steps_since_checkpoint_ = since_checkpoint;
+  ring_saved_ = 0;  // The ring's states belong to another timeline.
 }
 
 std::vector<DenseTensor> StreamGuard::Initialize(
@@ -245,12 +316,10 @@ bool StreamGuard::DegradeState() {
       // (the restored checkpoint was itself poisoned, so the next step
       // tripped again) the one before it, and so on until the ring's
       // history is exhausted — then fall through to the reinit snapshot.
-      const size_t available =
-          std::min(telemetry_.checkpoints_saved, ring_.size());
+      const size_t available = std::min(ring_saved_, ring_.size());
       if (CanCheckpoint() && episode_rollback_depth_ < available) {
         const size_t slot =
-            (telemetry_.checkpoints_saved - 1 - episode_rollback_depth_) %
-            ring_.size();
+            (ring_saved_ - 1 - episode_rollback_depth_) % ring_.size();
         ++episode_rollback_depth_;
         std::istringstream in(ring_[slot]);
         inner_->RestoreState(in);

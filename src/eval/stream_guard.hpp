@@ -157,19 +157,23 @@ class StreamGuard : public StreamingMethod {
   /// scoring and next-slice ingest instead of serializing with them.
   void AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) override;
 
-  /// The guard itself checkpoints by delegating to the inner method (its
-  /// own counters are telemetry, not model state).
+  /// Checkpoints are the guard's decision state followed by the inner
+  /// method's state, under a versioned "stream-guard" header. The decision
+  /// state is what the guard needs to judge the next slice exactly as
+  /// before: the payload/NRE/norm windows, the accepted-step count, the
+  /// fault episode, the locked slice shape, and the checkpoint cadence. So
+  /// a journal replay through a restored guard (DurableGuard::Recover)
+  /// rejects the same slices the live guard rejected. Not persisted: the
+  /// rollback ring and the reinit snapshot (restoring empties the ring, and
+  /// a fresh guard takes its reinit snapshot at its first step, from the
+  /// restored state) and the telemetry counters. RestoreState throws
+  /// state_io::StateError on a checkpoint without the header, as on any
+  /// corrupt one.
   bool SupportsStateCheckpoint() const override {
     return inner_->SupportsStateCheckpoint();
   }
-  void SaveState(std::ostream& out) const override {
-    SyncCheckpoint();
-    inner_->SaveState(out);
-  }
-  void RestoreState(std::istream& in) override {
-    SyncCheckpoint();
-    inner_->RestoreState(in);
-  }
+  void SaveState(std::ostream& out) const override;
+  void RestoreState(std::istream& in) override;
 
   const GuardTelemetry& telemetry() const { return telemetry_; }
   const StreamingMethod& inner() const { return *inner_; }
@@ -231,14 +235,17 @@ class StreamGuard : public StreamingMethod {
   std::vector<std::string> ring_;
   std::string reinit_snapshot_;
   size_t steps_since_checkpoint_ = 0;
+  /// Ring writes since the ring was last emptied (RestoreState empties it):
+  /// the newest slot is (ring_saved_ - 1) % slots.
+  size_t ring_saved_ = 0;
 
   // Fault-episode tracking.
   bool in_fault_ = false;
   size_t steps_since_fault_ = 0;  ///< Slices since the episode's last trip.
   double frozen_baseline_ = 0.0;  ///< Pre-fault NRE baseline of the episode.
   /// Ring slots already consumed by rollbacks of the current episode: the
-  /// next rollback restores `checkpoints_saved - 1 - depth`. Reset when a
-  /// fresh (health-accepted) checkpoint lands or the episode closes.
+  /// next rollback restores `ring_saved_ - 1 - depth`. Reset when a fresh
+  /// (health-accepted) checkpoint lands or the episode closes.
   size_t episode_rollback_depth_ = 0;
 
   std::vector<double> probe_scratch_;  ///< Probe y-values (reused).

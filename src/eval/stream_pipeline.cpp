@@ -1,6 +1,8 @@
 #include "eval/stream_pipeline.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <exception>
 #include <utility>
 
 #include "baselines/observed_sweep.hpp"
@@ -21,11 +23,13 @@ using eval_detail::ScoreStep;
 
 namespace {
 
-/// Registry handles for the pipeline stages, looked up once. The time.*
-/// counters partition the driver thread's wall clock: init + ingest +
-/// stall + compute + score must account for time.pipeline.wall_us
-/// (ingest_async runs on the aux lane and overlaps, so it is reported but
-/// not part of the driver identity — tools/obs_report pins the sum).
+/// Registry handles for the pipeline stages, looked up once. The driver
+/// stage counters partition the driver thread's wall clock: init + ingest +
+/// stall + compute must account for time.pipeline.wall_us, where compute is
+/// the driver's time in each slice's lane batch (tools/obs_report pins the
+/// sum). Two stages run off the driver and overlap it, so they are reported
+/// but not part of that identity: ingest_async (the aux lane) and score
+/// (summed over the lanes, which score their own methods).
 struct PipelineMetrics {
   obs::Counter* init_us;
   obs::Counter* ingest_us;
@@ -71,12 +75,11 @@ StreamPipeline::StreamPipeline(const CorruptedStream& stream,
   SOFIA_CHECK_EQ(stream_.slices.size(), truth_.size());
   if (options_.pipeline_depth == 0) options_.pipeline_depth = 1;
   if (options_.window == 0) options_.window = 1;
-  const size_t workers = ResolveNumThreads(
+  workers_ = ResolveNumThreads(
       options_.workers != 0 ? options_.workers : options_.num_threads);
   ring_.resize(options_.pipeline_depth);
   for (std::vector<SliceIngest>& slot : ring_) slot.resize(options_.window);
   tickets_.assign(options_.pipeline_depth, 0);
-  executor_ = std::make_unique<ShardExecutor>(workers);
 }
 
 StreamPipeline::~StreamPipeline() {
@@ -86,6 +89,26 @@ StreamPipeline::~StreamPipeline() {
 
 size_t StreamPipeline::NumWindows(size_t limit) const {
   return (limit + options_.window - 1) / options_.window;
+}
+
+void StreamPipeline::PrepareLanes(size_t num_methods) {
+  // More lanes than methods would only wake workers with nothing to run;
+  // one method runs inline on the caller.
+  const size_t lanes = std::max<size_t>(1, std::min(workers_, num_methods));
+  if (executor_ == nullptr || executor_->num_threads() != lanes) {
+    executor_ = std::make_unique<ShardExecutor>(lanes);
+  }
+  while (method_pools_.size() < num_methods) {
+    method_pools_.push_back(std::make_shared<ShardExecutor>(1));
+  }
+}
+
+uint64_t StreamPipeline::LaneArenaGrowth() const {
+  uint64_t growth = 0;
+  for (const auto& pool : method_pools_) {
+    growth += pool->arena()->growth_events();
+  }
+  return growth;
 }
 
 void StreamPipeline::IngestWindow(size_t w, size_t limit) {
@@ -141,9 +164,11 @@ std::vector<MethodRunResult> StreamPipeline::Run(
   const size_t total =
       limit == 0 ? truth_.size() : std::min(limit, truth_.size());
   const size_t depth = options_.pipeline_depth;
+  const size_t num_methods = methods.size();
+  PrepareLanes(num_methods);
 
-  // Fresh cache + telemetry per Run; the executor (and its warm arena)
-  // persists across calls.
+  // Fresh cache + telemetry per Run; the executor and the per-method pools
+  // (and their warm arenas) persist across calls.
   cache_mask_ = SparseMask();
   cache_pattern_.reset();
   cache_eval_.reset();
@@ -155,27 +180,25 @@ std::vector<MethodRunResult> StreamPipeline::Run(
   telemetry_.pipeline_depth = depth;
   telemetry_.window = options_.window;
   telemetry_.steps = total;
-  const uint64_t arena_base = executor_->arena()->growth_events();
-  uint64_t arena_after_first_window = arena_base;
+  const uint64_t arena_base = LaneArenaGrowth();
+  // Pool m's arena growth once method m has taken its first step: the
+  // warm-up the steady-state figure excludes.
+  constexpr uint64_t kNotWarm = UINT64_MAX;
+  std::vector<uint64_t> arena_warm(num_methods, kNotWarm);
 
-  // The executor is shared with every method (via the AdoptWorkerPool seam)
-  // and drives the scoring gathers; serial consumers ignore a 1-thread
-  // pool. Aliasing shared_ptr: the pipeline owns the executor, adoption is
-  // borrowed and revoked (AdoptWorkerPool(nullptr)) before Run returns.
-  std::shared_ptr<WorkerPool> adopted(executor_.get(),
-                                      [](WorkerPool*) {});
-  WorkerPool* gather_pool =
-      executor_->num_threads() > 1 ? executor_.get() : nullptr;
-
-  std::vector<MethodRunResult> out(methods.size());
-  std::vector<size_t> windows(methods.size(), 0);
-  std::vector<std::vector<DenseTensor>> completions(methods.size());
+  std::vector<MethodRunResult> out(num_methods);
+  std::vector<size_t> windows(num_methods, 0);
+  std::vector<std::vector<DenseTensor>> completions(num_methods);
+  std::vector<ScoreScratch> scratch(num_methods);
+  std::vector<std::exception_ptr> errors(num_methods);
   {
-    obs::ObsSpan init_span("pipeline.init", Metrics().init_us,
-                           methods.size(), "methods");
-    for (size_t m = 0; m < methods.size(); ++m) {
+    obs::ObsSpan init_span("pipeline.init", Metrics().init_us, num_methods,
+                           "methods");
+    for (size_t m = 0; m < num_methods; ++m) {
       StreamingMethod* method = methods[m];
-      method->AdoptWorkerPool(adopted);
+      // Revoked (AdoptWorkerPool(nullptr)) before Run returns normally; a
+      // method left holding its pool after a throw shares its ownership.
+      method->AdoptWorkerPool(method_pools_[m]);
       out[m].name = method->name();
       const size_t window = method->init_window();
       SOFIA_CHECK_LE(window, total);
@@ -193,7 +216,54 @@ std::vector<MethodRunResult> StreamPipeline::Run(
     }
   }
 
-  ScoreScratch scratch;
+  // Lane task m of slice t: step method m, then score it into out[m]. It
+  // touches only method m's state, result, scratch and pool, plus the
+  // slice's read-only ingest, so the lanes share nothing writable.
+  const auto step_and_score = [&](size_t m, size_t t,
+                                  const SliceIngest& ingest) {
+    StreamRunResult* run = &out[m].run;
+    if (t < windows[m]) {
+      // Init-window slice: score the stored completion at the same entry
+      // sets (Dense handles are not lazy materializations).
+      StepResult completed = StepResult::Dense(std::move(completions[m][t]));
+      obs::ObsSpan score_span("pipeline.score", Metrics().score_us, t,
+                              "slice");
+      ScoreStep(completed, *ingest.pattern, *ingest.eval_pattern,
+                ingest.truth_observed, ingest.truth_missing, &scratch[m],
+                run);
+      return;
+    }
+    StepResult estimate;
+    Stopwatch timer;
+    {
+      // The lane's step time is its busy time (executor.w<N>.busy_us);
+      // this span only marks it on the lane's trace track.
+      obs::ObsSpan step_span("pipeline.step.compute", nullptr, t, "slice");
+      if (options_.force_dense) {
+        estimate = StepResult::Dense(methods[m]->Step(
+            stream_.slices[t], stream_.masks[t], ingest.pattern));
+      } else {
+        estimate = methods[m]->StepLazy(stream_.slices[t], stream_.masks[t],
+                                        ingest.pattern);
+      }
+    }
+    const double step_seconds = timer.ElapsedSeconds();
+    run->step_seconds.push_back(step_seconds);
+    Metrics().steps->Add(1);
+    Metrics().step_latency_us->Observe(step_seconds * 1e6);
+    if (arena_warm[m] == kNotWarm) {
+      arena_warm[m] = method_pools_[m]->arena()->growth_events();
+    }
+    {
+      obs::ObsSpan score_span("pipeline.score", Metrics().score_us, t,
+                              "slice");
+      ScoreStep(estimate, *ingest.pattern, *ingest.eval_pattern,
+                ingest.truth_observed, ingest.truth_missing, &scratch[m],
+                run);
+    }
+    obs::StatsTick();
+  };
+
   for (size_t w = 0; w < num_windows; ++w) {
     Metrics().windows->Add(1);
     if (depth == 1) {
@@ -217,73 +287,53 @@ std::vector<MethodRunResult> StreamPipeline::Run(
     const size_t end = std::min(begin + options_.window, total);
     for (size_t t = begin; t < end; ++t) {
       const SliceIngest& ingest = slot[t - begin];
-      for (size_t m = 0; m < methods.size(); ++m) {
-        if (t < windows[m]) {
-          // Init-window slice: score the stored completion at the same
-          // entry sets (Dense handles are not lazy materializations).
-          StepResult completed =
-              StepResult::Dense(std::move(completions[m][t]));
-          obs::ObsSpan score_span("pipeline.score", Metrics().score_us, t,
-                                  "slice");
-          ScoreStep(completed, *ingest.pattern, *ingest.eval_pattern,
-                    ingest.truth_observed, ingest.truth_missing, gather_pool,
-                    &scratch, &out[m].run);
-          continue;
-        }
-        StepResult estimate;
-        Stopwatch timer;
-        {
-          obs::ObsSpan compute_span("pipeline.step.compute",
-                                    Metrics().compute_us, t, "slice");
-          if (options_.force_dense) {
-            estimate = StepResult::Dense(
-                methods[m]->Step(stream_.slices[t], stream_.masks[t],
-                                 ingest.pattern));
-          } else {
-            estimate = methods[m]->StepLazy(stream_.slices[t],
-                                            stream_.masks[t], ingest.pattern);
+      {
+        // One batch per slice, ending in a barrier: slice t is stepped and
+        // scored by every method before any method sees slice t+1.
+        obs::ObsSpan compute_span("pipeline.compute", Metrics().compute_us,
+                                  t, "slice");
+        executor_->Run(num_methods, [&](size_t m) {
+          // A throw must not escape a lane thread; park it for the driver.
+          try {
+            step_and_score(m, t, ingest);
+          } catch (...) {
+            errors[m] = std::current_exception();
           }
-        }
-        const double step_seconds = timer.ElapsedSeconds();
-        out[m].run.step_seconds.push_back(step_seconds);
-        Metrics().steps->Add(1);
-        Metrics().step_latency_us->Observe(step_seconds * 1e6);
-        {
-          obs::ObsSpan score_span("pipeline.score", Metrics().score_us, t,
-                                  "slice");
-          ScoreStep(estimate, *ingest.pattern, *ingest.eval_pattern,
-                    ingest.truth_observed, ingest.truth_missing, gather_pool,
-                    &scratch, &out[m].run);
-        }
-        obs::StatsTick();
+        });
       }
-    }
-    if (w == 0) {
-      arena_after_first_window = executor_->arena()->growth_events();
+      for (std::exception_ptr& error : errors) {
+        if (error == nullptr) continue;
+        executor_->DrainAux();
+        std::rethrow_exception(error);
+      }
     }
   }
 
   // Land every in-flight aux job (tail ingest prefetches on an early
-  // limit, async guard checkpoints) before reading shared telemetry.
+  // limit, async guard checkpoints on the method pools) before reading
+  // shared telemetry.
   {
-    // Draining counts as stall: the driver is blocked on the aux lane
-    // (tail prefetches, async guard checkpoints).
+    // Draining counts as stall: the driver is blocked on aux lanes.
     obs::ObsSpan drain_span("pipeline.drain", Metrics().stall_us);
     executor_->DrainAux();
+    for (const auto& pool : method_pools_) pool->DrainAux();
   }
-  telemetry_.arena_growth_total =
-      executor_->arena()->growth_events() - arena_base;
-  telemetry_.arena_growth_steady =
-      executor_->arena()->growth_events() - arena_after_first_window;
+  const uint64_t arena_now = LaneArenaGrowth();
+  telemetry_.arena_growth_total = arena_now - arena_base;
+  telemetry_.arena_growth_steady = 0;
+  for (size_t m = 0; m < num_methods; ++m) {
+    if (arena_warm[m] == kNotWarm) continue;  // Never stepped this Run.
+    telemetry_.arena_growth_steady +=
+        method_pools_[m]->arena()->growth_events() - arena_warm[m];
+  }
 
   // Mirror the per-run pattern/arena telemetry onto the registry (the
   // struct fields stay as the per-run compatibility view).
   Metrics().pattern_builds->Add(pattern_builds_);
   Metrics().pattern_reuses->Add(pattern_reuses_);
-  Metrics().arena_growth->Set(
-      static_cast<double>(executor_->arena()->growth_events()));
+  Metrics().arena_growth->Set(static_cast<double>(arena_now));
 
-  for (size_t m = 0; m < methods.size(); ++m) {
+  for (size_t m = 0; m < num_methods; ++m) {
     FinalizeRunMetrics(windows[m], &out[m].run);
     // The pattern cache and runtime are shared, so every method reports
     // the same rebuild + pipeline telemetry.

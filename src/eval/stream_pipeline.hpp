@@ -13,8 +13,8 @@
 #include "util/shard_executor.hpp"
 
 /// \file stream_pipeline.hpp
-/// \brief The sharded, pipelined streaming runtime behind the comparison
-/// protocol.
+/// \brief The pipelined, method-parallel streaming runtime behind the
+/// comparison protocol.
 ///
 /// RunImputationComparison's loop interleaves three kinds of work per
 /// slice: *ingest* (mask compare, shared CooList/CSF pattern build,
@@ -22,33 +22,42 @@
 /// method's StepLazy), and *scoring* (estimate gathers + NRE). The
 /// StreamPipeline splits them across a persistent ShardExecutor:
 ///
-///  - Compute and scoring gathers run on the executor's sharded lane.
-///    Every kernel task is keyed to a CSF root slab, and the executor's
-///    static partition hands worker w the same contiguous slab range on
-///    every call — slab ownership is stable across the whole stream, so a
-///    worker's private-cache working set stays warm step after step.
+///  - Each slice is one executor batch with one task per method: task m
+///    steps method m and scores its estimate into that method's result.
+///    The methods are independent within a step, so they run side by side
+///    on min(workers, methods) lanes; which lane runs which method comes
+///    from the executor's static partition of the task indices. The batch
+///    ends in a barrier, so every method has been stepped and scored on
+///    slice t before any method sees slice t+1.
+///  - Inside a lane everything is serial: each method adopts its own
+///    single-thread ShardExecutor for the run (an arena, no threads), so
+///    its kernels and gathers never dispatch across lanes. At paper scale a
+///    step is far too small to split one method's kernels across workers;
+///    the parallelism is across the methods.
 ///  - Ingest runs in batches of `window` slices. At pipeline_depth >= 2 the
 ///    batches execute on the executor's aux lane up to depth-1 windows
 ///    ahead of compute: slice t+1's pattern/CSF-delta build overlaps slice
 ///    t's solves. Ingest batches are FIFO on one thread, so the sequential
 ///    mask-cache and CSF-delta-chain dependencies hold unchanged.
-///  - Kernel reduction scratch comes from the executor's slot-keyed arena;
-///    after warm-up a steady-state step allocates nothing
+///  - Kernel reduction scratch comes from each method's pool arena; after
+///    a method's first step a steady-state stream allocates nothing there
 ///    (PipelineTelemetry::arena_growth_steady pins zero).
 ///
 /// Scores are bitwise identical across every (workers, pipeline_depth,
 /// window) combination, and identical to the pre-pipeline sequential
-/// runner: kernel tasks write disjoint state and slab partials combine in
-/// slab order, so only wall-clock shape moves (pinned by
+/// runner: a method's step and scoring run on one thread in the same order
+/// whichever lane runs them, and the methods share only read-only ingest
+/// data, so only wall-clock shape moves (pinned by
 /// tests/stream_pipeline_test.cc).
 
 namespace sofia {
 
-/// Persistent sharded runtime for one stream + truth pair. Owns the
-/// ShardExecutor, the ingest ring, and the shared pattern cache; Run()
-/// drives a set of methods through the stream under the options' knobs.
-/// Reusable: consecutive Run() calls share the executor (and its warm
-/// arena), which is how windowed re-runs and mid-stream drains are tested.
+/// Persistent runtime for one stream + truth pair. Owns the lane executor,
+/// the per-method pools, the ingest ring, and the shared pattern cache;
+/// Run() drives a set of methods through the stream under the options'
+/// knobs. Reusable: consecutive Run() calls share the executor and the
+/// per-method pools (and their warm arenas), which is how windowed re-runs
+/// and mid-stream drains are tested.
 class StreamPipeline {
  public:
   StreamPipeline(const CorruptedStream& stream,
@@ -64,11 +73,14 @@ class StreamPipeline {
   /// stream. A limit that stops mid-stream still returns cleanly: prefetched
   /// ingest jobs beyond the limit are drained, never leaked. Each call
   /// resets the pattern cache and telemetry (methods keep their own state;
-  /// initialize/step semantics match RunImputationComparison exactly).
+  /// initialize/step semantics match RunImputationComparison exactly). An
+  /// exception thrown by a method's step surfaces here, on the caller's
+  /// thread, once the slice's batch has finished.
   std::vector<MethodRunResult> Run(
       const std::vector<StreamingMethod*>& methods, size_t limit = 0);
 
-  /// The shared runtime, e.g. for arena/ownership inspection in tests.
+  /// The lane executor (one batch per slice), e.g. for batch counting in
+  /// tests. Null until the first Run sizes it.
   ShardExecutor* executor() { return executor_.get(); }
   const PipelineTelemetry& telemetry() const { return telemetry_; }
 
@@ -87,11 +99,22 @@ class StreamPipeline {
   void IngestWindow(size_t w, size_t limit);
   void SubmitIngest(size_t w, size_t limit);
   size_t NumWindows(size_t limit) const;
+  /// Sizes the lane executor to min(workers, num_methods) lanes and keeps
+  /// one single-thread pool per method.
+  void PrepareLanes(size_t num_methods);
+  /// Growth events of every per-method pool arena, summed.
+  uint64_t LaneArenaGrowth() const;
 
   const CorruptedStream& stream_;
   const std::vector<DenseTensor>& truth_;
   StreamEvalOptions options_;
+  size_t workers_ = 1;  ///< Resolved worker count (upper bound on lanes).
   PipelineTelemetry telemetry_;
+
+  // Pool m is adopted by method m for a Run: its kernels run inline on the
+  // lane stepping it, with scratch from the pool's own arena. Persistent
+  // across Runs so the arenas stay warm.
+  std::vector<std::shared_ptr<ShardExecutor>> method_pools_;
 
   // Ingest ring: pipeline_depth window slots, each `window` slices.
   std::vector<std::vector<SliceIngest>> ring_;
@@ -107,8 +130,9 @@ class StreamPipeline {
   size_t pattern_reuses_ = 0;
   std::vector<size_t> pattern_delta_sizes_;
 
-  // Declared last: destroyed first, draining aux jobs that reference the
-  // ring and cache members above.
+  // Lane executor: one task per method per slice, plus the aux lane that
+  // prefetches ingest. Declared last: destroyed first, draining aux jobs
+  // that reference the ring and cache members above.
   std::unique_ptr<ShardExecutor> executor_;
 };
 

@@ -100,10 +100,10 @@ std::shared_ptr<const CooList> BuildEvalPattern(const CooList& observed,
 void ScoreStep(const StepResult& estimate, const CooList& observed,
                const CooList& held_out,
                const std::vector<double>& truth_observed,
-               const std::vector<double>& truth_missing, WorkerPool* pool,
+               const std::vector<double>& truth_missing,
                ScoreScratch* scratch, StreamRunResult* result) {
-  estimate.GatherAtInto(observed, &scratch->est_observed, pool);
-  estimate.GatherAtInto(held_out, &scratch->est_missing, pool);
+  estimate.GatherAtInto(observed, &scratch->est_observed);
+  estimate.GatherAtInto(held_out, &scratch->est_missing);
   const GatheredError obs_err = AccumulateGatheredError(
       scratch->est_observed, truth_observed);
   const GatheredError miss_err = AccumulateGatheredError(
@@ -155,11 +155,10 @@ std::vector<MethodRunResult> RunImputationComparison(
     const std::vector<StreamingMethod*>& methods,
     const CorruptedStream& stream, const std::vector<DenseTensor>& truth,
     const StreamEvalOptions& options) {
-  // The comparison protocol is now a configuration of the sharded
-  // streaming runtime: default knobs (workers = num_threads, depth 1,
-  // window 1) reproduce the former sequential loop exactly — same scores,
-  // same telemetry — while --workers/--pipeline-depth/--window open the
-  // persistent-shard and ingest-overlap paths.
+  // The comparison protocol is a configuration of the streaming runtime:
+  // every knob setting reproduces the sequential loop's scores exactly,
+  // while workers/pipeline_depth/window choose the method lanes and the
+  // ingest overlap.
   return RunStreamPipeline(methods, stream, truth, options);
 }
 

@@ -40,11 +40,11 @@ struct StreamEvalOptions {
   /// subset of that size is scored instead (the OLSTEC-style sampled
   /// evaluation). 0 scores every missing entry.
   size_t max_eval_entries = 1024;
-  /// Size of the one shared kernel worker pool of a comparison run (0 =
-  /// hardware concurrency), offered to every method via AdoptWorkerPool and
-  /// used for the scoring gathers. Results are bitwise identical for every
-  /// setting.
-  size_t num_threads = 1;
+  /// Worker count of a comparison run when `workers` is 0 (0 = one per
+  /// core): the methods of each slice are stepped and scored side by side
+  /// on min(workers, methods) lanes. Results are bitwise identical for
+  /// every setting.
+  size_t num_threads = 0;
   /// Storage backend broadcast to every method: kCsf compiles each shared
   /// per-step pattern into CSF fiber trees (once per distinct mask, outside
   /// the per-method timers) and attaches them to the shared CooList, so
@@ -57,9 +57,10 @@ struct StreamEvalOptions {
   // Streaming-runtime knobs (eval/stream_pipeline.hpp). Scores are bitwise
   // identical for every (workers, pipeline_depth, window) combination —
   // these trade wall-clock shape only (tests/stream_pipeline_test.cc).
-  /// Workers of the persistent ShardExecutor driving kernels + gathers
-  /// (0 = fall back to num_threads). Each worker owns a stable contiguous
-  /// root-slab range of every CSF tree across the whole run.
+  /// Method lanes (0 = fall back to num_threads): each slice's methods run
+  /// side by side on min(workers, methods) threads, the caller included,
+  /// each method's kernels serially inside its lane. One method runs inline
+  /// on the caller.
   size_t workers = 0;
   /// Ingest ring depth: 1 runs slice ingest (pattern compare/build,
   /// CSF delta, eval-pattern sampling, truth gathers) synchronously before
@@ -73,11 +74,11 @@ struct StreamEvalOptions {
   size_t window = 1;
 };
 
-/// What the sharded pipeline did, beyond the per-method metrics: knob
-/// echo, ingest/compute overlap accounting, and the executor arena's
-/// allocation watch (identical for every method of a run).
+/// What the pipeline did, beyond the per-method metrics: knob echo,
+/// ingest/compute overlap accounting, and the kernel-scratch allocation
+/// watch (identical for every method of a run).
 struct PipelineTelemetry {
-  size_t workers = 1;         ///< Executor threads (incl. the driver).
+  size_t workers = 1;         ///< Method lanes: min(workers, methods).
   size_t pipeline_depth = 1;  ///< Ingest ring depth (1 = synchronous).
   size_t window = 1;          ///< Slices per ingest batch.
   size_t steps = 0;           ///< Slices driven through the pipeline.
@@ -88,10 +89,11 @@ struct PipelineTelemetry {
   double ingest_seconds = 0.0;
   /// Main-thread time blocked waiting for a not-yet-ingested window.
   double ingest_stall_seconds = 0.0;
-  /// ScratchArena growth events over the whole run, and over the run
-  /// excluding the first compute window. A steady-state stream (stable
-  /// mask) holds arena_growth_steady == 0: every post-warm-up step runs
-  /// allocation-free through the kernel scratch (test-pinned).
+  /// ScratchArena growth events of the per-method pools, summed: over the
+  /// whole run, and over the run excluding each method's first step. A
+  /// steady-state stream (stable mask) holds arena_growth_steady == 0:
+  /// every post-warm-up step runs allocation-free through the kernel
+  /// scratch (test-pinned).
   uint64_t arena_growth_total = 0;
   uint64_t arena_growth_steady = 0;
 };
@@ -182,9 +184,9 @@ struct MethodRunResult {
 ///    scored by gathering the estimate at the observed and held-out
 ///    patterns: per-step NRE over observed, held-out, and their union, with
 ///    zero full-volume reconstructions on the lazy path;
-///  - one shared worker pool (options.num_threads) is adopted by every
-///    method and drives the scoring gathers, instead of one lazily spawned
-///    pool per method;
+///  - the methods of each slice are stepped and scored side by side on
+///    min(workers, methods) lanes, each method serially inside its lane
+///    through its own single-thread pool;
 ///  - methods with an init window are initialized on their own window
 ///    prefix first; their init slices are scored from Initialize()'s
 ///    completions at the same entry sets.

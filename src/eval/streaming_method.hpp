@@ -99,8 +99,9 @@ class StreamingMethod {
   /// back to an older checkpoint generation.
   virtual void RestoreState(std::istream& in);
 
-  /// Adopt a shared worker pool for the observed-entry kernels (one pool
-  /// per comparison run instead of one lazily spawned pool per method).
+  /// Adopt an externally owned worker pool for the observed-entry kernels
+  /// instead of a lazily spawned one of the method's own (the comparison
+  /// runtime lends each method a single-thread pool with a scratch arena).
   /// Results are bitwise identical with or without it — the kernels'
   /// work units are owner-partitioned for every thread count. Default:
   /// ignore (dense-only methods have no kernel work to thread).

@@ -1,6 +1,7 @@
 #include "util/shard_executor.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -10,6 +11,43 @@
 namespace sofia {
 
 namespace {
+
+/// How long a thread polls for the next hand-off (a worker for the next
+/// batch, the caller for the end of its batch) before parking on a
+/// condition variable. The streaming pipeline issues one batch per slice,
+/// about a millisecond apart, and on a virtualized host a parked thread's
+/// wake-up took 70 us at the median and 1-2 ms at p90 — most of a slice.
+constexpr std::chrono::microseconds kSpinBudget(2000);
+/// Polling uses the CPU's spin-wait hint, which leaves the core to the
+/// threads still computing; polling with sched_yield instead slowed the
+/// lanes' own method steps by up to 60%. A yield every kYieldEvery still
+/// lets an oversubscribed machine run whatever else is runnable.
+constexpr std::chrono::microseconds kYieldEvery(100);
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  for (int i = 0; i < 16; ++i) __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+/// Polls `done` until it holds or kSpinBudget elapses.
+template <typename Pred>
+void SpinUntil(Pred done) {
+  const auto start = std::chrono::steady_clock::now();
+  auto next_yield = start + kYieldEvery;
+  while (!done()) {
+    const auto now = std::chrono::steady_clock::now();
+    if (now - start >= kSpinBudget) return;
+    if (now >= next_yield) {
+      std::this_thread::yield();
+      next_yield = now + kYieldEvery;
+    } else {
+      CpuRelax();
+    }
+  }
+}
 
 /// Aux-lane registry handles (the compute lane uses per-worker counters
 /// looked up at thread start instead — see WorkerLoop).
@@ -33,6 +71,48 @@ obs::Counter* WorkerBusyCounter(size_t worker_index) {
   return obs::Registry::Global().FindOrCreateCounter(
       "executor.w" + std::to_string(worker_index) + ".busy_us");
 }
+
+/// True while the calling thread executes tasks of some batch. A Run issued
+/// from inside a task — a method's own single-thread pool, stepped on a
+/// pipeline lane — is already inside the enclosing batch's busy time, so
+/// only the outermost batch on a thread counts toward executor.w<N>.busy_us.
+thread_local bool t_in_batch = false;
+
+/// One thread's share of one batch: marks the thread as inside a batch and,
+/// for the outermost batch only, adds its wall time to `busy_us` (and an
+/// executor.batch span when `trace_span` and worker spans are on).
+class BatchScope {
+ public:
+  BatchScope(obs::Counter* busy_us, size_t tasks, bool trace_span)
+      : busy_us_(busy_us),
+        tasks_(tasks),
+        trace_span_(trace_span),
+        outermost_(!t_in_batch) {
+    measured_ = outermost_ && (obs::Enabled() || obs::TraceActive());
+    if (measured_) start_ = obs::NowNs();
+    t_in_batch = true;
+  }
+  ~BatchScope() {
+    if (outermost_) t_in_batch = false;
+    if (!measured_) return;
+    const uint64_t dur = obs::NowNs() - start_;
+    busy_us_->Add(dur / 1000);
+    if (trace_span_ && obs::TraceWorkerSpans()) {
+      obs::TraceRecord("executor.batch", start_, dur, tasks_, "tasks");
+    }
+  }
+
+  BatchScope(const BatchScope&) = delete;
+  BatchScope& operator=(const BatchScope&) = delete;
+
+ private:
+  obs::Counter* busy_us_;
+  size_t tasks_;
+  bool trace_span_;
+  bool outermost_;
+  bool measured_ = false;
+  uint64_t start_ = 0;
+};
 
 }  // namespace
 
@@ -96,32 +176,40 @@ void ShardExecutor::WorkerLoop(size_t worker_index) {
   obs::SetThreadName("shard-worker-" + std::to_string(worker_index));
   obs::Counter* busy_us = WorkerBusyCounter(worker_index);
   size_t seen_generation = 0;
+  bool ran_batch = false;
   for (;;) {
     size_t tasks = 0;
+    // A worker that just finished a batch polls for the next one before
+    // parking; batch state is still read under the lock below.
+    if (ran_batch) {
+      SpinUntil([&] {
+        return stop_.load(std::memory_order_relaxed) ||
+               generation_.load(std::memory_order_acquire) != seen_generation;
+      });
+    }
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_ready_.wait(lock, [&] {
         return stop_ || generation_ != seen_generation;
       });
       if (stop_) return;
-      seen_generation = generation_;
+      seen_generation = generation_.load();
       tasks = num_tasks_;
     }
-    // Busy time per batch; the trace span per batch is the highest-volume
-    // event in the system, so it honors the worker_spans session option.
-    const bool measured = obs::Enabled() || obs::TraceActive();
-    const uint64_t start = measured ? obs::NowNs() : 0;
-    RunOwnedBlock(worker_index);
-    if (measured) {
-      const uint64_t dur = obs::NowNs() - start;
-      busy_us->Add(dur / 1000);
-      if (obs::TraceWorkerSpans()) {
-        obs::TraceRecord("executor.batch", start, dur, tasks, "tasks");
-      }
+    {
+      // Busy time per batch; the trace span per batch is the
+      // highest-volume event in the system, so it honors
+      // TraceOptions::worker_spans.
+      BatchScope scope(busy_us, tasks, /*trace_span=*/true);
+      RunOwnedBlock(worker_index);
     }
+    ran_batch = true;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (--busy_workers_ == 0) batch_done_.notify_one();
+      // Release: the caller may observe zero by polling, without the lock.
+      if (busy_workers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        batch_done_.notify_one();
+      }
     }
   }
 }
@@ -134,34 +222,28 @@ void ShardExecutor::Run(size_t num_tasks,
       obs::Registry::Global().FindOrCreateCounter("executor.batches");
   static obs::Counter* w0_busy_us = WorkerBusyCounter(0);
   batches->Add(1);
-  const bool measured = obs::Enabled() || obs::TraceActive();
   if (workers_.empty() || num_tasks == 1) {
-    const uint64_t start = measured ? obs::NowNs() : 0;
+    BatchScope scope(w0_busy_us, num_tasks, /*trace_span=*/false);
     for (size_t task = 0; task < num_tasks; ++task) fn(task);
-    if (measured) w0_busy_us->Add((obs::NowNs() - start) / 1000);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     num_tasks_ = num_tasks;
     fn_ = &fn;
-    busy_workers_ = workers_.size();
-    ++generation_;
+    busy_workers_.store(workers_.size(), std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
   }
   work_ready_.notify_all();
   {
-    const uint64_t start = measured ? obs::NowNs() : 0;
+    BatchScope scope(w0_busy_us, num_tasks, /*trace_span=*/true);
     RunOwnedBlock(0);
-    if (measured) {
-      const uint64_t dur = obs::NowNs() - start;
-      w0_busy_us->Add(dur / 1000);
-      if (obs::TraceWorkerSpans()) {
-        obs::TraceRecord("executor.batch", start, dur, num_tasks, "tasks");
-      }
-    }
   }
+  SpinUntil([&] {
+    return busy_workers_.load(std::memory_order_acquire) == 0;
+  });
   std::unique_lock<std::mutex> lock(mutex_);
-  batch_done_.wait(lock, [&] { return busy_workers_ == 0; });
+  batch_done_.wait(lock, [&] { return busy_workers_.load() == 0; });
   fn_ = nullptr;
 }
 

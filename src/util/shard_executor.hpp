@@ -29,13 +29,21 @@
 /// and slab partials are combined in slab order by the kernels themselves
 /// (see tensor/csf_kernels.cpp, RootSlabReduce).
 ///
+/// The streaming pipeline uses the same partition one level up: one task
+/// per method per slice, so each lane steps a fixed contiguous range of
+/// the methods (eval/stream_pipeline.hpp).
+///
 /// On top of the sharded compute lane the executor adds:
 ///  - per-slot ScratchArena buffers, so kernels' blocked-reduction scratch
 ///    is allocation-free in steady state (growth is counter-pinned);
 ///  - an auxiliary lane: a dedicated background thread running FIFO jobs
 ///    (Submit/Wait tickets). The streaming pipeline uses it to overlap
 ///    slice t+1's ingest (pattern + CSF-delta build) and StreamGuard's
-///    checkpoint serialization with slice t's compute.
+///    checkpoint serialization with slice t's compute;
+///  - spin-then-park hand-offs: a worker that finished a batch, and a Run
+///    caller waiting for its batch to finish, poll for up to 2 ms before
+///    sleeping on a condition variable, so back-to-back batches do not pay
+///    a thread wake-up each.
 
 namespace sofia {
 
@@ -90,7 +98,11 @@ class ShardExecutor : public WorkerPool {
   size_t num_threads() const override { return workers_.size() + 1; }
 
   /// Execute fn(0) .. fn(num_tasks - 1) under the static block partition;
-  /// blocks until all tasks finish. Caller-driven, not reentrant.
+  /// blocks until all tasks finish. Caller-driven, not reentrant. Worker w's
+  /// wall time in a batch lands in `executor.w<w>.busy_us`; a Run issued
+  /// from inside another batch's task (a method's own single-thread pool
+  /// stepped on a pipeline lane) is already covered by that lane's busy
+  /// time and does not count again.
   void Run(size_t num_tasks, const std::function<void(size_t)>& fn) override;
 
   /// Caller-thread arena (worker 0 / the Run driver).
@@ -127,15 +139,18 @@ class ShardExecutor : public WorkerPool {
   ScratchArena caller_arena_;
 
   // Compute-lane batch state (same protocol as ThreadPool, minus the
-  // claiming counter: each worker's range is fixed by the partition).
+  // claiming counter: each worker's range is fixed by the partition). All
+  // of it is written under mutex_; the three atomics are also polled
+  // without the lock for a short while before a thread parks, so
+  // back-to-back batches skip the condition-variable wake-up.
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable batch_done_;
-  bool stop_ = false;
-  size_t generation_ = 0;
+  std::atomic<bool> stop_{false};
+  std::atomic<size_t> generation_{0};
   size_t num_tasks_ = 0;
   const std::function<void(size_t)>* fn_ = nullptr;
-  size_t busy_workers_ = 0;
+  std::atomic<size_t> busy_workers_{0};
   uint64_t runs_ = 0;
 
   // Aux-lane state.

@@ -68,4 +68,10 @@ std::string Table::Num(double v, int digits) {
   return buf;
 }
 
+std::string Table::Fixed(double v, int decimals) {
+  char buf[512];  // %f of a finite double needs at most ~310 digits.
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  return buf;
+}
+
 }  // namespace sofia

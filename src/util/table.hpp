@@ -33,6 +33,10 @@ class Table {
   /// Format a double with `digits` significant digits (helper for rows).
   static std::string Num(double v, int digits = 4);
 
+  /// Format a double with exactly `decimals` digits after the point, never
+  /// in exponent form (90.26 -> "90.3" at 1 decimal).
+  static std::string Fixed(double v, int decimals);
+
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

@@ -299,9 +299,8 @@ TEST(DurableGuardTest, ComposesOverStreamGuardAndRecoversBitwise) {
   // kill-recover cycle reproduces the uninterrupted composite bitwise.
   const CorruptedStream stream = MakeStream(251);
   const std::string dir = MakeTempDir();
-  // Trip-free configuration: StreamGuard's rolling health windows are not
-  // part of its checkpoint (PR 6 caveat), so bitwise recovery of the
-  // composite holds exactly when no trip fires in either run.
+  // Trip-free configuration: this pins the plain composition; replays
+  // through trips are covered by the garbage-slice test below.
   StreamGuardOptions guard_options;
   guard_options.payload_explosion_factor = 0.0;  // 0 disables the layer.
   guard_options.nre_spike_factor = 1e18;
@@ -335,6 +334,57 @@ TEST(DurableGuardTest, ComposesOverStreamGuardAndRecoversBitwise) {
   DurableGuard rebooted(make_composite(), MakeOptions(dir));
   const RecoveryReport report = rebooted.Recover();
   ASSERT_TRUE(report.restored);
+  for (size_t t = report.resume_step; t < kSteps; ++t) {
+    ASSERT_EQ(GatherStep(&rebooted, stream, t), reference[t])
+        << "step " << t;
+  }
+}
+
+TEST(DurableGuardTest, ReplayThroughGuardRejectsGarbageLikeTheLiveGuard) {
+  // A huge-but-finite garbage slice lands in the journal tail after the
+  // last snapshot. The live guard rejects it by payload scale; recovery
+  // replays the tail through a fresh guard, which must reject it too —
+  // its payload window comes from the snapshot — and then continue bit
+  // for bit like a guard that never crashed.
+  CorruptedStream stream = MakeStream(263);
+  // The first slice after the snapshot at step 28, so a guard restored
+  // without its payload window has nothing to compare the garbage against.
+  const size_t garbage_step = 28;
+  const size_t ran = 34;  // Crash point: tail = steps 28..33.
+  for (size_t k = 0; k < stream.slices[garbage_step].NumElements(); ++k) {
+    stream.slices[garbage_step][k] *= 1e6;
+  }
+  const std::string dir = MakeTempDir();
+  const auto make_guard = [] {
+    return std::make_unique<StreamGuard>(MakeInner(), StreamGuardOptions{});
+  };
+
+  std::vector<std::vector<double>> reference;
+  {
+    std::unique_ptr<StreamGuard> plain = make_guard();
+    for (size_t t = 0; t < kSteps; ++t) {
+      reference.push_back(GatherStep(plain.get(), stream, t));
+    }
+    ASSERT_EQ(plain->telemetry().input_trips, 1u);
+  }
+
+  {
+    DurableGuard guard(make_guard(), MakeOptions(dir));
+    for (size_t t = 0; t < ran; ++t) {
+      ASSERT_EQ(GatherStep(&guard, stream, t), reference[t]) << "step " << t;
+    }
+    guard.Drain();
+  }  // "Killed": no snapshot after step 28.
+
+  auto recovered_guard = make_guard();
+  const StreamGuard* recovered_view = recovered_guard.get();
+  DurableGuard rebooted(std::move(recovered_guard), MakeOptions(dir));
+  const RecoveryReport report = rebooted.Recover();
+  ASSERT_TRUE(report.restored);
+  ASSERT_EQ(report.snapshot_step, garbage_step);
+  EXPECT_EQ(report.resume_step, ran);
+  EXPECT_EQ(recovered_view->telemetry().input_trips, 1u)
+      << "the replayed garbage slice reached the inner method";
   for (size_t t = report.resume_step; t < kSteps; ++t) {
     ASSERT_EQ(GatherStep(&rebooted, stream, t), reference[t])
         << "step " << t;

@@ -273,7 +273,7 @@ TEST_F(ObsTest, ReportChecksCoverageBounds) {
   const char* good = R"({"counters": {
     "time.pipeline.wall_us": 1000, "time.pipeline.init_us": 100,
     "time.pipeline.ingest_us": 100, "time.pipeline.stall_us": 100,
-    "time.pipeline.compute_us": 500, "time.pipeline.score_us": 150,
+    "time.pipeline.compute_us": 650, "time.pipeline.score_us": 150,
     "time.pipeline.ingest_async_us": 400},
     "gauges": {}, "histograms": {}})";
   JsonValue snapshot;
@@ -282,8 +282,9 @@ TEST_F(ObsTest, ReportChecksCoverageBounds) {
   EXPECT_TRUE(CheckMetricsSnapshot(snapshot).ok);
   const AttributionReport attribution = TimeAttribution(snapshot);
   EXPECT_EQ(attribution.wall_us, 1000.0);
-  // ingest_async overlaps on the aux lane: listed as a row, excluded from
-  // driver coverage.
+  // ingest_async (the aux lane) and score (summed over the method lanes,
+  // inside compute's batches) overlap the driver: listed as rows, excluded
+  // from driver coverage.
   EXPECT_NEAR(attribution.driver_coverage, 0.95, 1e-9);
   ASSERT_FALSE(attribution.rows.empty());
   EXPECT_EQ(attribution.rows[0].stage, "pipeline.compute");
@@ -299,6 +300,27 @@ TEST_F(ObsTest, ReportChecksCoverageBounds) {
   EXPECT_FALSE(low.ok);
 
   EXPECT_FALSE(CheckMetricsSnapshot(JsonValue{}).ok);
+}
+
+TEST_F(ObsTest, ReportPrintsFixedDecimals) {
+  // Shares, milliseconds and latencies read as plain decimals, never in
+  // exponent form (significant-digit formatting printed 90.3% as 9e+01).
+  const char* snapshot_json = R"({"counters": {
+    "time.pipeline.wall_us": 123456, "time.pipeline.compute_us": 111482,
+    "time.pipeline.init_us": 11974},
+    "gauges": {},
+    "histograms": {"pipeline.step_latency_us":
+      {"count": 7, "sum": 900, "p50": 123.456, "p90": 2000, "p99": 4096.5}}})";
+  JsonValue snapshot;
+  std::string error;
+  ASSERT_TRUE(ParseJson(snapshot_json, &snapshot, &error)) << error;
+  const std::string report = RenderReport(snapshot);
+  EXPECT_NE(report.find("90.3"), std::string::npos) << report;  // 111482/wall.
+  EXPECT_NE(report.find("111.48"), std::string::npos) << report;  // ms.
+  EXPECT_NE(report.find("123.46"), std::string::npos) << report;  // Wall ms.
+  EXPECT_NE(report.find("123.5"), std::string::npos) << report;   // p50.
+  EXPECT_NE(report.find("2000.0"), std::string::npos) << report;  // p90.
+  EXPECT_EQ(report.find("e+"), std::string::npos) << report;
 }
 
 /// The whole point of the subsystem: measuring must not move the numbers.

@@ -9,21 +9,27 @@
 //    episode within 3 steps;
 //  - zero overhead on clean streams: guarded scores are bitwise identical
 //    to unguarded ones, with exactly one O(|omega|) validation pass per
-//    slice, zero estimate materializations, and zero trips.
+//    slice, zero estimate materializations, and zero trips;
+//  - a guard checkpoint round-trips the decision state and rejects
+//    inner-only or truncated bytes.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "baselines/online_sgd.hpp"
 #include "core/sofia_stream.hpp"
+#include "data/corruption.hpp"
 #include "data/scenarios.hpp"
 #include "data/synthetic.hpp"
 #include "eval/stream_guard.hpp"
 #include "eval/stream_runner.hpp"
+#include "tensor/coo_list.hpp"
+#include "util/state_io.hpp"
 
 namespace sofia {
 namespace {
@@ -397,6 +403,43 @@ TEST(StreamGuardTest, CheckpointCadenceBoundsRollbackLossAndCountsWraps) {
   ASSERT_EQ(fake->restored.size(), 1u);
   EXPECT_EQ(fake->restored.back(), 12u);
   EXPECT_GE(fake->restored.back() + options.checkpoint_every - 1, 14u);
+}
+
+TEST(StreamGuardTest, CheckpointRoundTripsAndRejectsForeignBytes) {
+  // A guard checkpoint is the versioned decision state plus the inner
+  // state: a fresh guard restored from it continues bit for bit, while the
+  // inner state alone or a truncated checkpoint is rejected as corrupt.
+  std::vector<DenseTensor> truth = MakeTruth(6, 5, 12, 41);
+  CorruptedStream stream = Corrupt(truth, {20.0, 0.0, 0.0}, 42);
+  const auto make_guard = [] {
+    return std::make_unique<StreamGuard>(
+        std::make_unique<OnlineSgd>(OnlineSgdOptions{.rank = 3}));
+  };
+  std::unique_ptr<StreamGuard> live = make_guard();
+  for (size_t t = 0; t < 8; ++t) {
+    live->StepLazy(stream.slices[t], stream.masks[t]);
+  }
+  std::ostringstream guard_state, inner_state;
+  live->SaveState(guard_state);
+  live->inner().SaveState(inner_state);
+  const std::string bytes = guard_state.str();
+
+  std::unique_ptr<StreamGuard> restored = make_guard();
+  std::istringstream inner_only(inner_state.str());
+  EXPECT_THROW(restored->RestoreState(inner_only), state_io::StateError);
+  std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
+  EXPECT_THROW(restored->RestoreState(truncated), state_io::StateError);
+  std::istringstream whole(bytes);
+  restored->RestoreState(whole);
+  for (size_t t = 8; t < truth.size(); ++t) {
+    const CooList pattern =
+        CooList::Build(stream.masks[t], /*with_mode_buckets=*/false);
+    EXPECT_EQ(live->StepLazy(stream.slices[t], stream.masks[t])
+                  .GatherAt(pattern),
+              restored->StepLazy(stream.slices[t], stream.masks[t])
+                  .GatherAt(pattern))
+        << "t=" << t;
+  }
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Streaming-runtime contract tests (eval/stream_pipeline.hpp):
-//  - a 60-step guarded comparison is *bitwise* identical across workers in
-//    {1, 2, 4, 8} x pipeline on/off x windowed ingest — the runtime knobs
-//    move wall-clock shape only;
-//  - a stable-mask stream runs allocation-free through the kernel scratch
-//    after the first compute window (arena growth counter pinned at zero);
-//  - slab ownership holds across the whole run (the executor partitions by
-//    the same static OwnedRange every batch — runs() counts the batches);
+//  - a 60-step guarded comparison, and all nine methods guarded and
+//    unguarded, are *bitwise* identical across workers in {1, 2, 4, 8} x
+//    pipeline on/off (x windowed ingest) — the runtime knobs move
+//    wall-clock shape only;
+//  - a stable-mask stream runs allocation-free through the per-method
+//    kernel scratch after each method's first step (arena growth pinned at
+//    zero);
+//  - every slice is exactly one lane-executor batch, and lane tasks never
+//    dispatch to another pool: each method's kernels run on its own
+//    single-thread pool;
 //  - a mid-stream drain (Run with a limit under the stream length, ingest
 //    prefetched beyond it) returns cleanly and matches the full run's
 //    prefix, and the pipeline object is reusable afterwards.
@@ -14,15 +17,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <vector>
 
+#include "baselines/brst.hpp"
+#include "baselines/cp_wopt_stream.hpp"
+#include "baselines/cphw.hpp"
+#include "baselines/mast.hpp"
+#include "baselines/olstec.hpp"
 #include "baselines/online_sgd.hpp"
+#include "baselines/or_mstc.hpp"
+#include "baselines/smf.hpp"
 #include "core/sofia_stream.hpp"
 #include "data/corruption.hpp"
 #include "data/synthetic.hpp"
 #include "eval/stream_guard.hpp"
 #include "eval/stream_runner.hpp"
+#include "obs/metrics.hpp"
 
 namespace sofia {
 namespace {
@@ -51,6 +65,37 @@ std::vector<std::unique_ptr<StreamingMethod>> MakeMethods() {
   methods.push_back(std::make_unique<StreamGuard>(
       std::make_unique<SofiaStream>(config), StreamGuardOptions{}));
   methods.push_back(std::make_unique<OnlineSgd>(OnlineSgdOptions{.rank = 3}));
+  return methods;
+}
+
+/// All nine comparison methods, optionally each under a rollback guard.
+std::vector<std::unique_ptr<StreamingMethod>> MakeNine(bool guarded) {
+  SofiaConfig config;
+  config.rank = 3;
+  config.period = 4;
+  config.lambda1 = 0.5;
+  config.lambda2 = 0.5;
+  config.max_init_iterations = 15;
+  std::vector<std::unique_ptr<StreamingMethod>> methods;
+  methods.push_back(std::make_unique<SofiaStream>(config));
+  methods.push_back(std::make_unique<OnlineSgd>(OnlineSgdOptions{.rank = 3}));
+  methods.push_back(std::make_unique<Olstec>(OlstecOptions{.rank = 3}));
+  methods.push_back(std::make_unique<Mast>(MastOptions{.rank = 3}));
+  methods.push_back(std::make_unique<OrMstc>(
+      OrMstcOptions{.rank = 3, .outlier_lambda = 2.0}));
+  methods.push_back(std::make_unique<BrstLite>(BrstOptions{.rank = 4}));
+  methods.push_back(
+      std::make_unique<Smf>(SmfOptions{.rank = 3, .period = 4}));
+  methods.push_back(
+      std::make_unique<Cphw>(CphwOptions{.rank = 3, .period = 4}));
+  methods.push_back(std::make_unique<CpWoptStream>(
+      CpWoptStreamOptions{.rank = 3, .iterations_per_step = 5}));
+  if (guarded) {
+    for (auto& method : methods) {
+      method = std::make_unique<StreamGuard>(std::move(method),
+                                             StreamGuardOptions{});
+    }
+  }
   return methods;
 }
 
@@ -130,18 +175,182 @@ TEST(StreamPipelineTest, GuardedRunBitwiseIdenticalAcrossRuntimeKnobs) {
               reference[0].run.guard.input_trips);
     EXPECT_EQ(got[0].run.guard.health_trips,
               reference[0].run.guard.health_trips);
-    // Knob echo in the telemetry.
+    // Knob echo in the telemetry: two methods never need more than two
+    // lanes.
     EXPECT_TRUE(got[0].run.pipelined);
-    EXPECT_EQ(got[0].run.pipeline.workers, knobs.workers);
+    EXPECT_EQ(got[0].run.pipeline.workers, std::min<size_t>(knobs.workers, 2));
     EXPECT_EQ(got[0].run.pipeline.pipeline_depth, knobs.depth);
     EXPECT_EQ(got[0].run.pipeline.window, knobs.window);
     EXPECT_EQ(got[0].run.pipeline.steps, steps);
   }
 }
 
+TEST(StreamPipelineTest, NineMethodsBitwiseIdenticalAcrossLanes) {
+  // The comparison protocol's nine methods, guarded and unguarded: however
+  // the lanes split them, every method's scores match the one-lane run.
+  const size_t steps = 40;
+  std::vector<DenseTensor> truth = MakeTruth(steps, 81);
+  CorruptedStream stream = Corrupt(truth, {30.0, 10.0, 3.0}, 82);
+
+  for (const bool guarded : {false, true}) {
+    SCOPED_TRACE(guarded ? "guarded" : "unguarded");
+    StreamEvalOptions reference_options;
+    reference_options.workers = 1;
+    auto reference_owned = MakeNine(guarded);
+    std::vector<MethodRunResult> reference = RunStreamPipeline(
+        Raw(reference_owned), stream, truth, reference_options);
+    ASSERT_EQ(reference.size(), 9u);
+    EXPECT_EQ(reference[0].run.pipeline.workers, 1u);
+
+    for (const size_t workers : {1, 2, 4, 8}) {
+      for (const size_t depth : {1, 2}) {
+        if (workers == 1 && depth == 1) continue;  // The reference.
+        SCOPED_TRACE(testing::Message()
+                     << "workers=" << workers << " depth=" << depth);
+        StreamEvalOptions options = reference_options;
+        options.workers = workers;
+        options.pipeline_depth = depth;
+        auto owned = MakeNine(guarded);
+        std::vector<MethodRunResult> got =
+            RunStreamPipeline(Raw(owned), stream, truth, options);
+        ASSERT_EQ(got.size(), reference.size());
+        for (size_t m = 0; m < got.size(); ++m) {
+          SCOPED_TRACE(got[m].name);
+          ExpectBitwiseEqual(got[m].run, reference[m].run);
+          EXPECT_EQ(got[m].run.guard.checkpoints_saved,
+                    reference[m].run.guard.checkpoints_saved);
+          EXPECT_EQ(got[m].run.guard.health_trips,
+                    reference[m].run.guard.health_trips);
+        }
+        EXPECT_EQ(got[0].run.pipeline.workers, workers);  // <= 9 methods.
+      }
+    }
+  }
+}
+
+/// Pass-through decorator that keeps the pool the pipeline lends its
+/// method, to inspect after the run.
+class PoolProbe : public StreamingMethod {
+ public:
+  explicit PoolProbe(std::unique_ptr<StreamingMethod> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  size_t init_window() const override { return inner_->init_window(); }
+  std::vector<DenseTensor> Initialize(
+      const std::vector<DenseTensor>& slices,
+      const std::vector<Mask>& masks) override {
+    return inner_->Initialize(slices, masks);
+  }
+  StepResult StepLazy(const DenseTensor& y, const Mask& omega,
+                      std::shared_ptr<const CooList> pattern) override {
+    return inner_->StepLazy(y, omega, std::move(pattern));
+  }
+  void AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) override {
+    if (pool != nullptr) lent = std::dynamic_pointer_cast<ShardExecutor>(pool);
+    inner_->AdoptWorkerPool(std::move(pool));
+  }
+
+  std::shared_ptr<ShardExecutor> lent;  ///< Last pool lent (not revoked).
+
+ private:
+  std::unique_ptr<StreamingMethod> inner_;
+};
+
+TEST(StreamPipelineTest, EverySliceIsOneBatchAndLanesKeepToTheirOwnPools) {
+  const size_t steps = 24;
+  std::vector<DenseTensor> truth = MakeTruth(steps, 11);
+  CorruptedStream stream = Corrupt(truth, {30.0, 5.0, 2.0}, 12);
+
+  std::vector<std::unique_ptr<StreamingMethod>> owned = MakeNine(false);
+  std::vector<PoolProbe*> probes;
+  for (auto& method : owned) {
+    auto probe = std::make_unique<PoolProbe>(std::move(method));
+    probes.push_back(probe.get());
+    method = std::move(probe);
+  }
+
+  StreamEvalOptions options;
+  options.workers = 4;
+  StreamPipeline pipeline(stream, truth, options);
+  EXPECT_EQ(pipeline.executor(), nullptr);  // Sized by the first Run.
+  obs::Counter* batches =
+      obs::Registry::Global().FindOrCreateCounter("executor.batches");
+  const uint64_t batches_before = batches->Value();
+  pipeline.Run(Raw(owned));
+
+  ShardExecutor* lanes = pipeline.executor();
+  ASSERT_NE(lanes, nullptr);
+  EXPECT_EQ(lanes->num_threads(), 4u);
+  EXPECT_EQ(pipeline.telemetry().workers, 4u);
+  // One batch per slice, no more: a lane task that dispatched kernels back
+  // to the lane executor would add batches here (and deadlock it).
+  EXPECT_EQ(lanes->runs(), steps);
+
+  // Each method got a pool of its own that runs tasks inline on the lane.
+  std::set<const ShardExecutor*> distinct;
+  uint64_t method_batches = 0;
+  for (PoolProbe* probe : probes) {
+    SCOPED_TRACE(probe->name());
+    ASSERT_NE(probe->lent, nullptr);
+    EXPECT_EQ(probe->lent->num_threads(), 1u);
+    EXPECT_NE(probe->lent.get(), lanes);
+    distinct.insert(probe->lent.get());
+    method_batches += probe->lent->runs();
+  }
+  EXPECT_EQ(distinct.size(), probes.size());
+  // SOFIA's kernels dispatched through the pool it was lent.
+  EXPECT_GT(probes[0]->lent->runs(), 0u);
+  // Every ShardExecutor batch of the run was the lane executor's or a lent
+  // pool's: no lane task reached any other executor.
+  if (obs::Enabled()) {
+    EXPECT_EQ(batches->Value() - batches_before,
+              lanes->runs() + method_batches);
+  }
+
+  // Fewer methods than workers: the lanes shrink to the method count, and
+  // a single method runs inline on the caller.
+  auto pair = MakeMethods();
+  pipeline.Run(Raw(pair));
+  EXPECT_EQ(pipeline.executor()->num_threads(), 2u);
+  EXPECT_EQ(pipeline.telemetry().workers, 2u);
+  auto single = MakeMethods();
+  single.pop_back();
+  pipeline.Run(Raw(single));
+  EXPECT_EQ(pipeline.executor()->num_threads(), 1u);
+}
+
+/// Throws from its StepLazy on slice `fail_at`.
+class ThrowingMethod : public StreamingMethod {
+ public:
+  explicit ThrowingMethod(size_t fail_at) : fail_at_(fail_at) {}
+  std::string name() const override { return "Throwing"; }
+  StepResult StepLazy(const DenseTensor& y, const Mask&,
+                      std::shared_ptr<const CooList>) override {
+    if (steps_++ == fail_at_) throw std::runtime_error("step failed");
+    return StepResult::Dense(DenseTensor(y.shape()));
+  }
+
+ private:
+  size_t fail_at_;
+  size_t steps_ = 0;
+};
+
+TEST(StreamPipelineTest, LaneExceptionSurfacesOnTheCaller) {
+  std::vector<DenseTensor> truth = MakeTruth(16, 21);
+  CorruptedStream stream = Corrupt(truth, {30.0, 5.0, 2.0}, 22);
+  std::vector<std::unique_ptr<StreamingMethod>> owned = MakeNine(false);
+  owned.push_back(std::make_unique<ThrowingMethod>(5));
+  StreamEvalOptions options;
+  options.workers = 4;
+  options.pipeline_depth = 2;
+  StreamPipeline pipeline(stream, truth, options);
+  EXPECT_THROW(pipeline.Run(Raw(owned)), std::runtime_error);
+}
+
 TEST(StreamPipelineTest, SteadyStateStepsAreAllocationFree) {
-  // One fixed outage mask across the whole stream: after the first compute
-  // window warms the executor's arena, no kernel-scratch growth may occur.
+  // One fixed outage mask across the whole stream: after each method's
+  // first step warms its pool's arena, no kernel-scratch growth may occur.
   std::vector<DenseTensor> truth = MakeTruth(30, 31);
   CorruptedStream stream = Corrupt(truth, {40.0, 0.0, 0.0}, 32);
   for (size_t t = 1; t < stream.masks.size(); ++t) {
@@ -162,27 +371,6 @@ TEST(StreamPipelineTest, SteadyStateStepsAreAllocationFree) {
       << "a steady-state step allocated kernel scratch";
   EXPECT_EQ(results[0].run.pattern_builds, 1u);
   EXPECT_EQ(results[0].run.pattern_reuses, truth.size() - 1);
-}
-
-TEST(StreamPipelineTest, ExecutorShardsEveryBatchWithTheSamePartition) {
-  std::vector<DenseTensor> truth = MakeTruth(24, 11);
-  CorruptedStream stream = Corrupt(truth, {30.0, 5.0, 2.0}, 12);
-
-  StreamEvalOptions options;
-  options.workers = 4;
-  auto owned = MakeMethods();
-  StreamPipeline pipeline(stream, truth, options);
-  ShardExecutor* executor = pipeline.executor();
-  ASSERT_NE(executor, nullptr);
-  EXPECT_EQ(executor->num_threads(), 4u);
-
-  pipeline.Run(Raw(owned));
-  // Compute ran through the sharded lane: each of runs() batches used the
-  // static OwnedRange partition (ownership stability itself is pinned in
-  // shard_executor_test.cc — here we pin that the pipeline actually
-  // routed the work through it).
-  EXPECT_GT(executor->runs(), 0u);
-  EXPECT_EQ(pipeline.telemetry().workers, 4u);
 }
 
 TEST(StreamPipelineTest, MidStreamDrainReturnsCleanlyAndMatchesPrefix) {
