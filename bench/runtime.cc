@@ -20,9 +20,8 @@
 // tests/stream_pipeline_test.cc); this bench reports the wall-clock shape
 // of the machine it runs on, whose core count the machine block records.
 //
-//   bench_runtime [--out=BENCH_runtime.json] [--lane-size=40]
-//                 [--lane-steps=240] [--rows=224] [--cols=224] [--steps=96]
-//                 [--reps=5] [--density=5]
+//   bench_runtime [--out=BENCH_runtime.json] [--rows=224] [--cols=224]
+//                 [--steps=96] [--reps=5] [--density=5]
 //
 // Gated behind SOFIA_BUILD_BENCH like every other bench binary.
 
@@ -59,6 +58,10 @@ namespace {
 
 constexpr size_t kRank = 4;
 constexpr size_t kPeriod = 4;
+/// Lane rows: kLaneSteps kLaneSize x kLaneSize slices, the benchmark's
+/// compare-nine slice shape.
+constexpr size_t kLaneSize = 40;
+constexpr size_t kLaneSteps = 240;
 
 Mask BernoulliMask(const Shape& shape, double density, Rng& rng) {
   Mask omega(shape, false);
@@ -197,9 +200,6 @@ int main(int argc, char** argv) {
   using namespace sofia;
   Flags flags(argc, argv);
   const std::string out_path = flags.GetString("out", "BENCH_runtime.json");
-  const size_t lane_size = static_cast<size_t>(flags.GetInt("lane-size", 40));
-  const size_t lane_steps =
-      static_cast<size_t>(flags.GetInt("lane-steps", 240));
   const size_t rows = static_cast<size_t>(flags.GetInt("rows", 224));
   const size_t cols = static_cast<size_t>(flags.GetInt("cols", 224));
   const size_t steps = static_cast<size_t>(flags.GetInt("steps", 96));
@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
   // all of them alike; each lane count keeps its best rep.
   {
     const std::vector<DenseTensor> truth =
-        SinusoidSlices(lane_size, lane_size, lane_steps, /*seed=*/103);
+        SinusoidSlices(kLaneSize, kLaneSize, kLaneSteps, /*seed=*/103);
     const CorruptedStream stream = Corrupt(truth, {30.0, 10.0, 3.0}, 104);
     StreamEvalOptions options;
     options.pipeline_depth = 1;
@@ -318,7 +318,7 @@ int main(int argc, char** argv) {
                "(tests/stream_pipeline_test.cc); best of %zu repetitions on "
                "the machine in the machine block. (bench_runtime "
                "--out=BENCH_runtime.json)\",\n",
-               kRank, lane_steps, lane_size, lane_size, steps, rows, cols,
+               kRank, kLaneSteps, kLaneSize, kLaneSize, steps, rows, cols,
                100.0 * density, reps);
   bench::WriteMachineBlock(f);
   std::fprintf(f, "  \"unit\": \"slices_per_s | steps_per_s | us | "

@@ -111,6 +111,18 @@ std::deque<double> ReadWindow(std::istream& in, size_t cap) {
   return std::deque<double>(values.begin(), values.end());
 }
 
+/// True when the next token of `in` is `tag`; `in` is left where it was.
+bool StartsWithTag(std::istream& in, const char* tag) {
+  const std::streampos start = in.tellg();
+  state_io::Require(start != std::streampos(-1),
+                    "stream-guard checkpoint stream is not seekable");
+  std::string first;
+  in >> first;
+  in.clear();
+  in.seekg(start);
+  return first == tag;
+}
+
 template <typename T>
 T ReadField(std::istream& in) {
   T value{};
@@ -229,21 +241,31 @@ void StreamGuard::SaveState(std::ostream& out) const {
 void StreamGuard::RestoreState(std::istream& in) {
   SyncCheckpoint();  // Restores mutate inner state.
   // Parse everything before assigning anything, so a corrupt checkpoint
-  // leaves the guard as it was.
-  state_io::ReadStateHeader(in, kGuardStateTag, kGuardStateVersion);
-  Shape shape = state_io::ReadShape(in);
-  const size_t cap = options_.health_window;
-  std::deque<double> payload = ReadWindow(in, cap);
-  std::deque<double> nre = ReadWindow(in, cap);
-  std::deque<double> norm = ReadWindow(in, cap);
-  const size_t accepted = ReadField<size_t>(in);
-  const int in_fault = ReadField<int>(in);
-  state_io::Require(in_fault == 0 || in_fault == 1,
-                    "corrupt stream-guard checkpoint (fault flag)");
-  const size_t since_fault = ReadField<size_t>(in);
-  const double baseline = ReadField<double>(in);
-  const size_t rollback_depth = ReadField<size_t>(in);
-  const size_t since_checkpoint = ReadField<size_t>(in);
+  // leaves the guard as it was. A checkpoint without the guard's header was
+  // written before the guard saved state of its own and holds the inner
+  // state alone: the decision state then starts fresh, as it did there.
+  Shape shape;
+  std::deque<double> payload, nre, norm;
+  size_t accepted = 0, since_fault = 0, rollback_depth = 0;
+  size_t since_checkpoint = 0;
+  int in_fault = 0;
+  double baseline = 0.0;
+  if (StartsWithTag(in, kGuardStateTag)) {
+    state_io::ReadStateHeader(in, kGuardStateTag, kGuardStateVersion);
+    shape = state_io::ReadShape(in);
+    const size_t cap = options_.health_window;
+    payload = ReadWindow(in, cap);
+    nre = ReadWindow(in, cap);
+    norm = ReadWindow(in, cap);
+    accepted = ReadField<size_t>(in);
+    in_fault = ReadField<int>(in);
+    state_io::Require(in_fault == 0 || in_fault == 1,
+                      "corrupt stream-guard checkpoint (fault flag)");
+    since_fault = ReadField<size_t>(in);
+    baseline = ReadField<double>(in);
+    rollback_depth = ReadField<size_t>(in);
+    since_checkpoint = ReadField<size_t>(in);
+  }
   inner_->RestoreState(in);
 
   expected_shape_ = std::move(shape);

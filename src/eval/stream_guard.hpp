@@ -167,8 +167,10 @@ class StreamGuard : public StreamingMethod {
   /// rollback ring and the reinit snapshot (restoring empties the ring, and
   /// a fresh guard takes its reinit snapshot at its first step, from the
   /// restored state) and the telemetry counters. RestoreState throws
-  /// state_io::StateError on a checkpoint without the header, as on any
-  /// corrupt one.
+  /// state_io::StateError on a corrupt checkpoint. A checkpoint without the
+  /// header (written before the guard saved state of its own) restores the
+  /// inner method alone and starts the decision state fresh; such a replay
+  /// can accept a garbage slice the live guard rejected.
   bool SupportsStateCheckpoint() const override {
     return inner_->SupportsStateCheckpoint();
   }

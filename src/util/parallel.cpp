@@ -5,6 +5,32 @@
 
 namespace sofia {
 
+namespace {
+
+/// True while the calling thread runs tasks of some batch.
+thread_local bool t_in_batch = false;
+std::atomic<uint64_t> g_nested_handoffs{0};
+
+}  // namespace
+
+uint64_t NestedHandOffs() {
+  return g_nested_handoffs.load(std::memory_order_relaxed);
+}
+
+namespace pool_detail {
+
+InBatchScope::InBatchScope() : outermost_(!t_in_batch) { t_in_batch = true; }
+
+InBatchScope::~InBatchScope() {
+  if (outermost_) t_in_batch = false;
+}
+
+void NoteHandOff() {
+  if (t_in_batch) g_nested_handoffs.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace pool_detail
+
 size_t ResolveNumThreads(size_t requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -49,7 +75,10 @@ void ThreadPool::WorkerLoop() {
       if (stop_) return;
       seen_generation = generation_;
     }
-    DrainTasks();
+    {
+      pool_detail::InBatchScope in_batch;
+      DrainTasks();
+    }
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--busy_workers_ == 0) batch_done_.notify_one();
@@ -60,9 +89,11 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::Run(size_t num_tasks, const std::function<void(size_t)>& fn) {
   if (num_tasks == 0) return;
   if (workers_.empty() || num_tasks == 1) {
+    pool_detail::InBatchScope in_batch;
     for (size_t task = 0; task < num_tasks; ++task) fn(task);
     return;
   }
+  pool_detail::NoteHandOff();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     num_tasks_ = num_tasks;
@@ -72,7 +103,10 @@ void ThreadPool::Run(size_t num_tasks, const std::function<void(size_t)>& fn) {
     ++generation_;
   }
   work_ready_.notify_all();
-  DrainTasks();
+  {
+    pool_detail::InBatchScope in_batch;
+    DrainTasks();
+  }
   std::unique_lock<std::mutex> lock(mutex_);
   batch_done_.wait(lock, [&] { return busy_workers_ == 0; });
   fn_ = nullptr;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -118,6 +119,36 @@ void ParallelFor(size_t num_threads, size_t num_tasks,
 /// every call site.
 void RunTasks(WorkerPool* pool, size_t num_threads, size_t num_tasks,
               const std::function<void(size_t)>& fn);
+
+/// Batches that any pool in the process handed to worker threads from
+/// inside a task of another batch: nested parallelism. Cumulative; the
+/// streaming pipeline's method lanes run their methods' kernels inline, so
+/// a run through it must not move this count (tests pin the delta).
+uint64_t NestedHandOffs();
+
+namespace pool_detail {
+
+/// Marks the calling thread as running tasks of a batch for the scope's
+/// lifetime. Every pool puts one around each thread's share of a batch.
+class InBatchScope {
+ public:
+  InBatchScope();
+  ~InBatchScope();
+  InBatchScope(const InBatchScope&) = delete;
+  InBatchScope& operator=(const InBatchScope&) = delete;
+
+  /// False when the thread was already inside a batch (a nested Run).
+  bool outermost() const { return outermost_; }
+
+ private:
+  bool outermost_;
+};
+
+/// Called by a pool's Run just before it hands a batch to worker threads;
+/// counts toward NestedHandOffs() when the caller is inside a batch.
+void NoteHandOff();
+
+}  // namespace pool_detail
 
 }  // namespace sofia
 

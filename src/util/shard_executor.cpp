@@ -72,28 +72,20 @@ obs::Counter* WorkerBusyCounter(size_t worker_index) {
       "executor.w" + std::to_string(worker_index) + ".busy_us");
 }
 
-/// True while the calling thread executes tasks of some batch. A Run issued
-/// from inside a task — a method's own single-thread pool, stepped on a
-/// pipeline lane — is already inside the enclosing batch's busy time, so
-/// only the outermost batch on a thread counts toward executor.w<N>.busy_us.
-thread_local bool t_in_batch = false;
-
 /// One thread's share of one batch: marks the thread as inside a batch and,
 /// for the outermost batch only, adds its wall time to `busy_us` (and an
-/// executor.batch span when `trace_span` and worker spans are on).
+/// executor.batch span when `trace_span` and worker spans are on). A Run
+/// issued from inside a task — a method's own single-thread pool, stepped
+/// on a pipeline lane — is already inside the enclosing batch's busy time,
+/// so it does not count again.
 class BatchScope {
  public:
   BatchScope(obs::Counter* busy_us, size_t tasks, bool trace_span)
-      : busy_us_(busy_us),
-        tasks_(tasks),
-        trace_span_(trace_span),
-        outermost_(!t_in_batch) {
-    measured_ = outermost_ && (obs::Enabled() || obs::TraceActive());
+      : busy_us_(busy_us), tasks_(tasks), trace_span_(trace_span) {
+    measured_ = in_batch_.outermost() && (obs::Enabled() || obs::TraceActive());
     if (measured_) start_ = obs::NowNs();
-    t_in_batch = true;
   }
   ~BatchScope() {
-    if (outermost_) t_in_batch = false;
     if (!measured_) return;
     const uint64_t dur = obs::NowNs() - start_;
     busy_us_->Add(dur / 1000);
@@ -106,10 +98,10 @@ class BatchScope {
   BatchScope& operator=(const BatchScope&) = delete;
 
  private:
+  pool_detail::InBatchScope in_batch_;
   obs::Counter* busy_us_;
   size_t tasks_;
   bool trace_span_;
-  bool outermost_;
   bool measured_ = false;
   uint64_t start_ = 0;
 };
@@ -227,6 +219,7 @@ void ShardExecutor::Run(size_t num_tasks,
     for (size_t task = 0; task < num_tasks; ++task) fn(task);
     return;
   }
+  pool_detail::NoteHandOff();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     num_tasks_ = num_tasks;

@@ -1,8 +1,8 @@
 // ShardExecutor contract tests: the static block partition (contiguous,
 // disjoint, balanced, and *identical* across Runs — the property slab
 // ownership is built on), every-task-once execution, the caller acting as
-// worker 0, arena growth accounting, aux-lane FIFO/ticket semantics, and
-// clean shutdown with jobs still pending.
+// worker 0, nested hand-off counting, arena growth accounting, aux-lane
+// FIFO/ticket semantics, and clean shutdown with jobs still pending.
 
 #include "util/shard_executor.hpp"
 
@@ -115,6 +115,26 @@ TEST(ShardExecutorTest, SingleThreadRunsInline) {
   std::vector<std::thread::id> owner(5);
   executor.Run(5, [&](size_t t) { owner[t] = std::this_thread::get_id(); });
   for (const auto& id : owner) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(ShardExecutorTest, NestedHandOffsCountOnlyDispatchFromInsideATask) {
+  // A top-level multi-thread batch and an inline nested one are not nested
+  // parallelism; a multi-thread Run from inside a task is, whatever the
+  // inner pool's type.
+  ShardExecutor outer(2);
+  ShardExecutor inline_pool(1);
+  ThreadPool threaded_pool(2);
+  const auto noop = [](size_t) {};
+  const uint64_t before = NestedHandOffs();
+  outer.Run(2, noop);
+  threaded_pool.Run(4, noop);
+  ShardExecutor(1).Run(1, [&](size_t) { inline_pool.Run(4, noop); });
+  EXPECT_EQ(NestedHandOffs(), before);
+  ShardExecutor(1).Run(1, [&](size_t) { threaded_pool.Run(4, noop); });
+  EXPECT_EQ(NestedHandOffs(), before + 1);
+  ShardExecutor two(2);
+  threaded_pool.Run(1, [&](size_t) { two.Run(4, noop); });
+  EXPECT_EQ(NestedHandOffs(), before + 2);
 }
 
 TEST(ScratchArenaTest, GrowthEventsCountOnlyActualGrowth) {

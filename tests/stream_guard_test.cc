@@ -11,7 +11,9 @@
 //    to unguarded ones, with exactly one O(|omega|) validation pass per
 //    slice, zero estimate materializations, and zero trips;
 //  - a guard checkpoint round-trips the decision state and rejects
-//    inner-only or truncated bytes.
+//    truncated bytes; an inner-only checkpoint (written before the guard
+//    saved state of its own) restores the inner method with a fresh
+//    decision state.
 
 #include <gtest/gtest.h>
 
@@ -405,10 +407,10 @@ TEST(StreamGuardTest, CheckpointCadenceBoundsRollbackLossAndCountsWraps) {
   EXPECT_GE(fake->restored.back() + options.checkpoint_every - 1, 14u);
 }
 
-TEST(StreamGuardTest, CheckpointRoundTripsAndRejectsForeignBytes) {
+TEST(StreamGuardTest, CheckpointRoundTripsAndRejectsCorruptBytes) {
   // A guard checkpoint is the versioned decision state plus the inner
-  // state: a fresh guard restored from it continues bit for bit, while the
-  // inner state alone or a truncated checkpoint is rejected as corrupt.
+  // state: a fresh guard restored from it continues bit for bit, while a
+  // truncated checkpoint is rejected as corrupt.
   std::vector<DenseTensor> truth = MakeTruth(6, 5, 12, 41);
   CorruptedStream stream = Corrupt(truth, {20.0, 0.0, 0.0}, 42);
   const auto make_guard = [] {
@@ -419,14 +421,11 @@ TEST(StreamGuardTest, CheckpointRoundTripsAndRejectsForeignBytes) {
   for (size_t t = 0; t < 8; ++t) {
     live->StepLazy(stream.slices[t], stream.masks[t]);
   }
-  std::ostringstream guard_state, inner_state;
+  std::ostringstream guard_state;
   live->SaveState(guard_state);
-  live->inner().SaveState(inner_state);
   const std::string bytes = guard_state.str();
 
   std::unique_ptr<StreamGuard> restored = make_guard();
-  std::istringstream inner_only(inner_state.str());
-  EXPECT_THROW(restored->RestoreState(inner_only), state_io::StateError);
   std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
   EXPECT_THROW(restored->RestoreState(truncated), state_io::StateError);
   std::istringstream whole(bytes);
@@ -440,6 +439,52 @@ TEST(StreamGuardTest, CheckpointRoundTripsAndRejectsForeignBytes) {
                   .GatherAt(pattern))
         << "t=" << t;
   }
+}
+
+TEST(StreamGuardTest, InnerOnlyCheckpointRestoresInnerWithFreshDecisionState) {
+  // Checkpoints written before the guard saved state of its own hold the
+  // inner method's state alone. Restoring one into a guard with a history
+  // of its own restores the inner method and resets the decision state to
+  // a fresh guard's; on a trip-free stream it then continues bit for bit.
+  std::vector<DenseTensor> truth = MakeTruth(6, 5, 12, 43);
+  CorruptedStream stream = Corrupt(truth, {20.0, 0.0, 0.0}, 44);
+  const auto make_inner = [] {
+    return std::make_unique<OnlineSgd>(OnlineSgdOptions{.rank = 3});
+  };
+  StreamGuard live(make_inner());
+  for (size_t t = 0; t < 8; ++t) {
+    live.StepLazy(stream.slices[t], stream.masks[t]);
+  }
+  std::ostringstream inner_state;
+  live.inner().SaveState(inner_state);
+
+  StreamGuard legacy(make_inner());
+  for (size_t t = 0; t < 4; ++t) {
+    legacy.StepLazy(stream.slices[t], stream.masks[t]);
+  }
+  std::istringstream inner_only(inner_state.str());
+  legacy.RestoreState(inner_only);
+
+  std::unique_ptr<OnlineSgd> restored_inner = make_inner();
+  std::istringstream inner_copy(inner_state.str());
+  restored_inner->RestoreState(inner_copy);
+  const StreamGuard fresh(std::move(restored_inner));
+  std::ostringstream legacy_state, fresh_state;
+  legacy.SaveState(legacy_state);
+  fresh.SaveState(fresh_state);
+  EXPECT_EQ(legacy_state.str(), fresh_state.str());
+
+  for (size_t t = 8; t < truth.size(); ++t) {
+    const CooList pattern =
+        CooList::Build(stream.masks[t], /*with_mode_buckets=*/false);
+    EXPECT_EQ(live.StepLazy(stream.slices[t], stream.masks[t])
+                  .GatherAt(pattern),
+              legacy.StepLazy(stream.slices[t], stream.masks[t])
+                  .GatherAt(pattern))
+        << "t=" << t;
+  }
+  EXPECT_EQ(legacy.telemetry().input_trips + legacy.telemetry().health_trips,
+            0u);
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 //    kernel scratch after each method's first step (arena growth pinned at
 //    zero);
 //  - every slice is exactly one lane-executor batch, and lane tasks never
-//    dispatch to another pool: each method's kernels run on its own
-//    single-thread pool;
+//    hand work to other threads through any pool: each method's kernels
+//    run inline on its own single-thread pool;
 //  - a mid-stream drain (Run with a limit under the stream length, ingest
 //    prefetched beyond it) returns cleanly and matches the full run's
 //    prefix, and the pipeline object is reusable afterwards.
@@ -37,6 +37,7 @@
 #include "eval/stream_guard.hpp"
 #include "eval/stream_runner.hpp"
 #include "obs/metrics.hpp"
+#include "util/parallel.hpp"
 
 namespace sofia {
 namespace {
@@ -277,6 +278,7 @@ TEST(StreamPipelineTest, EverySliceIsOneBatchAndLanesKeepToTheirOwnPools) {
   obs::Counter* batches =
       obs::Registry::Global().FindOrCreateCounter("executor.batches");
   const uint64_t batches_before = batches->Value();
+  const uint64_t nested_before = NestedHandOffs();
   pipeline.Run(Raw(owned));
 
   ShardExecutor* lanes = pipeline.executor();
@@ -301,8 +303,11 @@ TEST(StreamPipelineTest, EverySliceIsOneBatchAndLanesKeepToTheirOwnPools) {
   EXPECT_EQ(distinct.size(), probes.size());
   // SOFIA's kernels dispatched through the pool it was lent.
   EXPECT_GT(probes[0]->lent->runs(), 0u);
-  // Every ShardExecutor batch of the run was the lane executor's or a lent
-  // pool's: no lane task reached any other executor.
+  // No lane task handed work to other threads through any pool: a
+  // ShardExecutor, a ThreadPool, or ParallelFor's cached pools.
+  EXPECT_EQ(NestedHandOffs(), nested_before);
+  // Every ShardExecutor batch of the run, inline ones included, was the
+  // lane executor's or a lent pool's (counted by the metrics registry).
   if (obs::Enabled()) {
     EXPECT_EQ(batches->Value() - batches_before,
               lanes->runs() + method_batches);
