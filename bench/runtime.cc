@@ -5,7 +5,9 @@
 //    Fig. 3/5 protocol) over a stream of small slices through
 //    RunStreamPipeline; each slice's methods step and score side by side on
 //    min(lanes, 9) threads. Reports slices/sec over the streamed part
-//    (Initialize excluded) and the speedup against one lane;
+//    (Initialize excluded) and the speedup against one lane, plus each
+//    method's median step time at one lane (Fig. 5 on this machine: the
+//    slowest lane's methods bound the slice);
 //  - overlap off vs on (depth 1 vs 2): one SOFIA instance (sparse kernels,
 //    csf pattern storage) on large slices, where ingest (pattern +
 //    CSF-delta build, eval-pattern sampling, truth gathers) is worth
@@ -26,6 +28,7 @@
 // Gated behind SOFIA_BUILD_BENCH like every other bench binary.
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -113,12 +116,22 @@ std::vector<std::unique_ptr<StreamingMethod>> MakeNine() {
   return m;
 }
 
+/// Median of a method's per-step wall times, in microseconds.
+double MedianUs(std::vector<double> seconds) {
+  if (seconds.empty()) return 0.0;
+  const auto mid = seconds.begin() + static_cast<long>(seconds.size() / 2);
+  std::nth_element(seconds.begin(), mid, seconds.end());
+  return 1e6 * *mid;
+}
+
 /// Slices/sec of one nine-method comparison run under `options` (fresh
 /// methods — they are stateful). The streamed part is the Run's wall time
-/// minus its Initialize calls.
+/// minus its Initialize calls. `step_us`, when given, receives each
+/// method's median step time keyed by its lower-cased name.
 double TimeNine(const CorruptedStream& stream,
                 const std::vector<DenseTensor>& truth,
-                const StreamEvalOptions& options) {
+                const StreamEvalOptions& options,
+                std::map<std::string, double>* step_us = nullptr) {
   std::vector<std::unique_ptr<StreamingMethod>> owned = MakeNine();
   std::vector<StreamingMethod*> methods;
   for (const auto& m : owned) methods.push_back(m.get());
@@ -126,7 +139,16 @@ double TimeNine(const CorruptedStream& stream,
   std::vector<MethodRunResult> results =
       RunStreamPipeline(methods, stream, truth, options);
   double streamed_s = wall.ElapsedSeconds();
-  for (const MethodRunResult& r : results) streamed_s -= r.run.init_seconds;
+  for (const MethodRunResult& r : results) {
+    streamed_s -= r.run.init_seconds;
+    if (step_us != nullptr) {
+      std::string key = r.name;
+      std::transform(key.begin(), key.end(), key.begin(), [](unsigned char c) {
+        return static_cast<char>(std::tolower(c));
+      });
+      (*step_us)[key] = MedianUs(r.run.step_seconds);
+    }
+  }
   return streamed_s > 0.0 ? static_cast<double>(truth.size()) / streamed_s
                           : 0.0;
 }
@@ -212,7 +234,8 @@ int main(int argc, char** argv) {
   // Method lanes: the nine-method comparison on small corrupted slices
   // (30% missing, 10% outliers of magnitude 3), pipeline off. Each rep
   // runs every lane count in turn, so a slow phase of a shared host hits
-  // all of them alike; each lane count keeps its best rep.
+  // all of them alike; each lane count keeps its best rep, and each
+  // method its lowest 1-lane median step.
   {
     const std::vector<DenseTensor> truth =
         SinusoidSlices(kLaneSize, kLaneSize, kLaneSteps, /*seed=*/103);
@@ -221,11 +244,26 @@ int main(int argc, char** argv) {
     options.pipeline_depth = 1;
     const size_t lane_counts[] = {1, 2, 4, 8};
     std::map<size_t, double> best;
+    std::map<std::string, double> best_step_us;
     for (size_t rep = 0; rep < reps; ++rep) {
       for (const size_t lanes : lane_counts) {
         options.workers = lanes;
-        best[lanes] = std::max(best[lanes], TimeNine(stream, truth, options));
+        std::map<std::string, double> step_us;
+        best[lanes] = std::max(
+            best[lanes],
+            TimeNine(stream, truth, options, lanes == 1 ? &step_us : nullptr));
+        for (const auto& [name, us] : step_us) {
+          const auto it = best_step_us.find(name);
+          if (it == best_step_us.end() || us < it->second) {
+            best_step_us[name] = us;
+          }
+        }
       }
+    }
+    for (const auto& [name, us] : best_step_us) {
+      results["steps/" + name + "_us"] = us;
+      std::printf("one lane, %-10s %8.1f us/step (median)\n", name.c_str(),
+                  us);
     }
     for (const size_t lanes : lane_counts) {
       const std::string arg = std::to_string(lanes);
@@ -306,9 +344,11 @@ int main(int argc, char** argv) {
                "baselines, rank %zu) over %zu %zux%zu slices (30%% "
                "missing, 10%% outliers), each slice's methods stepped and "
                "scored side by side on min(N, 9) lanes, Initialize "
-               "excluded (depth 1). overlap/* = one SOFIA (sparse kernels, "
-               "csf storage) over %zu %zux%zu slices, %.0f%% observed, "
-               "fresh Bernoulli mask every 8 steps: ingest/compute "
+               "excluded (depth 1); steps/<method>_us = that method's "
+               "median step time at one lane (Fig. 5 on this machine), "
+               "lowest over the repetitions. overlap/* = one SOFIA (sparse "
+               "kernels, csf storage) over %zu %zux%zu slices, %.0f%% "
+               "observed, fresh Bernoulli mask every 8 steps: ingest/compute "
                "pipelining depth 2 vs 1, hidden_fraction = share of ingest "
                "time overlapped under compute (1 - stall/ingest, from "
                "PipelineTelemetry), plus the window=4 batched-ingest "

@@ -9,6 +9,7 @@
 #include "tensor/coo_list.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/mask.hpp"
+#include "util/parallel.hpp"
 
 /// \file cp_wopt.hpp
 /// \brief CP-WOPT baseline (Acar et al. [9], Table I).
@@ -29,9 +30,6 @@ struct CpWoptOptions {
   int max_iterations = 300;
   double gradient_tolerance = 1e-6;
   uint64_t seed = 37;
-  /// Worker threads for the observed-entry loss/gradient kernels (0 = use
-  /// the hardware concurrency).
-  size_t num_threads = 1;
 };
 
 /// Result of a CP-WOPT run.
@@ -54,15 +52,20 @@ CpWoptResult CpWopt(const DenseTensor& y, const Mask& omega,
 /// Like CpWopt but leaves `completed` empty (no O(volume R) Kruskal
 /// materialization — the streaming adapter wraps the factors in a lazy
 /// StepResult instead) and optionally warm-starts from `initial` factors
-/// (must match y's mode shapes and the configured rank). Null `initial`
-/// draws the same random start as CpWopt.
+/// (factor n must be y.dim(n) x rank; checked). Null `initial` draws the
+/// same random start as CpWopt. The loss/gradient kernel runs its record
+/// blocks on `pool` when one is given, serially otherwise; the results are
+/// bitwise identical either way.
 CpWoptResult CpWoptFactorize(const DenseTensor& y, const Mask& omega,
                              const CpWoptOptions& options,
                              std::shared_ptr<const CooList> pattern = nullptr,
-                             const std::vector<Matrix>* initial = nullptr);
+                             const std::vector<Matrix>* initial = nullptr,
+                             WorkerPool* pool = nullptr);
 
-/// The masked loss and its analytic gradient (exposed for testing: the
-/// gradient is validated against finite differences). The dense-pair
+/// The masked loss and its analytic gradient on factor matrices (exposed
+/// for testing: the gradient is validated against finite differences).
+/// Both pack the factors and run the solver's kernels, CooCpWoptLoss and
+/// CooCpWoptGradient (tensor/sparse_kernels.hpp). The dense-pair
 /// overloads compact `omega` once via the shared build helper; callers that
 /// evaluate both on the same mask should prebuild the pattern and use the
 /// record-aligned overloads (`values` as in CooList::Gather).

@@ -7,6 +7,20 @@
 
 namespace sofia {
 
+namespace {
+
+/// True when there is one factor per mode of `shape` and factor n has
+/// shape.dim(n) rows (RestoreState already checked the columns).
+bool FitsSliceShape(const std::vector<Matrix>& factors, const Shape& shape) {
+  if (factors.size() != shape.order()) return false;
+  for (size_t n = 0; n < factors.size(); ++n) {
+    if (factors[n].rows() != shape.dim(n)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 void CpWoptStream::SaveState(std::ostream& out) const {
   state_io::BeginState(out, "cp-wopt-stream", 1);
   state_io::WriteMatrixList(out, factors_);
@@ -14,7 +28,12 @@ void CpWoptStream::SaveState(std::ostream& out) const {
 
 void CpWoptStream::RestoreState(std::istream& in) {
   state_io::ReadStateHeader(in, "cp-wopt-stream", 1);
-  factors_ = state_io::ReadMatrixList(in);
+  std::vector<Matrix> factors = state_io::ReadMatrixList(in);
+  for (const Matrix& f : factors) {
+    state_io::Require(f.cols() == options_.rank,
+                      "cp-wopt-stream checkpoint has the wrong rank");
+  }
+  factors_ = std::move(factors);
 }
 
 StepResult CpWoptStream::StepLazy(const DenseTensor& y, const Mask& omega,
@@ -25,12 +44,15 @@ StepResult CpWoptStream::StepLazy(const DenseTensor& y, const Mask& omega,
   batch_options.max_iterations = options_.iterations_per_step;
   batch_options.gradient_tolerance = options_.gradient_tolerance;
   batch_options.seed = options_.seed;
-  batch_options.num_threads = options_.num_threads;
 
+  // No factors yet, or factors of another slice shape (restored from a
+  // checkpoint of a different stream): take the random start.
   const std::vector<Matrix>* warm =
-      factors_.empty() ? nullptr : &factors_;
+      FitsSliceShape(factors_, y.shape()) ? &factors_ : nullptr;
+  WorkerPool* pool =
+      pool_ != nullptr && pool_->num_threads() > 1 ? pool_.get() : nullptr;
   CpWoptResult solved = CpWoptFactorize(y, omega, batch_options,
-                                        std::move(pattern), warm);
+                                        std::move(pattern), warm, pool);
   factors_ = std::move(solved.factors);
 
   // The slice *is* the full Kruskal product of its own factors: a Kruskal

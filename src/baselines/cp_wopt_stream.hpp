@@ -29,9 +29,6 @@ struct CpWoptStreamOptions {
   int iterations_per_step = 10;      ///< Quasi-Newton cap per slice.
   double gradient_tolerance = 1e-6;  ///< Early-exit tolerance per slice.
   uint64_t seed = 37;
-  /// Worker threads for the observed-entry loss/gradient kernels (0 = use
-  /// the hardware concurrency).
-  size_t num_threads = 1;
 };
 
 /// Streaming CP-WOPT (no init window; no forecasting).
@@ -47,8 +44,21 @@ class CpWoptStream : public StreamingMethod {
                       std::shared_ptr<const CooList> pattern =
                           nullptr) override;
 
+  /// The loss/gradient kernel runs on `pool` when it has more than one
+  /// thread; a single-thread pool (the comparison runtime's per-method
+  /// lane pool) runs it inline, like ObservedSweep's motifs.
+  void AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) override {
+    pool_ = std::move(pool);
+  }
+
   bool SupportsStateCheckpoint() const override { return true; }
   void SaveState(std::ostream& out) const override;
+  /// Throws state_io::StateError on malformed bytes and on factors whose
+  /// column count is not the configured rank. The slice shape is unknown
+  /// here, so factors whose count or row counts do not fit the next slice
+  /// (a state dir reused after the slice shape changed) restore without
+  /// error; that step drops them and takes the random start, as the first
+  /// step of a fresh stream does.
   void RestoreState(std::istream& in) override;
 
   const std::vector<Matrix>& factors() const { return factors_; }
@@ -56,6 +66,7 @@ class CpWoptStream : public StreamingMethod {
  private:
   CpWoptStreamOptions options_;
   std::vector<Matrix> factors_;  ///< Previous slice's factors (warm start).
+  std::shared_ptr<WorkerPool> pool_;
 };
 
 }  // namespace sofia

@@ -230,6 +230,187 @@ void CooResidualBlocksImpl(const CooList& coo,
   });
 }
 
+/// Invoke fn(integral_constant<size_t, N>) with N = 2 for order-2 tensors
+/// (the slices every CP-WOPT workload streams, compare-nine's 40x40
+/// included), or 0 (= run-time order) otherwise. With rank and order both
+/// fixed, CP-WOPT's per-record leave-one-out chains unroll completely.
+template <typename Fn>
+void DispatchOrder(size_t order, Fn&& fn) {
+  if (order == 2) {
+    fn(std::integral_constant<size_t, 2>{});
+  } else {
+    fn(std::integral_constant<size_t, 0>{});
+  }
+}
+
+/// Offsets of each mode's factor in CP-WOPT's packed parameter vector:
+/// stack storage for a compile-time order, heap for a run-time one.
+template <size_t kN>
+struct PackedOffsets {
+  size_t* get(size_t) { return fixed; }
+  size_t fixed[kN];
+};
+template <>
+struct PackedOffsets<0> {
+  size_t* get(size_t order) {
+    dynamic.resize(order);
+    return dynamic.data();
+  }
+  std::vector<size_t> dynamic;
+};
+
+/// Gradient tasks cap: past 4096 records the gradient splits into at most
+/// this many contiguous record ranges.
+constexpr size_t kMaxCpWoptGradientTasks = 16;
+
+/// Σ (values[k] - Σ_r Π_l U^(l)(i_l, r))² over records [begin, end), in
+/// record order, with each row product formed in mode order — the
+/// arithmetic of CooResidualBlocksImpl, reading rows from the packed `x`.
+template <size_t kR, size_t kN>
+double CpWoptLossRange(const CooList& coo, const std::vector<double>& values,
+                       const double* x, const size_t* offsets, size_t rank,
+                       size_t begin, size_t end) {
+  const size_t R = kR == 0 ? rank : kR;
+  const size_t N = kN == 0 ? coo.order() : kN;
+  RankBuffer<kR> buf;
+  double* prod = buf.get(R);
+  double s = 0.0;
+  for (size_t k = begin; k < end; ++k) {
+    const uint32_t* idx = coo.Coords(k);
+    for (size_t r = 0; r < R; ++r) prod[r] = 1.0;
+    for (size_t l = 0; l < N; ++l) {
+      const double* row = x + offsets[l] + idx[l] * R;
+      for (size_t r = 0; r < R; ++r) prod[r] *= row[r];
+    }
+    double recon = 0.0;
+    for (size_t r = 0; r < R; ++r) recon += prod[r];
+    const double d = values[k] - recon;
+    s += d * d;
+  }
+  return s;
+}
+
+/// Accumulates the gradient of records [begin, end) into `g` (packed like
+/// `x`). Per record, prefix[l] = Π_{l' < l} and suffix[l] = Π_{l' >= l} of
+/// the factor rows, and row i_l of mode l takes
+/// -resid · prefix[l] ⊛ suffix[l + 1].
+template <size_t kR, size_t kN>
+void CpWoptGradientRange(const CooList& coo,
+                           const std::vector<double>& values, const double* x,
+                           const size_t* offsets, size_t rank, size_t begin,
+                           size_t end, double* g) {
+  const size_t R = kR == 0 ? rank : kR;
+  const size_t N = kN == 0 ? coo.order() : kN;
+  constexpr size_t kChain = kN == 0 ? 0 : (kN + 1) * kR;
+  RankBuffer<kChain> prefix_buf, suffix_buf;
+  double* prefix = prefix_buf.get((N + 1) * R);
+  double* suffix = suffix_buf.get((N + 1) * R);
+  for (size_t k = begin; k < end; ++k) {
+    const uint32_t* idx = coo.Coords(k);
+    for (size_t r = 0; r < R; ++r) prefix[r] = 1.0;
+    for (size_t l = 0; l < N; ++l) {
+      const double* row = x + offsets[l] + idx[l] * R;
+      const double* cur = prefix + l * R;
+      double* nxt = prefix + (l + 1) * R;
+      for (size_t r = 0; r < R; ++r) nxt[r] = cur[r] * row[r];
+    }
+    // suffix[0] would be the full product again; nothing reads it.
+    for (size_t r = 0; r < R; ++r) suffix[N * R + r] = 1.0;
+    for (size_t l = N; l-- > 1;) {
+      const double* row = x + offsets[l] + idx[l] * R;
+      const double* cur = suffix + (l + 1) * R;
+      double* nxt = suffix + l * R;
+      for (size_t r = 0; r < R; ++r) nxt[r] = cur[r] * row[r];
+    }
+    double recon = 0.0;
+    const double* full = prefix + N * R;
+    for (size_t r = 0; r < R; ++r) recon += full[r];
+    const double resid = values[k] - recon;
+    for (size_t l = 0; l < N; ++l) {
+      double* grow = g + offsets[l] + idx[l] * R;
+      const double* pre = prefix + l * R;
+      const double* suf = suffix + (l + 1) * R;
+      for (size_t r = 0; r < R; ++r) grow[r] -= resid * pre[r] * suf[r];
+    }
+  }
+}
+
+/// Loss pass: fixed record blocks, partial sums added in block order.
+template <size_t kR, size_t kN>
+double CpWoptLossImpl(const CooList& coo, const std::vector<double>& values,
+                      const double* x, const size_t* offsets, size_t rank,
+                      WorkerPool* pool) {
+  const size_t nnz = coo.nnz();
+  const size_t num_blocks = (nnz + kReductionBlock - 1) / kReductionBlock;
+  auto block = [&](size_t b) {
+    const size_t begin = b * kReductionBlock;
+    return CpWoptLossRange<kR, kN>(coo, values, x, offsets, rank, begin,
+                                   std::min(begin + kReductionBlock, nnz));
+  };
+  if (num_blocks <= 1) return block(0);
+  ReduceScratch scratch(pool, num_blocks, 0);
+  RunTasks(pool, 1, num_blocks,
+           [&](size_t b) { scratch.partials[b] = block(b); });
+  double total = 0.0;
+  for (size_t b = 0; b < num_blocks; ++b) total += scratch.partials[b];
+  return total;
+}
+
+/// Gradient pass: the task count depends on |Ω| alone, never on the pool,
+/// so the summation grouping is the same on every machine. Task 0
+/// accumulates straight into `grad`; task t > 0 into its own zeroed slab,
+/// and the slabs are added in task order afterwards.
+template <size_t kR, size_t kN>
+void CpWoptGradientImpl(const CooList& coo, const std::vector<double>& values,
+                        const double* x, const size_t* offsets, size_t rank,
+                        size_t params, double* grad, WorkerPool* pool) {
+  const size_t nnz = coo.nnz();
+  const size_t tasks = std::max<size_t>(
+      1, std::min(kMaxCpWoptGradientTasks,
+                  (nnz + kReductionBlock - 1) / kReductionBlock));
+  std::fill(grad, grad + params, 0.0);
+  auto range = [&](size_t t, double* g) {
+    CpWoptGradientRange<kR, kN>(coo, values, x, offsets, rank,
+                                t * nnz / tasks, (t + 1) * nnz / tasks, g);
+  };
+  if (tasks == 1) {
+    range(0, grad);
+    return;
+  }
+  ReduceScratch scratch(pool, (tasks - 1) * params, 0);
+  double* slabs = scratch.partials;
+  RunTasks(pool, 1, tasks, [&](size_t t) {
+    range(t, t == 0 ? grad : slabs + (t - 1) * params);
+  });
+  for (size_t t = 1; t < tasks; ++t) {
+    const double* slab = slabs + (t - 1) * params;
+    for (size_t i = 0; i < params; ++i) grad[i] += slab[i];
+  }
+}
+
+/// Runs fn(kR, kN, offsets) on the rank- and order-specialized
+/// instantiation, after checking `x` against the packed layout: mode l's
+/// factor starts at offsets[l], and the last one ends at x.size().
+template <typename Fn>
+void DispatchPacked(const CooList& coo, const std::vector<double>& values,
+                    const std::vector<double>& x, size_t rank, Fn&& fn) {
+  SOFIA_CHECK_EQ(values.size(), coo.nnz());
+  DispatchOrder(coo.order(), [&](auto order_tag) {
+    constexpr size_t kN = decltype(order_tag)::value;
+    PackedOffsets<kN> offset_buf;
+    size_t* offsets = offset_buf.get(coo.order());
+    size_t params = 0;
+    for (size_t l = 0; l < coo.order(); ++l) {
+      offsets[l] = params;
+      params += coo.shape().dim(l) * rank;
+    }
+    SOFIA_CHECK_EQ(x.size(), params);
+    DispatchRank(rank, [&](auto rank_tag) {
+      fn(rank_tag, order_tag, offsets);
+    });
+  });
+}
+
 template <size_t kR>
 void CooKruskalGatherImpl(const CooList& coo,
                           const std::vector<FactorView>& views,
@@ -574,6 +755,32 @@ double CooResidualNorm(const CooList& coo, const std::vector<double>& values,
                        WorkerPool* pool) {
   return std::sqrt(
       CooResidualSquaredNorm(coo, values, factors, num_threads, pool));
+}
+
+double CooCpWoptLoss(const CooList& coo, const std::vector<double>& values,
+                     const std::vector<double>& x, size_t rank,
+                     WorkerPool* pool) {
+  double total = 0.0;
+  DispatchPacked(coo, values, x, rank,
+                 [&](auto rank_tag, auto order_tag, const size_t* offsets) {
+                   total = CpWoptLossImpl<decltype(rank_tag)::value,
+                                          decltype(order_tag)::value>(
+                       coo, values, x.data(), offsets, rank, pool);
+                 });
+  return 0.5 * total;
+}
+
+void CooCpWoptGradient(const CooList& coo, const std::vector<double>& values,
+                       const std::vector<double>& x, size_t rank,
+                       std::vector<double>* grad, WorkerPool* pool) {
+  grad->resize(x.size());
+  DispatchPacked(coo, values, x, rank,
+                 [&](auto rank_tag, auto order_tag, const size_t* offsets) {
+                   CpWoptGradientImpl<decltype(rank_tag)::value,
+                                      decltype(order_tag)::value>(
+                       coo, values, x.data(), offsets, rank, x.size(),
+                       grad->data(), pool);
+                 });
 }
 
 std::vector<double> CooKruskalGather(const CooList& coo,

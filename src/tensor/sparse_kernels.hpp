@@ -140,6 +140,29 @@ double CooResidualNorm(const CooList& coo, const std::vector<double>& values,
                        const std::vector<Matrix>& factors,
                        size_t num_threads = 1, WorkerPool* pool = nullptr);
 
+/// CP-WOPT's masked least-squares loss f = 0.5 ||Ω ⊛ (Y - [[U]])||_F^2 and
+/// its gradient, evaluated on the quasi-Newton solver's packed parameters:
+/// `x` holds every factor mode-major (U^(0), then U^(1), ...; each
+/// I_n x `rank`, row-major), so factor rows are read in place with no
+/// unpacking. Specialized at compile time on the common ranks (as every
+/// kernel here) and on tensor order 2; other orders loop at run time with
+/// the same arithmetic. Deterministic for every pool.
+///
+/// CooCpWoptLoss returns f, summing fixed 4096-record blocks in block order
+/// (the grouping of CooResidualSquaredNorm).
+double CooCpWoptLoss(const CooList& coo, const std::vector<double>& values,
+                     const std::vector<double>& x, size_t rank,
+                     WorkerPool* pool = nullptr);
+
+/// CooCpWoptGradient resizes `grad` to x.size() and writes ∂f/∂x in the
+/// layout of `x`, built per record from prefix and suffix leave-one-out
+/// products: ∂f/∂U^(l)(i_l, r) accumulates -resid · Π_{l' != l}
+/// U^(l')(i_{l'}, r). The records split into min(16, ceil(|Ω| / 4096))
+/// contiguous tasks with private accumulators added in task order.
+void CooCpWoptGradient(const CooList& coo, const std::vector<double>& values,
+                       const std::vector<double>& x, size_t rank,
+                       std::vector<double>* grad, WorkerPool* pool = nullptr);
+
 /// Gather of the Kruskal slice [[{factors}; temporal_row]] at the observed
 /// entries: out[k] = sum_r temporal_row[r] * prod_l factors[l](i_l, r) for
 /// every record k — the Eq. (20) forecast evaluated only on Ω_t. Blocked

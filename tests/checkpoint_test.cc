@@ -29,6 +29,7 @@
 #include "data/synthetic.hpp"
 #include "eval/stream_guard.hpp"
 #include "tensor/coo_list.hpp"
+#include "util/rng.hpp"
 #include "util/state_io.hpp"
 
 namespace sofia {
@@ -144,6 +145,67 @@ TEST(CheckpointTest, RestoreRejectsWrongMethodTag) {
   Mast mast(MastOptions{.rank = 3});
   std::istringstream in(snapshot.str());
   EXPECT_THROW(mast.RestoreState(in), state_io::StateError);
+}
+
+TEST(CheckpointTest, CpWoptRestoreRejectsWrongRank) {
+  // A rank-5 checkpoint parses as a valid matrix list, but a rank-4
+  // stream cannot warm-start from it: its next step would abort. Restore
+  // must throw instead (DurableGuard then skips the generation) and leave
+  // the stream's own state alone.
+  std::vector<DenseTensor> truth = MakeTruth(3, 151);
+  const Mask omega(truth[0].shape(), true);
+  CpWoptStream rank5(CpWoptStreamOptions{.rank = 5, .iterations_per_step = 2});
+  rank5.StepLazy(truth[0], omega);
+  std::ostringstream snapshot;
+  rank5.SaveState(snapshot);
+
+  CpWoptStream rank4(CpWoptStreamOptions{.rank = 4, .iterations_per_step = 2});
+  std::istringstream in(snapshot.str());
+  EXPECT_THROW(rank4.RestoreState(in), state_io::StateError);
+  EXPECT_TRUE(rank4.factors().empty());
+  rank4.StepLazy(truth[1], omega);
+  ASSERT_EQ(rank4.factors().size(), 2u);
+  EXPECT_EQ(rank4.factors()[0].cols(), 4u);
+
+  CpWoptStream same_rank(
+      CpWoptStreamOptions{.rank = 5, .iterations_per_step = 2});
+  std::istringstream again(snapshot.str());
+  same_rank.RestoreState(again);
+  ASSERT_EQ(same_rank.factors().size(), 2u);
+  EXPECT_EQ(same_rank.factors()[1].MaxAbsDiff(rank5.factors()[1]), 0.0);
+}
+
+TEST(CheckpointTest, CpWoptMisShapedCheckpointTakesTheRandomStart) {
+  // A checkpoint of the right rank but another slice shape (a state dir
+  // reused after the stream changed) restores: the slice shape is unknown
+  // until the next step. That step must not warm-start from it -- the
+  // solver's shape check would abort, killing DurableGuard's journal
+  // replay -- nor reinterpret a same-volume transpose. It takes the random
+  // start of a fresh stream instead.
+  std::vector<DenseTensor> truth = MakeTruth(1, 161);  // One 6x5 slice.
+  const CpWoptStreamOptions options{.rank = 5, .iterations_per_step = 2};
+  CpWoptStream saved(options);
+  saved.StepLazy(truth[0], Mask(truth[0].shape(), true));
+  std::ostringstream snapshot;
+  saved.SaveState(snapshot);
+
+  Rng rng(162);
+  for (const Shape& shape : {Shape({5, 6}), Shape({7, 5}), Shape({6, 5, 2})}) {
+    SCOPED_TRACE(shape.ToString());
+    const DenseTensor y = DenseTensor::RandomNormal(shape, rng);
+    const Mask omega(shape, true);
+    CpWoptStream restored(options);
+    std::istringstream in(snapshot.str());
+    restored.RestoreState(in);
+    restored.StepLazy(y, omega);
+    CpWoptStream fresh(options);
+    fresh.StepLazy(y, omega);
+    ASSERT_EQ(restored.factors().size(), shape.order());
+    for (size_t n = 0; n < shape.order(); ++n) {
+      EXPECT_EQ(restored.factors()[n].rows(), shape.dim(n));
+      EXPECT_EQ(restored.factors()[n].MaxAbsDiff(fresh.factors()[n]), 0.0);
+    }
+  }
 }
 
 TEST(CheckpointTest, RestoreSurvivesTruncationAndBitFlipFuzz) {

@@ -106,6 +106,24 @@ TEST(CpWoptTest, SharedPatternRunMatchesInternalBuild) {
   EXPECT_EQ(diff.MaxAbs(), 0.0);
 }
 
+TEST(CpWoptTest, MisShapedWarmStartIsRejectedBeforeTheSolve) {
+  // The packed kernel locates rows by offset, so a mis-shaped warm start
+  // must fail CpWoptFactorize's own check, not a size check deeper in the
+  // solver (or none, once the kernel reads past a factor).
+  Rng rng(59);
+  DenseTensor y = DenseTensor::RandomNormal(Shape({4, 3}), rng);
+  Mask omega(y.shape(), true);
+  const std::vector<Matrix> rank2 = {Matrix::RandomNormal(4, 2, rng),
+                                     Matrix::RandomNormal(3, 2, rng)};
+  const CpWoptOptions rank3{.rank = 3, .max_iterations = 2};
+  EXPECT_DEATH(CpWoptFactorize(y, omega, rank3, nullptr, &rank2),
+               "cp_wopt\\.cpp");
+  const std::vector<Matrix> short_rows = {Matrix::RandomNormal(3, 3, rng),
+                                          Matrix::RandomNormal(3, 3, rng)};
+  EXPECT_DEATH(CpWoptFactorize(y, omega, rank3, nullptr, &short_rows),
+               "cp_wopt\\.cpp");
+}
+
 TEST(CpWoptTest, LossDecreasesFromRandomStart) {
   SyntheticTensor syn = MakeSinusoidTensor(5, 4, 12, 2, 4, 51);
   Mask omega(syn.tensor.shape(), true);
