@@ -1,7 +1,6 @@
-// Per-step cost of the streaming baselines ported onto the ObservedSweep
-// core: the original dense-scan reference path vs the observed-entry path,
-// at 1% / 10% / 100% observed density (fixed Bernoulli mask across steps, so
-// the sparse path's mask-reuse cache holds after the first step — the
+// Per-step cost of the streaming baselines on the ObservedSweep core at
+// 1% / 5% / 10% / 100% observed density (fixed Bernoulli mask across steps,
+// so the mask-reuse cache holds after the first step — the
 // fixed-sensor-outage case, matching BENCH_stream.json's setup).
 //
 // Unlike the google-benchmark targets this harness emits its summary JSON
@@ -12,7 +11,6 @@
 // The driving CMake target is gated behind SOFIA_BUILD_BENCH like every
 // other bench binary.
 
-#include <cctype>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -51,46 +49,39 @@ Mask BernoulliMask(const Shape& shape, double density, Rng& rng) {
   return omega;
 }
 
-using MethodFactory =
-    std::function<std::unique_ptr<StreamingMethod>(bool sparse)>;
+using MethodFactory = std::function<std::unique_ptr<StreamingMethod>()>;
 
 std::vector<std::pair<std::string, MethodFactory>> MethodFactories() {
   std::vector<std::pair<std::string, MethodFactory>> out;
-  out.emplace_back("OnlineSgd", [](bool sparse) -> std::unique_ptr<StreamingMethod> {
+  out.emplace_back("OnlineSgd", []() -> std::unique_ptr<StreamingMethod> {
     OnlineSgdOptions o;
     o.rank = kRank;
-    o.use_sparse_kernels = sparse;
     return std::make_unique<OnlineSgd>(o);
   });
-  out.emplace_back("Olstec", [](bool sparse) -> std::unique_ptr<StreamingMethod> {
+  out.emplace_back("Olstec", []() -> std::unique_ptr<StreamingMethod> {
     OlstecOptions o;
     o.rank = kRank;
-    o.use_sparse_kernels = sparse;
     return std::make_unique<Olstec>(o);
   });
-  out.emplace_back("Mast", [](bool sparse) -> std::unique_ptr<StreamingMethod> {
+  out.emplace_back("Mast", []() -> std::unique_ptr<StreamingMethod> {
     MastOptions o;
     o.rank = kRank;
-    o.use_sparse_kernels = sparse;
     return std::make_unique<Mast>(o);
   });
-  out.emplace_back("OrMstc", [](bool sparse) -> std::unique_ptr<StreamingMethod> {
+  out.emplace_back("OrMstc", []() -> std::unique_ptr<StreamingMethod> {
     OrMstcOptions o;
     o.rank = kRank;
-    o.use_sparse_kernels = sparse;
     return std::make_unique<OrMstc>(o);
   });
-  out.emplace_back("Brst", [](bool sparse) -> std::unique_ptr<StreamingMethod> {
+  out.emplace_back("Brst", []() -> std::unique_ptr<StreamingMethod> {
     BrstOptions o;
     o.rank = kRank;
-    o.use_sparse_kernels = sparse;
     return std::make_unique<BrstLite>(o);
   });
-  out.emplace_back("Smf", [](bool sparse) -> std::unique_ptr<StreamingMethod> {
+  out.emplace_back("Smf", []() -> std::unique_ptr<StreamingMethod> {
     SmfOptions o;
     o.rank = kRank;
     o.period = kPeriod;
-    o.use_sparse_kernels = sparse;
     return std::make_unique<Smf>(o);
   });
   return out;
@@ -102,12 +93,12 @@ std::vector<std::pair<std::string, MethodFactory>> MethodFactories() {
 /// contention only ever inflates a repetition. `observe` times the
 /// forecast-protocol advance (StreamingMethod::Observe, no dense estimate
 /// materialized) instead of the imputation Step.
-double TimeMethod(const MethodFactory& factory, bool sparse, bool observe,
+double TimeMethod(const MethodFactory& factory, bool observe,
                   const std::vector<DenseTensor>& slices, const Mask& omega,
                   size_t steps, size_t reps) {
   double best_ns = 0.0;
   for (size_t rep = 0; rep < reps; ++rep) {
-    std::unique_ptr<StreamingMethod> method = factory(sparse);
+    std::unique_ptr<StreamingMethod> method = factory();
     for (size_t t = 0; t < kWarmup; ++t) {
       method->Step(slices[t % slices.size()], omega);
     }
@@ -146,34 +137,22 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<int> densities = {1, 5, 10, 100};
-  std::map<std::string, double> results;   // "BM_MastDense/10_mean" -> ns.
-  std::map<std::string, double> speedups;  // "mast_density_10pct" -> x.
+  std::map<std::string, double> results;  // "BM_MastStepSparse/10_min" -> ns.
 
   for (const auto& [name, factory] : MethodFactories()) {
-    std::string lower = name;
-    for (char& ch : lower) ch = static_cast<char>(std::tolower(ch));
     for (int density : densities) {
-      Rng mask_rng(7);  // Same mask for every method and both paths.
+      Rng mask_rng(7);  // Same mask for every method and protocol.
       Mask omega = BernoulliMask(slices[0].shape(),
                                  static_cast<double>(density) / 100.0,
                                  mask_rng);
       const std::string arg = std::to_string(density);
       for (bool observe : {false, true}) {
         const std::string proto = observe ? "Observe" : "Step";
-        const double dense_ns = TimeMethod(factory, /*sparse=*/false, observe,
-                                           slices, omega, steps, reps);
-        const double sparse_ns = TimeMethod(factory, /*sparse=*/true, observe,
-                                            slices, omega, steps, reps);
-        results["BM_" + name + proto + "Dense/" + arg + "_min"] = dense_ns;
-        results["BM_" + name + proto + "Sparse/" + arg + "_min"] = sparse_ns;
-        std::string proto_lower = proto;
-        for (char& ch : proto_lower) ch = static_cast<char>(std::tolower(ch));
-        speedups[lower + "_" + proto_lower + "_density_" + arg + "pct"] =
-            sparse_ns > 0.0 ? dense_ns / sparse_ns : 0.0;
-        std::printf("%-10s %-7s density %3d%%: dense %10.0f ns/step, sparse "
-                    "%10.0f ns/step, speedup %.2fx\n",
-                    name.c_str(), proto.c_str(), density, dense_ns, sparse_ns,
-                    sparse_ns > 0.0 ? dense_ns / sparse_ns : 0.0);
+        const double ns =
+            TimeMethod(factory, observe, slices, omega, steps, reps);
+        results["BM_" + name + proto + "Sparse/" + arg + "_min"] = ns;
+        std::printf("%-10s %-7s density %3d%%: %10.0f ns/step\n",
+                    name.c_str(), proto.c_str(), density, ns);
       }
     }
   }
@@ -186,20 +165,18 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n");
   std::fprintf(f,
                "  \"description\": \"Streaming baselines on the ObservedSweep "
-               "core: per-step cost of the dense-scan reference path vs the "
-               "observed-entry path, %zux%zu slices, rank %zu, fixed "
-               "Bernoulli mask across steps (the fixed-sensor-outage case, "
-               "so the sparse path's mask-reuse cache holds after the first "
-               "step), argument = percent of entries observed. Step times "
-               "include the dense KruskalSlice estimate the imputation "
-               "protocol returns (an O(volume R) floor shared by both "
-               "paths); Observe times the forecast-protocol advance "
-               "(StreamingMethod::Observe), where neither path materializes "
-               "the output-only reconstruction — the same accounting "
-               "BENCH_stream.json uses for SOFIA's lazy step. Best (min) "
-               "per-step real time over %zu repetitions of %zu steps, "
-               "single thread (bench_baselines "
-               "--out=BENCH_baselines.json).\",\n",
+               "core: per-step cost of the observed-entry step, %zux%zu "
+               "slices, rank %zu, fixed Bernoulli mask across steps (the "
+               "fixed-sensor-outage case, so the mask-reuse cache holds "
+               "after the first step), argument = percent of entries "
+               "observed. Step times include the dense KruskalSlice "
+               "estimate the imputation protocol returns (an O(volume R) "
+               "floor); Observe times the forecast-protocol advance "
+               "(StreamingMethod::Observe), which materializes no "
+               "reconstruction — the same accounting BENCH_stream.json "
+               "uses for SOFIA's lazy step. Best (min) per-step real time "
+               "over %zu repetitions of %zu steps, single thread "
+               "(bench_baselines --out=BENCH_baselines.json).\",\n",
                kRows, kCols, kRank, reps, steps);
   bench::WriteMachineBlock(f);
   std::fprintf(f, "  \"unit\": \"ns\",\n");
@@ -208,13 +185,6 @@ int main(int argc, char** argv) {
   for (const auto& [key, value] : results) {
     std::fprintf(f, "    \"%s\": %.0f%s\n", key.c_str(), value,
                  ++i < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"speedup_sparse_over_dense\": {\n");
-  i = 0;
-  for (const auto& [key, value] : speedups) {
-    std::fprintf(f, "    \"%s\": %.2f%s\n", key.c_str(), value,
-                 ++i < speedups.size() ? "," : "");
   }
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");

@@ -118,33 +118,11 @@ void BM_SofiaDynamicStep(benchmark::State& state) {
 BENCHMARK(BM_SofiaDynamicStep)->RangeMultiplier(2)->Range(16, 128)
     ->Complexity(benchmark::oN);
 
-/// Dense-scan row-system accumulation (all modes of one sweep) at a given
-/// observed density (argument = percent observed). Cost is tied to the
-/// tensor *volume*: it barely moves as the density drops.
-void BM_DenseAccumulate(benchmark::State& state) {
-  const double density = static_cast<double>(state.range(0)) / 100.0;
-  Rng rng(21);
-  Shape shape({48, 48, 64});
-  DenseTensor y = DenseTensor::RandomNormal(shape, rng);
-  DenseTensor o(shape, 0.0);
-  Mask omega = BernoulliMask(shape, density, rng);
-  std::vector<Matrix> factors;
-  for (size_t n = 0; n < shape.order(); ++n) {
-    factors.push_back(Matrix::RandomNormal(shape.dim(n), 8, rng));
-  }
-  for (auto _ : state) {
-    for (size_t mode = 0; mode < shape.order(); ++mode) {
-      benchmark::DoNotOptimize(DenseRowSystems(y, omega, o, factors, mode));
-    }
-  }
-  state.SetComplexityN(static_cast<int64_t>(omega.CountObserved()));
-}
-BENCHMARK(BM_DenseAccumulate)->Arg(1)->Arg(10)->Arg(100);
-
-/// COO row-system accumulation on the same problem. The CooList build sits
-/// outside the timed loop because SOFIA builds it once per window and
-/// reuses it across all modes and sweeps; the timed cost is O(|Ω|) per
-/// Lemma 1 and shrinks with the density.
+/// COO row-system accumulation (all modes of one sweep) at a given observed
+/// density (argument = percent observed). The CooList build sits outside
+/// the timed loop because SOFIA builds it once per window and reuses it
+/// across all modes and sweeps; the timed cost is O(|Ω|) per Lemma 1 and
+/// shrinks with the density.
 void BM_CooAccumulate(benchmark::State& state) {
   const double density = static_cast<double>(state.range(0)) / 100.0;
   Rng rng(21);
@@ -167,9 +145,7 @@ void BM_CooAccumulate(benchmark::State& state) {
 }
 BENCHMARK(BM_CooAccumulate)->Arg(1)->Arg(10)->Arg(100);
 
-/// End-to-end SOFIA_ALS on a 10%-observed synthetic tensor: the dense-scan
-/// path vs the COO sparse kernel layer (argument 0/1 = use_sparse_kernels).
-/// The acceptance target for the kernel layer is >= 3x here; see
+/// End-to-end SOFIA_ALS (3 sweeps) on a 10%-observed synthetic tensor; see
 /// BENCH_kernels.json.
 void BM_SofiaAls10pct(benchmark::State& state) {
   Rng rng(23);
@@ -182,7 +158,6 @@ void BM_SofiaAls10pct(benchmark::State& state) {
   config.period = 12;
   config.max_als_iterations = 3;
   config.tolerance = 0.0;
-  config.use_sparse_kernels = state.range(0) != 0;
   config.num_threads = 1;
   Rng frng(25);
   std::vector<Matrix> init;
@@ -194,15 +169,13 @@ void BM_SofiaAls10pct(benchmark::State& state) {
     benchmark::DoNotOptimize(SofiaAls(syn.tensor, omega, o, config, &factors));
   }
 }
-BENCHMARK(BM_SofiaAls10pct)->Arg(0)->Arg(1);
+BENCHMARK(BM_SofiaAls10pct);
 
 /// Dynamic update (SofiaModel::Step) at a given observed density (argument
-/// = percent observed), dense-scan reference path vs the CooList kernel
-/// path. A fixed mask across steps — the fixed-sensor-outage case — lets
-/// the sparse path's pattern cache hold, so the timed cost is Lemma 2's
-/// O(|Ω_t| N R) against the dense path's O(volume). The acceptance target
-/// for this PR is >= 3x at <= 10% observed; see BENCH_stream.json.
-void RunSofiaStepBench(benchmark::State& state, bool sparse) {
+/// = percent observed). A fixed mask across steps — the fixed-sensor-outage
+/// case — lets the pattern cache hold, so the timed cost is Lemma 2's
+/// O(|Ω_t| N R); see BENCH_stream.json.
+void BM_SofiaStepSparse(benchmark::State& state) {
   const double density = static_cast<double>(state.range(0)) / 100.0;
   const size_t period = 8;
   std::vector<DenseTensor> truth =
@@ -212,7 +185,6 @@ void RunSofiaStepBench(benchmark::State& state, bool sparse) {
   config.period = period;
   config.max_init_iterations = 2;
   config.num_threads = 1;
-  config.use_sparse_kernels = sparse;
   const size_t w = config.InitWindow();
   std::vector<DenseTensor> init_slices(truth.begin(), truth.begin() + w);
   std::vector<Mask> init_masks(w, Mask(truth[0].shape(), true));
@@ -227,14 +199,6 @@ void RunSofiaStepBench(benchmark::State& state, bool sparse) {
   state.SetComplexityN(static_cast<int64_t>(omega.CountObserved()));
 }
 
-void BM_SofiaStepDense(benchmark::State& state) {
-  RunSofiaStepBench(state, /*sparse=*/false);
-}
-BENCHMARK(BM_SofiaStepDense)->Arg(1)->Arg(10)->Arg(100);
-
-void BM_SofiaStepSparse(benchmark::State& state) {
-  RunSofiaStepBench(state, /*sparse=*/true);
-}
 BENCHMARK(BM_SofiaStepSparse)->Arg(1)->Arg(10)->Arg(100);
 
 void BM_HoltWintersFit(benchmark::State& state) {

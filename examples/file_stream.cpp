@@ -9,7 +9,7 @@
 //   4. Run SOFIA over the stream and report imputation quality.
 //
 // Usage: file_stream [--path=/tmp/sofia_demo_stream.csv]
-//                    [--num_threads=0] [--use_sparse_kernels=true]
+//                    [--num_threads=0]
 //                    [--storage=coo|csf] [--guard=off|skip|rollback|reinit]
 //                    [--simd=on|off] [--csf-leaf=default|auto]
 //                    [--csf-churn=0.25]
@@ -141,8 +141,6 @@ int main(int argc, char** argv) {
   config.period = period;
   config.num_threads = static_cast<size_t>(
       flags.GetInt("num_threads", static_cast<int64_t>(config.num_threads)));
-  config.use_sparse_kernels =
-      flags.GetBool("use_sparse_kernels", config.use_sparse_kernels);
   // --storage=csf routes the per-step pattern through the CSF fiber-tree
   // backend (tensor/csf_tensor.hpp) instead of the flat CooList.
   config.pattern_storage = ParsePatternStorage(

@@ -8,7 +8,7 @@
 // injected faults.
 //
 // Usage: sensor_anomaly [--fault_rate=10] [--magnitude=5]
-//                       [--num_threads=0] [--use_sparse_kernels=true]
+//                       [--num_threads=0]
 //                       [--workers=0] [--storage=coo|csf] [--simd=on|off]
 //                       [--trace-out=FILE] [--metrics-out=FILE]
 //                       [--stats-every=N] [--obs=on|off]
@@ -49,8 +49,6 @@ int main(int argc, char** argv) {
   SofiaConfig config = MakeExperimentConfig(lab, stream);
   config.num_threads = static_cast<size_t>(
       flags.GetInt("num_threads", static_cast<int64_t>(config.num_threads)));
-  config.use_sparse_kernels =
-      flags.GetBool("use_sparse_kernels", config.use_sparse_kernels);
   const size_t workers = static_cast<size_t>(flags.GetInt("workers", 0));
   if (workers != 0) config.num_threads = workers;
   config.pattern_storage =

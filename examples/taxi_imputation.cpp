@@ -13,7 +13,7 @@
 // scores are bitwise identical).
 //
 // Usage: taxi_imputation [--missing=50] [--outliers=20] [--magnitude=4]
-//                        [--num_threads=0] [--use_sparse_kernels=true]
+//                        [--num_threads=0]
 //                        [--eval_cap=1024] [--force_dense=false]
 //                        [--storage=coo|csf]
 //                        [--simd=on|off] [--csf-leaf=default|auto]
@@ -98,14 +98,13 @@ int main(int argc, char** argv) {
               scenario_name.empty() ? "" : ", scenario ",
               scenario_name.c_str());
 
-  // Kernel-path knobs, shared by SOFIA and the baseline: both run their
-  // per-step work on the observed-entry kernels unless told otherwise.
-  // --storage=csf compiles each shared per-step pattern into CSF fiber
-  // trees (tensor/csf_tensor.hpp) and routes every method's kernels
-  // through the fiber-reuse backend.
+  // Kernel knobs, shared by SOFIA and the baseline: both run their
+  // per-step work on the observed-entry kernels. --storage=csf compiles
+  // each shared per-step pattern into CSF fiber trees
+  // (tensor/csf_tensor.hpp) and routes every method's kernels through the
+  // fiber-reuse backend.
   const size_t num_threads =
       static_cast<size_t>(flags.GetInt("num_threads", 0));
-  const bool use_sparse_kernels = flags.GetBool("use_sparse_kernels", true);
   const PatternStorage storage =
       ParsePatternStorage(flags.GetString("storage", "coo"));
   // Kernel-ISA and CSF-maintenance knobs (tensor/simd.hpp,
@@ -120,7 +119,6 @@ int main(int argc, char** argv) {
 
   SofiaConfig config = MakeExperimentConfig(taxi, stream);
   config.num_threads = num_threads;
-  config.use_sparse_kernels = use_sparse_kernels;
   config.pattern_storage = storage;
   auto sofia_owned = std::make_unique<SofiaStream>(config);
   SofiaStream* sofia_method = sofia_owned.get();  // For the final model peek.
@@ -128,7 +126,6 @@ int main(int argc, char** argv) {
   OnlineSgdOptions sgd_options;
   sgd_options.rank = taxi.rank;
   sgd_options.num_threads = num_threads;
-  sgd_options.use_sparse_kernels = use_sparse_kernels;
 
   // --guard= wraps both methods in the fault-tolerance layer
   // (eval/stream_guard.hpp): input validation, health watch, and the named

@@ -12,7 +12,7 @@
 //                                     structured-outliers|garbage-slices|
 //                                     combined-stress]
 //                         [--guard=off|skip|rollback|reinit]
-//                         [--num_threads=0] [--use_sparse_kernels=true]
+//                         [--num_threads=0]
 //                         [--storage=coo|csf] [--simd=on|off]
 //                         [--csf-leaf=default|auto] [--csf-churn=0.25]
 //                         [--workers=0]
@@ -96,12 +96,11 @@ int main(int argc, char** argv) {
   CorruptedStream smf_stream =
       Corrupt(traffic.slices, {0.0, 20.0, 5.0}, seed + 1);
 
-  // Kernel-path knobs, shared by SOFIA and SMF. --storage=csf selects the
+  // Kernel knobs, shared by SOFIA and SMF. --storage=csf selects the
   // compressed-sparse-fiber pattern backend for SOFIA's training steps
   // (SMF streams the raw record list, so the knob is a no-op there).
   const size_t num_threads =
       static_cast<size_t>(flags.GetInt("num_threads", 0));
-  const bool use_sparse_kernels = flags.GetBool("use_sparse_kernels", true);
   const PatternStorage storage =
       ParsePatternStorage(flags.GetString("storage", "coo"));
   // Kernel-ISA and CSF-maintenance knobs (tensor/simd.hpp,
@@ -116,7 +115,6 @@ int main(int argc, char** argv) {
   SofiaConfig config = MakeExperimentConfig(traffic, sofia_stream);
   const size_t workers = static_cast<size_t>(flags.GetInt("workers", 0));
   config.num_threads = workers != 0 ? workers : num_threads;
-  config.use_sparse_kernels = use_sparse_kernels;
   config.pattern_storage = storage;
   const size_t window = config.InitWindow();
   std::unique_ptr<StreamingMethod> sofia_method =
@@ -152,7 +150,6 @@ int main(int argc, char** argv) {
   smf_options.rank = traffic.rank;
   smf_options.period = traffic.period;
   smf_options.num_threads = num_threads;
-  smf_options.use_sparse_kernels = use_sparse_kernels;
   Smf smf(smf_options);
   for (size_t t = 0; t < train; ++t) {
     smf.Observe(smf_stream.slices[t], smf_stream.masks[t]);

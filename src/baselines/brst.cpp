@@ -44,121 +44,39 @@ StepResult BrstLite::StepShared(const DenseTensor& y, const Mask& omega,
   }
   const double nu = options_.student_nu;
 
-  if (sweep_.sparse()) {
-    sweep_.BeginStep(y, omega, std::move(pattern));
-    const std::vector<double>& values = sweep_.values();
+  sweep_.BeginStep(y, omega, std::move(pattern));
+  const std::vector<double>& values = sweep_.values();
 
-    // Temporal row with ARD-weighted ridge: strongly-pruned columns are
-    // pinned near zero.
-    NormalSystem sys = sweep_.TemporalSystem(factors_, values);
-    for (size_t r = 0; r < rank; ++r) {
-      sys.b(r, r) += options_.ridge + noise_var_ * ard_precision_[r];
-    }
-    std::vector<double> w = SolveRidge(sys.b, sys.c);
-
-    // Student-t responsibility gating: heavy residuals get weight ~ nu/r².
-    // The gated pseudo-residuals g_k then drive the same gradient
-    // accumulation as the dense scan, restricted to the records.
-    std::vector<double> g = sweep_.Reconstruct(factors_, w);
-    double weighted_sq = 0.0, weight_sum = 0.0;
-    for (size_t k = 0; k < g.size(); ++k) {
-      const double resid = values[k] - g[k];
-      const double gate =
-          (nu + 1.0) / (nu + resid * resid / std::max(noise_var_, 1e-12));
-      weighted_sq += gate * resid * resid;
-      weight_sum += gate;
-      g[k] = gate * resid;
-    }
-    ModeGradients grads =
-        sweep_.Gradients(factors_, w, g, /*with_traces=*/false);
-    return FinishStep(std::move(w), std::move(grads.row_grads), weighted_sq,
-                      weight_sum, want_result);
-  }
-
-  // Dense-scan reference path.
-  const Shape& shape = y.shape();
-  Matrix b(rank, rank);
-  std::vector<double> c(rank, 0.0);
-  std::vector<size_t> idx(shape.order(), 0);
-  std::vector<double> h(rank);
-  for (size_t linear = 0; linear < shape.NumElements(); ++linear) {
-    if (omega.Get(linear)) {
-      for (size_t r = 0; r < rank; ++r) {
-        double p = 1.0;
-        for (size_t l = 0; l < factors_.size(); ++l) {
-          p *= factors_[l](idx[l], r);
-        }
-        h[r] = p;
-      }
-      for (size_t r = 0; r < rank; ++r) {
-        c[r] += y[linear] * h[r];
-        double* brow = b.Row(r);
-        for (size_t q = 0; q < rank; ++q) brow[q] += h[r] * h[q];
-      }
-    }
-    shape.Next(&idx);
-  }
+  // Temporal row with ARD-weighted ridge: strongly-pruned columns are
+  // pinned near zero.
+  NormalSystem sys = sweep_.TemporalSystem(factors_, values);
   for (size_t r = 0; r < rank; ++r) {
-    b(r, r) += options_.ridge + noise_var_ * ard_precision_[r];
+    sys.b(r, r) += options_.ridge + noise_var_ * ard_precision_[r];
   }
-  std::vector<double> w = SolveRidge(b, c);
+  std::vector<double> w = SolveRidge(sys.b, sys.c);
 
   // Student-t responsibility gating: heavy residuals get weight ~ nu/r².
-  std::vector<Matrix> grads;
-  grads.reserve(factors_.size());
-  for (const Matrix& f : factors_) grads.emplace_back(f.rows(), rank, 0.0);
+  // The gated pseudo-residuals g_k then drive the gradient accumulation.
+  std::vector<double> g = sweep_.Reconstruct(factors_, w);
   double weighted_sq = 0.0, weight_sum = 0.0;
-  idx.assign(shape.order(), 0);
-  for (size_t linear = 0; linear < shape.NumElements(); ++linear) {
-    if (omega.Get(linear)) {
-      double recon = 0.0;
-      for (size_t r = 0; r < rank; ++r) {
-        double p = w[r];
-        for (size_t l = 0; l < factors_.size(); ++l) {
-          p *= factors_[l](idx[l], r);
-        }
-        h[r] = p;  // h now holds per-rank contributions (w included).
-        recon += p;
-      }
-      const double resid = y[linear] - recon;
-      const double gate =
-          (nu + 1.0) / (nu + resid * resid / std::max(noise_var_, 1e-12));
-      weighted_sq += gate * resid * resid;
-      weight_sum += gate;
-      const double g = gate * resid;
-      for (size_t l = 0; l < factors_.size(); ++l) {
-        double* grow = grads[l].Row(idx[l]);
-        for (size_t r = 0; r < rank; ++r) {
-          // d recon / d u^(l)_r: the leave-one-out product seeded with w
-          // and multiplied through in mode order — the exact accumulation
-          // of the observed-entry kernel (CooModeGradients), so the two
-          // paths agree bitwise.
-          double loo = w[r];
-          for (size_t l2 = 0; l2 < factors_.size(); ++l2) {
-            if (l2 != l) loo *= factors_[l2](idx[l2], r);
-          }
-          grow[r] += g * loo;
-        }
-      }
-    }
-    shape.Next(&idx);
+  for (size_t k = 0; k < g.size(); ++k) {
+    const double resid = values[k] - g[k];
+    const double gate =
+        (nu + 1.0) / (nu + resid * resid / std::max(noise_var_, 1e-12));
+    weighted_sq += gate * resid * resid;
+    weight_sum += gate;
+    g[k] = gate * resid;
   }
-  return FinishStep(std::move(w), std::move(grads), weighted_sq, weight_sum,
-                    want_result);
-}
+  ModeGradients grads =
+      sweep_.Gradients(factors_, w, g, /*with_traces=*/false);
 
-StepResult BrstLite::FinishStep(std::vector<double> w,
-                                std::vector<Matrix> grads,
-                                double weighted_sq, double weight_sum,
-                                bool want_result) {
-  const size_t rank = options_.rank;
   // MAP gradient step with the ARD Gaussian prior: besides the data term,
   // each column r decays by its precision γ_r. Low-energy columns get a
   // large γ, decay further, and spiral into pruning — the rank-collapse
   // dynamic of variational robust factorization.
   for (size_t l = 0; l < factors_.size(); ++l) {
-    grads[l] *= 2.0 * options_.learning_rate;
-    factors_[l] += grads[l];
+    grads.row_grads[l] *= 2.0 * options_.learning_rate;
+    factors_[l] += grads.row_grads[l];
     for (size_t r = 0; r < rank; ++r) {
       const double decay = std::max(
           0.1, 1.0 - options_.learning_rate * noise_var_ *

@@ -34,10 +34,6 @@ struct BrstOptions {
   /// Worker threads for the observed-entry kernels (0 = hardware
   /// concurrency); results are bitwise identical for every setting.
   size_t num_threads = 1;
-  /// Route the ARD temporal solve and the gated gradient pass through the
-  /// ObservedSweep core (O(|Ω_t| N R) per step); false selects the
-  /// dense-scan reference path.
-  bool use_sparse_kernels = true;
 };
 
 /// BRST-lite streaming method (no init window).
@@ -45,8 +41,7 @@ class BrstLite : public StreamingMethod {
  public:
   explicit BrstLite(BrstOptions options)
       : options_(options),
-        sweep_(ObservedSweepOptions{options.num_threads,
-                                    options.use_sparse_kernels}) {}
+        sweep_(ObservedSweepOptions{options.num_threads}) {}
 
   std::string name() const override { return "BRST"; }
   /// Lazy step: the refreshed factors + ARD-pruned temporal row as a
@@ -74,14 +69,6 @@ class BrstLite : public StreamingMethod {
  private:
   StepResult StepShared(const DenseTensor& y, const Mask& omega,
                         std::shared_ptr<const CooList> pattern,
-                        bool want_result);
-  /// Shared tail of both paths: MAP gradient application with ARD decay,
-  /// noise-variance smoothing, the ARD precision update, and (when
-  /// `want_result`) the pruned Kruskal-view handle. Takes `grads` by value
-  /// so both call sites move their gradients in and the learning-rate
-  /// scaling happens in place.
-  StepResult FinishStep(std::vector<double> w, std::vector<Matrix> grads,
-                        double weighted_sq, double weight_sum,
                         bool want_result);
 
   BrstOptions options_;

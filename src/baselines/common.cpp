@@ -1,122 +1,8 @@
 #include "baselines/common.hpp"
 
-#include "linalg/solve.hpp"
-#include "tensor/kruskal.hpp"
-#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace sofia {
-
-namespace {
-
-/// Walks the observed entries of a slice, handing the callback the
-/// multi-index, the entry value (minus `subtract`), and the per-rank factor
-/// products h_r = ⊛_l u^(l)_{i_l}.
-template <typename Fn>
-void ForEachObserved(const DenseTensor& y, const Mask& omega,
-                     const DenseTensor* subtract,
-                     const std::vector<Matrix>& factors, Fn&& fn) {
-  const Shape& shape = y.shape();
-  const size_t rank = factors[0].cols();
-  std::vector<size_t> idx(shape.order(), 0);
-  std::vector<double> h(rank);
-  for (size_t linear = 0; linear < shape.NumElements(); ++linear) {
-    if (omega.Get(linear)) {
-      for (size_t r = 0; r < rank; ++r) h[r] = 1.0;
-      for (size_t l = 0; l < factors.size(); ++l) {
-        const double* row = factors[l].Row(idx[l]);
-        for (size_t r = 0; r < rank; ++r) h[r] *= row[r];
-      }
-      const double value = y[linear] - (subtract ? (*subtract)[linear] : 0.0);
-      fn(idx, linear, value, h);
-    }
-    shape.Next(&idx);
-  }
-}
-
-}  // namespace
-
-std::vector<double> SolveTemporalRow(const DenseTensor& y, const Mask& omega,
-                                     const DenseTensor* subtract,
-                                     const std::vector<Matrix>& factors,
-                                     double ridge) {
-  const size_t rank = factors[0].cols();
-  Matrix b(rank, rank);
-  std::vector<double> c(rank, 0.0);
-  ForEachObserved(y, omega, subtract, factors,
-                  [&](const std::vector<size_t>&, size_t, double value,
-                      const std::vector<double>& h) {
-                    for (size_t r = 0; r < rank; ++r) {
-                      c[r] += value * h[r];
-                      double* brow = b.Row(r);
-                      for (size_t q = 0; q < rank; ++q) {
-                        brow[q] += h[r] * h[q];
-                      }
-                    }
-                  });
-  for (size_t r = 0; r < rank; ++r) b(r, r) += ridge;
-  return SolveRidge(b, c);
-}
-
-std::vector<Matrix> FactorGradients(
-    const DenseTensor& y, const Mask& omega, const DenseTensor* subtract,
-    const std::vector<Matrix>& factors, const std::vector<double>& w,
-    std::vector<std::vector<double>>* row_traces) {
-  const Shape& shape = y.shape();
-  const size_t rank = factors[0].cols();
-  const size_t num_modes = factors.size();
-  std::vector<Matrix> grads;
-  grads.reserve(num_modes);
-  for (const Matrix& f : factors) grads.emplace_back(f.rows(), rank, 0.0);
-  if (row_traces != nullptr) {
-    row_traces->assign(num_modes, {});
-    for (size_t l = 0; l < num_modes; ++l) {
-      (*row_traces)[l].assign(factors[l].rows(), 0.0);
-    }
-  }
-
-  std::vector<size_t> idx(shape.order(), 0);
-  std::vector<double> prefix((num_modes + 1) * rank);
-  std::vector<double> suffix((num_modes + 1) * rank);
-  for (size_t linear = 0; linear < shape.NumElements(); ++linear) {
-    if (omega.Get(linear)) {
-      for (size_t r = 0; r < rank; ++r) prefix[r] = 1.0;
-      for (size_t l = 0; l < num_modes; ++l) {
-        const double* row = factors[l].Row(idx[l]);
-        const double* cur = &prefix[l * rank];
-        double* nxt = &prefix[(l + 1) * rank];
-        for (size_t r = 0; r < rank; ++r) nxt[r] = cur[r] * row[r];
-      }
-      for (size_t r = 0; r < rank; ++r) suffix[num_modes * rank + r] = 1.0;
-      for (size_t l = num_modes; l-- > 0;) {
-        const double* row = factors[l].Row(idx[l]);
-        const double* cur = &suffix[(l + 1) * rank];
-        double* nxt = &suffix[l * rank];
-        for (size_t r = 0; r < rank; ++r) nxt[r] = cur[r] * row[r];
-      }
-      // Residual of this entry at the current state.
-      double recon = 0.0;
-      const double* full = &prefix[num_modes * rank];
-      for (size_t r = 0; r < rank; ++r) recon += full[r] * w[r];
-      const double value = y[linear] - (subtract ? (*subtract)[linear] : 0.0);
-      const double resid = value - recon;
-      for (size_t l = 0; l < num_modes; ++l) {
-        double* grow = grads[l].Row(idx[l]);
-        double* trace =
-            row_traces ? &(*row_traces)[l][idx[l]] : nullptr;
-        const double* pre = &prefix[l * rank];
-        const double* suf = &suffix[(l + 1) * rank];
-        for (size_t r = 0; r < rank; ++r) {
-          const double reg = pre[r] * suf[r] * w[r];
-          if (trace != nullptr) *trace += reg * reg;
-          if (resid != 0.0) grow[r] += resid * reg;
-        }
-      }
-    }
-    shape.Next(&idx);
-  }
-  return grads;
-}
 
 std::vector<Matrix> RandomNontemporalFactors(const Shape& slice_shape,
                                              size_t rank, uint64_t seed) {
@@ -128,41 +14,6 @@ std::vector<Matrix> RandomNontemporalFactors(const Shape& slice_shape,
         Matrix::Random(slice_shape.dim(n), rank, rng, 0.0, 1.0));
   }
   return factors;
-}
-
-SliceRowSystems BuildSliceRowSystems(const DenseTensor& y, const Mask& omega,
-                                     const DenseTensor* subtract,
-                                     const std::vector<Matrix>& factors,
-                                     const std::vector<double>& w,
-                                     size_t mode) {
-  const size_t rank = factors[0].cols();
-  SliceRowSystems sys;
-  sys.b.assign(factors[mode].rows(), Matrix(rank, rank));
-  sys.c.assign(factors[mode].rows(), std::vector<double>(rank, 0.0));
-  std::vector<double> h(rank);
-  ForEachObserved(
-      y, omega, subtract, factors,
-      [&](const std::vector<size_t>& idx, size_t, double value,
-          const std::vector<double>&) {
-        // Leave-one-out regressor h = w ⊛ (⊛_{l != mode} u^(l)), seeded
-        // with w and multiplied through in mode order — the exact
-        // accumulation the observed-entry kernel (CooWeightedRowSystems)
-        // performs, so the two paths agree bitwise.
-        for (size_t r = 0; r < rank; ++r) h[r] = w[r];
-        for (size_t l = 0; l < factors.size(); ++l) {
-          if (l == mode) continue;
-          const double* row = factors[l].Row(idx[l]);
-          for (size_t r = 0; r < rank; ++r) h[r] *= row[r];
-        }
-        Matrix& b = sys.b[idx[mode]];
-        std::vector<double>& c = sys.c[idx[mode]];
-        for (size_t r = 0; r < rank; ++r) {
-          c[r] += value * h[r];
-          double* brow = b.Row(r);
-          for (size_t q = 0; q < rank; ++q) brow[q] += h[r] * h[q];
-        }
-      });
-  return sys;
 }
 
 }  // namespace sofia

@@ -1,88 +1,26 @@
 #ifndef SOFIA_BASELINES_COMMON_H_
 #define SOFIA_BASELINES_COMMON_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "linalg/solve.hpp"
-#include "tensor/dense_tensor.hpp"
-#include "tensor/mask.hpp"
+#include "tensor/shape.hpp"
 
 /// \file common.hpp
-/// \brief Shared dense-scan kernels for the streaming baselines.
+/// \brief Shared start-up state of the streaming baselines.
 ///
-/// Every streaming CP method repeats the same two motifs on each incoming
-/// slice: (a) solve for the temporal row w_t given the non-temporal factors
-/// (a ridge-regularized R x R normal-equation solve over the observed
-/// entries), and (b) push the factors toward the residual (gradient or
-/// closed-form row updates). These helpers implement both motifs once, with
-/// leave-one-out factor products computed via prefix/suffix arrays.
-///
-/// They walk the full dense index space and now serve as the parity-tested
-/// reference path (`use_sparse_kernels = false`) for the observed-entry
-/// implementations in baselines/observed_sweep.hpp, which realize the same
-/// motifs in O(|Ω_t|) per pass.
+/// The streaming CP baselines start from random non-temporal factors.
+/// Their per-slice motifs (temporal-row solve, row systems, gradients,
+/// proximal row updates) run on the observed-entry kernels of
+/// baselines/observed_sweep.hpp; the dense-scan versions those kernels are
+/// pinned against live in tests/dense_oracle.hpp.
 
 namespace sofia {
-
-/// Solves `min_w ||Ω ⊛ (Y - O - [[factors; w]])||^2 + ridge ||w||^2`.
-/// `subtract` may be null (treated as zero, the common case).
-std::vector<double> SolveTemporalRow(const DenseTensor& y, const Mask& omega,
-                                     const DenseTensor* subtract,
-                                     const std::vector<Matrix>& factors,
-                                     double ridge);
-
-/// Gradients of `0.5 ||Ω ⊛ (Y - O - [[factors; w]])||^2` w.r.t. each
-/// non-temporal factor, all evaluated at the *current* factors (so a caller
-/// can apply them simultaneously, as the papers' update rules prescribe).
-/// Returned matrices have the factor shapes. `subtract` may be null.
-/// If `row_traces` is non-null it receives, per mode and per row, the trace
-/// of the instantaneous Gauss-Newton Hessian of that row (sum of squared
-/// regressors) — callers use it to cap SGD steps inside the stability
-/// region, standing in for the per-dataset step grid search the paper
-/// performed for its baselines.
-std::vector<Matrix> FactorGradients(
-    const DenseTensor& y, const Mask& omega, const DenseTensor* subtract,
-    const std::vector<Matrix>& factors, const std::vector<double>& w,
-    std::vector<std::vector<double>>* row_traces = nullptr);
 
 /// Random U[0,1) factor matrices for the non-temporal modes of `slice_shape`.
 std::vector<Matrix> RandomNontemporalFactors(const Shape& slice_shape,
                                              size_t rank, uint64_t seed);
-
-/// Per-row normal equations of a slice: for each row i of mode `mode`,
-/// B_i = Σ h h^T and c_i = Σ (y - o) h over observed entries with that row
-/// index, where h = w ⊛ (⊛_{l != mode} u^(l)_{i_l}).
-struct SliceRowSystems {
-  std::vector<Matrix> b;
-  std::vector<std::vector<double>> c;
-};
-SliceRowSystems BuildSliceRowSystems(const DenseTensor& y, const Mask& omega,
-                                     const DenseTensor* subtract,
-                                     const std::vector<Matrix>& factors,
-                                     const std::vector<double>& w,
-                                     size_t mode);
-
-/// Closed-form proximal row updates of MAST / OR-MSTC:
-/// u_i <- (B_i + μI)^{-1} (c_i + μ u_i^prev) for every row of `u`, via the
-/// shared ProximalRowSolve (linalg/solve.hpp) — the same arithmetic the
-/// fused observed-entry kernel (CooProximalRowUpdates) runs, so the two
-/// paths stay bitwise aligned. Templated so it accepts both the dense
-/// SliceRowSystems and the observed-entry RowSystems (any type with
-/// aligned `b` / `c` vectors).
-template <typename Systems>
-void ApplyProximalRowUpdates(const Systems& sys, const Matrix& previous,
-                             double mu, Matrix* u) {
-  const size_t rank = u->cols();
-  std::vector<double> a(rank * rank);
-  std::vector<double> rhs(rank);
-  for (size_t i = 0; i < u->rows(); ++i) {
-    ProximalRowSolve(sys.b[i].data(), sys.c[i].data(), previous.Row(i), mu,
-                     rank, a.data(), rhs.data(), u->Row(i));
-  }
-}
 
 }  // namespace sofia
 

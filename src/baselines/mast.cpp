@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "baselines/common.hpp"
-#include "linalg/solve.hpp"
 #include "util/state_io.hpp"
 
 namespace sofia {
@@ -34,8 +33,6 @@ StepResult Mast::StepShared(const DenseTensor& y, const Mask& omega,
     factors_ = RandomNontemporalFactors(y.shape(), options_.rank,
                                         options_.seed);
   }
-  if (!sweep_.sparse()) return StepDense(y, omega, want_result);
-
   const double mu = options_.prox_weight;
   const std::vector<Matrix> previous = factors_;
   sweep_.BeginStep(y, omega, std::move(pattern));
@@ -51,27 +48,6 @@ StepResult Mast::StepShared(const DenseTensor& y, const Mask& omega,
   }
   if (!want_result) return StepResult();
   w = sweep_.SolveTemporalRow(factors_, values, options_.ridge);
-  return StepResult::Kruskal(factors_, std::move(w));
-}
-
-StepResult Mast::StepDense(const DenseTensor& y, const Mask& omega,
-                           bool want_result) {
-  const double mu = options_.prox_weight;
-  const std::vector<Matrix> previous = factors_;
-
-  std::vector<double> w(options_.rank, 0.0);
-  for (int iter = 0; iter < options_.inner_iterations; ++iter) {
-    w = SolveTemporalRow(y, omega, nullptr, factors_, options_.ridge);
-    // Closed-form proximal row updates:
-    // u_i = (B_i + μI)^{-1} (c_i + μ u_i^{prev}).
-    for (size_t mode = 0; mode < factors_.size(); ++mode) {
-      SliceRowSystems sys =
-          BuildSliceRowSystems(y, omega, nullptr, factors_, w, mode);
-      ApplyProximalRowUpdates(sys, previous[mode], mu, &factors_[mode]);
-    }
-  }
-  if (!want_result) return StepResult();
-  w = SolveTemporalRow(y, omega, nullptr, factors_, options_.ridge);
   return StepResult::Kruskal(factors_, std::move(w));
 }
 

@@ -31,9 +31,6 @@ struct MastOptions {
   /// Worker threads for the observed-entry kernels (0 = hardware
   /// concurrency); results are bitwise identical for every setting.
   size_t num_threads = 1;
-  /// Route the inner loops through the ObservedSweep core (O(|Ω_t|) per
-  /// pass); false selects the dense-scan reference path.
-  bool use_sparse_kernels = true;
 };
 
 /// MAST streaming method (temporal growth only; no init window).
@@ -41,8 +38,7 @@ class Mast : public StreamingMethod {
  public:
   explicit Mast(MastOptions options)
       : options_(options),
-        sweep_(ObservedSweepOptions{options.num_threads,
-                                    options.use_sparse_kernels}) {}
+        sweep_(ObservedSweepOptions{options.num_threads}) {}
 
   std::string name() const override { return "MAST"; }
   /// Lazy step: the refreshed factors + final temporal row as a
@@ -68,8 +64,6 @@ class Mast : public StreamingMethod {
   StepResult StepShared(const DenseTensor& y, const Mask& omega,
                         std::shared_ptr<const CooList> pattern,
                         bool want_result);
-  StepResult StepDense(const DenseTensor& y, const Mask& omega,
-                       bool want_result);
 
   MastOptions options_;
   ObservedSweep sweep_;

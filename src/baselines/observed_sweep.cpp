@@ -30,8 +30,7 @@ void ObservedSweep::BeginStep(const DenseTensor& y, const Mask& omega,
     // O(|Ω_t|) — never a dense indicator copy or byte scan.
     if (!mask_.Matches(omega)) mask_ = SparseMask::FromCoo(*coo_);
   } else {
-    const bool reusable = options_.reuse_step_pattern && coo_ != nullptr &&
-                          mask_.Matches(omega);
+    const bool reusable = coo_ != nullptr && mask_.Matches(omega);
     if (!reusable) {
       coo_ = MakeSharedPattern(omega, options_.with_mode_buckets);
       mask_ = SparseMask::FromCoo(*coo_);

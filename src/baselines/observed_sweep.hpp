@@ -25,13 +25,16 @@
 /// with the temporal weight folded into the regressor, and evaluate the
 /// Kruskal reconstruction at the observed entries. ObservedSweep packages
 /// those motifs once on top of the CooList / sparse_kernels layer so each
-/// baseline's sparse path costs O(|Ω_t|) per pass instead of scaling with
-/// the slice volume (the same Lemma 1-2 argument that PRs 1-2 applied to
-/// SOFIA itself), with:
+/// baseline's step costs O(|Ω_t|) per pass instead of scaling with the
+/// slice volume (the Lemma 1-2 argument SOFIA's own step rests on). Each
+/// motif is pinned against its dense-scan oracle in tests/dense_oracle.hpp,
+/// and every baseline against a dense reference of its whole step
+/// (tests/baseline_parity_test.cc). The core adds:
 ///
 /// - a mask-reuse pattern cache: the CooList depends only on the mask, so
 ///   identical consecutive masks (fixed sensor outages) skip the rebuild —
-///   the only O(volume) term of a sparse step;
+///   the only O(volume) term of a step — for an O(|Ω_t|) SparseMask
+///   compare;
 /// - shared patterns: comparison runners that drive several methods through
 ///   the same stream build each slice's CooList once (MakeSharedPattern) and
 ///   hand it to every method's BeginStep;
@@ -41,18 +44,12 @@
 
 namespace sofia {
 
-/// Kernel-path knobs shared by every ported baseline (same naming and
-/// semantics as SofiaConfig::{num_threads, use_sparse_kernels}).
+/// Kernel knobs shared by every ported baseline (same naming and semantics
+/// as SofiaConfig::{num_threads, pattern_storage}).
 struct ObservedSweepOptions {
   /// Worker threads for the observed-entry kernels; 0 = hardware
   /// concurrency. Results are bitwise identical for every setting.
   size_t num_threads = 1;
-  /// Route the per-step inner loops through the observed-entry kernels;
-  /// false selects the baseline's parity-tested dense-scan reference path.
-  bool use_sparse_kernels = true;
-  /// Reuse the cached CooList when the incoming mask is identical to the
-  /// previous step's (exact: the structure depends only on the mask).
-  bool reuse_step_pattern = true;
   /// Build the per-mode slice buckets when compacting a mask. Baselines
   /// that only stream the record list (SMF's linear-indexed sweeps,
   /// OLSTEC's sequential RLS) turn this off to skip the O(order |Ω_t|)
@@ -88,7 +85,6 @@ class ObservedSweep {
         resolved_threads_(ResolveNumThreads(options.num_threads)) {}
 
   const ObservedSweepOptions& options() const { return options_; }
-  bool sparse() const { return options_.use_sparse_kernels; }
 
   /// Bind to the incoming slice: adopt `shared` when given (comparison
   /// mode), else reuse the cached pattern if the mask is unchanged, else
@@ -129,14 +125,12 @@ class ObservedSweep {
                               const std::vector<double>& vals) const;
 
   /// Ridge-regularized temporal-row solve
-  /// `min_w ||Ω ⊛ (Y* - [[factors; w]])||² + ridge ||w||²` — the sparse
-  /// counterpart of baselines/common.hpp's SolveTemporalRow.
+  /// `min_w ||Ω ⊛ (Y* - [[factors; w]])||² + ridge ||w||²`.
   std::vector<double> SolveTemporalRow(const std::vector<Matrix>& factors,
                                        const std::vector<double>& vals,
                                        double ridge) const;
 
-  /// Per-row weighted normal equations of one mode (h = w ⊛ leave-one-out);
-  /// the sparse counterpart of BuildSliceRowSystems.
+  /// Per-row weighted normal equations of one mode (h = w ⊛ leave-one-out).
   RowSystems WeightedRowSystems(const std::vector<Matrix>& factors,
                                 const std::vector<double>& w,
                                 const std::vector<double>& vals,
@@ -144,15 +138,15 @@ class ObservedSweep {
 
   /// Fused WeightedRowSystems + proximal row solve (CooProximalRowUpdates):
   /// u_i <- (B_i + μI)^{-1} (c_i + μ u_i^prev), writing `u` in place. `u`
-  /// may alias `factors[mode]`. Bitwise-matches ApplyProximalRowUpdates on
-  /// the materialized systems.
+  /// may alias `factors[mode]`. Bitwise-matches a proximal solve of the
+  /// materialized WeightedRowSystems.
   void ProximalRowSweep(const std::vector<Matrix>& factors,
                         const std::vector<double>& w,
                         const std::vector<double>& vals, size_t mode,
                         const Matrix& previous, double mu, Matrix* u) const;
 
   /// Per-mode gradient rows + curvature traces from record-aligned
-  /// residuals; the sparse counterpart of FactorGradients. Pass
+  /// residuals (the descent direction resid * regressor). Pass
   /// `with_traces = false` to skip the curvature accumulation (row_trace
   /// stays empty) when only the gradients are consumed.
   ModeGradients Gradients(const std::vector<Matrix>& factors,
@@ -165,11 +159,11 @@ class ObservedSweep {
                                   const std::vector<double>& w) const;
 
   /// Like Reconstruct, but replicating the KruskalSlice chain evaluation
-  /// order bitwise (CooKruskalSliceGather) — for paths whose dense
-  /// reference thresholds a materialized KruskalSlice residual. Always
-  /// reads the COO records (which a CSF-backed pattern still carries):
-  /// the bitwise pin to the dense chain order is the point, and the fiber
-  /// traversal would regroup it. The result lives in a scratch buffer
+  /// order bitwise (CooKruskalSliceGather) — for steps whose dense oracle
+  /// thresholds a materialized KruskalSlice residual (OR-MSTC's slab).
+  /// Always reads the COO records (which a CSF-backed pattern still
+  /// carries): the bitwise pin to the dense chain order is the point, and
+  /// the fiber traversal would regroup it. The result lives in a scratch buffer
   /// reused across calls and steps; it stays valid until the next
   /// SliceReconstruct on this sweep.
   const std::vector<double>& SliceReconstruct(

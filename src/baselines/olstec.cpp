@@ -31,11 +31,10 @@ void Olstec::RestoreState(std::istream& in) {
 
 /// One entry's RLS update, applied to every mode's factor row: the regressor
 /// is h = w ⊛ (⊛_{l != mode} u^(l)) and the target is the entry value; P and
-/// the row are updated with exponential forgetting. Entries must be visited
-/// in the same (ascending linear) order on both paths — the update is
-/// order-dependent, which is also why the sweep stays sequential.
-template <typename IndexArray>
-void Olstec::RlsUpdate(const IndexArray& idx, double value,
+/// the row are updated with exponential forgetting. Entries are visited in
+/// ascending linear order — the update is order-dependent, which is also
+/// why the sweep stays sequential.
+void Olstec::RlsUpdate(const uint32_t* idx, double value,
                        const std::vector<double>& w, std::vector<double>* h_buf,
                        std::vector<double>* ph_buf) {
   const size_t rank = options_.rank;
@@ -95,8 +94,6 @@ StepResult Olstec::StepShared(const DenseTensor& y, const Mask& omega,
                                              options_.delta);
     }
   }
-  if (!sweep_.sparse()) return StepDense(y, omega, want_result);
-
   sweep_.BeginStep(y, omega, std::move(pattern));
   const CooList& coo = sweep_.pattern();
   const std::vector<double>& values = sweep_.values();
@@ -105,8 +102,7 @@ StepResult Olstec::StepShared(const DenseTensor& y, const Mask& omega,
       sweep_.SolveTemporalRow(factors_, values, options_.ridge);
 
   // Row-wise RLS sweep over the compacted records, in ascending linear
-  // order (the bucket-free record order) — exactly the dense scan's visit
-  // order restricted to Ω_t.
+  // order (the bucket-free record order).
   std::vector<double> h(rank), ph(rank);
   for (size_t k = 0; k < coo.nnz(); ++k) {
     RlsUpdate(coo.Coords(k), values[k], w, &h, &ph);
@@ -116,28 +112,6 @@ StepResult Olstec::StepShared(const DenseTensor& y, const Mask& omega,
   // Re-solve the temporal row against the refreshed factors; the estimate
   // stays lazy as the (factors, row) Kruskal structure.
   w = sweep_.SolveTemporalRow(factors_, values, options_.ridge);
-  return StepResult::Kruskal(factors_, std::move(w));
-}
-
-StepResult Olstec::StepDense(const DenseTensor& y, const Mask& omega,
-                             bool want_result) {
-  const size_t rank = options_.rank;
-  std::vector<double> w =
-      SolveTemporalRow(y, omega, nullptr, factors_, options_.ridge);
-
-  const Shape& shape = y.shape();
-  std::vector<size_t> idx(shape.order(), 0);
-  std::vector<double> h(rank), ph(rank);
-  for (size_t linear = 0; linear < shape.NumElements(); ++linear) {
-    if (omega.Get(linear)) {
-      RlsUpdate(idx, y[linear], w, &h, &ph);
-    }
-    shape.Next(&idx);
-  }
-
-  if (!want_result) return StepResult();
-  // Re-solve the temporal row against the refreshed factors.
-  w = SolveTemporalRow(y, omega, nullptr, factors_, options_.ridge);
   return StepResult::Kruskal(factors_, std::move(w));
 }
 

@@ -32,11 +32,6 @@ struct OlstecOptions {
   /// order-dependent and stays sequential over the observed records —
   /// so results are bitwise identical for every setting.
   size_t num_threads = 1;
-  /// Route the step through the ObservedSweep core: the RLS sweep walks the
-  /// |Ω_t| compacted records (same ascending linear order as the dense
-  /// scan) instead of the full index space. False selects the original
-  /// dense scan (the reference path).
-  bool use_sparse_kernels = true;
 };
 
 /// OLSTEC streaming method (no init window).
@@ -47,8 +42,6 @@ class Olstec : public StreamingMethod {
         // No bucketed motifs: the temporal solves are record-blocked and
         // the RLS sweep is a sequential record loop.
         sweep_(ObservedSweepOptions{options.num_threads,
-                                    options.use_sparse_kernels,
-                                    /*reuse_step_pattern=*/true,
                                     /*with_mode_buckets=*/false}) {}
 
   std::string name() const override { return "OLSTEC"; }
@@ -75,12 +68,9 @@ class Olstec : public StreamingMethod {
   StepResult StepShared(const DenseTensor& y, const Mask& omega,
                         std::shared_ptr<const CooList> pattern,
                         bool want_result);
-  StepResult StepDense(const DenseTensor& y, const Mask& omega,
-                       bool want_result);
-  /// The entry-wise RLS update of one observed entry (shared by both
-  /// paths; `idx[l]` is the mode-l index, `value` the observed entry).
-  template <typename IndexArray>
-  void RlsUpdate(const IndexArray& idx, double value,
+  /// The entry-wise RLS update of one observed entry (`idx[l]` is the
+  /// mode-l index, `value` the observed entry).
+  void RlsUpdate(const uint32_t* idx, double value,
                  const std::vector<double>& w, std::vector<double>* h,
                  std::vector<double>* ph);
 

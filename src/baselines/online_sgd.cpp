@@ -18,28 +18,6 @@ void OnlineSgd::RestoreState(std::istream& in) {
   factors_ = state_io::ReadMatrixList(in);
 }
 
-void OnlineSgd::ApplyGradients(
-    const std::vector<Matrix>& grads,
-    const std::vector<std::vector<double>>& traces) {
-  // One SGD step on each non-temporal factor (all gradients at the current
-  // iterate, applied simultaneously). The step is capped at the per-row
-  // stability bound 0.5 / tr(H_row) — the paper tuned each baseline's step
-  // by grid search, and an uncapped 0.1 step diverges on small slices.
-  for (size_t l = 0; l < factors_.size(); ++l) {
-    for (size_t i = 0; i < factors_[l].rows(); ++i) {
-      const double trace = traces[l][i];
-      const double mu =
-          trace > 0.0 ? std::min(options_.learning_rate, 0.5 / trace)
-                      : options_.learning_rate;
-      double* row = factors_[l].Row(i);
-      const double* grow = grads[l].Row(i);
-      for (size_t r = 0; r < options_.rank; ++r) {
-        row[r] += 2.0 * mu * grow[r];
-      }
-    }
-  }
-}
-
 StepResult OnlineSgd::StepLazy(const DenseTensor& y, const Mask& omega,
                                std::shared_ptr<const CooList> pattern) {
   return StepShared(y, omega, std::move(pattern), /*want_result=*/true);
@@ -56,31 +34,37 @@ StepResult OnlineSgd::StepShared(const DenseTensor& y, const Mask& omega,
     factors_ = RandomNontemporalFactors(y.shape(), options_.rank,
                                         options_.seed);
   }
-  if (!sweep_.sparse()) {
-    // Temporal row: regularized LS on the observed entries.
-    std::vector<double> w =
-        SolveTemporalRow(y, omega, nullptr, factors_, options_.ridge);
-    std::vector<std::vector<double>> traces;
-    std::vector<Matrix> grads =
-        FactorGradients(y, omega, nullptr, factors_, w, &traces);
-    ApplyGradients(grads, traces);
-    return want_result ? StepResult::Kruskal(factors_, std::move(w))
-                       : StepResult();
-  }
-
   sweep_.BeginStep(y, omega, std::move(pattern));
   const std::vector<double>& values = sweep_.values();
+  // Temporal row: regularized LS on the observed entries.
   std::vector<double> w =
       sweep_.SolveTemporalRow(factors_, values, options_.ridge);
 
   // Residuals at the current iterate, then per-row gradients + curvature
-  // traces — FactorGradients over the |Ω_t| records only.
+  // traces over the |Ω_t| records.
   std::vector<double> residuals = sweep_.Reconstruct(factors_, w);
   for (size_t k = 0; k < residuals.size(); ++k) {
     residuals[k] = values[k] - residuals[k];
   }
-  ModeGradients g = sweep_.Gradients(factors_, w, residuals);
-  ApplyGradients(g.row_grads, g.row_trace);
+  const ModeGradients g = sweep_.Gradients(factors_, w, residuals);
+
+  // One SGD step on each non-temporal factor (all gradients at the current
+  // iterate, applied simultaneously). The step is capped at the per-row
+  // stability bound 0.5 / tr(H_row) — the paper tuned each baseline's step
+  // by grid search, and an uncapped 0.1 step diverges on small slices.
+  for (size_t l = 0; l < factors_.size(); ++l) {
+    for (size_t i = 0; i < factors_[l].rows(); ++i) {
+      const double trace = g.row_trace[l][i];
+      const double mu =
+          trace > 0.0 ? std::min(options_.learning_rate, 0.5 / trace)
+                      : options_.learning_rate;
+      double* row = factors_[l].Row(i);
+      const double* grow = g.row_grads[l].Row(i);
+      for (size_t r = 0; r < options_.rank; ++r) {
+        row[r] += 2.0 * mu * grow[r];
+      }
+    }
+  }
   return want_result ? StepResult::Kruskal(factors_, std::move(w))
                      : StepResult();
 }

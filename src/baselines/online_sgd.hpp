@@ -29,10 +29,6 @@ struct OnlineSgdOptions {
   /// Worker threads for the observed-entry kernels (0 = hardware
   /// concurrency); results are bitwise identical for every setting.
   size_t num_threads = 1;
-  /// Route the temporal solve and gradient accumulation through the
-  /// ObservedSweep core (O(|Ω_t| N R) per step); false selects the
-  /// dense-scan reference path.
-  bool use_sparse_kernels = true;
 };
 
 /// OnlineSGD streaming method (no init window).
@@ -40,8 +36,7 @@ class OnlineSgd : public StreamingMethod {
  public:
   explicit OnlineSgd(OnlineSgdOptions options)
       : options_(options),
-        sweep_(ObservedSweepOptions{options.num_threads,
-                                    options.use_sparse_kernels}) {}
+        sweep_(ObservedSweepOptions{options.num_threads}) {}
 
   std::string name() const override { return "OnlineSGD"; }
   /// Lazy step: the refreshed factors + temporal row as a Kruskal-view
@@ -66,10 +61,6 @@ class OnlineSgd : public StreamingMethod {
   StepResult StepShared(const DenseTensor& y, const Mask& omega,
                         std::shared_ptr<const CooList> pattern,
                         bool want_result);
-  /// Capped SGD application shared by both paths (`grads` holds the descent
-  /// accumulation, `traces` the per-row curvature).
-  void ApplyGradients(const std::vector<Matrix>& grads,
-                      const std::vector<std::vector<double>>& traces);
 
   OnlineSgdOptions options_;
   ObservedSweep sweep_;

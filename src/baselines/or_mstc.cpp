@@ -4,8 +4,6 @@
 
 #include "baselines/common.hpp"
 #include "core/sofia_als.hpp"  // SoftThreshold
-#include "linalg/solve.hpp"
-#include "tensor/kruskal.hpp"
 #include "util/state_io.hpp"
 
 namespace sofia {
@@ -36,8 +34,6 @@ StepResult OrMstc::StepShared(const DenseTensor& y, const Mask& omega,
     factors_ = RandomNontemporalFactors(y.shape(), options_.rank,
                                         options_.seed);
   }
-  if (!sweep_.sparse()) return StepDense(y, omega, want_result);
-
   const size_t rank = options_.rank;
   const double mu = options_.prox_weight;
   const std::vector<Matrix> previous = factors_;
@@ -46,7 +42,7 @@ StepResult OrMstc::StepShared(const DenseTensor& y, const Mask& omega,
   const size_t nnz = values.size();
 
   // The sparse slab is record-aligned: outliers exist only at observed
-  // entries, so the dense O_t tensor of the reference path is never built.
+  // entries, so no dense O_t tensor is ever built.
   std::vector<double> outliers(nnz, 0.0);
   std::vector<double> ystar(nnz, 0.0);
   auto refresh_ystar = [&]() {
@@ -62,8 +58,8 @@ StepResult OrMstc::StepShared(const DenseTensor& y, const Mask& omega,
                               &factors_[mode]);
     }
     // Sparse slab: soft-threshold the observed residual. SliceReconstruct
-    // reproduces the dense path's KruskalSlice entry arithmetic, keeping
-    // the slab decisions aligned with the reference (bitwise whenever the
+    // reproduces KruskalSlice's entry arithmetic, keeping the slab
+    // decisions aligned with the dense oracle (bitwise whenever the
     // temporal solves agree bitwise — see CooNormalSystem's blocking note).
     const std::vector<double>& recon = sweep_.SliceReconstruct(factors_, w);
     for (size_t k = 0; k < nnz; ++k) {
@@ -74,34 +70,6 @@ StepResult OrMstc::StepShared(const DenseTensor& y, const Mask& omega,
   if (!want_result) return StepResult();
   refresh_ystar();
   w = sweep_.SolveTemporalRow(factors_, ystar, options_.ridge);
-  return StepResult::Kruskal(factors_, std::move(w));
-}
-
-StepResult OrMstc::StepDense(const DenseTensor& y, const Mask& omega,
-                             bool want_result) {
-  const size_t rank = options_.rank;
-  const double mu = options_.prox_weight;
-  const std::vector<Matrix> previous = factors_;
-
-  DenseTensor outliers(y.shape(), 0.0);
-  std::vector<double> w(rank, 0.0);
-  for (int iter = 0; iter < options_.inner_iterations; ++iter) {
-    w = SolveTemporalRow(y, omega, &outliers, factors_, options_.ridge);
-    for (size_t mode = 0; mode < factors_.size(); ++mode) {
-      SliceRowSystems sys =
-          BuildSliceRowSystems(y, omega, &outliers, factors_, w, mode);
-      ApplyProximalRowUpdates(sys, previous[mode], mu, &factors_[mode]);
-    }
-    // Sparse slab: soft-threshold the observed residual.
-    DenseTensor recon = KruskalSlice(factors_, w);
-    for (size_t k = 0; k < y.NumElements(); ++k) {
-      outliers[k] = omega.Get(k) ? SoftThreshold(y[k] - recon[k],
-                                                 options_.outlier_lambda)
-                                 : 0.0;
-    }
-  }
-  if (!want_result) return StepResult();
-  w = SolveTemporalRow(y, omega, &outliers, factors_, options_.ridge);
   return StepResult::Kruskal(factors_, std::move(w));
 }
 

@@ -33,11 +33,6 @@ struct OrMstcOptions {
   /// Worker threads for the observed-entry kernels (0 = hardware
   /// concurrency); results are bitwise identical for every setting.
   size_t num_threads = 1;
-  /// Route the inner loops through the ObservedSweep core — including the
-  /// outlier slab, which lives only at observed entries and is kept as a
-  /// record-aligned vector instead of a dense tensor. False selects the
-  /// dense-scan reference path.
-  bool use_sparse_kernels = true;
 };
 
 /// OR-MSTC streaming method (no init window).
@@ -45,8 +40,7 @@ class OrMstc : public StreamingMethod {
  public:
   explicit OrMstc(OrMstcOptions options)
       : options_(options),
-        sweep_(ObservedSweepOptions{options.num_threads,
-                                    options.use_sparse_kernels}) {}
+        sweep_(ObservedSweepOptions{options.num_threads}) {}
 
   std::string name() const override { return "OR-MSTC"; }
   /// Lazy step: the refreshed factors + final outlier-cleaned temporal row
@@ -72,8 +66,6 @@ class OrMstc : public StreamingMethod {
   StepResult StepShared(const DenseTensor& y, const Mask& omega,
                         std::shared_ptr<const CooList> pattern,
                         bool want_result);
-  StepResult StepDense(const DenseTensor& y, const Mask& omega,
-                       bool want_result);
 
   OrMstcOptions options_;
   ObservedSweep sweep_;

@@ -78,34 +78,21 @@ StepResult Smf::StepShared(const DenseTensor& y, const Mask& omega,
   SOFIA_CHECK(y.shape() == slice_shape_);
   Matrix& loadings = *loadings_;
 
-  const bool sparse = sweep_.sparse();
-  if (sparse) sweep_.BeginStep(y, omega, std::move(pattern));
+  sweep_.BeginStep(y, omega, std::move(pattern));
+  const CooList& coo = sweep_.pattern();
+  const std::vector<double>& values = sweep_.values();
 
   // Latent weights: ridge LS of the observed entries against A's rows. The
-  // loading rows are keyed by the linear entry index, so the sparse path
-  // walks the compacted records (same ascending order as the dense scan).
+  // loading rows are keyed by the linear entry index, so the step walks the
+  // compacted records in ascending linear order.
   Matrix b(rank, rank);
   std::vector<double> c(rank, 0.0);
-  if (sparse) {
-    const CooList& coo = sweep_.pattern();
-    const std::vector<double>& values = sweep_.values();
-    for (size_t k = 0; k < coo.nnz(); ++k) {
-      const double* arow = loadings.Row(coo.LinearIndex(k));
-      for (size_t r = 0; r < rank; ++r) {
-        c[r] += values[k] * arow[r];
-        double* brow = b.Row(r);
-        for (size_t q = 0; q < rank; ++q) brow[q] += arow[r] * arow[q];
-      }
-    }
-  } else {
-    for (size_t k = 0; k < y.NumElements(); ++k) {
-      if (!omega.Get(k)) continue;
-      const double* arow = loadings.Row(k);
-      for (size_t r = 0; r < rank; ++r) {
-        c[r] += y[k] * arow[r];
-        double* brow = b.Row(r);
-        for (size_t q = 0; q < rank; ++q) brow[q] += arow[r] * arow[q];
-      }
+  for (size_t k = 0; k < coo.nnz(); ++k) {
+    const double* arow = loadings.Row(coo.LinearIndex(k));
+    for (size_t r = 0; r < rank; ++r) {
+      c[r] += values[k] * arow[r];
+      double* brow = b.Row(r);
+      for (size_t q = 0; q < rank; ++q) brow[q] += arow[r] * arow[q];
     }
   }
   for (size_t r = 0; r < rank; ++r) b(r, r) += options_.ridge;
@@ -141,30 +128,15 @@ StepResult Smf::StepShared(const DenseTensor& y, const Mask& omega,
   const double mu = w_energy > 0.0
                         ? std::min(options_.learning_rate, 0.5 / w_energy)
                         : options_.learning_rate;
-  if (sparse) {
-    // Every record owns a distinct loading row (linear indices are unique
-    // within a slice), so the drift touches only |Ω_t| rows.
-    const CooList& coo = sweep_.pattern();
-    const std::vector<double>& values = sweep_.values();
-    for (size_t k = 0; k < coo.nnz(); ++k) {
-      double* arow = loadings.Row(coo.LinearIndex(k));
-      double recon = 0.0;
-      for (size_t r = 0; r < rank; ++r) recon += arow[r] * w[r];
-      const double resid = values[k] - recon;
-      for (size_t r = 0; r < rank; ++r) {
-        arow[r] += 2.0 * mu * resid * w[r];
-      }
-    }
-  } else {
-    for (size_t k = 0; k < y.NumElements(); ++k) {
-      if (!omega.Get(k)) continue;
-      double* arow = loadings.Row(k);
-      double recon = 0.0;
-      for (size_t r = 0; r < rank; ++r) recon += arow[r] * w[r];
-      const double resid = y[k] - recon;
-      for (size_t r = 0; r < rank; ++r) {
-        arow[r] += 2.0 * mu * resid * w[r];
-      }
+  // Every record owns a distinct loading row (linear indices are unique
+  // within a slice), so the drift touches only |Ω_t| rows.
+  for (size_t k = 0; k < coo.nnz(); ++k) {
+    double* arow = loadings.Row(coo.LinearIndex(k));
+    double recon = 0.0;
+    for (size_t r = 0; r < rank; ++r) recon += arow[r] * w[r];
+    const double resid = values[k] - recon;
+    for (size_t r = 0; r < rank; ++r) {
+      arow[r] += 2.0 * mu * resid * w[r];
     }
   }
 

@@ -33,13 +33,9 @@ struct SmfOptions {
   uint64_t seed = 23;
   /// Worker threads for the observed-entry kernels (0 = hardware
   /// concurrency). SMF's loading rows are keyed by the linear entry index,
-  /// so its sparse sweeps are sequential record loops — results are
-  /// bitwise identical for every setting.
+  /// so its sweeps over the compacted records (O(|Ω_t| R) per pass) are
+  /// sequential loops — results are bitwise identical for every setting.
   size_t num_threads = 1;
-  /// Route the latent LS accumulation and the loading drift through the
-  /// compacted record list (O(|Ω_t| R) per pass); false selects the
-  /// dense-scan reference path.
-  bool use_sparse_kernels = true;
 };
 
 /// SMF streaming method (forecast-capable; no init window).
@@ -49,8 +45,6 @@ class Smf : public StreamingMethod {
       : options_(options),
         // No bucketed motifs: both sweeps are linear-indexed record loops.
         sweep_(ObservedSweepOptions{options.num_threads,
-                                    options.use_sparse_kernels,
-                                    /*reuse_step_pattern=*/true,
                                     /*with_mode_buckets=*/false}) {}
 
   std::string name() const override { return "SMF"; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "linalg/solve.hpp"
 #include "linalg/vector_ops.hpp"
@@ -13,18 +12,26 @@
 
 namespace sofia {
 
-namespace {
+double SoftThreshold(double x, double threshold) {
+  const double mag = std::fabs(x) - threshold;
+  if (mag <= 0.0) return 0.0;
+  return x >= 0.0 ? mag : -mag;
+}
 
-/// The Algorithm-2 sweep loop, parameterized over the accumulation and
-/// residual kernels so the COO (observed-entry) and dense-scan paths share
-/// one implementation. `accumulate(mode)` returns the Theorem-1 row systems
-/// for that mode; `residual_norm()` evaluates ||Ω ⊛ (Y* - X̂)||_F at the
-/// current factors.
-SofiaAlsResult SofiaAlsLoop(
-    const std::function<RowSystems(size_t)>& accumulate,
-    const std::function<double()>& residual_norm, double data_norm,
-    const SofiaConfig& config, std::vector<Matrix>* factors,
-    bool smooth_temporal) {
+SofiaAlsResult SofiaAls(const CooList& coo, const DenseTensor& y,
+                        const DenseTensor& o, const SofiaConfig& config,
+                        std::vector<Matrix>* factors, bool smooth_temporal) {
+  SOFIA_CHECK(y.shape() == coo.shape());
+  SOFIA_CHECK(y.shape() == o.shape());
+  SOFIA_CHECK_EQ(factors->size(), y.order());
+  // Gather y* = y - o once: the CooList structure and these values are
+  // shared by all N modes of every sweep (Lemma 1's O(|Ω| N R (N+R))).
+  const std::vector<double> ystar = coo.GatherResidual(y, o);
+  const double data_norm = CooDataNorm(ystar);
+  // One pool for the whole run: a sweep issues N+2 kernel calls and there
+  // can be hundreds of sweeps, so workers are spawned once, not per call.
+  ThreadPool pool(ResolveNumThreads(config.num_threads));
+
   const size_t num_modes = factors->size();
   const size_t temporal = num_modes - 1;
   const size_t rank = (*factors)[0].cols();
@@ -78,7 +85,7 @@ SofiaAlsResult SofiaAlsLoop(
     result.sweeps = sweep + 1;
     // --- Non-temporal modes: exact row minimizers (Theorem 1). ---
     for (size_t n = 0; n < temporal && !result.diverged; ++n) {
-      RowSystems sys = accumulate(n);
+      RowSystems sys = CooRowSystems(coo, ystar, *factors, n, 1, &pool);
       Matrix& u = (*factors)[n];
       for (size_t i = 0; i < u.rows(); ++i) {
         if (!system_finite(sys.b[i], sys.c[i])) {
@@ -103,7 +110,8 @@ SofiaAlsResult SofiaAlsLoop(
 
     // --- Temporal mode: smoothness-coupled row solves (Eq. (17)). ---
     if (!result.diverged) {
-      RowSystems sys = accumulate(temporal);
+      RowSystems sys =
+          CooRowSystems(coo, ystar, *factors, temporal, 1, &pool);
       Matrix& ut = (*factors)[temporal];
       for (size_t i = 0; i < duration; ++i) {
         if (!system_finite(sys.b[i], sys.c[i])) {
@@ -147,7 +155,7 @@ SofiaAlsResult SofiaAlsLoop(
     last_finite = *factors;
 
     // --- Fitness-based convergence test (Algorithm 2 lines 13-15). ---
-    const double residual = residual_norm();
+    const double residual = CooResidualNorm(coo, ystar, *factors, 1, &pool);
     const double new_fitness =
         data_norm > 0.0 ? 1.0 - residual / data_norm : 1.0;
     if (have_fitness &&
@@ -164,58 +172,23 @@ SofiaAlsResult SofiaAlsLoop(
   return result;
 }
 
-}  // namespace
-
-double SoftThreshold(double x, double threshold) {
-  const double mag = std::fabs(x) - threshold;
-  if (mag <= 0.0) return 0.0;
-  return x >= 0.0 ? mag : -mag;
-}
-
-SofiaAlsResult SofiaAls(const CooList& coo, const DenseTensor& y,
-                        const DenseTensor& o, const SofiaConfig& config,
-                        std::vector<Matrix>* factors, bool smooth_temporal) {
-  SOFIA_CHECK(y.shape() == coo.shape());
-  SOFIA_CHECK(y.shape() == o.shape());
-  SOFIA_CHECK_EQ(factors->size(), y.order());
-  // Gather y* = y - o once: the CooList structure and these values are
-  // shared by all N modes of every sweep (Lemma 1's O(|Ω| N R (N+R))).
-  const std::vector<double> ystar = coo.GatherResidual(y, o);
-  // One pool for the whole run: a sweep issues N+2 kernel calls and there
-  // can be hundreds of sweeps, so workers are spawned once, not per call.
-  ThreadPool pool(ResolveNumThreads(config.num_threads));
-  auto accumulate = [&](size_t mode) {
-    return CooRowSystems(coo, ystar, *factors, mode, 1, &pool);
-  };
-  auto residual = [&]() {
-    return CooResidualNorm(coo, ystar, *factors, 1, &pool);
-  };
-  return SofiaAlsLoop(accumulate, residual, CooDataNorm(ystar), config,
-                      factors, smooth_temporal);
-}
-
 SofiaAlsResult SofiaAls(const DenseTensor& y, const Mask& omega,
                         const DenseTensor& o, const SofiaConfig& config,
                         std::vector<Matrix>* factors, bool smooth_temporal) {
   SOFIA_CHECK(y.shape() == omega.shape());
   SOFIA_CHECK(y.shape() == o.shape());
-  SOFIA_CHECK_EQ(factors->size(), y.order());
-  if (config.use_sparse_kernels) {
-    const CooList coo = CooList::Build(omega);
-    return SofiaAls(coo, y, o, config, factors, smooth_temporal);
-  }
-  auto accumulate = [&](size_t mode) {
-    return DenseRowSystems(y, omega, o, *factors, mode);
-  };
-  auto residual = [&]() { return DenseResidualNorm(y, omega, o, *factors); };
-  return SofiaAlsLoop(accumulate, residual, DenseDataNorm(y, omega, o),
-                      config, factors, smooth_temporal);
+  const CooList coo = CooList::Build(omega);
+  return SofiaAls(coo, y, o, config, factors, smooth_temporal);
 }
 
 double SofiaObjective(const DenseTensor& y, const Mask& omega,
                       const DenseTensor& o, const SofiaConfig& config,
                       const std::vector<Matrix>& factors) {
-  const double residual = DenseResidualNorm(y, omega, o, factors);
+  SOFIA_CHECK(y.shape() == omega.shape());
+  SOFIA_CHECK(y.shape() == o.shape());
+  const CooList coo = CooList::Build(omega, /*with_mode_buckets=*/false);
+  const double residual =
+      CooResidualNorm(coo, coo.GatherResidual(y, o), factors);
   double obj = residual * residual;
 
   const Matrix& ut = factors.back();

@@ -37,7 +37,8 @@ struct SofiaAlsResult {
 /// `factors` holds one matrix per mode (I_n x R) and is updated in place.
 /// If `smooth_temporal` is false the λ1/λ2 penalties are dropped, which
 /// turns the routine into vanilla ALS for incomplete tensors (the Fig. 2
-/// baseline) while keeping the identical sweep schedule.
+/// baseline) while keeping the identical sweep schedule. Compacts `omega`
+/// into a CooList and runs the observed-entry overload below.
 SofiaAlsResult SofiaAls(const DenseTensor& y, const Mask& omega,
                         const DenseTensor& o, const SofiaConfig& config,
                         std::vector<Matrix>* factors,

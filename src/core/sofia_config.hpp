@@ -46,21 +46,6 @@ struct SofiaConfig {
   /// single thread, so results are bitwise identical for every setting.
   size_t num_threads = 0;
 
-  /// Route the ALS inner loop and the dynamic update (SofiaModel::Step)
-  /// through the COO sparse kernel layer (tensor/sparse_kernels.hpp): one
-  /// ALS sweep costs O(|Ω| N R (N+R)) per Lemma 1 and one Step costs
-  /// O(|Ω_t| N R) per Lemma 2 instead of scaling with the dense tensor
-  /// volume. The dense scan path is kept as a reference/fallback (see
-  /// bench/micro_kernels and tests/sofia_step_sparse_test).
-  bool use_sparse_kernels = true;
-
-  /// Reuse the Step() coordinate list when the incoming mask is identical to
-  /// the previous step's (the common case for fixed sensor outages): the
-  /// rebuild — the only O(volume) term of a sparse step — is replaced by an
-  /// O(|Ω_t|) SparseMask comparison. Structure depends only on the mask, so
-  /// the reuse is exact. Disable to force a rebuild every step.
-  bool reuse_step_pattern = true;
-
   /// Storage backend of the sparse Step pattern: kCsf compiles the cached
   /// CooList into per-mode compressed-sparse-fiber trees
   /// (tensor/csf_tensor.hpp) and runs the Step accumulations through the

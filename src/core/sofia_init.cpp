@@ -26,8 +26,7 @@ SofiaInitResult SofiaInitialize(const std::vector<DenseTensor>& slices,
   // changes, so the observed-entry structure is compacted once here and
   // reused by every SOFIA_ALS call of the outer loop (only the y - O values
   // are re-gathered per call).
-  CooList coo;
-  if (config.use_sparse_kernels) coo = CooList::Build(omega);
+  const CooList coo = CooList::Build(omega);
 
   // Line 4: random factor initialization.
   Rng rng(config.seed);
@@ -49,9 +48,7 @@ SofiaInitResult SofiaInitialize(const std::vector<DenseTensor>& slices,
     result.outer_iterations = outer + 1;
 
     SofiaAlsResult als =
-        config.use_sparse_kernels
-            ? SofiaAls(coo, y, outliers, config, &factors, smooth_temporal)
-            : SofiaAls(y, omega, outliers, config, &factors, smooth_temporal);
+        SofiaAls(coo, y, outliers, config, &factors, smooth_temporal);
 
     // Line 8: O <- SoftThresholding(Ω ⊛ (Y - X̂), λ3).
     for (size_t k = 0; k < y.NumElements(); ++k) {

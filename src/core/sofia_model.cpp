@@ -49,7 +49,7 @@ SofiaModel::SofiaModel(const SofiaModel& other)
       last_row_(other.last_row_),
       sigma_(other.sigma_) {
   // step_mask_/step_coo_/pool_ are derived caches: left empty, rebuilt on
-  // the copy's first sparse Step().
+  // the copy's first Step().
 }
 
 SofiaModel& SofiaModel::operator=(const SofiaModel& other) {
@@ -134,8 +134,7 @@ const CooList& SofiaModel::StepPattern(const Mask& omega,
     }
     return *step_coo_;
   }
-  const bool reusable = config_.reuse_step_pattern && step_coo_ != nullptr &&
-                        step_mask_.Matches(omega);
+  const bool reusable = step_coo_ != nullptr && step_mask_.Matches(omega);
   if (!reusable) {
     step_coo_ = std::make_shared<const CooList>(CooList::Build(omega));
     step_mask_ = SparseMask::FromCoo(*step_coo_);
@@ -146,68 +145,10 @@ const CooList& SofiaModel::StepPattern(const Mask& omega,
   return *step_coo_;
 }
 
-void SofiaModel::AccumulateDense(const DenseTensor& y, const Mask& omega,
-                                 const std::vector<double>& u_hat,
-                                 StepGradients* grads,
-                                 SofiaStepResult* result) {
-  const double k_huber = config_.huber_k;
-  const double ck = config_.biweight_ck;
-
-  // Line 4: predicted subtensor Ŷ_{t|t-1} (Eq. (20)).
-  DenseTensor forecast = KruskalSlice(factors_, u_hat);
-
-  // Lines 5-6: outlier estimation (Eq. (21)) and scale update (Eq. (22)).
-  // The paper rejects outliers *first* so extreme values cannot inflate the
-  // scale; the Gelper ordering is available as an ablation.
-  DenseTensor outliers(y.shape(), 0.0);
-  auto update_scale = [&]() {
-    for (size_t k = 0; k < y.NumElements(); ++k) {
-      if (!omega.Get(k)) continue;
-      sigma_[k] = UpdateErrorScale(y[k], forecast[k], sigma_[k], config_.phi,
-                                   k_huber, ck);
-    }
-  };
-  auto reject = [&]() {
-    if (!ablation_.reject_outliers) return;
-    for (size_t k = 0; k < y.NumElements(); ++k) {
-      if (!omega.Get(k)) continue;
-      const double resid = y[k] - forecast[k];
-      outliers[k] =
-          resid - HuberPsi(resid / sigma_[k], k_huber) * sigma_[k];
-    }
-  };
-  if (ablation_.scale_before_reject) {
-    update_scale();
-    reject();
-  } else {
-    reject();
-    update_scale();
-  }
-
-  // Residual subtensor R_t = Ω ⊛ (Y_t - O_t - Ŷ_{t|t-1}) feeds the Eq.
-  // (24)/(25) gradients and curvature traces.
-  *grads = DenseStepGradients(y, omega, outliers, forecast, factors_, u_hat);
-
-  // Observed-entry views (one cheap pass next to the dense scans above).
-  const size_t nnz = omega.CountObserved();
-  result->observed_.reserve(nnz);
-  result->observed_outliers_.reserve(nnz);
-  result->observed_forecast_.reserve(nnz);
-  for (size_t k = 0; k < y.NumElements(); ++k) {
-    if (!omega.Get(k)) continue;
-    result->observed_.push_back(k);
-    result->observed_outliers_.push_back(outliers[k]);
-    result->observed_forecast_.push_back(forecast[k]);
-  }
-  result->forecast_ = std::move(forecast);
-  result->outliers_ = std::move(outliers);
-}
-
-void SofiaModel::AccumulateSparse(const DenseTensor& y, const Mask& omega,
-                                  const std::vector<double>& u_hat,
-                                  std::shared_ptr<const CooList> pattern,
-                                  StepGradients* grads,
-                                  SofiaStepResult* result) {
+void SofiaModel::Accumulate(const DenseTensor& y, const Mask& omega,
+                            const std::vector<double>& u_hat,
+                            std::shared_ptr<const CooList> pattern,
+                            StepGradients* grads, SofiaStepResult* result) {
   const double k_huber = config_.huber_k;
   const double ck = config_.biweight_ck;
   WorkerPool* pool = StepPool();
@@ -226,8 +167,10 @@ void SofiaModel::AccumulateSparse(const DenseTensor& y, const Mask& omega,
       csf != nullptr ? CsfKruskalGather(*csf, factors_, u_hat, 1, pool)
                      : CooKruskalGather(coo, factors_, u_hat, 1, pool);
 
-  // Lines 5-6 per record (entries are independent, so the ablation ordering
-  // applies record-wise exactly as in the dense reference).
+  // Lines 5-6 per record. The paper rejects outliers *first* so extreme
+  // values cannot inflate the scale; the Gelper ordering is available as an
+  // ablation. Entries are independent, so either ordering applies
+  // record-wise.
   std::vector<double> ov(nnz, 0.0);
   auto update_scale = [&]() {
     for (size_t k = 0; k < nnz; ++k) {
@@ -294,15 +237,9 @@ SofiaStepResult SofiaModel::Step(const DenseTensor& y, const Mask& omega,
   result.shape_ = y.shape();
   result.u_hat_ = u_hat;
 
-  // Lines 4-6 and the Eq. (24)/(25) accumulations, on the kernel path the
-  // config selects. Both paths fill the same StepGradients contract, so
-  // everything below is shared.
+  // Lines 4-6 and the Eq. (24)/(25) accumulations.
   StepGradients grads;
-  if (config_.use_sparse_kernels) {
-    AccumulateSparse(y, omega, u_hat, std::move(pattern), &grads, &result);
-  } else {
-    AccumulateDense(y, omega, u_hat, &grads, &result);
-  }
+  Accumulate(y, omega, u_hat, std::move(pattern), &grads, &result);
 
   // Step-size cap: µ_row = min(µ, 0.5 / tr(H_row)) keeps every block update
   // inside its stability region while matching the paper's raw step when

@@ -27,12 +27,12 @@ struct StepGradients;
 
 /// Per-step output of the dynamic update.
 ///
-/// The dense slice tensors are materialized lazily: the sparse Step path
-/// (SofiaConfig::use_sparse_kernels) works entirely on observed entries, so
-/// consumers that only need the observed-entry views (outlier detection,
-/// metrics at observed entries, pure forecasting) never pay an O(volume)
-/// reconstruction. The first call to imputed()/outliers()/forecast()
-/// materializes and caches the corresponding dense tensor.
+/// The dense slice tensors are materialized lazily: Step works entirely on
+/// observed entries, so consumers that only need the observed-entry views
+/// (outlier detection, metrics at observed entries, pure forecasting) never
+/// pay an O(volume) reconstruction. The first call to
+/// imputed()/outliers()/forecast() materializes and caches the
+/// corresponding dense tensor.
 class SofiaStepResult {
  public:
   SofiaStepResult() = default;
@@ -44,8 +44,8 @@ class SofiaStepResult {
   /// Ŷ_{t|t-1} (Eq. (20)), the pre-update prediction.
   const DenseTensor& forecast() const;
 
-  /// Whether the corresponding dense tensor has been materialized (the
-  /// sparse Step path leaves all three unmaterialized until first access).
+  /// Whether the corresponding dense tensor has been materialized (Step
+  /// leaves all three unmaterialized until first access).
   bool imputed_materialized() const { return imputed_.has_value(); }
   bool outliers_materialized() const { return outliers_.has_value(); }
   bool forecast_materialized() const { return forecast_.has_value(); }
@@ -111,11 +111,10 @@ class SofiaModel {
                                const SofiaAblation& ablation = {});
 
   /// Processes the subtensor Y_t with indicator Ω_t (Algorithm 3 lines
-  /// 3-11). With SofiaConfig::use_sparse_kernels the per-step cost is
-  /// O(|Ω_t| N R) (Lemma 2): forecast evaluation, outlier rejection, scale
-  /// update, and gradient accumulation all run on the observed entries
-  /// only, via a CooList that is cached across steps with identical masks.
-  /// The dense-scan path is kept as the parity-tested reference.
+  /// 3-11) at O(|Ω_t| N R) per step (Lemma 2): forecast evaluation, outlier
+  /// rejection, scale update, and gradient accumulation all run on the
+  /// observed entries only, via a CooList that is cached across steps with
+  /// identical masks (an O(|Ω_t|) SparseMask compare replaces the rebuild).
   SofiaStepResult Step(const DenseTensor& y, const Mask& omega);
 
   /// Step with an externally built coordinate pattern of `omega`: the
@@ -150,18 +149,20 @@ class SofiaModel {
   const std::vector<HwParams>& hw_params() const { return hw_params_; }
   /// Seasonal component that the next Step()/Forecast(1) will use (s_{t+1-m}).
   const std::vector<double>& next_season() const { return season_[season_pos_]; }
+  /// Temporal row u^(N)_{t+1-m} that the next Step()'s λ2 term couples to.
+  const std::vector<double>& lagged_temporal_row() const {
+    return row_history_[row_pos_];
+  }
 
-  /// Runtime kernel knobs (not learned state): flip the Step kernel path or
-  /// worker count of a live model, e.g. to parity-test the dense and sparse
-  /// paths from one identical checkpoint.
-  void set_use_sparse_kernels(bool v) { config_.use_sparse_kernels = v; }
+  /// Runtime kernel knob (not learned state): the worker count of a live
+  /// model. Results are bitwise identical for every count.
   void set_num_threads(size_t n) {
     config_.num_threads = n;
     pool_.reset();
   }
-  /// Number of CooList builds Step() has performed; with reuse_step_pattern
-  /// a run of identical masks costs one build total, and steps that adopt a
-  /// shared pattern never build at all.
+  /// Number of CooList builds Step() has performed: a run of identical
+  /// masks costs one build total, and steps that adopt a shared pattern
+  /// never build at all.
   size_t step_pattern_builds() const { return step_pattern_builds_; }
   /// Unshared Step() calls that hit the mask-reuse cache instead of
   /// rebuilding (the steady-state path; the compare is O(|Ω_t|)).
@@ -176,7 +177,9 @@ class SofiaModel {
 
   /// Checkpoints the full streaming state (config, factors, HW components,
   /// temporal-row history, error-scale tensor) to a text stream. Restoring
-  /// with Deserialize() resumes Step()/Forecast() bit-for-bit.
+  /// with Deserialize() resumes Step()/Forecast() bit-for-bit. Deserialize
+  /// throws state_io::StateError on a checkpoint that does not parse or
+  /// whose fields disagree in shape, so a restored model can always Step.
   void Serialize(std::ostream& out) const;
   static SofiaModel Deserialize(std::istream& in);
 
@@ -191,17 +194,13 @@ class SofiaModel {
  private:
   SofiaModel() = default;
 
-  /// Dense-scan reference accumulation: full forecast/outlier tensors plus
-  /// DenseStepGradients; fills the result's dense caches eagerly.
-  void AccumulateDense(const DenseTensor& y, const Mask& omega,
-                       const std::vector<double>& u_hat, StepGradients* grads,
-                       SofiaStepResult* result);
-  /// Observed-entry accumulation via the CooList layer; fills only the
-  /// result's observed-entry views.
-  void AccumulateSparse(const DenseTensor& y, const Mask& omega,
-                        const std::vector<double>& u_hat,
-                        std::shared_ptr<const CooList> pattern,
-                        StepGradients* grads, SofiaStepResult* result);
+  /// Algorithm 3 lines 4-8 on the observed entries via the CooList layer:
+  /// forecast, outlier rejection, scale update and gradient accumulation;
+  /// fills only the result's observed-entry views.
+  void Accumulate(const DenseTensor& y, const Mask& omega,
+                  const std::vector<double>& u_hat,
+                  std::shared_ptr<const CooList> pattern, StepGradients* grads,
+                  SofiaStepResult* result);
   /// The cached (or freshly built) coordinate list of `omega`; adopts
   /// `shared` outright when given.
   const CooList& StepPattern(const Mask& omega,
@@ -227,7 +226,7 @@ class SofiaModel {
 
   DenseTensor sigma_;  ///< Error-scale tensor Σ̂_t (slice shape).
 
-  // Working state of the sparse Step path (derived, never serialized): the
+  // Working state of Step (derived, never serialized): the
   // last mask's indicator as a SparseMask (O(|Ω_t|) to store and compare —
   // the dense Mask cache this replaces paid an O(volume) byte scan per
   // reuse check), its coordinate list (a shared_ptr, so comparison runners

@@ -1,3 +1,4 @@
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -9,32 +10,29 @@
 /// \file sofia_serialize.cpp
 /// \brief Text checkpointing of SofiaModel (Serialize / Deserialize).
 ///
-/// Format: a "sofia-model v2" header followed by whitespace-separated
-/// fields in a fixed order (v2 appends the kernel-path knobs to the config
-/// block; v1 checkpoints still load, with the current defaults for those
-/// knobs). Doubles round-trip via max_digits10 so the restored model
-/// continues the stream bit-for-bit. The field primitives live in
-/// util/state_io and are shared with every StreamingMethod::SaveState
-/// implementation.
+/// Format: a "sofia-model v3" header followed by whitespace-separated
+/// fields in a fixed order. v1 has the same layout. v2 checkpoints load
+/// too: they carry one more config line with two kernel-path knobs (a
+/// dense-scan switch and a mask-reuse switch), parsed and ignored because
+/// Step has a single kernel path and always reuses the mask's pattern.
+/// Doubles round-trip via max_digits10 so the restored model continues the
+/// stream bit-for-bit. The field primitives live in util/state_io and are
+/// shared with every StreamingMethod::SaveState implementation.
 
 namespace sofia {
 
 void SofiaModel::Serialize(std::ostream& out) const {
-  state_io::BeginState(out, "sofia-model", 2);
+  state_io::BeginState(out, "sofia-model", 3);
   out << config_.rank << ' ' << config_.period << ' '
       << config_.init_seasons << ' ' << config_.lambda1 << ' '
       << config_.lambda2 << ' ' << config_.lambda3 << ' ' << config_.mu
       << ' ' << config_.phi << ' ' << config_.factor_ridge << ' '
       << (config_.normalized_step ? 1 : 0) << ' ' << config_.huber_k << ' '
       << config_.biweight_ck << '\n';
-  // Kernel-path knobs (v2): Step's summation order differs between the
-  // dense and sparse paths at the ulp level, so the selected path must
-  // round-trip for Deserialize() to resume the stream bit-for-bit.
-  // num_threads stays runtime-only — results are bitwise identical for
-  // every thread count, and the right worker count is a property of the
-  // restoring machine, not the checkpoint.
-  out << (config_.use_sparse_kernels ? 1 : 0) << ' '
-      << (config_.reuse_step_pattern ? 1 : 0) << '\n';
+  // num_threads and pattern_storage are runtime knobs and stay out of the
+  // checkpoint: results do not depend on the worker count, which belongs
+  // to the restoring machine, and a resumed kCsf stream sets its storage
+  // by hand (see SofiaConfig::pattern_storage).
   out << (ablation_.reject_outliers ? 1 : 0) << ' '
       << (ablation_.scale_before_reject ? 1 : 0) << ' '
       << (ablation_.temporal_smoothness ? 1 : 0) << '\n';
@@ -57,7 +55,7 @@ void SofiaModel::Serialize(std::ostream& out) const {
 }
 
 SofiaModel SofiaModel::Deserialize(std::istream& in) {
-  const int version = state_io::ReadStateHeader(in, "sofia-model", 2);
+  const int version = state_io::ReadStateHeader(in, "sofia-model", 3);
 
   const char* what = "corrupt sofia-model checkpoint";
   SofiaModel model;
@@ -72,12 +70,16 @@ SofiaModel SofiaModel::Deserialize(std::istream& in) {
           model.config_.huber_k >> model.config_.biweight_ck),
       what);
   model.config_.normalized_step = normalized != 0;
-  if (version >= 2) {
-    int sparse = 1, reuse = 1;
-    state_io::Require(static_cast<bool>(in >> sparse >> reuse), what);
-    model.config_.use_sparse_kernels = sparse != 0;
-    model.config_.reuse_step_pattern = reuse != 0;
-  }  // v1 checkpoints keep the SofiaConfig defaults for the kernel knobs.
+  const size_t rank = model.config_.rank;
+  const size_t period = model.config_.period;
+  state_io::Require(rank >= 1 && rank <= state_io::kMaxStateElements &&
+                        period >= 1 && period <= (size_t{1} << 20),
+                    what);
+  if (version == 2) {
+    int dense_scan_knob = 0, mask_reuse_knob = 0;
+    state_io::Require(
+        static_cast<bool>(in >> dense_scan_knob >> mask_reuse_knob), what);
+  }
   int reject = 1, scale_first = 0, smooth = 1;
   state_io::Require(static_cast<bool>(in >> reject >> scale_first >> smooth),
                     what);
@@ -92,9 +94,10 @@ SofiaModel SofiaModel::Deserialize(std::istream& in) {
     model.factors_.push_back(state_io::ReadMatrix(in));
   }
 
+  // Every count below must equal the rank or the period it sizes, checked
+  // before anything is allocated from it.
   size_t num_params = 0;
-  state_io::Require(static_cast<bool>(in >> num_params) &&
-                        num_params <= state_io::kMaxStateElements,
+  state_io::Require(static_cast<bool>(in >> num_params) && num_params == rank,
                     what);
   model.hw_params_.resize(num_params);
   for (HwParams& p : model.hw_params_) {
@@ -105,13 +108,13 @@ SofiaModel SofiaModel::Deserialize(std::istream& in) {
   model.trend_ = state_io::ReadVector(in);
   size_t seasons = 0;
   state_io::Require(static_cast<bool>(in >> seasons >> model.season_pos_) &&
-                        seasons <= (size_t{1} << 20),
+                        seasons == period && model.season_pos_ < period,
                     what);
   model.season_.resize(seasons);
   for (auto& s : model.season_) s = state_io::ReadVector(in);
   size_t history = 0;
   state_io::Require(static_cast<bool>(in >> history >> model.row_pos_) &&
-                        history <= (size_t{1} << 20),
+                        history == period && model.row_pos_ < period,
                     what);
   model.row_history_.resize(history);
   for (auto& r : model.row_history_) r = state_io::ReadVector(in);
@@ -119,12 +122,30 @@ SofiaModel SofiaModel::Deserialize(std::istream& in) {
   model.sigma_ = state_io::ReadTensor(in);
 
   // Cross-field consistency: a parseable checkpoint whose structures
-  // disagree is still corrupt (single flipped digit in a count).
-  state_io::Require(model.season_.size() == model.config_.period, what);
-  state_io::Require(model.row_history_.size() == model.config_.period, what);
-  state_io::Require(model.level_.size() == model.config_.rank, what);
-  state_io::Require(seasons == 0 || model.season_pos_ < seasons, what);
-  state_io::Require(history == 0 || model.row_pos_ < history, what);
+  // disagree is still corrupt (a flipped digit in a count, a cut vector).
+  // Step indexes all of them by rank, period and the error-scale shape
+  // without further checks, so a model that restores can step any slice of
+  // its error scale's shape.
+  for (const std::vector<double>* v :
+       {&model.level_, &model.trend_, &model.last_row_}) {
+    state_io::Require(v->size() == rank, what);
+  }
+  for (const auto* rows : {&model.season_, &model.row_history_}) {
+    for (const std::vector<double>& v : *rows) {
+      state_io::Require(v.size() == rank, what);
+    }
+  }
+  const DenseTensor& sigma = model.sigma_;
+  state_io::Require(model.factors_.size() == sigma.order(), what);
+  for (size_t n = 0; n < model.factors_.size(); ++n) {
+    state_io::Require(model.factors_[n].rows() == sigma.dim(n) &&
+                          model.factors_[n].cols() == rank,
+                      what);
+  }
+  // Σ̂ divides every standardized residual (Eq. (21)/(22)).
+  for (size_t k = 0; k < sigma.NumElements(); ++k) {
+    state_io::Require(std::isfinite(sigma[k]) && sigma[k] > 0.0, what);
+  }
   return model;
 }
 

@@ -29,7 +29,8 @@
 ///
 /// Kernels whose outputs are bitwise-pinned against a differently-ordered
 /// reference chain (CooKruskalSliceGather vs the dense KruskalSlice fold,
-/// CooNormalSystem vs SolveTemporalRow) intentionally stay scalar-only.
+/// CooNormalSystem vs the dense oracle's SolveTemporalRow in
+/// tests/dense_oracle.hpp) intentionally stay scalar-only.
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #define SOFIA_SIMD_X86 1

@@ -6,7 +6,6 @@
 
 #include "linalg/solve.hpp"
 #include "tensor/kernel_dispatch.hpp"
-#include "tensor/kruskal.hpp"
 #include "tensor/simd.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -132,8 +131,8 @@ void CooRowSystemsImpl(const CooList& coo, const std::vector<double>& values,
 /// (= one mode slice = one output row): accumulate B/c via the shared
 /// AccumulateSliceRowSystem, then hand the system to the shared
 /// ProximalRowSolve in stack buffers — the same routines the materialized
-/// kernels and the dense path's ApplyProximalRowUpdates run, so the paths
-/// stay bitwise aligned.
+/// kernels and the dense oracle's proximal updates run, so the fused and
+/// materialized paths stay bitwise aligned.
 template <size_t kR>
 void CooProximalRowUpdatesImpl(const CooList& coo,
                                const std::vector<double>& values,
@@ -164,9 +163,9 @@ void CooProximalRowUpdatesImpl(const CooList& coo,
 /// a packed [B | c] accumulator of R*R + R doubles, combined in block order
 /// by the caller. Per record the full R x R matrix is accumulated in the
 /// dense-scan order (c then each row of B), so a single-block run matches
-/// baselines/common.hpp's SolveTemporalRow accumulation bitwise. That pin
-/// is why this kernel stays scalar-only (no simd::Select): FMA contraction
-/// would break the bit-for-bit match.
+/// the test oracle's SolveTemporalRow accumulation bitwise. That pin is why
+/// this kernel stays scalar-only (no simd::Select): FMA contraction would
+/// break the bit-for-bit match.
 template <size_t kR>
 void CooNormalSystemImpl(const CooList& coo, const std::vector<double>& values,
                          const std::vector<FactorView>& views,
@@ -864,150 +863,9 @@ StepGradients CooStepGradients(const CooList& coo,
   return g;
 }
 
-StepGradients DenseStepGradients(const DenseTensor& y, const Mask& omega,
-                                 const DenseTensor& outliers,
-                                 const DenseTensor& forecast,
-                                 const std::vector<Matrix>& factors,
-                                 const std::vector<double>& temporal_row) {
-  SOFIA_CHECK(y.shape() == omega.shape());
-  SOFIA_CHECK(y.shape() == outliers.shape());
-  SOFIA_CHECK(y.shape() == forecast.shape());
-  const size_t num_modes = factors.size();
-  const size_t rank = factors.empty() ? 0 : factors[0].cols();
-  SOFIA_CHECK_EQ(temporal_row.size(), rank);
-
-  StepGradients g;
-  g.row_grads.reserve(num_modes);
-  g.row_trace.resize(num_modes);
-  for (size_t n = 0; n < num_modes; ++n) {
-    g.row_grads.emplace_back(factors[n].rows(), rank, 0.0);
-    g.row_trace[n].assign(factors[n].rows(), 0.0);
-  }
-  g.temporal_grad.assign(rank, 0.0);
-
-  // One pass over the dense index space; prefix/suffix products give every
-  // leave-one-out Hadamard product in O(N R) per observed entry.
-  const Shape& shape = y.shape();
-  std::vector<size_t> idx(shape.order(), 0);
-  std::vector<double> prefix((num_modes + 1) * rank);
-  std::vector<double> suffix((num_modes + 1) * rank);
-  for (size_t linear = 0; linear < shape.NumElements(); ++linear) {
-    if (omega.Get(linear)) {
-      const double resid = y[linear] - outliers[linear] - forecast[linear];
-      for (size_t r = 0; r < rank; ++r) prefix[r] = 1.0;
-      for (size_t l = 0; l < num_modes; ++l) {
-        const double* row = factors[l].Row(idx[l]);
-        double* cur = &prefix[l * rank];
-        double* nxt = &prefix[(l + 1) * rank];
-        for (size_t r = 0; r < rank; ++r) nxt[r] = cur[r] * row[r];
-      }
-      for (size_t r = 0; r < rank; ++r) {
-        suffix[num_modes * rank + r] = 1.0;
-      }
-      for (size_t l = num_modes; l-- > 0;) {
-        const double* row = factors[l].Row(idx[l]);
-        double* cur = &suffix[(l + 1) * rank];
-        double* nxt = &suffix[l * rank];
-        for (size_t r = 0; r < rank; ++r) nxt[r] = cur[r] * row[r];
-      }
-      // Full product (all non-temporal modes) feeds the temporal gradient.
-      const double* full = &prefix[num_modes * rank];
-      for (size_t r = 0; r < rank; ++r) {
-        g.temporal_trace += full[r] * full[r];
-        if (resid != 0.0) g.temporal_grad[r] += resid * full[r];
-      }
-      for (size_t l = 0; l < num_modes; ++l) {
-        double* grow = g.row_grads[l].Row(idx[l]);
-        double& trace = g.row_trace[l][idx[l]];
-        const double* pre = &prefix[l * rank];
-        const double* suf = &suffix[(l + 1) * rank];
-        for (size_t r = 0; r < rank; ++r) {
-          const double reg = pre[r] * suf[r] * temporal_row[r];
-          trace += reg * reg;
-          if (resid != 0.0) grow[r] += resid * reg;
-        }
-      }
-    }
-    shape.Next(&idx);
-  }
-  return g;
-}
-
 double CooDataNorm(const std::vector<double>& values) {
   double s = 0.0;
   for (double v : values) s += v * v;
-  return std::sqrt(s);
-}
-
-RowSystems DenseRowSystems(const DenseTensor& y, const Mask& omega,
-                           const DenseTensor& o,
-                           const std::vector<Matrix>& factors, size_t mode) {
-  SOFIA_CHECK(y.shape() == omega.shape());
-  SOFIA_CHECK(y.shape() == o.shape());
-  const Shape& shape = y.shape();
-  const size_t rank = factors[0].cols();
-  const size_t rows = shape.dim(mode);
-
-  RowSystems sys;
-  sys.b.assign(rows, Matrix(rank, rank));
-  sys.c.assign(rows, std::vector<double>(rank, 0.0));
-
-  std::vector<size_t> idx(shape.order(), 0);
-  std::vector<double> h(rank);
-  for (size_t linear = 0; linear < shape.NumElements(); ++linear) {
-    if (omega.Get(linear)) {
-      for (size_t r = 0; r < rank; ++r) h[r] = 1.0;
-      for (size_t l = 0; l < factors.size(); ++l) {
-        if (l == mode) continue;
-        const double* row = factors[l].Row(idx[l]);
-        for (size_t r = 0; r < rank; ++r) h[r] *= row[r];
-      }
-      const double ystar = y[linear] - o[linear];
-      Matrix& b = sys.b[idx[mode]];
-      std::vector<double>& c = sys.c[idx[mode]];
-      for (size_t r = 0; r < rank; ++r) {
-        const double hr = h[r];
-        c[r] += ystar * hr;
-        double* brow = b.Row(r);
-        for (size_t q = r; q < rank; ++q) brow[q] += hr * h[q];
-      }
-    }
-    shape.Next(&idx);
-  }
-  for (size_t i = 0; i < rows; ++i) {
-    Matrix& b = sys.b[i];
-    for (size_t r = 0; r < rank; ++r) {
-      for (size_t q = r + 1; q < rank; ++q) b(q, r) = b(r, q);
-    }
-  }
-  return sys;
-}
-
-double DenseResidualNorm(const DenseTensor& y, const Mask& omega,
-                         const DenseTensor& o,
-                         const std::vector<Matrix>& factors) {
-  const Shape& shape = y.shape();
-  std::vector<size_t> idx(shape.order(), 0);
-  double s = 0.0;
-  for (size_t linear = 0; linear < shape.NumElements(); ++linear) {
-    if (omega.Get(linear)) {
-      const double r = (y[linear] - o[linear]) - KruskalEntry(factors, idx);
-      s += r * r;
-    }
-    shape.Next(&idx);
-  }
-  return std::sqrt(s);
-}
-
-double DenseDataNorm(const DenseTensor& y, const Mask& omega,
-                     const DenseTensor& o) {
-  double s = 0.0;
-  for (size_t linear = 0; linear < y.NumElements(); ++linear) {
-    if (omega.Get(linear)) {
-      const double v = y[linear] - o[linear];
-      s += v * v;
-    }
-  }
   return std::sqrt(s);
 }
 

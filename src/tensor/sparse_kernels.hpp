@@ -10,12 +10,17 @@
 #include "util/parallel.hpp"
 
 /// \file sparse_kernels.hpp
-/// \brief Observed-entry (COO-driven) versions of the hot ALS kernels, plus
-/// their dense-scan reference implementations.
+/// \brief Observed-entry (COO-driven) kernels of the ALS, the dynamic
+/// update, and the streaming baselines.
 ///
 /// The COO kernels realize the complexity claims of Lemmas 1-2: they touch
 /// only the |Ω| records of a prebuilt CooList instead of rescanning the full
-/// dense index space once per mode per sweep. All of them parallelize over
+/// dense index space once per mode per sweep. Their dense-scan references
+/// live in tests/dense_oracle.hpp, the oracle of the kernel parity tests.
+/// Three kernels stay scalar and keep the dense scans' order of operations,
+/// so on inputs of one reduction block they reproduce the oracle bit for
+/// bit: CooNormalSystem, CooKruskalSliceGather and CooResidualSquaredNorm.
+/// All of them parallelize over
 /// disjoint work units (mode slices, or fixed-size record blocks for the
 /// reductions) so results are bitwise identical for every `num_threads`:
 /// only the assignment of units to threads varies, never the accumulation
@@ -37,7 +42,7 @@ struct RowSystems {
 /// Slice-global normal equations: B = Σ h h^T and c = Σ values[k] h over all
 /// observed entries, with h the full Hadamard product of the factor rows at
 /// the entry. This is the regressor system of every baseline's temporal-row
-/// solve (see baselines/common.hpp's SolveTemporalRow).
+/// solve (ObservedSweep::SolveTemporalRow).
 struct NormalSystem {
   Matrix b;
   std::vector<double> c;
@@ -45,8 +50,7 @@ struct NormalSystem {
 
 /// Per-mode factor gradients of 0.5 ||Ω ⊛ (Y* - [[factors; w]])||^2 at the
 /// current iterate, plus the per-row Gauss-Newton curvature traces used to
-/// cap SGD steps — the observed-entry counterpart of baselines/common.hpp's
-/// FactorGradients.
+/// cap SGD steps (the SGD-style baselines' ObservedSweep::Gradients).
 struct ModeGradients {
   std::vector<Matrix> row_grads;               ///< One (rows x R) per mode.
   std::vector<std::vector<double>> row_trace;  ///< Σ reg² per mode row.
@@ -72,8 +76,8 @@ RowSystems CooRowSystems(const CooList& coo, const std::vector<double>& values,
 /// Accumulate the slice-global temporal normal equations from observed
 /// entries: h_k is the Hadamard product over *all* modes' factor rows at
 /// record k (multiplied in mode order, matching the dense scan), and the
-/// full R x R matrix is accumulated per record in the dense order so the
-/// result matches baselines/common.hpp's SolveTemporalRow accumulation.
+/// full R x R matrix is accumulated per record in the dense-scan order of
+/// the test oracle's SolveTemporalRow.
 /// Blocked over fixed-size record ranges with partials combined in block
 /// order — bitwise identical for every thread count. Works on bucket-less
 /// CooLists.
@@ -84,8 +88,8 @@ NormalSystem CooNormalSystem(const CooList& coo,
 
 /// CooRowSystems with the temporal weight folded into the regressor:
 /// h = temporal_row ⊛ (⊛_{l != mode} u^(l)_{i_l}) — the per-row systems of
-/// the MAST / OR-MSTC closed-form row updates (baselines/common.hpp's
-/// BuildSliceRowSystems). Requires a CooList built with mode buckets.
+/// the MAST / OR-MSTC closed-form row updates. Requires a CooList built with
+/// mode buckets.
 RowSystems CooWeightedRowSystems(const CooList& coo,
                                  const std::vector<double>& values,
                                  const std::vector<Matrix>& factors,
@@ -97,9 +101,9 @@ RowSystems CooWeightedRowSystems(const CooList& coo,
 /// `mode`, accumulate B_i = Σ h h^T and c_i = Σ vals h from the row's
 /// records and immediately solve u_i <- (B_i + μI)^{-1} (c_i + μ u_i^prev)
 /// in stack buffers, writing the rows of `u` in place — the MAST / OR-MSTC
-/// closed-form row update (baselines/common.hpp's ApplyProximalRowUpdates,
-/// replicated bitwise: empty-system short-circuit, in-place Cholesky,
-/// SolveRidge fallback) without materializing the row-system table, whose
+/// closed-form row update (linalg/solve.hpp's ProximalRowSolve: empty-system
+/// short-circuit, in-place Cholesky, SolveRidge fallback) without
+/// materializing the row-system table, whose
 /// Σ_n I_n per-sweep heap allocations dominate sparse slices. `u` may alias
 /// `factors[mode]`: the regressors only read the *other* modes' rows, and
 /// each task owns exactly its output row. Requires mode buckets.
@@ -114,7 +118,7 @@ void CooProximalRowUpdates(const CooList& coo,
 /// Accumulate every mode's gradient rows and curvature traces from
 /// record-aligned residuals: grow[r] += residuals[k] * h_r and
 /// trace += h_r² with h = temporal_row ⊛ leave-one-out product — the
-/// observed-entry FactorGradients of the SGD-style baselines. One mode
+/// factor gradients of the SGD-style baselines. One mode
 /// slice per task (owner-per-unit), so results are bitwise identical for
 /// every thread count. Requires a CooList built with mode buckets.
 /// `with_traces = false` skips the curvature accumulation entirely
@@ -176,9 +180,9 @@ std::vector<double> CooKruskalGather(const CooList& coo,
 
 /// CooKruskalGather variant that replicates the KruskalSlice (Khatri-Rao
 /// chain) evaluation order bitwise: out[k] = Σ_r u^(0)_r (w_r ((u^(N-1) ⊛
-/// u^(N-2)) ⊛ ... ⊛ u^(1))_r). Use when a dense reference path thresholds a
-/// materialized KruskalSlice residual (e.g. OR-MSTC's outlier slab), so the
-/// sparse path reproduces the exact same bits at the observed entries.
+/// u^(N-2)) ⊛ ... ⊛ u^(1))_r). OR-MSTC thresholds its outlier slab on this
+/// gather, so its slab decisions match the dense oracle's, which thresholds
+/// a materialized KruskalSlice residual, bit for bit.
 std::vector<double> CooKruskalSliceGather(const CooList& coo,
                                           const std::vector<Matrix>& factors,
                                           const std::vector<double>& temporal_row,
@@ -221,31 +225,9 @@ StepGradients CooStepGradients(const CooList& coo,
                                size_t num_threads = 1,
                                WorkerPool* pool = nullptr);
 
-/// Dense-scan reference for CooStepGradients (and the fallback selected by
-/// SofiaConfig::use_sparse_kernels = false): one pass over the full index
-/// space with prefix/suffix leave-one-out products, exactly the seed
-/// implementation of SofiaModel::Step.
-StepGradients DenseStepGradients(const DenseTensor& y, const Mask& omega,
-                                 const DenseTensor& outliers,
-                                 const DenseTensor& forecast,
-                                 const std::vector<Matrix>& factors,
-                                 const std::vector<double>& temporal_row);
-
 /// ||values||_2 — e.g. the masked data norm ||Ω ⊛ Y*||_F of the fitness
 /// denominator when `values` is a GatherResidual result.
 double CooDataNorm(const std::vector<double>& values);
-
-/// Dense-scan reference implementations (and the fallback selected by
-/// SofiaConfig::use_sparse_kernels = false). DenseRowSystems also uses the
-/// symmetric upper-triangle accumulation.
-RowSystems DenseRowSystems(const DenseTensor& y, const Mask& omega,
-                           const DenseTensor& o,
-                           const std::vector<Matrix>& factors, size_t mode);
-double DenseResidualNorm(const DenseTensor& y, const Mask& omega,
-                         const DenseTensor& o,
-                         const std::vector<Matrix>& factors);
-double DenseDataNorm(const DenseTensor& y, const Mask& omega,
-                     const DenseTensor& o);
 
 }  // namespace sofia
 

@@ -1,5 +1,6 @@
 #include "util/state_io.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -24,6 +25,17 @@ double ReadDouble(std::istream& in, const char* what) {
   double x = 0.0;
   Require(static_cast<bool>(in >> x), what);
   return x;
+}
+
+/// Reads `n` doubles into a buffer that grows as values parse, so a count
+/// inflated by corruption (still under the cap) fails at the first missing
+/// value instead of first allocating and zero-filling up to 2 GiB.
+std::vector<double> ReadDoubles(std::istream& in, size_t n,
+                                const char* what) {
+  std::vector<double> v;
+  v.reserve(std::min<size_t>(n, 4096));
+  for (size_t i = 0; i < n; ++i) v.push_back(ReadDouble(in, what));
+  return v;
 }
 
 }  // namespace
@@ -62,9 +74,7 @@ void WriteVector(std::ostream& out, const std::vector<double>& v) {
 std::vector<double> ReadVector(std::istream& in) {
   const char* what = "corrupt checkpoint (vector)";
   const size_t n = ReadCount(in, what, kMaxStateElements);
-  std::vector<double> v(n);
-  for (double& x : v) x = ReadDouble(in, what);
-  return v;
+  return ReadDoubles(in, n, what);
 }
 
 void WriteMatrix(std::ostream& out, const Matrix& m) {
@@ -78,8 +88,9 @@ Matrix ReadMatrix(std::istream& in) {
   const size_t rows = ReadCount(in, what, kMaxStateElements);
   const size_t cols = ReadCount(in, what, kMaxStateElements);
   Require(rows == 0 || cols <= kMaxStateElements / rows, what);
+  const std::vector<double> values = ReadDoubles(in, rows * cols, what);
   Matrix m(rows, cols);
-  for (size_t k = 0; k < m.size(); ++k) m.data()[k] = ReadDouble(in, what);
+  std::copy(values.begin(), values.end(), m.data());
   return m;
 }
 
@@ -114,8 +125,11 @@ DenseTensor ReadTensor(std::istream& in) {
     Require(d == 0 || volume <= kMaxStateElements / d, what);
     volume *= d;
   }
-  DenseTensor t((Shape(dims)));
-  for (size_t k = 0; k < t.NumElements(); ++k) t[k] = ReadDouble(in, what);
+  const Shape shape(dims);
+  const std::vector<double> values =
+      ReadDoubles(in, shape.NumElements(), what);
+  DenseTensor t(shape);
+  std::copy(values.begin(), values.end(), t.data());
   return t;
 }
 

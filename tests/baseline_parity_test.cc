@@ -1,9 +1,10 @@
 // Randomized dense≡sparse parity for every baseline ported onto the
-// ObservedSweep core: the original dense-scan path (`use_sparse_kernels =
-// false`) and the observed-entry path must agree to ≤1e-12 on every step
-// output of a corrupted stream, the sparse path must be bitwise identical
-// for every thread count, and an externally shared CooList must change
-// nothing. Degenerate masks (empty Ω, full Ω) are exercised explicitly.
+// ObservedSweep core: a dense-scan reference of each method's step
+// (tests/dense_oracle.hpp), stepped in lockstep with the library method,
+// must agree with it to ≤1e-12 on every step output of a corrupted stream;
+// the library method must be bitwise identical for every thread count, and
+// an externally shared CooList must change nothing. Degenerate masks
+// (empty Ω, full Ω) are exercised explicitly.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "baselines/smf.hpp"
 #include "data/corruption.hpp"
 #include "data/synthetic.hpp"
+#include "dense_oracle.hpp"
 #include "eval/streaming_method.hpp"
 #include "tensor/simd.hpp"
 #include "util/rng.hpp"
@@ -50,50 +52,52 @@ std::vector<DenseTensor> MakeTruth(size_t steps, uint64_t seed) {
   return truth;
 }
 
+/// The library method `name` (dense = false) or its dense-scan reference
+/// (dense = true), with the test's small configuration.
 std::unique_ptr<StreamingMethod> MakeMethod(const std::string& name,
-                                            bool sparse, size_t threads) {
+                                            bool dense, size_t threads = 1) {
   if (name == "online_sgd") {
     OnlineSgdOptions o;
     o.rank = 3;
-    o.use_sparse_kernels = sparse;
     o.num_threads = threads;
+    if (dense) return std::make_unique<dense_oracle::DenseOnlineSgd>(o);
     return std::make_unique<OnlineSgd>(o);
   }
   if (name == "olstec") {
     OlstecOptions o;
     o.rank = 3;
-    o.use_sparse_kernels = sparse;
     o.num_threads = threads;
+    if (dense) return std::make_unique<dense_oracle::DenseOlstec>(o);
     return std::make_unique<Olstec>(o);
   }
   if (name == "mast") {
     MastOptions o;
     o.rank = 3;
-    o.use_sparse_kernels = sparse;
     o.num_threads = threads;
+    if (dense) return std::make_unique<dense_oracle::DenseMast>(o);
     return std::make_unique<Mast>(o);
   }
   if (name == "or_mstc") {
     OrMstcOptions o;
     o.rank = 3;
     o.outlier_lambda = 2.0;
-    o.use_sparse_kernels = sparse;
     o.num_threads = threads;
+    if (dense) return std::make_unique<dense_oracle::DenseOrMstc>(o);
     return std::make_unique<OrMstc>(o);
   }
   if (name == "brst") {
     BrstOptions o;
     o.rank = 4;
-    o.use_sparse_kernels = sparse;
     o.num_threads = threads;
+    if (dense) return std::make_unique<dense_oracle::DenseBrst>(o);
     return std::make_unique<BrstLite>(o);
   }
   if (name == "smf") {
     SmfOptions o;
     o.rank = 3;
     o.period = 4;
-    o.use_sparse_kernels = sparse;
     o.num_threads = threads;
+    if (dense) return std::make_unique<dense_oracle::DenseSmf>(o);
     return std::make_unique<Smf>(o);
   }
   return nullptr;
@@ -105,10 +109,11 @@ TEST_P(BaselineParityTest, DenseAndSparsePathsAgreeOnCorruptedStream) {
   std::vector<DenseTensor> truth = MakeTruth(24, 91);
   CorruptedStream stream = Corrupt(truth, {25.0, 10.0, 3.0}, 92);
 
-  std::unique_ptr<StreamingMethod> dense = MakeMethod(GetParam(), false, 1);
-  std::unique_ptr<StreamingMethod> sparse = MakeMethod(GetParam(), true, 1);
-  std::unique_ptr<StreamingMethod> threaded = MakeMethod(GetParam(), true, 3);
-  std::unique_ptr<StreamingMethod> shared = MakeMethod(GetParam(), true, 1);
+  std::unique_ptr<StreamingMethod> dense = MakeMethod(GetParam(), true);
+  std::unique_ptr<StreamingMethod> sparse = MakeMethod(GetParam(), false);
+  std::unique_ptr<StreamingMethod> threaded =
+      MakeMethod(GetParam(), false, 3);
+  std::unique_ptr<StreamingMethod> shared = MakeMethod(GetParam(), false);
   ASSERT_NE(dense, nullptr);
 
   for (size_t t = 0; t < truth.size(); ++t) {
@@ -118,8 +123,9 @@ TEST_P(BaselineParityTest, DenseAndSparsePathsAgreeOnCorruptedStream) {
     DenseTensor b = sparse->Step(slice, omega);
     DenseTensor c = threaded->Step(slice, omega);
     DenseTensor d = shared->Step(slice, omega, MakeSharedPattern(omega));
-    // Dense reference vs observed-entry path: same math over the same
-    // observed set, different traversal — ≤1e-12 across the whole stream.
+    // Dense oracle vs the library's observed-entry step: same math over
+    // the same observed set, different traversal — ≤1e-12 across the whole
+    // stream.
     EXPECT_LE(MaxAbsDiff(a, b), 1e-12) << GetParam() << " t=" << t;
     // Thread count must not change a single bit.
     EXPECT_EQ(MaxAbsDiff(b, c), 0.0) << GetParam() << " t=" << t;
@@ -131,27 +137,19 @@ TEST_P(BaselineParityTest, DenseAndSparsePathsAgreeOnCorruptedStream) {
 TEST_P(BaselineParityTest, ObserveAdvancesStateExactlyLikeStep) {
   // Observe() skips only output-only work (the returned dense estimate and
   // its final temporal re-solve), so a stream consumed through Observe must
-  // leave bitwise the same state as one consumed through Step — on both
-  // kernel paths.
+  // leave bitwise the same state as one consumed through Step.
   std::vector<DenseTensor> truth = MakeTruth(12, 95);
   CorruptedStream stream = Corrupt(truth, {25.0, 10.0, 3.0}, 96);
-  for (bool sparse : {false, true}) {
-    std::unique_ptr<StreamingMethod> stepping =
-        MakeMethod(GetParam(), sparse, 1);
-    std::unique_ptr<StreamingMethod> observing =
-        MakeMethod(GetParam(), sparse, 1);
-    for (size_t t = 0; t < truth.size(); ++t) {
-      const bool score = t % 3 == 2;  // Score every third slice.
-      DenseTensor a = stepping->Step(stream.slices[t], stream.masks[t]);
-      if (score) {
-        DenseTensor b = observing->Step(stream.slices[t], stream.masks[t]);
-        DenseTensor diff = a;
-        diff -= b;
-        EXPECT_EQ(diff.MaxAbs(), 0.0)
-            << GetParam() << " sparse=" << sparse << " t=" << t;
-      } else {
-        observing->Observe(stream.slices[t], stream.masks[t]);
-      }
+  std::unique_ptr<StreamingMethod> stepping = MakeMethod(GetParam(), false);
+  std::unique_ptr<StreamingMethod> observing = MakeMethod(GetParam(), false);
+  for (size_t t = 0; t < truth.size(); ++t) {
+    const bool score = t % 3 == 2;  // Score every third slice.
+    DenseTensor a = stepping->Step(stream.slices[t], stream.masks[t]);
+    if (score) {
+      DenseTensor b = observing->Step(stream.slices[t], stream.masks[t]);
+      EXPECT_EQ(MaxAbsDiff(a, b), 0.0) << GetParam() << " t=" << t;
+    } else {
+      observing->Observe(stream.slices[t], stream.masks[t]);
     }
   }
 }
@@ -172,8 +170,8 @@ TEST_P(BaselineParityTest, DegenerateMasksAgreeAcrossPaths) {
     masks.push_back(omega);
   }
 
-  std::unique_ptr<StreamingMethod> dense = MakeMethod(GetParam(), false, 1);
-  std::unique_ptr<StreamingMethod> sparse = MakeMethod(GetParam(), true, 1);
+  std::unique_ptr<StreamingMethod> dense = MakeMethod(GetParam(), true);
+  std::unique_ptr<StreamingMethod> sparse = MakeMethod(GetParam(), false);
   for (size_t t = 0; t < truth.size(); ++t) {
     DenseTensor a = dense->Step(truth[t], masks[t]);
     DenseTensor b = sparse->Step(truth[t], masks[t]);

@@ -2,7 +2,6 @@
 
 #include "baselines/batch_als.hpp"
 #include "baselines/brst.hpp"
-#include "baselines/common.hpp"
 #include "baselines/cphw.hpp"
 #include "baselines/mast.hpp"
 #include "baselines/olstec.hpp"
@@ -11,6 +10,7 @@
 #include "baselines/smf.hpp"
 #include "data/corruption.hpp"
 #include "data/synthetic.hpp"
+#include "dense_oracle.hpp"
 #include "eval/metrics.hpp"
 #include "eval/stream_runner.hpp"
 #include "linalg/vector_ops.hpp"
@@ -29,7 +29,10 @@ std::vector<DenseTensor> MakeTruth(size_t steps, uint64_t seed) {
   return truth;
 }
 
-// --- common.hpp kernels ---------------------------------------------------
+// --- dense oracle motifs (tests/dense_oracle.hpp) -------------------------
+//
+// The observed-entry kernels are pinned against these references, so the
+// references themselves are checked against first principles here.
 
 TEST(BaselineCommonTest, SolveTemporalRowRecoversExactRow) {
   // With the true factors fixed, the LS temporal row must reproduce the
@@ -39,8 +42,8 @@ TEST(BaselineCommonTest, SolveTemporalRowRecoversExactRow) {
   for (size_t t = 0; t < 10; ++t) {
     DenseTensor slice = syn.tensor.SliceLastMode(t);
     Mask omega(slice.shape(), true);
-    std::vector<double> w =
-        SolveTemporalRow(slice, omega, nullptr, nontemporal, 1e-12);
+    std::vector<double> w = dense_oracle::SolveTemporalRow(
+        slice, omega, nullptr, nontemporal, 1e-12);
     std::vector<double> expected = syn.factors[2].RowVector(t);
     EXPECT_LT(MaxAbsDiffVec(w, expected), 1e-8) << "t=" << t;
   }
@@ -53,7 +56,7 @@ TEST(BaselineCommonTest, FactorGradientsVanishAtTruth) {
   Mask omega(slice.shape(), true);
   std::vector<double> w = syn.factors[2].RowVector(4);
   std::vector<Matrix> grads =
-      FactorGradients(slice, omega, nullptr, nontemporal, w);
+      dense_oracle::FactorGradients(slice, omega, nullptr, nontemporal, w);
   for (const Matrix& g : grads) {
     EXPECT_LT(g.FrobeniusNorm(), 1e-9);
   }
@@ -68,7 +71,8 @@ TEST(BaselineCommonTest, FactorGradientsMatchNumericalDifferences) {
   Mask omega(y.shape(), true);
   omega.Set(5, false);  // Exercise the masked path.
 
-  std::vector<Matrix> grads = FactorGradients(y, omega, nullptr, factors, w);
+  std::vector<Matrix> grads =
+      dense_oracle::FactorGradients(y, omega, nullptr, factors, w);
 
   auto loss = [&](const std::vector<Matrix>& f) {
     DenseTensor recon = KruskalSlice(f, w);
@@ -104,8 +108,8 @@ TEST(BaselineCommonTest, BuildSliceRowSystemsMatchesDirectAccumulation) {
   std::vector<double> w = rng.NormalVector(2);
   DenseTensor y = DenseTensor::RandomNormal(Shape({4, 3}), rng);
   Mask omega(y.shape(), true);
-  SliceRowSystems sys = BuildSliceRowSystems(y, omega, nullptr, factors, w,
-                                             /*mode=*/0);
+  dense_oracle::SliceRowSystems sys = dense_oracle::BuildSliceRowSystems(
+      y, omega, nullptr, factors, w, /*mode=*/0);
   // Row 1 of mode 0: entries (1, j) for all j; regressor h = B_j ⊛ w.
   Matrix b_expected(2, 2);
   std::vector<double> c_expected(2, 0.0);

@@ -4,6 +4,8 @@
 //    contract StreamGuard's rollback policy is built on;
 //  - re-serializing the restored state reproduces the checkpoint bytes
 //    (bitwise-identical factors);
+//  - corrupt bytes either throw StateError or restore into a state that
+//    steps (truncation, mutation and hand-built shape-mismatch cases);
 //  - StreamGuard's checkpoint ring wraps past its slot count, and a
 //    rollback restores exactly the newest pre-fault state (pinned by
 //    comparing against a twin that never saw the poisoned slice).
@@ -264,6 +266,114 @@ TEST(CheckpointTest, RestoreSurvivesTruncationAndBitFlipFuzz) {
         restore_must_not_crash(mutated);
       }
     }
+  }
+}
+
+/// Restores `bytes` into a fresh instance of method `m` of MakeAllMethods()
+/// and, when the restore succeeds, steps it once. Returns whether the
+/// restore succeeded; a rejected checkpoint throws StateError and is
+/// caught here. Crashes (CHECK aborts, out-of-bounds reads) fail the test
+/// binary outright, and ASan reports the silent ones.
+bool RestoreAndStep(size_t m, const std::string& bytes,
+                    const CorruptedStream& stream, size_t t) {
+  std::unique_ptr<StreamingMethod> fresh = std::move(MakeAllMethods()[m]);
+  std::istringstream in(bytes);
+  try {
+    fresh->RestoreState(in);
+  } catch (const state_io::StateError&) {
+    return false;
+  }
+  // A restore can yield a pre-Initialize SOFIA stream (the model-present
+  // flag flipped to 0): valid, but it takes Initialize, not Step.
+  std::ostringstream state;
+  fresh->SaveState(state);
+  if (state.str() == "sofia-stream v1\n0\n") return true;
+  fresh->StepLazy(stream.slices[t], stream.masks[t]);
+  return true;
+}
+
+TEST(CheckpointTest, EveryRestoredMutantStepsWithoutCrashing) {
+  // A checkpoint that restores must be able to step: DurableGuard replays
+  // the journal straight onto whatever RestoreState accepted. Truncations
+  // and single-character mutations (every size/400-th byte set to each of
+  // '9', '#', '1', '0', ' ') of the SOFIA, CPHW and CP-WOPT checkpoints
+  // either throw StateError or restore into a state that steps. (ASan
+  // runs this same loop in CI.)
+  const size_t steps = 20;
+  std::vector<DenseTensor> truth = MakeTruth(steps, 181);
+  CorruptedStream stream = Corrupt(truth, {20.0, 5.0, 2.0}, 182);
+  std::vector<std::unique_ptr<StreamingMethod>> originals = MakeAllMethods();
+  std::string sofia_bytes;
+  for (const size_t m : {size_t{0}, size_t{7}, size_t{8}}) {
+    StreamingMethod* a = originals[m].get();
+    SCOPED_TRACE(a->name());
+    const size_t w = a->init_window();
+    if (w > 0) {
+      std::vector<DenseTensor> init_slices(stream.slices.begin(),
+                                           stream.slices.begin() + w);
+      std::vector<Mask> init_masks(stream.masks.begin(),
+                                   stream.masks.begin() + w);
+      a->Initialize(init_slices, init_masks);
+    }
+    const size_t split = std::max<size_t>(w, 12) + 4;
+    DriveAndGather(a, stream, w, split);
+    std::ostringstream snapshot;
+    a->SaveState(snapshot);
+    const std::string bytes = snapshot.str();
+    ASSERT_TRUE(RestoreAndStep(m, bytes, stream, split));
+    if (m == 0) sofia_bytes = bytes;
+
+    for (const double frac : {0.0, 0.1, 0.3, 0.5, 0.7, 0.9}) {
+      RestoreAndStep(m, bytes.substr(0, static_cast<size_t>(frac *
+                                                            bytes.size())),
+                     stream, split);
+    }
+    RestoreAndStep(m, bytes.substr(0, bytes.size() - 1), stream, split);
+    const size_t stride = std::max<size_t>(1, bytes.size() / 400);
+    for (size_t pos = 0; pos < bytes.size(); pos += stride) {
+      for (const char c : {'9', '#', '1', '0', ' '}) {
+        if (bytes[pos] == c) continue;
+        std::string mutated = bytes;
+        mutated[pos] = c;
+        RestoreAndStep(m, mutated, stream, split);
+      }
+    }
+  }
+
+  // Two hand-built SOFIA checkpoints that parse but whose fields disagree
+  // with the rank or the error-scale shape: a trend vector cut to one
+  // entry, and factor 0 re-declared 9 x 2 over its 18 values instead of
+  // 6 x 3. Step would read past the trend or fail the kernels' factor
+  // shape check; the restore must throw instead. Lines: stream header,
+  // model flag, model header, config, ablation, factor count, one line per
+  // factor, HW count, one line per HW triple, level, trend, ...
+  std::vector<std::string> lines;
+  std::istringstream split_lines(sofia_bytes);
+  for (std::string line; std::getline(split_lines, line);) {
+    lines.push_back(line);
+  }
+  ASSERT_GT(lines.size(), 13u);
+  ASSERT_EQ(lines[2], "sofia-model v3");
+  ASSERT_EQ(lines[5], "2");
+  ASSERT_EQ(lines[6].compare(0, 4, "6 3 "), 0);
+  ASSERT_EQ(lines[8], "3");
+  const size_t trend = 13;
+  ASSERT_EQ(lines[trend].compare(0, 2, "3 "), 0);
+  auto join = [](const std::vector<std::string>& ls) {
+    std::string out;
+    for (const std::string& l : ls) out += l + "\n";
+    return out;
+  };
+  ASSERT_EQ(join(lines), sofia_bytes);
+  std::vector<std::string> cut_trend = lines;  // "3 a b c" -> "1 a".
+  const size_t second = cut_trend[trend].find(' ', 2);
+  cut_trend[trend] = "1 " + cut_trend[trend].substr(2, second - 2);
+  std::vector<std::string> reshaped = lines;
+  reshaped[6] = "9 2 " + reshaped[6].substr(4);
+  for (const auto& corrupt : {cut_trend, reshaped}) {
+    std::unique_ptr<StreamingMethod> fresh = std::move(MakeAllMethods()[0]);
+    std::istringstream in(join(corrupt));
+    EXPECT_THROW(fresh->RestoreState(in), state_io::StateError);
   }
 }
 

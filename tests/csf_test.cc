@@ -30,6 +30,7 @@
 #include "core/sofia_stream.hpp"
 #include "data/corruption.hpp"
 #include "data/synthetic.hpp"
+#include "dense_oracle.hpp"
 #include "eval/stream_runner.hpp"
 #include "tensor/csf_kernels.hpp"
 #include "tensor/csf_tensor.hpp"
@@ -180,8 +181,8 @@ TEST(CsfKernelsTest, RowSystemsMatchCooAndDense) {
                        << " rank " << rank << " mode " << mode);
           RowSystems coo_sys = CooRowSystems(coo, values, factors, mode);
           RowSystems csf_sys = CsfRowSystems(csf, values, factors, mode);
-          RowSystems dense_sys = DenseRowSystems(y, omega, zeros, factors,
-                                                 mode);
+          RowSystems dense_sys = dense_oracle::DenseRowSystems(
+              y, omega, zeros, factors, mode);
           ASSERT_EQ(csf_sys.b.size(), coo_sys.b.size());
           for (size_t i = 0; i < csf_sys.b.size(); ++i) {
             for (size_t r = 0; r < rank; ++r) {

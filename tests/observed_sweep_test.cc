@@ -1,6 +1,6 @@
 // Tests of the ObservedSweep solver core and its sparse_kernels primitives:
-// observed-entry motifs vs the dense-scan reference kernels of
-// baselines/common.hpp (≤1e-12), bitwise thread determinism, the mask-reuse
+// observed-entry motifs vs the dense-scan oracles of tests/dense_oracle.hpp
+// (≤1e-12), bitwise thread determinism, the mask-reuse
 // and shared-pattern caches, and the CooList edges the baselines newly
 // exercise (bucket-less builds, empty and full Ω).
 
@@ -8,8 +8,8 @@
 
 #include <memory>
 
-#include "baselines/common.hpp"
 #include "baselines/observed_sweep.hpp"
+#include "dense_oracle.hpp"
 #include "linalg/vector_ops.hpp"
 #include "tensor/coo_list.hpp"
 #include "tensor/kruskal.hpp"
@@ -140,8 +140,8 @@ TEST(ObservedSweepKernelsTest, WeightedRowSystemsMatchBuildSliceRowSystems) {
   for (size_t mode = 0; mode < p.factors.size(); ++mode) {
     RowSystems sparse =
         CooWeightedRowSystems(coo, values, p.factors, p.w, mode);
-    SliceRowSystems dense =
-        BuildSliceRowSystems(p.y, p.omega, nullptr, p.factors, p.w, mode);
+    dense_oracle::SliceRowSystems dense = dense_oracle::BuildSliceRowSystems(
+        p.y, p.omega, nullptr, p.factors, p.w, mode);
     ASSERT_EQ(sparse.b.size(), dense.b.size());
     for (size_t i = 0; i < sparse.b.size(); ++i) {
       EXPECT_LE(sparse.b[i].MaxAbsDiff(dense.b[i]), 1e-12)
@@ -162,8 +162,8 @@ TEST(ObservedSweepKernelsTest, ModeGradientsMatchFactorGradients) {
   ModeGradients sparse = CooModeGradients(coo, residuals, p.factors, p.w);
 
   std::vector<std::vector<double>> dense_traces;
-  std::vector<Matrix> dense = FactorGradients(p.y, p.omega, nullptr,
-                                              p.factors, p.w, &dense_traces);
+  std::vector<Matrix> dense = dense_oracle::FactorGradients(
+      p.y, p.omega, nullptr, p.factors, p.w, &dense_traces);
   ASSERT_EQ(sparse.row_grads.size(), dense.size());
   for (size_t l = 0; l < dense.size(); ++l) {
     EXPECT_LE(sparse.row_grads[l].MaxAbsDiff(dense[l]), 1e-12) << "mode=" << l;
@@ -183,7 +183,7 @@ TEST(ObservedSweepKernelsTest, ProximalRowUpdatesMatchMaterializedSystems) {
       RowSystems sys = CooWeightedRowSystems(coo, values, p.factors, p.w,
                                              mode);
       Matrix expected = p.factors[mode];
-      ApplyProximalRowUpdates(sys, previous, mu, &expected);
+      dense_oracle::ApplyProximalRowUpdates(sys, previous, mu, &expected);
       // Fused kernel, serial and pooled (aliasing u with factors[mode] is
       // part of the contract, so solve into a copy inside a factor set).
       std::vector<Matrix> factors = p.factors;
@@ -242,7 +242,7 @@ TEST(ObservedSweepTest, SolveTemporalRowMatchesDenseReference) {
   std::vector<double> sparse =
       sweep.SolveTemporalRow(p.factors, sweep.values(), 1e-6);
   std::vector<double> dense =
-      SolveTemporalRow(p.y, p.omega, nullptr, p.factors, 1e-6);
+      dense_oracle::SolveTemporalRow(p.y, p.omega, nullptr, p.factors, 1e-6);
   EXPECT_LE(MaxAbsDiffVec(sparse, dense), 1e-12);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/sofia_model.hpp"
 #include "data/corruption.hpp"
@@ -134,21 +135,50 @@ TEST(SerializationTest, PreservesConfigAndHwState) {
   }
 }
 
-TEST(SerializationTest, KernelPathKnobsRoundTrip) {
-  // Step's summation order differs between the kernel paths at the ulp
-  // level, so the selected path must survive a checkpoint for the restored
-  // model to continue the stream bit-for-bit. num_threads is deliberately
-  // runtime-only: results are thread-count invariant and the worker count
-  // belongs to the restoring machine.
+TEST(SerializationTest, V2CheckpointRestoresAndStepsLikeV3) {
+  // v2 added a config line with two kernel-path knobs (the dense-scan
+  // switch and the mask-reuse switch); v3 dropped it with the dense path.
+  // A v2 checkpoint with both knobs off must restore into exactly the v3
+  // state and step bit-for-bit like the v3 round trip. num_threads is
+  // runtime-only in both: results are thread-count invariant and the
+  // worker count belongs to the restoring machine.
   Fixture f = MakeFixture(69);
-  f.model.set_use_sparse_kernels(false);
+  const size_t w = f.config.InitWindow();
+  for (size_t t = w; t < w + 5; ++t) {
+    f.model.Step(f.stream.slices[t], f.stream.masks[t]);
+  }
   f.model.set_num_threads(3);
-  std::stringstream buffer;
-  f.model.Serialize(buffer);
-  SofiaModel restored = SofiaModel::Deserialize(buffer);
-  EXPECT_FALSE(restored.config().use_sparse_kernels);
-  EXPECT_TRUE(restored.config().reuse_step_pattern);
-  EXPECT_EQ(restored.config().num_threads, 0u);
+  std::stringstream v3_buffer;
+  f.model.Serialize(v3_buffer);
+  const std::string v3 = v3_buffer.str();
+  const std::string header = "sofia-model v3\n";
+  ASSERT_EQ(v3.compare(0, header.size(), header), 0);
+  const size_t config_end = v3.find('\n', header.size()) + 1;
+  const std::string v2 = "sofia-model v2\n" +
+                         v3.substr(header.size(), config_end - header.size()) +
+                         "0 0\n" + v3.substr(config_end);
+
+  std::istringstream v3_in(v3);
+  SofiaModel from_v3 = SofiaModel::Deserialize(v3_in);
+  std::istringstream v2_in(v2);
+  SofiaModel from_v2 = SofiaModel::Deserialize(v2_in);
+  EXPECT_EQ(from_v2.config().num_threads, 0u);
+  EXPECT_EQ(from_v3.config().num_threads, 0u);
+  std::stringstream again;
+  from_v2.Serialize(again);
+  EXPECT_EQ(again.str(), v3);
+
+  for (size_t t = w + 5; t < w + 5 + 2 * f.config.period; ++t) {
+    SofiaStepResult a = from_v3.Step(f.stream.slices[t], f.stream.masks[t]);
+    SofiaStepResult b = from_v2.Step(f.stream.slices[t], f.stream.masks[t]);
+    EXPECT_EQ(a.temporal_row(), b.temporal_row()) << "t=" << t;
+    EXPECT_EQ(a.observed_forecast(), b.observed_forecast()) << "t=" << t;
+    EXPECT_EQ(a.observed_outliers(), b.observed_outliers()) << "t=" << t;
+    DenseTensor idiff = a.imputed() - b.imputed();
+    EXPECT_EQ(idiff.MaxAbs(), 0.0) << "t=" << t;
+  }
+  EXPECT_EQ(from_v2.level(), from_v3.level());
+  EXPECT_EQ(from_v2.trend(), from_v3.trend());
 }
 
 TEST(SerializationTest, RejectsGarbageInput) {

@@ -309,10 +309,10 @@ TEST_F(SimdParityTest, VectorizedPathIsBitwiseThreadDeterministic) {
 // ------------------------------------------------- scalar-pinned kernels
 
 TEST(SimdPinnedKernelsTest, ScalarPinnedKernelsIgnoreTheSimdKnob) {
-  // CooNormalSystem (bitwise vs SolveTemporalRow), CooKruskalSliceGather
-  // (bitwise vs the dense KruskalSlice chain), and the residual norms stay
-  // scalar by design: their outputs must be bit-identical whether the simd
-  // knob is on or off.
+  // CooNormalSystem (bitwise vs the dense oracle's SolveTemporalRow),
+  // CooKruskalSliceGather (bitwise vs the dense KruskalSlice chain), and
+  // the residual norms stay scalar by design: their outputs must be
+  // bit-identical whether the simd knob is on or off.
   SimdGuard guard;
   Problem p = MakeProblem(Shape({6, 5, 4}), 5, 900);
   simd::SetEnabled(false);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <vector>
 
 #include "core/sofia_model.hpp"
+#include "dense_oracle.hpp"
 #include "linalg/vector_ops.hpp"
 #include "tensor/kruskal.hpp"
 #include "tensor/sparse_kernels.hpp"
@@ -13,11 +15,11 @@
 namespace sofia {
 namespace {
 
-/// Dense≡sparse parity harness for the dynamic update: the dense-scan
-/// reference path and the CooList kernel path must produce the same
-/// imputed/outlier/forecast slices and the same Holt-Winters state to
-/// ≤ 1e-12, and the sparse path must be bitwise identical for every thread
-/// count (the PR-1 determinism contract).
+/// Dense≡sparse parity harness for the dynamic update: SofiaModel::Step,
+/// which runs on the CooList kernels, must produce the imputed/outlier/
+/// forecast slices and the Holt-Winters state that the dense-scan oracle
+/// (tests/dense_oracle.hpp) predicts from the model's public state to
+/// ≤ 1e-12, and must be bitwise identical for every thread count.
 
 constexpr double kTol = 1e-12;
 
@@ -80,7 +82,7 @@ SofiaModel MakeModel(const std::vector<size_t>& dims, size_t rank,
 }
 
 /// Checkpoint-based clone: Serialize/Deserialize restores the exact
-/// streaming state, so both kernel paths start from identical bits.
+/// streaming state, so clones step from identical bits.
 SofiaModel Clone(const SofiaModel& model) {
   std::stringstream buffer;
   model.Serialize(buffer);
@@ -93,27 +95,77 @@ double MaxAbsDiff(const DenseTensor& a, const DenseTensor& b) {
   return diff.MaxAbs();
 }
 
-void ExpectStateNear(const SofiaModel& a, const SofiaModel& b, double tol) {
-  EXPECT_LE(MaxAbsDiffVec(a.level(), b.level()), tol);
-  EXPECT_LE(MaxAbsDiffVec(a.trend(), b.trend()), tol);
-  EXPECT_LE(MaxAbsDiffVec(a.next_season(), b.next_season()), tol);
-  EXPECT_LE(MaxAbsDiffVec(a.last_temporal_row(), b.last_temporal_row()), tol);
-  EXPECT_LE(MaxAbsDiff(a.error_scale(), b.error_scale()), tol);
+/// The model state one Step must reach, from the dense oracle's forecast,
+/// outliers, error scale and gradients plus the update rules of Algorithm 3
+/// lines 7-10 (Eqs. (24)-(26)) applied to the pre-step public state.
+struct ExpectedStep {
+  dense_oracle::SofiaStepReference ref;
+  std::vector<Matrix> factors;        ///< Non-temporal factors after Eq. (24).
+  std::vector<double> temporal_row;   ///< u^(N)_t from Eq. (25).
+  std::vector<double> level, trend;   ///< Eq. (26).
+  std::vector<double> written_season; ///< The season slot Eq. (26) rewrote.
+  DenseTensor imputed;                ///< Eq. (27).
+};
+
+ExpectedStep PredictStep(const SofiaModel& model, const DenseTensor& y,
+                         const Mask& omega) {
+  const SofiaConfig& config = model.config();
+  ExpectedStep e;
+  e.ref = dense_oracle::SofiaDenseStep(model, y, omega);
+  const StepGradients& g = e.ref.grads;
+  const std::vector<double>& u_hat = e.ref.u_hat;
+  const size_t rank = config.rank;
+  auto capped_mu = [&](double trace) {
+    if (!config.normalized_step || trace <= 0.0) return config.mu;
+    return std::min(config.mu, 0.5 / trace);
+  };
+  e.factors = model.nontemporal_factors();
+  for (size_t n = 0; n < e.factors.size(); ++n) {
+    for (size_t i = 0; i < e.factors[n].rows(); ++i) {
+      const double step = 2.0 * capped_mu(g.row_trace[n][i]);
+      for (size_t r = 0; r < rank; ++r) {
+        e.factors[n](i, r) += step * g.row_grads[n](i, r);
+      }
+    }
+  }
+  const std::vector<double>& u_prev = model.last_temporal_row();
+  const std::vector<double>& u_season = model.lagged_temporal_row();
+  const double lambda1 = config.lambda1;
+  const double lambda2 = config.lambda2;
+  const double temporal_step = 2.0 * capped_mu(g.temporal_trace);
+  e.temporal_row.resize(rank);
+  e.level.resize(rank);
+  e.trend.resize(rank);
+  e.written_season.resize(rank);
+  for (size_t r = 0; r < rank; ++r) {
+    const double u = u_hat[r] +
+                     temporal_step * (g.temporal_grad[r] + lambda1 * u_prev[r] +
+                                      lambda2 * u_season[r] -
+                                      (lambda1 + lambda2) * u_hat[r]);
+    const HwParams& p = model.hw_params()[r];
+    const double l_prev = model.level()[r];
+    const double b_prev = model.trend()[r];
+    const double s_old = model.next_season()[r];
+    e.temporal_row[r] = u;
+    e.level[r] = p.alpha * (u - s_old) + (1.0 - p.alpha) * (l_prev + b_prev);
+    e.trend[r] = p.beta * (e.level[r] - l_prev) + (1.0 - p.beta) * b_prev;
+    e.written_season[r] =
+        p.gamma * (u - l_prev - b_prev) + (1.0 - p.gamma) * s_old;
+  }
+  e.imputed = KruskalSlice(e.factors, e.temporal_row);
+  return e;
 }
 
-/// Step a dense-path and a sparse-path clone of one model through the same
-/// slices and compare every per-step output and all HW state.
+/// Step one model through seeded slices and compare every per-step output
+/// and all HW state against the dense oracle's prediction.
 void RunStepParity(const std::vector<size_t>& dims, size_t rank,
                    double missing, uint64_t seed) {
   SCOPED_TRACE(::testing::Message() << "rank=" << rank
                                     << " missing=" << missing
                                     << " seed=" << seed);
-  SofiaModel base = MakeModel(dims, rank, seed);
-  SofiaModel dense = Clone(base);
-  dense.set_use_sparse_kernels(false);
-  SofiaModel sparse = Clone(base);
-  sparse.set_use_sparse_kernels(true);
-  sparse.set_num_threads(2);
+  SofiaModel model = MakeModel(dims, rank, seed);
+  model.set_num_threads(2);
+  const size_t m = model.config().period;
 
   const size_t kSteps = 5;
   std::vector<DenseTensor> slices =
@@ -125,16 +177,36 @@ void RunStepParity(const std::vector<size_t>& dims, size_t rank,
     if (y.NumElements() > 0) y[t % y.NumElements()] += 25.0;
     Mask omega = RandomMask(y.shape(), 1.0 - missing, rng);
 
-    SofiaStepResult a = dense.Step(y, omega);
-    SofiaStepResult b = sparse.Step(y, omega);
+    const ExpectedStep e = PredictStep(model, y, omega);
+    SofiaStepResult b = model.Step(y, omega);
 
-    const double scale = 1.0 + a.imputed().MaxAbs();
-    EXPECT_LE(MaxAbsDiff(a.forecast(), b.forecast()), kTol * scale);
-    EXPECT_LE(MaxAbsDiff(a.outliers(), b.outliers()), kTol * scale);
-    EXPECT_LE(MaxAbsDiff(a.imputed(), b.imputed()), kTol * scale);
-    ASSERT_EQ(a.num_observed(), b.num_observed());
-    EXPECT_EQ(a.observed_indices(), b.observed_indices());
-    ExpectStateNear(dense, sparse, kTol * scale);
+    const double scale = 1.0 + e.imputed.MaxAbs();
+    EXPECT_LE(MaxAbsDiff(e.ref.forecast, b.forecast()), kTol * scale);
+    EXPECT_LE(MaxAbsDiff(e.ref.outliers, b.outliers()), kTol * scale);
+    EXPECT_LE(MaxAbsDiff(e.imputed, b.imputed()), kTol * scale);
+    ASSERT_EQ(omega.CountObserved(), b.num_observed());
+    std::vector<size_t> observed;
+    for (size_t k = 0; k < omega.shape().NumElements(); ++k) {
+      if (omega.Get(k)) observed.push_back(k);
+    }
+    EXPECT_EQ(observed, b.observed_indices());
+    EXPECT_LE(MaxAbsDiff(e.ref.error_scale, model.error_scale()),
+              kTol * scale);
+    for (size_t n = 0; n < e.factors.size(); ++n) {
+      EXPECT_LE(e.factors[n].MaxAbsDiff(model.nontemporal_factors()[n]),
+                kTol * scale);
+    }
+    EXPECT_LE(MaxAbsDiffVec(e.temporal_row, model.last_temporal_row()),
+              kTol * scale);
+    EXPECT_LE(MaxAbsDiffVec(e.level, model.level()), kTol * scale);
+    EXPECT_LE(MaxAbsDiffVec(e.trend, model.trend()), kTol * scale);
+    // The slot Eq. (26) rewrote is the one ForecastRow(m) reads.
+    std::vector<double> forecast_m(rank);
+    for (size_t r = 0; r < rank; ++r) {
+      forecast_m[r] = e.level[r] + static_cast<double>(m) * e.trend[r] +
+                      e.written_season[r];
+    }
+    EXPECT_LE(MaxAbsDiffVec(forecast_m, model.ForecastRow(m)), kTol * scale);
   }
 }
 
@@ -168,7 +240,6 @@ TEST(SofiaStepSparseTest, StepBitwiseDeterministicAcrossThreadCounts) {
   std::vector<SofiaModel> models;
   for (size_t threads : {1u, 2u, 8u}) {
     SofiaModel m = Clone(base);
-    m.set_use_sparse_kernels(true);
     m.set_num_threads(threads);
     models.push_back(std::move(m));
   }
@@ -207,8 +278,8 @@ TEST(SofiaStepSparseTest, CooStepGradientsMatchDenseReference) {
     for (double density : {0.0, 0.1, 0.6, 1.0}) {
       Mask omega = RandomMask(shape, density, rng);
       DenseTensor forecast = KruskalSlice(factors, u_hat);
-      StepGradients dense =
-          DenseStepGradients(y, omega, o, forecast, factors, u_hat);
+      StepGradients dense = dense_oracle::DenseStepGradients(
+          y, omega, o, forecast, factors, u_hat);
 
       CooList coo = CooList::Build(omega);
       std::vector<double> resid(coo.nnz());

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <vector>
 
-#include "core/sofia_als.hpp"
+#include "dense_oracle.hpp"
 #include "tensor/coo_list.hpp"
 #include "tensor/products.hpp"
 #include "util/rng.hpp"
@@ -169,7 +169,8 @@ TEST_P(SparseKernelsDensityTest, CooRowSystemsMatchDenseFourWay) {
   CooList coo = CooList::Build(omega);
   std::vector<double> ystar = coo.GatherResidual(y, o);
   for (size_t mode = 0; mode < shape.order(); ++mode) {
-    RowSystems dense = DenseRowSystems(y, omega, o, factors, mode);
+    RowSystems dense =
+        dense_oracle::DenseRowSystems(y, omega, o, factors, mode);
     RowSystems sparse = CooRowSystems(coo, ystar, factors, mode);
     ASSERT_EQ(dense.b.size(), sparse.b.size());
     for (size_t i = 0; i < dense.b.size(); ++i) {
@@ -194,10 +195,11 @@ TEST_P(SparseKernelsDensityTest, CooNormsMatchDense) {
   std::vector<Matrix> factors = RandomFactors(shape, 3, rng);
   CooList coo = CooList::Build(omega);
   std::vector<double> ystar = coo.GatherResidual(y, o);
-  const double dense_res = DenseResidualNorm(y, omega, o, factors);
+  const double dense_res =
+      dense_oracle::DenseResidualNorm(y, omega, o, factors);
   const double coo_res = CooResidualNorm(coo, ystar, factors);
   EXPECT_NEAR(coo_res, dense_res, 1e-12 * (1.0 + dense_res));
-  const double dense_data = DenseDataNorm(y, omega, o);
+  const double dense_data = dense_oracle::DenseDataNorm(y, omega, o);
   const double coo_data = CooDataNorm(ystar);
   EXPECT_NEAR(coo_data, dense_data, 1e-12 * (1.0 + dense_data));
 }
@@ -266,44 +268,6 @@ TEST(SparseKernelsTest, DeterministicAcrossThreadCounts) {
   }
   EXPECT_EQ(CooResidualNorm(coo, ystar, factors, 1),
             CooResidualNorm(coo, ystar, factors, 4));
-}
-
-/// Acceptance guard: the COO/threaded ALS path and the dense-scan path must
-/// walk identical fitness trajectories on a masked problem.
-TEST(SparseKernelsTest, SofiaAlsFitnessMatchesDensePath) {
-  Rng rng(319);
-  Shape shape({8, 7, 12});
-  DenseTensor y = DenseTensor::RandomNormal(shape, rng);
-  DenseTensor o(shape, 0.0);
-  Mask omega = RandomMask(shape, 0.6, rng);
-  SofiaConfig config;
-  config.rank = 3;
-  config.period = 4;
-  config.max_als_iterations = 12;
-  config.tolerance = 0.0;
-
-  Rng frng(321);
-  std::vector<Matrix> init;
-  for (size_t n = 0; n < shape.order(); ++n) {
-    init.push_back(Matrix::Random(shape.dim(n), config.rank, frng, 0.0, 1.0));
-  }
-
-  SofiaConfig dense_config = config;
-  dense_config.use_sparse_kernels = false;
-  std::vector<Matrix> dense_factors = init;
-  SofiaAlsResult dense = SofiaAls(y, omega, o, dense_config, &dense_factors);
-
-  SofiaConfig coo_config = config;
-  coo_config.use_sparse_kernels = true;
-  coo_config.num_threads = 4;
-  std::vector<Matrix> coo_factors = init;
-  SofiaAlsResult sparse = SofiaAls(y, omega, o, coo_config, &coo_factors);
-
-  EXPECT_EQ(dense.sweeps, sparse.sweeps);
-  EXPECT_NEAR(dense.fitness, sparse.fitness, 1e-10);
-  for (size_t n = 0; n < shape.order(); ++n) {
-    EXPECT_LE(dense_factors[n].MaxAbsDiff(coo_factors[n]), 1e-10);
-  }
 }
 
 }  // namespace
