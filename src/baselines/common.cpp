@@ -16,4 +16,13 @@ std::vector<Matrix> RandomNontemporalFactors(const Shape& slice_shape,
   return factors;
 }
 
+bool FitsSliceShape(const std::vector<Matrix>& factors,
+                    const Shape& slice_shape) {
+  if (factors.size() != slice_shape.order()) return false;
+  for (size_t n = 0; n < factors.size(); ++n) {
+    if (factors[n].rows() != slice_shape.dim(n)) return false;
+  }
+  return true;
+}
+
 }  // namespace sofia

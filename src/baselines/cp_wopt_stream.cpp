@@ -2,24 +2,11 @@
 
 #include <utility>
 
+#include "baselines/common.hpp"
 #include "util/check.hpp"
 #include "util/state_io.hpp"
 
 namespace sofia {
-
-namespace {
-
-/// True when there is one factor per mode of `shape` and factor n has
-/// shape.dim(n) rows (RestoreState already checked the columns).
-bool FitsSliceShape(const std::vector<Matrix>& factors, const Shape& shape) {
-  if (factors.size() != shape.order()) return false;
-  for (size_t n = 0; n < factors.size(); ++n) {
-    if (factors[n].rows() != shape.dim(n)) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 void CpWoptStream::SaveState(std::ostream& out) const {
   state_io::BeginState(out, "cp-wopt-stream", 1);

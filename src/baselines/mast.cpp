@@ -14,7 +14,12 @@ void Mast::SaveState(std::ostream& out) const {
 
 void Mast::RestoreState(std::istream& in) {
   state_io::ReadStateHeader(in, "mast", 1);
-  factors_ = state_io::ReadMatrixList(in);
+  std::vector<Matrix> factors = state_io::ReadMatrixList(in);
+  for (const Matrix& f : factors) {
+    state_io::Require(f.cols() == options_.rank,
+                      "mast checkpoint has the wrong rank");
+  }
+  factors_ = std::move(factors);
 }
 
 StepResult Mast::StepLazy(const DenseTensor& y, const Mask& omega,
@@ -29,7 +34,9 @@ void Mast::Observe(const DenseTensor& y, const Mask& omega) {
 StepResult Mast::StepShared(const DenseTensor& y, const Mask& omega,
                             std::shared_ptr<const CooList> pattern,
                             bool want_result) {
-  if (factors_.empty()) {
+  // No factors yet, or restored factors of another slice shape: take the
+  // random start.
+  if (!FitsSliceShape(factors_, y.shape())) {
     factors_ = RandomNontemporalFactors(y.shape(), options_.rank,
                                         options_.seed);
   }

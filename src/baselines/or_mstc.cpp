@@ -15,7 +15,12 @@ void OrMstc::SaveState(std::ostream& out) const {
 
 void OrMstc::RestoreState(std::istream& in) {
   state_io::ReadStateHeader(in, "or-mstc", 1);
-  factors_ = state_io::ReadMatrixList(in);
+  std::vector<Matrix> factors = state_io::ReadMatrixList(in);
+  for (const Matrix& f : factors) {
+    state_io::Require(f.cols() == options_.rank,
+                      "or-mstc checkpoint has the wrong rank");
+  }
+  factors_ = std::move(factors);
 }
 
 StepResult OrMstc::StepLazy(const DenseTensor& y, const Mask& omega,
@@ -30,7 +35,9 @@ void OrMstc::Observe(const DenseTensor& y, const Mask& omega) {
 StepResult OrMstc::StepShared(const DenseTensor& y, const Mask& omega,
                               std::shared_ptr<const CooList> pattern,
                               bool want_result) {
-  if (factors_.empty()) {
+  // No factors yet, or restored factors of another slice shape: take the
+  // random start.
+  if (!FitsSliceShape(factors_, y.shape())) {
     factors_ = RandomNontemporalFactors(y.shape(), options_.rank,
                                         options_.seed);
   }

@@ -95,21 +95,31 @@ void EncodeRecord(uint64_t step, const DenseTensor& slice, const Mask& mask,
                   std::string* out) {
   SOFIA_CHECK(slice.shape() == mask.shape())
       << "slice/mask shape mismatch in journal encode";
-  out->clear();
-  const std::vector<size_t> observed = mask.ObservedIndices();
-  PutU32(out, kRecordMagic);
-  PutU32(out, 0);  // pad
-  PutU64(out, step);
-  PutU64(out, observed.size());
-  for (const size_t idx : observed) {
-    PutU64(out, static_cast<uint64_t>(idx));
-    const double v = slice[idx];
-    char b[8];
-    std::memcpy(b, &v, 8);
-    out->append(b, 8);
+  // Sized once from the mask's observed count (a Mask holds exactly that
+  // many set indicators), so every field below is a store into place.
+  const uint64_t nnz = mask.CountObserved();
+  const size_t crc_offset =
+      kRecordPrefixBytes + static_cast<size_t>(nnz) * sizeof(SliceEntry);
+  out->resize(crc_offset + kRecordSuffixBytes);
+  char* rec = &(*out)[0];
+  const uint32_t magic = kRecordMagic;
+  const uint32_t pad = 0;
+  std::memcpy(rec, &magic, 4);
+  std::memcpy(rec + 4, &pad, 4);
+  std::memcpy(rec + 8, &step, 8);
+  std::memcpy(rec + 16, &nnz, 8);
+  char* entry = rec + kRecordPrefixBytes;
+  const size_t volume = slice.NumElements();
+  for (size_t idx = 0; idx < volume; ++idx) {
+    if (!mask.Get(idx)) continue;
+    const SliceEntry e{static_cast<uint64_t>(idx), slice[idx]};
+    std::memcpy(entry, &e, sizeof(SliceEntry));
+    entry += sizeof(SliceEntry);
   }
-  PutU32(out, durable::Crc32(out->data(), out->size()));
-  PutU32(out, 0);  // pad (keeps the next record 8-byte aligned)
+  const uint32_t crc = durable::Crc32(rec, crc_offset);
+  std::memcpy(rec + crc_offset, &crc, 4);
+  // The trailing pad keeps the next record 8-byte aligned.
+  std::memcpy(rec + crc_offset + 4, &pad, 4);
 }
 
 SliceFileWriter::~SliceFileWriter() { Close(); }

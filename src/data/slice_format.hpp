@@ -64,8 +64,9 @@ struct SliceRecordView {
 };
 
 /// Serializes one record (step + observed entries of `slice` under `mask`)
-/// into `out` (cleared first). Pure encode — no IO — so the journal can
-/// reuse one buffer per append.
+/// into `out`, replacing its contents: one pass over the mask into a buffer
+/// sized from CountObserved(), then one CRC. Pure encode — no IO — so the
+/// journal can reuse one buffer per append.
 void EncodeRecord(uint64_t step, const DenseTensor& slice, const Mask& mask,
                   std::string* out);
 

@@ -236,13 +236,20 @@ void DurableGuard::JournalSlice(const DenseTensor& decoded,
     Dm().async_appends->Add(1);
   }
   const bool sync_each = options_.sync_each_append;
-  SubmitIo([this, bytes = encode_buf_, sync_each] {
+  const auto append = [this, sync_each](const std::string& bytes) {
     if (!journal_.is_open() || !journal_.AppendEncoded(bytes)) {
       MarkJournalLost();
       return;
     }
     if (sync_each && !journal_.Sync()) MarkJournalLost();
-  });
+  };
+  if (executor_ == nullptr) {
+    // Inline IO (see SubmitIo): the write lands before the next encode
+    // reuses the buffer, so it needs no copy.
+    append(encode_buf_);
+    return;
+  }
+  SubmitIo([append, bytes = std::move(encode_buf_)] { append(bytes); });
 }
 
 std::vector<DenseTensor> DurableGuard::Initialize(

@@ -188,7 +188,9 @@ class DurableGuard : public StreamingMethod {
   std::mutex crash_mutex_;             ///< Guards pending_crash_.
   std::exception_ptr pending_crash_;   ///< Captured aux-lane crash.
 
-  std::string encode_buf_;  ///< Reused EncodeRecord scratch.
+  /// EncodeRecord output: reused when IO runs inline, moved into the job
+  /// when it rides the aux lane.
+  std::string encode_buf_;
 };
 
 }  // namespace sofia

@@ -21,21 +21,40 @@ namespace durable {
 
 namespace {
 
-/// Reflected CRC-32 table (polynomial 0xEDB88320), built once.
-const uint32_t* CrcTable() {
-  static uint32_t table[256];
-  static const bool built = [] {
+/// Slicing-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320),
+/// built once. t[0] is the classic bytewise table; t[k][b] is the CRC of
+/// byte b followed by k zero bytes, so eight lookups fold 8 input bytes at
+/// once.
+struct CrcTables {
+  uint32_t t[8][256];
+};
+
+const CrcTables& Tables() {
+  static const CrcTables tables = [] {
+    CrcTables out;
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      table[i] = c;
+      out.t[0][i] = c;
     }
-    return true;
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        const uint32_t prev = out.t[k - 1][i];
+        out.t[k][i] = out.t[0][prev & 0xFFu] ^ (prev >> 8);
+      }
+    }
+    return out;
   }();
-  (void)built;
-  return table;
+  return tables;
+}
+
+/// Little-endian 32-bit load, independent of the host byte order.
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 |
+         static_cast<uint32_t>(p[3]) << 24;
 }
 
 /// Frame header preceding every atomic payload. Fixed-width little-endian
@@ -191,11 +210,18 @@ bool WriteAttempt(const std::string& path, const std::string& frame) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  const uint32_t* table = CrcTable();
+  const auto& t = Tables().t;
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

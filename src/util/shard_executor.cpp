@@ -120,7 +120,9 @@ double* ScratchArena::RawDoubles(size_t slot, size_t count) {
 
 double* ScratchArena::Doubles(size_t slot, size_t count) {
   double* ptr = RawDoubles(slot, count);
-  std::memset(ptr, 0, count * sizeof(double));
+  // A slot that never grew has no buffer: memset on its null pointer is
+  // undefined even for zero bytes.
+  if (count > 0) std::memset(ptr, 0, count * sizeof(double));
   return ptr;
 }
 

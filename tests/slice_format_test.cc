@@ -14,6 +14,7 @@
 #include "data/stream_io.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/mask.hpp"
+#include "util/durable_io.hpp"
 #include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
@@ -204,6 +205,97 @@ TEST(SliceFormatTest, TextBinaryTextRoundTripIsIdentity) {
   std::ostringstream roundtripped;
   WriteStreamCsv(roundtripped, back);
   EXPECT_EQ(original.str(), roundtripped.str());
+}
+
+/// The per-entry record encoder the format was first written with: the
+/// observed indices gathered into a vector, every field appended in turn.
+/// Kept as the byte-for-byte oracle of EncodeRecord.
+std::string OracleEncodeRecord(uint64_t step, const DenseTensor& slice,
+                               const Mask& mask) {
+  std::string out;
+  const auto put = [&out](const void* p, size_t n) {
+    out.append(static_cast<const char*>(p), n);
+  };
+  const uint32_t magic = 0x43455253u;  // "SREC"
+  const uint32_t pad = 0;
+  const std::vector<size_t> observed = mask.ObservedIndices();
+  const uint64_t nnz = observed.size();
+  put(&magic, 4);
+  put(&pad, 4);
+  put(&step, 8);
+  put(&nnz, 8);
+  for (const size_t idx : observed) {
+    const uint64_t index = idx;
+    const double value = slice[idx];
+    put(&index, 8);
+    put(&value, 8);
+  }
+  const uint32_t crc = durable::Crc32(out.data(), out.size());
+  put(&crc, 4);
+  put(&pad, 4);
+  return out;
+}
+
+std::string ToHex(const std::string& bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const unsigned char b = static_cast<unsigned char>(c);
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xF];
+  }
+  return hex;
+}
+
+TEST(SliceFormatTest, EncodeRecordMatchesGoldenBytes) {
+  // A 2x3 slice at step 7 with entries 0, 2 and 5 observed; the unobserved
+  // entries hold 9.0 and must not reach the record. The bytes were written
+  // by the per-entry encoder (OracleEncodeRecord) before EncodeRecord
+  // became a one-pass encoder: a change here is a journal format change.
+  const Shape shape({2, 3});
+  DenseTensor slice(shape, 9.0);
+  Mask mask(shape, /*observed=*/false);
+  slice[0] = 1.5;
+  slice[2] = -0.1;
+  slice[5] = 3.0e-7;
+  for (const size_t k : {size_t{0}, size_t{2}, size_t{5}}) mask.Set(k, true);
+  std::string out(200, 'x');  // Stale contents must not survive.
+  EncodeRecord(7, slice, mask, &out);
+  EXPECT_EQ(ToHex(out),
+            "53524543000000000700000000000000"   // magic, pad, step
+            "03000000000000000000000000000000"   // nnz, index 0
+            "000000000000f83f0200000000000000"   // 1.5, index 2
+            "9a9999999999b9bf0500000000000000"   // -0.1, index 5
+            "76830df4f521943e42bef66400000000");  // 3e-7, crc, pad
+}
+
+TEST(SliceFormatTest, EncodeRecordMatchesPerEntryOracle) {
+  // 2-way and 3-way slices with empty, partial and full Ω, encoded into one
+  // reused buffer so it both grows and shrinks between records.
+  Rng rng(23);
+  std::string out;
+  for (const Shape& shape : {Shape({4, 5}), Shape({3, 4, 5})}) {
+    DenseTensor slice(shape);
+    for (size_t k = 0; k < slice.NumElements(); ++k) {
+      slice[k] = (rng.Uniform() - 0.5) * 1e3;
+    }
+    Mask partial(shape, /*observed=*/true);
+    for (size_t k = 0; k < shape.NumElements(); ++k) {
+      if (rng.Uniform() < 0.4) partial.Set(k, false);
+    }
+    const Mask full(shape, /*observed=*/true);
+    const Mask empty(shape, /*observed=*/false);
+    uint64_t step = 3;
+    const std::vector<const Mask*> masks = {&full, &partial, &empty,
+                                            &partial, &full};
+    for (const Mask* mask : masks) {
+      SCOPED_TRACE(shape.ToString() + " nnz " +
+                   std::to_string(mask->CountObserved()));
+      EncodeRecord(step, slice, *mask, &out);
+      EXPECT_EQ(out, OracleEncodeRecord(step, slice, *mask));
+      step += 1000;
+    }
+  }
 }
 
 TEST(SliceFormatTest, RejectsGarbageAndEmptyFiles) {
