@@ -158,7 +158,6 @@ void BM_SofiaAls10pct(benchmark::State& state) {
   config.period = 12;
   config.max_als_iterations = 3;
   config.tolerance = 0.0;
-  config.num_threads = 1;
   Rng frng(25);
   std::vector<Matrix> init;
   for (size_t n = 0; n < shape.order(); ++n) {

@@ -14,9 +14,8 @@
 //    hiding — the hidden fraction is 1 - ingest_stall_s / ingest_s, taken
 //    straight from the pipeline telemetry; plus per-slice vs windowed
 //    ingest (window 1 vs 4) at depth 2;
-//  - executor dispatch vs an ephemeral pool: the per-batch cost of the
-//    persistent executor against constructing and joining a fresh
-//    ThreadPool per batch.
+//  - executor dispatch: the per-batch cost of the persistent executor on
+//    trivial batches.
 //
 // Scores are bitwise identical across the whole matrix (pinned by
 // tests/stream_pipeline_test.cc); this bench reports the wall-clock shape
@@ -192,27 +191,17 @@ OverlapStats TimeSofia(const CorruptedStream& stream,
   return best;
 }
 
-/// Per-batch dispatch cost: a persistent ShardExecutor running `batches`
-/// trivial 16-task batches vs constructing + joining a fresh ThreadPool per
-/// batch. Returns microseconds per batch for each.
-std::pair<double, double> TimeDispatch(size_t threads, size_t batches) {
+/// Per-batch dispatch cost: microseconds per batch of a persistent
+/// ShardExecutor running `batches` trivial 16-task batches.
+double TimeDispatch(size_t threads, size_t batches) {
   std::vector<double> sink(16, 0.0);  // Task t writes only sink[t].
   auto task = [&](size_t t) { sink[t] += static_cast<double>(t); };
-  Stopwatch persistent_timer;
+  Stopwatch timer;
   {
     ShardExecutor executor(threads);
     for (size_t b = 0; b < batches; ++b) executor.Run(16, task);
   }
-  const double persistent_us =
-      1e6 * persistent_timer.ElapsedSeconds() / static_cast<double>(batches);
-  Stopwatch ephemeral_timer;
-  for (size_t b = 0; b < batches; ++b) {
-    ThreadPool pool(threads);
-    pool.Run(16, task);
-  }
-  const double ephemeral_us =
-      1e6 * ephemeral_timer.ElapsedSeconds() / static_cast<double>(batches);
-  return {persistent_us, ephemeral_us};
+  return 1e6 * timer.ElapsedSeconds() / static_cast<double>(batches);
 }
 
 }  // namespace
@@ -319,17 +308,11 @@ int main(int argc, char** argv) {
                 100.0 * window4.hidden_fraction);
   }
 
-  // Persistent-vs-ephemeral dispatch (thread create/join overhead).
-  const auto [persistent_us, ephemeral_us] =
-      TimeDispatch(/*threads=*/4, /*batches=*/2000);
+  // Executor dispatch on trivial batches.
+  const double persistent_us = TimeDispatch(/*threads=*/4, /*batches=*/2000);
   results["dispatch/persistent_us_per_batch"] = persistent_us;
-  results["dispatch/ephemeral_pool_us_per_batch"] = ephemeral_us;
-  speedups["persistent_dispatch_vs_ephemeral"] =
-      persistent_us > 0.0 ? ephemeral_us / persistent_us : 0.0;
-  std::printf("dispatch (4 threads, 16 tasks): persistent %.1f us/batch, "
-              "ephemeral pool %.1f us/batch (%.1fx)\n",
-              persistent_us, ephemeral_us,
-              speedups["persistent_dispatch_vs_ephemeral"]);
+  std::printf("dispatch (4 threads, 16 tasks): persistent %.1f us/batch\n",
+              persistent_us);
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -352,9 +335,8 @@ int main(int argc, char** argv) {
                "pipelining depth 2 vs 1, hidden_fraction = share of ingest "
                "time overlapped under compute (1 - stall/ingest, from "
                "PipelineTelemetry), plus the window=4 batched-ingest "
-               "variant; dispatch/* = microseconds per 16-task batch on the "
-               "persistent executor vs constructing a fresh ThreadPool per "
-               "batch. Scores are bitwise identical across the whole matrix "
+               "variant; dispatch/persistent_us_per_batch = microseconds per "
+               "16-task batch on a persistent 4-thread executor. Scores are bitwise identical across the whole matrix "
                "(tests/stream_pipeline_test.cc); best of %zu repetitions on "
                "the machine in the machine block. (bench_runtime "
                "--out=BENCH_runtime.json)\",\n",

@@ -125,7 +125,6 @@ int main(int argc, char** argv) {
 
   OnlineSgdOptions sgd_options;
   sgd_options.rank = taxi.rank;
-  sgd_options.num_threads = num_threads;
 
   // --guard= wraps both methods in the fault-tolerance layer
   // (eval/stream_guard.hpp): input validation, health watch, and the named

@@ -96,9 +96,9 @@ int main(int argc, char** argv) {
   CorruptedStream smf_stream =
       Corrupt(traffic.slices, {0.0, 20.0, 5.0}, seed + 1);
 
-  // Kernel knobs, shared by SOFIA and SMF. --storage=csf selects the
-  // compressed-sparse-fiber pattern backend for SOFIA's training steps
-  // (SMF streams the raw record list, so the knob is a no-op there).
+  // SOFIA's kernel knobs. --storage=csf selects the compressed-sparse-fiber
+  // pattern backend for SOFIA's training steps (SMF streams the raw record
+  // list and runs its kernels inline).
   const size_t num_threads =
       static_cast<size_t>(flags.GetInt("num_threads", 0));
   const PatternStorage storage =
@@ -149,7 +149,6 @@ int main(int argc, char** argv) {
   SmfOptions smf_options;
   smf_options.rank = traffic.rank;
   smf_options.period = traffic.period;
-  smf_options.num_threads = num_threads;
   Smf smf(smf_options);
   for (size_t t = 0; t < train; ++t) {
     smf.Observe(smf_stream.slices[t], smf_stream.masks[t]);

@@ -19,10 +19,22 @@ void BrstLite::SaveState(std::ostream& out) const {
 
 void BrstLite::RestoreState(std::istream& in) {
   state_io::ReadStateHeader(in, "brst-lite", 1);
-  factors_ = state_io::ReadMatrixList(in);
-  ard_precision_ = state_io::ReadVector(in);
-  state_io::Require(static_cast<bool>(in >> noise_var_),
+  std::vector<Matrix> factors = state_io::ReadMatrixList(in);
+  std::vector<double> ard_precision = state_io::ReadVector(in);
+  double noise_var = 0.0;
+  state_io::Require(static_cast<bool>(in >> noise_var),
                     "corrupt brst-lite checkpoint");
+  // The step reads one ARD precision per column of every factor; the
+  // random start of a factor-less state assigns its own.
+  for (const Matrix& f : factors) {
+    state_io::Require(f.cols() == options_.rank,
+                      "brst-lite checkpoint has the wrong rank");
+  }
+  state_io::Require(factors.empty() || ard_precision.size() == options_.rank,
+                    "brst-lite checkpoint has the wrong rank");
+  factors_ = std::move(factors);
+  ard_precision_ = std::move(ard_precision);
+  noise_var_ = noise_var;
 }
 
 StepResult BrstLite::StepLazy(const DenseTensor& y, const Mask& omega,
@@ -38,7 +50,9 @@ StepResult BrstLite::StepShared(const DenseTensor& y, const Mask& omega,
                                 std::shared_ptr<const CooList> pattern,
                                 bool want_result) {
   const size_t rank = options_.rank;
-  if (factors_.empty()) {
+  // No factors yet, or restored factors of another slice shape: take the
+  // random start.
+  if (!FitsSliceShape(factors_, y.shape())) {
     factors_ = RandomNontemporalFactors(y.shape(), rank, options_.seed);
     ard_precision_.assign(rank, 1.0);
   }

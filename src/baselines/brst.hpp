@@ -31,17 +31,13 @@ struct BrstOptions {
   double ard_strength = 1.0;   ///< Scale of the ARD precision update.
   double prune_threshold = 1e-3;  ///< Column-energy cutoff for pruning.
   uint64_t seed = 19;
-  /// Worker threads for the observed-entry kernels (0 = hardware
-  /// concurrency); results are bitwise identical for every setting.
-  size_t num_threads = 1;
 };
 
 /// BRST-lite streaming method (no init window).
 class BrstLite : public StreamingMethod {
  public:
   explicit BrstLite(BrstOptions options)
-      : options_(options),
-        sweep_(ObservedSweepOptions{options.num_threads}) {}
+      : options_(options) {}
 
   std::string name() const override { return "BRST"; }
   /// Lazy step: the refreshed factors + ARD-pruned temporal row as a

@@ -28,17 +28,13 @@ struct MastOptions {
   double ridge = 1e-6;       ///< Tikhonov weight of the temporal solve.
   int inner_iterations = 2;  ///< Alternating rounds per slice.
   uint64_t seed = 13;
-  /// Worker threads for the observed-entry kernels (0 = hardware
-  /// concurrency); results are bitwise identical for every setting.
-  size_t num_threads = 1;
 };
 
 /// MAST streaming method (temporal growth only; no init window).
 class Mast : public StreamingMethod {
  public:
   explicit Mast(MastOptions options)
-      : options_(options),
-        sweep_(ObservedSweepOptions{options.num_threads}) {}
+      : options_(options) {}
 
   std::string name() const override { return "MAST"; }
   /// Lazy step: the refreshed factors + final temporal row as a

@@ -49,23 +49,18 @@ const CooList& ObservedSweep::pattern() const {
 }
 
 WorkerPool* ObservedSweep::Pool() const {
-  if (external_pool_ != nullptr) {
-    // A shared single-thread pool is equivalent to the serial path; skip
-    // its dispatch entirely so adoption never slows serial methods down.
-    return external_pool_->num_threads() > 1 ? external_pool_.get() : nullptr;
-  }
-  if (resolved_threads_ <= 1) return nullptr;
-  if (!pool_) pool_ = std::make_unique<ShardExecutor>(resolved_threads_);
-  return pool_.get();
+  // A single-thread pool is equivalent to the inline path; skip its
+  // dispatch entirely so adoption never slows serial methods down.
+  return pool_ != nullptr && pool_->num_threads() > 1 ? pool_.get() : nullptr;
 }
 
 NormalSystem ObservedSweep::TemporalSystem(
     const std::vector<Matrix>& factors,
     const std::vector<double>& vals) const {
   if (csf_ != nullptr) {
-    return CsfNormalSystem(*csf_, vals, factors, /*num_threads=*/1, Pool());
+    return CsfNormalSystem(*csf_, vals, factors, Pool());
   }
-  return CooNormalSystem(pattern(), vals, factors, /*num_threads=*/1, Pool());
+  return CooNormalSystem(pattern(), vals, factors, Pool());
 }
 
 std::vector<double> ObservedSweep::SolveTemporalRow(
@@ -80,11 +75,9 @@ RowSystems ObservedSweep::WeightedRowSystems(
     const std::vector<Matrix>& factors, const std::vector<double>& w,
     const std::vector<double>& vals, size_t mode) const {
   if (csf_ != nullptr) {
-    return CsfWeightedRowSystems(*csf_, vals, factors, w, mode,
-                                 /*num_threads=*/1, Pool());
+    return CsfWeightedRowSystems(*csf_, vals, factors, w, mode, Pool());
   }
-  return CooWeightedRowSystems(pattern(), vals, factors, w, mode,
-                               /*num_threads=*/1, Pool());
+  return CooWeightedRowSystems(pattern(), vals, factors, w, mode, Pool());
 }
 
 void ObservedSweep::ProximalRowSweep(const std::vector<Matrix>& factors,
@@ -94,36 +87,35 @@ void ObservedSweep::ProximalRowSweep(const std::vector<Matrix>& factors,
                                      double mu, Matrix* u) const {
   if (csf_ != nullptr) {
     CsfProximalRowUpdates(*csf_, vals, factors, w, mode, previous, mu, u,
-                          /*num_threads=*/1, Pool());
+                          Pool());
     return;
   }
   CooProximalRowUpdates(pattern(), vals, factors, w, mode, previous, mu, u,
-                        /*num_threads=*/1, Pool());
+                        Pool());
 }
 
 ModeGradients ObservedSweep::Gradients(
     const std::vector<Matrix>& factors, const std::vector<double>& w,
     const std::vector<double>& residuals, bool with_traces) const {
   if (csf_ != nullptr) {
-    return CsfModeGradients(*csf_, residuals, factors, w, /*num_threads=*/1,
-                            Pool(), with_traces);
+    return CsfModeGradients(*csf_, residuals, factors, w, Pool(),
+                            with_traces);
   }
-  return CooModeGradients(pattern(), residuals, factors, w, /*num_threads=*/1,
-                          Pool(), with_traces);
+  return CooModeGradients(pattern(), residuals, factors, w, Pool(),
+                          with_traces);
 }
 
 std::vector<double> ObservedSweep::Reconstruct(
     const std::vector<Matrix>& factors, const std::vector<double>& w) const {
   if (csf_ != nullptr) {
-    return CsfKruskalGather(*csf_, factors, w, /*num_threads=*/1, Pool());
+    return CsfKruskalGather(*csf_, factors, w, Pool());
   }
-  return CooKruskalGather(pattern(), factors, w, /*num_threads=*/1, Pool());
+  return CooKruskalGather(pattern(), factors, w, Pool());
 }
 
 const std::vector<double>& ObservedSweep::SliceReconstruct(
     const std::vector<Matrix>& factors, const std::vector<double>& w) const {
-  CooKruskalSliceGather(pattern(), factors, w, &slice_gather_scratch_,
-                        /*num_threads=*/1, Pool());
+  CooKruskalSliceGather(pattern(), factors, w, &slice_gather_scratch_, Pool());
   return slice_gather_scratch_;
 }
 

@@ -14,7 +14,6 @@
 #include "tensor/sparse_kernels.hpp"
 #include "tensor/sparse_mask.hpp"
 #include "util/parallel.hpp"
-#include "util/shard_executor.hpp"
 
 /// \file observed_sweep.hpp
 /// \brief Shared observed-entry solver core for the streaming baselines.
@@ -38,18 +37,16 @@
 /// - shared patterns: comparison runners that drive several methods through
 ///   the same stream build each slice's CooList once (MakeSharedPattern) and
 ///   hand it to every method's BeginStep;
-/// - a lazy per-instance ShardExecutor: all motifs partition work into units
-///   owned by one thread (mode slices, fixed-size record blocks), so results
-///   are bitwise identical for every `num_threads`.
+/// - an adopted worker pool: all motifs partition work into units owned by
+///   one thread (mode slices, fixed-size record blocks) and run them on the
+///   pool the method adopted, or inline; results are bitwise identical
+///   either way.
 
 namespace sofia {
 
-/// Kernel knobs shared by every ported baseline (same naming and semantics
-/// as SofiaConfig::{num_threads, pattern_storage}).
+/// Kernel knobs shared by every ported baseline (pattern_storage has the
+/// naming and semantics of SofiaConfig::pattern_storage).
 struct ObservedSweepOptions {
-  /// Worker threads for the observed-entry kernels; 0 = hardware
-  /// concurrency. Results are bitwise identical for every setting.
-  size_t num_threads = 1;
   /// Build the per-mode slice buckets when compacting a mask. Baselines
   /// that only stream the record list (SMF's linear-indexed sweeps,
   /// OLSTEC's sequential RLS) turn this off to skip the O(order |Ω_t|)
@@ -76,13 +73,13 @@ std::shared_ptr<const CooList> MakeSharedPattern(const Mask& omega,
 
 /// Per-baseline solver core: binds to one incoming slice at a time and
 /// exposes the observed-entry motifs on the bound pattern. Stateful only in
-/// the pattern cache and worker pool; all math goes through sparse_kernels.
+/// the pattern cache and the adopted pool; all math goes through
+/// sparse_kernels.
 class ObservedSweep {
  public:
   ObservedSweep() : ObservedSweep(ObservedSweepOptions{}) {}
   explicit ObservedSweep(const ObservedSweepOptions& options)
-      : options_(options),
-        resolved_threads_(ResolveNumThreads(options.num_threads)) {}
+      : options_(options) {}
 
   const ObservedSweepOptions& options() const { return options_; }
 
@@ -93,12 +90,11 @@ class ObservedSweep {
   void BeginStep(const DenseTensor& y, const Mask& omega,
                  std::shared_ptr<const CooList> shared = nullptr);
 
-  /// Adopt an externally owned worker pool (one shared pool per comparison
-  /// run instead of a lazily spawned pool per method). Kernel results are
-  /// bitwise identical for every pool size, so adoption never changes a
-  /// method's output. Pass nullptr to fall back to the internal pool.
+  /// Adopt an externally owned worker pool for the motifs' kernels. Kernel
+  /// results are bitwise identical for every pool size, so adoption never
+  /// changes a method's output. Pass nullptr to run the kernels inline.
   void AdoptPool(std::shared_ptr<WorkerPool> pool) {
-    external_pool_ = std::move(pool);
+    pool_ = std::move(pool);
   }
 
   /// The bound pattern (valid after BeginStep).
@@ -170,13 +166,11 @@ class ObservedSweep {
       const std::vector<Matrix>& factors, const std::vector<double>& w) const;
 
  private:
-  /// The adopted pool when one was handed in; otherwise the lazily spawned
-  /// internal pool, or nullptr (serial kernels) when a single thread is
-  /// requested, so cheap baselines never pay for workers.
+  /// The adopted pool when it has more than one thread; otherwise nullptr,
+  /// so the kernels run inline and serial methods never pay a dispatch.
   WorkerPool* Pool() const;
 
   ObservedSweepOptions options_;
-  size_t resolved_threads_ = 1;
   std::shared_ptr<const CooList> coo_;
   std::shared_ptr<const CsfTensor> csf_;  ///< Fiber trees of coo_ (kCsf).
   /// Pattern csf_ was built for, held as a shared_ptr: identity compare
@@ -190,8 +184,7 @@ class ObservedSweep {
   SparseMask mask_;
   size_t pattern_builds_ = 0;
   size_t pattern_reuses_ = 0;
-  mutable std::unique_ptr<ShardExecutor> pool_;
-  std::shared_ptr<WorkerPool> external_pool_;
+  std::shared_ptr<WorkerPool> pool_;
   mutable std::vector<double> slice_gather_scratch_;
 };
 

@@ -18,15 +18,30 @@ void Olstec::SaveState(std::ostream& out) const {
 
 void Olstec::RestoreState(std::istream& in) {
   state_io::ReadStateHeader(in, "olstec", 1);
-  factors_ = state_io::ReadMatrixList(in);
+  std::vector<Matrix> factors = state_io::ReadMatrixList(in);
   size_t modes = 0;
   state_io::Require(static_cast<bool>(in >> modes) && modes <= 16,
                     "corrupt olstec checkpoint");
-  cov_.clear();
-  cov_.reserve(modes);
+  std::vector<std::vector<Matrix>> cov;
+  cov.reserve(modes);
   for (size_t n = 0; n < modes; ++n) {
-    cov_.push_back(state_io::ReadMatrixList(in));
+    cov.push_back(state_io::ReadMatrixList(in));
   }
+  // The RLS sweep reads an R x R covariance for every row of every factor.
+  const size_t rank = options_.rank;
+  state_io::Require(cov.size() == factors.size(),
+                    "olstec checkpoint has the wrong covariance count");
+  for (size_t n = 0; n < factors.size(); ++n) {
+    state_io::Require(factors[n].cols() == rank &&
+                          cov[n].size() == factors[n].rows(),
+                      "olstec checkpoint has the wrong shape");
+    for (const Matrix& p : cov[n]) {
+      state_io::Require(p.rows() == rank && p.cols() == rank,
+                        "olstec checkpoint has the wrong rank");
+    }
+  }
+  factors_ = std::move(factors);
+  cov_ = std::move(cov);
 }
 
 /// One entry's RLS update, applied to every mode's factor row: the regressor
@@ -86,7 +101,9 @@ StepResult Olstec::StepShared(const DenseTensor& y, const Mask& omega,
                               std::shared_ptr<const CooList> pattern,
                               bool want_result) {
   const size_t rank = options_.rank;
-  if (factors_.empty()) {
+  // No factors yet, or restored factors of another slice shape: take the
+  // random start.
+  if (!FitsSliceShape(factors_, y.shape())) {
     factors_ = RandomNontemporalFactors(y.shape(), rank, options_.seed);
     cov_.resize(factors_.size());
     for (size_t l = 0; l < factors_.size(); ++l) {

@@ -27,11 +27,6 @@ struct OlstecOptions {
   double delta = 10.0;       ///< P_i is initialized to delta * I.
   double ridge = 1e-6;       ///< Tikhonov weight of the temporal solve.
   uint64_t seed = 11;
-  /// Worker threads for the observed-entry kernels (0 = hardware
-  /// concurrency). Only the temporal solves parallelize — the RLS sweep is
-  /// order-dependent and stays sequential over the observed records —
-  /// so results are bitwise identical for every setting.
-  size_t num_threads = 1;
 };
 
 /// OLSTEC streaming method (no init window).
@@ -41,8 +36,7 @@ class Olstec : public StreamingMethod {
       : options_(options),
         // No bucketed motifs: the temporal solves are record-blocked and
         // the RLS sweep is a sequential record loop.
-        sweep_(ObservedSweepOptions{options.num_threads,
-                                    /*with_mode_buckets=*/false}) {}
+        sweep_(ObservedSweepOptions{/*with_mode_buckets=*/false}) {}
 
   std::string name() const override { return "OLSTEC"; }
   /// Lazy step: the refreshed factors + re-solved temporal row as a

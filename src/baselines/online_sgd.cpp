@@ -15,7 +15,12 @@ void OnlineSgd::SaveState(std::ostream& out) const {
 
 void OnlineSgd::RestoreState(std::istream& in) {
   state_io::ReadStateHeader(in, "online-sgd", 1);
-  factors_ = state_io::ReadMatrixList(in);
+  std::vector<Matrix> factors = state_io::ReadMatrixList(in);
+  for (const Matrix& f : factors) {
+    state_io::Require(f.cols() == options_.rank,
+                      "online-sgd checkpoint has the wrong rank");
+  }
+  factors_ = std::move(factors);
 }
 
 StepResult OnlineSgd::StepLazy(const DenseTensor& y, const Mask& omega,
@@ -30,7 +35,9 @@ void OnlineSgd::Observe(const DenseTensor& y, const Mask& omega) {
 StepResult OnlineSgd::StepShared(const DenseTensor& y, const Mask& omega,
                                  std::shared_ptr<const CooList> pattern,
                                  bool want_result) {
-  if (factors_.empty()) {
+  // No factors yet, or restored factors of another slice shape: take the
+  // random start.
+  if (!FitsSliceShape(factors_, y.shape())) {
     factors_ = RandomNontemporalFactors(y.shape(), options_.rank,
                                         options_.seed);
   }

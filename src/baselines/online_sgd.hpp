@@ -26,17 +26,13 @@ struct OnlineSgdOptions {
   double learning_rate = 0.1;  ///< SGD step on the factors.
   double ridge = 1e-6;         ///< Tikhonov weight of the temporal solve.
   uint64_t seed = 7;
-  /// Worker threads for the observed-entry kernels (0 = hardware
-  /// concurrency); results are bitwise identical for every setting.
-  size_t num_threads = 1;
 };
 
 /// OnlineSGD streaming method (no init window).
 class OnlineSgd : public StreamingMethod {
  public:
   explicit OnlineSgd(OnlineSgdOptions options)
-      : options_(options),
-        sweep_(ObservedSweepOptions{options.num_threads}) {}
+      : options_(options) {}
 
   std::string name() const override { return "OnlineSGD"; }
   /// Lazy step: the refreshed factors + temporal row as a Kruskal-view

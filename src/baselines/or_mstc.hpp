@@ -30,17 +30,13 @@ struct OrMstcOptions {
   double ridge = 1e-6;
   int inner_iterations = 3;
   uint64_t seed = 17;
-  /// Worker threads for the observed-entry kernels (0 = hardware
-  /// concurrency); results are bitwise identical for every setting.
-  size_t num_threads = 1;
 };
 
 /// OR-MSTC streaming method (no init window).
 class OrMstc : public StreamingMethod {
  public:
   explicit OrMstc(OrMstcOptions options)
-      : options_(options),
-        sweep_(ObservedSweepOptions{options.num_threads}) {}
+      : options_(options) {}
 
   std::string name() const override { return "OR-MSTC"; }
   /// Lazy step: the refreshed factors + final outlier-cleaned temporal row

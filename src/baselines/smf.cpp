@@ -45,6 +45,15 @@ void Smf::RestoreState(std::istream& in) {
                     "corrupt smf checkpoint");
   season_.resize(seasons);
   for (auto& s : season_) s = state_io::ReadVector(in);
+  if (loadings_ == nullptr) return;  // The first step takes the random start.
+  // The step indexes the loadings by linear entry and by rank, and the
+  // level, trend and every season by rank.
+  const size_t rank = options_.rank;
+  bool fits = loadings_->rows() == slice_shape_.NumElements() &&
+              loadings_->cols() == rank && level_.size() == rank &&
+              trend_.size() == rank && seasons == options_.period;
+  for (const auto& s : season_) fits = fits && s.size() == rank;
+  state_io::Require(fits, "smf checkpoint has the wrong shape");
 }
 
 StepResult Smf::StepLazy(const DenseTensor& y, const Mask& omega,
@@ -61,7 +70,9 @@ StepResult Smf::StepShared(const DenseTensor& y, const Mask& omega,
                            bool want_result) {
   const size_t rank = options_.rank;
   const size_t m = options_.period;
-  if (loadings_ == nullptr) {
+  // No loadings yet, or restored loadings of another slice shape: take the
+  // random start.
+  if (loadings_ == nullptr || slice_shape_ != y.shape()) {
     slice_shape_ = y.shape();
     Rng rng(options_.seed);
     loadings_ = std::make_shared<Matrix>(
@@ -69,13 +80,14 @@ StepResult Smf::StepShared(const DenseTensor& y, const Mask& omega,
     level_.assign(rank, 0.0);
     trend_.assign(rank, 0.0);
     season_.assign(m, std::vector<double>(rank, 0.0));
+    season_pos_ = 0;
+    steps_seen_ = 0;
   } else if (loadings_.use_count() > 1) {
     // A StepLazy/ForecastLazy handle still references the snapshot; clone
     // before the in-place drift (copy-on-write — the protocol loop drops
     // its handle before the next step, so this never fires there).
     loadings_ = std::make_shared<Matrix>(*loadings_);
   }
-  SOFIA_CHECK(y.shape() == slice_shape_);
   Matrix& loadings = *loadings_;
 
   sweep_.BeginStep(y, omega, std::move(pattern));

@@ -31,11 +31,6 @@ struct SmfOptions {
   double trend_beta = 0.05;    ///< Trend smoothing.
   double season_gamma = 0.3;   ///< Seasonal smoothing.
   uint64_t seed = 23;
-  /// Worker threads for the observed-entry kernels (0 = hardware
-  /// concurrency). SMF's loading rows are keyed by the linear entry index,
-  /// so its sweeps over the compacted records (O(|Ω_t| R) per pass) are
-  /// sequential loops — results are bitwise identical for every setting.
-  size_t num_threads = 1;
 };
 
 /// SMF streaming method (forecast-capable; no init window).
@@ -44,8 +39,7 @@ class Smf : public StreamingMethod {
   explicit Smf(SmfOptions options)
       : options_(options),
         // No bucketed motifs: both sweeps are linear-indexed record loops.
-        sweep_(ObservedSweepOptions{options.num_threads,
-                                    /*with_mode_buckets=*/false}) {}
+        sweep_(ObservedSweepOptions{/*with_mode_buckets=*/false}) {}
 
   std::string name() const override { return "SMF"; }
   /// Lazy step: the drifted loadings + latent weights as a linear-map

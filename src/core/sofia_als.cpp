@@ -8,7 +8,6 @@
 #include "tensor/kruskal.hpp"
 #include "tensor/sparse_kernels.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace sofia {
 
@@ -20,7 +19,8 @@ double SoftThreshold(double x, double threshold) {
 
 SofiaAlsResult SofiaAls(const CooList& coo, const DenseTensor& y,
                         const DenseTensor& o, const SofiaConfig& config,
-                        std::vector<Matrix>* factors, bool smooth_temporal) {
+                        std::vector<Matrix>* factors, bool smooth_temporal,
+                        WorkerPool* pool) {
   SOFIA_CHECK(y.shape() == coo.shape());
   SOFIA_CHECK(y.shape() == o.shape());
   SOFIA_CHECK_EQ(factors->size(), y.order());
@@ -28,9 +28,6 @@ SofiaAlsResult SofiaAls(const CooList& coo, const DenseTensor& y,
   // shared by all N modes of every sweep (Lemma 1's O(|Ω| N R (N+R))).
   const std::vector<double> ystar = coo.GatherResidual(y, o);
   const double data_norm = CooDataNorm(ystar);
-  // One pool for the whole run: a sweep issues N+2 kernel calls and there
-  // can be hundreds of sweeps, so workers are spawned once, not per call.
-  ThreadPool pool(ResolveNumThreads(config.num_threads));
 
   const size_t num_modes = factors->size();
   const size_t temporal = num_modes - 1;
@@ -85,7 +82,7 @@ SofiaAlsResult SofiaAls(const CooList& coo, const DenseTensor& y,
     result.sweeps = sweep + 1;
     // --- Non-temporal modes: exact row minimizers (Theorem 1). ---
     for (size_t n = 0; n < temporal && !result.diverged; ++n) {
-      RowSystems sys = CooRowSystems(coo, ystar, *factors, n, 1, &pool);
+      RowSystems sys = CooRowSystems(coo, ystar, *factors, n, pool);
       Matrix& u = (*factors)[n];
       for (size_t i = 0; i < u.rows(); ++i) {
         if (!system_finite(sys.b[i], sys.c[i])) {
@@ -111,7 +108,7 @@ SofiaAlsResult SofiaAls(const CooList& coo, const DenseTensor& y,
     // --- Temporal mode: smoothness-coupled row solves (Eq. (17)). ---
     if (!result.diverged) {
       RowSystems sys =
-          CooRowSystems(coo, ystar, *factors, temporal, 1, &pool);
+          CooRowSystems(coo, ystar, *factors, temporal, pool);
       Matrix& ut = (*factors)[temporal];
       for (size_t i = 0; i < duration; ++i) {
         if (!system_finite(sys.b[i], sys.c[i])) {
@@ -155,7 +152,7 @@ SofiaAlsResult SofiaAls(const CooList& coo, const DenseTensor& y,
     last_finite = *factors;
 
     // --- Fitness-based convergence test (Algorithm 2 lines 13-15). ---
-    const double residual = CooResidualNorm(coo, ystar, *factors, 1, &pool);
+    const double residual = CooResidualNorm(coo, ystar, *factors, pool);
     const double new_fitness =
         data_norm > 0.0 ? 1.0 - residual / data_norm : 1.0;
     if (have_fitness &&
@@ -174,11 +171,12 @@ SofiaAlsResult SofiaAls(const CooList& coo, const DenseTensor& y,
 
 SofiaAlsResult SofiaAls(const DenseTensor& y, const Mask& omega,
                         const DenseTensor& o, const SofiaConfig& config,
-                        std::vector<Matrix>* factors, bool smooth_temporal) {
+                        std::vector<Matrix>* factors, bool smooth_temporal,
+                        WorkerPool* pool) {
   SOFIA_CHECK(y.shape() == omega.shape());
   SOFIA_CHECK(y.shape() == o.shape());
   const CooList coo = CooList::Build(omega);
-  return SofiaAls(coo, y, o, config, factors, smooth_temporal);
+  return SofiaAls(coo, y, o, config, factors, smooth_temporal, pool);
 }
 
 double SofiaObjective(const DenseTensor& y, const Mask& omega,

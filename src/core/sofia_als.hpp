@@ -8,6 +8,7 @@
 #include "tensor/coo_list.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/mask.hpp"
+#include "util/parallel.hpp"
 
 /// \file sofia_als.hpp
 /// \brief SOFIA_ALS (Algorithm 2): batch ALS with temporal/seasonal
@@ -37,12 +38,15 @@ struct SofiaAlsResult {
 /// `factors` holds one matrix per mode (I_n x R) and is updated in place.
 /// If `smooth_temporal` is false the λ1/λ2 penalties are dropped, which
 /// turns the routine into vanilla ALS for incomplete tensors (the Fig. 2
-/// baseline) while keeping the identical sweep schedule. Compacts `omega`
-/// into a CooList and runs the observed-entry overload below.
+/// baseline) while keeping the identical sweep schedule. The sweeps' kernels
+/// run on `pool`, or inline when it is null; the result is bitwise the same
+/// for every pool. Compacts `omega` into a CooList and runs the
+/// observed-entry overload below.
 SofiaAlsResult SofiaAls(const DenseTensor& y, const Mask& omega,
                         const DenseTensor& o, const SofiaConfig& config,
                         std::vector<Matrix>* factors,
-                        bool smooth_temporal = true);
+                        bool smooth_temporal = true,
+                        WorkerPool* pool = nullptr);
 
 /// Observed-entry overload: runs the sweeps through the COO sparse kernel
 /// layer against a CooList prebuilt from the window's mask. Callers that
@@ -52,7 +56,8 @@ SofiaAlsResult SofiaAls(const DenseTensor& y, const Mask& omega,
 SofiaAlsResult SofiaAls(const CooList& coo, const DenseTensor& y,
                         const DenseTensor& o, const SofiaConfig& config,
                         std::vector<Matrix>* factors,
-                        bool smooth_temporal = true);
+                        bool smooth_temporal = true,
+                        WorkerPool* pool = nullptr);
 
 /// Objective (10) evaluated at the given state (used by tests and the
 /// monotonicity checks): data term + smoothness penalties + λ3 ||O||_1.

@@ -41,9 +41,10 @@ struct SofiaConfig {
   /// the verbatim update (see bench/ablation_design).
   bool normalized_step = true;
 
-  /// Worker threads for the sparse (observed-entry) kernels; 0 = use the
-  /// hardware concurrency. The kernels partition work into units owned by a
-  /// single thread, so results are bitwise identical for every setting.
+  /// Worker threads of a SofiaModel's own executor, which runs its init and
+  /// steps when no pool is adopted; 0 = use the hardware concurrency. The
+  /// kernels partition work into units owned by a single thread, so results
+  /// are bitwise identical for every setting.
   size_t num_threads = 0;
 
   /// Storage backend of the sparse Step pattern: kCsf compiles the cached

@@ -12,7 +12,7 @@ namespace sofia {
 SofiaInitResult SofiaInitialize(const std::vector<DenseTensor>& slices,
                                 const std::vector<Mask>& masks,
                                 const SofiaConfig& config,
-                                bool smooth_temporal) {
+                                bool smooth_temporal, WorkerPool* pool) {
   SOFIA_CHECK_EQ(slices.size(), masks.size());
   SOFIA_CHECK_EQ(slices.size(), config.InitWindow())
       << "initialization expects t_i = init_seasons * period slices";
@@ -48,7 +48,7 @@ SofiaInitResult SofiaInitialize(const std::vector<DenseTensor>& slices,
     result.outer_iterations = outer + 1;
 
     SofiaAlsResult als =
-        SofiaAls(coo, y, outliers, config, &factors, smooth_temporal);
+        SofiaAls(coo, y, outliers, config, &factors, smooth_temporal, pool);
 
     // Line 8: O <- SoftThresholding(Ω ⊛ (Y - X̂), λ3).
     for (size_t k = 0; k < y.NumElements(); ++k) {

@@ -8,6 +8,7 @@
 #include "linalg/matrix.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/mask.hpp"
+#include "util/parallel.hpp"
 
 /// \file sofia_init.hpp
 /// \brief Initialization step of SOFIA (Algorithm 1).
@@ -30,11 +31,14 @@ struct SofiaInitResult {
 /// Runs Algorithm 1 on the first slices of a stream. `slices` and `masks`
 /// must contain t_i = config.InitWindow() aligned (N-1)-way subtensors.
 /// Set `smooth_temporal` to false to initialize with vanilla ALS instead of
-/// SOFIA_ALS (the Fig. 2 ablation).
+/// SOFIA_ALS (the Fig. 2 ablation). Every SOFIA_ALS call runs its kernels
+/// on `pool`, or inline when it is null; the result is bitwise the same for
+/// every pool.
 SofiaInitResult SofiaInitialize(const std::vector<DenseTensor>& slices,
                                 const std::vector<Mask>& masks,
                                 const SofiaConfig& config,
-                                bool smooth_temporal = true);
+                                bool smooth_temporal = true,
+                                WorkerPool* pool = nullptr);
 
 }  // namespace sofia
 

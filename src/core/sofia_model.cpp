@@ -61,14 +61,18 @@ SofiaModel& SofiaModel::operator=(const SofiaModel& other) {
 SofiaModel SofiaModel::Initialize(const std::vector<DenseTensor>& slices,
                                   const std::vector<Mask>& masks,
                                   const SofiaConfig& config,
-                                  const SofiaAblation& ablation) {
+                                  const SofiaAblation& ablation,
+                                  std::shared_ptr<WorkerPool> pool) {
   SofiaModel model;
   model.config_ = config;
   model.ablation_ = ablation;
+  model.external_pool_ = std::move(pool);
 
-  // Phase 1 (Algorithm 1): batch factorization of the start-up window.
-  SofiaInitResult init = SofiaInitialize(slices, masks, config,
-                                         ablation.temporal_smoothness);
+  // Phase 1 (Algorithm 1): batch factorization of the start-up window, on
+  // the pool the steps will use.
+  SofiaInitResult init =
+      SofiaInitialize(slices, masks, config, ablation.temporal_smoothness,
+                      model.StepPool());
   const size_t num_modes = init.factors.size();
   const size_t rank = config.rank;
   const size_t m = config.period;
@@ -112,8 +116,8 @@ SofiaModel SofiaModel::Initialize(const std::vector<DenseTensor>& slices,
 WorkerPool* SofiaModel::StepPool() {
   if (external_pool_ != nullptr) return external_pool_.get();
   if (!pool_) {
-    // ShardExecutor, not ThreadPool: standalone Step() loops then keep
-    // stable slab ownership (and arena scratch) across steps too.
+    // Built once per model: init and every standalone Step() then share
+    // its workers, stable slab ownership and arena scratch.
     pool_ = std::make_unique<ShardExecutor>(
         ResolveNumThreads(config_.num_threads));
   }
@@ -164,8 +168,8 @@ void SofiaModel::Accumulate(const DenseTensor& y, const Mask& omega,
   // Line 4 restricted to Ω_t: the Eq. (20) forecast at observed entries.
   std::vector<double> yv = coo.Gather(y);
   std::vector<double> fv =
-      csf != nullptr ? CsfKruskalGather(*csf, factors_, u_hat, 1, pool)
-                     : CooKruskalGather(coo, factors_, u_hat, 1, pool);
+      csf != nullptr ? CsfKruskalGather(*csf, factors_, u_hat, pool)
+                     : CooKruskalGather(coo, factors_, u_hat, pool);
 
   // Lines 5-6 per record. The paper rejects outliers *first* so extreme
   // values cannot inflate the scale; the Gelper ordering is available as an
@@ -199,8 +203,8 @@ void SofiaModel::Accumulate(const DenseTensor& y, const Mask& omega,
   std::vector<double> resid(nnz);
   for (size_t k = 0; k < nnz; ++k) resid[k] = yv[k] - ov[k] - fv[k];
   *grads = csf != nullptr
-               ? CsfStepGradients(*csf, resid, factors_, u_hat, 1, pool)
-               : CooStepGradients(coo, resid, factors_, u_hat, 1, pool);
+               ? CsfStepGradients(*csf, resid, factors_, u_hat, pool)
+               : CooStepGradients(coo, resid, factors_, u_hat, pool);
 
   result->factors_before_ = factors_;
   result->observed_ = coo.LinearIndices();

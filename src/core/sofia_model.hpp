@@ -104,11 +104,15 @@ class SofiaModel {
  public:
   /// Runs Algorithm 1 on the start-up slices, fits one Holt-Winters model
   /// per temporal-factor column (Section V-B), and seeds the error-scale
-  /// tensor with λ3/100 (Algorithm 3 line 1).
+  /// tensor with λ3/100 (Algorithm 3 line 1). Init runs on the pool the
+  /// steps will use: `pool` when given (adopted as by AdoptPool), else the
+  /// model's own executor of config.num_threads workers. The result is
+  /// bitwise the same for every pool.
   static SofiaModel Initialize(const std::vector<DenseTensor>& slices,
                                const std::vector<Mask>& masks,
                                const SofiaConfig& config,
-                               const SofiaAblation& ablation = {});
+                               const SofiaAblation& ablation = {},
+                               std::shared_ptr<WorkerPool> pool = nullptr);
 
   /// Processes the subtensor Y_t with indicator Ω_t (Algorithm 3 lines
   /// 3-11) at O(|Ω_t| N R) per step (Lemma 2): forecast evaluation, outlier
@@ -168,9 +172,9 @@ class SofiaModel {
   /// rebuilding (the steady-state path; the compare is O(|Ω_t|)).
   size_t step_pattern_reuses() const { return step_pattern_reuses_; }
 
-  /// Adopt an externally owned worker pool for the sparse Step kernels (one
-  /// shared pool per comparison run). Bitwise-neutral; nullptr restores the
-  /// internal pool.
+  /// Adopt an externally owned worker pool for the sparse Step kernels (a
+  /// comparison run lends one per method). Bitwise-neutral; nullptr
+  /// restores the model's own executor.
   void AdoptPool(std::shared_ptr<WorkerPool> pool) {
     external_pool_ = std::move(pool);
   }

@@ -11,9 +11,8 @@ namespace sofia {
 
 std::vector<DenseTensor> SofiaStream::Initialize(
     const std::vector<DenseTensor>& slices, const std::vector<Mask>& masks) {
-  model_ = std::make_unique<SofiaModel>(
-      SofiaModel::Initialize(slices, masks, config_, ablation_));
-  if (adopted_pool_ != nullptr) model_->AdoptPool(adopted_pool_);
+  model_ = std::make_unique<SofiaModel>(SofiaModel::Initialize(
+      slices, masks, config_, ablation_, adopted_pool_));
   std::vector<DenseTensor> completed;
   completed.reserve(slices.size());
   const DenseTensor& batch = model_->init_completed();

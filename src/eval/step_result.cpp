@@ -147,7 +147,7 @@ void StepResult::GatherAtInto(const CooList& pattern,
     case Kind::kKruskal:
       // Replicates KruskalSlice's chain evaluation order bitwise, so lazy
       // gathers match reads from the materialized tensor exactly.
-      CooKruskalSliceGather(pattern, factors_, row_, out, 1, pool);
+      CooKruskalSliceGather(pattern, factors_, row_, out, pool);
       break;
     case Kind::kLinearMap: {
       const size_t rank = row_.size();

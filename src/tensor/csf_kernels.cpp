@@ -22,7 +22,7 @@ using kernel::ReduceScratch;
 
 /// Root nodes per task in the slab-blocked reductions (normal system,
 /// temporal gradient, gathers). Fixed — never derived from the thread
-/// count — so the partial-sum tree is identical for every num_threads.
+/// count — so the partial-sum tree is identical for every pool.
 constexpr size_t kRootSlab = 256;
 
 void CheckFactors(const CsfTensor& csf, const std::vector<Matrix>& factors,
@@ -275,7 +275,7 @@ inline void RootExcludedWalk(const LevelView* lv, size_t a, size_t order,
 template <size_t kR>
 void CsfMttkrpImpl(const CsfTensor& csf, const std::vector<double>& values,
                    const std::vector<FactorView>& views, size_t mode,
-                   size_t num_threads, WorkerPool* pool, size_t rank,
+                   WorkerPool* pool, size_t rank,
                    Matrix* out) {
   const CsfTree& t = csf.tree(mode);
   const size_t order = csf.order();
@@ -289,7 +289,7 @@ void CsfMttkrpImpl(const CsfTensor& csf, const std::vector<double>& values,
     MttkrpRoot<kR>(lv.data(), values.data(), record, a, order, rank, levels,
                    out->Row(t.ids[0][a]));
   };
-  RunTasks(pool, num_threads, t.num_roots(), simd::Select(task));
+  RunTasks(pool, t.num_roots(), simd::Select(task));
 }
 
 /// h = prefix ⊛ row, or h = prefix for the null-row degenerate — computed
@@ -331,8 +331,8 @@ void MirrorUpper(size_t rank, double* bdata) {
 template <size_t kR>
 void CsfRowSystemsImpl(const CsfTensor& csf, const std::vector<double>& values,
                        const std::vector<FactorView>& views,
-                       const double* weights, size_t mode, size_t num_threads,
-                       WorkerPool* pool, size_t rank, RowSystems* sys) {
+                       const double* weights, size_t mode, WorkerPool* pool,
+                       size_t rank, RowSystems* sys) {
   const CsfTree& t = csf.tree(mode);
   const size_t order = csf.order();
   const std::vector<LevelView> lv = MakeLevelViews(t, views.data());
@@ -360,7 +360,7 @@ void CsfRowSystemsImpl(const CsfTensor& csf, const std::vector<double>& values,
         });
     MirrorUpper<kR>(rank, bdata);
   };
-  RunTasks(pool, num_threads, t.num_roots(), simd::Select(task));
+  RunTasks(pool, t.num_roots(), simd::Select(task));
 }
 
 template <size_t kR>
@@ -369,7 +369,7 @@ void CsfProximalRowUpdatesImpl(const CsfTensor& csf,
                                const std::vector<FactorView>& views,
                                const double* weights, size_t mode,
                                const Matrix& previous, double mu,
-                               size_t num_threads, WorkerPool* pool,
+                               WorkerPool* pool,
                                size_t rank, Matrix* u) {
   const CsfTree& t = csf.tree(mode);
   const size_t order = csf.order();
@@ -411,7 +411,7 @@ void CsfProximalRowUpdatesImpl(const CsfTensor& csf,
     ProximalRowSolve(b, c, previous.Row(row), mu, R, abuf.get(R),
                      rhsbuf.get(R), u->Row(row));
   };
-  RunTasks(pool, num_threads, u->rows(), simd::Select(task));
+  RunTasks(pool, u->rows(), simd::Select(task));
 }
 
 template <size_t kR, bool kTrace>
@@ -419,7 +419,7 @@ void CsfModeGradientImpl(const CsfTensor& csf,
                          const std::vector<double>& residuals,
                          const std::vector<FactorView>& views,
                          const double* temporal_row, size_t mode,
-                         size_t num_threads, WorkerPool* pool, size_t rank,
+                         WorkerPool* pool, size_t rank,
                          Matrix* grad, std::vector<double>* trace) {
   const CsfTree& t = csf.tree(mode);
   const size_t order = csf.order();
@@ -450,7 +450,7 @@ void CsfModeGradientImpl(const CsfTensor& csf,
         });
     if constexpr (kTrace) (*trace)[row] = tr;
   };
-  RunTasks(pool, num_threads, t.num_roots(), simd::Select(task));
+  RunTasks(pool, t.num_roots(), simd::Select(task));
 }
 
 /// Slab-blocked full-product reduction over the mode-0 tree: each slab of
@@ -459,8 +459,8 @@ void CsfModeGradientImpl(const CsfTensor& csf,
 /// formed here in a task-scoped buffer (no per-leaf scratch construction).
 template <size_t kR, typename LeafFn>
 void RootSlabReduce(const CsfTensor& csf, const std::vector<FactorView>& views,
-                    const double* base_prefix, size_t num_threads,
-                    WorkerPool* pool, size_t rank, size_t partial_stride,
+                    const double* base_prefix, WorkerPool* pool, size_t rank,
+                    size_t partial_stride,
                     double* partials, const LeafFn& leaf_fn) {
   const CsfTree& t = csf.tree(0);
   const size_t order = csf.order();
@@ -487,14 +487,14 @@ void RootSlabReduce(const CsfTensor& csf, const std::vector<FactorView>& views,
           });
     }
   };
-  RunTasks(pool, num_threads, num_slabs, simd::Select(task));
+  RunTasks(pool, num_slabs, simd::Select(task));
 }
 
 template <size_t kR>
 void CsfKruskalGatherImpl(const CsfTensor& csf,
                           const std::vector<FactorView>& views,
-                          const double* temporal_row, size_t num_threads,
-                          WorkerPool* pool, size_t rank,
+                          const double* temporal_row, WorkerPool* pool,
+                          size_t rank,
                           std::vector<double>* out) {
   const CsfTree& t = csf.tree(0);
   const size_t order = csf.order();
@@ -521,14 +521,14 @@ void CsfKruskalGatherImpl(const CsfTensor& csf,
           });
     }
   };
-  RunTasks(pool, num_threads, num_slabs, simd::Select(task));
+  RunTasks(pool, num_slabs, simd::Select(task));
 }
 
 }  // namespace
 
 Matrix CsfMttkrp(const CsfTensor& csf, const std::vector<double>& values,
                  const std::vector<Matrix>& factors, size_t mode,
-                 size_t num_threads, WorkerPool* pool) {
+                 WorkerPool* pool) {
   static const obs::KernelStats kStats = obs::MakeKernelStats("csf.mttkrp");
   obs::CountKernel(kStats, csf.nnz(), 2 * (factors.empty() ? 0 : factors[0].cols()) * csf.order());
   SOFIA_CHECK_LT(mode, csf.order());
@@ -539,8 +539,8 @@ Matrix CsfMttkrp(const CsfTensor& csf, const std::vector<double>& values,
   Matrix out(csf.shape().dim(mode), rank, 0.0);
   const std::vector<FactorView> views = MakeViews(factors);
   DispatchRank(rank, [&](auto tag) {
-    CsfMttkrpImpl<decltype(tag)::value>(csf, values, views, mode, num_threads,
-                                        pool, rank, &out);
+    CsfMttkrpImpl<decltype(tag)::value>(csf, values, views, mode, pool, rank,
+                                        &out);
   });
   return out;
 }
@@ -548,7 +548,7 @@ Matrix CsfMttkrp(const CsfTensor& csf, const std::vector<double>& values,
 RowSystems CsfRowSystems(const CsfTensor& csf,
                          const std::vector<double>& values,
                          const std::vector<Matrix>& factors, size_t mode,
-                         size_t num_threads, WorkerPool* pool) {
+                         WorkerPool* pool) {
   static const obs::KernelStats kStats = obs::MakeKernelStats("csf.row_systems");
   obs::CountKernel(kStats, csf.nnz(), (factors.empty() ? 0 : factors[0].cols()) * (csf.order() + 2 * (factors.empty() ? 0 : factors[0].cols())));
   SOFIA_CHECK_LT(mode, csf.order());
@@ -563,7 +563,7 @@ RowSystems CsfRowSystems(const CsfTensor& csf,
   DispatchRank(rank, [&](auto tag) {
     CsfRowSystemsImpl<decltype(tag)::value>(csf, values, views,
                                             /*weights=*/nullptr, mode,
-                                            num_threads, pool, rank, &sys);
+                                            pool, rank, &sys);
   });
   return sys;
 }
@@ -572,8 +572,7 @@ RowSystems CsfWeightedRowSystems(const CsfTensor& csf,
                                  const std::vector<double>& values,
                                  const std::vector<Matrix>& factors,
                                  const std::vector<double>& temporal_row,
-                                 size_t mode, size_t num_threads,
-                                 WorkerPool* pool) {
+                                 size_t mode, WorkerPool* pool) {
   SOFIA_CHECK_LT(mode, csf.order());
   SOFIA_CHECK_EQ(values.size(), csf.nnz());
   const size_t rank = factors.empty() ? 0 : factors[0].cols();
@@ -587,7 +586,7 @@ RowSystems CsfWeightedRowSystems(const CsfTensor& csf,
   DispatchRank(rank, [&](auto tag) {
     CsfRowSystemsImpl<decltype(tag)::value>(csf, values, views,
                                             temporal_row.data(), mode,
-                                            num_threads, pool, rank, &sys);
+                                            pool, rank, &sys);
   });
   return sys;
 }
@@ -597,7 +596,7 @@ void CsfProximalRowUpdates(const CsfTensor& csf,
                            const std::vector<Matrix>& factors,
                            const std::vector<double>& temporal_row,
                            size_t mode, const Matrix& previous, double mu,
-                           Matrix* u, size_t num_threads, WorkerPool* pool) {
+                           Matrix* u, WorkerPool* pool) {
   SOFIA_CHECK_LT(mode, csf.order());
   SOFIA_CHECK_EQ(values.size(), csf.nnz());
   const size_t rank = factors.empty() ? 0 : factors[0].cols();
@@ -612,14 +611,14 @@ void CsfProximalRowUpdates(const CsfTensor& csf,
   DispatchRank(rank, [&](auto tag) {
     CsfProximalRowUpdatesImpl<decltype(tag)::value>(
         csf, values, views, temporal_row.data(), mode, previous, mu,
-        num_threads, pool, rank, u);
+        pool, rank, u);
   });
 }
 
 NormalSystem CsfNormalSystem(const CsfTensor& csf,
                              const std::vector<double>& values,
                              const std::vector<Matrix>& factors,
-                             size_t num_threads, WorkerPool* pool) {
+                             WorkerPool* pool) {
   static const obs::KernelStats kStats = obs::MakeKernelStats("csf.normal_system");
   obs::CountKernel(kStats, csf.nnz(), (factors.empty() ? 0 : factors[0].cols()) * (2 + 2 * (factors.empty() ? 0 : factors[0].cols())));
   SOFIA_CHECK_EQ(values.size(), csf.nnz());
@@ -634,7 +633,7 @@ NormalSystem CsfNormalSystem(const CsfTensor& csf,
   DispatchRank(rank, [&](auto tag) {
     constexpr size_t kR = decltype(tag)::value;
     RootSlabReduce<kR>(
-        csf, views, scratch.ones, num_threads, pool, rank, stride,
+        csf, views, scratch.ones, pool, rank, stride,
         scratch.partials,
         [&](uint32_t record, const double* h, double* out) {
           const size_t R = kR == 0 ? rank : kR;
@@ -664,7 +663,7 @@ ModeGradients CsfModeGradients(const CsfTensor& csf,
                                const std::vector<double>& residuals,
                                const std::vector<Matrix>& factors,
                                const std::vector<double>& temporal_row,
-                               size_t num_threads, WorkerPool* pool,
+                               WorkerPool* pool,
                                bool with_traces) {
   SOFIA_CHECK_EQ(residuals.size(), csf.nnz());
   const size_t rank = factors.empty() ? 0 : factors[0].cols();
@@ -684,12 +683,12 @@ ModeGradients CsfModeGradients(const CsfTensor& csf,
     for (size_t mode = 0; mode < factors.size(); ++mode) {
       if (with_traces) {
         CsfModeGradientImpl<decltype(tag)::value, true>(
-            csf, residuals, views, temporal_row.data(), mode, num_threads,
-            pool, rank, &g.row_grads[mode], &g.row_trace[mode]);
+            csf, residuals, views, temporal_row.data(), mode, pool, rank,
+            &g.row_grads[mode], &g.row_trace[mode]);
       } else {
         CsfModeGradientImpl<decltype(tag)::value, false>(
-            csf, residuals, views, temporal_row.data(), mode, num_threads,
-            pool, rank, &g.row_grads[mode], nullptr);
+            csf, residuals, views, temporal_row.data(), mode, pool, rank,
+            &g.row_grads[mode], nullptr);
       }
     }
   });
@@ -699,16 +698,15 @@ ModeGradients CsfModeGradients(const CsfTensor& csf,
 std::vector<double> CsfKruskalGather(const CsfTensor& csf,
                                      const std::vector<Matrix>& factors,
                                      const std::vector<double>& temporal_row,
-                                     size_t num_threads, WorkerPool* pool) {
+                                     WorkerPool* pool) {
   std::vector<double> out;
-  CsfKruskalGather(csf, factors, temporal_row, &out, num_threads, pool);
+  CsfKruskalGather(csf, factors, temporal_row, &out, pool);
   return out;
 }
 
 void CsfKruskalGather(const CsfTensor& csf, const std::vector<Matrix>& factors,
                       const std::vector<double>& temporal_row,
-                      std::vector<double>* out, size_t num_threads,
-                      WorkerPool* pool) {
+                      std::vector<double>* out, WorkerPool* pool) {
   static const obs::KernelStats kStats = obs::MakeKernelStats("csf.kruskal_gather");
   obs::CountKernel(kStats, csf.nnz(), 2 * (factors.empty() ? 0 : factors[0].cols()) * csf.order());
   const size_t rank = factors.empty() ? 0 : factors[0].cols();
@@ -719,7 +717,7 @@ void CsfKruskalGather(const CsfTensor& csf, const std::vector<Matrix>& factors,
   const std::vector<FactorView> views = MakeViews(factors);
   DispatchRank(rank, [&](auto tag) {
     CsfKruskalGatherImpl<decltype(tag)::value>(
-        csf, views, temporal_row.data(), num_threads, pool, rank, out);
+        csf, views, temporal_row.data(), pool, rank, out);
   });
 }
 
@@ -727,7 +725,7 @@ StepGradients CsfStepGradients(const CsfTensor& csf,
                                const std::vector<double>& residuals,
                                const std::vector<Matrix>& factors,
                                const std::vector<double>& temporal_row,
-                               size_t num_threads, WorkerPool* pool) {
+                               WorkerPool* pool) {
   static const obs::KernelStats kStats = obs::MakeKernelStats("csf.step_gradients");
   obs::CountKernel(kStats, csf.nnz(), 2 * (factors.empty() ? 0 : factors[0].cols()) * csf.order() * (csf.order() + 1));
   SOFIA_CHECK_EQ(residuals.size(), csf.nnz());
@@ -753,14 +751,13 @@ StepGradients CsfStepGradients(const CsfTensor& csf,
     constexpr size_t kR = decltype(tag)::value;
     for (size_t mode = 0; mode < factors.size(); ++mode) {
       CsfModeGradientImpl<kR, true>(csf, residuals, views,
-                                    temporal_row.data(), mode, num_threads,
-                                    pool, rank, &g.row_grads[mode],
-                                    &g.row_trace[mode]);
+                                    temporal_row.data(), mode, pool, rank,
+                                    &g.row_grads[mode], &g.row_trace[mode]);
     }
     // Temporal gradient + trace: full-product reduction over the mode-0
     // tree, slab partials combined in slab order below.
     RootSlabReduce<kR>(
-        csf, views, scratch.ones, num_threads, pool, rank, stride,
+        csf, views, scratch.ones, pool, rank, stride,
         scratch.partials,
         [&](uint32_t record, const double* h, double* out) {
           const size_t R = kR == 0 ? rank : kR;

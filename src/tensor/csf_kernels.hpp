@@ -35,14 +35,14 @@ namespace sofia {
 /// hoisted per fiber. Contract of CooMttkrp.
 Matrix CsfMttkrp(const CsfTensor& csf, const std::vector<double>& values,
                  const std::vector<Matrix>& factors, size_t mode,
-                 size_t num_threads = 1, WorkerPool* pool = nullptr);
+                 WorkerPool* pool = nullptr);
 
 /// Theorem-1 per-row normal equations of one mode (contract of
 /// CooRowSystems); the regressor prefix is shared along fibers.
 RowSystems CsfRowSystems(const CsfTensor& csf,
                          const std::vector<double>& values,
                          const std::vector<Matrix>& factors, size_t mode,
-                         size_t num_threads = 1, WorkerPool* pool = nullptr);
+                         WorkerPool* pool = nullptr);
 
 /// CsfRowSystems with the temporal weight folded into the regressor
 /// prefix (contract of CooWeightedRowSystems).
@@ -50,8 +50,7 @@ RowSystems CsfWeightedRowSystems(const CsfTensor& csf,
                                  const std::vector<double>& values,
                                  const std::vector<Matrix>& factors,
                                  const std::vector<double>& temporal_row,
-                                 size_t mode, size_t num_threads = 1,
-                                 WorkerPool* pool = nullptr);
+                                 size_t mode, WorkerPool* pool = nullptr);
 
 /// Fused weighted row systems + proximal row solve (contract of
 /// CooProximalRowUpdates; same ProximalRowSolve tail, one task per output
@@ -62,15 +61,13 @@ void CsfProximalRowUpdates(const CsfTensor& csf,
                            const std::vector<Matrix>& factors,
                            const std::vector<double>& temporal_row,
                            size_t mode, const Matrix& previous, double mu,
-                           Matrix* u, size_t num_threads = 1,
-                           WorkerPool* pool = nullptr);
+                           Matrix* u, WorkerPool* pool = nullptr);
 
 /// Slice-global temporal normal equations (contract of CooNormalSystem);
 /// fiber-hoisted prefixes, root-slab partials combined in slab order.
 NormalSystem CsfNormalSystem(const CsfTensor& csf,
                              const std::vector<double>& values,
                              const std::vector<Matrix>& factors,
-                             size_t num_threads = 1,
                              WorkerPool* pool = nullptr);
 
 /// Per-mode gradients + curvature traces (contract of CooModeGradients).
@@ -78,7 +75,6 @@ ModeGradients CsfModeGradients(const CsfTensor& csf,
                                const std::vector<double>& residuals,
                                const std::vector<Matrix>& factors,
                                const std::vector<double>& temporal_row,
-                               size_t num_threads = 1,
                                WorkerPool* pool = nullptr,
                                bool with_traces = true);
 
@@ -87,13 +83,11 @@ ModeGradients CsfModeGradients(const CsfTensor& csf,
 std::vector<double> CsfKruskalGather(const CsfTensor& csf,
                                      const std::vector<Matrix>& factors,
                                      const std::vector<double>& temporal_row,
-                                     size_t num_threads = 1,
                                      WorkerPool* pool = nullptr);
 void CsfKruskalGather(const CsfTensor& csf,
                       const std::vector<Matrix>& factors,
                       const std::vector<double>& temporal_row,
-                      std::vector<double>* out, size_t num_threads = 1,
-                      WorkerPool* pool = nullptr);
+                      std::vector<double>* out, WorkerPool* pool = nullptr);
 
 /// The Algorithm-3 per-step accumulation (contract of CooStepGradients):
 /// per-mode gradient rows via the mode-rooted trees plus the temporal
@@ -102,7 +96,6 @@ StepGradients CsfStepGradients(const CsfTensor& csf,
                                const std::vector<double>& residuals,
                                const std::vector<Matrix>& factors,
                                const std::vector<double>& temporal_row,
-                               size_t num_threads = 1,
                                WorkerPool* pool = nullptr);
 
 }  // namespace sofia

@@ -18,7 +18,7 @@ namespace sofia {
 namespace kernel {
 
 /// Records per task in the blocked reductions. Fixed (never derived from the
-/// thread count) so the partial-sum tree is identical for every num_threads.
+/// thread count) so the partial-sum tree is identical for every pool.
 constexpr size_t kReductionBlock = 4096;
 
 /// Raw row-base view of a factor matrix, snapshotted before the record loop

@@ -79,11 +79,10 @@ Matrix Mttkrp(const DenseTensor& x, const std::vector<Matrix>& factors,
 }
 
 Matrix MaskedMttkrp(const DenseTensor& x, const Mask& omega,
-                    const std::vector<Matrix>& factors, size_t mode,
-                    size_t num_threads) {
+                    const std::vector<Matrix>& factors, size_t mode) {
   SOFIA_CHECK(omega.shape() == x.shape());
   const CooList coo = CooList::BuildForMode(omega, mode);
-  return CooMttkrp(coo, coo.Gather(x), factors, mode, num_threads);
+  return CooMttkrp(coo, coo.Gather(x), factors, mode);
 }
 
 }  // namespace sofia

@@ -37,8 +37,7 @@ Matrix Mttkrp(const DenseTensor& x, const std::vector<Matrix>& factors,
 /// several modes or repeated products against one mask should build the
 /// CooList themselves and call CooMttkrp directly to amortize the scan.
 Matrix MaskedMttkrp(const DenseTensor& x, const Mask& omega,
-                    const std::vector<Matrix>& factors, size_t mode,
-                    size_t num_threads = 1);
+                    const std::vector<Matrix>& factors, size_t mode);
 
 }  // namespace sofia
 

@@ -34,7 +34,7 @@ void CheckFactors(const CooList& coo, const std::vector<Matrix>& factors,
 template <size_t kR>
 void CooMttkrpImpl(const CooList& coo, const std::vector<double>& values,
                    const std::vector<FactorView>& views, size_t mode,
-                   size_t num_threads, WorkerPool* pool, size_t rank,
+                   WorkerPool* pool, size_t rank,
                    Matrix* out) {
   const std::vector<uint32_t>& order = coo.ModeOrder(mode);
   const std::vector<size_t>& ptr = coo.SlicePtr(mode);
@@ -61,7 +61,7 @@ void CooMttkrpImpl(const CooList& coo, const std::vector<double>& values,
       simd::AddIn(orow, h, R);
     }
   };
-  RunTasks(pool, num_threads, out->rows(), simd::Select(task));
+  RunTasks(pool, out->rows(), simd::Select(task));
 }
 
 /// Accumulate one mode slice's normal equations into raw b/c buffers
@@ -115,8 +115,8 @@ void AccumulateSliceRowSystem(const CooList& coo,
 template <size_t kR>
 void CooRowSystemsImpl(const CooList& coo, const std::vector<double>& values,
                        const std::vector<FactorView>& views,
-                       const double* weights, size_t mode, size_t num_threads,
-                       WorkerPool* pool, size_t rank, RowSystems* sys) {
+                       const double* weights, size_t mode, WorkerPool* pool,
+                       size_t rank, RowSystems* sys) {
   auto task = [&](size_t slice) {
     const size_t R = kR == 0 ? rank : kR;
     RankBuffer<kR> buf;
@@ -124,7 +124,7 @@ void CooRowSystemsImpl(const CooList& coo, const std::vector<double>& values,
                                  rank, buf.get(R), sys->b[slice].data(),
                                  sys->c[slice].data());
   };
-  RunTasks(pool, num_threads, sys->b.size(), simd::Select(task));
+  RunTasks(pool, sys->b.size(), simd::Select(task));
 }
 
 /// Fused row-system accumulation + proximal solve of one mode. Per task
@@ -139,7 +139,7 @@ void CooProximalRowUpdatesImpl(const CooList& coo,
                                const std::vector<FactorView>& views,
                                const double* weights, size_t mode,
                                const Matrix& previous, double mu,
-                               size_t num_threads, WorkerPool* pool,
+                               WorkerPool* pool,
                                size_t rank, Matrix* u) {
   auto task = [&](size_t slice) {
     const size_t R = kR == 0 ? rank : kR;
@@ -156,7 +156,7 @@ void CooProximalRowUpdatesImpl(const CooList& coo,
     ProximalRowSolve(b, c, previous.Row(slice), mu, R, abuf.get(R),
                      rhsbuf.get(R), u->Row(slice));
   };
-  RunTasks(pool, num_threads, u->rows(), simd::Select(task));
+  RunTasks(pool, u->rows(), simd::Select(task));
 }
 
 /// Blocked accumulation of the slice-global temporal system: each block owns
@@ -169,11 +169,11 @@ void CooProximalRowUpdatesImpl(const CooList& coo,
 template <size_t kR>
 void CooNormalSystemImpl(const CooList& coo, const std::vector<double>& values,
                          const std::vector<FactorView>& views,
-                         size_t num_threads, WorkerPool* pool, size_t rank,
+                         WorkerPool* pool, size_t rank,
                          double* partial) {
   const size_t num_modes = views.size();
   const size_t num_blocks = (coo.nnz() + kReductionBlock - 1) / kReductionBlock;
-  RunTasks(pool, num_threads, num_blocks, [&](size_t block) {
+  RunTasks(pool, num_blocks, [&](size_t block) {
     const size_t R = kR == 0 ? rank : kR;
     RankBuffer<kR> buf;
     double* h = buf.get(R);
@@ -203,10 +203,10 @@ template <size_t kR>
 void CooResidualBlocksImpl(const CooList& coo,
                            const std::vector<double>& values,
                            const std::vector<FactorView>& views,
-                           size_t num_threads, WorkerPool* pool, size_t rank,
+                           WorkerPool* pool, size_t rank,
                            size_t num_blocks, double* partial) {
   const size_t num_modes = views.size();
-  RunTasks(pool, num_threads, num_blocks, [&](size_t block) {
+  RunTasks(pool, num_blocks, [&](size_t block) {
     const size_t R = kR == 0 ? rank : kR;
     RankBuffer<kR> buf;
     double* prod = buf.get(R);
@@ -348,7 +348,7 @@ double CpWoptLossImpl(const CooList& coo, const std::vector<double>& values,
   };
   if (num_blocks <= 1) return block(0);
   ReduceScratch scratch(pool, num_blocks, 0);
-  RunTasks(pool, 1, num_blocks,
+  RunTasks(pool, num_blocks,
            [&](size_t b) { scratch.partials[b] = block(b); });
   double total = 0.0;
   for (size_t b = 0; b < num_blocks; ++b) total += scratch.partials[b];
@@ -378,7 +378,7 @@ void CpWoptGradientImpl(const CooList& coo, const std::vector<double>& values,
   }
   ReduceScratch scratch(pool, (tasks - 1) * params, 0);
   double* slabs = scratch.partials;
-  RunTasks(pool, 1, tasks, [&](size_t t) {
+  RunTasks(pool, tasks, [&](size_t t) {
     range(t, t == 0 ? grad : slabs + (t - 1) * params);
   });
   for (size_t t = 1; t < tasks; ++t) {
@@ -413,8 +413,8 @@ void DispatchPacked(const CooList& coo, const std::vector<double>& values,
 template <size_t kR>
 void CooKruskalGatherImpl(const CooList& coo,
                           const std::vector<FactorView>& views,
-                          const double* temporal_row, size_t num_threads,
-                          WorkerPool* pool, size_t rank,
+                          const double* temporal_row, WorkerPool* pool,
+                          size_t rank,
                           std::vector<double>* out) {
   const size_t num_modes = views.size();
   const size_t num_blocks = (coo.nnz() + kReductionBlock - 1) / kReductionBlock;
@@ -437,7 +437,7 @@ void CooKruskalGatherImpl(const CooList& coo,
       (*out)[k] = v;
     }
   };
-  RunTasks(pool, num_threads, num_blocks, simd::Select(task));
+  RunTasks(pool, num_blocks, simd::Select(task));
 }
 
 /// KruskalSlice-order gather: chain = fold of the non-leading modes from
@@ -448,12 +448,12 @@ void CooKruskalGatherImpl(const CooList& coo,
 template <size_t kR>
 void CooKruskalSliceGatherImpl(const CooList& coo,
                                const std::vector<FactorView>& views,
-                               const double* temporal_row, size_t num_threads,
-                               WorkerPool* pool, size_t rank,
+                               const double* temporal_row, WorkerPool* pool,
+                               size_t rank,
                                std::vector<double>* out) {
   const size_t num_modes = views.size();
   const size_t num_blocks = (coo.nnz() + kReductionBlock - 1) / kReductionBlock;
-  RunTasks(pool, num_threads, num_blocks, [&](size_t block) {
+  RunTasks(pool, num_blocks, [&](size_t block) {
     const size_t R = kR == 0 ? rank : kR;
     RankBuffer<kR> buf;
     double* chain = buf.get(R);
@@ -486,7 +486,7 @@ void CooModeGradientImpl(const CooList& coo,
                          const std::vector<double>& residuals,
                          const std::vector<FactorView>& views,
                          const double* temporal_row, size_t mode,
-                         size_t num_threads, WorkerPool* pool, size_t rank,
+                         WorkerPool* pool, size_t rank,
                          Matrix* grad, std::vector<double>* trace) {
   const std::vector<uint32_t>& order = coo.ModeOrder(mode);
   const std::vector<size_t>& ptr = coo.SlicePtr(mode);
@@ -516,7 +516,7 @@ void CooModeGradientImpl(const CooList& coo,
     }
     if constexpr (kTrace) (*trace)[slice] = tr;
   };
-  RunTasks(pool, num_threads, grad->rows(), simd::Select(task));
+  RunTasks(pool, grad->rows(), simd::Select(task));
 }
 
 /// Temporal gradient + trace: fixed-size record blocks, each owning R + 1
@@ -525,7 +525,7 @@ template <size_t kR>
 void CooTemporalGradientImpl(const CooList& coo,
                              const std::vector<double>& residuals,
                              const std::vector<FactorView>& views,
-                             size_t num_threads, WorkerPool* pool, size_t rank,
+                             WorkerPool* pool, size_t rank,
                              std::vector<double>* temporal_grad,
                              double* temporal_trace) {
   const size_t num_modes = views.size();
@@ -553,7 +553,7 @@ void CooTemporalGradientImpl(const CooList& coo,
       if (resid != 0.0) simd::MulAddIn(out, resid, full, R);
     }
   };
-  RunTasks(pool, num_threads, num_blocks, simd::Select(task));
+  RunTasks(pool, num_blocks, simd::Select(task));
   for (size_t block = 0; block < num_blocks; ++block) {
     const double* out = partial + block * (rank + 1);
     for (size_t r = 0; r < rank; ++r) (*temporal_grad)[r] += out[r];
@@ -565,7 +565,7 @@ void CooTemporalGradientImpl(const CooList& coo,
 
 Matrix CooMttkrp(const CooList& coo, const std::vector<double>& values,
                  const std::vector<Matrix>& factors, size_t mode,
-                 size_t num_threads, WorkerPool* pool) {
+                 WorkerPool* pool) {
   static const obs::KernelStats kStats = obs::MakeKernelStats("coo.mttkrp");
   obs::CountKernel(kStats, coo.nnz(), 2 * (factors.empty() ? 0 : factors[0].cols()) * coo.order());
   SOFIA_CHECK_LT(mode, coo.order());
@@ -577,15 +577,15 @@ Matrix CooMttkrp(const CooList& coo, const std::vector<double>& values,
   Matrix out(coo.shape().dim(mode), rank, 0.0);
   const std::vector<FactorView> views = MakeViews(factors);
   DispatchRank(rank, [&](auto tag) {
-    CooMttkrpImpl<decltype(tag)::value>(coo, values, views, mode, num_threads,
-                                        pool, rank, &out);
+    CooMttkrpImpl<decltype(tag)::value>(coo, values, views, mode, pool, rank,
+                                        &out);
   });
   return out;
 }
 
 RowSystems CooRowSystems(const CooList& coo, const std::vector<double>& values,
                          const std::vector<Matrix>& factors, size_t mode,
-                         size_t num_threads, WorkerPool* pool) {
+                         WorkerPool* pool) {
   static const obs::KernelStats kStats = obs::MakeKernelStats("coo.row_systems");
   obs::CountKernel(kStats, coo.nnz(), (factors.empty() ? 0 : factors[0].cols()) * (coo.order() + 2 * (factors.empty() ? 0 : factors[0].cols())));
   SOFIA_CHECK_LT(mode, coo.order());
@@ -601,7 +601,7 @@ RowSystems CooRowSystems(const CooList& coo, const std::vector<double>& values,
   DispatchRank(rank, [&](auto tag) {
     CooRowSystemsImpl<decltype(tag)::value>(coo, values, views,
                                             /*weights=*/nullptr, mode,
-                                            num_threads, pool, rank, &sys);
+                                            pool, rank, &sys);
   });
   return sys;
 }
@@ -610,8 +610,7 @@ RowSystems CooWeightedRowSystems(const CooList& coo,
                                  const std::vector<double>& values,
                                  const std::vector<Matrix>& factors,
                                  const std::vector<double>& temporal_row,
-                                 size_t mode, size_t num_threads,
-                                 WorkerPool* pool) {
+                                 size_t mode, WorkerPool* pool) {
   static const obs::KernelStats kStats = obs::MakeKernelStats("coo.weighted_row_systems");
   obs::CountKernel(kStats, coo.nnz(), (factors.empty() ? 0 : factors[0].cols()) * (coo.order() + 2 * (factors.empty() ? 0 : factors[0].cols())));
   SOFIA_CHECK_LT(mode, coo.order());
@@ -628,7 +627,7 @@ RowSystems CooWeightedRowSystems(const CooList& coo,
   DispatchRank(rank, [&](auto tag) {
     CooRowSystemsImpl<decltype(tag)::value>(coo, values, views,
                                             temporal_row.data(), mode,
-                                            num_threads, pool, rank, &sys);
+                                            pool, rank, &sys);
   });
   return sys;
 }
@@ -638,7 +637,7 @@ void CooProximalRowUpdates(const CooList& coo,
                            const std::vector<Matrix>& factors,
                            const std::vector<double>& temporal_row,
                            size_t mode, const Matrix& previous, double mu,
-                           Matrix* u, size_t num_threads, WorkerPool* pool) {
+                           Matrix* u, WorkerPool* pool) {
   SOFIA_CHECK_LT(mode, coo.order());
   SOFIA_CHECK_EQ(values.size(), coo.nnz());
   SOFIA_CHECK(coo.has_mode_bucket(mode));
@@ -654,14 +653,14 @@ void CooProximalRowUpdates(const CooList& coo,
   DispatchRank(rank, [&](auto tag) {
     CooProximalRowUpdatesImpl<decltype(tag)::value>(
         coo, values, views, temporal_row.data(), mode, previous, mu,
-        num_threads, pool, rank, u);
+        pool, rank, u);
   });
 }
 
 NormalSystem CooNormalSystem(const CooList& coo,
                              const std::vector<double>& values,
                              const std::vector<Matrix>& factors,
-                             size_t num_threads, WorkerPool* pool) {
+                             WorkerPool* pool) {
   SOFIA_CHECK_EQ(values.size(), coo.nnz());
   const size_t rank = factors.empty() ? 0 : factors[0].cols();
   CheckFactors(coo, factors, rank);
@@ -670,8 +669,8 @@ NormalSystem CooNormalSystem(const CooList& coo,
   ReduceScratch scratch(pool, num_blocks * (rank * rank + rank), 0);
   const std::vector<FactorView> views = MakeViews(factors);
   DispatchRank(rank, [&](auto tag) {
-    CooNormalSystemImpl<decltype(tag)::value>(coo, values, views, num_threads,
-                                              pool, rank, scratch.partials);
+    CooNormalSystemImpl<decltype(tag)::value>(coo, values, views, pool, rank,
+                                              scratch.partials);
   });
 
   NormalSystem sys;
@@ -690,7 +689,7 @@ ModeGradients CooModeGradients(const CooList& coo,
                                const std::vector<double>& residuals,
                                const std::vector<Matrix>& factors,
                                const std::vector<double>& temporal_row,
-                               size_t num_threads, WorkerPool* pool,
+                               WorkerPool* pool,
                                bool with_traces) {
   SOFIA_CHECK_EQ(residuals.size(), coo.nnz());
   const size_t rank = factors.empty() ? 0 : factors[0].cols();
@@ -711,12 +710,12 @@ ModeGradients CooModeGradients(const CooList& coo,
       SOFIA_CHECK(coo.has_mode_bucket(mode));
       if (with_traces) {
         CooModeGradientImpl<decltype(tag)::value, true>(
-            coo, residuals, views, temporal_row.data(), mode, num_threads,
-            pool, rank, &g.row_grads[mode], &g.row_trace[mode]);
+            coo, residuals, views, temporal_row.data(), mode, pool, rank,
+            &g.row_grads[mode], &g.row_trace[mode]);
       } else {
         CooModeGradientImpl<decltype(tag)::value, false>(
-            coo, residuals, views, temporal_row.data(), mode, num_threads,
-            pool, rank, &g.row_grads[mode], nullptr);
+            coo, residuals, views, temporal_row.data(), mode, pool, rank,
+            &g.row_grads[mode], nullptr);
       }
     }
   });
@@ -726,7 +725,7 @@ ModeGradients CooModeGradients(const CooList& coo,
 double CooResidualSquaredNorm(const CooList& coo,
                               const std::vector<double>& values,
                               const std::vector<Matrix>& factors,
-                              size_t num_threads, WorkerPool* pool) {
+                              WorkerPool* pool) {
   SOFIA_CHECK_EQ(values.size(), coo.nnz());
   const size_t rank = factors.empty() ? 0 : factors[0].cols();
   CheckFactors(coo, factors, rank);
@@ -739,7 +738,7 @@ double CooResidualSquaredNorm(const CooList& coo,
   const std::vector<FactorView> views = MakeViews(factors);
   DispatchRank(rank, [&](auto tag) {
     CooResidualBlocksImpl<decltype(tag)::value>(
-        coo, values, views, num_threads, pool, rank, num_blocks,
+        coo, values, views, pool, rank, num_blocks,
         scratch.partials);
   });
   double total = 0.0;
@@ -750,10 +749,9 @@ double CooResidualSquaredNorm(const CooList& coo,
 }
 
 double CooResidualNorm(const CooList& coo, const std::vector<double>& values,
-                       const std::vector<Matrix>& factors, size_t num_threads,
-                       WorkerPool* pool) {
+                       const std::vector<Matrix>& factors, WorkerPool* pool) {
   return std::sqrt(
-      CooResidualSquaredNorm(coo, values, factors, num_threads, pool));
+      CooResidualSquaredNorm(coo, values, factors, pool));
 }
 
 double CooCpWoptLoss(const CooList& coo, const std::vector<double>& values,
@@ -785,7 +783,7 @@ void CooCpWoptGradient(const CooList& coo, const std::vector<double>& values,
 std::vector<double> CooKruskalGather(const CooList& coo,
                                      const std::vector<Matrix>& factors,
                                      const std::vector<double>& temporal_row,
-                                     size_t num_threads, WorkerPool* pool) {
+                                     WorkerPool* pool) {
   const size_t rank = factors.empty() ? 0 : factors[0].cols();
   CheckFactors(coo, factors, rank);
   SOFIA_CHECK_EQ(temporal_row.size(), rank);
@@ -794,25 +792,23 @@ std::vector<double> CooKruskalGather(const CooList& coo,
   const std::vector<FactorView> views = MakeViews(factors);
   DispatchRank(rank, [&](auto tag) {
     CooKruskalGatherImpl<decltype(tag)::value>(
-        coo, views, temporal_row.data(), num_threads, pool, rank, &out);
+        coo, views, temporal_row.data(), pool, rank, &out);
   });
   return out;
 }
 
 std::vector<double> CooKruskalSliceGather(
     const CooList& coo, const std::vector<Matrix>& factors,
-    const std::vector<double>& temporal_row, size_t num_threads,
-    WorkerPool* pool) {
+    const std::vector<double>& temporal_row, WorkerPool* pool) {
   std::vector<double> out;
-  CooKruskalSliceGather(coo, factors, temporal_row, &out, num_threads, pool);
+  CooKruskalSliceGather(coo, factors, temporal_row, &out, pool);
   return out;
 }
 
 void CooKruskalSliceGather(const CooList& coo,
                            const std::vector<Matrix>& factors,
                            const std::vector<double>& temporal_row,
-                           std::vector<double>* out, size_t num_threads,
-                           WorkerPool* pool) {
+                           std::vector<double>* out, WorkerPool* pool) {
   static const obs::KernelStats kStats = obs::MakeKernelStats("coo.kruskal_gather");
   obs::CountKernel(kStats, coo.nnz(), 2 * (factors.empty() ? 0 : factors[0].cols()) * coo.order());
   const size_t rank = factors.empty() ? 0 : factors[0].cols();
@@ -823,7 +819,7 @@ void CooKruskalSliceGather(const CooList& coo,
   const std::vector<FactorView> views = MakeViews(factors);
   DispatchRank(rank, [&](auto tag) {
     CooKruskalSliceGatherImpl<decltype(tag)::value>(
-        coo, views, temporal_row.data(), num_threads, pool, rank, out);
+        coo, views, temporal_row.data(), pool, rank, out);
   });
 }
 
@@ -831,7 +827,7 @@ StepGradients CooStepGradients(const CooList& coo,
                                const std::vector<double>& residuals,
                                const std::vector<Matrix>& factors,
                                const std::vector<double>& temporal_row,
-                               size_t num_threads, WorkerPool* pool) {
+                               WorkerPool* pool) {
   static const obs::KernelStats kStats = obs::MakeKernelStats("coo.step_gradients");
   obs::CountKernel(kStats, coo.nnz(), 2 * (factors.empty() ? 0 : factors[0].cols()) * coo.order() * (coo.order() + 1));
   SOFIA_CHECK_EQ(residuals.size(), coo.nnz());
@@ -853,11 +849,11 @@ StepGradients CooStepGradients(const CooList& coo,
     for (size_t mode = 0; mode < factors.size(); ++mode) {
       SOFIA_CHECK(coo.has_mode_bucket(mode));
       CooModeGradientImpl<decltype(tag)::value>(
-          coo, residuals, views, temporal_row.data(), mode, num_threads, pool,
+          coo, residuals, views, temporal_row.data(), mode, pool,
           rank, &g.row_grads[mode], &g.row_trace[mode]);
     }
     CooTemporalGradientImpl<decltype(tag)::value>(
-        coo, residuals, views, num_threads, pool, rank, &g.temporal_grad,
+        coo, residuals, views, pool, rank, &g.temporal_grad,
         &g.temporal_trace);
   });
   return g;

@@ -20,11 +20,12 @@
 /// Three kernels stay scalar and keep the dense scans' order of operations,
 /// so on inputs of one reduction block they reproduce the oracle bit for
 /// bit: CooNormalSystem, CooKruskalSliceGather and CooResidualSquaredNorm.
-/// All of them parallelize over
-/// disjoint work units (mode slices, or fixed-size record blocks for the
-/// reductions) so results are bitwise identical for every `num_threads`:
-/// only the assignment of units to threads varies, never the accumulation
-/// order within a unit or the order units are combined in.
+/// All of them split the work into disjoint units (mode slices, or
+/// fixed-size record blocks for the reductions) and run the units on the
+/// `pool` they are handed, or inline when it is null. Results are bitwise
+/// identical for every pool: only the assignment of units to threads
+/// varies, never the accumulation order within a unit or the order units
+/// are combined in.
 ///
 /// `values` arguments are record-aligned (see CooList::Gather); passing the
 /// gathered y* = y - o of Theorem 1 yields the paper's robust updates.
@@ -59,19 +60,17 @@ struct ModeGradients {
 /// MTTKRP over observed entries: row i of the result accumulates
 /// values[k] * h_k for every record k in mode-`mode` slice i. Equals
 /// MaskedMttkrp on the dense pair the CooList was built from. Requires a
-/// CooList built with mode buckets. Callers issuing many kernel calls pass
-/// a long-lived `pool` (which overrides `num_threads`) to avoid re-spawning
-/// workers per call.
+/// CooList built with mode buckets.
 Matrix CooMttkrp(const CooList& coo, const std::vector<double>& values,
                  const std::vector<Matrix>& factors, size_t mode,
-                 size_t num_threads = 1, WorkerPool* pool = nullptr);
+                 WorkerPool* pool = nullptr);
 
 /// Accumulate the Theorem-1 row systems for `mode` from observed entries.
 /// The rank-1 updates touch only the upper triangle of each B and mirror it
 /// once per row at the end. Requires a CooList built with mode buckets.
 RowSystems CooRowSystems(const CooList& coo, const std::vector<double>& values,
                          const std::vector<Matrix>& factors, size_t mode,
-                         size_t num_threads = 1, WorkerPool* pool = nullptr);
+                         WorkerPool* pool = nullptr);
 
 /// Accumulate the slice-global temporal normal equations from observed
 /// entries: h_k is the Hadamard product over *all* modes' factor rows at
@@ -84,7 +83,7 @@ RowSystems CooRowSystems(const CooList& coo, const std::vector<double>& values,
 NormalSystem CooNormalSystem(const CooList& coo,
                              const std::vector<double>& values,
                              const std::vector<Matrix>& factors,
-                             size_t num_threads = 1, WorkerPool* pool = nullptr);
+                             WorkerPool* pool = nullptr);
 
 /// CooRowSystems with the temporal weight folded into the regressor:
 /// h = temporal_row ⊛ (⊛_{l != mode} u^(l)_{i_l}) — the per-row systems of
@@ -94,8 +93,7 @@ RowSystems CooWeightedRowSystems(const CooList& coo,
                                  const std::vector<double>& values,
                                  const std::vector<Matrix>& factors,
                                  const std::vector<double>& temporal_row,
-                                 size_t mode, size_t num_threads = 1,
-                                 WorkerPool* pool = nullptr);
+                                 size_t mode, WorkerPool* pool = nullptr);
 
 /// Fused CooWeightedRowSystems + proximal row solve: for every row i of
 /// `mode`, accumulate B_i = Σ h h^T and c_i = Σ vals h from the row's
@@ -112,8 +110,7 @@ void CooProximalRowUpdates(const CooList& coo,
                            const std::vector<Matrix>& factors,
                            const std::vector<double>& temporal_row,
                            size_t mode, const Matrix& previous, double mu,
-                           Matrix* u, size_t num_threads = 1,
-                           WorkerPool* pool = nullptr);
+                           Matrix* u, WorkerPool* pool = nullptr);
 
 /// Accumulate every mode's gradient rows and curvature traces from
 /// record-aligned residuals: grow[r] += residuals[k] * h_r and
@@ -127,7 +124,6 @@ ModeGradients CooModeGradients(const CooList& coo,
                                const std::vector<double>& residuals,
                                const std::vector<Matrix>& factors,
                                const std::vector<double>& temporal_row,
-                               size_t num_threads = 1,
                                WorkerPool* pool = nullptr,
                                bool with_traces = true);
 
@@ -136,13 +132,12 @@ ModeGradients CooModeGradients(const CooList& coo,
 double CooResidualSquaredNorm(const CooList& coo,
                               const std::vector<double>& values,
                               const std::vector<Matrix>& factors,
-                              size_t num_threads = 1,
                               WorkerPool* pool = nullptr);
 
 /// sqrt(CooResidualSquaredNorm(...)).
 double CooResidualNorm(const CooList& coo, const std::vector<double>& values,
                        const std::vector<Matrix>& factors,
-                       size_t num_threads = 1, WorkerPool* pool = nullptr);
+                       WorkerPool* pool = nullptr);
 
 /// CP-WOPT's masked least-squares loss f = 0.5 ||Ω ⊛ (Y - [[U]])||_F^2 and
 /// its gradient, evaluated on the quasi-Newton solver's packed parameters:
@@ -175,7 +170,6 @@ void CooCpWoptGradient(const CooList& coo, const std::vector<double>& values,
 std::vector<double> CooKruskalGather(const CooList& coo,
                                      const std::vector<Matrix>& factors,
                                      const std::vector<double>& temporal_row,
-                                     size_t num_threads = 1,
                                      WorkerPool* pool = nullptr);
 
 /// CooKruskalGather variant that replicates the KruskalSlice (Khatri-Rao
@@ -186,7 +180,6 @@ std::vector<double> CooKruskalGather(const CooList& coo,
 std::vector<double> CooKruskalSliceGather(const CooList& coo,
                                           const std::vector<Matrix>& factors,
                                           const std::vector<double>& temporal_row,
-                                          size_t num_threads = 1,
                                           WorkerPool* pool = nullptr);
 
 /// CooKruskalSliceGather into a caller-owned buffer (resized to nnz): hot
@@ -196,7 +189,7 @@ std::vector<double> CooKruskalSliceGather(const CooList& coo,
 void CooKruskalSliceGather(const CooList& coo,
                            const std::vector<Matrix>& factors,
                            const std::vector<double>& temporal_row,
-                           std::vector<double>* out, size_t num_threads = 1,
+                           std::vector<double>* out,
                            WorkerPool* pool = nullptr);
 
 /// Everything the dynamic update (Algorithm 3 lines 7-9) accumulates over
@@ -222,7 +215,6 @@ StepGradients CooStepGradients(const CooList& coo,
                                const std::vector<double>& residuals,
                                const std::vector<Matrix>& factors,
                                const std::vector<double>& temporal_row,
-                               size_t num_threads = 1,
                                WorkerPool* pool = nullptr);
 
 /// ||values||_2 — e.g. the masked data norm ||Ω ⊛ Y*||_F of the fitness

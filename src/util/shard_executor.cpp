@@ -49,6 +49,27 @@ void SpinUntil(Pred done) {
   }
 }
 
+/// True while the calling thread runs tasks of some batch.
+thread_local bool t_in_batch = false;
+std::atomic<uint64_t> g_nested_handoffs{0};
+
+/// Marks the calling thread as running tasks of a batch for the scope's
+/// lifetime; outermost() is false inside a nested Run.
+class InBatchScope {
+ public:
+  InBatchScope() : outermost_(!t_in_batch) { t_in_batch = true; }
+  ~InBatchScope() {
+    if (outermost_) t_in_batch = false;
+  }
+  InBatchScope(const InBatchScope&) = delete;
+  InBatchScope& operator=(const InBatchScope&) = delete;
+
+  bool outermost() const { return outermost_; }
+
+ private:
+  bool outermost_;
+};
+
 /// Aux-lane registry handles (the compute lane uses per-worker counters
 /// looked up at thread start instead — see WorkerLoop).
 struct AuxMetrics {
@@ -98,7 +119,7 @@ class BatchScope {
   BatchScope& operator=(const BatchScope&) = delete;
 
  private:
-  pool_detail::InBatchScope in_batch_;
+  InBatchScope in_batch_;
   obs::Counter* busy_us_;
   size_t tasks_;
   bool trace_span_;
@@ -107,6 +128,10 @@ class BatchScope {
 };
 
 }  // namespace
+
+uint64_t NestedHandOffs() {
+  return g_nested_handoffs.load(std::memory_order_relaxed);
+}
 
 double* ScratchArena::RawDoubles(size_t slot, size_t count) {
   if (slot >= slots_.size()) slots_.resize(slot + 1);
@@ -221,7 +246,7 @@ void ShardExecutor::Run(size_t num_tasks,
     for (size_t task = 0; task < num_tasks; ++task) fn(task);
     return;
   }
-  pool_detail::NoteHandOff();
+  if (t_in_batch) g_nested_handoffs.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     num_tasks_ = num_tasks;

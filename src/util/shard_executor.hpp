@@ -14,20 +14,20 @@
 #include "util/parallel.hpp"
 
 /// \file shard_executor.hpp
-/// \brief Persistent sharded worker runtime with stable task ownership.
+/// \brief The library's one worker pool: a persistent sharded runtime with
+/// stable task ownership.
 ///
-/// The streaming step loop calls the same kernels on the same CSF fiber
-/// trees hundreds of times. ThreadPool's dynamic task claiming re-rolls the
-/// task-to-thread mapping every call, so a worker's cache lines migrate
-/// between cores step to step. ShardExecutor instead assigns tasks by a
-/// *static contiguous block partition* that depends only on (num_tasks,
-/// num_threads): worker w always executes the same contiguous task range.
-/// Because kernel tasks are keyed to CSF root slabs, each worker re-touches
-/// the same slab range of every fiber tree across an entire stream — its
-/// private-cache working set stays warm. Results are bitwise identical to
-/// single-threaded execution at any worker count: task outputs are disjoint
-/// and slab partials are combined in slab order by the kernels themselves
-/// (see tensor/csf_kernels.cpp, RootSlabReduce).
+/// Every multi-thread kernel batch runs here (or inline, when a kernel is
+/// handed no pool — util/parallel.hpp). The streaming step loop calls the
+/// same kernels on the same CSF fiber trees hundreds of times, so tasks are
+/// assigned by a *static contiguous block partition* that depends only on
+/// (num_tasks, num_threads): worker w always executes the same contiguous
+/// task range. Because kernel tasks are keyed to CSF root slabs, each
+/// worker re-touches the same slab range of every fiber tree across an
+/// entire stream — its private-cache working set stays warm. Results are
+/// bitwise identical to single-threaded execution at any worker count:
+/// task outputs are disjoint and slab partials are combined in slab order
+/// by the kernels themselves (see tensor/csf_kernels.cpp, RootSlabReduce).
 ///
 /// The streaming pipeline uses the same partition one level up: one task
 /// per method per slice, so each lane steps a fixed contiguous range of
@@ -138,9 +138,9 @@ class ShardExecutor : public WorkerPool {
   std::vector<std::thread> workers_;
   ScratchArena caller_arena_;
 
-  // Compute-lane batch state (same protocol as ThreadPool, minus the
-  // claiming counter: each worker's range is fixed by the partition). All
-  // of it is written under mutex_; the three atomics are also polled
+  // Compute-lane batch state (each worker's range is fixed by the
+  // partition, so there is no claiming counter). All of it is written
+  // under mutex_; the three atomics are also polled
   // without the lock for a short while before a thread parks, so
   // back-to-back batches skip the condition-variable wake-up.
   std::mutex mutex_;
@@ -164,6 +164,12 @@ class ShardExecutor : public WorkerPool {
   uint64_t aux_submitted_ = 0;
   uint64_t aux_completed_ = 0;
 };
+
+/// Batches that any executor in the process handed to worker threads from
+/// inside a task of another batch: nested parallelism. Cumulative; the
+/// streaming pipeline's method lanes run their methods' kernels inline, so
+/// a run through it must not move this count (tests pin the delta).
+uint64_t NestedHandOffs();
 
 }  // namespace sofia
 

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/brst.hpp"
 #include "baselines/mast.hpp"
@@ -24,6 +25,7 @@
 #include "eval/streaming_method.hpp"
 #include "tensor/simd.hpp"
 #include "util/rng.hpp"
+#include "util/shard_executor.hpp"
 
 namespace sofia {
 namespace {
@@ -55,25 +57,22 @@ std::vector<DenseTensor> MakeTruth(size_t steps, uint64_t seed) {
 /// The library method `name` (dense = false) or its dense-scan reference
 /// (dense = true), with the test's small configuration.
 std::unique_ptr<StreamingMethod> MakeMethod(const std::string& name,
-                                            bool dense, size_t threads = 1) {
+                                            bool dense) {
   if (name == "online_sgd") {
     OnlineSgdOptions o;
     o.rank = 3;
-    o.num_threads = threads;
     if (dense) return std::make_unique<dense_oracle::DenseOnlineSgd>(o);
     return std::make_unique<OnlineSgd>(o);
   }
   if (name == "olstec") {
     OlstecOptions o;
     o.rank = 3;
-    o.num_threads = threads;
     if (dense) return std::make_unique<dense_oracle::DenseOlstec>(o);
     return std::make_unique<Olstec>(o);
   }
   if (name == "mast") {
     MastOptions o;
     o.rank = 3;
-    o.num_threads = threads;
     if (dense) return std::make_unique<dense_oracle::DenseMast>(o);
     return std::make_unique<Mast>(o);
   }
@@ -81,14 +80,12 @@ std::unique_ptr<StreamingMethod> MakeMethod(const std::string& name,
     OrMstcOptions o;
     o.rank = 3;
     o.outlier_lambda = 2.0;
-    o.num_threads = threads;
     if (dense) return std::make_unique<dense_oracle::DenseOrMstc>(o);
     return std::make_unique<OrMstc>(o);
   }
   if (name == "brst") {
     BrstOptions o;
     o.rank = 4;
-    o.num_threads = threads;
     if (dense) return std::make_unique<dense_oracle::DenseBrst>(o);
     return std::make_unique<BrstLite>(o);
   }
@@ -96,7 +93,6 @@ std::unique_ptr<StreamingMethod> MakeMethod(const std::string& name,
     SmfOptions o;
     o.rank = 3;
     o.period = 4;
-    o.num_threads = threads;
     if (dense) return std::make_unique<dense_oracle::DenseSmf>(o);
     return std::make_unique<Smf>(o);
   }
@@ -111,24 +107,30 @@ TEST_P(BaselineParityTest, DenseAndSparsePathsAgreeOnCorruptedStream) {
 
   std::unique_ptr<StreamingMethod> dense = MakeMethod(GetParam(), true);
   std::unique_ptr<StreamingMethod> sparse = MakeMethod(GetParam(), false);
-  std::unique_ptr<StreamingMethod> threaded =
-      MakeMethod(GetParam(), false, 3);
   std::unique_ptr<StreamingMethod> shared = MakeMethod(GetParam(), false);
   ASSERT_NE(dense, nullptr);
+  // Methods on adopted executors of two sizes: two task-to-thread maps.
+  std::vector<std::unique_ptr<StreamingMethod>> threaded;
+  for (size_t threads : {2, 3}) {
+    threaded.push_back(MakeMethod(GetParam(), false));
+    threaded.back()->AdoptWorkerPool(std::make_shared<ShardExecutor>(threads));
+  }
 
   for (size_t t = 0; t < truth.size(); ++t) {
     const DenseTensor& slice = stream.slices[t];
     const Mask& omega = stream.masks[t];
     DenseTensor a = dense->Step(slice, omega);
     DenseTensor b = sparse->Step(slice, omega);
-    DenseTensor c = threaded->Step(slice, omega);
     DenseTensor d = shared->Step(slice, omega, MakeSharedPattern(omega));
     // Dense oracle vs the library's observed-entry step: same math over
     // the same observed set, different traversal — ≤1e-12 across the whole
     // stream.
     EXPECT_LE(MaxAbsDiff(a, b), 1e-12) << GetParam() << " t=" << t;
     // Thread count must not change a single bit.
-    EXPECT_EQ(MaxAbsDiff(b, c), 0.0) << GetParam() << " t=" << t;
+    for (const auto& method : threaded) {
+      EXPECT_EQ(MaxAbsDiff(b, method->Step(slice, omega)), 0.0)
+          << GetParam() << " t=" << t;
+    }
     // An externally shared pattern must not change a single bit either.
     EXPECT_EQ(MaxAbsDiff(b, d), 0.0) << GetParam() << " t=" << t;
   }

@@ -296,16 +296,16 @@ TEST(CheckpointTest, EveryRestoredMutantStepsWithoutCrashing) {
   // A checkpoint that restores must be able to step: DurableGuard replays
   // the journal straight onto whatever RestoreState accepted. Truncations
   // and single-character mutations (every size/400-th byte set to each of
-  // '9', '#', '1', '0', ' ') of the SOFIA, MAST, OR-MSTC, CPHW and CP-WOPT
-  // checkpoints either throw StateError or restore into a state that
-  // steps. (ASan runs this same loop in CI.)
+  // '9', '#', '1', '0', ' ') of all nine methods' checkpoints either throw
+  // StateError or restore into a state that steps. (ASan runs this same
+  // loop in CI.)
   const size_t steps = 20;
   std::vector<DenseTensor> truth = MakeTruth(steps, 181);
   CorruptedStream stream = Corrupt(truth, {20.0, 5.0, 2.0}, 182);
   std::vector<std::unique_ptr<StreamingMethod>> originals = MakeAllMethods();
   std::string sofia_bytes;
-  for (const size_t m : {size_t{0}, size_t{3}, size_t{4}, size_t{7},
-                         size_t{8}}) {
+  ASSERT_EQ(originals.size(), 9u);
+  for (size_t m = 0; m < originals.size(); ++m) {
     StreamingMethod* a = originals[m].get();
     SCOPED_TRACE(a->name());
     const size_t w = a->init_window();

@@ -172,9 +172,9 @@ TEST(CpWoptKernelTest, MatchesOracleBitwiseForEveryRankAndOrder) {
 TEST(CpWoptKernelTest, MultiTaskGradientSplitMatchesOracleOnAnyPool) {
   // > 4096 observed records: the loss sums 3-5 blocks and the gradient
   // adds as many task slabs, so both combine orders are pinned. Pools only
-  // change which thread runs a task.
-  ShardExecutor executor(3);
-  ThreadPool threads(4);
+  // change which thread runs a task; each size is a different map.
+  ShardExecutor executor3(3);
+  ShardExecutor executor4(4);
   uint64_t seed = 400;
   for (const std::vector<size_t>& dims : std::vector<std::vector<size_t>>{
            {120, 90}, {160, 130}, {30, 20, 18}, {40, 30, 17}}) {
@@ -182,8 +182,8 @@ TEST(CpWoptKernelTest, MultiTaskGradientSplitMatchesOracleOnAnyPool) {
     ASSERT_GT(p.coo.nnz(), 2 * kBlock);
     SCOPED_TRACE("order " + std::to_string(dims.size()));
     ExpectMatchesOracle(p);
-    ExpectMatchesOracle(p, &executor);
-    ExpectMatchesOracle(p, &threads);
+    ExpectMatchesOracle(p, &executor3);
+    ExpectMatchesOracle(p, &executor4);
   }
 }
 

@@ -39,6 +39,7 @@
 #include "tensor/sparse_kernels.hpp"
 #include "tensor/sparse_mask.hpp"
 #include "util/rng.hpp"
+#include "util/shard_executor.hpp"
 
 namespace sofia {
 namespace {
@@ -327,31 +328,35 @@ TEST(CsfKernelsTest, BitwiseThreadDeterminism) {
   std::vector<double> values = RandomValues(coo.nnz(), 79);
   std::vector<double> w = RandomValues(rank, 83);
 
-  ThreadPool pool(3);
-  for (size_t mode = 0; mode < shape.order(); ++mode) {
-    Matrix serial = CsfMttkrp(csf, values, factors, mode);
-    Matrix threaded = CsfMttkrp(csf, values, factors, mode, 1, &pool);
-    for (size_t i = 0; i < serial.rows(); ++i) {
-      for (size_t r = 0; r < rank; ++r) {
-        EXPECT_EQ(serial(i, r), threaded(i, r));
+  // Each executor size is a different task-to-thread map.
+  for (size_t threads : {2, 3}) {
+    SCOPED_TRACE(threads);
+    ShardExecutor pool(threads);
+    for (size_t mode = 0; mode < shape.order(); ++mode) {
+      Matrix serial = CsfMttkrp(csf, values, factors, mode);
+      Matrix threaded = CsfMttkrp(csf, values, factors, mode, &pool);
+      for (size_t i = 0; i < serial.rows(); ++i) {
+        for (size_t r = 0; r < rank; ++r) {
+          EXPECT_EQ(serial(i, r), threaded(i, r));
+        }
+      }
+      RowSystems s1 = CsfWeightedRowSystems(csf, values, factors, w, mode);
+      RowSystems s2 =
+          CsfWeightedRowSystems(csf, values, factors, w, mode, &pool);
+      for (size_t i = 0; i < s1.b.size(); ++i) {
+        EXPECT_EQ(s1.c[i], s2.c[i]);
       }
     }
-    RowSystems s1 = CsfWeightedRowSystems(csf, values, factors, w, mode);
-    RowSystems s2 = CsfWeightedRowSystems(csf, values, factors, w, mode, 1,
-                                          &pool);
-    for (size_t i = 0; i < s1.b.size(); ++i) {
-      EXPECT_EQ(s1.c[i], s2.c[i]);
-    }
+    NormalSystem n1 = CsfNormalSystem(csf, values, factors);
+    NormalSystem n2 = CsfNormalSystem(csf, values, factors, &pool);
+    EXPECT_EQ(n1.c, n2.c);
+    EXPECT_EQ(CsfKruskalGather(csf, factors, w),
+              CsfKruskalGather(csf, factors, w, &pool));
+    StepGradients g1 = CsfStepGradients(csf, values, factors, w);
+    StepGradients g2 = CsfStepGradients(csf, values, factors, w, &pool);
+    EXPECT_EQ(g1.temporal_grad, g2.temporal_grad);
+    EXPECT_EQ(g1.temporal_trace, g2.temporal_trace);
   }
-  NormalSystem n1 = CsfNormalSystem(csf, values, factors);
-  NormalSystem n2 = CsfNormalSystem(csf, values, factors, 1, &pool);
-  EXPECT_EQ(n1.c, n2.c);
-  EXPECT_EQ(CsfKruskalGather(csf, factors, w),
-            CsfKruskalGather(csf, factors, w, 1, &pool));
-  StepGradients g1 = CsfStepGradients(csf, values, factors, w);
-  StepGradients g2 = CsfStepGradients(csf, values, factors, w, 1, &pool);
-  EXPECT_EQ(g1.temporal_grad, g2.temporal_grad);
-  EXPECT_EQ(g1.temporal_trace, g2.temporal_trace);
 }
 
 TEST(CsfKernelsTest, ObservedSweepCsfBackendMatchesCoo) {

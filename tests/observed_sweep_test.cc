@@ -15,6 +15,7 @@
 #include "tensor/kruskal.hpp"
 #include "tensor/sparse_kernels.hpp"
 #include "util/rng.hpp"
+#include "util/shard_executor.hpp"
 
 namespace sofia {
 namespace {
@@ -175,6 +176,8 @@ TEST(ObservedSweepKernelsTest, ProximalRowUpdatesMatchMaterializedSystems) {
   Problem p = MakeProblem(Shape({6, 5, 4}), 3, 0.3, 26);
   CooList coo = CooList::Build(p.omega);
   std::vector<double> values = coo.Gather(p.y);
+  ShardExecutor pool2(2);
+  ShardExecutor pool3(3);
   Rng rng(29);
   for (size_t mode = 0; mode < p.factors.size(); ++mode) {
     Matrix previous = Matrix::RandomNormal(p.factors[mode].rows(), 3, rng);
@@ -191,11 +194,13 @@ TEST(ObservedSweepKernelsTest, ProximalRowUpdatesMatchMaterializedSystems) {
                             &factors[mode]);
       EXPECT_EQ(factors[mode].MaxAbsDiff(expected), 0.0)
           << "mode=" << mode << " mu=" << mu;
-      ThreadPool pool(3);
-      std::vector<Matrix> pooled = p.factors;
-      CooProximalRowUpdates(coo, values, pooled, p.w, mode, previous, mu,
-                            &pooled[mode], 1, &pool);
-      EXPECT_EQ(pooled[mode].MaxAbsDiff(expected), 0.0);
+      for (ShardExecutor* pool : {&pool2, &pool3}) {
+        std::vector<Matrix> pooled = p.factors;
+        CooProximalRowUpdates(coo, values, pooled, p.w, mode, previous, mu,
+                              &pooled[mode], pool);
+        EXPECT_EQ(pooled[mode].MaxAbsDiff(expected), 0.0)
+            << "threads=" << pool->num_threads();
+      }
     }
   }
 }
@@ -204,32 +209,35 @@ TEST(ObservedSweepKernelsTest, KernelsAreBitwiseThreadDeterministic) {
   Problem p = MakeProblem(Shape({9, 8, 7}), 5, 0.6, 27);
   CooList coo = CooList::Build(p.omega);
   std::vector<double> values = coo.Gather(p.y);
-  ThreadPool pool(4);
-
   NormalSystem serial_sys = CooNormalSystem(coo, values, p.factors);
-  NormalSystem pooled_sys =
-      CooNormalSystem(coo, values, p.factors, 1, &pool);
-  EXPECT_EQ(serial_sys.b.MaxAbsDiff(pooled_sys.b), 0.0);
-  EXPECT_EQ(MaxAbsDiffVec(serial_sys.c, pooled_sys.c), 0.0);
-
-  for (size_t mode = 0; mode < p.factors.size(); ++mode) {
-    RowSystems serial =
-        CooWeightedRowSystems(coo, values, p.factors, p.w, mode);
-    RowSystems pooled =
-        CooWeightedRowSystems(coo, values, p.factors, p.w, mode, 1, &pool);
-    for (size_t i = 0; i < serial.b.size(); ++i) {
-      EXPECT_EQ(serial.b[i].MaxAbsDiff(pooled.b[i]), 0.0);
-      EXPECT_EQ(MaxAbsDiffVec(serial.c[i], pooled.c[i]), 0.0);
-    }
-  }
-
   ModeGradients serial_g = CooModeGradients(coo, values, p.factors, p.w);
-  ModeGradients pooled_g =
-      CooModeGradients(coo, values, p.factors, p.w, 1, &pool);
-  for (size_t l = 0; l < serial_g.row_grads.size(); ++l) {
-    EXPECT_EQ(serial_g.row_grads[l].MaxAbsDiff(pooled_g.row_grads[l]), 0.0);
-    EXPECT_EQ(MaxAbsDiffVec(serial_g.row_trace[l], pooled_g.row_trace[l]),
-              0.0);
+
+  // Each executor size is a different task-to-thread map.
+  for (size_t threads : {2, 3, 4}) {
+    SCOPED_TRACE(threads);
+    ShardExecutor pool(threads);
+    NormalSystem pooled_sys = CooNormalSystem(coo, values, p.factors, &pool);
+    EXPECT_EQ(serial_sys.b.MaxAbsDiff(pooled_sys.b), 0.0);
+    EXPECT_EQ(MaxAbsDiffVec(serial_sys.c, pooled_sys.c), 0.0);
+
+    for (size_t mode = 0; mode < p.factors.size(); ++mode) {
+      RowSystems serial =
+          CooWeightedRowSystems(coo, values, p.factors, p.w, mode);
+      RowSystems pooled =
+          CooWeightedRowSystems(coo, values, p.factors, p.w, mode, &pool);
+      for (size_t i = 0; i < serial.b.size(); ++i) {
+        EXPECT_EQ(serial.b[i].MaxAbsDiff(pooled.b[i]), 0.0);
+        EXPECT_EQ(MaxAbsDiffVec(serial.c[i], pooled.c[i]), 0.0);
+      }
+    }
+
+    ModeGradients pooled_g =
+        CooModeGradients(coo, values, p.factors, p.w, &pool);
+    for (size_t l = 0; l < serial_g.row_grads.size(); ++l) {
+      EXPECT_EQ(serial_g.row_grads[l].MaxAbsDiff(pooled_g.row_grads[l]), 0.0);
+      EXPECT_EQ(MaxAbsDiffVec(serial_g.row_trace[l], pooled_g.row_trace[l]),
+                0.0);
+    }
   }
 }
 

@@ -120,20 +120,20 @@ TEST(ShardExecutorTest, SingleThreadRunsInline) {
 TEST(ShardExecutorTest, NestedHandOffsCountOnlyDispatchFromInsideATask) {
   // A top-level multi-thread batch and an inline nested one are not nested
   // parallelism; a multi-thread Run from inside a task is, whatever the
-  // inner pool's type.
+  // sizes of the outer and inner executors.
   ShardExecutor outer(2);
   ShardExecutor inline_pool(1);
-  ThreadPool threaded_pool(2);
+  ShardExecutor three(3);
   const auto noop = [](size_t) {};
   const uint64_t before = NestedHandOffs();
   outer.Run(2, noop);
-  threaded_pool.Run(4, noop);
+  three.Run(4, noop);
   ShardExecutor(1).Run(1, [&](size_t) { inline_pool.Run(4, noop); });
   EXPECT_EQ(NestedHandOffs(), before);
-  ShardExecutor(1).Run(1, [&](size_t) { threaded_pool.Run(4, noop); });
+  ShardExecutor(1).Run(1, [&](size_t) { three.Run(4, noop); });
   EXPECT_EQ(NestedHandOffs(), before + 1);
   ShardExecutor two(2);
-  threaded_pool.Run(1, [&](size_t) { two.Run(4, noop); });
+  three.Run(1, [&](size_t) { two.Run(4, noop); });
   EXPECT_EQ(NestedHandOffs(), before + 2);
 }
 

@@ -30,6 +30,7 @@
 #include "tensor/simd.hpp"
 #include "tensor/sparse_kernels.hpp"
 #include "util/rng.hpp"
+#include "util/shard_executor.hpp"
 
 namespace sofia {
 namespace {
@@ -275,34 +276,40 @@ TEST_F(SimdParityTest, GradientsAndGathersMatchScalar) {
 
 TEST_F(SimdParityTest, VectorizedPathIsBitwiseThreadDeterministic) {
   simd::SetEnabled(true);
+  // Inline against executors of two sizes: two task-to-thread maps.
+  ShardExecutor pool2(2);
+  ShardExecutor pool4(4);
   for (size_t rank : {size_t{3}, size_t{16}}) {
     Problem p = MakeProblem(Shape({7, 6, 5}), rank, 500 + rank);
-    for (size_t mode = 0; mode < 3; ++mode) {
-      Matrix m1 = CooMttkrp(p.coo, p.values, p.factors, mode, 1);
-      Matrix m4 = CooMttkrp(p.coo, p.values, p.factors, mode, 4);
-      EXPECT_EQ(m1.MaxAbsDiff(m4), 0.0) << "CooMttkrp mode=" << mode;
-      Matrix c1 = CsfMttkrp(p.csf, p.values, p.factors, mode, 1);
-      Matrix c4 = CsfMttkrp(p.csf, p.values, p.factors, mode, 4);
-      EXPECT_EQ(c1.MaxAbsDiff(c4), 0.0) << "CsfMttkrp mode=" << mode;
+    const StepGradients s1 =
+        CooStepGradients(p.coo, p.values, p.factors, p.temporal_row);
+    const StepGradients cs1 =
+        CsfStepGradients(p.csf, p.values, p.factors, p.temporal_row);
+    for (ShardExecutor* pool : {&pool2, &pool4}) {
+      SCOPED_TRACE(pool->num_threads());
+      for (size_t mode = 0; mode < 3; ++mode) {
+        Matrix m1 = CooMttkrp(p.coo, p.values, p.factors, mode);
+        Matrix m4 = CooMttkrp(p.coo, p.values, p.factors, mode, pool);
+        EXPECT_EQ(m1.MaxAbsDiff(m4), 0.0) << "CooMttkrp mode=" << mode;
+        Matrix c1 = CsfMttkrp(p.csf, p.values, p.factors, mode);
+        Matrix c4 = CsfMttkrp(p.csf, p.values, p.factors, mode, pool);
+        EXPECT_EQ(c1.MaxAbsDiff(c4), 0.0) << "CsfMttkrp mode=" << mode;
+      }
+      StepGradients s4 =
+          CooStepGradients(p.coo, p.values, p.factors, p.temporal_row, pool);
+      StepGradients cs4 =
+          CsfStepGradients(p.csf, p.values, p.factors, p.temporal_row, pool);
+      for (size_t n = 0; n < 3; ++n) {
+        EXPECT_EQ(s1.row_grads[n].MaxAbsDiff(s4.row_grads[n]), 0.0);
+        EXPECT_EQ(cs1.row_grads[n].MaxAbsDiff(cs4.row_grads[n]), 0.0);
+      }
+      for (size_t r = 0; r < rank; ++r) {
+        EXPECT_EQ(s1.temporal_grad[r], s4.temporal_grad[r]);
+        EXPECT_EQ(cs1.temporal_grad[r], cs4.temporal_grad[r]);
+      }
+      EXPECT_EQ(s1.temporal_trace, s4.temporal_trace);
+      EXPECT_EQ(cs1.temporal_trace, cs4.temporal_trace);
     }
-    StepGradients s1 =
-        CooStepGradients(p.coo, p.values, p.factors, p.temporal_row, 1);
-    StepGradients s4 =
-        CooStepGradients(p.coo, p.values, p.factors, p.temporal_row, 4);
-    StepGradients cs1 =
-        CsfStepGradients(p.csf, p.values, p.factors, p.temporal_row, 1);
-    StepGradients cs4 =
-        CsfStepGradients(p.csf, p.values, p.factors, p.temporal_row, 4);
-    for (size_t n = 0; n < 3; ++n) {
-      EXPECT_EQ(s1.row_grads[n].MaxAbsDiff(s4.row_grads[n]), 0.0);
-      EXPECT_EQ(cs1.row_grads[n].MaxAbsDiff(cs4.row_grads[n]), 0.0);
-    }
-    for (size_t r = 0; r < rank; ++r) {
-      EXPECT_EQ(s1.temporal_grad[r], s4.temporal_grad[r]);
-      EXPECT_EQ(cs1.temporal_grad[r], cs4.temporal_grad[r]);
-    }
-    EXPECT_EQ(s1.temporal_trace, s4.temporal_trace);
-    EXPECT_EQ(cs1.temporal_trace, cs4.temporal_trace);
   }
 }
 

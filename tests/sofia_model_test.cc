@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "data/corruption.hpp"
 #include "data/synthetic.hpp"
 #include "eval/metrics.hpp"
 #include "tensor/kruskal.hpp"
+#include "util/shard_executor.hpp"
 
 namespace sofia {
 namespace {
@@ -22,7 +27,8 @@ struct StreamProblem {
 /// streams (no prior needed; avoids regularization bias), 0.5 for corrupted
 /// streams where the prior is what rescues the factorization.
 StreamProblem MakeStream(size_t duration, uint64_t seed,
-                         double lambda = 1e-3) {
+                         double lambda = 1e-3, size_t rows = 9,
+                         size_t cols = 7) {
   StreamProblem p;
   p.config.period = 8;
   p.config.rank = 3;
@@ -32,7 +38,8 @@ StreamProblem MakeStream(size_t duration, uint64_t seed,
   p.config.lambda1 = lambda;
   p.config.lambda2 = lambda;
   SyntheticTensor syn =
-      MakeSinusoidTensor(9, 7, duration, p.config.rank, p.config.period, seed);
+      MakeSinusoidTensor(rows, cols, duration, p.config.rank, p.config.period,
+                         seed);
   for (size_t t = 0; t < duration; ++t) {
     p.truth.push_back(syn.tensor.SliceLastMode(t));
   }
@@ -215,6 +222,99 @@ TEST(SofiaModelTest, AblationWithoutRejectionLeaksOutliers) {
   };
 
   EXPECT_LT(run(/*reject=*/true), run(/*reject=*/false));
+}
+
+/// Bitwise equality of two double arrays (memcmp: -0.0 and NaN payloads
+/// count too).
+void ExpectSameBits(const std::vector<double>& a, const std::vector<double>& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+      << what;
+}
+
+std::vector<double> Values(const DenseTensor& t) {
+  return std::vector<double>(t.data(), t.data() + t.NumElements());
+}
+
+std::vector<double> Values(const Matrix& m) {
+  return std::vector<double>(m.data(), m.data() + m.size());
+}
+
+TEST(SofiaModelTest, InitializeIsBitwiseIndependentOfThePool) {
+  // Init runs on the model's step pool. The ALS kernels split each sweep
+  // into thread-owned units, so every worker count, and an adopted
+  // executor, must give the same bits: factors, the init completion, the
+  // Holt-Winters fit, σ, and the next step. 20 x 16 x 24 at 70% observed is
+  // past one 4096-record reduction block, so the blocked residual norm
+  // splits across threads too.
+  StreamProblem p = MakeStream(32, 61, /*lambda=*/0.5, 20, 16);
+  CorruptedStream stream = Corrupt(p.truth, {30.0, 5.0, 4.0}, 62);
+  const size_t w = p.config.InitWindow();
+  std::vector<DenseTensor> slices(stream.slices.begin(),
+                                  stream.slices.begin() + w);
+  std::vector<Mask> masks(stream.masks.begin(), stream.masks.begin() + w);
+  size_t observed = 0;
+  for (const Mask& m : masks) observed += m.CountObserved();
+  ASSERT_GT(observed, 4096u);
+
+  std::vector<SofiaModel> models;
+  std::vector<std::string> labels;
+  for (size_t threads : {1, 2, 3, 8}) {
+    SofiaConfig config = p.config;
+    config.num_threads = threads;
+    models.push_back(SofiaModel::Initialize(slices, masks, config));
+    labels.push_back("num_threads=" + std::to_string(threads));
+  }
+  models.push_back(SofiaModel::Initialize(
+      slices, masks, p.config, {}, std::make_shared<ShardExecutor>(3)));
+  labels.push_back("adopted 3-thread executor");
+
+  const SofiaModel& ref = models[0];
+  for (size_t i = 1; i < models.size(); ++i) {
+    SCOPED_TRACE(labels[i]);
+    const SofiaModel& model = models[i];
+    ASSERT_EQ(model.nontemporal_factors().size(),
+              ref.nontemporal_factors().size());
+    for (size_t n = 0; n < ref.nontemporal_factors().size(); ++n) {
+      ExpectSameBits(Values(model.nontemporal_factors()[n]),
+                     Values(ref.nontemporal_factors()[n]), "factor");
+    }
+    ExpectSameBits(Values(model.init_completed()),
+                   Values(ref.init_completed()), "init_completed");
+    ASSERT_EQ(model.hw_params().size(), ref.hw_params().size());
+    for (size_t r = 0; r < ref.hw_params().size(); ++r) {
+      ExpectSameBits({model.hw_params()[r].alpha, model.hw_params()[r].beta,
+                      model.hw_params()[r].gamma},
+                     {ref.hw_params()[r].alpha, ref.hw_params()[r].beta,
+                      ref.hw_params()[r].gamma},
+                     "hw_params");
+    }
+    ExpectSameBits(model.level(), ref.level(), "level");
+    ExpectSameBits(model.trend(), ref.trend(), "trend");
+    ExpectSameBits(model.last_temporal_row(), ref.last_temporal_row(),
+                   "last_temporal_row");
+    ExpectSameBits(Values(model.error_scale()), Values(ref.error_scale()),
+                   "sigma");
+  }
+
+  const DenseTensor& y = stream.slices[w];
+  const Mask& omega = stream.masks[w];
+  SofiaStepResult ref_step = models[0].Step(y, omega);
+  for (size_t i = 1; i < models.size(); ++i) {
+    SCOPED_TRACE(labels[i]);
+    SofiaStepResult step = models[i].Step(y, omega);
+    ExpectSameBits(step.observed_forecast(), ref_step.observed_forecast(),
+                   "forecast");
+    ExpectSameBits(step.observed_outliers(), ref_step.observed_outliers(),
+                   "outliers");
+    ExpectSameBits(step.temporal_row(), ref_step.temporal_row(),
+                   "temporal_row");
+    ExpectSameBits(Values(step.imputed()), Values(ref_step.imputed()),
+                   "imputed");
+    ExpectSameBits(Values(models[i].error_scale()),
+                   Values(ref.error_scale()), "sigma after step");
+  }
 }
 
 }  // namespace

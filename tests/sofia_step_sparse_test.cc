@@ -11,6 +11,7 @@
 #include "tensor/kruskal.hpp"
 #include "tensor/sparse_kernels.hpp"
 #include "util/rng.hpp"
+#include "util/shard_executor.hpp"
 
 namespace sofia {
 namespace {
@@ -264,6 +265,8 @@ TEST(SofiaStepSparseTest, StepBitwiseDeterministicAcrossThreadCounts) {
 /// at several densities and orders, plus thread determinism.
 TEST(SofiaStepSparseTest, CooStepGradientsMatchDenseReference) {
   Rng rng(571);
+  ShardExecutor pool2(2);
+  ShardExecutor pool4(4);
   for (const auto& dims : {std::vector<size_t>{7, 5},
                            std::vector<size_t>{4, 3, 5}}) {
     Shape shape(dims);
@@ -287,25 +290,29 @@ TEST(SofiaStepSparseTest, CooStepGradientsMatchDenseReference) {
         const size_t lin = coo.LinearIndex(k);
         resid[k] = y[lin] - o[lin] - forecast[lin];
       }
-      StepGradients sparse =
-          CooStepGradients(coo, resid, factors, u_hat, /*num_threads=*/1);
-      StepGradients threaded =
-          CooStepGradients(coo, resid, factors, u_hat, /*num_threads=*/4);
+      StepGradients sparse = CooStepGradients(coo, resid, factors, u_hat);
 
       ASSERT_EQ(dense.row_grads.size(), sparse.row_grads.size());
       for (size_t n = 0; n < dense.row_grads.size(); ++n) {
         EXPECT_LE(sparse.row_grads[n].MaxAbsDiff(dense.row_grads[n]), kTol);
         EXPECT_LE(MaxAbsDiffVec(sparse.row_trace[n], dense.row_trace[n]),
                   kTol);
-        // Thread-count invariance is exact, not approximate.
-        EXPECT_EQ(threaded.row_grads[n].MaxAbsDiff(sparse.row_grads[n]), 0.0);
-        EXPECT_EQ(threaded.row_trace[n], sparse.row_trace[n]);
       }
       EXPECT_LE(MaxAbsDiffVec(sparse.temporal_grad, dense.temporal_grad),
                 kTol);
       EXPECT_NEAR(sparse.temporal_trace, dense.temporal_trace, kTol);
-      EXPECT_EQ(threaded.temporal_grad, sparse.temporal_grad);
-      EXPECT_EQ(threaded.temporal_trace, sparse.temporal_trace);
+      // Thread-count invariance is exact, not approximate.
+      for (ShardExecutor* pool : {&pool2, &pool4}) {
+        StepGradients threaded =
+            CooStepGradients(coo, resid, factors, u_hat, pool);
+        for (size_t n = 0; n < dense.row_grads.size(); ++n) {
+          EXPECT_EQ(threaded.row_grads[n].MaxAbsDiff(sparse.row_grads[n]),
+                    0.0);
+          EXPECT_EQ(threaded.row_trace[n], sparse.row_trace[n]);
+        }
+        EXPECT_EQ(threaded.temporal_grad, sparse.temporal_grad);
+        EXPECT_EQ(threaded.temporal_trace, sparse.temporal_trace);
+      }
     }
   }
 }
@@ -328,7 +335,10 @@ TEST(SofiaStepSparseTest, CooKruskalGatherMatchesKruskalSlice) {
     EXPECT_NEAR(got[k], slice[coo.LinearIndex(k)],
                 kTol * (1.0 + std::fabs(got[k])));
   }
-  EXPECT_EQ(CooKruskalGather(coo, factors, u_hat, 4), got);
+  for (size_t threads : {2, 4}) {
+    ShardExecutor pool(threads);
+    EXPECT_EQ(CooKruskalGather(coo, factors, u_hat, &pool), got);
+  }
 }
 
 /// The mask-reuse fast path: consecutive steps with an identical mask (the

@@ -9,6 +9,7 @@
 #include "tensor/coo_list.hpp"
 #include "tensor/products.hpp"
 #include "util/rng.hpp"
+#include "util/shard_executor.hpp"
 
 namespace sofia {
 namespace {
@@ -255,19 +256,24 @@ TEST(SparseKernelsTest, DeterministicAcrossThreadCounts) {
   std::vector<Matrix> factors = RandomFactors(shape, 4, rng);
   CooList coo = CooList::Build(omega);
   std::vector<double> ystar = coo.GatherResidual(y, o);
-  for (size_t mode = 0; mode < shape.order(); ++mode) {
-    Matrix m1 = CooMttkrp(coo, ystar, factors, mode, 1);
-    Matrix m4 = CooMttkrp(coo, ystar, factors, mode, 4);
-    EXPECT_EQ(m1.MaxAbsDiff(m4), 0.0) << "mode " << mode;
-    RowSystems s1 = CooRowSystems(coo, ystar, factors, mode, 1);
-    RowSystems s4 = CooRowSystems(coo, ystar, factors, mode, 4);
-    for (size_t i = 0; i < s1.b.size(); ++i) {
-      EXPECT_EQ(s1.b[i].MaxAbsDiff(s4.b[i]), 0.0);
-      EXPECT_EQ(s1.c[i], s4.c[i]);
+  // Inline against executors of two sizes: two task-to-thread maps.
+  for (size_t threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    ShardExecutor pool(threads);
+    for (size_t mode = 0; mode < shape.order(); ++mode) {
+      Matrix m1 = CooMttkrp(coo, ystar, factors, mode);
+      Matrix m4 = CooMttkrp(coo, ystar, factors, mode, &pool);
+      EXPECT_EQ(m1.MaxAbsDiff(m4), 0.0) << "mode " << mode;
+      RowSystems s1 = CooRowSystems(coo, ystar, factors, mode);
+      RowSystems s4 = CooRowSystems(coo, ystar, factors, mode, &pool);
+      for (size_t i = 0; i < s1.b.size(); ++i) {
+        EXPECT_EQ(s1.b[i].MaxAbsDiff(s4.b[i]), 0.0);
+        EXPECT_EQ(s1.c[i], s4.c[i]);
+      }
     }
+    EXPECT_EQ(CooResidualNorm(coo, ystar, factors),
+              CooResidualNorm(coo, ystar, factors, &pool));
   }
-  EXPECT_EQ(CooResidualNorm(coo, ystar, factors, 1),
-            CooResidualNorm(coo, ystar, factors, 4));
 }
 
 }  // namespace

@@ -303,8 +303,7 @@ TEST(StreamPipelineTest, EverySliceIsOneBatchAndLanesKeepToTheirOwnPools) {
   EXPECT_EQ(distinct.size(), probes.size());
   // SOFIA's kernels dispatched through the pool it was lent.
   EXPECT_GT(probes[0]->lent->runs(), 0u);
-  // No lane task handed work to other threads through any pool: a
-  // ShardExecutor, a ThreadPool, or ParallelFor's cached pools.
+  // No lane task handed work to other threads through any executor.
   EXPECT_EQ(NestedHandOffs(), nested_before);
   // Every ShardExecutor batch of the run, inline ones included, was the
   // lane executor's or a lent pool's (counted by the metrics registry).
