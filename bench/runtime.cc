@@ -8,10 +8,9 @@
 //    (Initialize excluded) and the speedup against one lane, plus each
 //    method's median step time at one lane (Fig. 5 on this machine: the
 //    slowest lane's methods bound the slice);
-//  - overlap off vs on (depth 1 vs 2): one SOFIA instance (sparse kernels,
-//    csf pattern storage) on large slices, where ingest (pattern +
-//    CSF-delta build, eval-pattern sampling, truth gathers) is worth
-//    hiding — the hidden fraction is 1 - ingest_stall_s / ingest_s, taken
+//  - overlap off vs on (depth 1 vs 2): one SOFIA instance on large slices,
+//    where ingest (pattern build, eval-pattern sampling, truth gathers) is
+//    worth hiding — the hidden fraction is 1 - ingest_stall_s / ingest_s, taken
 //    straight from the pipeline telemetry; plus per-slice vs windowed
 //    ingest (window 1 vs 4) at depth 2;
 //  - executor dispatch: the per-batch cost of the persistent executor on
@@ -164,9 +163,7 @@ OverlapStats TimeSofia(const CorruptedStream& stream,
                        const StreamEvalOptions& options, size_t reps) {
   OverlapStats best;
   for (size_t rep = 0; rep < reps; ++rep) {
-    SofiaConfig config = BenchSofiaConfig();
-    config.pattern_storage = PatternStorage::kCsf;
-    SofiaStream sofia(config);
+    SofiaStream sofia(BenchSofiaConfig());
     std::vector<StreamingMethod*> methods = {&sofia};
     std::vector<MethodRunResult> results =
         RunStreamPipeline(methods, stream, truth, options);
@@ -265,8 +262,8 @@ int main(int argc, char** argv) {
   }
 
   // Ingest/compute overlap, one SOFIA on large slices with mild mask churn
-  // (fresh Bernoulli mask every 8 steps, so ingest has real pattern +
-  // CSF-delta builds to hide, as a live stream would): depth 1 (off) vs 2,
+  // (fresh Bernoulli mask every 8 steps, so ingest has real pattern builds
+  // to hide, as a live stream would): depth 1 (off) vs 2,
   // and windowed ingest at depth 2.
   {
     const std::vector<DenseTensor> truth =
@@ -283,7 +280,6 @@ int main(int argc, char** argv) {
     }
     StreamEvalOptions off;
     off.max_eval_entries = 512;
-    off.pattern_storage = PatternStorage::kCsf;
     off.pipeline_depth = 1;
     const OverlapStats overlap_off = TimeSofia(stream, truth, off, reps);
     StreamEvalOptions on = off;
@@ -329,8 +325,8 @@ int main(int argc, char** argv) {
                "scored side by side on min(N, 9) lanes, Initialize "
                "excluded (depth 1); steps/<method>_us = that method's "
                "median step time at one lane (Fig. 5 on this machine), "
-               "lowest over the repetitions. overlap/* = one SOFIA (sparse "
-               "kernels, csf storage) over %zu %zux%zu slices, %.0f%% "
+               "lowest over the repetitions. overlap/* = one SOFIA over %zu "
+               "%zux%zu slices, %.0f%% "
                "observed, fresh Bernoulli mask every 8 steps: ingest/compute "
                "pipelining depth 2 vs 1, hidden_fraction = share of ingest "
                "time overlapped under compute (1 - stall/ingest, from "

@@ -1,41 +1,23 @@
-// Raw-speed kernel pass: the three levers of the kernel layer, measured
-// against their own fallbacks on one machine.
+// Raw-speed kernel pass: every hot Coo kernel timed with the AVX2+FMA
+// trampoline enabled vs forced scalar (simd::SetEnabled), at a narrow and
+// a wide rank, on one machine. The speedup entries are the acceptance
+// numbers; on hardware without AVX2+FMA every pair degenerates to 1x and
+// the JSON says so.
 //
-//  1. simd — every hot Coo/Csf kernel timed with the AVX2+FMA trampoline
-//     enabled vs forced scalar (simd::SetEnabled), at a narrow and a wide
-//     rank. The speedup_simd_over_scalar entries are the acceptance
-//     numbers; on hardware without AVX2+FMA every pair degenerates to 1x
-//     and the JSON says so.
-//  2. csf_delta — fiber-tree maintenance across a bursty-outage mask
-//     sequence (a few root slices drop out, then recover — a few percent
-//     churn per change): CsfTensor::BuildDelta patching the previous trees
-//     vs recompiling from scratch on every change. CooList construction is
-//     excluded from both sides (the two paths share it); the timed region
-//     is exactly the tree maintenance the stream runner's pattern cache
-//     pays per mask change.
-//  3. auto_leaf — CsfMttkrp over all modes with per-tree leaf-mode
-//     selection (csf::SetAutoLeaf) vs the default descending-mode trees on
-//     a sensors x zones x time-of-day shape whose shortest fibers lie, for
-//     the default order, in the *wrong* mode.
-//
-// Emits its summary JSON directly (same schema as BENCH_csf.json):
+// Emits its summary JSON directly:
 //
 //   bench_simd [--out=BENCH_simd.json] [--d0=96] [--d1=32] [--d2=32]
-//              [--density=5] [--changes=24] [--reps=5]
+//              [--density=5] [--reps=5]
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "linalg/matrix.hpp"
 #include "tensor/coo_list.hpp"
-#include "tensor/csf_kernels.hpp"
-#include "tensor/csf_tensor.hpp"
 #include "tensor/mask.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/sparse_kernels.hpp"
@@ -102,7 +84,6 @@ int main(int argc, char** argv) {
   const size_t d1 = static_cast<size_t>(flags.GetInt("d1", 32));
   const size_t d2 = static_cast<size_t>(flags.GetInt("d2", 32));
   const int density = flags.GetInt("density", 5);
-  const size_t changes = static_cast<size_t>(flags.GetInt("changes", 24));
   const size_t reps = static_cast<size_t>(flags.GetInt("reps", 5));
 
   const Shape shape({d0, d1, d2});
@@ -113,12 +94,10 @@ int main(int argc, char** argv) {
     std::printf("note: no AVX2+FMA on this host — simd pairs will be ~1x\n");
   }
 
-  // ------------------------------------------------------------- 1. simd
   for (size_t rank : {size_t{4}, size_t{16}}) {
     Rng rng(301 + rank);
     Mask omega = BernoulliMask(shape, density / 100.0, rng);
     CooList coo = CooList::Build(omega);
-    CsfTensor csf = CsfTensor::Build(coo);
     std::vector<Matrix> factors = RandomFactors(shape, rank, rng);
     std::vector<double> values(coo.nnz());
     for (double& v : values) v = rng.Uniform(-2.0, 2.0);
@@ -130,15 +109,8 @@ int main(int argc, char** argv) {
         CooMttkrp(coo, values, factors, mode);
       }
     });
-    SimdPair("mttkrp_csf" + r, reps, &results, &speedups, [&] {
-      for (size_t mode = 0; mode < shape.order(); ++mode) {
-        CsfMttkrp(csf, values, factors, mode);
-      }
-    });
     SimdPair("step_gradients_coo" + r, reps, &results, &speedups,
              [&] { CooStepGradients(coo, values, factors, w); });
-    SimdPair("step_gradients_csf" + r, reps, &results, &speedups,
-             [&] { CsfStepGradients(csf, values, factors, w); });
     SimdPair("row_systems_coo" + r, reps, &results, &speedups, [&] {
       for (size_t mode = 0; mode < shape.order(); ++mode) {
         CooRowSystems(coo, values, factors, mode);
@@ -146,120 +118,15 @@ int main(int argc, char** argv) {
     });
     SimdPair("kruskal_gather_coo" + r, reps, &results, &speedups,
              [&] { CooKruskalGather(coo, factors, w); });
-    SimdPair("kruskal_gather_csf" + r, reps, &results, &speedups,
-             [&] { CsfKruskalGather(csf, factors, w); });
 
     std::printf(
-        "simd r=%-2zu: mttkrp coo %.2fx csf %.2fx | step-grad coo %.2fx "
-        "csf %.2fx | row-sys %.2fx | gather coo %.2fx csf %.2fx\n",
-        rank, speedups["mttkrp_coo" + r], speedups["mttkrp_csf" + r],
-        speedups["step_gradients_coo" + r],
-        speedups["step_gradients_csf" + r], speedups["row_systems_coo" + r],
-        speedups["kruskal_gather_coo" + r],
-        speedups["kruskal_gather_csf" + r]);
+        "simd r=%-2zu: mttkrp %.2fx | step-grad %.2fx | row-sys %.2fx | "
+        "gather %.2fx\n",
+        rank, speedups["mttkrp_coo" + r], speedups["step_gradients_coo" + r],
+        speedups["row_systems_coo" + r], speedups["kruskal_gather_coo" + r]);
   }
-
-  // -------------------------------------------------------- 2. csf_delta
-  {
-    // Regional outage: every change drops the records inside one localized
-    // sub-box of the grid (one building's sensors across a few zones and
-    // hours going dark), the next change restores them. The removed
-    // records cluster in *every* coordinate, so each of the three trees
-    // recompiles only the few root subtrees the box touches — the regime
-    // BuildDelta's span-copy fast path targets. (A whole-slice outage
-    // would dirty nearly every root of the *other* modes' trees and patch
-    // at rebuild cost.)
-    Rng rng(401);
-    Mask base = BernoulliMask(shape, density / 100.0, rng);
-    const size_t s0 = std::max<size_t>(1, d0 / 8);
-    const size_t s1 = std::max<size_t>(1, d1 / 8);
-    const size_t s2 = std::max<size_t>(1, d2 / 8);
-    std::vector<std::shared_ptr<const CooList>> patterns;
-    patterns.push_back(
-        std::make_shared<const CooList>(CooList::Build(base)));
-    for (size_t t = 1; t <= changes; ++t) {
-      if (t % 2 == 1) {
-        Mask outage = base;
-        const size_t a0 = (7 * t) % (d0 - s0 + 1);
-        const size_t a1 = (11 * t) % (d1 - s1 + 1);
-        const size_t a2 = (13 * t) % (d2 - s2 + 1);
-        for (size_t i0 = a0; i0 < a0 + s0; ++i0) {
-          for (size_t i1 = a1; i1 < a1 + s1; ++i1) {
-            for (size_t i2 = a2; i2 < a2 + s2; ++i2) {
-              outage.Set(shape.Linearize({i0, i1, i2}), false);
-            }
-          }
-        }
-        patterns.push_back(
-            std::make_shared<const CooList>(CooList::Build(outage)));
-      } else {
-        patterns.push_back(patterns.front());  // The region recovers.
-      }
-    }
-
-    const double full_s = Best(reps, [&] {
-      for (size_t t = 1; t < patterns.size(); ++t) {
-        CsfTensor fresh = CsfTensor::Build(*patterns[t]);
-        if (fresh.order() == 0) std::abort();
-      }
-    });
-    const double delta_s = Best(reps, [&] {
-      CsfTensor current = CsfTensor::Build(*patterns[0]);
-      for (size_t t = 1; t < patterns.size(); ++t) {
-        CsfTensor next;
-        if (!CsfTensor::BuildDelta(current, *patterns[t - 1], *patterns[t],
-                                   csf::DeltaMaxChurn(), &next)) {
-          next = CsfTensor::Build(*patterns[t]);
-        }
-        current = std::move(next);
-      }
-    });
-    results["csf_delta_full_rebuild_s"] = full_s;
-    results["csf_delta_patch_s"] = delta_s;
-    speedups["csf_delta_bursty_outage"] =
-        delta_s > 0.0 ? full_s / delta_s : 0.0;
-    std::printf("csf-delta: %zu changes, rebuild %0.4fs -> patch %0.4fs "
-                "(%.2fx)\n",
-                changes, full_s, delta_s,
-                speedups["csf_delta_bursty_outage"]);
-  }
-
-  // --------------------------------------------------------- 3. auto_leaf
-  {
-    // Sensors x zones x time-of-day: almost all the index mass lives in
-    // the long last mode, so the default descending-mode order makes it
-    // the first non-root level of every other tree and leaves one-record
-    // leaf fibers (no prefix reuse); auto-leaf pushes it down to the leaf.
-    // Measured with the simd knob in its shipping position — the tree
-    // shape, not the ISA, is the variable under test.
-    const Shape leaf_shape({6, 6, 4096});
-    simd::SetEnabled(simd::Available());
-    Rng rng(501);
-    Mask omega = BernoulliMask(leaf_shape, 0.15, rng);
-    CooList coo = CooList::Build(omega);
-    CsfTensor default_t = CsfTensor::Build(coo, /*auto_leaf=*/false);
-    CsfTensor auto_t = CsfTensor::Build(coo, /*auto_leaf=*/true);
-    const size_t rank = 8;
-    std::vector<Matrix> factors = RandomFactors(leaf_shape, rank, rng);
-    std::vector<double> values(coo.nnz());
-    for (double& v : values) v = rng.Uniform(-2.0, 2.0);
-
-    const double def_s = Best(reps, [&] {
-      for (size_t mode = 0; mode < leaf_shape.order(); ++mode) {
-        CsfMttkrp(default_t, values, factors, mode);
-      }
-    });
-    const double auto_s = Best(reps, [&] {
-      for (size_t mode = 0; mode < leaf_shape.order(); ++mode) {
-        CsfMttkrp(auto_t, values, factors, mode);
-      }
-    });
-    results["autoleaf_mttkrp_default_s"] = def_s;
-    results["autoleaf_mttkrp_auto_s"] = auto_s;
-    speedups["autoleaf_mttkrp"] = auto_s > 0.0 ? def_s / auto_s : 0.0;
-    std::printf("auto-leaf: mttkrp %0.4fs default -> %0.4fs auto (%.2fx)\n",
-                def_s, auto_s, speedups["autoleaf_mttkrp"]);
-  }
+  // Back to the shipping position, which the machine block reports.
+  simd::SetEnabled(simd::Available());
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -270,21 +137,12 @@ int main(int argc, char** argv) {
   std::fprintf(
       f,
       "  \"description\": \"Raw-speed kernel levers on %zux%zux%zu, %d%% "
-      "observed. simd pairs time each hot kernel with the AVX2+FMA "
+      "observed. simd pairs time each hot Coo kernel with the AVX2+FMA "
       "trampoline on vs forced scalar (simd::SetEnabled) at ranks 4 and "
-      "16 (simd ISA here: %s). csf_delta_* times fiber-tree maintenance "
-      "over %zu regional-outage mask changes (one sub-box spanning 1/8 of "
-      "each dimension goes dark, then recovers — the removed records "
-      "cluster in every coordinate, so each tree recompiles only the few "
-      "root subtrees the box touches): CsfTensor::BuildDelta patching vs "
-      "a fresh Build per change, CooList construction excluded from both. "
-      "autoleaf_* times CsfMttkrp over all modes with per-tree leaf-mode "
-      "selection vs the default descending-mode trees on 6x6x4096 at "
-      "15%% density, rank 8, simd in its shipping position. Best (min) "
-      "wall time over %zu repetitions, single thread (bench_simd "
-      "--out=BENCH_simd.json).\",\n",
+      "16 (simd ISA here: %s). Best (min) wall time over %zu repetitions, "
+      "single thread (bench_simd --out=BENCH_simd.json).\",\n",
       d0, d1, d2, density, simd::Available() ? "avx2+fma" : "scalar-only",
-      changes, reps);
+      reps);
   bench::WriteMachineBlock(f);
   std::fprintf(f, "  \"unit\": \"s\",\n");
   std::fprintf(f, "  \"results\": {\n");

@@ -9,10 +9,8 @@
 //   4. Run SOFIA over the stream and report imputation quality.
 //
 // Usage: file_stream [--path=/tmp/sofia_demo_stream.csv]
-//                    [--num_threads=0]
-//                    [--storage=coo|csf] [--guard=off|skip|rollback|reinit]
-//                    [--simd=on|off] [--csf-leaf=default|auto]
-//                    [--csf-churn=0.25]
+//                    [--num_threads=0] [--guard=off|skip|rollback|reinit]
+//                    [--simd=on|off]
 //                    [--workers=0] [--pipeline-depth=2] [--window=1]
 //                    [--state-dir=] [--snapshot-every=16] [--journal=on]
 //                    [--kill-at=-1]
@@ -40,10 +38,13 @@
 // whatever reached disk, resumes, and the demo verifies the recovered
 // estimates are bitwise identical to a run that never crashed.
 //
+// --simd=off forces the scalar kernel instantiations (tensor/simd.hpp).
+// Any flag not listed above is an error.
+//
 // The run is driven by the streaming runtime (eval/stream_pipeline.hpp):
 // --workers caps the method lanes (one method here, so it runs inline on
 // the caller with its kernels serial), --pipeline-depth >= 2 overlaps slice
-// t+1's ingest (pattern build, CSF delta, truth gathers) with slice t's
+// t+1's ingest (pattern build, truth gathers) with slice t's
 // solve on the executor's aux lane, and --window batches that ingest k
 // slices at a time. Scores are bitwise identical for every knob
 // combination.
@@ -64,7 +65,6 @@
 #include "eval/stream_runner.hpp"
 #include "obs/cli.hpp"
 #include "obs/obs.hpp"
-#include "tensor/csf_tensor.hpp"
 #include "tensor/simd.hpp"
 #include "timeseries/period.hpp"
 #include "util/flags.hpp"
@@ -75,6 +75,28 @@ int main(int argc, char** argv) {
   const obs::ObsCliConfig obs_config = obs::SetupObsFromFlags(flags);
   const std::string path =
       flags.GetString("path", "/tmp/sofia_demo_stream.csv");
+  const size_t num_threads =
+      static_cast<size_t>(flags.GetInt("num_threads", 0));
+  simd::SetEnabled(
+      flags.GetString("simd", simd::Enabled() ? "on" : "off") == "on");
+  // --state-dir: the crash-consistent durability demo (write-ahead journal
+  // + rotated atomic snapshots + kill-restart-resume) instead of the
+  // pipelined comparison run.
+  const std::string state_dir = flags.GetString("state-dir", "");
+  DurableGuardOptions durable_options;
+  durable_options.state_dir = state_dir;
+  durable_options.snapshot_every =
+      static_cast<size_t>(flags.GetInt("snapshot-every", 16));
+  durable_options.journal = flags.GetBool("journal", true);
+  const int64_t kill_flag = flags.GetInt("kill-at", -1);
+  const std::string guard_name = flags.GetString("guard", "off");
+  StreamEvalOptions options;
+  options.num_threads = num_threads;
+  options.workers = static_cast<size_t>(flags.GetInt("workers", 0));
+  options.pipeline_depth =
+      static_cast<size_t>(flags.GetInt("pipeline-depth", 2));
+  options.window = static_cast<size_t>(flags.GetInt("window", 1));
+  if (ReportUnreadFlags(flags, argv[0]) > 0) return 2;
 
   // 1. Simulate "real" data on disk: a network-traffic-like stream with
   //    30% missing entries and 10% outliers.
@@ -139,23 +161,7 @@ int main(int argc, char** argv) {
   Dataset as_loaded = traffic;  // Ground truth for scoring only.
   SofiaConfig config = MakeExperimentConfig(as_loaded, corrupted);
   config.period = period;
-  config.num_threads = static_cast<size_t>(
-      flags.GetInt("num_threads", static_cast<int64_t>(config.num_threads)));
-  // --storage=csf routes the per-step pattern through the CSF fiber-tree
-  // backend (tensor/csf_tensor.hpp) instead of the flat CooList.
-  config.pattern_storage = ParsePatternStorage(
-      flags.GetString("storage", PatternStorageName(config.pattern_storage)));
-  // Kernel-ISA and CSF-maintenance knobs (tensor/simd.hpp,
-  // tensor/csf_tensor.hpp): scalar-vs-vector instantiations, per-tree
-  // leaf-mode selection, and the BuildDelta patch-vs-rebuild threshold.
-  simd::SetEnabled(
-      flags.GetString("simd", simd::Enabled() ? "on" : "off") == "on");
-  csf::SetAutoLeaf(flags.GetString("csf-leaf", "default") == "auto");
-  csf::SetDeltaMaxChurn(flags.GetDouble("csf-churn", csf::DeltaMaxChurn()));
-  // --state-dir: the crash-consistent durability demo (write-ahead journal
-  // + rotated atomic snapshots + kill-restart-resume) instead of the
-  // pipelined comparison run.
-  const std::string state_dir = flags.GetString("state-dir", "");
+  config.num_threads = num_threads;
   if (!state_dir.empty()) {
     const size_t window = config.InitWindow();
     const size_t total = loaded.slices.size();
@@ -180,12 +186,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    DurableGuardOptions durable_options;
-    durable_options.state_dir = state_dir;
-    durable_options.snapshot_every =
-        static_cast<size_t>(flags.GetInt("snapshot-every", 16));
-    durable_options.journal = flags.GetBool("journal", true);
-    const int64_t kill_flag = flags.GetInt("kill-at", -1);
     const size_t kill_at =  // In post-init steps; default mid-stream.
         kill_flag < 0 ? (total - window) / 2
                       : std::min<size_t>(static_cast<size_t>(kill_flag),
@@ -234,7 +234,6 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<StreamingMethod> method =
       std::make_unique<SofiaStream>(config);
-  const std::string guard_name = flags.GetString("guard", "off");
   if (guard_name != "off") {
     StreamGuardOptions guard_options;
     guard_options.policy = ParseGuardPolicy(guard_name);
@@ -246,13 +245,6 @@ int main(int argc, char** argv) {
 
   // Drive the run through the pipelined streaming runtime — the same path
   // RunImputationComparison takes, with the knobs exposed.
-  StreamEvalOptions options;
-  options.num_threads = config.num_threads;
-  options.pattern_storage = config.pattern_storage;
-  options.workers = static_cast<size_t>(flags.GetInt("workers", 0));
-  options.pipeline_depth =
-      static_cast<size_t>(flags.GetInt("pipeline-depth", 2));
-  options.window = static_cast<size_t>(flags.GetInt("window", 1));
   std::vector<StreamingMethod*> methods = {method.get()};
   std::vector<MethodRunResult> results =
       RunStreamPipeline(methods, stream, traffic.slices, options);

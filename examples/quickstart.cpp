@@ -5,15 +5,15 @@
 // of 12 ticks, with 30% of entries missing and 10% hit by outliers.
 //
 // Build & run:  ./examples/quickstart
-//               [--workers=0] [--storage=coo|csf] [--simd=on|off]
+//               [--workers=0] [--simd=on|off]
 //               [--trace-out=FILE] [--metrics-out=FILE]
 //               [--stats-every=N] [--obs=on|off]
 //
 // The knobs mirror the other examples: --workers sizes SOFIA's internal
-// kernel worker pool, --storage=csf selects the compressed-sparse-fiber
-// pattern backend, --simd=off forces the scalar kernels. The imputation
-// numbers are identical across all three. --trace-out/--metrics-out record
+// kernel worker pool, --simd=off forces the scalar kernels. The imputation
+// numbers are identical across both. --trace-out/--metrics-out record
 // an observability trace / metric snapshots of the run (obs/cli.hpp).
+// Any other flag is an error.
 
 #include <cmath>
 #include <cstdio>
@@ -23,7 +23,6 @@
 #include "data/synthetic.hpp"
 #include "eval/metrics.hpp"
 #include "obs/cli.hpp"
-#include "tensor/pattern_storage.hpp"
 #include "tensor/simd.hpp"
 #include "util/flags.hpp"
 
@@ -31,6 +30,10 @@ int main(int argc, char** argv) {
   using namespace sofia;
   Flags flags(argc, argv);
   const obs::ObsCliConfig obs_config = obs::SetupObsFromFlags(flags);
+  const size_t workers = static_cast<size_t>(flags.GetInt("workers", 0));
+  simd::SetEnabled(
+      flags.GetString("simd", simd::Enabled() ? "on" : "off") == "on");
+  if (ReportUnreadFlags(flags, argv[0]) > 0) return 2;
 
   // 1. A ground-truth seasonal low-rank stream (what the world would look
   //    like if sensors never failed).
@@ -54,12 +57,8 @@ int main(int argc, char** argv) {
   config.period = kPeriod;
   config.lambda1 = 0.5;
   config.lambda2 = 0.5;
-  // Runtime knobs — shape only, the numbers below don't move.
-  config.num_threads = static_cast<size_t>(flags.GetInt("workers", 0));
-  config.pattern_storage =
-      ParsePatternStorage(flags.GetString("storage", "coo"));
-  simd::SetEnabled(
-      flags.GetString("simd", simd::Enabled() ? "on" : "off") == "on");
+  // Runtime knob — shape only, the numbers below don't move.
+  config.num_threads = workers;
 
   // 4. Initialize on the first 3 seasons (Algorithm 1 + HW fitting)...
   const size_t window = config.InitWindow();

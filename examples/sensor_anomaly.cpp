@@ -9,16 +9,15 @@
 //
 // Usage: sensor_anomaly [--fault_rate=10] [--magnitude=5]
 //                       [--num_threads=0]
-//                       [--workers=0] [--storage=coo|csf] [--simd=on|off]
+//                       [--workers=0] [--simd=on|off]
 //                       [--trace-out=FILE] [--metrics-out=FILE]
 //                       [--stats-every=N] [--obs=on|off]
 //
 // --workers sizes SOFIA's internal sharded executor (overrides
-// --num_threads when nonzero); --storage=csf routes the per-step pattern
-// through the compressed-sparse-fiber backend; --simd=off forces the
-// scalar kernel instantiations. Detection counts are identical across all
-// three knobs. --trace-out/--metrics-out capture an obs trace and metric
-// snapshots of the run (obs/cli.hpp).
+// --num_threads when nonzero); --simd=off forces the scalar kernel
+// instantiations. Detection counts are identical across both knobs.
+// --trace-out/--metrics-out capture an obs trace and metric snapshots of
+// the run (obs/cli.hpp). Any other flag is an error.
 
 #include <cmath>
 #include <cstdio>
@@ -28,7 +27,6 @@
 #include "data/dataset_sim.hpp"
 #include "eval/experiment.hpp"
 #include "obs/cli.hpp"
-#include "tensor/pattern_storage.hpp"
 #include "tensor/simd.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -51,10 +49,9 @@ int main(int argc, char** argv) {
       flags.GetInt("num_threads", static_cast<int64_t>(config.num_threads)));
   const size_t workers = static_cast<size_t>(flags.GetInt("workers", 0));
   if (workers != 0) config.num_threads = workers;
-  config.pattern_storage =
-      ParsePatternStorage(flags.GetString("storage", "coo"));
   simd::SetEnabled(
       flags.GetString("simd", simd::Enabled() ? "on" : "off") == "on");
+  if (ReportUnreadFlags(flags, argv[0]) > 0) return 2;
   const size_t window = config.InitWindow();
   std::vector<DenseTensor> init_slices(stream.slices.begin(),
                                        stream.slices.begin() + window);

@@ -15,9 +15,7 @@
 // Usage: taxi_imputation [--missing=50] [--outliers=20] [--magnitude=4]
 //                        [--num_threads=0]
 //                        [--eval_cap=1024] [--force_dense=false]
-//                        [--storage=coo|csf]
-//                        [--simd=on|off] [--csf-leaf=default|auto]
-//                        [--csf-churn=0.25]
+//                        [--simd=on|off]
 //                        [--scenario=clean|bursty-outage|regime-change|
 //                                    structured-outliers|garbage-slices|
 //                                    combined-stress]
@@ -35,7 +33,8 @@
 // --scenario replaces the plain element-wise corruption with one of the
 // adversarial stream scenarios from data/scenarios.hpp; --guard wraps both
 // methods in a StreamGuard with the given degradation policy (try
-// --scenario=garbage-slices with and without --guard=rollback).
+// --scenario=garbage-slices with and without --guard=rollback). Any other
+// flag is an error.
 
 #include <cstdio>
 #include <memory>
@@ -51,7 +50,6 @@
 #include "eval/stream_guard.hpp"
 #include "eval/stream_runner.hpp"
 #include "obs/cli.hpp"
-#include "tensor/csf_tensor.hpp"
 #include "tensor/simd.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -66,14 +64,37 @@ int main(int argc, char** argv) {
   setting.missing_percent = flags.GetDouble("missing", 50.0);
   setting.outlier_percent = flags.GetDouble("outliers", 20.0);
   setting.magnitude = flags.GetDouble("magnitude", 4.0);
-
-  Dataset taxi = MakeChicagoTaxi(DatasetScale::kSmall);
-  taxi.slices.resize(6 * taxi.period);
-
   // --scenario= swaps the plain element corruption for an adversarial
   // stream (outages, regime change, garbage slices, ...); the scoring
   // truth comes from the scenario, which may transform it mid-stream.
   const std::string scenario_name = flags.GetString("scenario", "");
+  // Kernel knobs, shared by SOFIA and the baseline: both run their
+  // per-step work on the observed-entry kernels. --simd=off forces the
+  // scalar kernel instantiations (tensor/simd.hpp).
+  const size_t num_threads =
+      static_cast<size_t>(flags.GetInt("num_threads", 0));
+  simd::SetEnabled(
+      flags.GetString("simd", simd::Enabled() ? "on" : "off") == "on");
+  // --guard= wraps both methods in the fault-tolerance layer
+  // (eval/stream_guard.hpp): input validation, health watch, and the named
+  // degradation policy on trip.
+  const std::string guard_name = flags.GetString("guard", "off");
+  // Lazy comparison protocol: one shared pattern build per distinct mask
+  // per step, scores from gathers, the methods stepped side by side.
+  StreamEvalOptions options;
+  options.max_eval_entries =
+      static_cast<size_t>(flags.GetInt("eval_cap", 1024));
+  options.force_dense = flags.GetBool("force_dense", false);
+  options.num_threads = num_threads;
+  options.workers = static_cast<size_t>(flags.GetInt("workers", 0));
+  options.pipeline_depth =
+      static_cast<size_t>(flags.GetInt("pipeline-depth", 1));
+  options.window = static_cast<size_t>(flags.GetInt("window", 1));
+  if (ReportUnreadFlags(flags, argv[0]) > 0) return 2;
+
+  Dataset taxi = MakeChicagoTaxi(DatasetScale::kSmall);
+  taxi.slices.resize(6 * taxi.period);
+
   CorruptedStream stream;
   std::vector<DenseTensor> truth = taxi.slices;
   if (scenario_name.empty()) {
@@ -98,38 +119,14 @@ int main(int argc, char** argv) {
               scenario_name.empty() ? "" : ", scenario ",
               scenario_name.c_str());
 
-  // Kernel knobs, shared by SOFIA and the baseline: both run their
-  // per-step work on the observed-entry kernels. --storage=csf compiles
-  // each shared per-step pattern into CSF fiber trees
-  // (tensor/csf_tensor.hpp) and routes every method's kernels through the
-  // fiber-reuse backend.
-  const size_t num_threads =
-      static_cast<size_t>(flags.GetInt("num_threads", 0));
-  const PatternStorage storage =
-      ParsePatternStorage(flags.GetString("storage", "coo"));
-  // Kernel-ISA and CSF-maintenance knobs (tensor/simd.hpp,
-  // tensor/csf_tensor.hpp): --simd=off forces the scalar kernel
-  // instantiations; --csf-leaf=auto picks each fiber tree's leaf mode by
-  // fewest distinct fibers; --csf-churn bounds the pattern-churn fraction
-  // BuildDelta patches incrementally instead of recompiling.
-  simd::SetEnabled(
-      flags.GetString("simd", simd::Enabled() ? "on" : "off") == "on");
-  csf::SetAutoLeaf(flags.GetString("csf-leaf", "default") == "auto");
-  csf::SetDeltaMaxChurn(flags.GetDouble("csf-churn", csf::DeltaMaxChurn()));
-
   SofiaConfig config = MakeExperimentConfig(taxi, stream);
   config.num_threads = num_threads;
-  config.pattern_storage = storage;
   auto sofia_owned = std::make_unique<SofiaStream>(config);
   SofiaStream* sofia_method = sofia_owned.get();  // For the final model peek.
 
   OnlineSgdOptions sgd_options;
   sgd_options.rank = taxi.rank;
 
-  // --guard= wraps both methods in the fault-tolerance layer
-  // (eval/stream_guard.hpp): input validation, health watch, and the named
-  // degradation policy on trip.
-  const std::string guard_name = flags.GetString("guard", "off");
   std::unique_ptr<StreamingMethod> sofia_runner = std::move(sofia_owned);
   std::unique_ptr<StreamingMethod> sgd_runner =
       std::make_unique<OnlineSgd>(sgd_options);
@@ -141,19 +138,6 @@ int main(int argc, char** argv) {
     sgd_runner = std::make_unique<StreamGuard>(std::move(sgd_runner),
                                                guard_options);
   }
-
-  // Lazy comparison protocol: one shared pattern build per distinct mask
-  // per step, scores from gathers, the methods stepped side by side.
-  StreamEvalOptions options;
-  options.max_eval_entries =
-      static_cast<size_t>(flags.GetInt("eval_cap", 1024));
-  options.force_dense = flags.GetBool("force_dense", false);
-  options.num_threads = num_threads;
-  options.pattern_storage = storage;
-  options.workers = static_cast<size_t>(flags.GetInt("workers", 0));
-  options.pipeline_depth =
-      static_cast<size_t>(flags.GetInt("pipeline-depth", 1));
-  options.window = static_cast<size_t>(flags.GetInt("window", 1));
 
   StepResult::ResetMaterializations();
   std::vector<StreamingMethod*> methods = {sofia_runner.get(),

@@ -12,9 +12,7 @@
 //                                     structured-outliers|garbage-slices|
 //                                     combined-stress]
 //                         [--guard=off|skip|rollback|reinit]
-//                         [--num_threads=0]
-//                         [--storage=coo|csf] [--simd=on|off]
-//                         [--csf-leaf=default|auto] [--csf-churn=0.25]
+//                         [--num_threads=0] [--simd=on|off]
 //                         [--workers=0]
 //                         [--trace-out=FILE] [--metrics-out=FILE]
 //                         [--stats-every=N] [--obs=on|off]
@@ -28,9 +26,10 @@
 // makes the garbage-slice scenarios survivable at all.
 //
 // --workers sizes SOFIA's internal sharded executor for the training
-// steps (util/shard_executor.hpp — each worker keeps a stable slab range
-// of the pattern's fiber trees across the whole prefix); it overrides
-// --num_threads for the SOFIA model when nonzero.
+// steps (util/shard_executor.hpp — each worker keeps a stable range of the
+// pattern's records across the whole prefix); it overrides --num_threads
+// for the SOFIA model when nonzero. --simd=off forces the scalar kernel
+// instantiations (tensor/simd.hpp). Any other flag is an error.
 
 #include <algorithm>
 #include <cstdio>
@@ -47,7 +46,6 @@
 #include "eval/experiment.hpp"
 #include "eval/metrics.hpp"
 #include "obs/cli.hpp"
-#include "tensor/csf_tensor.hpp"
 #include "tensor/simd.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -62,6 +60,12 @@ int main(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 3));
   const std::string scenario_name = flags.GetString("scenario", "clean");
   const std::string guard_name = flags.GetString("guard", "off");
+  const size_t num_threads =
+      static_cast<size_t>(flags.GetInt("num_threads", 0));
+  simd::SetEnabled(
+      flags.GetString("simd", simd::Enabled() ? "on" : "off") == "on");
+  const size_t workers = static_cast<size_t>(flags.GetInt("workers", 0));
+  if (ReportUnreadFlags(flags, argv[0]) > 0) return 2;
 
   Dataset traffic = MakeNetworkTraffic(DatasetScale::kSmall);
   traffic.slices.resize(7 * traffic.period);
@@ -96,26 +100,9 @@ int main(int argc, char** argv) {
   CorruptedStream smf_stream =
       Corrupt(traffic.slices, {0.0, 20.0, 5.0}, seed + 1);
 
-  // SOFIA's kernel knobs. --storage=csf selects the compressed-sparse-fiber
-  // pattern backend for SOFIA's training steps (SMF streams the raw record
-  // list and runs its kernels inline).
-  const size_t num_threads =
-      static_cast<size_t>(flags.GetInt("num_threads", 0));
-  const PatternStorage storage =
-      ParsePatternStorage(flags.GetString("storage", "coo"));
-  // Kernel-ISA and CSF-maintenance knobs (tensor/simd.hpp,
-  // tensor/csf_tensor.hpp): scalar-vs-vector instantiations, per-tree
-  // leaf-mode selection, and the BuildDelta patch-vs-rebuild threshold.
-  simd::SetEnabled(
-      flags.GetString("simd", simd::Enabled() ? "on" : "off") == "on");
-  csf::SetAutoLeaf(flags.GetString("csf-leaf", "default") == "auto");
-  csf::SetDeltaMaxChurn(flags.GetDouble("csf-churn", csf::DeltaMaxChurn()));
-
   // Train SOFIA on the corrupted prefix, optionally behind StreamGuard.
   SofiaConfig config = MakeExperimentConfig(traffic, sofia_stream);
-  const size_t workers = static_cast<size_t>(flags.GetInt("workers", 0));
   config.num_threads = workers != 0 ? workers : num_threads;
-  config.pattern_storage = storage;
   const size_t window = config.InitWindow();
   std::unique_ptr<StreamingMethod> sofia_method =
       std::make_unique<SofiaStream>(config);

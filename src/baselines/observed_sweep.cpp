@@ -4,7 +4,6 @@
 
 #include "linalg/solve.hpp"
 #include "obs/obs.hpp"
-#include "tensor/csf_kernels.hpp"
 #include "util/check.hpp"
 
 namespace sofia {
@@ -39,7 +38,6 @@ void ObservedSweep::BeginStep(const DenseTensor& y, const Mask& omega,
       ++pattern_reuses_;
     }
   }
-  BindCsf(coo_, options_.pattern_storage, &csf_, &csf_source_);
   coo_->GatherInto(y, &values_);
 }
 
@@ -57,9 +55,6 @@ WorkerPool* ObservedSweep::Pool() const {
 NormalSystem ObservedSweep::TemporalSystem(
     const std::vector<Matrix>& factors,
     const std::vector<double>& vals) const {
-  if (csf_ != nullptr) {
-    return CsfNormalSystem(*csf_, vals, factors, Pool());
-  }
   return CooNormalSystem(pattern(), vals, factors, Pool());
 }
 
@@ -74,9 +69,6 @@ std::vector<double> ObservedSweep::SolveTemporalRow(
 RowSystems ObservedSweep::WeightedRowSystems(
     const std::vector<Matrix>& factors, const std::vector<double>& w,
     const std::vector<double>& vals, size_t mode) const {
-  if (csf_ != nullptr) {
-    return CsfWeightedRowSystems(*csf_, vals, factors, w, mode, Pool());
-  }
   return CooWeightedRowSystems(pattern(), vals, factors, w, mode, Pool());
 }
 
@@ -85,11 +77,6 @@ void ObservedSweep::ProximalRowSweep(const std::vector<Matrix>& factors,
                                      const std::vector<double>& vals,
                                      size_t mode, const Matrix& previous,
                                      double mu, Matrix* u) const {
-  if (csf_ != nullptr) {
-    CsfProximalRowUpdates(*csf_, vals, factors, w, mode, previous, mu, u,
-                          Pool());
-    return;
-  }
   CooProximalRowUpdates(pattern(), vals, factors, w, mode, previous, mu, u,
                         Pool());
 }
@@ -97,19 +84,12 @@ void ObservedSweep::ProximalRowSweep(const std::vector<Matrix>& factors,
 ModeGradients ObservedSweep::Gradients(
     const std::vector<Matrix>& factors, const std::vector<double>& w,
     const std::vector<double>& residuals, bool with_traces) const {
-  if (csf_ != nullptr) {
-    return CsfModeGradients(*csf_, residuals, factors, w, Pool(),
-                            with_traces);
-  }
   return CooModeGradients(pattern(), residuals, factors, w, Pool(),
                           with_traces);
 }
 
 std::vector<double> ObservedSweep::Reconstruct(
     const std::vector<Matrix>& factors, const std::vector<double>& w) const {
-  if (csf_ != nullptr) {
-    return CsfKruskalGather(*csf_, factors, w, Pool());
-  }
   return CooKruskalGather(pattern(), factors, w, Pool());
 }
 

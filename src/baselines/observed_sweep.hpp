@@ -7,10 +7,8 @@
 
 #include "linalg/matrix.hpp"
 #include "tensor/coo_list.hpp"
-#include "tensor/csf_tensor.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/mask.hpp"
-#include "tensor/pattern_storage.hpp"
 #include "tensor/sparse_kernels.hpp"
 #include "tensor/sparse_mask.hpp"
 #include "util/parallel.hpp"
@@ -44,8 +42,7 @@
 
 namespace sofia {
 
-/// Kernel knobs shared by every ported baseline (pattern_storage has the
-/// naming and semantics of SofiaConfig::pattern_storage).
+/// Kernel knobs shared by every ported baseline.
 struct ObservedSweepOptions {
   /// Build the per-mode slice buckets when compacting a mask. Baselines
   /// that only stream the record list (SMF's linear-indexed sweeps,
@@ -54,15 +51,6 @@ struct ObservedSweepOptions {
   /// called without them. Adopted shared patterns keep whatever buckets
   /// they were built with.
   bool with_mode_buckets = true;
-  /// Storage backend of the bound pattern: kCsf additionally compiles the
-  /// pattern into per-mode fiber trees (tensor/csf_tensor.hpp, cached on
-  /// the CooList so shared patterns compile once per distinct mask) and
-  /// routes the bucketed motifs through the fiber-reuse kernels of
-  /// tensor/csf_kernels.hpp. Regardless of this knob, an adopted shared
-  /// pattern that already carries a CSF attachment is used as-is — the
-  /// comparison runner's StreamEvalOptions::pattern_storage therefore
-  /// routes every sweep-based method at once. Requires mode buckets.
-  PatternStorage pattern_storage = PatternStorage::kCoo;
 };
 
 /// Build-once helper for sharing one mask's observed-entry pattern across
@@ -100,8 +88,6 @@ class ObservedSweep {
   /// The bound pattern (valid after BeginStep).
   const CooList& pattern() const;
   std::shared_ptr<const CooList> shared_pattern() const { return coo_; }
-  /// The bound pattern's CSF attachment, or nullptr on the COO backend.
-  const CsfTensor* csf() const { return csf_.get(); }
   size_t nnz() const { return pattern().nnz(); }
   /// Observed values of the bound slice, record-aligned.
   const std::vector<double>& values() const { return values_; }
@@ -157,11 +143,8 @@ class ObservedSweep {
   /// Like Reconstruct, but replicating the KruskalSlice chain evaluation
   /// order bitwise (CooKruskalSliceGather) — for steps whose dense oracle
   /// thresholds a materialized KruskalSlice residual (OR-MSTC's slab).
-  /// Always reads the COO records (which a CSF-backed pattern still
-  /// carries): the bitwise pin to the dense chain order is the point, and
-  /// the fiber traversal would regroup it. The result lives in a scratch buffer
-  /// reused across calls and steps; it stays valid until the next
-  /// SliceReconstruct on this sweep.
+  /// The result lives in a scratch buffer reused across calls and steps; it
+  /// stays valid until the next SliceReconstruct on this sweep.
   const std::vector<double>& SliceReconstruct(
       const std::vector<Matrix>& factors, const std::vector<double>& w) const;
 
@@ -172,11 +155,6 @@ class ObservedSweep {
 
   ObservedSweepOptions options_;
   std::shared_ptr<const CooList> coo_;
-  std::shared_ptr<const CsfTensor> csf_;  ///< Fiber trees of coo_ (kCsf).
-  /// Pattern csf_ was built for, held as a shared_ptr: identity compare
-  /// against coo_ without the ABA hazard of a raw address (a freed
-  /// pattern's storage could be reused by the next build).
-  std::shared_ptr<const CooList> csf_source_;
   std::vector<double> values_;
   // Mask-reuse cache as a SparseMask: O(|Ω|) storage and compare instead
   // of the dense indicator's O(volume) bytes (see tensor/sparse_mask.hpp);

@@ -47,15 +47,10 @@ struct SofiaConfig {
   /// are bitwise identical for every setting.
   size_t num_threads = 0;
 
-  /// Storage backend of the sparse Step pattern: kCsf compiles the cached
-  /// CooList into per-mode compressed-sparse-fiber trees
-  /// (tensor/csf_tensor.hpp) and runs the Step accumulations through the
-  /// fiber-reuse kernels (tensor/csf_kernels.hpp) — same O(|Ω_t| N R) bound
-  /// with partial Hadamard products hoisted per fiber. Agrees with the COO
-  /// backend to floating-point reassociation (≤1e-12, tests/csf_test.cc).
-  /// Runtime kernel knob like num_threads: not serialized; restore it by
-  /// hand when resuming a checkpoint that should keep the CSF bits.
-  PatternStorage pattern_storage = PatternStorage::kCoo;
+  /// Storage backend of the Step pattern. A constant, not a setting: the
+  /// CooList is the only backend. It remains because the repository
+  /// benchmark (perfbench/) prints it among the library defaults.
+  static constexpr PatternStorage pattern_storage = PatternStorage::kCoo;
 
   double lambda3_decay = 0.85;  ///< `d` of Algorithm 1 (threshold decay).
   double tolerance = 1e-4;      ///< Convergence tolerance (ALS + init loop).

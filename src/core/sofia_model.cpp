@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "tensor/csf_kernels.hpp"
 #include "tensor/kruskal.hpp"
 #include "tensor/sparse_kernels.hpp"
 #include "timeseries/hw_fit.hpp"
@@ -158,18 +157,10 @@ void SofiaModel::Accumulate(const DenseTensor& y, const Mask& omega,
   WorkerPool* pool = StepPool();
   const CooList& coo = StepPattern(omega, std::move(pattern));
   const size_t nnz = coo.nnz();
-  // CSF backend: shared patterns arrive pre-compiled when the comparison
-  // runner selected csf storage; a kCsf config compiles its own private
-  // trees (see BindCsf for the adopt/build/fallback policy).
-  const CsfTensor* csf =
-      BindCsf(step_coo_, config_.pattern_storage, &step_csf_,
-              &step_csf_source_);
 
   // Line 4 restricted to Ω_t: the Eq. (20) forecast at observed entries.
   std::vector<double> yv = coo.Gather(y);
-  std::vector<double> fv =
-      csf != nullptr ? CsfKruskalGather(*csf, factors_, u_hat, pool)
-                     : CooKruskalGather(coo, factors_, u_hat, pool);
+  std::vector<double> fv = CooKruskalGather(coo, factors_, u_hat, pool);
 
   // Lines 5-6 per record. The paper rejects outliers *first* so extreme
   // values cannot inflate the scale; the Gelper ordering is available as an
@@ -202,9 +193,7 @@ void SofiaModel::Accumulate(const DenseTensor& y, const Mask& omega,
   // R_t at observed entries, then the O(|Ω_t| N R) gradient pass (Lemma 2).
   std::vector<double> resid(nnz);
   for (size_t k = 0; k < nnz; ++k) resid[k] = yv[k] - ov[k] - fv[k];
-  *grads = csf != nullptr
-               ? CsfStepGradients(*csf, resid, factors_, u_hat, pool)
-               : CooStepGradients(coo, resid, factors_, u_hat, pool);
+  *grads = CooStepGradients(coo, resid, factors_, u_hat, pool);
 
   result->factors_before_ = factors_;
   result->observed_ = coo.LinearIndices();

@@ -237,10 +237,6 @@ class SofiaModel {
   // can hand their per-step build straight in) and the kernel worker pool.
   SparseMask step_mask_;
   std::shared_ptr<const CooList> step_coo_;
-  std::shared_ptr<const CsfTensor> step_csf_;  ///< Own-knob CSF cache.
-  /// Pattern step_csf_ was built for: shared_ptr identity, so a freed
-  /// pattern's reused address can never alias a stale tree cache.
-  std::shared_ptr<const CooList> step_csf_source_;
   size_t step_pattern_builds_ = 0;
   size_t step_pattern_reuses_ = 0;
   std::unique_ptr<ShardExecutor> pool_;

@@ -29,10 +29,9 @@ void SofiaModel::Serialize(std::ostream& out) const {
       << ' ' << config_.phi << ' ' << config_.factor_ridge << ' '
       << (config_.normalized_step ? 1 : 0) << ' ' << config_.huber_k << ' '
       << config_.biweight_ck << '\n';
-  // num_threads and pattern_storage are runtime knobs and stay out of the
-  // checkpoint: results do not depend on the worker count, which belongs
-  // to the restoring machine, and a resumed kCsf stream sets its storage
-  // by hand (see SofiaConfig::pattern_storage).
+  // num_threads is a runtime knob and stays out of the checkpoint: results
+  // do not depend on the worker count, which belongs to the restoring
+  // machine.
   out << (ablation_.reject_outliers ? 1 : 0) << ' '
       << (ablation_.scale_before_reject ? 1 : 0) << ' '
       << (ablation_.temporal_smoothness ? 1 : 0) << '\n';

@@ -8,7 +8,6 @@
 #include "baselines/observed_sweep.hpp"
 #include "eval/run_helpers.hpp"
 #include "obs/obs.hpp"
-#include "tensor/csf_tensor.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
@@ -120,14 +119,7 @@ void StreamPipeline::IngestWindow(size_t w, size_t limit) {
     SliceIngest& ingest = slot[t - begin];
     const Mask& omega = stream_.masks[t];
     if (!cache_mask_.valid() || !cache_mask_.Matches(omega)) {
-      std::shared_ptr<const CooList> previous = std::move(cache_pattern_);
       cache_pattern_ = MakeSharedPattern(omega);
-      if (options_.pattern_storage == PatternStorage::kCsf) {
-        // Attach once (every method adopts it), patching the previous
-        // pattern's trees forward on low-churn mask changes instead of
-        // recompiling from scratch.
-        EnsureCsfDelta(*cache_pattern_, previous);
-      }
       cache_eval_ = BuildEvalPattern(*cache_pattern_,
                                      options_.max_eval_entries);
       SparseMask next = SparseMask::FromCoo(*cache_pattern_);

@@ -9,7 +9,6 @@
 #include "eval/stream_guard.hpp"
 #include "eval/streaming_method.hpp"
 #include "tensor/dense_tensor.hpp"
-#include "tensor/pattern_storage.hpp"
 
 /// \file stream_runner.hpp
 /// \brief Drives a StreamingMethod through a corrupted stream and collects
@@ -45,14 +44,6 @@ struct StreamEvalOptions {
   /// on min(workers, methods) lanes. Results are bitwise identical for
   /// every setting.
   size_t num_threads = 0;
-  /// Storage backend broadcast to every method: kCsf compiles each shared
-  /// per-step pattern into CSF fiber trees (once per distinct mask, outside
-  /// the per-method timers) and attaches them to the shared CooList, so
-  /// every adopting method's kernels walk the fiber-reuse backend. Scoring
-  /// gathers stay on the COO records either way (they are bitwise-pinned
-  /// to the dense materialization). Method outputs agree with the kCoo run
-  /// to floating-point reassociation (≤1e-12, tests/csf_test.cc).
-  PatternStorage pattern_storage = PatternStorage::kCoo;
 
   // Streaming-runtime knobs (eval/stream_pipeline.hpp). Scores are bitwise
   // identical for every (workers, pipeline_depth, window) combination —
@@ -63,7 +54,7 @@ struct StreamEvalOptions {
   /// on the caller.
   size_t workers = 0;
   /// Ingest ring depth: 1 runs slice ingest (pattern compare/build,
-  /// CSF delta, eval-pattern sampling, truth gathers) synchronously before
+  /// eval-pattern sampling, truth gathers) synchronously before
   /// each compute window; 2+ runs it on the executor's aux lane up to
   /// depth-1 windows ahead, overlapping window w+1's ingest with window w's
   /// solves.

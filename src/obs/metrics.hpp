@@ -43,7 +43,7 @@
 /// (suffix `_us`).
 ///
 /// Metric naming convention (see README "Observability"):
-///   <layer>.<object>.<metric>[_<unit>]     e.g. kernel.csf.mttkrp.calls,
+///   <layer>.<object>.<metric>[_<unit>]     e.g. kernel.coo.mttkrp.calls,
 ///   time.pipeline.compute_us, guard.checkpoint_us (histogram).
 /// Counters under the `time.` prefix are stage wall-time accumulators in
 /// microseconds — tools/obs_report turns them into the per-stage

@@ -2,7 +2,6 @@
 #define SOFIA_TENSOR_COO_LIST_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "tensor/dense_tensor.hpp"
@@ -29,8 +28,6 @@
 /// every quasi-Newton iterate) build once and re-`Gather` per iteration.
 
 namespace sofia {
-
-class CsfTensor;
 
 /// Flat array of (multi-index, linear index) records for the observed
 /// entries of a mask, in ascending linear order, plus per-mode buckets.
@@ -101,16 +98,6 @@ class CooList {
     return slice_ptr_[mode];
   }
 
-  /// Derived CSF storage attached to this pattern (see csf_tensor.hpp's
-  /// EnsureCsf): the fiber trees depend only on the records, so they are
-  /// built at most once per CooList and ride along with shared patterns —
-  /// every method of a comparison run reuses the first build. Null until a
-  /// CSF consumer attaches one.
-  const std::shared_ptr<const CsfTensor>& csf() const { return csf_; }
-  void AttachCsf(std::shared_ptr<const CsfTensor> csf) const {
-    csf_ = std::move(csf);
-  }
-
  private:
   /// Shared tail of the factories: delinearize `linear_` into `coords_`
   /// and (optionally) build the per-mode buckets.
@@ -122,7 +109,6 @@ class CooList {
   std::vector<size_t> linear_;    // nnz linear indices, ascending.
   std::vector<std::vector<uint32_t>> mode_order_;  // One permutation per mode.
   std::vector<std::vector<size_t>> slice_ptr_;     // One offset table per mode.
-  mutable std::shared_ptr<const CsfTensor> csf_;   // Lazy CSF attachment.
 };
 
 }  // namespace sofia

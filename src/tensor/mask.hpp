@@ -75,7 +75,8 @@ class Mask {
   /// Process-wide count of full byte-scan equality compares (the O(volume)
   /// fallback of operator==). The steady-state streaming loops hold their
   /// mask caches as SparseMask and must keep this flat — test-pinned in
-  /// tests/csf_test.cc, mirroring StepResult::materializations().
+  /// tests/stream_pipeline_test.cc, mirroring
+  /// StepResult::materializations().
   static size_t deep_equality_scans();
   static void ResetDeepEqualityScans();
 

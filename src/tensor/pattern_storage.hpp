@@ -3,40 +3,19 @@
 
 #include <string>
 
-#include "util/check.hpp"
-
 /// \file pattern_storage.hpp
-/// \brief Selector for the observed-entry storage backend of a step pattern.
+/// \brief Name of the observed-entry storage backend of a step pattern.
 
 namespace sofia {
 
-/// Which sparse representation the per-step kernels traverse.
-///
-/// `kCoo` is the flat coordinate list of tensor/coo_list.hpp — the reference
-/// backend every kernel is parity-tested against. `kCsf` additionally builds
-/// the per-mode compressed-sparse-fiber trees of tensor/csf_tensor.hpp on
-/// top of the same CooList and routes the bucketed kernels through the
-/// fiber-reuse traversals of tensor/csf_kernels.hpp. The CooList itself is
-/// always present (the CSF attaches to it), so mixed consumers — e.g. the
-/// bitwise-pinned KruskalSlice-order gathers — keep reading the COO records.
+/// The sparse representation the per-step kernels traverse: the flat
+/// coordinate list of tensor/coo_list.hpp, the only backend.
 enum class PatternStorage {
   kCoo,
-  kCsf,
 };
 
-/// "coo" / "csf" — the `--storage=` flag values of the examples and benches.
-inline std::string PatternStorageName(PatternStorage storage) {
-  return storage == PatternStorage::kCsf ? "csf" : "coo";
-}
-
-/// Parse a `--storage=` flag value. Unknown names fail loudly: the flag
-/// exists to compare backends, so a typo silently running the default
-/// would corrupt the comparison.
-inline PatternStorage ParsePatternStorage(const std::string& name) {
-  SOFIA_CHECK(name == "coo" || name == "csf")
-      << "unknown pattern storage '" << name << "' (expected coo|csf)";
-  return name == "csf" ? PatternStorage::kCsf : PatternStorage::kCoo;
-}
+/// "coo" — printed in the defaults block of the repository benchmark.
+inline std::string PatternStorageName(PatternStorage) { return "coo"; }
 
 }  // namespace sofia
 

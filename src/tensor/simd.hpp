@@ -7,8 +7,8 @@
 /// \file simd.hpp
 /// \brief Runtime-dispatched AVX2+FMA instantiation of the sparse kernels.
 ///
-/// The hot Coo/Csf kernels split work into per-task lambdas (one mode slice,
-/// root node, or record block per task — see sparse_kernels.cpp). Each such
+/// The hot Coo kernels split work into per-task lambdas (one mode slice or
+/// record block per task — see sparse_kernels.cpp). Each such
 /// body is compiled twice:
 ///
 ///  * the *scalar* instantiation — the plain lambda, built under the

@@ -1,5 +1,6 @@
 #include "util/flags.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace sofia {
@@ -21,30 +22,52 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+const std::string* Flags::Find(const std::string& name) const {
+  read_.insert(name);
+  auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 bool Flags::Has(const std::string& name) const {
-  return values_.count(name) > 0;
+  return Find(name) != nullptr;
 }
 
 std::string Flags::GetString(const std::string& name,
                              const std::string& def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  const std::string* value = Find(name);
+  return value == nullptr ? def : *value;
 }
 
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* value = Find(name);
+  return value == nullptr ? def : std::strtoll(value->c_str(), nullptr, 10);
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  const std::string* value = Find(name);
+  return value == nullptr ? def : std::strtod(value->c_str(), nullptr);
 }
 
 bool Flags::GetBool(const std::string& name, bool def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = Find(name);
+  if (value == nullptr) return def;
+  return *value == "true" || *value == "1" || *value == "yes";
+}
+
+std::vector<std::string> Flags::Unread() const {
+  std::vector<std::string> unread;
+  for (const auto& entry : values_) {
+    if (read_.count(entry.first) == 0) unread.push_back(entry.first);
+  }
+  return unread;
+}
+
+size_t ReportUnreadFlags(const Flags& flags, const char* program) {
+  const std::vector<std::string> unread = flags.Unread();
+  for (const std::string& name : unread) {
+    std::fprintf(stderr, "%s: unknown flag --%s\n", program, name.c_str());
+  }
+  return unread.size();
 }
 
 }  // namespace sofia

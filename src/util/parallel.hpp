@@ -9,7 +9,7 @@
 ///
 /// The sparse kernels (see tensor/sparse_kernels.hpp) split work into tasks
 /// that write *disjoint* state keyed by task index (mode slices, fixed-size
-/// record blocks, CSF root slabs). Under that contract the results are
+/// record blocks). Under that contract the results are
 /// bitwise identical for every thread count and every task-to-thread
 /// assignment, because only the mapping of tasks to threads — not the
 /// per-task accumulation order — varies. A kernel runs its tasks on the

@@ -19,15 +19,16 @@
 ///
 /// Every multi-thread kernel batch runs here (or inline, when a kernel is
 /// handed no pool — util/parallel.hpp). The streaming step loop calls the
-/// same kernels on the same CSF fiber trees hundreds of times, so tasks are
+/// same kernels on the same CooList hundreds of times, so tasks are
 /// assigned by a *static contiguous block partition* that depends only on
 /// (num_tasks, num_threads): worker w always executes the same contiguous
-/// task range. Because kernel tasks are keyed to CSF root slabs, each
-/// worker re-touches the same slab range of every fiber tree across an
-/// entire stream — its private-cache working set stays warm. Results are
-/// bitwise identical to single-threaded execution at any worker count:
-/// task outputs are disjoint and slab partials are combined in slab order
-/// by the kernels themselves (see tensor/csf_kernels.cpp, RootSlabReduce).
+/// task range. Because kernel tasks are keyed to mode slices and fixed-size
+/// record blocks, each worker re-touches the same range of records across
+/// an entire stream — its private-cache working set stays warm. Results
+/// are bitwise identical to single-threaded execution at any worker count:
+/// task outputs are disjoint and block partials are combined in block
+/// order by the kernels themselves (see tensor/sparse_kernels.cpp,
+/// ReduceScratch).
 ///
 /// The streaming pipeline uses the same partition one level up: one task
 /// per method per slice, so each lane steps a fixed contiguous range of
@@ -38,7 +39,7 @@
 ///    is allocation-free in steady state (growth is counter-pinned);
 ///  - an auxiliary lane: a dedicated background thread running FIFO jobs
 ///    (Submit/Wait tickets). The streaming pipeline uses it to overlap
-///    slice t+1's ingest (pattern + CSF-delta build) and StreamGuard's
+///    slice t+1's ingest (pattern build) and StreamGuard's
 ///    checkpoint serialization with slice t's compute;
 ///  - spin-then-park hand-offs: a worker that finished a batch, and a Run
 ///    caller waiting for its batch to finish, poll for up to 2 ms before
@@ -72,8 +73,8 @@ class ScratchArena {
   uint64_t growth_events_ = 0;
 };
 
-/// Well-known arena slots used by the kernel layer (tensor/csf_kernels.cpp,
-/// tensor/sparse_kernels.cpp). New users take slots beyond kFirstFreeSlot.
+/// Well-known arena slots used by the kernel layer
+/// (tensor/sparse_kernels.cpp). New users take slots beyond kFirstFreeSlot.
 namespace arena_slots {
 constexpr size_t kReducePartials = 0;  // Blocked-reduction partial sums.
 constexpr size_t kReduceOnes = 1;      // All-ones weight vector.

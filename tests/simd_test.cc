@@ -1,5 +1,5 @@
 // Vectorized-vs-scalar kernel parity: the simd::Select trampoline compiles
-// every hot Coo/Csf kernel body twice (default ISA and AVX2+FMA); this
+// every hot Coo kernel body twice (default ISA and AVX2+FMA); this
 // binary pins the contract between the two instantiations:
 //  - every vectorized kernel agrees with its scalar twin to ≤1e-12
 //    (relative) across shapes, densities, and ranks — including rank 16
@@ -23,8 +23,6 @@
 
 #include "linalg/matrix.hpp"
 #include "tensor/coo_list.hpp"
-#include "tensor/csf_kernels.hpp"
-#include "tensor/csf_tensor.hpp"
 #include "tensor/mask.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/simd.hpp"
@@ -114,7 +112,6 @@ void ExpectStepGradientsNear(const StepGradients& a, const StepGradients& b,
 /// values, and a temporal row.
 struct Problem {
   CooList coo;
-  CsfTensor csf;
   std::vector<Matrix> factors;
   std::vector<double> values;
   std::vector<double> temporal_row;
@@ -123,7 +120,6 @@ struct Problem {
 Problem MakeProblem(const Shape& shape, size_t rank, uint64_t seed) {
   Problem p;
   p.coo = CooList::Build(RandomMask(shape, 0.4, seed));
-  p.csf = CsfTensor::Build(p.coo);
   p.factors = RandomFactors(shape, rank, seed + 1);
   p.values = RandomValues(p.coo.nnz(), seed + 2);
   p.temporal_row = RandomValues(rank, seed + 3);
@@ -158,12 +154,9 @@ TEST_F(SimdParityTest, MttkrpMatchesScalar) {
       for (size_t mode = 0; mode < shape.order(); ++mode) {
         simd::SetEnabled(false);
         Matrix coo_s = CooMttkrp(p.coo, p.values, p.factors, mode);
-        Matrix csf_s = CsfMttkrp(p.csf, p.values, p.factors, mode);
         simd::SetEnabled(true);
         Matrix coo_v = CooMttkrp(p.coo, p.values, p.factors, mode);
-        Matrix csf_v = CsfMttkrp(p.csf, p.values, p.factors, mode);
         ExpectMatrixNear(coo_s, coo_v, "CooMttkrp");
-        ExpectMatrixNear(csf_s, csf_v, "CsfMttkrp");
       }
     }
   }
@@ -176,22 +169,14 @@ TEST_F(SimdParityTest, RowSystemsMatchScalar) {
       for (size_t mode = 0; mode < shape.order(); ++mode) {
         simd::SetEnabled(false);
         RowSystems coo_s = CooRowSystems(p.coo, p.values, p.factors, mode);
-        RowSystems csf_s = CsfRowSystems(p.csf, p.values, p.factors, mode);
         RowSystems wcoo_s = CooWeightedRowSystems(p.coo, p.values, p.factors,
-                                                  p.temporal_row, mode);
-        RowSystems wcsf_s = CsfWeightedRowSystems(p.csf, p.values, p.factors,
                                                   p.temporal_row, mode);
         simd::SetEnabled(true);
         RowSystems coo_v = CooRowSystems(p.coo, p.values, p.factors, mode);
-        RowSystems csf_v = CsfRowSystems(p.csf, p.values, p.factors, mode);
         RowSystems wcoo_v = CooWeightedRowSystems(p.coo, p.values, p.factors,
                                                   p.temporal_row, mode);
-        RowSystems wcsf_v = CsfWeightedRowSystems(p.csf, p.values, p.factors,
-                                                  p.temporal_row, mode);
         ExpectRowSystemsNear(coo_s, coo_v, "CooRowSystems");
-        ExpectRowSystemsNear(csf_s, csf_v, "CsfRowSystems");
         ExpectRowSystemsNear(wcoo_s, wcoo_v, "CooWeightedRowSystems");
-        ExpectRowSystemsNear(wcsf_s, wcsf_v, "CsfWeightedRowSystems");
       }
     }
   }
@@ -214,15 +199,6 @@ TEST_F(SimdParityTest, ProximalRowUpdatesMatchScalar) {
         CooProximalRowUpdates(p.coo, p.values, p.factors, p.temporal_row,
                               mode, previous, 0.3, &u_v);
         ExpectMatrixNear(u_s, u_v, "CooProximalRowUpdates");
-        u_s = p.factors[mode];
-        u_v = p.factors[mode];
-        simd::SetEnabled(false);
-        CsfProximalRowUpdates(p.csf, p.values, p.factors, p.temporal_row,
-                              mode, previous, 0.3, &u_s);
-        simd::SetEnabled(true);
-        CsfProximalRowUpdates(p.csf, p.values, p.factors, p.temporal_row,
-                              mode, previous, 0.3, &u_v);
-        ExpectMatrixNear(u_s, u_v, "CsfProximalRowUpdates");
       }
     }
   }
@@ -235,39 +211,23 @@ TEST_F(SimdParityTest, GradientsAndGathersMatchScalar) {
       simd::SetEnabled(false);
       ModeGradients mg_coo_s =
           CooModeGradients(p.coo, p.values, p.factors, p.temporal_row);
-      ModeGradients mg_csf_s =
-          CsfModeGradients(p.csf, p.values, p.factors, p.temporal_row);
       StepGradients sg_coo_s =
           CooStepGradients(p.coo, p.values, p.factors, p.temporal_row);
-      StepGradients sg_csf_s =
-          CsfStepGradients(p.csf, p.values, p.factors, p.temporal_row);
       std::vector<double> g_coo_s =
           CooKruskalGather(p.coo, p.factors, p.temporal_row);
-      std::vector<double> g_csf_s =
-          CsfKruskalGather(p.csf, p.factors, p.temporal_row);
       simd::SetEnabled(true);
       ModeGradients mg_coo_v =
           CooModeGradients(p.coo, p.values, p.factors, p.temporal_row);
-      ModeGradients mg_csf_v =
-          CsfModeGradients(p.csf, p.values, p.factors, p.temporal_row);
       StepGradients sg_coo_v =
           CooStepGradients(p.coo, p.values, p.factors, p.temporal_row);
-      StepGradients sg_csf_v =
-          CsfStepGradients(p.csf, p.values, p.factors, p.temporal_row);
       std::vector<double> g_coo_v =
           CooKruskalGather(p.coo, p.factors, p.temporal_row);
-      std::vector<double> g_csf_v =
-          CsfKruskalGather(p.csf, p.factors, p.temporal_row);
       for (size_t n = 0; n < shape.order(); ++n) {
         ExpectMatrixNear(mg_coo_s.row_grads[n], mg_coo_v.row_grads[n],
                          "CooModeGradients");
-        ExpectMatrixNear(mg_csf_s.row_grads[n], mg_csf_v.row_grads[n],
-                         "CsfModeGradients");
       }
       ExpectStepGradientsNear(sg_coo_s, sg_coo_v, "CooStepGradients");
-      ExpectStepGradientsNear(sg_csf_s, sg_csf_v, "CsfStepGradients");
       ExpectVectorNear(g_coo_s, g_coo_v, "CooKruskalGather");
-      ExpectVectorNear(g_csf_s, g_csf_v, "CsfKruskalGather");
     }
   }
 }
@@ -283,32 +243,22 @@ TEST_F(SimdParityTest, VectorizedPathIsBitwiseThreadDeterministic) {
     Problem p = MakeProblem(Shape({7, 6, 5}), rank, 500 + rank);
     const StepGradients s1 =
         CooStepGradients(p.coo, p.values, p.factors, p.temporal_row);
-    const StepGradients cs1 =
-        CsfStepGradients(p.csf, p.values, p.factors, p.temporal_row);
     for (ShardExecutor* pool : {&pool2, &pool4}) {
       SCOPED_TRACE(pool->num_threads());
       for (size_t mode = 0; mode < 3; ++mode) {
         Matrix m1 = CooMttkrp(p.coo, p.values, p.factors, mode);
         Matrix m4 = CooMttkrp(p.coo, p.values, p.factors, mode, pool);
         EXPECT_EQ(m1.MaxAbsDiff(m4), 0.0) << "CooMttkrp mode=" << mode;
-        Matrix c1 = CsfMttkrp(p.csf, p.values, p.factors, mode);
-        Matrix c4 = CsfMttkrp(p.csf, p.values, p.factors, mode, pool);
-        EXPECT_EQ(c1.MaxAbsDiff(c4), 0.0) << "CsfMttkrp mode=" << mode;
       }
       StepGradients s4 =
           CooStepGradients(p.coo, p.values, p.factors, p.temporal_row, pool);
-      StepGradients cs4 =
-          CsfStepGradients(p.csf, p.values, p.factors, p.temporal_row, pool);
       for (size_t n = 0; n < 3; ++n) {
         EXPECT_EQ(s1.row_grads[n].MaxAbsDiff(s4.row_grads[n]), 0.0);
-        EXPECT_EQ(cs1.row_grads[n].MaxAbsDiff(cs4.row_grads[n]), 0.0);
       }
       for (size_t r = 0; r < rank; ++r) {
         EXPECT_EQ(s1.temporal_grad[r], s4.temporal_grad[r]);
-        EXPECT_EQ(cs1.temporal_grad[r], cs4.temporal_grad[r]);
       }
       EXPECT_EQ(s1.temporal_trace, s4.temporal_trace);
-      EXPECT_EQ(cs1.temporal_trace, cs4.temporal_trace);
     }
   }
 }

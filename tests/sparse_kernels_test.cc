@@ -7,6 +7,7 @@
 
 #include "dense_oracle.hpp"
 #include "tensor/coo_list.hpp"
+#include "tensor/kruskal.hpp"
 #include "tensor/products.hpp"
 #include "util/rng.hpp"
 #include "util/shard_executor.hpp"
@@ -242,6 +243,187 @@ TEST(SparseKernelsTest, FullyObservedMttkrpMatchesUnmaskedKernel) {
     Matrix expected = Mttkrp(x, factors, mode);
     EXPECT_LE(got.MaxAbsDiff(expected), 1e-12);
   }
+}
+
+// ------------------------------------------- parity grid vs dense oracles
+//
+// Every Coo kernel against an independent dense scan, over order 3 and 4,
+// a single-fiber shape and a length-1 mode, at densities from empty to
+// full and at every rank 1..8 (7 takes the dynamic-rank path).
+
+std::vector<Shape> ParityShapes() {
+  return {Shape({6, 5, 4}), Shape({5, 4, 3, 2}), Shape({4, 1, 1}),
+          Shape({1, 7, 3})};
+}
+
+constexpr double kGridDensities[] = {0.0, 0.01, 0.05, 0.5, 1.0};
+constexpr size_t kGridMaxRank = 8;
+
+double Tol(double reference) { return 1e-12 * (1.0 + std::abs(reference)); }
+
+/// One grid point: a pattern, record-aligned values scattered into a dense
+/// tensor (zero off Ω), factors and a temporal row.
+struct GridCase {
+  Mask omega;
+  CooList coo;
+  std::vector<double> values;
+  DenseTensor y;
+  std::vector<Matrix> factors;
+  std::vector<double> w;
+};
+
+GridCase MakeGridCase(const Shape& shape, double density, size_t rank,
+                      uint64_t seed) {
+  Rng rng(seed);
+  GridCase g{RandomMask(shape, density, rng), {}, {}, DenseTensor(shape, 0.0),
+             RandomFactors(shape, rank, rng), {}};
+  g.coo = CooList::Build(g.omega);
+  for (size_t k = 0; k < g.coo.nnz(); ++k) {
+    g.values.push_back(rng.Uniform(-2.0, 2.0));
+    g.y[g.coo.LinearIndex(k)] = g.values.back();
+  }
+  for (size_t r = 0; r < rank; ++r) g.w.push_back(rng.Uniform(-1.0, 1.0));
+  return g;
+}
+
+/// Runs `check` on every grid point, with the point in the failure trace.
+template <typename Fn>
+void ForEachGridCase(uint64_t seed, Fn&& check) {
+  for (const Shape& shape : ParityShapes()) {
+    for (double density : kGridDensities) {
+      for (size_t rank = 1; rank <= kGridMaxRank; ++rank) {
+        SCOPED_TRACE(::testing::Message() << shape.ToString() << " density "
+                                          << density << " rank " << rank);
+        check(MakeGridCase(shape, density, rank, seed++));
+      }
+    }
+  }
+}
+
+void ExpectMatrixNear(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (size_t i = 0; i < want.rows(); ++i) {
+    for (size_t j = 0; j < want.cols(); ++j) {
+      EXPECT_NEAR(got(i, j), want(i, j), Tol(want(i, j)))
+          << "(" << i << "," << j << ")";
+    }
+  }
+}
+
+void ExpectVectorNear(const std::vector<double>& got,
+                      const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_NEAR(got[k], want[k], Tol(want[k])) << "[" << k << "]";
+  }
+}
+
+template <typename Systems>
+void ExpectSystemsNear(const RowSystems& got, const Systems& want) {
+  ASSERT_EQ(got.b.size(), want.b.size());
+  for (size_t i = 0; i < want.b.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "row " << i);
+    ExpectMatrixNear(got.b[i], want.b[i]);
+    ExpectVectorNear(got.c[i], want.c[i]);
+  }
+}
+
+TEST(SparseKernelsGridTest, MttkrpMatchesDenseScan) {
+  ForEachGridCase(1000, [](const GridCase& g) {
+    for (size_t mode = 0; mode < g.factors.size(); ++mode) {
+      SCOPED_TRACE(::testing::Message() << "mode " << mode);
+      ExpectMatrixNear(CooMttkrp(g.coo, g.values, g.factors, mode),
+                       ReferenceMaskedMttkrp(g.y, g.omega, g.factors, mode));
+    }
+  });
+}
+
+TEST(SparseKernelsGridTest, RowSystemsMatchDenseOracles) {
+  ForEachGridCase(2000, [](const GridCase& g) {
+    const DenseTensor zeros(g.y.shape(), 0.0);
+    Rng rng(47);
+    for (size_t mode = 0; mode < g.factors.size(); ++mode) {
+      SCOPED_TRACE(::testing::Message() << "mode " << mode);
+      ExpectSystemsNear(CooRowSystems(g.coo, g.values, g.factors, mode),
+                        dense_oracle::DenseRowSystems(g.y, g.omega, zeros,
+                                                      g.factors, mode));
+      const dense_oracle::SliceRowSystems weighted =
+          dense_oracle::BuildSliceRowSystems(g.y, g.omega, nullptr, g.factors,
+                                             g.w, mode);
+      ExpectSystemsNear(
+          CooWeightedRowSystems(g.coo, g.values, g.factors, g.w, mode),
+          weighted);
+      // The fused proximal update, rows with no observations included
+      // (the empty-system short-circuit).
+      const Matrix previous =
+          Matrix::Random(g.factors[mode].rows(), g.w.size(), rng, -1.0, 1.0);
+      Matrix got = previous;
+      Matrix want = previous;
+      CooProximalRowUpdates(g.coo, g.values, g.factors, g.w, mode, previous,
+                            0.7, &got);
+      dense_oracle::ApplyProximalRowUpdates(weighted, previous, 0.7, &want);
+      ExpectMatrixNear(got, want);
+    }
+  });
+}
+
+TEST(SparseKernelsGridTest, GlobalKernelsMatchDenseOracles) {
+  ForEachGridCase(3000, [](const GridCase& g) {
+    const size_t rank = g.w.size();
+    // Temporal normal equations: B = Σ h h^T, c = Σ y h.
+    Matrix b(rank, rank, 0.0);
+    std::vector<double> c(rank, 0.0);
+    dense_oracle::ForEachObserved(
+        g.y, g.omega, nullptr, g.factors,
+        [&](const std::vector<size_t>&, size_t, double value,
+            const std::vector<double>& h) {
+          for (size_t r = 0; r < rank; ++r) {
+            c[r] += value * h[r];
+            for (size_t q = 0; q < rank; ++q) b(r, q) += h[r] * h[q];
+          }
+        });
+    const NormalSystem normal = CooNormalSystem(g.coo, g.values, g.factors);
+    ExpectMatrixNear(normal.b, b);
+    ExpectVectorNear(normal.c, c);
+
+    // Kruskal gather against the materialized slice.
+    const std::vector<double> gathered =
+        CooKruskalGather(g.coo, g.factors, g.w);
+    const DenseTensor recon = KruskalSlice(g.factors, g.w);
+    std::vector<double> recon_at(g.coo.nnz());
+    for (size_t k = 0; k < g.coo.nnz(); ++k) {
+      recon_at[k] = recon[g.coo.LinearIndex(k)];
+    }
+    ExpectVectorNear(gathered, recon_at);
+
+    // Baseline factor gradients on the residual y - [[factors; w]].
+    std::vector<double> residuals(g.coo.nnz());
+    for (size_t k = 0; k < residuals.size(); ++k) {
+      residuals[k] = g.values[k] - gathered[k];
+    }
+    std::vector<std::vector<double>> traces;
+    const std::vector<Matrix> grads = dense_oracle::FactorGradients(
+        g.y, g.omega, nullptr, g.factors, g.w, &traces);
+    const ModeGradients mode_grads =
+        CooModeGradients(g.coo, residuals, g.factors, g.w);
+    // SOFIA's step gradients on the residual y (no outliers, no forecast).
+    const DenseTensor zeros(g.y.shape(), 0.0);
+    const StepGradients step_want = dense_oracle::DenseStepGradients(
+        g.y, g.omega, zeros, zeros, g.factors, g.w);
+    const StepGradients step_got =
+        CooStepGradients(g.coo, g.values, g.factors, g.w);
+    for (size_t n = 0; n < g.factors.size(); ++n) {
+      SCOPED_TRACE(::testing::Message() << "mode " << n);
+      ExpectMatrixNear(mode_grads.row_grads[n], grads[n]);
+      ExpectVectorNear(mode_grads.row_trace[n], traces[n]);
+      ExpectMatrixNear(step_got.row_grads[n], step_want.row_grads[n]);
+      ExpectVectorNear(step_got.row_trace[n], step_want.row_trace[n]);
+    }
+    ExpectVectorNear(step_got.temporal_grad, step_want.temporal_grad);
+    EXPECT_NEAR(step_got.temporal_trace, step_want.temporal_trace,
+                Tol(step_want.temporal_trace));
+  });
 }
 
 /// The parallel partition assigns whole work units (slices, fixed record

@@ -11,7 +11,11 @@
 //    run inline on its own single-thread pool;
 //  - a mid-stream drain (Run with a limit under the stream length, ingest
 //    prefetched beyond it) returns cleanly and matches the full run's
-//    prefix, and the pipeline object is reusable afterwards.
+//    prefix, and the pipeline object is reusable afterwards;
+//  - the steady-state comparison loop performs zero O(volume) scans: one
+//    pattern build per distinct mask run, SparseMask reuse compares, no
+//    dense-mask byte compares (counter-pinned), and the rebuild telemetry
+//    logs bitmap deltas instead of rebuilding silently.
 
 #include "eval/stream_pipeline.hpp"
 
@@ -37,6 +41,7 @@
 #include "eval/stream_guard.hpp"
 #include "eval/stream_runner.hpp"
 #include "obs/metrics.hpp"
+#include "tensor/sparse_mask.hpp"
 #include "util/parallel.hpp"
 
 namespace sofia {
@@ -130,7 +135,6 @@ TEST(StreamPipelineTest, GuardedRunBitwiseIdenticalAcrossRuntimeKnobs) {
   CorruptedStream stream = Corrupt(truth, {30.0, 10.0, 3.0}, 72);
 
   StreamEvalOptions reference_options;
-  reference_options.pattern_storage = PatternStorage::kCsf;
   reference_options.workers = 1;
   reference_options.pipeline_depth = 1;
   reference_options.window = 1;
@@ -362,7 +366,6 @@ TEST(StreamPipelineTest, SteadyStateStepsAreAllocationFree) {
   }
 
   StreamEvalOptions options;
-  options.pattern_storage = PatternStorage::kCsf;
   options.workers = 2;
   options.pipeline_depth = 2;
   auto owned = MakeMethods();
@@ -383,7 +386,6 @@ TEST(StreamPipelineTest, MidStreamDrainReturnsCleanlyAndMatchesPrefix) {
   CorruptedStream stream = Corrupt(truth, {30.0, 10.0, 3.0}, 52);
 
   StreamEvalOptions options;
-  options.pattern_storage = PatternStorage::kCsf;
   options.workers = 2;
   options.pipeline_depth = 3;  // Prefetch reaches past the drain point.
   options.window = 2;
@@ -443,6 +445,63 @@ TEST(StreamPipelineTest, OverlapTelemetryAccountsEveryIngestBatch) {
   // core is timeslice-scale per ingest job, not nanoseconds.
   EXPECT_LE(telemetry.ingest_stall_seconds,
             telemetry.ingest_seconds + 0.020 * telemetry.ingest_jobs);
+}
+
+TEST(StreamPipelineTest, SteadyStateLoopPerformsNoVolumeScans) {
+  // One fixed outage mask across the whole stream: the loop must compact
+  // exactly once, serve every later step from the SparseMask cache, log no
+  // deltas, and never fall back to a dense mask byte compare. SOFIA adopts
+  // the shared pattern without building.
+  std::vector<DenseTensor> truth = MakeTruth(20, 31);
+  CorruptedStream stream = Corrupt(truth, {50.0, 0.0, 0.0}, 32);
+  for (size_t t = 1; t < stream.masks.size(); ++t) {
+    stream.masks[t] = stream.masks[0];
+  }
+
+  SofiaConfig config;
+  config.rank = 3;
+  config.period = 4;
+  SofiaStream sofia(config);
+  OnlineSgd sgd(OnlineSgdOptions{.rank = 3});
+  std::vector<StreamingMethod*> methods = {&sofia, &sgd};
+
+  Mask::ResetDeepEqualityScans();
+  std::vector<MethodRunResult> results =
+      RunImputationComparison(methods, stream, truth);
+  EXPECT_EQ(Mask::deep_equality_scans(), 0u)
+      << "a steady-state step fell back to a dense mask byte compare";
+  ASSERT_EQ(results.size(), 2u);
+  for (const MethodRunResult& r : results) {
+    EXPECT_EQ(r.run.pattern_builds, 1u);
+    EXPECT_EQ(r.run.pattern_reuses, truth.size() - 1);
+    EXPECT_TRUE(r.run.pattern_delta_sizes.empty());
+  }
+  EXPECT_EQ(sofia.model().step_pattern_builds(), 0u);
+}
+
+TEST(StreamPipelineTest, RebuildTelemetryLogsBitmapDeltas) {
+  // Mask churn halfway through the stream: two builds, one logged delta of
+  // exactly the masks' symmetric difference, everything else reuses.
+  std::vector<DenseTensor> truth = MakeTruth(10, 41);
+  CorruptedStream stream = Corrupt(truth, {30.0, 0.0, 0.0}, 42);
+  const Mask mask_a = stream.masks[0];
+  const Mask mask_b = stream.masks[5];
+  for (size_t t = 0; t < 5; ++t) stream.masks[t] = mask_a;
+  for (size_t t = 5; t < truth.size(); ++t) stream.masks[t] = mask_b;
+
+  OnlineSgd sgd(OnlineSgdOptions{.rank = 3});
+  std::vector<StreamingMethod*> methods = {&sgd};
+  std::vector<MethodRunResult> results =
+      RunImputationComparison(methods, stream, truth);
+
+  const StreamRunResult& run = results[0].run;
+  EXPECT_EQ(run.pattern_builds, 2u);
+  EXPECT_EQ(run.pattern_reuses, truth.size() - 2);
+  ASSERT_EQ(run.pattern_delta_sizes.size(), 1u);
+  const size_t expected =
+      SparseMask::FromMask(mask_a).DeltaSize(SparseMask::FromMask(mask_b));
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(run.pattern_delta_sizes[0], expected);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <set>
 
+#include "obs/cli.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -102,6 +103,51 @@ TEST(FlagsTest, DefaultsWhenAbsent) {
   EXPECT_EQ(f.GetInt("steps", 7), 7);
   EXPECT_DOUBLE_EQ(f.GetDouble("mu", 0.5), 0.5);
   EXPECT_FALSE(f.GetBool("verbose", false));
+}
+
+TEST(FlagsTest, UnreadListsFlagsNoCallAskedFor) {
+  Flags f = ParseFlags({"--workers=2", "--workres=2", "--bogus", "pos"});
+  EXPECT_EQ(f.Unread(), (std::vector<std::string>{"bogus", "workers",
+                                                  "workres"}));
+  EXPECT_EQ(f.GetInt("workers", 0), 2);
+  EXPECT_EQ(f.Unread(), (std::vector<std::string>{"bogus", "workres"}));
+  EXPECT_TRUE(f.Has("bogus"));
+  EXPECT_EQ(f.Unread(), (std::vector<std::string>{"workres"}));
+}
+
+TEST(FlagsTest, EveryAccessorRecordsItsRead) {
+  Flags f = ParseFlags({"--a=x", "--b=1", "--c=0.5", "--d=yes", "--e"});
+  EXPECT_EQ(f.GetString("a", ""), "x");
+  EXPECT_EQ(f.GetInt("b", 0), 1);
+  EXPECT_DOUBLE_EQ(f.GetDouble("c", 0.0), 0.5);
+  EXPECT_TRUE(f.GetBool("d", false));
+  EXPECT_TRUE(f.Has("e"));
+  EXPECT_TRUE(f.Unread().empty());
+  // Asking for an absent flag is a read of a name, never an unread flag.
+  EXPECT_EQ(f.GetInt("absent", 3), 3);
+  EXPECT_TRUE(f.Unread().empty());
+}
+
+TEST(FlagsTest, ObsCliReadsItsFlags) {
+  Flags f = ParseFlags({"--obs=1", "--stats-every=0", "--trace-capacity=64",
+                        "--storage=csf"});
+  obs::SetupObsFromFlags(f);
+  EXPECT_EQ(f.Unread(), (std::vector<std::string>{"storage"}));
+}
+
+TEST(FlagsTest, ReportUnreadFlagsNamesEachOne) {
+  Flags f = ParseFlags({"--storage=csf", "--bogus=1", "--seed=3"});
+  f.GetInt("seed", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(ReportUnreadFlags(f, "prog"), 2u);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("prog: unknown flag --bogus"), std::string::npos);
+  EXPECT_NE(err.find("prog: unknown flag --storage"), std::string::npos);
+  EXPECT_EQ(err.find("seed"), std::string::npos);
+
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(ReportUnreadFlags(ParseFlags({}), "prog"), 0u);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 // --- Table --------------------------------------------------------------------

@@ -27,9 +27,8 @@ KNOWN_ORDER = [
     "BENCH_stream.json",     # PR 2: sparse streaming Step.
     "BENCH_baselines.json",  # PR 3: baselines on the ObservedSweep core.
     "BENCH_pipeline.json",   # PR 4: lazy StepResult eval pipeline.
-    "BENCH_csf.json",        # PR 5: CSF tensor-storage subsystem.
     "BENCH_robustness.json", # PR 6: StreamGuard fault-tolerance layer.
-    "BENCH_simd.json",       # PR 7: SIMD kernels + incremental CSF.
+    "BENCH_simd.json",       # PR 7: SIMD kernels.
     "BENCH_runtime.json",    # PR 8: sharded pipelined streaming runtime.
     "BENCH_durability.json", # PR 9: crash-consistent durability layer.
     "BENCH_obs.json",        # PR 10: unified observability subsystem.
