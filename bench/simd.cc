@@ -1,6 +1,6 @@
 // Raw-speed kernel pass: every hot Coo kernel timed with the AVX2+FMA
-// trampoline enabled vs forced scalar (simd::SetEnabled), at a narrow and
-// a wide rank, on one machine. The speedup entries are the acceptance
+// trampoline enabled vs forced scalar (simd::SetEnabled), at ranks 4, 5
+// (one lane past a whole 4-lane vector), 8 and 16, on one machine. The speedup entries are the acceptance
 // numbers; on hardware without AVX2+FMA every pair degenerates to 1x and
 // the JSON says so.
 //
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     std::printf("note: no AVX2+FMA on this host — simd pairs will be ~1x\n");
   }
 
-  for (size_t rank : {size_t{4}, size_t{16}}) {
+  for (size_t rank : {size_t{4}, size_t{5}, size_t{8}, size_t{16}}) {
     Rng rng(301 + rank);
     Mask omega = BernoulliMask(shape, density / 100.0, rng);
     CooList coo = CooList::Build(omega);
@@ -138,8 +138,8 @@ int main(int argc, char** argv) {
       f,
       "  \"description\": \"Raw-speed kernel levers on %zux%zux%zu, %d%% "
       "observed. simd pairs time each hot Coo kernel with the AVX2+FMA "
-      "trampoline on vs forced scalar (simd::SetEnabled) at ranks 4 and "
-      "16 (simd ISA here: %s). Best (min) wall time over %zu repetitions, "
+      "trampoline on vs forced scalar (simd::SetEnabled) at ranks 4, 5, 8 "
+      "and 16 (simd ISA here: %s). Best (min) wall time over %zu repetitions, "
       "single thread (bench_simd --out=BENCH_simd.json).\",\n",
       d0, d1, d2, density, simd::Available() ? "avx2+fma" : "scalar-only",
       reps);
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"results\": {\n");
   size_t i = 0;
   for (const auto& [key, value] : results) {
-    std::fprintf(f, "    \"%s\": %.5f%s\n", key.c_str(), value,
+    std::fprintf(f, "    \"%s\": %.7f%s\n", key.c_str(), value,
                  ++i < results.size() ? "," : "");
   }
   std::fprintf(f, "  },\n");

@@ -26,7 +26,10 @@ namespace sofia {
 /// Result of one SOFIA_ALS run.
 struct SofiaAlsResult {
   DenseTensor completed;  ///< Low-rank reconstruction [[U^(1),...,U^(N)]].
-  double fitness = 0.0;   ///< 1 - ||Ω ⊛ (Y* - X̂)||_F / ||Ω ⊛ Y*||_F.
+  /// 1 - ||Ω ⊛ (Y* - X̂)||_F / ||Ω ⊛ Y*||_F, with the residual read from
+  /// the last sweep's temporal row systems (equal to a pass over Ω up to
+  /// rounding).
+  double fitness = 0.0;
   int sweeps = 0;         ///< ALS sweeps executed.
   /// True if a sweep produced non-finite values (heavy corruption can blow
   /// up the unregularized fit — the paper's Fig. 2(b) phenomenon). The

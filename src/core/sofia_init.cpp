@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/obs.hpp"
 #include "tensor/coo_list.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -16,10 +17,15 @@ SofiaInitResult SofiaInitialize(const std::vector<DenseTensor>& slices,
   SOFIA_CHECK_EQ(slices.size(), masks.size());
   SOFIA_CHECK_EQ(slices.size(), config.InitWindow())
       << "initialization expects t_i = init_seasons * period slices";
+  static obs::Counter* als_us =
+      obs::Registry::Global().FindOrCreateCounter("time.sofia.init.als_us");
+  static obs::Counter* threshold_us =
+      obs::Registry::Global().FindOrCreateCounter(
+          "time.sofia.init.threshold_us");
 
   // Lines 1-3: stack the start-up slices into batch tensors.
   DenseTensor y = DenseTensor::StackSlices(slices);
-  Mask omega = Mask::StackSlices(masks);
+  const Mask omega = Mask::StackSlices(masks);
   DenseTensor outliers(y.shape(), 0.0);
 
   // The mask is fixed for the whole init window while the outlier estimate
@@ -47,14 +53,20 @@ SofiaInitResult SofiaInitialize(const std::vector<DenseTensor>& slices,
   for (int outer = 0; outer < config.max_init_iterations; ++outer) {
     result.outer_iterations = outer + 1;
 
-    SofiaAlsResult als =
-        SofiaAls(coo, y, outliers, config, &factors, smooth_temporal, pool);
+    SofiaAlsResult als;
+    {
+      obs::ObsSpan span("sofia.init.als", als_us);
+      als = SofiaAls(coo, y, outliers, config, &factors, smooth_temporal,
+                     pool);
+    }
 
-    // Line 8: O <- SoftThresholding(Ω ⊛ (Y - X̂), λ3).
-    for (size_t k = 0; k < y.NumElements(); ++k) {
-      outliers[k] = omega.Get(k)
-                        ? SoftThreshold(y[k] - als.completed[k], lambda3)
-                        : 0.0;
+    // Line 8: O <- SoftThresholding(Ω ⊛ (Y - X̂), λ3). Only observed
+    // entries are written: O is zero off Ω from construction.
+    {
+      obs::ObsSpan span("sofia.init.threshold", threshold_us);
+      for (size_t k : coo.LinearIndices()) {
+        outliers[k] = SoftThreshold(y[k] - als.completed[k], lambda3);
+      }
     }
 
     // Lines 9-11: decay the threshold, floored at λ3/100.

@@ -62,6 +62,12 @@ SofiaModel SofiaModel::Initialize(const std::vector<DenseTensor>& slices,
                                   const SofiaConfig& config,
                                   const SofiaAblation& ablation,
                                   std::shared_ptr<WorkerPool> pool) {
+  static obs::Counter* init_us =
+      obs::Registry::Global().FindOrCreateCounter("time.sofia.init_us");
+  static obs::Counter* hw_fit_us =
+      obs::Registry::Global().FindOrCreateCounter(
+          "time.sofia.init.hw_fit_us");
+  obs::ObsSpan span("sofia.init", init_us);
   SofiaModel model;
   model.config_ = config;
   model.ablation_ = ablation;
@@ -89,13 +95,16 @@ SofiaModel SofiaModel::Initialize(const std::vector<DenseTensor>& slices,
   model.season_.assign(m, std::vector<double>(rank, 0.0));
   model.season_pos_ = 0;
   model.hw_params_.resize(rank);
-  for (size_t r = 0; r < rank; ++r) {
-    HwFit fit = FitHoltWinters(temporal.ColVector(r), m);
-    model.hw_params_[r] = fit.params;
-    model.level_[r] = fit.level;
-    model.trend_[r] = fit.trend;
-    // fit.seasonal[j] is the component for time ti + 1 + j.
-    for (size_t j = 0; j < m; ++j) model.season_[j][r] = fit.seasonal[j];
+  {
+    obs::ObsSpan hw_span("sofia.init.hw_fit", hw_fit_us);
+    for (size_t r = 0; r < rank; ++r) {
+      HwFit fit = FitHoltWinters(temporal.ColVector(r), m);
+      model.hw_params_[r] = fit.params;
+      model.level_[r] = fit.level;
+      model.trend_[r] = fit.trend;
+      // fit.seasonal[j] is the component for time ti + 1 + j.
+      for (size_t j = 0; j < m; ++j) model.season_[j][r] = fit.seasonal[j];
+    }
   }
 
   // Temporal-row history u_{ti-m+1..ti}; oldest (u_{ti+1-m}) at slot 0.

@@ -49,6 +49,17 @@
 #define SOFIA_TARGET_AVX2
 #endif
 
+/// Marks the scalar trampoline of SelectLanes: the body is flattened into
+/// it and compiled without floating-point contraction, so the scalar
+/// instantiation multiplies then adds even in builds whose baseline ISA
+/// has FMA (-mfma, -march=native). (GCC only; Clang has no per-function
+/// switch and keeps its build-wide default there.)
+#if defined(__GNUC__) && !defined(__clang__)
+#define SOFIA_TARGET_SCALAR __attribute__((optimize("fp-contract=off"), flatten))
+#else
+#define SOFIA_TARGET_SCALAR
+#endif
+
 #if defined(__GNUC__) || defined(__clang__)
 #define SOFIA_RESTRICT __restrict__
 #define SOFIA_ALWAYS_INLINE inline __attribute__((always_inline))
@@ -72,12 +83,37 @@ void SetEnabled(bool enabled);
 /// "avx2+fma" when Enabled(), else "scalar" — for bench/CLI banners.
 const char* IsaName();
 
+// Lane types (GCC/Clang vector extensions): Vec4 is one ymm register in
+// the AVX2+FMA instantiation; Vec2 is the default target's native width
+// (one SSE2 register on x86-64). Element-wise ops on either are the plain
+// per-element multiplies and adds.
+typedef double Vec2 __attribute__((vector_size(16)));
+typedef double Vec4 __attribute__((vector_size(32)));
+
+/// Names a lane type without passing a vector by value (a 32-byte vector
+/// argument would change the calling convention between the two
+/// instantiations).
+template <typename V>
+struct LaneTag {
+  using type = V;
+};
+
 #if SOFIA_SIMD_X86
 template <typename Body>
 SOFIA_TARGET_AVX2 void RunAvx2(const Body& body, size_t task) {
   body(task);
 }
+
+template <typename Body>
+SOFIA_TARGET_AVX2 void RunAvx2Lanes(const Body& body, size_t task) {
+  body(LaneTag<Vec4>{}, task);
+}
 #endif
+
+template <typename Body>
+SOFIA_TARGET_SCALAR void RunScalarLanes(const Body& body, size_t task) {
+  body(LaneTag<Vec2>{}, task);
+}
 
 /// Wraps a kernel task body in the ISA choice. The returned callable
 /// borrows `body` — pass it straight to RunTasks within the same full
@@ -90,6 +126,23 @@ std::function<void(size_t)> Select(const Body& body) {
   }
 #endif
   return [&body](size_t task) { body(task); };
+}
+
+/// Select for task bodies written over a lane type, called as
+/// body(LaneTag<V>{}, task) with V = Vec4 in the AVX2+FMA instantiation
+/// and Vec2 in the scalar one. Lane rows a body keeps in locals then stay
+/// in registers on both: the default target has no 4-lane register, so a
+/// local Vec4 would live in memory there. The scalar instantiation never
+/// fuses a multiply-add (SOFIA_TARGET_SCALAR), so its bits do not depend
+/// on the build's baseline ISA.
+template <typename Body>
+std::function<void(size_t)> SelectLanes(const Body& body) {
+#if SOFIA_SIMD_X86
+  if (Enabled()) {
+    return [&body](size_t task) { RunAvx2Lanes(body, task); };
+  }
+#endif
+  return [&body](size_t task) { RunScalarLanes(body, task); };
 }
 
 // ---------------------------------------------------------------------
@@ -110,10 +163,6 @@ std::function<void(size_t)> Select(const Body& body) {
 // sites, so vectorization never reorders a summation. The lanes live
 // only in locals (loads/stores spelled as memcpy), so no vector type
 // ever crosses a function-call ABI boundary.
-
-#if SOFIA_SIMD_X86
-typedef double Vec4 __attribute__((vector_size(32)));
-#endif
 
 /// h[r] = v for r in [0, n).
 SOFIA_ALWAYS_INLINE void Fill(double* SOFIA_RESTRICT h, size_t n, double v) {

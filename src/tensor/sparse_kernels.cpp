@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <type_traits>
 
 #include "linalg/solve.hpp"
@@ -88,33 +91,104 @@ struct RankSquareBuffer<0> {
   std::vector<double> dynamic;
 };
 
-/// Scratch behind the blocked reductions (record blocks): zeroed per-block
-/// partial accumulators plus an optional all-ones weight row. Arena-backed
-/// when the pool provides one (ShardExecutor) — the buffers then persist
-/// across calls and steps, so a steady-state stream step performs zero
-/// scratch allocations (ScratchArena::growth_events pins this). Call-local
-/// vector otherwise. The block boundaries and combine order never depend on
-/// which storage backs the scratch, so results are bitwise identical either
-/// way.
+/// Zeroed partial accumulators behind the blocked reductions (record
+/// blocks). Arena-backed when the pool provides one (ShardExecutor) — the
+/// buffer then persists across calls and steps, so a steady-state stream
+/// step performs zero scratch allocations (ScratchArena::growth_events pins
+/// this). Call-local vector otherwise. The block boundaries and combine
+/// order never depend on which storage backs the scratch, so results are
+/// bitwise identical either way.
 struct ReduceScratch {
   std::vector<double> local;
   double* partials = nullptr;
-  double* ones = nullptr;
 
-  ReduceScratch(WorkerPool* pool, size_t partial_count, size_t ones_count) {
+  ReduceScratch(WorkerPool* pool, size_t partial_count) {
     ScratchArena* arena = pool == nullptr ? nullptr : pool->arena();
     if (arena != nullptr) {
       partials = arena->Doubles(arena_slots::kReducePartials, partial_count);
-      if (ones_count > 0) {
-        ones = arena->RawDoubles(arena_slots::kReduceOnes, ones_count);
-      }
     } else {
-      local.assign(partial_count + ones_count, 0.0);
+      local.assign(partial_count, 0.0);
       partials = local.data();
-      if (ones_count > 0) ones = local.data() + partial_count;
     }
-    if (ones_count > 0) std::fill(ones, ones + ones_count, 1.0);
   }
+};
+
+/// Rank rounded up to whole 4-lane vectors: the row width of PaddedRows and
+/// of the row-system kernel's accumulator rows.
+constexpr size_t PaddedRank(size_t rank) { return (rank + 3) / 4 * 4; }
+
+/// The regressor inputs of the row-system kernel, set up once per call:
+/// every other mode's factor with its rows padded to PaddedRank(R) doubles
+/// (zero pad lanes), so a record's h is built from whole-vector loads, and
+/// the row h starts from (the weights, or ones for the plain Theorem-1
+/// systems) at the same width. Ranks that are a multiple of 4 read the
+/// factors in place. The copies live in the pool's arena when it has one —
+/// allocation-free in steady state, like ReduceScratch — else in `local`.
+struct PaddedRows {
+  std::vector<double> local;
+  std::vector<const double*> base;  // Per mode; the solved mode's is null.
+  const double* start = nullptr;
+
+  PaddedRows(WorkerPool* pool, const std::vector<Matrix>& factors,
+             const double* weights, size_t mode, size_t rank)
+      : base(factors.size(), nullptr) {
+    const size_t width = PaddedRank(rank);
+    const bool pad = width != rank;
+    size_t count = width;
+    for (size_t l = 0; l < factors.size() && pad; ++l) {
+      if (l != mode) count += factors[l].rows() * width;
+    }
+    ScratchArena* arena = pool == nullptr ? nullptr : pool->arena();
+    double* buf = nullptr;
+    if (arena != nullptr) {
+      buf = arena->RawDoubles(arena_slots::kPaddedRows, count);
+    } else {
+      local.resize(count);
+      buf = local.data();
+    }
+    for (size_t r = 0; r < width; ++r) {
+      buf[r] = r >= rank ? 0.0 : weights != nullptr ? weights[r] : 1.0;
+    }
+    start = buf;
+    double* next = buf + width;
+    for (size_t l = 0; l < factors.size(); ++l) {
+      if (l == mode) continue;
+      if (!pad) {
+        base[l] = factors[l].data();
+        continue;
+      }
+      for (size_t i = 0; i < factors[l].rows(); ++i) {
+        double* row = next + i * width;
+        std::copy_n(factors[l].Row(i), rank, row);
+        std::fill(row + rank, row + width, 0.0);
+      }
+      base[l] = next;
+      next += factors[l].rows() * width;
+    }
+  }
+};
+
+/// Accumulator rows of one mode slice: R rows of B, then c, then the
+/// current record's h, each PaddedRank(R) lanes of type V wide. A fixed
+/// rank keeps them in a local array, which the compiler holds in registers
+/// at small ranks; the dynamic rank allocates per task. Both are 32-byte
+/// aligned: the AVX2 instantiation moves Vec4s with aligned stores.
+template <size_t kR, typename V>
+struct LaneRows {
+  V* get(size_t) { return fixed; }
+  alignas(32) V fixed[(kR + 2) * PaddedRank(kR) / (sizeof(V) / 8)];
+};
+template <typename V>
+struct LaneRows<0, V> {
+  V* get(size_t rank) {
+    const size_t bytes = (rank + 2) * PaddedRank(rank) * sizeof(double);
+    storage.reset(static_cast<V*>(std::aligned_alloc(32, bytes)));
+    return storage.get();
+  }
+  struct Free {
+    void operator()(void* p) const { std::free(p); }
+  };
+  std::unique_ptr<V, Free> storage;
 };
 
 void CheckFactors(const CooList& coo, const std::vector<Matrix>& factors,
@@ -124,6 +198,21 @@ void CheckFactors(const CooList& coo, const std::vector<Matrix>& factors,
     SOFIA_CHECK_EQ(factors[n].rows(), coo.shape().dim(n));
     SOFIA_CHECK_EQ(factors[n].cols(), rank);
   }
+}
+
+/// Invoke fn(integral_constant<size_t, N>) with N a compile-time copy of
+/// `order` when it is one of kOrders, or 0 (= run-time order) otherwise.
+/// CP-WOPT fixes order 2 (the slices every CP-WOPT workload streams,
+/// compare-nine's 40x40 included); the row-system kernels fix orders 2 and
+/// 3 (stream slices and init windows). With rank and order both fixed, the
+/// per-record leave-one-out chains unroll completely.
+template <size_t... kOrders, typename Fn>
+void DispatchOrder(size_t order, Fn&& fn) {
+  const bool fixed =
+      ((order == kOrders &&
+        (fn(std::integral_constant<size_t, kOrders>{}), true)) ||
+       ...);
+  if (!fixed) fn(std::integral_constant<size_t, 0>{});
 }
 
 template <size_t kR>
@@ -159,99 +248,123 @@ void CooMttkrpImpl(const CooList& coo, const std::vector<double>& values,
   RunTasks(pool, out->rows(), simd::Select(task));
 }
 
-/// Accumulate one mode slice's normal equations into raw b/c buffers
-/// (assumed zeroed by the caller): h = weights ⊛ leave-one-out product
-/// (weights == nullptr starts h at 1 — the plain Theorem-1 systems), rank-1
-/// updates on the upper triangle, mirrored once at the end. The single
-/// source of this arithmetic for both the materialized row-system kernels
-/// and the fused proximal updates, so the two stay bitwise aligned.
-template <size_t kR>
+/// One mode slice's Theorem-1 system, written (not added) to `bdata` (full
+/// R x R, row-major) and `c`: per record, h = start ⊛ (⊛_{l != mode}
+/// u^(l)_{i_l}) with the other modes multiplied in ascending order, then
+/// c += y* h and B += h h^T. B and c stay in accumulator rows of
+/// PaddedRank(R) lanes for the whole slice, as vectors of type V (Vec4 in
+/// the AVX2+FMA instantiation, Vec2 in the scalar one) that the compiler
+/// holds in registers at small ranks, and h is built from whole-vector
+/// loads of the padded factor rows. Each B and c element takes exactly one
+/// multiply-add per record, in bucket order: a fused one in the AVX2+FMA
+/// instantiation, multiply-then-add in the scalar one. Full rows of B are
+/// accumulated and the upper triangle is mirrored at the end, so B is
+/// exactly symmetric. The single source of this arithmetic for both the
+/// materialized row-system kernels and the fused proximal updates, so the
+/// two stay bitwise aligned.
+template <size_t kR, size_t kN, typename V>
 void AccumulateSliceRowSystem(const CooList& coo,
                               const std::vector<double>& values,
-                              const std::vector<FactorView>& views,
-                              const double* weights, size_t mode,
+                              const PaddedRows& rows, size_t mode,
                               size_t slice, size_t rank,
-                              double* SOFIA_RESTRICT h,
                               double* SOFIA_RESTRICT bdata,
                               double* SOFIA_RESTRICT c) {
+  constexpr size_t L = sizeof(V) / sizeof(double);
   const std::vector<uint32_t>& order = coo.ModeOrder(mode);
   const std::vector<size_t>& ptr = coo.SlicePtr(mode);
-  const size_t num_modes = views.size();
   const size_t R = kR == 0 ? rank : kR;
+  const size_t stride = PaddedRank(R);
+  const size_t W = stride / L;
+  const size_t others = (kN == 0 ? coo.order() : kN) - 1;
+  LaneRows<kR, V> lanes;
+  V* SOFIA_RESTRICT acc = lanes.get(R);
+  V* SOFIA_RESTRICT cacc = acc + R * W;
+  V* SOFIA_RESTRICT h = cacc + W;
+  V zero;
+  for (size_t i = 0; i < L; ++i) zero[i] = 0.0;
+  for (size_t j = 0; j < (R + 1) * W; ++j) acc[j] = zero;
   for (size_t p = ptr[slice]; p < ptr[slice + 1]; ++p) {
     const size_t k = order[p];
     const uint32_t* idx = coo.Coords(k);
-    if (weights != nullptr) {
-      simd::Copy(h, weights, R);
-    } else {
-      simd::Fill(h, R, 1.0);
+    for (size_t j = 0; j < W; ++j) {
+      std::memcpy(&h[j], rows.start + L * j, sizeof(V));
     }
-    for (size_t l = 0; l < num_modes; ++l) {
-      if (l == mode) continue;
-      const double* row = views[l].data + idx[l] * views[l].cols;
-      simd::MulIn(h, row, R);
+    for (size_t o = 0; o < others; ++o) {
+      const size_t l = o + (o >= mode ? 1 : 0);  // o-th mode != `mode`.
+      const double* row = rows.base[l] + idx[l] * stride;
+      for (size_t j = 0; j < W; ++j) {
+        V x;
+        std::memcpy(&x, row + L * j, sizeof(x));
+        h[j] *= x;
+      }
     }
-    // c and each triangle row of B are independent accumulators: hoisting
-    // the c update out of the row loop changes no sum's order.
     const double ystar = values[k];
-    simd::MulAddIn(c, ystar, h, R);
+    for (size_t j = 0; j < W; ++j) cacc[j] += ystar * h[j];
     for (size_t r = 0; r < R; ++r) {
-      simd::MulAddIn(bdata + r * R + r, h[r], h + r, R - r);
+      const double hr = h[r / L][r % L];
+      for (size_t j = 0; j < W; ++j) acc[r * W + j] += hr * h[j];
     }
   }
+  // Lane-wise stores keep every access to the accumulators a whole-vector
+  // or constant-lane one, which is what lets them live in registers.
   for (size_t r = 0; r < R; ++r) {
-    for (size_t q = r + 1; q < R; ++q) bdata[q * R + r] = bdata[r * R + q];
+    c[r] = cacc[r / L][r % L];
+    for (size_t q = r; q < R; ++q) {
+      bdata[r * R + q] = bdata[q * R + r] = acc[r * W + q / L][q % L];
+    }
   }
 }
 
 /// Shared accumulation of CooRowSystems / CooWeightedRowSystems: one task
 /// per mode slice (= one output row system), so no two threads ever write
 /// the same accumulator.
-template <size_t kR>
+template <size_t kR, size_t kN>
 void CooRowSystemsImpl(const CooList& coo, const std::vector<double>& values,
-                       const std::vector<FactorView>& views,
-                       const double* weights, size_t mode, WorkerPool* pool,
+                       const PaddedRows& rows, size_t mode, WorkerPool* pool,
                        size_t rank, RowSystems* sys) {
-  auto task = [&](size_t slice) {
-    const size_t R = kR == 0 ? rank : kR;
-    RankBuffer<kR> buf;
-    AccumulateSliceRowSystem<kR>(coo, values, views, weights, mode, slice,
-                                 rank, buf.get(R), sys->b[slice].data(),
-                                 sys->c[slice].data());
+  auto task = [&](auto lanes, size_t slice) {
+    AccumulateSliceRowSystem<kR, kN, typename decltype(lanes)::type>(
+        coo, values, rows, mode, slice, rank, sys->b[slice].data(),
+        sys->c[slice].data());
   };
-  RunTasks(pool, sys->b.size(), simd::Select(task));
+  RunTasks(pool, sys->b.size(), simd::SelectLanes(task));
 }
 
 /// Fused row-system accumulation + proximal solve of one mode. Per task
-/// (= one mode slice = one output row): accumulate B/c via the shared
+/// (= one mode slice = one output row): build B/c via the shared
 /// AccumulateSliceRowSystem, then hand the system to the shared
 /// ProximalRowSolve in stack buffers — the same routines the materialized
 /// kernels and the dense oracle's proximal updates run, so the fused and
 /// materialized paths stay bitwise aligned.
-template <size_t kR>
+template <size_t kR, size_t kN>
 void CooProximalRowUpdatesImpl(const CooList& coo,
                                const std::vector<double>& values,
-                               const std::vector<FactorView>& views,
-                               const double* weights, size_t mode,
+                               const PaddedRows& rows, size_t mode,
                                const Matrix& previous, double mu,
-                               WorkerPool* pool,
-                               size_t rank, Matrix* u) {
-  auto task = [&](size_t slice) {
+                               WorkerPool* pool, size_t rank, Matrix* u) {
+  auto task = [&](auto lanes, size_t slice) {
     const size_t R = kR == 0 ? rank : kR;
-    RankBuffer<kR> hbuf, cbuf, rhsbuf;
+    RankBuffer<kR> cbuf, rhsbuf;
     RankSquareBuffer<kR> bbuf, abuf;
     double* b = bbuf.get(R);
     double* c = cbuf.get(R);
-    for (size_t e = 0; e < R * R; ++e) b[e] = 0.0;
-    for (size_t r = 0; r < R; ++r) c[r] = 0.0;
-    AccumulateSliceRowSystem<kR>(coo, values, views, weights, mode, slice,
-                                 rank, hbuf.get(R), b, c);
+    AccumulateSliceRowSystem<kR, kN, typename decltype(lanes)::type>(
+        coo, values, rows, mode, slice, rank, b, c);
     // ProximalRowSolve is an out-of-line call: its arithmetic stays scalar
     // under both instantiations; only the B/c accumulation vectorizes.
     ProximalRowSolve(b, c, previous.Row(slice), mu, R, abuf.get(R),
                      rhsbuf.get(R), u->Row(slice));
   };
-  RunTasks(pool, u->rows(), simd::Select(task));
+  RunTasks(pool, u->rows(), simd::SelectLanes(task));
+}
+
+/// Runs fn(kR, kN) on the rank- and order-specialized instantiation of the
+/// row-system kernels.
+template <typename Fn>
+void DispatchRowSystems(size_t order, size_t rank, Fn&& fn) {
+  DispatchOrder<2, 3>(order, [&](auto order_tag) {
+    DispatchRank(rank, [&](auto rank_tag) { fn(rank_tag, order_tag); });
+  });
 }
 
 /// Blocked accumulation of the slice-global temporal system: each block owns
@@ -322,19 +435,6 @@ void CooResidualBlocksImpl(const CooList& coo,
     }
     partial[block] = s;
   });
-}
-
-/// Invoke fn(integral_constant<size_t, N>) with N = 2 for order-2 tensors
-/// (the slices every CP-WOPT workload streams, compare-nine's 40x40
-/// included), or 0 (= run-time order) otherwise. With rank and order both
-/// fixed, CP-WOPT's per-record leave-one-out chains unroll completely.
-template <typename Fn>
-void DispatchOrder(size_t order, Fn&& fn) {
-  if (order == 2) {
-    fn(std::integral_constant<size_t, 2>{});
-  } else {
-    fn(std::integral_constant<size_t, 0>{});
-  }
 }
 
 /// Offsets of each mode's factor in CP-WOPT's packed parameter vector:
@@ -442,7 +542,7 @@ double CpWoptLossImpl(const CooList& coo, const std::vector<double>& values,
                                    std::min(begin + kReductionBlock, nnz));
   };
   if (num_blocks <= 1) return block(0);
-  ReduceScratch scratch(pool, num_blocks, 0);
+  ReduceScratch scratch(pool, num_blocks);
   RunTasks(pool, num_blocks,
            [&](size_t b) { scratch.partials[b] = block(b); });
   double total = 0.0;
@@ -471,7 +571,7 @@ void CpWoptGradientImpl(const CooList& coo, const std::vector<double>& values,
     range(0, grad);
     return;
   }
-  ReduceScratch scratch(pool, (tasks - 1) * params, 0);
+  ReduceScratch scratch(pool, (tasks - 1) * params);
   double* slabs = scratch.partials;
   RunTasks(pool, tasks, [&](size_t t) {
     range(t, t == 0 ? grad : slabs + (t - 1) * params);
@@ -489,7 +589,7 @@ template <typename Fn>
 void DispatchPacked(const CooList& coo, const std::vector<double>& values,
                     const std::vector<double>& x, size_t rank, Fn&& fn) {
   SOFIA_CHECK_EQ(values.size(), coo.nnz());
-  DispatchOrder(coo.order(), [&](auto order_tag) {
+  DispatchOrder<2>(coo.order(), [&](auto order_tag) {
     constexpr size_t kN = decltype(order_tag)::value;
     PackedOffsets<kN> offset_buf;
     size_t* offsets = offset_buf.get(coo.order());
@@ -625,7 +725,7 @@ void CooTemporalGradientImpl(const CooList& coo,
                              double* temporal_trace) {
   const size_t num_modes = views.size();
   const size_t num_blocks = (coo.nnz() + kReductionBlock - 1) / kReductionBlock;
-  ReduceScratch scratch(pool, num_blocks * (rank + 1), 0);
+  ReduceScratch scratch(pool, num_blocks * (rank + 1));
   double* partial = scratch.partials;
   auto task = [&](size_t block) {
     const size_t R = kR == 0 ? rank : kR;
@@ -692,11 +792,10 @@ RowSystems CooRowSystems(const CooList& coo, const std::vector<double>& values,
   RowSystems sys;
   sys.b.assign(coo.shape().dim(mode), Matrix(rank, rank));
   sys.c.assign(coo.shape().dim(mode), std::vector<double>(rank, 0.0));
-  const std::vector<FactorView> views = MakeViews(factors);
-  DispatchRank(rank, [&](auto tag) {
-    CooRowSystemsImpl<decltype(tag)::value>(coo, values, views,
-                                            /*weights=*/nullptr, mode,
-                                            pool, rank, &sys);
+  const PaddedRows rows(pool, factors, /*weights=*/nullptr, mode, rank);
+  DispatchRowSystems(coo.order(), rank, [&](auto rank_tag, auto order_tag) {
+    CooRowSystemsImpl<decltype(rank_tag)::value, decltype(order_tag)::value>(
+        coo, values, rows, mode, pool, rank, &sys);
   });
   return sys;
 }
@@ -718,11 +817,10 @@ RowSystems CooWeightedRowSystems(const CooList& coo,
   RowSystems sys;
   sys.b.assign(coo.shape().dim(mode), Matrix(rank, rank));
   sys.c.assign(coo.shape().dim(mode), std::vector<double>(rank, 0.0));
-  const std::vector<FactorView> views = MakeViews(factors);
-  DispatchRank(rank, [&](auto tag) {
-    CooRowSystemsImpl<decltype(tag)::value>(coo, values, views,
-                                            temporal_row.data(), mode,
-                                            pool, rank, &sys);
+  const PaddedRows rows(pool, factors, temporal_row.data(), mode, rank);
+  DispatchRowSystems(coo.order(), rank, [&](auto rank_tag, auto order_tag) {
+    CooRowSystemsImpl<decltype(rank_tag)::value, decltype(order_tag)::value>(
+        coo, values, rows, mode, pool, rank, &sys);
   });
   return sys;
 }
@@ -744,11 +842,11 @@ void CooProximalRowUpdates(const CooList& coo,
   SOFIA_CHECK_EQ(previous.rows(), u->rows());
   SOFIA_CHECK_EQ(previous.cols(), rank);
 
-  const std::vector<FactorView> views = MakeViews(factors);
-  DispatchRank(rank, [&](auto tag) {
-    CooProximalRowUpdatesImpl<decltype(tag)::value>(
-        coo, values, views, temporal_row.data(), mode, previous, mu,
-        pool, rank, u);
+  const PaddedRows rows(pool, factors, temporal_row.data(), mode, rank);
+  DispatchRowSystems(coo.order(), rank, [&](auto rank_tag, auto order_tag) {
+    CooProximalRowUpdatesImpl<decltype(rank_tag)::value,
+                              decltype(order_tag)::value>(
+        coo, values, rows, mode, previous, mu, pool, rank, u);
   });
 }
 
@@ -761,7 +859,7 @@ NormalSystem CooNormalSystem(const CooList& coo,
   CheckFactors(coo, factors, rank);
 
   const size_t num_blocks = (coo.nnz() + kReductionBlock - 1) / kReductionBlock;
-  ReduceScratch scratch(pool, num_blocks * (rank * rank + rank), 0);
+  ReduceScratch scratch(pool, num_blocks * (rank * rank + rank));
   const std::vector<FactorView> views = MakeViews(factors);
   DispatchRank(rank, [&](auto tag) {
     CooNormalSystemImpl<decltype(tag)::value>(coo, values, views, pool, rank,
@@ -829,7 +927,7 @@ double CooResidualSquaredNorm(const CooList& coo,
   // order; both the block boundaries and the combine order are independent
   // of the thread count.
   const size_t num_blocks = (coo.nnz() + kReductionBlock - 1) / kReductionBlock;
-  ReduceScratch scratch(pool, num_blocks, 0);
+  ReduceScratch scratch(pool, num_blocks);
   const std::vector<FactorView> views = MakeViews(factors);
   DispatchRank(rank, [&](auto tag) {
     CooResidualBlocksImpl<decltype(tag)::value>(

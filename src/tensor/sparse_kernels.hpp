@@ -66,8 +66,10 @@ Matrix CooMttkrp(const CooList& coo, const std::vector<double>& values,
                  WorkerPool* pool = nullptr);
 
 /// Accumulate the Theorem-1 row systems for `mode` from observed entries.
-/// The rank-1 updates touch only the upper triangle of each B and mirror it
-/// once per row at the end. Requires a CooList built with mode buckets.
+/// Each row's B and c are held in registers over its records (rank-
+/// specialized, and order-specialized for orders 2 and 3); B's upper
+/// triangle is mirrored at the end, so it is exactly symmetric. Requires a
+/// CooList built with mode buckets.
 RowSystems CooRowSystems(const CooList& coo, const std::vector<double>& values,
                          const std::vector<Matrix>& factors, size_t mode,
                          WorkerPool* pool = nullptr);

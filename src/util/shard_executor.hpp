@@ -77,7 +77,7 @@ class ScratchArena {
 /// (tensor/sparse_kernels.cpp). New users take slots beyond kFirstFreeSlot.
 namespace arena_slots {
 constexpr size_t kReducePartials = 0;  // Blocked-reduction partial sums.
-constexpr size_t kReduceOnes = 1;      // All-ones weight vector.
+constexpr size_t kPaddedRows = 1;      // Row-system kernels' padded factors.
 constexpr size_t kFirstFreeSlot = 8;
 }  // namespace arena_slots
 

@@ -19,11 +19,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "baselines/online_sgd.hpp"
+#include "core/sofia_model.hpp"
 #include "core/sofia_stream.hpp"
 #include "data/corruption.hpp"
 #include "data/synthetic.hpp"
@@ -321,6 +323,60 @@ TEST_F(ObsTest, ReportPrintsFixedDecimals) {
   EXPECT_NE(report.find("123.5"), std::string::npos) << report;   // p50.
   EXPECT_NE(report.find("2000.0"), std::string::npos) << report;  // p90.
   EXPECT_EQ(report.find("e+"), std::string::npos) << report;
+}
+
+/// SofiaModel::Initialize is one `sofia.init` span with named stages
+/// inside: one `sofia.init.als` and one `sofia.init.threshold` per outer
+/// round of Algorithm 1, and one `sofia.init.hw_fit`. The stages run one
+/// after another on the calling thread, so they cannot sum past the parent,
+/// in the trace or in their time.* counters.
+TEST_F(ObsTest, TracedInitializeRecordsNestedInitSpans) {
+  SyntheticTensor syn = MakeSinusoidTensor(6, 5, 12, 3, 4, /*seed=*/21);
+  std::vector<DenseTensor> truth;
+  for (size_t t = 0; t < 12; ++t) truth.push_back(syn.tensor.SliceLastMode(t));
+  CorruptedStream stream = Corrupt(truth, {20.0, 5.0, 3.0}, /*seed=*/22);
+  SofiaConfig config;
+  config.rank = 3;
+  config.period = 4;
+  config.num_threads = 1;
+  config.max_init_iterations = 6;
+
+  const std::string path = TempPath("obs_test_init_trace.json");
+  ASSERT_TRUE(TraceStart());
+  SofiaModel::Initialize(stream.slices, stream.masks, config);
+  ASSERT_TRUE(TraceStopAndWrite(path));
+  std::string body, error;
+  ASSERT_TRUE(ReadFileToString(path, &body, &error)) << error;
+  JsonValue trace;
+  ASSERT_TRUE(ParseJson(body, &trace, &error)) << error;
+  std::remove(path.c_str());
+
+  std::map<std::string, size_t> count;
+  std::map<std::string, double> dur_us;
+  const JsonValue* events = trace.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  for (const JsonValue& event : events->array) {
+    if (event.StringOr("ph", "") != "X") continue;
+    const std::string name = event.StringOr("name", "");
+    ++count[name];
+    dur_us[name] += event.NumberOr("dur", 0.0);
+  }
+  EXPECT_EQ(count["sofia.init"], 1u);
+  EXPECT_GE(count["sofia.init.als"], 1u);
+  EXPECT_EQ(count["sofia.init.threshold"], count["sofia.init.als"]);
+  EXPECT_EQ(count["sofia.init.hw_fit"], 1u);
+  EXPECT_LE(dur_us["sofia.init.als"] + dur_us["sofia.init.threshold"] +
+                dur_us["sofia.init.hw_fit"],
+            dur_us["sofia.init"]);
+
+  Registry& r = Registry::Global();
+  const uint64_t parent = r.FindOrCreateCounter("time.sofia.init_us")->Value();
+  const uint64_t children =
+      r.FindOrCreateCounter("time.sofia.init.als_us")->Value() +
+      r.FindOrCreateCounter("time.sofia.init.threshold_us")->Value() +
+      r.FindOrCreateCounter("time.sofia.init.hw_fit_us")->Value();
+  EXPECT_GT(parent, 0u);
+  EXPECT_LE(children, parent);
 }
 
 /// The whole point of the subsystem: measuring must not move the numbers.

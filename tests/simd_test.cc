@@ -126,10 +126,10 @@ Problem MakeProblem(const Shape& shape, size_t rank, uint64_t seed) {
   return p;
 }
 
-/// Ranks covering the compile-time dispatch table's edges (1, 16), a small
-/// blocked rank (3), and a dynamic-dispatch fallback (7 is not in the
-/// table).
-constexpr size_t kRanks[] = {1, 3, 7, 16};
+/// Ranks covering the compile-time dispatch table's edges (1, 16), small
+/// blocked ranks (3; 5, one lane past a whole 4-lane vector; 8, two whole
+/// vectors), and a dynamic-dispatch fallback (7 is not in the table).
+constexpr size_t kRanks[] = {1, 3, 5, 7, 8, 16};
 
 std::vector<Shape> ParityShapes() {
   return {Shape({7, 6, 5}), Shape({5, 4, 3, 6})};

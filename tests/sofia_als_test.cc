@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "data/synthetic.hpp"
 #include "eval/metrics.hpp"
+#include "tensor/coo_list.hpp"
 #include "tensor/kruskal.hpp"
 #include "tensor/simd.hpp"
+#include "tensor/sparse_kernels.hpp"
 #include "util/rng.hpp"
 
 namespace sofia {
@@ -257,6 +260,138 @@ TEST(SofiaAlsTest, OutlierTensorIsSubtractedFromData) {
   SofiaAlsResult res =
       SofiaAls(spiked, p.omega, outliers, p.config, &p.factors);
   EXPECT_LT(NormalizedResidualError(res.completed, p.truth), 0.05);
+}
+
+// ---------------------------------------- fitness from the row systems
+//
+// SofiaAls reads each sweep's fitness from the temporal row systems that
+// sweep built; a separate pass over Ω at the returned factors must agree.
+
+/// 1 - ||Ω ⊛ (Y* - X̂)||_F / ||Ω ⊛ Y*||_F by a residual pass over Ω.
+double FitnessByResidualPass(const DenseTensor& y, const Mask& omega,
+                             const DenseTensor& o,
+                             const std::vector<Matrix>& factors) {
+  const CooList coo = CooList::Build(omega);
+  const std::vector<double> ystar = coo.GatherResidual(y, o);
+  const double data_norm = CooDataNorm(ystar);
+  if (data_norm == 0.0) return 1.0;
+  return 1.0 - CooResidualNorm(coo, ystar, factors) / data_norm;
+}
+
+/// A 5 x 4 x 21 rank-`rank` seasonal window, each entry observed with
+/// probability `observed_frac`, plus its generating factors.
+struct FitWindow {
+  DenseTensor y;
+  Mask omega;
+  std::vector<Matrix> truth_factors;
+};
+
+FitWindow MakeFitWindow(size_t rank, double observed_frac, uint64_t seed) {
+  SyntheticTensor syn = MakeSinusoidTensor(5, 4, 21, rank, 7, seed);
+  FitWindow w{syn.tensor, Mask(syn.tensor.shape(), true), syn.factors};
+  Rng rng(seed + 1);
+  for (size_t k = 0; k < w.y.NumElements(); ++k) {
+    if (!rng.Bernoulli(observed_frac)) w.omega.Set(k, false);
+  }
+  return w;
+}
+
+/// Runs SofiaAls under both ISAs and checks its fitness against the pass.
+/// Returns the smallest fitness seen.
+double ExpectFitnessMatchesResidualPass(const FitWindow& w,
+                                        const SofiaConfig& config,
+                                        const std::vector<Matrix>& start) {
+  const DenseTensor zeros(w.y.shape(), 0.0);
+  const bool prev = simd::Enabled();
+  double min_fitness = 1.0;
+  for (bool vectorized : {false, true}) {
+    SCOPED_TRACE(vectorized ? "avx2" : "scalar");
+    simd::SetEnabled(vectorized);
+    std::vector<Matrix> factors = start;
+    const SofiaAlsResult res =
+        SofiaAls(w.y, w.omega, zeros, config, &factors);
+    EXPECT_FALSE(res.diverged);
+    EXPECT_NEAR(res.fitness,
+                FitnessByResidualPass(w.y, w.omega, zeros, factors), 1e-10);
+    min_fitness = std::min(min_fitness, res.fitness);
+  }
+  simd::SetEnabled(prev);
+  return min_fitness;
+}
+
+std::vector<Matrix> RandomStart(const Shape& shape, size_t rank,
+                                uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Matrix> factors;
+  for (size_t n = 0; n < shape.order(); ++n) {
+    factors.push_back(Matrix::Random(shape.dim(n), rank, rng, 0.0, 1.0));
+  }
+  return factors;
+}
+
+TEST(SofiaAlsFitnessTest, ExactLowRankWindowFitsToOne) {
+  // Fully observed, exactly rank 3, solved from the generating factors with
+  // no ridge and no smoothing: the residual is rounding only. The factored
+  // form cannot resolve that (it lands within a few ulps of ||y*||² of
+  // zero, on either side), so these sweeps must count it with a pass.
+  for (uint64_t seed = 31; seed < 39; ++seed) {
+    SCOPED_TRACE(seed);
+    const FitWindow w = MakeFitWindow(3, 1.0, seed);
+    SofiaConfig config;
+    config.rank = 3;
+    config.period = 7;
+    config.factor_ridge = 0.0;
+    config.lambda1 = 0.0;
+    config.lambda2 = 0.0;
+    EXPECT_GT(ExpectFitnessMatchesResidualPass(w, config, w.truth_factors),
+              1.0 - 1e-12);
+  }
+}
+
+TEST(SofiaAlsFitnessTest, DegenerateFitMatchesResidualPass) {
+  // No ridge and 4000 sweeps: the rank-2 components grow and cancel each
+  // other (the CP degeneracy factor_ridge exists for), so the terms of the
+  // factored residual dwarf ||y*||² and its rounding would show.
+  Problem p = MakeProblem(/*duration=*/12, /*period=*/4,
+                          /*observed_frac=*/0.85, /*seed=*/12 * 31 + 4);
+  p.config.tolerance = 0.0;
+  p.config.max_als_iterations = 4000;
+  const SofiaAlsResult res =
+      SofiaAls(p.y, p.omega, p.outliers, p.config, &p.factors);
+  EXPECT_NEAR(res.fitness,
+              FitnessByResidualPass(p.y, p.omega, p.outliers, p.factors),
+              1e-10);
+}
+
+TEST(SofiaAlsFitnessTest, OutageSlicesContributeNothing) {
+  // Slices 5, 6 and 13 are missing entirely: their temporal systems are
+  // empty, and the factored residual must skip them like the pass does.
+  FitWindow w = MakeFitWindow(3, 0.8, 33);
+  const size_t slice_size = w.y.dim(0) * w.y.dim(1);
+  for (size_t t : {5, 6, 13}) {
+    for (size_t k = 0; k < slice_size; ++k) w.omega.Set(t * slice_size + k,
+                                                        false);
+  }
+  SofiaConfig config;
+  config.rank = 3;
+  config.period = 7;
+  // Default ridge: a visible residual, read from the row systems.
+  EXPECT_LT(ExpectFitnessMatchesResidualPass(
+                w, config, RandomStart(w.y.shape(), 3, 34)),
+            0.9999);
+}
+
+TEST(SofiaAlsFitnessTest, MatchesAtRanksOneAndSeven) {
+  for (size_t rank : {size_t{1}, size_t{7}}) {
+    SCOPED_TRACE(rank);
+    const FitWindow w = MakeFitWindow(rank, 0.7, 35 + rank);
+    SofiaConfig config;
+    config.rank = rank;
+    config.period = 7;
+    EXPECT_LT(ExpectFitnessMatchesResidualPass(
+                  w, config, RandomStart(w.y.shape(), rank, 36)),
+              0.9999);
+  }
 }
 
 }  // namespace

@@ -246,8 +246,8 @@ TEST(SofiaModelTest, InitializeIsBitwiseIndependentOfThePool) {
   // into thread-owned units, so every worker count, and an adopted
   // executor, must give the same bits: factors, the init completion, the
   // Holt-Winters fit, σ, and the next step. 20 x 16 x 24 at 70% observed is
-  // past one 4096-record reduction block, so the blocked residual norm
-  // splits across threads too.
+  // past one 4096-record reduction block, so any blocked reduction splits
+  // across threads too.
   StreamProblem p = MakeStream(32, 61, /*lambda=*/0.5, 20, 16);
   CorruptedStream stream = Corrupt(p.truth, {30.0, 5.0, 4.0}, 62);
   const size_t w = p.config.InitWindow();

@@ -9,6 +9,7 @@
 #include "tensor/coo_list.hpp"
 #include "tensor/kruskal.hpp"
 #include "tensor/products.hpp"
+#include "tensor/simd.hpp"
 #include "util/rng.hpp"
 #include "util/shard_executor.hpp"
 
@@ -247,17 +248,19 @@ TEST(SparseKernelsTest, FullyObservedMttkrpMatchesUnmaskedKernel) {
 
 // ------------------------------------------- parity grid vs dense oracles
 //
-// Every Coo kernel against an independent dense scan, over order 3 and 4,
-// a single-fiber shape and a length-1 mode, at densities from empty to
-// full and at every rank 1..8 (7 takes the dynamic-rank path).
+// Every Coo kernel against an independent dense scan, over orders 2, 3
+// and 4, single-fiber shapes and length-1 modes, at densities from empty
+// to full and at every rank 1..17 (ranks outside the compile-time table —
+// 7, 9, 11, 13-15 and 17 — take the dynamic-rank path; order 4 takes the
+// run-time-order path of the row-system kernels).
 
 std::vector<Shape> ParityShapes() {
   return {Shape({6, 5, 4}), Shape({5, 4, 3, 2}), Shape({4, 1, 1}),
-          Shape({1, 7, 3})};
+          Shape({1, 7, 3}), Shape({7, 6}),       Shape({1, 5})};
 }
 
 constexpr double kGridDensities[] = {0.0, 0.01, 0.05, 0.5, 1.0};
-constexpr size_t kGridMaxRank = 8;
+constexpr size_t kGridMaxRank = 17;
 
 double Tol(double reference) { return 1e-12 * (1.0 + std::abs(reference)); }
 
@@ -424,6 +427,41 @@ TEST(SparseKernelsGridTest, GlobalKernelsMatchDenseOracles) {
     EXPECT_NEAR(step_got.temporal_trace, step_want.temporal_trace,
                 Tol(step_want.temporal_trace));
   });
+}
+
+/// CooProximalRowUpdates and CooWeightedRowSystems build their systems in
+/// one routine, so the fused update must equal ProximalRowSolve applied to
+/// the materialized systems bit for bit — under either ISA, inline or on a
+/// pool, at every grid point.
+TEST(SparseKernelsGridTest, ProximalUpdatesEqualSolvedWeightedSystems) {
+  const bool prev = simd::Enabled();
+  ShardExecutor pool(3);
+  for (bool vectorized : {false, true}) {
+    SCOPED_TRACE(vectorized ? "avx2" : "scalar");
+    simd::SetEnabled(vectorized);
+    ForEachGridCase(4000, [&](const GridCase& g) {
+      Rng rng(53);
+      for (size_t mode = 0; mode < g.factors.size(); ++mode) {
+        SCOPED_TRACE(::testing::Message() << "mode " << mode);
+        const Matrix previous =
+            Matrix::Random(g.factors[mode].rows(), g.w.size(), rng, -1.0, 1.0);
+        Matrix want = previous;
+        dense_oracle::ApplyProximalRowUpdates(
+            CooWeightedRowSystems(g.coo, g.values, g.factors, g.w, mode),
+            previous, 0.7, &want);
+        for (WorkerPool* p : {static_cast<WorkerPool*>(nullptr),
+                              static_cast<WorkerPool*>(&pool)}) {
+          Matrix got = previous;
+          CooProximalRowUpdates(g.coo, g.values, g.factors, g.w, mode,
+                                previous, 0.7, &got, p);
+          for (size_t e = 0; e < want.size(); ++e) {
+            ASSERT_EQ(got.data()[e], want.data()[e]) << "[" << e << "]";
+          }
+        }
+      }
+    });
+  }
+  simd::SetEnabled(prev);
 }
 
 /// The parallel partition assigns whole work units (slices, fixed record
