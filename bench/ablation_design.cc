@@ -12,6 +12,7 @@
 // Usage: ablation_design [--seed=23] [--seasons=7]
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,13 +76,27 @@ int Main(int argc, char** argv) {
 
   std::printf("Ablation — %s, setting (40,15,4), %zu steps\n\n",
               dataset.name.c_str(), dataset.slices.size());
+  // Every variant over the same stream in one comparison run, every entry
+  // scored.
+  std::vector<std::unique_ptr<SofiaStream>> owned;
+  std::vector<StreamingMethod*> methods;
+  for (const Variant& v : variants) {
+    owned.push_back(std::make_unique<SofiaStream>(v.config, v.ablation,
+                                                  "SOFIA(" + v.name + ")"));
+    methods.push_back(owned.back().get());
+  }
+  StreamEvalOptions options;
+  options.max_eval_entries = 0;
+  const std::vector<MethodRunResult> results =
+      RunImputationComparison(methods, stream, dataset.slices, options);
+
   Table table({"variant", "RAE", "RAE post-init", "vs full"});
   double full_rae = 0.0;
-  for (const Variant& v : variants) {
-    SofiaStream method(v.config, v.ablation, "SOFIA(" + v.name + ")");
-    StreamRunResult res = RunImputation(&method, stream, dataset.slices);
-    if (v.name == "full") full_rae = res.rae;
-    table.AddRow({v.name, Table::Num(res.rae), Table::Num(res.rae_post_init),
+  for (size_t i = 0; i < variants.size(); ++i) {
+    const StreamRunResult& res = results[i].run;
+    if (variants[i].name == "full") full_rae = res.rae;
+    table.AddRow({variants[i].name, Table::Num(res.rae),
+                  Table::Num(res.rae_post_init),
                   full_rae > 0 ? Table::Num(res.rae / full_rae, 3) + "x"
                                : "-"});
   }

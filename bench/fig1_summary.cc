@@ -32,6 +32,12 @@ int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 29));
 
+  // Every entry scored (the paper's full-volume NRE and AFE), and each
+  // method's steps timed alone on one lane.
+  StreamEvalOptions options;
+  options.max_eval_entries = 0;
+  options.workers = 1;
+
   // --- (a) + (b): Chicago Taxi, harshest setting -------------------------
   Dataset taxi = MakeChicagoTaxi(DatasetScale::kSmall);
   taxi.slices.resize(6 * taxi.period);
@@ -43,35 +49,27 @@ int Main(int argc, char** argv) {
   Mast mast(MastOptions{.rank = taxi.rank});
   OrMstc ormstc(OrMstcOptions{.rank = taxi.rank});
 
-  struct Entry {
-    const char* name;
-    StreamRunResult result;
-  };
-  std::vector<Entry> entries;
-  entries.push_back({"SOFIA", RunImputation(&sofia_method, stream,
-                                            taxi.slices)});
-  entries.push_back({"OnlineSGD", RunImputation(&sgd, stream, taxi.slices)});
-  entries.push_back({"OLSTEC", RunImputation(&olstec, stream, taxi.slices)});
-  entries.push_back({"MAST", RunImputation(&mast, stream, taxi.slices)});
-  entries.push_back({"OR-MSTC", RunImputation(&ormstc, stream, taxi.slices)});
+  const std::vector<MethodRunResult> entries = RunImputationComparison(
+      {&sofia_method, &sgd, &olstec, &mast, &ormstc}, stream, taxi.slices,
+      options);
 
   std::printf("Fig. 1(a) — NRE over the Chicago Taxi stream at (70,20,5) "
               "(every 12th step):\n\n");
   Table series({"t", "SOFIA", "OnlineSGD", "OLSTEC", "MAST", "OR-MSTC"});
-  for (size_t t = 0; t < entries[0].result.nre.size(); t += 12) {
-    series.AddRow({std::to_string(t), Table::Num(entries[0].result.nre[t]),
-                   Table::Num(entries[1].result.nre[t]),
-                   Table::Num(entries[2].result.nre[t]),
-                   Table::Num(entries[3].result.nre[t]),
-                   Table::Num(entries[4].result.nre[t])});
+  for (size_t t = 0; t < entries[0].run.nre.size(); t += 12) {
+    series.AddRow({std::to_string(t), Table::Num(entries[0].run.nre[t]),
+                   Table::Num(entries[1].run.nre[t]),
+                   Table::Num(entries[2].run.nre[t]),
+                   Table::Num(entries[3].run.nre[t]),
+                   Table::Num(entries[4].run.nre[t])});
   }
   std::printf("%s\n", series.ToString().c_str());
 
   std::printf("Fig. 1(b) — accuracy vs speed (lower-left is better):\n\n");
   Table scatter({"method", "RAE", "ART (s)"});
-  for (const Entry& e : entries) {
-    scatter.AddRow({e.name, Table::Num(e.result.rae),
-                    Table::Num(e.result.art_seconds)});
+  for (const MethodRunResult& e : entries) {
+    scatter.AddRow({e.name, Table::Num(e.run.rae),
+                    Table::Num(e.run.art_seconds)});
   }
   std::printf("%s\n", scatter.ToString().c_str());
 
@@ -85,16 +83,18 @@ int Main(int argc, char** argv) {
     CorruptedStream s = Corrupt(lab.slices, {70.0, 20.0, 5.0}, seed + 1);
     SofiaStream m(MakeExperimentConfig(lab, s));
     afe.AddRow({"SOFIA (70,20,5)",
-                Table::Num(RunForecast(&m, s, lab.slices, horizon))});
+                Table::Num(RunForecast(&m, s, lab.slices, horizon, options))});
   }
   {
     CorruptedStream s = Corrupt(lab.slices, {0.0, 20.0, 5.0}, seed + 1);
     Smf smf(SmfOptions{.rank = lab.rank, .period = lab.period});
     afe.AddRow({"SMF (0,20,5)",
-                Table::Num(RunForecast(&smf, s, lab.slices, horizon))});
+                Table::Num(RunForecast(&smf, s, lab.slices, horizon,
+                                       options))});
     Cphw cphw(CphwOptions{.rank = lab.rank, .period = lab.period});
     afe.AddRow({"CPHW (0,20,5)",
-                Table::Num(RunForecast(&cphw, s, lab.slices, horizon))});
+                Table::Num(RunForecast(&cphw, s, lab.slices, horizon,
+                                       options))});
   }
   std::printf("%s\n", afe.ToString().c_str());
   std::printf("Fig. 1(d) (linear scalability) is regenerated by "

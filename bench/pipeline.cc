@@ -1,21 +1,17 @@
 // End-to-end cost of the imputation comparison protocol on the lazy
-// StepResult pipeline vs its dense predecessors: all nine streaming methods
+// StepResult pipeline vs its dense predecessor: all nine streaming methods
 // (SOFIA + eight baselines) are driven through the comparison runner on a
 // fig-3-shaped synthetic stream (tall slices, low observed density) at 1% /
 // 5% / 10% observed (fixed Bernoulli mask across steps — the
 // fixed-sensor-outage case, so every mask-reuse cache holds after the first
-// step). Three paths are timed:
+// step). Two paths are timed:
 //  - lazy: RunImputationComparison driving StepLazy, scoring via gathers;
-//  - forced dense: the same protocol and the same scored entries, but every
-//    estimate materialized first (scores bitwise identical to lazy — the
-//    parity twin of tests/step_result_test.cc);
-//  - legacy dense: the pre-lazy (PR 3) pipeline verbatim — materialized
-//    Step estimates plus full-volume NormalizedResidualError per method per
+//  - legacy dense: the pre-lazy pipeline verbatim — materialized Step
+//    estimates plus full-volume NormalizedResidualError per method per
 //    step (the lazy protocol's score with --eval_cap=0 matches it to
 //    <= 1e-12).
-// The headline speedup (lazy over legacy) is the end-to-end cost of the
-// O(volume R) dense floor this PR removes; the remaining gap to the
-// forced-dense twin is pure materialization overhead.
+// The speedup (lazy over legacy) is the end-to-end cost of the O(volume R)
+// dense floor the lazy pipeline removes.
 //
 // Emits its summary JSON directly (same schema as BENCH_baselines.json):
 //
@@ -99,7 +95,7 @@ std::vector<std::unique_ptr<StreamingMethod>> MakeAllMethods() {
   return methods;
 }
 
-/// The pre-lazy (PR 3) comparison protocol, verbatim: methods with an init
+/// The pre-lazy comparison protocol, verbatim: methods with an init
 /// window are initialized on their window prefix and its completions are
 /// scored with the full-volume NormalizedResidualError; every due method's
 /// Step materializes its dense estimate and every step is scored with the
@@ -206,34 +202,27 @@ int main(int argc, char** argv) {
     stream.slices = truth;
     stream.masks.assign(steps, omega);
 
+    // One lane, like the legacy loop: the ratio is the dense floor alone,
+    // not the method lanes.
     StreamEvalOptions lazy_options;
     lazy_options.max_eval_entries = eval_cap;
-    StreamEvalOptions forced_options = lazy_options;
-    forced_options.force_dense = true;
+    lazy_options.workers = 1;
 
     StepResult::ResetMaterializations();
     const double lazy_s = TimeProtocol(stream, truth, &lazy_options, reps);
     const size_t lazy_mat = StepResult::materializations();
-    // Parity twin: identical protocol and scored entries, dense estimates.
-    const double forced_s = TimeProtocol(stream, truth, &forced_options,
-                                         reps);
-    // Pre-lazy pipeline: dense estimates + full-volume NRE (PR 3 state).
+    // Pre-lazy pipeline: dense estimates + full-volume NRE.
     const double legacy_s = TimeProtocol(stream, truth, nullptr, reps);
 
     const std::string arg = std::to_string(density);
     results["pipeline_lazy/" + arg + "_s"] = lazy_s;
-    results["pipeline_forced_dense/" + arg + "_s"] = forced_s;
     results["pipeline_legacy_dense/" + arg + "_s"] = legacy_s;
     speedups["vs_legacy_dense_density_" + arg + "pct"] =
         lazy_s > 0.0 ? legacy_s / lazy_s : 0.0;
-    speedups["vs_forced_dense_density_" + arg + "pct"] =
-        lazy_s > 0.0 ? forced_s / lazy_s : 0.0;
-    std::printf("density %3d%%: legacy %8.3f s, forced %8.3f s, lazy %8.3f "
-                "s, speedup %.2fx vs legacy, %.2fx vs forced (lazy "
-                "materializations: %zu)\n",
-                density, legacy_s, forced_s, lazy_s,
-                lazy_s > 0.0 ? legacy_s / lazy_s : 0.0,
-                lazy_s > 0.0 ? forced_s / lazy_s : 0.0, lazy_mat);
+    std::printf("density %3d%%: legacy %8.3f s, lazy %8.3f s, speedup "
+                "%.2fx vs legacy (lazy materializations: %zu)\n",
+                density, legacy_s, lazy_s,
+                lazy_s > 0.0 ? legacy_s / lazy_s : 0.0, lazy_mat);
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -252,16 +241,13 @@ int main(int argc, char** argv) {
                "handles, scoring observed + <= %zu sampled held-out "
                "entries per step via CooList gathers with zero dense "
                "reconstructions (counter-verified per run). "
-               "pipeline_forced_dense runs the identical protocol and "
-               "scores the identical entries from materialized estimates "
-               "(scores bitwise equal to lazy; tests/step_result_test.cc). "
-               "pipeline_legacy_dense is the pre-lazy PR-3 pipeline "
+               "pipeline_legacy_dense is the pre-lazy pipeline "
                "verbatim: materialized Step estimates + full-volume NRE "
                "per method per step (matched by the lazy score at "
-               "eval_cap=0 to <= 1e-12) — the O(volume R) floor this PR "
-               "removes end-to-end. Best (min) protocol wall time over "
-               "%zu repetitions, single thread (bench_pipeline "
-               "--out=BENCH_pipeline.json).\",\n",
+               "eval_cap=0 to <= 1e-12) — the O(volume R) floor the lazy "
+               "pipeline removes end-to-end. Best (min) protocol wall time "
+               "over %zu repetitions, both paths on a single thread "
+               "(bench_pipeline --out=BENCH_pipeline.json).\",\n",
                steps, rows, cols, kRank, eval_cap, reps);
   bench::WriteMachineBlock(f);
   std::fprintf(f, "  \"unit\": \"s\",\n");

@@ -1,27 +1,21 @@
-// Streaming-runtime bench: what the method lanes and the ingest/compute
-// pipeline buy on the comparison protocol.
+// Streaming-runtime bench: what the method lanes buy on the comparison
+// protocol.
 //
-//  - lanes 1/2/4/8 (depth 1, window 1): all nine comparison methods (the
-//    Fig. 3/5 protocol) over a stream of small slices through
-//    RunStreamPipeline; each slice's methods step and score side by side on
-//    min(lanes, 9) threads. Reports slices/sec over the streamed part
-//    (Initialize excluded) and the speedup against one lane, plus each
-//    method's median step time at one lane (Fig. 5 on this machine: the
-//    slowest lane's methods bound the slice);
-//  - overlap off vs on (depth 1 vs 2): one SOFIA instance on large slices,
-//    where ingest (pattern build, eval-pattern sampling, truth gathers) is
-//    worth hiding — the hidden fraction is 1 - ingest_stall_s / ingest_s, taken
-//    straight from the pipeline telemetry; plus per-slice vs windowed
-//    ingest (window 1 vs 4) at depth 2;
+//  - lanes 1/2/4/8: all nine comparison methods (the Fig. 3/5 protocol)
+//    over a stream of small slices through RunImputationComparison; each
+//    slice's methods step and score side by side on min(lanes, 9) threads.
+//    Reports slices/sec over the streamed part (Initialize excluded) and
+//    the speedup against one lane, plus each method's median step time at
+//    one lane (Fig. 5 on this machine: the slowest lane's methods bound the
+//    slice);
 //  - executor dispatch: the per-batch cost of the persistent executor on
 //    trivial batches.
 //
-// Scores are bitwise identical across the whole matrix (pinned by
+// Scores are bitwise identical at every lane count (pinned by
 // tests/stream_pipeline_test.cc); this bench reports the wall-clock shape
 // of the machine it runs on, whose core count the machine block records.
 //
-//   bench_runtime [--out=BENCH_runtime.json] [--rows=224] [--cols=224]
-//                 [--steps=96] [--reps=5] [--density=5]
+//   bench_runtime [--out=BENCH_runtime.json] [--reps=5]
 //
 // Gated behind SOFIA_BUILD_BENCH like every other bench binary.
 
@@ -45,12 +39,10 @@
 #include "core/sofia_stream.hpp"
 #include "data/corruption.hpp"
 #include "data/synthetic.hpp"
-#include "eval/stream_pipeline.hpp"
 #include "eval/stream_runner.hpp"
 #include "util/bench_json.hpp"
 #include "util/flags.hpp"
 #include "util/parallel.hpp"
-#include "util/rng.hpp"
 #include "util/shard_executor.hpp"
 #include "util/stopwatch.hpp"
 
@@ -63,14 +55,6 @@ constexpr size_t kPeriod = 4;
 /// compare-nine slice shape.
 constexpr size_t kLaneSize = 40;
 constexpr size_t kLaneSteps = 240;
-
-Mask BernoulliMask(const Shape& shape, double density, Rng& rng) {
-  Mask omega(shape, false);
-  for (size_t k = 0; k < shape.NumElements(); ++k) {
-    omega.Set(k, rng.Bernoulli(density));
-  }
-  return omega;
-}
 
 std::vector<DenseTensor> SinusoidSlices(size_t rows, size_t cols,
                                         size_t steps, uint64_t seed) {
@@ -135,7 +119,7 @@ double TimeNine(const CorruptedStream& stream,
   for (const auto& m : owned) methods.push_back(m.get());
   Stopwatch wall;
   std::vector<MethodRunResult> results =
-      RunStreamPipeline(methods, stream, truth, options);
+      RunImputationComparison(methods, stream, truth, options);
   double streamed_s = wall.ElapsedSeconds();
   for (const MethodRunResult& r : results) {
     streamed_s -= r.run.init_seconds;
@@ -149,43 +133,6 @@ double TimeNine(const CorruptedStream& stream,
   }
   return streamed_s > 0.0 ? static_cast<double>(truth.size()) / streamed_s
                           : 0.0;
-}
-
-struct OverlapStats {
-  double steps_per_s = 0.0;      ///< Post-init steps over summed step time.
-  double hidden_fraction = 0.0;  ///< Of ingest time, under compute.
-};
-
-/// Best-of-`reps` single-SOFIA run under `options` ("best" = max
-/// steps/sec).
-OverlapStats TimeSofia(const CorruptedStream& stream,
-                       const std::vector<DenseTensor>& truth,
-                       const StreamEvalOptions& options, size_t reps) {
-  OverlapStats best;
-  for (size_t rep = 0; rep < reps; ++rep) {
-    SofiaStream sofia(BenchSofiaConfig());
-    std::vector<StreamingMethod*> methods = {&sofia};
-    std::vector<MethodRunResult> results =
-        RunStreamPipeline(methods, stream, truth, options);
-    OverlapStats stats;
-    double step_sum = 0.0;
-    for (double s : results[0].run.step_seconds) step_sum += s;
-    stats.steps_per_s =
-        step_sum > 0.0
-            ? static_cast<double>(results[0].run.step_seconds.size()) /
-                  step_sum
-            : 0.0;
-    const PipelineTelemetry& telemetry = results[0].run.pipeline;
-    // Stall includes scheduler wakeup latency, so it can exceed raw ingest
-    // time on a saturated machine — clamp the fraction to [0, 1].
-    stats.hidden_fraction =
-        telemetry.ingest_seconds > 0.0
-            ? std::max(0.0, std::min(1.0, 1.0 - telemetry.ingest_stall_seconds /
-                                              telemetry.ingest_seconds))
-            : 0.0;
-    if (rep == 0 || stats.steps_per_s > best.steps_per_s) best = stats;
-  }
-  return best;
 }
 
 /// Per-batch dispatch cost: microseconds per batch of a persistent
@@ -208,18 +155,14 @@ int main(int argc, char** argv) {
   using namespace sofia;
   Flags flags(argc, argv);
   const std::string out_path = flags.GetString("out", "BENCH_runtime.json");
-  const size_t rows = static_cast<size_t>(flags.GetInt("rows", 224));
-  const size_t cols = static_cast<size_t>(flags.GetInt("cols", 224));
-  const size_t steps = static_cast<size_t>(flags.GetInt("steps", 96));
   const size_t reps = static_cast<size_t>(flags.GetInt("reps", 5));
-  const double density = flags.GetDouble("density", 5.0) / 100.0;
 
   std::map<std::string, double> results;
   std::map<std::string, double> speedups;
 
   // Method lanes: the nine-method comparison on small corrupted slices
-  // (30% missing, 10% outliers of magnitude 3), pipeline off. Each rep
-  // runs every lane count in turn, so a slow phase of a shared host hits
+  // (30% missing, 10% outliers of magnitude 3). Each rep runs every lane
+  // count in turn, so a slow phase of a shared host hits
   // all of them alike; each lane count keeps its best rep, and each
   // method its lowest 1-lane median step.
   {
@@ -227,7 +170,6 @@ int main(int argc, char** argv) {
         SinusoidSlices(kLaneSize, kLaneSize, kLaneSteps, /*seed=*/103);
     const CorruptedStream stream = Corrupt(truth, {30.0, 10.0, 3.0}, 104);
     StreamEvalOptions options;
-    options.pipeline_depth = 1;
     const size_t lane_counts[] = {1, 2, 4, 8};
     std::map<size_t, double> best;
     std::map<std::string, double> best_step_us;
@@ -261,49 +203,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Ingest/compute overlap, one SOFIA on large slices with mild mask churn
-  // (fresh Bernoulli mask every 8 steps, so ingest has real pattern builds
-  // to hide, as a live stream would): depth 1 (off) vs 2,
-  // and windowed ingest at depth 2.
-  {
-    const std::vector<DenseTensor> truth =
-        SinusoidSlices(rows, cols, steps, /*seed=*/101);
-    CorruptedStream stream;
-    stream.slices = truth;
-    Rng mask_rng(7);
-    Mask omega = BernoulliMask(truth[0].shape(), density, mask_rng);
-    for (size_t t = 0; t < steps; ++t) {
-      if (t > 0 && t % 8 == 0) {
-        omega = BernoulliMask(truth[0].shape(), density, mask_rng);
-      }
-      stream.masks.push_back(omega);
-    }
-    StreamEvalOptions off;
-    off.max_eval_entries = 512;
-    off.pipeline_depth = 1;
-    const OverlapStats overlap_off = TimeSofia(stream, truth, off, reps);
-    StreamEvalOptions on = off;
-    on.pipeline_depth = 2;
-    const OverlapStats overlap_on = TimeSofia(stream, truth, on, reps);
-    StreamEvalOptions windowed = on;
-    windowed.window = 4;
-    const OverlapStats window4 = TimeSofia(stream, truth, windowed, reps);
-    results["overlap/off_steps_per_s"] = overlap_off.steps_per_s;
-    results["overlap/on_steps_per_s"] = overlap_on.steps_per_s;
-    results["overlap/on_hidden_fraction"] = overlap_on.hidden_fraction;
-    results["overlap/on_window4_steps_per_s"] = window4.steps_per_s;
-    results["overlap/on_window4_hidden_fraction"] = window4.hidden_fraction;
-    speedups["overlap_on_vs_off"] =
-        overlap_off.steps_per_s > 0.0
-            ? overlap_on.steps_per_s / overlap_off.steps_per_s
-            : 0.0;
-    std::printf("overlap off %8.1f steps/s; on %8.1f steps/s, %.0f%% of "
-                "ingest hidden; window 4: %8.1f steps/s, %.0f%% hidden\n",
-                overlap_off.steps_per_s, overlap_on.steps_per_s,
-                100.0 * overlap_on.hidden_fraction, window4.steps_per_s,
-                100.0 * window4.hidden_fraction);
-  }
-
   // Executor dispatch on trivial batches.
   const double persistent_us = TimeDispatch(/*threads=*/4, /*batches=*/2000);
   results["dispatch/persistent_us_per_batch"] = persistent_us;
@@ -323,24 +222,17 @@ int main(int argc, char** argv) {
                "baselines, rank %zu) over %zu %zux%zu slices (30%% "
                "missing, 10%% outliers), each slice's methods stepped and "
                "scored side by side on min(N, 9) lanes, Initialize "
-               "excluded (depth 1); steps/<method>_us = that method's "
-               "median step time at one lane (Fig. 5 on this machine), "
-               "lowest over the repetitions. overlap/* = one SOFIA over %zu "
-               "%zux%zu slices, %.0f%% "
-               "observed, fresh Bernoulli mask every 8 steps: ingest/compute "
-               "pipelining depth 2 vs 1, hidden_fraction = share of ingest "
-               "time overlapped under compute (1 - stall/ingest, from "
-               "PipelineTelemetry), plus the window=4 batched-ingest "
-               "variant; dispatch/persistent_us_per_batch = microseconds per "
-               "16-task batch on a persistent 4-thread executor. Scores are bitwise identical across the whole matrix "
+               "excluded; steps/<method>_us = that method's median step "
+               "time at one lane (Fig. 5 on this machine), lowest over the "
+               "repetitions; dispatch/persistent_us_per_batch = "
+               "microseconds per 16-task batch on a persistent 4-thread "
+               "executor. Scores are bitwise identical at every lane count "
                "(tests/stream_pipeline_test.cc); best of %zu repetitions on "
                "the machine in the machine block. (bench_runtime "
                "--out=BENCH_runtime.json)\",\n",
-               kRank, kLaneSteps, kLaneSize, kLaneSize, steps, rows, cols,
-               100.0 * density, reps);
+               kRank, kLaneSteps, kLaneSize, kLaneSize, reps);
   bench::WriteMachineBlock(f);
-  std::fprintf(f, "  \"unit\": \"slices_per_s | steps_per_s | us | "
-                  "fraction\",\n");
+  std::fprintf(f, "  \"unit\": \"slices_per_s | us\",\n");
   std::fprintf(f, "  \"results\": {\n");
   size_t i = 0;
   for (const auto& [key, value] : results) {

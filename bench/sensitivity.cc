@@ -27,7 +27,9 @@ namespace {
 double RunWith(const SofiaConfig& config, const CorruptedStream& stream,
                const std::vector<DenseTensor>& truth) {
   SofiaStream method(config);
-  return RunImputation(&method, stream, truth).rae;
+  StreamEvalOptions options;
+  options.max_eval_entries = 0;  // Every entry scored: the full-volume RAE.
+  return RunImputationComparison({&method}, stream, truth, options)[0].run.rae;
 }
 
 int Main(int argc, char** argv) {

@@ -11,7 +11,7 @@
 // Usage: file_stream [--path=/tmp/sofia_demo_stream.csv]
 //                    [--num_threads=0] [--guard=off|skip|rollback|reinit]
 //                    [--simd=on|off]
-//                    [--workers=0] [--pipeline-depth=2] [--window=1]
+//                    [--workers=0]
 //                    [--state-dir=] [--snapshot-every=16] [--journal=on]
 //                    [--kill-at=-1]
 //                    [--trace-out=] [--metrics-out=] [--stats-every=0]
@@ -19,7 +19,7 @@
 //
 // The observability flags (src/obs/cli.hpp) work in every mode:
 // --trace-out writes a Chrome trace-event JSON (load it in
-// https://ui.perfetto.dev) with the driver, shard workers, and aux lane as
+// https://ui.perfetto.dev) with the main thread and shard workers as
 // named tracks; --metrics-out appends the final registry snapshot as one
 // JSON line (feed it to tool_obs_report); --stats-every=N emits a
 // snapshot line every N steps while streaming.
@@ -31,7 +31,7 @@
 //
 // --state-dir switches on the crash-consistent durability layer
 // (eval/durable_guard.hpp) and runs a kill-restart-resume demo instead of
-// the pipelined comparison: SOFIA streams with every slice write-ahead
+// the comparison run: SOFIA streams with every slice write-ahead
 // journaled (--journal=off keeps snapshots only) and a rotated atomic
 // snapshot every --snapshot-every steps; at step --kill-at (default:
 // mid-stream) the "process" is killed, a fresh guard recovers from
@@ -41,13 +41,11 @@
 // --simd=off forces the scalar kernel instantiations (tensor/simd.hpp).
 // Any flag not listed above is an error.
 //
-// The run is driven by the streaming runtime (eval/stream_pipeline.hpp):
-// --workers caps the method lanes (one method here, so it runs inline on
-// the caller with its kernels serial), --pipeline-depth >= 2 overlaps slice
-// t+1's ingest (pattern build, truth gathers) with slice t's
-// solve on the executor's aux lane, and --window batches that ingest k
-// slices at a time. Scores are bitwise identical for every knob
-// combination.
+// The run is driven by the streaming runtime (eval/stream_pipeline.hpp),
+// which ingests each slice (pattern build, truth gathers) right before its
+// solve. --workers caps the method lanes (one method here, so it runs
+// inline on the caller with its kernels serial); scores are bitwise
+// identical for every setting.
 
 #include <algorithm>
 #include <cstdio>
@@ -61,7 +59,6 @@
 #include "data/dataset_sim.hpp"
 #include "data/stream_io.hpp"
 #include "eval/experiment.hpp"
-#include "eval/stream_pipeline.hpp"
 #include "eval/stream_runner.hpp"
 #include "obs/cli.hpp"
 #include "obs/obs.hpp"
@@ -81,7 +78,7 @@ int main(int argc, char** argv) {
       flags.GetString("simd", simd::Enabled() ? "on" : "off") == "on");
   // --state-dir: the crash-consistent durability demo (write-ahead journal
   // + rotated atomic snapshots + kill-restart-resume) instead of the
-  // pipelined comparison run.
+  // comparison run.
   const std::string state_dir = flags.GetString("state-dir", "");
   DurableGuardOptions durable_options;
   durable_options.state_dir = state_dir;
@@ -93,9 +90,6 @@ int main(int argc, char** argv) {
   StreamEvalOptions options;
   options.num_threads = num_threads;
   options.workers = static_cast<size_t>(flags.GetInt("workers", 0));
-  options.pipeline_depth =
-      static_cast<size_t>(flags.GetInt("pipeline-depth", 2));
-  options.window = static_cast<size_t>(flags.GetInt("window", 1));
   if (ReportUnreadFlags(flags, argv[0]) > 0) return 2;
 
   // 1. Simulate "real" data on disk: a network-traffic-like stream with
@@ -243,11 +237,9 @@ int main(int argc, char** argv) {
   stream.slices = loaded.slices;
   stream.masks = loaded.masks;
 
-  // Drive the run through the pipelined streaming runtime — the same path
-  // RunImputationComparison takes, with the knobs exposed.
   std::vector<StreamingMethod*> methods = {method.get()};
   std::vector<MethodRunResult> results =
-      RunStreamPipeline(methods, stream, traffic.slices, options);
+      RunImputationComparison(methods, stream, traffic.slices, options);
   const StreamRunResult& res = results[0].run;
   std::printf("imputation RAE over the stream: %.4f (vs ~1.0 for "
               "zero-filling the gaps)\n", res.rae);
@@ -257,19 +249,9 @@ int main(int argc, char** argv) {
                 res.guard.recoveries);
   }
   const PipelineTelemetry& pipe = res.pipeline;
-  // Stall time also counts scheduler wakeup latency, so on a saturated
-  // machine it can exceed raw ingest time — clamp the report to [0, 1].
-  // At depth 1 ingest runs inline with compute, so nothing is hidden.
-  const double hidden =
-      pipe.pipeline_depth >= 2 && pipe.ingest_seconds > 0.0
-          ? std::max(0.0, std::min(1.0, 1.0 - pipe.ingest_stall_seconds /
-                                              pipe.ingest_seconds))
-          : 0.0;
-  std::printf("runtime: %zu lane(s), depth %zu, window %zu — %zu steps, "
-              "%zu ingest jobs, %.0f%% of ingest hidden under compute, "
-              "%llu arena growths after warm-up\n",
-              pipe.workers, pipe.pipeline_depth, pipe.window, pipe.steps,
-              pipe.ingest_jobs, 100.0 * hidden,
+  std::printf("runtime: %zu lane(s) — %zu steps, %llu arena growths after "
+              "warm-up\n",
+              pipe.workers, pipe.steps,
               static_cast<unsigned long long>(pipe.arena_growth_steady));
   std::remove(path.c_str());
   obs::FinishObs(obs_config);

@@ -8,27 +8,24 @@
 //
 // The comparison runs on the lazy eval pipeline: both methods return
 // StepResult handles and are scored at observed + held-out entries through
-// shared CooList gathers — no per-step dense reconstruction anywhere
-// (pass --force_dense=true to time the materializing path instead; the
-// scores are bitwise identical).
+// shared CooList gathers — no per-step dense reconstruction anywhere.
 //
 // Usage: taxi_imputation [--missing=50] [--outliers=20] [--magnitude=4]
 //                        [--num_threads=0]
-//                        [--eval_cap=1024] [--force_dense=false]
+//                        [--eval_cap=1024]
 //                        [--simd=on|off]
 //                        [--scenario=clean|bursty-outage|regime-change|
 //                                    structured-outliers|garbage-slices|
 //                                    combined-stress]
 //                        [--guard=off|skip|rollback|reinit]
-//                        [--workers=0] [--pipeline-depth=1] [--window=1]
+//                        [--workers=0]
 //                        [--trace-out=FILE] [--metrics-out=FILE]
 //                        [--stats-every=N] [--obs=on|off]
 //
-// --workers/--pipeline-depth/--window configure the streaming runtime
-// behind the comparison (eval/stream_pipeline.hpp): method lanes (the two
-// methods step side by side on min(workers, 2) threads), ingest/compute
-// overlap at depth >= 2, and batched ingest. All three change wall-clock
-// shape only — scores are bitwise identical at every setting.
+// --workers sets the method lanes of the streaming runtime behind the
+// comparison (eval/stream_pipeline.hpp): the two methods step side by side
+// on min(workers, 2) threads. It changes wall-clock shape only — scores are
+// bitwise identical at every setting.
 //
 // --scenario replaces the plain element-wise corruption with one of the
 // adversarial stream scenarios from data/scenarios.hpp; --guard wraps both
@@ -84,12 +81,8 @@ int main(int argc, char** argv) {
   StreamEvalOptions options;
   options.max_eval_entries =
       static_cast<size_t>(flags.GetInt("eval_cap", 1024));
-  options.force_dense = flags.GetBool("force_dense", false);
   options.num_threads = num_threads;
   options.workers = static_cast<size_t>(flags.GetInt("workers", 0));
-  options.pipeline_depth =
-      static_cast<size_t>(flags.GetInt("pipeline-depth", 1));
-  options.window = static_cast<size_t>(flags.GetInt("window", 1));
   if (ReportUnreadFlags(flags, argv[0]) > 0) return 2;
 
   Dataset taxi = MakeChicagoTaxi(DatasetScale::kSmall);

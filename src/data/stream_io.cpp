@@ -1,26 +1,30 @@
 #include "data/stream_io.hpp"
 
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/state_io.hpp"
 
 namespace sofia {
 
 namespace {
 
 /// strtoull with full validation: the whole field must be one non-negative
-/// integer — no sign, no trailing garbage, no empty field. std::stoull would
-/// throw on garbage (an unhelpful uncaught exception), silently accept
-/// "3abc", and wrap "-1" to a huge index.
+/// integer that fits — no sign, no trailing garbage, no empty field, no
+/// overflow. std::stoull would throw on garbage (an unhelpful uncaught
+/// exception), silently accept "3abc", and wrap "-1" to a huge index.
 size_t ParseIndexField(const std::string& field, size_t line_number) {
   SOFIA_CHECK(!field.empty() && field[0] != '-' && field[0] != '+')
       << "bad index field '" << field << "' at line " << line_number;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(field.c_str(), &end, 10);
-  SOFIA_CHECK(end == field.c_str() + field.size())
+  SOFIA_CHECK(end == field.c_str() + field.size() && errno != ERANGE)
       << "bad index field '" << field << "' at line " << line_number;
   return static_cast<size_t>(v);
 }
@@ -88,11 +92,25 @@ TensorStream ReadStreamCsv(std::istream& in) {
               word == "shape")
       << "missing '# shape ...' header";
   std::vector<size_t> dims;
-  size_t d = 0;
-  while (header >> d) dims.push_back(d);
+  std::string token;
+  while (header >> token) {
+    dims.push_back(ParseIndexField(token, 1));
+    SOFIA_CHECK_GE(dims.back(), 1u) << "zero dimension in the shape header";
+  }
   SOFIA_CHECK_GE(dims.size(), 2u) << "header needs slice dims plus T";
   const size_t duration = dims.back();
   dims.pop_back();
+  // The loader allocates every slice densely: cap the slice volume like a
+  // checkpoint's counts, and reject a T whose total would overflow.
+  size_t volume = 1;
+  for (const size_t d : dims) {
+    SOFIA_CHECK_LE(d, state_io::kMaxStateElements / volume)
+        << "slice volume in the shape header exceeds "
+        << state_io::kMaxStateElements << " entries";
+    volume *= d;
+  }
+  SOFIA_CHECK_LE(duration, SIZE_MAX / volume)
+      << "stream volume in the shape header overflows";
   Shape slice_shape(dims);
 
   TensorStream stream;

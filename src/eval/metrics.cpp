@@ -17,28 +17,6 @@ double NormalizedResidualError(const DenseTensor& estimate,
   return diff.FrobeniusNorm() / denom;
 }
 
-double MissingOnlyResidualError(const DenseTensor& estimate,
-                                const DenseTensor& truth, const Mask& scope) {
-  SOFIA_CHECK(estimate.shape() == truth.shape());
-  SOFIA_CHECK(estimate.shape() == scope.shape());
-  double err2 = 0.0, truth2 = 0.0;
-  bool any = false;
-  for (size_t k = 0; k < truth.NumElements(); ++k) {
-    if (scope.Get(k)) continue;  // Observed: not an imputation target.
-    any = true;
-    const double d = estimate[k] - truth[k];
-    err2 += d * d;
-    truth2 += truth[k] * truth[k];
-  }
-  if (!any) return 0.0;
-  if (truth2 == 0.0) return err2 == 0.0 ? 0.0 : 1.0;
-  return std::sqrt(err2 / truth2);
-}
-
-double RunningAverageError(const std::vector<double>& nre) {
-  return Mean(nre);
-}
-
 GatheredError AccumulateGatheredError(const std::vector<double>& estimate,
                                       const std::vector<double>& reference) {
   SOFIA_CHECK_EQ(estimate.size(), reference.size());
@@ -56,17 +34,6 @@ double GatheredNre(const GatheredError& error) {
   if (error.count == 0) return 0.0;
   if (error.ref_sq == 0.0) return error.err_sq == 0.0 ? 0.0 : 1.0;
   return std::sqrt(error.err_sq / error.ref_sq);
-}
-
-double AverageForecastingError(const std::vector<DenseTensor>& forecasts,
-                               const std::vector<DenseTensor>& truth) {
-  SOFIA_CHECK_EQ(forecasts.size(), truth.size());
-  SOFIA_CHECK(!forecasts.empty());
-  double sum = 0.0;
-  for (size_t h = 0; h < forecasts.size(); ++h) {
-    sum += NormalizedResidualError(forecasts[h], truth[h]);
-  }
-  return sum / static_cast<double>(forecasts.size());
 }
 
 double Mean(const std::vector<double>& values) {

@@ -16,17 +16,8 @@ double NormalizedResidualError(const DenseTensor& estimate,
 
 class Mask;
 
-/// NRE restricted to the entries where `scope` is *unset* — the imputation
-/// error measured only over the values the method never observed. The
-/// denominator is the truth's norm over the same entries.
-double MissingOnlyResidualError(const DenseTensor& estimate,
-                                const DenseTensor& truth, const Mask& scope);
-
-/// Running average error: mean of per-step NREs.
-double RunningAverageError(const std::vector<double>& nre);
-
 /// Squared-error accumulator over a gathered (record-aligned) entry set —
-/// the scoring primitive of the lazy eval protocols, which read estimates
+/// the scoring primitive of the eval protocols, which read estimates
 /// only at observed / held-out entries via CooList gathers instead of
 /// densifying them.
 struct GatheredError {
@@ -52,11 +43,8 @@ GatheredError AccumulateGatheredError(const std::vector<double>& estimate,
 /// 0 if the error is 0, else 1).
 double GatheredNre(const GatheredError& error);
 
-/// Average forecasting error: mean NRE of h-step-ahead forecasts.
-double AverageForecastingError(const std::vector<DenseTensor>& forecasts,
-                               const std::vector<DenseTensor>& truth);
-
-/// Mean of a vector (0 for empty input); shared by ART computations.
+/// Mean of a vector (0 for empty input): RAE over an NRE series, ART over
+/// step times.
 double Mean(const std::vector<double>& values);
 
 /// Precision/recall of an outlier detector against injected ground truth.

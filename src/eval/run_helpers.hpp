@@ -11,14 +11,15 @@
 #include "util/parallel.hpp"
 
 /// \file run_helpers.hpp
-/// \brief Internals shared by the eval drivers (stream_runner.cpp and
-/// stream_pipeline.cpp): init-window handling, metric finalization, eval
-/// pattern sampling, and per-step scoring. Include from .cpp files only.
+/// \brief Internals of the eval protocols, defined in stream_runner.cpp and
+/// used by it and by stream_pipeline.cpp: init-window handling, metric
+/// finalization, eval pattern sampling, and per-step scoring. Include from
+/// .cpp files only.
 
 namespace sofia {
 namespace eval_detail {
 
-/// Shared init-window phase of the imputation protocols: feed the first
+/// Init-window phase of the imputation protocol: feed the first
 /// `window` slices to Initialize(), time it, and return the completions.
 /// Empty when window == 0.
 std::vector<DenseTensor> RunInitWindow(StreamingMethod* method,
@@ -26,8 +27,8 @@ std::vector<DenseTensor> RunInitWindow(StreamingMethod* method,
                                        size_t window,
                                        StreamRunResult* result);
 
-/// Shared aggregate metrics: RAE over everything, RAE excluding the init
-/// window, mean per-step time.
+/// Aggregate metrics: RAE over everything, RAE excluding the init window,
+/// mean per-step time.
 void FinalizeRunMetrics(size_t window, StreamRunResult* result);
 
 /// Copies a StreamGuard's trip/recovery counters into the run result (a

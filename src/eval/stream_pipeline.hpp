@@ -13,15 +13,18 @@
 #include "util/shard_executor.hpp"
 
 /// \file stream_pipeline.hpp
-/// \brief The pipelined, method-parallel streaming runtime behind the
-/// comparison protocol.
+/// \brief The method-parallel streaming runtime behind the comparison
+/// protocol.
 ///
 /// RunImputationComparison's loop interleaves three kinds of work per
-/// slice: *ingest* (mask compare, shared CooList/CSF pattern build,
-/// held-out eval-pattern sampling, truth gathers), *compute* (every
-/// method's StepLazy), and *scoring* (estimate gathers + NRE). The
-/// StreamPipeline splits them across a persistent ShardExecutor:
+/// slice: *ingest* (mask compare, shared CooList pattern build, held-out
+/// eval-pattern sampling, truth gathers), *compute* (every method's
+/// StepLazy), and *scoring* (estimate gathers + NRE). The StreamPipeline
+/// runs them on a persistent ShardExecutor:
 ///
+///  - Each slice is ingested on the calling thread, right before its
+///    compute batch, into one reused SliceIngest. Ingest is a small share
+///    of a slice, and the caller would only wait for it anyway.
 ///  - Each slice is one executor batch with one task per method: task m
 ///    steps method m and scores its estimate into that method's result.
 ///    The methods are independent within a step, so they run side by side
@@ -34,48 +37,38 @@
 ///    its kernels and gathers never dispatch across lanes. At paper scale a
 ///    step is far too small to split one method's kernels across workers;
 ///    the parallelism is across the methods.
-///  - Ingest runs in batches of `window` slices. At pipeline_depth >= 2 the
-///    batches execute on the executor's aux lane up to depth-1 windows
-///    ahead of compute: slice t+1's pattern/CSF-delta build overlaps slice
-///    t's solves. Ingest batches are FIFO on one thread, so the sequential
-///    mask-cache and CSF-delta-chain dependencies hold unchanged.
 ///  - Kernel reduction scratch comes from each method's pool arena; after
 ///    a method's first step a steady-state stream allocates nothing there
 ///    (PipelineTelemetry::arena_growth_steady pins zero).
 ///
-/// Scores are bitwise identical across every (workers, pipeline_depth,
-/// window) combination, and identical to the pre-pipeline sequential
-/// runner: a method's step and scoring run on one thread in the same order
-/// whichever lane runs them, and the methods share only read-only ingest
-/// data, so only wall-clock shape moves (pinned by
+/// Scores are bitwise identical for every worker count, and identical to a
+/// sequential loop: a method's step and scoring run on one thread in the
+/// same order whichever lane runs them, and the methods share only
+/// read-only ingest data, so only wall-clock shape moves (pinned by
 /// tests/stream_pipeline_test.cc).
 
 namespace sofia {
 
 /// Persistent runtime for one stream + truth pair. Owns the lane executor,
-/// the per-method pools, the ingest ring, and the shared pattern cache;
-/// Run() drives a set of methods through the stream under the options'
-/// knobs. Reusable: consecutive Run() calls share the executor and the
-/// per-method pools (and their warm arenas), which is how windowed re-runs
-/// and mid-stream drains are tested.
+/// the per-method pools, and the shared pattern cache; Run() drives a set
+/// of methods through the stream. Reusable: consecutive Run() calls share
+/// the executor and the per-method pools (and their warm arenas), which is
+/// how re-runs and mid-stream stops are tested.
 class StreamPipeline {
  public:
   StreamPipeline(const CorruptedStream& stream,
                  const std::vector<DenseTensor>& truth,
                  StreamEvalOptions options = {});
-  /// Drains in-flight ingest work before tearing down the ring.
-  ~StreamPipeline();
 
   StreamPipeline(const StreamPipeline&) = delete;
   StreamPipeline& operator=(const StreamPipeline&) = delete;
 
   /// Drive `methods` through slices [0, limit) — limit 0 means the whole
-  /// stream. A limit that stops mid-stream still returns cleanly: prefetched
-  /// ingest jobs beyond the limit are drained, never leaked. Each call
-  /// resets the pattern cache and telemetry (methods keep their own state;
-  /// initialize/step semantics match RunImputationComparison exactly). An
-  /// exception thrown by a method's step surfaces here, on the caller's
-  /// thread, once the slice's batch has finished.
+  /// stream. Each call resets the pattern cache and telemetry (methods keep
+  /// their own state; initialize/step semantics match
+  /// RunImputationComparison exactly). An exception thrown by a method's
+  /// step surfaces here, on the caller's thread, once the slice's batch has
+  /// finished.
   std::vector<MethodRunResult> Run(
       const std::vector<StreamingMethod*>& methods, size_t limit = 0);
 
@@ -93,12 +86,8 @@ class StreamPipeline {
     std::vector<double> truth_missing;
   };
 
-  /// Ingest one batch of slices into its ring slot. Runs inline at depth 1,
-  /// as an aux-lane job otherwise (FIFO — the mask cache and CSF delta
-  /// chain advance strictly in stream order either way).
-  void IngestWindow(size_t w, size_t limit);
-  void SubmitIngest(size_t w, size_t limit);
-  size_t NumWindows(size_t limit) const;
+  /// Ingest slice t into ingest_, advancing the pattern cache.
+  void Ingest(size_t t);
   /// Sizes the lane executor to min(workers, num_methods) lanes and keeps
   /// one single-thread pool per method.
   void PrepareLanes(size_t num_methods);
@@ -116,13 +105,13 @@ class StreamPipeline {
   // across Runs so the arenas stay warm.
   std::vector<std::shared_ptr<ShardExecutor>> method_pools_;
 
-  // Ingest ring: pipeline_depth window slots, each `window` slices.
-  std::vector<std::vector<SliceIngest>> ring_;
-  std::vector<uint64_t> tickets_;
+  // The current slice's ingest, rewritten in place each slice (its vectors
+  // keep their capacity, so a steady-state slice allocates nothing here).
+  // Written by the calling thread between lane batches, read-only inside
+  // them.
+  SliceIngest ingest_;
 
-  // Shared pattern cache, advanced only by ingest (one thread at a time:
-  // the aux thread at depth >= 2, the driver at depth 1; Wait() barriers
-  // order every hand-off).
+  // Shared pattern cache, advanced only by ingest, on the calling thread.
   SparseMask cache_mask_;
   std::shared_ptr<const CooList> cache_pattern_;
   std::shared_ptr<const CooList> cache_eval_;
@@ -130,18 +119,9 @@ class StreamPipeline {
   size_t pattern_reuses_ = 0;
   std::vector<size_t> pattern_delta_sizes_;
 
-  // Lane executor: one task per method per slice, plus the aux lane that
-  // prefetches ingest. Declared last: destroyed first, draining aux jobs
-  // that reference the ring and cache members above.
+  // Lane executor: one task per method per slice.
   std::unique_ptr<ShardExecutor> executor_;
 };
-
-/// One-shot wrapper: construct a StreamPipeline and Run the methods through
-/// the whole stream. RunImputationComparison delegates here.
-std::vector<MethodRunResult> RunStreamPipeline(
-    const std::vector<StreamingMethod*>& methods,
-    const CorruptedStream& stream, const std::vector<DenseTensor>& truth,
-    const StreamEvalOptions& options = {});
 
 }  // namespace sofia
 

@@ -117,89 +117,21 @@ void ScoreStep(const StepResult& estimate, const CooList& observed,
 
 }  // namespace eval_detail
 
-using eval_detail::AttachGuardTelemetry;
 using eval_detail::BuildEvalPattern;
-using eval_detail::FinalizeRunMetrics;
-using eval_detail::RunInitWindow;
-
-StreamRunResult RunImputation(StreamingMethod* method,
-                              const CorruptedStream& stream,
-                              const std::vector<DenseTensor>& truth) {
-  SOFIA_CHECK_EQ(stream.slices.size(), truth.size());
-  const size_t total = truth.size();
-  const size_t window = method->init_window();
-  SOFIA_CHECK_LE(window, total);
-
-  StreamRunResult result;
-  result.nre.reserve(total);
-  std::vector<DenseTensor> completed =
-      RunInitWindow(method, stream, window, &result);
-  for (size_t t = 0; t < window; ++t) {
-    result.nre.push_back(NormalizedResidualError(completed[t], truth[t]));
-  }
-
-  result.step_seconds.reserve(total - window);
-  for (size_t t = window; t < total; ++t) {
-    Stopwatch timer;
-    DenseTensor imputed = method->Step(stream.slices[t], stream.masks[t]);
-    result.step_seconds.push_back(timer.ElapsedSeconds());
-    result.nre.push_back(NormalizedResidualError(imputed, truth[t]));
-  }
-
-  FinalizeRunMetrics(window, &result);
-  AttachGuardTelemetry(method, &result);
-  return result;
-}
 
 std::vector<MethodRunResult> RunImputationComparison(
     const std::vector<StreamingMethod*>& methods,
     const CorruptedStream& stream, const std::vector<DenseTensor>& truth,
     const StreamEvalOptions& options) {
-  // The comparison protocol is a configuration of the streaming runtime:
-  // every knob setting reproduces the sequential loop's scores exactly,
-  // while workers/pipeline_depth/window choose the method lanes and the
-  // ingest overlap.
-  return RunStreamPipeline(methods, stream, truth, options);
-}
-
-double RunForecast(StreamingMethod* method, const CorruptedStream& stream,
-                   const std::vector<DenseTensor>& truth, size_t horizon) {
-  SOFIA_CHECK_EQ(stream.slices.size(), truth.size());
-  SOFIA_CHECK_LT(horizon, truth.size());
-  SOFIA_CHECK(method->SupportsForecast())
-      << method->name() << " cannot forecast";
-  const size_t train = truth.size() - horizon;
-  const size_t window = method->init_window();
-  SOFIA_CHECK_LE(window, train);
-
-  if (window > 0) {
-    std::vector<DenseTensor> init_slices(stream.slices.begin(),
-                                         stream.slices.begin() + window);
-    std::vector<Mask> init_masks(stream.masks.begin(),
-                                 stream.masks.begin() + window);
-    method->Initialize(init_slices, init_masks);
-  }
-  // The imputed estimates are not scored here, so let methods with a lazy
-  // step result skip the dense reconstruction entirely.
-  for (size_t t = window; t < train; ++t) {
-    method->Observe(stream.slices[t], stream.masks[t]);
-  }
-
-  std::vector<DenseTensor> forecasts;
-  std::vector<DenseTensor> future;
-  forecasts.reserve(horizon);
-  future.reserve(horizon);
-  for (size_t h = 1; h <= horizon; ++h) {
-    forecasts.push_back(method->Forecast(h));
-    future.push_back(truth[train + h - 1]);
-  }
-  return AverageForecastingError(forecasts, future);
+  StreamPipeline pipeline(stream, truth, options);
+  return pipeline.Run(methods);
 }
 
 double RunForecast(StreamingMethod* method, const CorruptedStream& stream,
                    const std::vector<DenseTensor>& truth, size_t horizon,
                    const StreamEvalOptions& options) {
   SOFIA_CHECK_EQ(stream.slices.size(), truth.size());
+  SOFIA_CHECK_GE(horizon, 1u) << "a forecast needs a horizon";
   SOFIA_CHECK_LT(horizon, truth.size());
   SOFIA_CHECK(method->SupportsForecast())
       << method->name() << " cannot forecast";
@@ -232,12 +164,7 @@ double RunForecast(StreamingMethod* method, const CorruptedStream& stream,
   for (size_t h = 1; h <= horizon; ++h) {
     const DenseTensor& future = truth[train + h - 1];
     eval_pattern->GatherInto(future, &ref);
-    if (options.force_dense) {
-      StepResult forecast = StepResult::Dense(method->Forecast(h));
-      forecast.GatherAtInto(*eval_pattern, &est);
-    } else {
-      method->ForecastLazy(h).GatherAtInto(*eval_pattern, &est);
-    }
+    method->ForecastLazy(h).GatherAtInto(*eval_pattern, &est);
     sum += GatheredNre(AccumulateGatheredError(est, ref));
   }
   return sum / static_cast<double>(horizon);

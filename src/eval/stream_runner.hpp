@@ -11,29 +11,21 @@
 #include "tensor/dense_tensor.hpp"
 
 /// \file stream_runner.hpp
-/// \brief Drives a StreamingMethod through a corrupted stream and collects
+/// \brief Drives StreamingMethods through a corrupted stream and collects
 /// the Section VI-A metrics (NRE series, RAE, ART, AFE).
 ///
-/// Two protocol generations coexist:
-///  - RunImputation keeps the original dense protocol (materialize every
-///    estimate, full-volume NRE) for the paper-figure benches.
-///  - RunImputationComparison and the options-taking RunForecast are the
-///    lazy pipeline: methods return StepResult handles, and all scoring
-///    reads estimates only at observed and held-out entries through CooList
-///    gathers — per step, one shared pattern build per distinct mask is the
-///    only full-index-space work anywhere in the loop, and no method's
-///    estimate is ever densified (counter-verified in
-///    tests/step_result_test.cc).
+/// Methods return lazy StepResult handles, and all scoring reads estimates
+/// only at observed and held-out entries through CooList gathers: per step,
+/// one shared pattern build per distinct mask is the only full-index-space
+/// work anywhere in the loop, and no method's estimate is ever densified
+/// (counter-verified in tests/step_result_test.cc). With max_eval_entries
+/// = 0 the held-out set is every missing entry, so a step's NRE is the
+/// full-volume NRE of the paper, up to summation order.
 
 namespace sofia {
 
-/// Knobs of the lazy eval protocols.
+/// Knobs of the eval protocols.
 struct StreamEvalOptions {
-  /// Drive the materializing Step()/Forecast() wrappers and score from the
-  /// dense estimates (gathered at the same entries). The scores are bitwise
-  /// identical to the lazy path — this exists as the parity/benchmark
-  /// reference, not as a better answer.
-  bool force_dense = false;
   /// Per-step cap on the *held-out* (missing) entries scored: when a step
   /// has more missing entries than this, an evenly strided deterministic
   /// subset of that size is scored instead (the OLSTEC-style sampled
@@ -44,42 +36,26 @@ struct StreamEvalOptions {
   /// on min(workers, methods) lanes. Results are bitwise identical for
   /// every setting.
   size_t num_threads = 0;
-
-  // Streaming-runtime knobs (eval/stream_pipeline.hpp). Scores are bitwise
-  // identical for every (workers, pipeline_depth, window) combination —
-  // these trade wall-clock shape only (tests/stream_pipeline_test.cc).
   /// Method lanes (0 = fall back to num_threads): each slice's methods run
   /// side by side on min(workers, methods) threads, the caller included,
   /// each method's kernels serially inside its lane. One method runs inline
-  /// on the caller.
+  /// on the caller. Scores are bitwise identical for every setting
+  /// (tests/stream_pipeline_test.cc).
   size_t workers = 0;
-  /// Ingest ring depth: 1 runs slice ingest (pattern compare/build,
-  /// eval-pattern sampling, truth gathers) synchronously before
-  /// each compute window; 2+ runs it on the executor's aux lane up to
-  /// depth-1 windows ahead, overlapping window w+1's ingest with window w's
-  /// solves.
-  size_t pipeline_depth = 1;
-  /// Slices ingested per batch (the windowed mode): one ingest job covers
-  /// `window` consecutive slices, amortizing job dispatch and keeping the
-  /// mask-reuse cache hot across the batch. Compute stays per-slice.
-  size_t window = 1;
+
+  /// Constants, not settings: each slice is ingested inline, one at a time,
+  /// right before its lane batch. They remain because the repository
+  /// benchmark (perfbench/) prints them among the library defaults.
+  static constexpr size_t pipeline_depth = 1;
+  static constexpr size_t window = 1;
 };
 
-/// What the pipeline did, beyond the per-method metrics: knob echo,
-/// ingest/compute overlap accounting, and the kernel-scratch allocation
-/// watch (identical for every method of a run).
+/// What the pipeline did, beyond the per-method metrics: the lane count
+/// and the kernel-scratch allocation watch (identical for every method of
+/// a run).
 struct PipelineTelemetry {
   size_t workers = 1;         ///< Method lanes: min(workers, methods).
-  size_t pipeline_depth = 1;  ///< Ingest ring depth (1 = synchronous).
-  size_t window = 1;          ///< Slices per ingest batch.
   size_t steps = 0;           ///< Slices driven through the pipeline.
-  size_t ingest_jobs = 0;     ///< Ingest batches executed.
-  /// Summed wall time inside ingest batches (on the aux thread at depth
-  /// >= 2). With overlap, most of it hides under compute:
-  /// hidden fraction = 1 - ingest_stall_seconds / ingest_seconds.
-  double ingest_seconds = 0.0;
-  /// Main-thread time blocked waiting for a not-yet-ingested window.
-  double ingest_stall_seconds = 0.0;
   /// ScratchArena growth events of the per-method pools, summed: over the
   /// whole run, and over the run excluding each method's first step. A
   /// steady-state stream (stable mask) holds arena_growth_steady == 0:
@@ -91,12 +67,12 @@ struct PipelineTelemetry {
 
 /// Per-run measurements.
 struct StreamRunResult {
-  /// NRE at every time step (incl. init) over the *scored* entry set: for
-  /// the dense protocol the full slice, for the lazy protocols observed ∪
-  /// sampled-missing entries.
+  /// NRE at every time step (incl. init) over the *scored* entry set:
+  /// observed ∪ sampled-missing entries (every entry when
+  /// max_eval_entries is 0).
   std::vector<double> nre;
-  /// Lazy protocols only: NRE restricted to the observed entries Ω_t, and
-  /// to the held-out (sampled missing) entries — the imputation targets.
+  /// NRE restricted to the observed entries Ω_t, and to the held-out
+  /// (sampled missing) entries — the imputation targets.
   std::vector<double> observed_nre;
   std::vector<double> missing_nre;
   double rae = 0.0;                  ///< Mean NRE over the whole stream.
@@ -128,32 +104,19 @@ struct StreamRunResult {
   bool guarded = false;
   GuardTelemetry guard;
 
-  // Sharded-runtime telemetry, populated by the pipeline drivers
-  // (identical for every method of a run — the runtime is shared).
-  bool pipelined = false;
+  // Runtime telemetry (identical for every method of a run — the runtime
+  // is shared).
   PipelineTelemetry pipeline;
 };
 
-/// Imputation protocol (Figs. 3-5), dense generation: run `method` over the
-/// corrupted stream, compare each materialized imputed slice against the
-/// ground truth over the full volume. The init window (if any) is timed
-/// separately and its slices are scored from Initialize()'s completions.
-StreamRunResult RunImputation(StreamingMethod* method,
-                              const CorruptedStream& stream,
-                              const std::vector<DenseTensor>& truth);
-
-/// Forecasting protocol (Fig. 6), dense generation: feed all but the last
-/// `horizon` slices, then forecast h = 1..horizon and return the AFE
-/// against the held-out ground truth over the full volume.
-double RunForecast(StreamingMethod* method, const CorruptedStream& stream,
-                   const std::vector<DenseTensor>& truth, size_t horizon);
-
-/// Forecasting protocol, lazy generation: the training prefix advances via
-/// Observe(), and each ForecastLazy(h) handle is scored against the held-out
-/// truth only at a deterministic sample of ≤ max_eval_entries entries per
-/// slice, gathered through one CooList shared by every horizon. With
-/// force_dense the same entries are read from materialized forecasts — the
-/// AFE is bitwise identical.
+/// Forecasting protocol (Fig. 6): feed all but the last `horizon` slices
+/// (the training prefix advances via Observe()), then score each
+/// ForecastLazy(h), h = 1..horizon, against the held-out truth at a
+/// deterministic sample of <= max_eval_entries entries per slice, gathered
+/// through one CooList shared by every horizon. Returns the AFE: the mean
+/// of the per-horizon NREs. With max_eval_entries = 0 every entry is
+/// scored, so the AFE is the mean full-volume NRE of the forecasts.
+/// Requires 1 <= horizon < truth.size().
 double RunForecast(StreamingMethod* method, const CorruptedStream& stream,
                    const std::vector<DenseTensor>& truth, size_t horizon,
                    const StreamEvalOptions& options);
@@ -164,17 +127,16 @@ struct MethodRunResult {
   StreamRunResult run; ///< Same metrics as StreamRunResult above.
 };
 
-/// Multi-method imputation comparison — the lazy pipeline. Every method
-/// consumes the same corrupted stream, slice by slice:
+/// Imputation protocol (Figs. 3-5): every method consumes the same
+/// corrupted stream, slice by slice, through a StreamPipeline:
 ///  - per distinct consecutive mask, the runner builds the observed-entry
 ///    CooList once and a held-out eval pattern (≤ max_eval_entries sampled
 ///    missing entries) once, and shares both across all methods — the only
 ///    O(volume) work in the loop;
 ///  - each method due a step returns a lazy StepResult via StepLazy(y,
-///    omega, pattern) (or a materialized estimate when force_dense), and is
-///    scored by gathering the estimate at the observed and held-out
-///    patterns: per-step NRE over observed, held-out, and their union, with
-///    zero full-volume reconstructions on the lazy path;
+///    omega, pattern), and is scored by gathering the estimate at the
+///    observed and held-out patterns: per-step NRE over observed, held-out,
+///    and their union, with zero full-volume reconstructions;
 ///  - the methods of each slice are stepped and scored side by side on
 ///    min(workers, methods) lanes, each method serially inside its lane
 ///    through its own single-thread pool;

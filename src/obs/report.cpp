@@ -15,9 +15,9 @@ namespace {
 constexpr const char* kWallCounter = "time.pipeline.wall_us";
 
 /// Driver-thread stage counters: these run on the Run() caller's thread, so
-/// their sum must account for the pipeline wall clock. Two stages overlap
-/// the driver and are intentionally NOT in this list: ingest_async (the aux
-/// lane) and score (summed over the method lanes, inside compute's batch).
+/// their sum must account for the pipeline wall clock. Score runs inside
+/// compute's batch (summed over the method lanes) and is intentionally NOT
+/// in this list.
 const char* const kDriverStages[] = {
     "time.pipeline.init_us",
     "time.pipeline.ingest_us",

@@ -27,8 +27,8 @@ struct AttributionReport {
   double wall_us = 0.0;
   /// All time.*_us rows, sorted by descending time.
   std::vector<AttributionRow> rows;
-  /// Driver-thread stage sum (init + ingest + stall + compute + score)
-  /// over wall_us — the "do the spans account for the run" ratio the
+  /// Stage sum of the Run() caller's thread (init + ingest + stall +
+  /// compute) over wall_us — the "do the spans account for the run" ratio the
   /// acceptance criteria pin within 10%. 0 when wall_us is 0.
   double driver_coverage = 0.0;
 };

@@ -10,11 +10,12 @@
 /// One snapshot line captures the entire registry — every counter, gauge,
 /// and histogram (count/sum/p50/p90/p99) — as a single JSON object, so a
 /// `tail -f` of the stats file is a live view of steps/sec, p99 step
-/// latency, ingest-hidden fraction, guard trips, journal bytes, and arena
-/// growth without a bench build. The pipeline calls StatsTick() once per
-/// slice; emission happens every `every_steps` ticks on the driver thread
-/// (snapshot + one write, off the kernel hot path). Values are cumulative
-/// since process start — consumers diff consecutive lines for rates.
+/// latency, guard trips, journal bytes, and arena growth without a bench
+/// build. The pipeline calls StatsTick() once per method step, on the lane
+/// that ran it; emission happens every `every_steps` ticks (snapshot + one
+/// write under the sink's lock, off the kernel hot path). Values are
+/// cumulative since process start — consumers diff consecutive lines for
+/// rates.
 ///
 /// The same snapshot format is what `--metrics-out` dumps once at CLI exit
 /// and what tools/obs_report consumes.

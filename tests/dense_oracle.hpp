@@ -13,7 +13,11 @@
 //    gradients, per-row slice systems and the proximal row update;
 //  - a dense reference of each of the six streaming baselines built on
 //    ObservedSweep (MakeDenseBaseline), which tests/baseline_parity_test.cc
-//    steps in lockstep with the library method.
+//    steps in lockstep with the library method;
+//  - the dense eval protocol the lazy one replaced: every estimate
+//    materialized and scored over the full volume (RunDenseImputation,
+//    RunDenseForecast), and a Materializing decorator that densifies each
+//    estimate before the library's own protocols score it.
 //
 // Header-only: every test binary compiles exactly one tests/*_test.cc.
 
@@ -36,6 +40,9 @@
 #include "baselines/smf.hpp"
 #include "core/sofia_als.hpp"
 #include "core/sofia_model.hpp"
+#include "data/corruption.hpp"
+#include "eval/metrics.hpp"
+#include "eval/stream_runner.hpp"
 #include "eval/streaming_method.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/solve.hpp"
@@ -850,6 +857,117 @@ class DenseSmf : public StreamingMethod {
   std::vector<std::vector<double>> season_;
   size_t season_pos_ = 0;
   size_t steps_seen_ = 0;
+};
+
+// --- The dense eval protocol -------------------------------------------------
+//
+// The library scores every estimate lazily, by gathering it at the entries
+// it scores. These protocols materialize every estimate instead and score it
+// with NormalizedResidualError over the full volume: with
+// max_eval_entries = 0 the library's scores equal theirs up to summation
+// order.
+
+/// Imputation protocol, dense: run `method` over the stream, compare each
+/// materialized imputed slice against the truth over the full volume. The
+/// init window (if any) is scored from Initialize()'s completions. Fills
+/// nre, rae and rae_post_init.
+inline StreamRunResult RunDenseImputation(
+    StreamingMethod* method, const CorruptedStream& stream,
+    const std::vector<DenseTensor>& truth) {
+  SOFIA_CHECK_EQ(stream.slices.size(), truth.size());
+  const size_t total = truth.size();
+  const size_t window = method->init_window();
+  SOFIA_CHECK_LE(window, total);
+
+  StreamRunResult result;
+  if (window > 0) {
+    std::vector<DenseTensor> init_slices(stream.slices.begin(),
+                                         stream.slices.begin() + window);
+    std::vector<Mask> init_masks(stream.masks.begin(),
+                                 stream.masks.begin() + window);
+    std::vector<DenseTensor> completed =
+        method->Initialize(init_slices, init_masks);
+    SOFIA_CHECK_EQ(completed.size(), window);
+    for (size_t t = 0; t < window; ++t) {
+      result.nre.push_back(NormalizedResidualError(completed[t], truth[t]));
+    }
+  }
+  for (size_t t = window; t < total; ++t) {
+    DenseTensor imputed = method->Step(stream.slices[t], stream.masks[t]);
+    result.nre.push_back(NormalizedResidualError(imputed, truth[t]));
+  }
+  result.rae = Mean(result.nre);
+  result.rae_post_init = Mean(std::vector<double>(
+      result.nre.begin() + static_cast<long>(window), result.nre.end()));
+  return result;
+}
+
+/// Forecasting protocol, dense: feed all but the last `horizon` slices,
+/// then return the mean full-volume NRE of the materialized forecasts
+/// h = 1..horizon against the held-out truth.
+inline double RunDenseForecast(StreamingMethod* method,
+                               const CorruptedStream& stream,
+                               const std::vector<DenseTensor>& truth,
+                               size_t horizon) {
+  SOFIA_CHECK_EQ(stream.slices.size(), truth.size());
+  SOFIA_CHECK_GE(horizon, 1u);
+  SOFIA_CHECK_LT(horizon, truth.size());
+  const size_t train = truth.size() - horizon;
+  const size_t window = method->init_window();
+  SOFIA_CHECK_LE(window, train);
+  if (window > 0) {
+    std::vector<DenseTensor> init_slices(stream.slices.begin(),
+                                         stream.slices.begin() + window);
+    std::vector<Mask> init_masks(stream.masks.begin(),
+                                 stream.masks.begin() + window);
+    method->Initialize(init_slices, init_masks);
+  }
+  for (size_t t = window; t < train; ++t) {
+    method->Observe(stream.slices[t], stream.masks[t]);
+  }
+  double sum = 0.0;
+  for (size_t h = 1; h <= horizon; ++h) {
+    sum += NormalizedResidualError(method->Forecast(h), truth[train + h - 1]);
+  }
+  return sum / static_cast<double>(horizon);
+}
+
+/// Pass-through decorator whose estimates and forecasts are the inner
+/// method's materialized ones, as dense StepResults. Driven through
+/// RunImputationComparison or RunForecast it scores the same entries as
+/// the inner method run directly, read from dense tensors instead of lazy
+/// handles.
+class Materializing : public StreamingMethod {
+ public:
+  explicit Materializing(std::unique_ptr<StreamingMethod> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  size_t init_window() const override { return inner_->init_window(); }
+  std::vector<DenseTensor> Initialize(
+      const std::vector<DenseTensor>& slices,
+      const std::vector<Mask>& masks) override {
+    return inner_->Initialize(slices, masks);
+  }
+  StepResult StepLazy(const DenseTensor& y, const Mask& omega,
+                      std::shared_ptr<const CooList> pattern) override {
+    return StepResult::Dense(inner_->Step(y, omega, std::move(pattern)));
+  }
+  void Observe(const DenseTensor& y, const Mask& omega) override {
+    inner_->Observe(y, omega);
+  }
+  bool SupportsForecast() const override {
+    return inner_->SupportsForecast();
+  }
+  StepResult ForecastLazy(size_t h) const override {
+    return StepResult::Dense(inner_->Forecast(h));
+  }
+  void AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) override {
+    inner_->AdoptWorkerPool(std::move(pool));
+  }
+
+ private:
+  std::unique_ptr<StreamingMethod> inner_;
 };
 
 }  // namespace dense_oracle

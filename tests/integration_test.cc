@@ -15,7 +15,21 @@ namespace sofia {
 namespace {
 
 /// End-to-end checks of the paper's headline claims on a scaled-down
-/// taxi-like stream. These run the same harness the benches use.
+/// taxi-like stream. These run the same harness the benches use, scoring
+/// every entry (max_eval_entries = 0) as the figures do.
+
+StreamEvalOptions FullVolume() {
+  StreamEvalOptions options;
+  options.max_eval_entries = 0;
+  return options;
+}
+
+/// RAE of one method over the stream.
+double Rae(StreamingMethod* method, const CorruptedStream& stream,
+           const std::vector<DenseTensor>& truth) {
+  return RunImputationComparison({method}, stream, truth, FullVolume())[0]
+      .run.rae;
+}
 
 TEST(IntegrationTest, SofiaBeatsNonRobustStreamersUnderCorruption) {
   // A (50, 20, 4) grid point of the Fig. 3/4 experiment.
@@ -25,13 +39,13 @@ TEST(IntegrationTest, SofiaBeatsNonRobustStreamersUnderCorruption) {
   CorruptedStream stream = Corrupt(d.slices, {50.0, 20.0, 4.0}, 1001);
 
   SofiaStream sofia_method(MakeExperimentConfig(d, stream));
-  StreamRunResult sofia_res = RunImputation(&sofia_method, stream, d.slices);
-
   OnlineSgd sgd(OnlineSgdOptions{.rank = d.rank});
-  StreamRunResult sgd_res = RunImputation(&sgd, stream, d.slices);
-
   Mast mast(MastOptions{.rank = d.rank});
-  StreamRunResult mast_res = RunImputation(&mast, stream, d.slices);
+  std::vector<MethodRunResult> results = RunImputationComparison(
+      {&sofia_method, &sgd, &mast}, stream, d.slices, FullVolume());
+  const StreamRunResult& sofia_res = results[0].run;
+  const StreamRunResult& sgd_res = results[1].run;
+  const StreamRunResult& mast_res = results[2].run;
 
   // The paper's core claim (Fig. 4): lower running average error than the
   // non-robust streaming competitors under missing data + outliers.
@@ -52,11 +66,12 @@ TEST(IntegrationTest, SofiaForecastsBeatSmfUnderOutliers) {
   CorruptedStream smf_stream = Corrupt(d.slices, {0.0, 20.0, 5.0}, 2002);
 
   SofiaStream sofia_method(MakeExperimentConfig(d, sofia_stream));
-  const double sofia_afe =
-      RunForecast(&sofia_method, sofia_stream, d.slices, horizon);
+  const double sofia_afe = RunForecast(&sofia_method, sofia_stream, d.slices,
+                                       horizon, FullVolume());
 
   Smf smf(SmfOptions{.rank = d.rank, .period = d.period});
-  const double smf_afe = RunForecast(&smf, smf_stream, d.slices, horizon);
+  const double smf_afe =
+      RunForecast(&smf, smf_stream, d.slices, horizon, FullVolume());
 
   EXPECT_LT(sofia_afe, smf_afe);
 }
@@ -71,12 +86,12 @@ TEST(IntegrationTest, HarsherCorruptionDegradesGracefully) {
   {
     CorruptedStream stream = Corrupt(d.slices, {20.0, 10.0, 2.0}, 3001);
     SofiaStream method(MakeExperimentConfig(d, stream));
-    mild_rae = RunImputation(&method, stream, d.slices).rae;
+    mild_rae = Rae(&method, stream, d.slices);
   }
   {
     CorruptedStream stream = Corrupt(d.slices, {70.0, 20.0, 5.0}, 3002);
     SofiaStream method(MakeExperimentConfig(d, stream));
-    harsh_rae = RunImputation(&method, stream, d.slices).rae;
+    harsh_rae = Rae(&method, stream, d.slices);
   }
   EXPECT_LT(mild_rae, 1.0);
   EXPECT_LT(harsh_rae, 2.0);  // Bounded even at (70, 20, 5).

@@ -275,8 +275,7 @@ TEST_F(ObsTest, ReportChecksCoverageBounds) {
   const char* good = R"({"counters": {
     "time.pipeline.wall_us": 1000, "time.pipeline.init_us": 100,
     "time.pipeline.ingest_us": 100, "time.pipeline.stall_us": 100,
-    "time.pipeline.compute_us": 650, "time.pipeline.score_us": 150,
-    "time.pipeline.ingest_async_us": 400},
+    "time.pipeline.compute_us": 650, "time.pipeline.score_us": 150},
     "gauges": {}, "histograms": {}})";
   JsonValue snapshot;
   std::string error;
@@ -284,9 +283,8 @@ TEST_F(ObsTest, ReportChecksCoverageBounds) {
   EXPECT_TRUE(CheckMetricsSnapshot(snapshot).ok);
   const AttributionReport attribution = TimeAttribution(snapshot);
   EXPECT_EQ(attribution.wall_us, 1000.0);
-  // ingest_async (the aux lane) and score (summed over the method lanes,
-  // inside compute's batches) overlap the driver: listed as rows, excluded
-  // from driver coverage.
+  // score (summed over the method lanes, inside compute's batches) is
+  // listed as a row but excluded from the coverage sum.
   EXPECT_NEAR(attribution.driver_coverage, 0.95, 1e-9);
   ASSERT_FALSE(attribution.rows.empty());
   EXPECT_EQ(attribution.rows[0].stage, "pipeline.compute");
@@ -391,7 +389,6 @@ TEST_F(ObsTest, ScoresBitwiseIdenticalObsOnAndOff) {
 
   StreamEvalOptions options;
   options.workers = 2;
-  options.pipeline_depth = 2;
 
   auto run_once = [&]() {
     SofiaConfig config;

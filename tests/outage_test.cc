@@ -99,7 +99,10 @@ TEST(OutageTest, SofiaImputesThroughSensorOutages) {
       CorruptWithOutages(d.slices, {10.0, 10.0, 3.0}, outages, 77);
 
   SofiaStream method(MakeExperimentConfig(d, stream));
-  StreamRunResult res = RunImputation(&method, stream, d.slices);
+  StreamEvalOptions options;
+  options.max_eval_entries = 0;  // Score every entry.
+  StreamRunResult res =
+      RunImputationComparison({&method}, stream, d.slices, options)[0].run;
   EXPECT_LT(res.rae, 0.6);
 }
 

@@ -37,7 +37,10 @@ TEST(SofiaStreamTest, RunsThroughTheImputationProtocol) {
   CorruptedStream stream = Corrupt(truth, {30.0, 10.0, 3.0}, 52);
 
   SofiaStream method(SmallConfig());
-  StreamRunResult res = RunImputation(&method, stream, truth);
+  StreamEvalOptions options;
+  options.max_eval_entries = 0;  // Score every entry.
+  StreamRunResult res =
+      RunImputationComparison({&method}, stream, truth, options)[0].run;
   EXPECT_EQ(res.nre.size(), truth.size());
   EXPECT_GT(res.init_seconds, 0.0);
   EXPECT_EQ(res.step_seconds.size(), truth.size() - method.init_window());

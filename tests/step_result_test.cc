@@ -1,15 +1,20 @@
 // The lazy StepResult pipeline, end to end:
 //  - StepResult's accessors (at / GatherAt / imputed) agree across kinds,
 //    and the materialization counter fires exactly on lazy densification;
-//  - RunImputationComparison scores are bitwise identical between the lazy
-//    and forced-dense paths for every method (SOFIA + all eight baselines),
-//    including empty-Ω, full-Ω, and mask-reuse steps;
+//  - RunImputationComparison scores every method (SOFIA + all eight
+//    baselines) as if its estimates were materialized first (the
+//    dense_oracle::Materializing decorator), including empty-Ω, full-Ω,
+//    and mask-reuse steps;
+//  - uncapped, the lazy imputation and forecast scores equal the dense
+//    protocol's full-volume NRE (dense_oracle::RunDenseImputation,
+//    RunDenseForecast);
 //  - the lazy protocol performs zero full-volume reconstructions
 //    (counter-verified), killing the O(volume R) dense floor the dense
 //    protocol pays per method per step.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +31,7 @@
 #include "core/sofia_stream.hpp"
 #include "data/corruption.hpp"
 #include "data/synthetic.hpp"
+#include "dense_oracle.hpp"
 #include "eval/step_result.hpp"
 #include "eval/stream_runner.hpp"
 #include "tensor/kruskal.hpp"
@@ -145,28 +151,29 @@ TEST(StepResultPipelineTest, LazyEqualsForcedDenseForAllNineMethods) {
   std::vector<DenseTensor> truth = MakeTruth(20, 91);
   CorruptedStream stream = MakeEdgeCaseStream(truth);
 
-  StreamEvalOptions lazy_options;
-  lazy_options.max_eval_entries = 8;  // Exercise the strided sampler too.
-  StreamEvalOptions dense_options = lazy_options;
-  dense_options.force_dense = true;
+  StreamEvalOptions options;
+  options.max_eval_entries = 8;  // Exercise the strided sampler too.
 
   std::vector<std::unique_ptr<StreamingMethod>> lazy_owned = MakeAllMethods();
   std::vector<std::unique_ptr<StreamingMethod>> dense_owned = MakeAllMethods();
   std::vector<StreamingMethod*> lazy_methods, dense_methods;
   for (auto& m : lazy_owned) lazy_methods.push_back(m.get());
-  for (auto& m : dense_owned) dense_methods.push_back(m.get());
+  for (auto& m : dense_owned) {
+    m = std::make_unique<dense_oracle::Materializing>(std::move(m));
+    dense_methods.push_back(m.get());
+  }
   ASSERT_EQ(lazy_methods.size(), 9u);
 
   // The lazy run performs zero full-volume reconstructions: the counter
   // must not move while the comparison executes.
   StepResult::ResetMaterializations();
   std::vector<MethodRunResult> lazy =
-      RunImputationComparison(lazy_methods, stream, truth, lazy_options);
+      RunImputationComparison(lazy_methods, stream, truth, options);
   EXPECT_EQ(StepResult::materializations(), 0u)
       << "the lazy protocol densified an estimate";
 
   std::vector<MethodRunResult> dense =
-      RunImputationComparison(dense_methods, stream, truth, dense_options);
+      RunImputationComparison(dense_methods, stream, truth, options);
 
   ASSERT_EQ(lazy.size(), dense.size());
   for (size_t m = 0; m < lazy.size(); ++m) {
@@ -192,12 +199,13 @@ TEST(StepResultPipelineTest, UncappedLazyScoreMatchesLegacyFullVolumeNre) {
   // every entry, so the lazy protocol's per-step NRE equals the legacy
   // dense protocol's full-volume NormalizedResidualError up to summation
   // order (≤ 1e-12) — the equivalence the pipeline bench's legacy-dense
-  // comparator rests on.
+  // comparator and the figure benches rest on.
   std::vector<DenseTensor> truth = MakeTruth(12, 61);
   CorruptedStream stream = Corrupt(truth, {35.0, 5.0, 2.0}, 62);
 
   OnlineSgd legacy_method(OnlineSgdOptions{.rank = 3});
-  StreamRunResult legacy = RunImputation(&legacy_method, stream, truth);
+  StreamRunResult legacy =
+      dense_oracle::RunDenseImputation(&legacy_method, stream, truth);
 
   OnlineSgd lazy_method(OnlineSgdOptions{.rank = 3});
   StreamEvalOptions options;
@@ -211,6 +219,41 @@ TEST(StepResultPipelineTest, UncappedLazyScoreMatchesLegacyFullVolumeNre) {
     EXPECT_NEAR(lazy[0].run.nre[t], legacy.nre[t],
                 1e-12 * (1.0 + legacy.nre[t]))
         << "t=" << t;
+  }
+}
+
+TEST(StepResultPipelineTest, UncappedLazyForecastMatchesLegacyFullVolumeAfe) {
+  // The forecast twin of the test above: with max_eval_entries = 0 every
+  // entry of each horizon slice is scored, so the lazy AFE equals the mean
+  // full-volume NRE of the materialized forecasts — the equivalence the
+  // fig1/fig6 benches rest on.
+  std::vector<DenseTensor> truth = MakeTruth(24, 73);
+  CorruptedStream stream = Corrupt(truth, {20.0, 5.0, 2.0}, 74);
+  StreamEvalOptions options;
+  options.max_eval_entries = 0;
+
+  SofiaConfig config;
+  config.rank = 3;
+  config.period = 4;
+  config.lambda1 = 0.5;
+  config.lambda2 = 0.5;
+  std::vector<std::function<std::unique_ptr<StreamingMethod>()>> makers = {
+      [&] { return std::make_unique<SofiaStream>(config); },
+      [] { return std::make_unique<Smf>(SmfOptions{.rank = 3, .period = 4}); },
+      [] {
+        return std::make_unique<Cphw>(CphwOptions{.rank = 3, .period = 4});
+      },
+  };
+  for (const auto& make : makers) {
+    std::unique_ptr<StreamingMethod> lazy_method = make();
+    std::unique_ptr<StreamingMethod> legacy_method = make();
+    SCOPED_TRACE(lazy_method->name());
+    const double lazy_afe =
+        RunForecast(lazy_method.get(), stream, truth, 4, options);
+    const double legacy_afe =
+        dense_oracle::RunDenseForecast(legacy_method.get(), stream, truth, 4);
+    EXPECT_GT(legacy_afe, 0.0);
+    EXPECT_NEAR(lazy_afe, legacy_afe, 1e-12 * (1.0 + legacy_afe));
   }
 }
 
@@ -229,28 +272,26 @@ TEST(StepResultPipelineTest, LazyForecastMatchesForcedDense) {
   config.lambda2 = 0.5;
   {
     SofiaStream lazy_method(config);
-    SofiaStream dense_method(config);
+    dense_oracle::Materializing dense_method(
+        std::make_unique<SofiaStream>(config));
     StepResult::ResetMaterializations();
     const double lazy_afe = RunForecast(&lazy_method, stream, truth, 4,
                                         options);
     EXPECT_EQ(StepResult::materializations(), 0u);
-    StreamEvalOptions forced = options;
-    forced.force_dense = true;
     const double dense_afe = RunForecast(&dense_method, stream, truth, 4,
-                                         forced);
+                                         options);
     EXPECT_NEAR(lazy_afe, dense_afe, 1e-12);
   }
   {
     Smf lazy_method(SmfOptions{.rank = 3, .period = 4});
-    Smf dense_method(SmfOptions{.rank = 3, .period = 4});
+    dense_oracle::Materializing dense_method(
+        std::make_unique<Smf>(SmfOptions{.rank = 3, .period = 4}));
     StepResult::ResetMaterializations();
     const double lazy_afe = RunForecast(&lazy_method, stream, truth, 4,
                                         options);
     EXPECT_EQ(StepResult::materializations(), 0u);
-    StreamEvalOptions forced = options;
-    forced.force_dense = true;
     const double dense_afe = RunForecast(&dense_method, stream, truth, 4,
-                                         forced);
+                                         options);
     EXPECT_EQ(lazy_afe, dense_afe);  // Identical loops: identical bits.
   }
 }
@@ -274,7 +315,7 @@ TEST(StepResultPipelineTest, SofiaAdoptsSharedPatternWithoutBuilding) {
 TEST(StepResultPipelineTest, SharedPatternSurvivesMaskReuseSteps) {
   // Identical consecutive masks: the runner builds once, every method
   // (including SOFIA's internal cache) reuses, and scores still match the
-  // forced-dense route.
+  // materialized route.
   std::vector<DenseTensor> truth = MakeTruth(10, 31);
   CorruptedStream stream = Corrupt(truth, {50.0, 0.0, 0.0}, 32);
   for (size_t t = 1; t < stream.masks.size(); ++t) {
@@ -282,15 +323,14 @@ TEST(StepResultPipelineTest, SharedPatternSurvivesMaskReuseSteps) {
   }
 
   OnlineSgd lazy_method(OnlineSgdOptions{.rank = 3});
-  OnlineSgd dense_method(OnlineSgdOptions{.rank = 3});
+  dense_oracle::Materializing dense_method(
+      std::make_unique<OnlineSgd>(OnlineSgdOptions{.rank = 3}));
   std::vector<StreamingMethod*> lazy_methods = {&lazy_method};
   std::vector<StreamingMethod*> dense_methods = {&dense_method};
-  StreamEvalOptions dense_options;
-  dense_options.force_dense = true;
   std::vector<MethodRunResult> lazy =
       RunImputationComparison(lazy_methods, stream, truth);
-  std::vector<MethodRunResult> dense = RunImputationComparison(
-      dense_methods, stream, truth, dense_options);
+  std::vector<MethodRunResult> dense =
+      RunImputationComparison(dense_methods, stream, truth);
   for (size_t t = 0; t < truth.size(); ++t) {
     EXPECT_EQ(lazy[0].run.nre[t], dense[0].run.nre[t]) << "t=" << t;
   }

@@ -102,5 +102,45 @@ TEST(StreamIoTest, RejectsOutOfRangeIndices) {
   EXPECT_DEATH(ReadStreamCsv(in), "out of range");
 }
 
+TEST(StreamIoTest, RejectsHeaderVolumeOverflow) {
+  // 2^32 x 2^32 wraps a 64-bit volume to 0: the record below would write
+  // past a zero-sized slice.
+  std::stringstream in(
+      "# shape 4294967296 4294967296 1\n"
+      "0,5,1,1.0\n");
+  EXPECT_DEATH(ReadStreamCsv(in), "slice volume");
+}
+
+TEST(StreamIoTest, RejectsHeaderVolumeAboveCap) {
+  // 2^14 x 2^15 = 2^29 entries per slice: no wrap, but past the 2^28 cap.
+  std::stringstream in("# shape 16384 32768 1\n");
+  EXPECT_DEATH(ReadStreamCsv(in), "slice volume");
+}
+
+TEST(StreamIoTest, RejectsHeaderStreamVolumeOverflow) {
+  // A 2^28-entry slice is allowed, but 2^40 of them overflow the total.
+  std::stringstream in("# shape 16384 16384 1099511627776\n");
+  EXPECT_DEATH(ReadStreamCsv(in), "stream volume");
+}
+
+TEST(StreamIoTest, RejectsMalformedHeaderToken) {
+  // Read as a stream of integers, this header stops at the "5" of "5x"
+  // and loads 5 slices of shape (4) instead of failing.
+  std::stringstream in("# shape 4 5x 3\n");
+  EXPECT_DEATH(ReadStreamCsv(in), "bad index field '5x' at line 1");
+}
+
+TEST(StreamIoTest, RejectsHeaderTokenThatDoesNotFit) {
+  std::stringstream in("# shape 4 18446744073709551616 3\n");
+  EXPECT_DEATH(ReadStreamCsv(in), "bad index field");
+}
+
+TEST(StreamIoTest, RejectsZeroHeaderDimension) {
+  std::stringstream zero_dim("# shape 4 0 3\n");
+  EXPECT_DEATH(ReadStreamCsv(zero_dim), "zero dimension");
+  std::stringstream zero_steps("# shape 4 5 0\n");
+  EXPECT_DEATH(ReadStreamCsv(zero_steps), "zero dimension");
+}
+
 }  // namespace
 }  // namespace sofia

@@ -1,17 +1,16 @@
 // Streaming-runtime contract tests (eval/stream_pipeline.hpp):
 //  - a 60-step guarded comparison, and all nine methods guarded and
-//    unguarded, are *bitwise* identical across workers in {1, 2, 4, 8} x
-//    pipeline on/off (x windowed ingest) — the runtime knobs move
-//    wall-clock shape only;
+//    unguarded, are *bitwise* identical across workers in {1, 2, 4, 8} —
+//    the lane count moves wall-clock shape only;
 //  - a stable-mask stream runs allocation-free through the per-method
 //    kernel scratch after each method's first step (arena growth pinned at
 //    zero);
 //  - every slice is exactly one lane-executor batch, and lane tasks never
 //    hand work to other threads through any pool: each method's kernels
 //    run inline on its own single-thread pool;
-//  - a mid-stream drain (Run with a limit under the stream length, ingest
-//    prefetched beyond it) returns cleanly and matches the full run's
-//    prefix, and the pipeline object is reusable afterwards;
+//  - a mid-stream stop (Run with a limit under the stream length) returns
+//    cleanly and matches the full run's prefix, and the pipeline object is
+//    reusable afterwards;
 //  - the steady-state comparison loop performs zero O(volume) scans: one
 //    pattern build per distinct mask run, SparseMask reuse compares, no
 //    dense-mask byte compares (counter-pinned), and the rebuild telemetry
@@ -136,37 +135,22 @@ TEST(StreamPipelineTest, GuardedRunBitwiseIdenticalAcrossRuntimeKnobs) {
 
   StreamEvalOptions reference_options;
   reference_options.workers = 1;
-  reference_options.pipeline_depth = 1;
-  reference_options.window = 1;
   auto reference_owned = MakeMethods();
-  std::vector<MethodRunResult> reference = RunStreamPipeline(
+  std::vector<MethodRunResult> reference = RunImputationComparison(
       Raw(reference_owned), stream, truth, reference_options);
   ASSERT_EQ(reference.size(), 2u);
   ASSERT_EQ(reference[0].run.nre.size(), steps);
   ASSERT_TRUE(reference[0].run.guarded);
   ASSERT_GT(reference[0].run.guard.checkpoints_saved, 0u);
 
-  struct Knobs {
-    size_t workers, depth, window;
-  };
-  const Knobs configs[] = {
-      {1, 2, 1},  // Overlap on, single worker.
-      {2, 1, 1}, {2, 2, 1},  // Pipeline off/on at 2 workers.
-      {4, 1, 1}, {4, 2, 1},  // ... at 4 workers.
-      {8, 2, 1},             // Oversubscribed (1-core CI boxes included).
-      {4, 2, 3}, {4, 3, 4},  // Windowed ingest, deeper ring.
-  };
-  for (const Knobs& knobs : configs) {
-    SCOPED_TRACE(testing::Message() << "workers=" << knobs.workers
-                                    << " depth=" << knobs.depth
-                                    << " window=" << knobs.window);
+  // 8 workers oversubscribes the two methods (and 1-core CI boxes).
+  for (const size_t workers : {2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
     StreamEvalOptions options = reference_options;
-    options.workers = knobs.workers;
-    options.pipeline_depth = knobs.depth;
-    options.window = knobs.window;
+    options.workers = workers;
     auto owned = MakeMethods();
     std::vector<MethodRunResult> got =
-        RunStreamPipeline(Raw(owned), stream, truth, options);
+        RunImputationComparison(Raw(owned), stream, truth, options);
     ASSERT_EQ(got.size(), reference.size());
     for (size_t m = 0; m < got.size(); ++m) {
       SCOPED_TRACE(got[m].name);
@@ -180,12 +164,9 @@ TEST(StreamPipelineTest, GuardedRunBitwiseIdenticalAcrossRuntimeKnobs) {
               reference[0].run.guard.input_trips);
     EXPECT_EQ(got[0].run.guard.health_trips,
               reference[0].run.guard.health_trips);
-    // Knob echo in the telemetry: two methods never need more than two
+    // Lane echo in the telemetry: two methods never need more than two
     // lanes.
-    EXPECT_TRUE(got[0].run.pipelined);
-    EXPECT_EQ(got[0].run.pipeline.workers, std::min<size_t>(knobs.workers, 2));
-    EXPECT_EQ(got[0].run.pipeline.pipeline_depth, knobs.depth);
-    EXPECT_EQ(got[0].run.pipeline.window, knobs.window);
+    EXPECT_EQ(got[0].run.pipeline.workers, std::min<size_t>(workers, 2));
     EXPECT_EQ(got[0].run.pipeline.steps, steps);
   }
 }
@@ -202,33 +183,28 @@ TEST(StreamPipelineTest, NineMethodsBitwiseIdenticalAcrossLanes) {
     StreamEvalOptions reference_options;
     reference_options.workers = 1;
     auto reference_owned = MakeNine(guarded);
-    std::vector<MethodRunResult> reference = RunStreamPipeline(
+    std::vector<MethodRunResult> reference = RunImputationComparison(
         Raw(reference_owned), stream, truth, reference_options);
     ASSERT_EQ(reference.size(), 9u);
     EXPECT_EQ(reference[0].run.pipeline.workers, 1u);
 
-    for (const size_t workers : {1, 2, 4, 8}) {
-      for (const size_t depth : {1, 2}) {
-        if (workers == 1 && depth == 1) continue;  // The reference.
-        SCOPED_TRACE(testing::Message()
-                     << "workers=" << workers << " depth=" << depth);
-        StreamEvalOptions options = reference_options;
-        options.workers = workers;
-        options.pipeline_depth = depth;
-        auto owned = MakeNine(guarded);
-        std::vector<MethodRunResult> got =
-            RunStreamPipeline(Raw(owned), stream, truth, options);
-        ASSERT_EQ(got.size(), reference.size());
-        for (size_t m = 0; m < got.size(); ++m) {
-          SCOPED_TRACE(got[m].name);
-          ExpectBitwiseEqual(got[m].run, reference[m].run);
-          EXPECT_EQ(got[m].run.guard.checkpoints_saved,
-                    reference[m].run.guard.checkpoints_saved);
-          EXPECT_EQ(got[m].run.guard.health_trips,
-                    reference[m].run.guard.health_trips);
-        }
-        EXPECT_EQ(got[0].run.pipeline.workers, workers);  // <= 9 methods.
+    for (const size_t workers : {2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << "workers=" << workers);
+      StreamEvalOptions options = reference_options;
+      options.workers = workers;
+      auto owned = MakeNine(guarded);
+      std::vector<MethodRunResult> got =
+          RunImputationComparison(Raw(owned), stream, truth, options);
+      ASSERT_EQ(got.size(), reference.size());
+      for (size_t m = 0; m < got.size(); ++m) {
+        SCOPED_TRACE(got[m].name);
+        ExpectBitwiseEqual(got[m].run, reference[m].run);
+        EXPECT_EQ(got[m].run.guard.checkpoints_saved,
+                  reference[m].run.guard.checkpoints_saved);
+        EXPECT_EQ(got[m].run.guard.health_trips,
+                  reference[m].run.guard.health_trips);
       }
+      EXPECT_EQ(got[0].run.pipeline.workers, workers);  // <= 9 methods.
     }
   }
 }
@@ -351,7 +327,6 @@ TEST(StreamPipelineTest, LaneExceptionSurfacesOnTheCaller) {
   owned.push_back(std::make_unique<ThrowingMethod>(5));
   StreamEvalOptions options;
   options.workers = 4;
-  options.pipeline_depth = 2;
   StreamPipeline pipeline(stream, truth, options);
   EXPECT_THROW(pipeline.Run(Raw(owned)), std::runtime_error);
 }
@@ -367,7 +342,6 @@ TEST(StreamPipelineTest, SteadyStateStepsAreAllocationFree) {
 
   StreamEvalOptions options;
   options.workers = 2;
-  options.pipeline_depth = 2;
   auto owned = MakeMethods();
   StreamPipeline pipeline(stream, truth, options);
   std::vector<MethodRunResult> results = pipeline.Run(Raw(owned));
@@ -387,16 +361,14 @@ TEST(StreamPipelineTest, MidStreamDrainReturnsCleanlyAndMatchesPrefix) {
 
   StreamEvalOptions options;
   options.workers = 2;
-  options.pipeline_depth = 3;  // Prefetch reaches past the drain point.
-  options.window = 2;
 
   auto full_owned = MakeMethods();
   std::vector<MethodRunResult> full =
-      RunStreamPipeline(Raw(full_owned), stream, truth, options);
+      RunImputationComparison(Raw(full_owned), stream, truth, options);
 
-  // Same runtime, stopped mid-stream: depth-3 ingest has windows in flight
-  // beyond the limit when compute stops — they must be drained, not leaked
-  // (TSan-checked in CI), and the scored prefix must match the full run.
+  // Same runtime, stopped mid-stream: the guard's async checkpoints still
+  // in flight at the limit are drained, not leaked (TSan-checked in CI),
+  // and the scored prefix must match the full run.
   const size_t limit = 20;
   auto drained_owned = MakeMethods();
   StreamPipeline pipeline(stream, truth, options);
@@ -422,29 +394,6 @@ TEST(StreamPipelineTest, MidStreamDrainReturnsCleanlyAndMatchesPrefix) {
     SCOPED_TRACE(reused[m].name);
     ExpectBitwiseEqual(reused[m].run, full[m].run);
   }
-}
-
-TEST(StreamPipelineTest, OverlapTelemetryAccountsEveryIngestBatch) {
-  std::vector<DenseTensor> truth = MakeTruth(24, 61);
-  CorruptedStream stream = Corrupt(truth, {30.0, 5.0, 2.0}, 62);
-
-  StreamEvalOptions options;
-  options.workers = 2;
-  options.pipeline_depth = 2;
-  options.window = 3;
-  auto owned = MakeMethods();
-  std::vector<MethodRunResult> results =
-      RunStreamPipeline(Raw(owned), stream, truth, options);
-
-  const PipelineTelemetry& telemetry = results[0].run.pipeline;
-  EXPECT_EQ(telemetry.ingest_jobs, (truth.size() + 2) / 3);
-  EXPECT_GT(telemetry.ingest_seconds, 0.0);
-  // Stall time is bounded by total ingest time (overlap can only hide it)
-  // plus a scheduler allowance: the driver's Wait also covers the latency
-  // of getting the aux thread scheduled at all, which on a loaded single
-  // core is timeslice-scale per ingest job, not nanoseconds.
-  EXPECT_LE(telemetry.ingest_stall_seconds,
-            telemetry.ingest_seconds + 0.020 * telemetry.ingest_jobs);
 }
 
 TEST(StreamPipelineTest, SteadyStateLoopPerformsNoVolumeScans) {

@@ -7,6 +7,7 @@
 #include "baselines/mast.hpp"
 #include "baselines/online_sgd.hpp"
 #include "data/synthetic.hpp"
+#include "dense_oracle.hpp"
 #include "eval/metrics.hpp"
 
 namespace sofia {
@@ -58,11 +59,19 @@ std::vector<DenseTensor> ConstantTruth(size_t steps, double value) {
   return std::vector<DenseTensor>(steps, DenseTensor(Shape({3, 2}), value));
 }
 
+/// One method through the imputation protocol, scoring every entry.
+StreamRunResult RunOne(StreamingMethod* method, const CorruptedStream& stream,
+                       const std::vector<DenseTensor>& truth) {
+  StreamEvalOptions options;
+  options.max_eval_entries = 0;
+  return RunImputationComparison({method}, stream, truth, options)[0].run;
+}
+
 TEST(StreamRunnerTest, PerfectMethodScoresZeroNre) {
   std::vector<DenseTensor> truth = ConstantTruth(10, 5.0);
   CorruptedStream stream = Corrupt(truth, {0.0, 0.0, 0.0}, 1);
   ConstantMethod method(5.0, 0);
-  StreamRunResult res = RunImputation(&method, stream, truth);
+  StreamRunResult res = RunOne(&method, stream, truth);
   EXPECT_EQ(res.nre.size(), 10u);
   for (double v : res.nre) EXPECT_DOUBLE_EQ(v, 0.0);
   EXPECT_DOUBLE_EQ(res.rae, 0.0);
@@ -74,7 +83,7 @@ TEST(StreamRunnerTest, WrongMethodScoresExpectedNre) {
   std::vector<DenseTensor> truth = ConstantTruth(6, 2.0);
   CorruptedStream stream = Corrupt(truth, {0.0, 0.0, 0.0}, 2);
   ConstantMethod method(4.0, 0);  // NRE = |4-2|/2 = 1 per slice.
-  StreamRunResult res = RunImputation(&method, stream, truth);
+  StreamRunResult res = RunOne(&method, stream, truth);
   EXPECT_NEAR(res.rae, 1.0, 1e-12);
 }
 
@@ -82,7 +91,7 @@ TEST(StreamRunnerTest, InitWindowIsScoredFromInitializeOutput) {
   std::vector<DenseTensor> truth = ConstantTruth(8, 3.0);
   CorruptedStream stream = Corrupt(truth, {0.0, 0.0, 0.0}, 3);
   ConstantMethod method(99.0, 4);  // Init returns the observed data: NRE 0.
-  StreamRunResult res = RunImputation(&method, stream, truth);
+  StreamRunResult res = RunOne(&method, stream, truth);
   EXPECT_TRUE(method.initialized_);
   EXPECT_EQ(method.steps_, 4);  // Only the post-init slices hit Step().
   for (size_t t = 0; t < 4; ++t) EXPECT_DOUBLE_EQ(res.nre[t], 0.0);
@@ -105,7 +114,8 @@ std::vector<DenseTensor> SinusoidTruth(size_t steps, uint64_t seed) {
 TEST(StreamRunnerTest, ComparisonLazyMatchesForcedDenseBitwise) {
   // The lazy pipeline must be invisible in the scores: driving StepLazy and
   // gathering from the structured handles yields the same bits as
-  // materializing every estimate and reading the same entries.
+  // materializing every estimate (dense_oracle::Materializing) and reading
+  // the same entries.
   std::vector<DenseTensor> truth = SinusoidTruth(16, 41);
   CorruptedStream stream = Corrupt(truth, {30.0, 5.0, 2.0}, 42);
 
@@ -121,13 +131,12 @@ TEST(StreamRunnerTest, ComparisonLazyMatchesForcedDenseBitwise) {
   std::vector<MethodRunResult> lazy =
       RunImputationComparison(lazy_methods, stream, truth, lazy_options);
 
-  StreamEvalOptions dense_options;
-  dense_options.force_dense = true;
-  OnlineSgd sgd_dense(sgd_options);
-  Mast mast_dense(mast_options);
+  dense_oracle::Materializing sgd_dense(
+      std::make_unique<OnlineSgd>(sgd_options));
+  dense_oracle::Materializing mast_dense(std::make_unique<Mast>(mast_options));
   std::vector<StreamingMethod*> dense_methods = {&sgd_dense, &mast_dense};
   std::vector<MethodRunResult> dense =
-      RunImputationComparison(dense_methods, stream, truth, dense_options);
+      RunImputationComparison(dense_methods, stream, truth, lazy_options);
 
   ASSERT_EQ(lazy.size(), 2u);
   EXPECT_EQ(lazy[0].name, "OnlineSGD");
@@ -189,22 +198,34 @@ TEST(StreamRunnerTest, ForecastProtocolComputesAfeOnHeldOutTail) {
   std::vector<DenseTensor> truth = ConstantTruth(10, 2.0);
   CorruptedStream stream = Corrupt(truth, {0.0, 0.0, 0.0}, 4);
   ConstantMethod method(3.0, 0);  // Forecast NRE = 0.5 everywhere.
-  const double afe = RunForecast(&method, stream, truth, /*horizon=*/3);
+  StreamEvalOptions options;
+  options.max_eval_entries = 0;
+  const double afe = RunForecast(&method, stream, truth, /*horizon=*/3,
+                                 options);
   EXPECT_NEAR(afe, 0.5, 1e-12);
   EXPECT_EQ(method.steps_, 7);  // Only the training prefix is consumed.
 }
 
+TEST(StreamRunnerTest, ForecastProtocolRejectsZeroHorizon) {
+  // horizon 0 passes the horizon < T check, and its AFE would be 0/0.
+  std::vector<DenseTensor> truth = ConstantTruth(10, 2.0);
+  CorruptedStream stream = Corrupt(truth, {0.0, 0.0, 0.0}, 4);
+  ConstantMethod method(3.0, 0);
+  EXPECT_DEATH(RunForecast(&method, stream, truth, /*horizon=*/0,
+                           StreamEvalOptions{}),
+               "horizon");
+}
+
 TEST(StreamRunnerTest, SampledForecastProtocolMatchesDenseOnConstants) {
   // Constant forecasts vs constant truth: the sampled held-out NRE equals
-  // the full-volume NRE, and the lazy and forced-dense routes agree.
+  // the full-volume NRE, and the lazy and materialized routes agree.
   std::vector<DenseTensor> truth = ConstantTruth(10, 2.0);
   CorruptedStream stream = Corrupt(truth, {0.0, 0.0, 0.0}, 4);
   StreamEvalOptions options;
   options.max_eval_entries = 4;  // Fewer than the 6 entries per slice.
   ConstantMethod lazy(3.0, 0);
   const double lazy_afe = RunForecast(&lazy, stream, truth, 3, options);
-  options.force_dense = true;
-  ConstantMethod dense(3.0, 0);
+  dense_oracle::Materializing dense(std::make_unique<ConstantMethod>(3.0, 0));
   const double dense_afe = RunForecast(&dense, stream, truth, 3, options);
   EXPECT_NEAR(lazy_afe, 0.5, 1e-12);
   EXPECT_EQ(lazy_afe, dense_afe);
