@@ -103,14 +103,28 @@ int main(int argc, char** argv) {
     for (double& v : values) v = rng.Uniform(-2.0, 2.0);
     std::vector<double> w(rank, 0.7);
     const std::string r = "/r" + std::to_string(rank);
+    // SOFIA's fused step on the same pattern, factors and temporal row.
+    DenseTensor y(shape, 0.0);
+    for (size_t k = 0; k < coo.nnz(); ++k) {
+      y[coo.LinearIndex(k)] = rng.Uniform(-2.0, 2.0);
+    }
+    DenseTensor sigma(shape, 0.5);
+    SofiaStepRobust robust;
+    robust.phi = 0.01;
+    robust.huber_k = 2.0;
+    robust.biweight_ck = 2.52;
+    std::vector<double> forecast, outliers;
+    StepGradients grads;
 
     SimdPair("mttkrp_coo" + r, reps, &results, &speedups, [&] {
       for (size_t mode = 0; mode < shape.order(); ++mode) {
         CooMttkrp(coo, values, factors, mode);
       }
     });
-    SimdPair("step_gradients_coo" + r, reps, &results, &speedups,
-             [&] { CooStepGradients(coo, values, factors, w); });
+    SimdPair("sofia_step_coo" + r, reps, &results, &speedups, [&] {
+      CooSofiaStep(coo, y, factors, w, robust, &sigma, &forecast,
+                   &outliers, &grads);
+    });
     SimdPair("row_systems_coo" + r, reps, &results, &speedups, [&] {
       for (size_t mode = 0; mode < shape.order(); ++mode) {
         CooRowSystems(coo, values, factors, mode);
@@ -120,9 +134,9 @@ int main(int argc, char** argv) {
              [&] { CooKruskalGather(coo, factors, w); });
 
     std::printf(
-        "simd r=%-2zu: mttkrp %.2fx | step-grad %.2fx | row-sys %.2fx | "
+        "simd r=%-2zu: mttkrp %.2fx | sofia-step %.2fx | row-sys %.2fx | "
         "gather %.2fx\n",
-        rank, speedups["mttkrp_coo" + r], speedups["step_gradients_coo" + r],
+        rank, speedups["mttkrp_coo" + r], speedups["sofia_step_coo" + r],
         speedups["row_systems_coo" + r], speedups["kruskal_gather_coo" + r]);
   }
   // Back to the shipping position, which the machine block reports.

@@ -13,9 +13,10 @@
 //                       [--trace-out=FILE] [--metrics-out=FILE]
 //                       [--stats-every=N] [--obs=on|off]
 //
-// --workers sizes SOFIA's internal sharded executor (overrides
-// --num_threads when nonzero); --simd=off forces the scalar kernel
-// instantiations. Detection counts are identical across both knobs.
+// --workers sizes the sharded executor SOFIA's init runs on (overrides
+// --num_threads when nonzero; steps are one serial pass); --simd=off
+// forces the scalar kernel instantiations. Detection counts are identical
+// across both knobs.
 // --trace-out/--metrics-out capture an obs trace and metric snapshots of
 // the run (obs/cli.hpp). Any other flag is an error.
 

@@ -25,11 +25,11 @@
 // SOFIA's training in the StreamGuard fault-tolerance layer, which is what
 // makes the garbage-slice scenarios survivable at all.
 //
-// --workers sizes SOFIA's internal sharded executor for the training
-// steps (util/shard_executor.hpp — each worker keeps a stable range of the
-// pattern's records across the whole prefix); it overrides --num_threads
-// for the SOFIA model when nonzero. --simd=off forces the scalar kernel
-// instantiations (tensor/simd.hpp). Any other flag is an error.
+// --workers sizes the sharded executor SOFIA's init runs on
+// (util/shard_executor.hpp; the training steps are one serial pass); it
+// overrides --num_threads for the SOFIA model when nonzero. --simd=off
+// forces the scalar kernel instantiations (tensor/simd.hpp). Any other
+// flag is an error.
 
 #include <algorithm>
 #include <cstdio>

@@ -41,10 +41,11 @@ struct SofiaConfig {
   /// the verbatim update (see bench/ablation_design).
   bool normalized_step = true;
 
-  /// Worker threads of a SofiaModel's own executor, which runs its init and
-  /// steps when no pool is adopted; 0 = use the hardware concurrency. The
-  /// kernels partition work into units owned by a single thread, so results
-  /// are bitwise identical for every setting.
+  /// Worker threads of the executor SofiaModel::Initialize runs on when it
+  /// is handed no pool; 0 = use the hardware concurrency. Steps are one
+  /// serial pass and take no pool. The init kernels partition work into
+  /// units owned by a single thread, so results are bitwise identical for
+  /// every setting.
   size_t num_threads = 0;
 
   /// Storage backend of the Step pattern. A constant, not a setting: the

@@ -1,14 +1,16 @@
 #include "core/sofia_model.hpp"
 
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "obs/obs.hpp"
 #include "tensor/kruskal.hpp"
 #include "tensor/sparse_kernels.hpp"
+#include "tensor/sparse_mask.hpp"
 #include "timeseries/hw_fit.hpp"
-#include "timeseries/robust.hpp"
 #include "util/check.hpp"
+#include "util/shard_executor.hpp"
 
 namespace sofia {
 
@@ -20,12 +22,17 @@ const DenseTensor& SofiaStepResult::imputed() const {
 const DenseTensor& SofiaStepResult::outliers() const {
   if (!outliers_) {
     DenseTensor o(shape_, 0.0);
-    for (size_t k = 0; k < observed_.size(); ++k) {
-      o[observed_[k]] = observed_outliers_[k];
+    for (size_t k = 0; k < observed_outliers_.size(); ++k) {
+      o[pattern_->LinearIndex(k)] = observed_outliers_[k];
     }
     outliers_ = std::move(o);
   }
   return *outliers_;
+}
+
+const std::vector<size_t>& SofiaStepResult::observed_indices() const {
+  static const std::vector<size_t> kNone;
+  return pattern_ != nullptr ? pattern_->LinearIndices() : kNone;
 }
 
 const DenseTensor& SofiaStepResult::forecast() const {
@@ -47,8 +54,8 @@ SofiaModel::SofiaModel(const SofiaModel& other)
       row_pos_(other.row_pos_),
       last_row_(other.last_row_),
       sigma_(other.sigma_) {
-  // step_mask_/step_coo_/pool_ are derived caches: left empty, rebuilt on
-  // the copy's first Step().
+  // step_coo_/step_grads_ are derived working state: left empty, rebuilt
+  // on the copy's first Step().
 }
 
 SofiaModel& SofiaModel::operator=(const SofiaModel& other) {
@@ -61,7 +68,7 @@ SofiaModel SofiaModel::Initialize(const std::vector<DenseTensor>& slices,
                                   const std::vector<Mask>& masks,
                                   const SofiaConfig& config,
                                   const SofiaAblation& ablation,
-                                  std::shared_ptr<WorkerPool> pool) {
+                                  WorkerPool* pool) {
   static obs::Counter* init_us =
       obs::Registry::Global().FindOrCreateCounter("time.sofia.init_us");
   static obs::Counter* hw_fit_us =
@@ -71,13 +78,14 @@ SofiaModel SofiaModel::Initialize(const std::vector<DenseTensor>& slices,
   SofiaModel model;
   model.config_ = config;
   model.ablation_ = ablation;
-  model.external_pool_ = std::move(pool);
 
-  // Phase 1 (Algorithm 1): batch factorization of the start-up window, on
-  // the pool the steps will use.
-  SofiaInitResult init =
-      SofiaInitialize(slices, masks, config, ablation.temporal_smoothness,
-                      model.StepPool());
+  // Phase 1 (Algorithm 1): batch factorization of the start-up window.
+  std::optional<ShardExecutor> own_pool;
+  if (pool == nullptr) {
+    pool = &own_pool.emplace(ResolveNumThreads(config.num_threads));
+  }
+  SofiaInitResult init = SofiaInitialize(
+      slices, masks, config, ablation.temporal_smoothness, pool);
   const size_t num_modes = init.factors.size();
   const size_t rank = config.rank;
   const size_t m = config.period;
@@ -121,93 +129,22 @@ SofiaModel SofiaModel::Initialize(const std::vector<DenseTensor>& slices,
   return model;
 }
 
-WorkerPool* SofiaModel::StepPool() {
-  if (external_pool_ != nullptr) return external_pool_.get();
-  if (!pool_) {
-    // Built once per model: init and every standalone Step() then share
-    // its workers, stable slab ownership and arena scratch.
-    pool_ = std::make_unique<ShardExecutor>(
-        ResolveNumThreads(config_.num_threads));
-  }
-  return pool_.get();
-}
-
 const CooList& SofiaModel::StepPattern(const Mask& omega,
                                        std::shared_ptr<const CooList> shared) {
   if (shared != nullptr) {
     SOFIA_CHECK(shared->shape() == omega.shape());
     step_coo_ = std::move(shared);
-    // Seed the reuse cache so a later unshared step with the same mask
-    // still skips its rebuild (same guard as ObservedSweep::BeginStep;
-    // both the staleness check and the reseed are O(|Ω_t|) on the
-    // SparseMask cache — never a dense indicator copy or byte scan).
-    if (!step_mask_.Matches(omega)) {
-      step_mask_ = SparseMask::FromCoo(*step_coo_);
-    }
-    return *step_coo_;
-  }
-  const bool reusable = step_coo_ != nullptr && step_mask_.Matches(omega);
-  if (!reusable) {
-    step_coo_ = std::make_shared<const CooList>(CooList::Build(omega));
-    step_mask_ = SparseMask::FromCoo(*step_coo_);
-    ++step_pattern_builds_;
-  } else {
+  } else if (step_coo_ != nullptr &&
+             SameObservedSet(step_coo_->shape(), step_coo_->LinearIndices(),
+                             omega)) {
     ++step_pattern_reuses_;
+  } else {
+    // The fused step walks records in order and never reads mode buckets.
+    step_coo_ = std::make_shared<const CooList>(
+        CooList::Build(omega, /*with_mode_buckets=*/false));
+    ++step_pattern_builds_;
   }
   return *step_coo_;
-}
-
-void SofiaModel::Accumulate(const DenseTensor& y, const Mask& omega,
-                            const std::vector<double>& u_hat,
-                            std::shared_ptr<const CooList> pattern,
-                            StepGradients* grads, SofiaStepResult* result) {
-  const double k_huber = config_.huber_k;
-  const double ck = config_.biweight_ck;
-  WorkerPool* pool = StepPool();
-  const CooList& coo = StepPattern(omega, std::move(pattern));
-  const size_t nnz = coo.nnz();
-
-  // Line 4 restricted to Ω_t: the Eq. (20) forecast at observed entries.
-  std::vector<double> yv = coo.Gather(y);
-  std::vector<double> fv = CooKruskalGather(coo, factors_, u_hat, pool);
-
-  // Lines 5-6 per record. The paper rejects outliers *first* so extreme
-  // values cannot inflate the scale; the Gelper ordering is available as an
-  // ablation. Entries are independent, so either ordering applies
-  // record-wise.
-  std::vector<double> ov(nnz, 0.0);
-  auto update_scale = [&]() {
-    for (size_t k = 0; k < nnz; ++k) {
-      const size_t lin = coo.LinearIndex(k);
-      sigma_[lin] = UpdateErrorScale(yv[k], fv[k], sigma_[lin], config_.phi,
-                                     k_huber, ck);
-    }
-  };
-  auto reject = [&]() {
-    if (!ablation_.reject_outliers) return;
-    for (size_t k = 0; k < nnz; ++k) {
-      const double sig = sigma_[coo.LinearIndex(k)];
-      const double resid = yv[k] - fv[k];
-      ov[k] = resid - HuberPsi(resid / sig, k_huber) * sig;
-    }
-  };
-  if (ablation_.scale_before_reject) {
-    update_scale();
-    reject();
-  } else {
-    reject();
-    update_scale();
-  }
-
-  // R_t at observed entries, then the O(|Ω_t| N R) gradient pass (Lemma 2).
-  std::vector<double> resid(nnz);
-  for (size_t k = 0; k < nnz; ++k) resid[k] = yv[k] - ov[k] - fv[k];
-  *grads = CooStepGradients(coo, resid, factors_, u_hat, pool);
-
-  result->factors_before_ = factors_;
-  result->observed_ = coo.LinearIndices();
-  result->observed_outliers_ = std::move(ov);
-  result->observed_forecast_ = std::move(fv);
 }
 
 SofiaStepResult SofiaModel::Step(const DenseTensor& y, const Mask& omega) {
@@ -239,9 +176,20 @@ SofiaStepResult SofiaModel::Step(const DenseTensor& y, const Mask& omega,
   result.shape_ = y.shape();
   result.u_hat_ = u_hat;
 
-  // Lines 4-6 and the Eq. (24)/(25) accumulations.
-  StepGradients grads;
-  Accumulate(y, omega, u_hat, std::move(pattern), &grads, &result);
+  // Lines 4-6 and the Eq. (24)/(25) accumulations, in one pass over Ω_t.
+  const CooList& coo = StepPattern(omega, std::move(pattern));
+  result.pattern_ = step_coo_;
+  result.factors_before_ = factors_;
+  SofiaStepRobust robust;
+  robust.phi = config_.phi;
+  robust.huber_k = config_.huber_k;
+  robust.biweight_ck = config_.biweight_ck;
+  robust.reject_outliers = ablation_.reject_outliers;
+  robust.scale_before_reject = ablation_.scale_before_reject;
+  CooSofiaStep(coo, y, factors_, u_hat, robust, &sigma_,
+               &result.observed_forecast_, &result.observed_outliers_,
+               &step_grads_);
+  const StepGradients& grads = step_grads_;
 
   // Step-size cap: µ_row = min(µ, 0.5 / tr(H_row)) keeps every block update
   // inside its stability region while matching the paper's raw step when

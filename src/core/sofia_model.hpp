@@ -12,18 +12,15 @@
 #include "tensor/coo_list.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/mask.hpp"
-#include "tensor/sparse_mask.hpp"
+#include "tensor/sparse_kernels.hpp"
 #include "timeseries/holt_winters.hpp"
 #include "util/parallel.hpp"
-#include "util/shard_executor.hpp"
 
 /// \file sofia_model.hpp
 /// \brief The streaming SOFIA model: HW fitting (Section V-B), dynamic
 /// updates (Algorithm 3), and forecasting (Section V-D).
 
 namespace sofia {
-
-struct StepGradients;
 
 /// Per-step output of the dynamic update.
 ///
@@ -53,9 +50,10 @@ class SofiaStepResult {
   /// Shape of the incoming slice.
   const Shape& slice_shape() const { return shape_; }
   /// |Ω_t|: number of observed entries in this step's mask.
-  size_t num_observed() const { return observed_.size(); }
-  /// Linear indices of the observed entries, ascending.
-  const std::vector<size_t>& observed_indices() const { return observed_; }
+  size_t num_observed() const { return observed_forecast_.size(); }
+  /// Linear indices of the observed entries, ascending (the step's
+  /// coordinate pattern, shared rather than copied).
+  const std::vector<size_t>& observed_indices() const;
   /// O_t at the observed entries, aligned with observed_indices().
   const std::vector<double>& observed_outliers() const {
     return observed_outliers_;
@@ -82,7 +80,7 @@ class SofiaStepResult {
   std::vector<Matrix> factors_after_;
   std::vector<double> u_hat_;
   std::vector<double> u_new_;
-  std::vector<size_t> observed_;
+  std::shared_ptr<const CooList> pattern_;  ///< Ω_t of this step.
   std::vector<double> observed_outliers_;
   std::vector<double> observed_forecast_;
   mutable std::optional<DenseTensor> imputed_;
@@ -104,21 +102,21 @@ class SofiaModel {
  public:
   /// Runs Algorithm 1 on the start-up slices, fits one Holt-Winters model
   /// per temporal-factor column (Section V-B), and seeds the error-scale
-  /// tensor with λ3/100 (Algorithm 3 line 1). Init runs on the pool the
-  /// steps will use: `pool` when given (adopted as by AdoptPool), else the
-  /// model's own executor of config.num_threads workers. The result is
-  /// bitwise the same for every pool.
+  /// tensor with λ3/100 (Algorithm 3 line 1). Init runs on `pool` when
+  /// given, else on an executor of config.num_threads workers local to the
+  /// call. The result is bitwise the same for every pool.
   static SofiaModel Initialize(const std::vector<DenseTensor>& slices,
                                const std::vector<Mask>& masks,
                                const SofiaConfig& config,
                                const SofiaAblation& ablation = {},
-                               std::shared_ptr<WorkerPool> pool = nullptr);
+                               WorkerPool* pool = nullptr);
 
   /// Processes the subtensor Y_t with indicator Ω_t (Algorithm 3 lines
   /// 3-11) at O(|Ω_t| N R) per step (Lemma 2): forecast evaluation, outlier
-  /// rejection, scale update, and gradient accumulation all run on the
-  /// observed entries only, via a CooList that is cached across steps with
-  /// identical masks (an O(|Ω_t|) SparseMask compare replaces the rebuild).
+  /// rejection, scale update, and gradient accumulation run as one serial
+  /// pass over the observed entries (CooSofiaStep), via a CooList that is
+  /// cached across steps with identical masks (an O(|Ω_t|) compare against
+  /// the cached pattern replaces the rebuild).
   SofiaStepResult Step(const DenseTensor& y, const Mask& omega);
 
   /// Step with an externally built coordinate pattern of `omega`: the
@@ -158,12 +156,6 @@ class SofiaModel {
     return row_history_[row_pos_];
   }
 
-  /// Runtime kernel knob (not learned state): the worker count of a live
-  /// model. Results are bitwise identical for every count.
-  void set_num_threads(size_t n) {
-    config_.num_threads = n;
-    pool_.reset();
-  }
   /// Number of CooList builds Step() has performed: a run of identical
   /// masks costs one build total, and steps that adopt a shared pattern
   /// never build at all.
@@ -171,13 +163,6 @@ class SofiaModel {
   /// Unshared Step() calls that hit the mask-reuse cache instead of
   /// rebuilding (the steady-state path; the compare is O(|Ω_t|)).
   size_t step_pattern_reuses() const { return step_pattern_reuses_; }
-
-  /// Adopt an externally owned worker pool for the sparse Step kernels (a
-  /// comparison run lends one per method). Bitwise-neutral; nullptr
-  /// restores the model's own executor.
-  void AdoptPool(std::shared_ptr<WorkerPool> pool) {
-    external_pool_ = std::move(pool);
-  }
 
   /// Checkpoints the full streaming state (config, factors, HW components,
   /// temporal-row history, error-scale tensor) to a text stream. Restoring
@@ -188,7 +173,7 @@ class SofiaModel {
   static SofiaModel Deserialize(std::istream& in);
 
   /// Copying branches the stream: learned state is duplicated while the
-  /// derived working state (pattern cache, worker pool) resets and is
+  /// derived working state (pattern cache, step scratch) resets and is
   /// rebuilt lazily — so copies still step bit-for-bit like the original.
   SofiaModel(const SofiaModel& other);
   SofiaModel& operator=(const SofiaModel& other);
@@ -198,18 +183,10 @@ class SofiaModel {
  private:
   SofiaModel() = default;
 
-  /// Algorithm 3 lines 4-8 on the observed entries via the CooList layer:
-  /// forecast, outlier rejection, scale update and gradient accumulation;
-  /// fills only the result's observed-entry views.
-  void Accumulate(const DenseTensor& y, const Mask& omega,
-                  const std::vector<double>& u_hat,
-                  std::shared_ptr<const CooList> pattern, StepGradients* grads,
-                  SofiaStepResult* result);
   /// The cached (or freshly built) coordinate list of `omega`; adopts
   /// `shared` outright when given.
   const CooList& StepPattern(const Mask& omega,
                              std::shared_ptr<const CooList> shared);
-  WorkerPool* StepPool();
 
   SofiaConfig config_;
   SofiaAblation ablation_;
@@ -230,17 +207,14 @@ class SofiaModel {
 
   DenseTensor sigma_;  ///< Error-scale tensor Σ̂_t (slice shape).
 
-  // Working state of Step (derived, never serialized): the
-  // last mask's indicator as a SparseMask (O(|Ω_t|) to store and compare —
-  // the dense Mask cache this replaces paid an O(volume) byte scan per
-  // reuse check), its coordinate list (a shared_ptr, so comparison runners
-  // can hand their per-step build straight in) and the kernel worker pool.
-  SparseMask step_mask_;
+  // Working state of Step (derived, never serialized): the last step's
+  // coordinate list (a shared_ptr, so comparison runners can hand their
+  // per-step build straight in, and each result shares it) and the
+  // gradient scratch CooSofiaStep overwrites every step.
   std::shared_ptr<const CooList> step_coo_;
+  StepGradients step_grads_;
   size_t step_pattern_builds_ = 0;
   size_t step_pattern_reuses_ = 0;
-  std::unique_ptr<ShardExecutor> pool_;
-  std::shared_ptr<WorkerPool> external_pool_;
 };
 
 }  // namespace sofia

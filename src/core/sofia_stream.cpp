@@ -12,7 +12,7 @@ namespace sofia {
 std::vector<DenseTensor> SofiaStream::Initialize(
     const std::vector<DenseTensor>& slices, const std::vector<Mask>& masks) {
   model_ = std::make_unique<SofiaModel>(SofiaModel::Initialize(
-      slices, masks, config_, ablation_, adopted_pool_));
+      slices, masks, config_, ablation_, adopted_pool_.get()));
   std::vector<DenseTensor> completed;
   completed.reserve(slices.size());
   const DenseTensor& batch = model_->init_completed();
@@ -42,7 +42,6 @@ StepResult SofiaStream::ForecastLazy(size_t h) const {
 
 void SofiaStream::AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) {
   adopted_pool_ = std::move(pool);
-  if (model_ != nullptr) model_->AdoptPool(adopted_pool_);
 }
 
 void SofiaStream::SaveState(std::ostream& out) const {
@@ -61,7 +60,6 @@ void SofiaStream::RestoreState(std::istream& in) {
     return;
   }
   model_ = std::make_unique<SofiaModel>(SofiaModel::Deserialize(in));
-  if (adopted_pool_ != nullptr) model_->AdoptPool(adopted_pool_);
 }
 
 const SofiaModel& SofiaStream::model() const {

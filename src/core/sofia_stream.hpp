@@ -46,6 +46,8 @@ class SofiaStream : public StreamingMethod {
   bool SupportsForecast() const override { return true; }
   StepResult ForecastLazy(size_t h) const override;
 
+  /// The adopted pool runs Initialize (SofiaModel::Initialize); steps are
+  /// one serial pass and take no pool.
   void AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) override;
 
   /// Checkpointing delegates to SofiaModel::Serialize/Deserialize behind a
@@ -62,7 +64,7 @@ class SofiaStream : public StreamingMethod {
   SofiaAblation ablation_;
   std::string name_;
   std::unique_ptr<SofiaModel> model_;
-  std::shared_ptr<WorkerPool> adopted_pool_;  ///< Applied to the model.
+  std::shared_ptr<WorkerPool> adopted_pool_;  ///< Runs Initialize.
 };
 
 }  // namespace sofia

@@ -10,6 +10,7 @@
 
 #include "linalg/solve.hpp"
 #include "tensor/simd.hpp"
+#include "timeseries/robust.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/shard_executor.hpp"
@@ -437,20 +438,21 @@ void CooResidualBlocksImpl(const CooList& coo,
   });
 }
 
-/// Offsets of each mode's factor in CP-WOPT's packed parameter vector:
-/// stack storage for a compile-time order, heap for a run-time one.
-template <size_t kN>
-struct PackedOffsets {
-  size_t* get(size_t) { return fixed; }
-  size_t fixed[kN];
+/// One T per mode: stack storage for a compile-time order, heap for a
+/// run-time one (e.g. the offsets of each mode's factor in CP-WOPT's packed
+/// parameter vector).
+template <size_t kN, typename T>
+struct PerMode {
+  T* get(size_t) { return fixed; }
+  T fixed[kN];
 };
-template <>
-struct PackedOffsets<0> {
-  size_t* get(size_t order) {
+template <typename T>
+struct PerMode<0, T> {
+  T* get(size_t order) {
     dynamic.resize(order);
     return dynamic.data();
   }
-  std::vector<size_t> dynamic;
+  std::vector<T> dynamic;
 };
 
 /// Gradient tasks cap: past 4096 records the gradient splits into at most
@@ -591,7 +593,7 @@ void DispatchPacked(const CooList& coo, const std::vector<double>& values,
   SOFIA_CHECK_EQ(values.size(), coo.nnz());
   DispatchOrder<2>(coo.order(), [&](auto order_tag) {
     constexpr size_t kN = decltype(order_tag)::value;
-    PackedOffsets<kN> offset_buf;
+    PerMode<kN, size_t> offset_buf;
     size_t* offsets = offset_buf.get(coo.order());
     size_t params = 0;
     for (size_t l = 0; l < coo.order(); ++l) {
@@ -714,46 +716,154 @@ void CooModeGradientImpl(const CooList& coo,
   RunTasks(pool, grad->rows(), simd::Select(task));
 }
 
-/// Temporal gradient + trace: fixed-size record blocks, each owning R + 1
-/// partial accumulators, combined in block order after the batch.
-template <size_t kR>
-void CooTemporalGradientImpl(const CooList& coo,
-                             const std::vector<double>& residuals,
-                             const std::vector<FactorView>& views,
-                             WorkerPool* pool, size_t rank,
-                             std::vector<double>* temporal_grad,
-                             double* temporal_trace) {
-  const size_t num_modes = views.size();
-  const size_t num_blocks = (coo.nnz() + kReductionBlock - 1) / kReductionBlock;
-  ReduceScratch scratch(pool, num_blocks * (rank + 1));
-  double* partial = scratch.partials;
-  auto task = [&](size_t block) {
-    const size_t R = kR == 0 ? rank : kR;
-    RankBuffer<kR> buf;
-    double* SOFIA_RESTRICT full = buf.get(R);
-    double* SOFIA_RESTRICT out = partial + block * (R + 1);
-    const size_t begin = block * kReductionBlock;
-    const size_t end = std::min(begin + kReductionBlock, coo.nnz());
-    for (size_t k = begin; k < end; ++k) {
-      const uint32_t* idx = coo.Coords(k);
-      simd::Fill(full, R, 1.0);
-      for (size_t l = 0; l < num_modes; ++l) {
-        const double* row = views[l].data + idx[l] * views[l].cols;
-        simd::MulIn(full, row, R);
-      }
-      const double resid = residuals[k];
-      // out[R] (the trace) is a scalar reduction; out[0..R) are
-      // independent slots — split loops, same sums, same order.
-      for (size_t r = 0; r < R; ++r) out[R] += full[r] * full[r];
-      if (resid != 0.0) simd::MulAddIn(out, resid, full, R);
-    }
-  };
-  RunTasks(pool, num_blocks, simd::Select(task));
-  for (size_t block = 0; block < num_blocks; ++block) {
-    const double* out = partial + block * (rank + 1);
-    for (size_t r = 0; r < rank; ++r) (*temporal_grad)[r] += out[r];
-    *temporal_trace += out[rank];
+/// The fused SOFIA step (CooSofiaStep) over every record, in record order.
+/// Per record: the leave-one-out regressors h_l = u_hat ⊛ (⊛_{l' != l}
+/// u^(l')_{i_l'}), multiplied in ascending mode order; the Eq. (20)
+/// forecast f = Σ_r h_{N-1}[r] u^(N-1)_{i_{N-1} r}; the robust update at
+/// y[lin] and sigma[lin], with one (y - f) / σ divide in the default
+/// reject-then-scale order; then the residual e = y - o - f scattered into
+/// each mode's gradient row (e h_l) and trace (Σ_r h_l[r]²) and into the
+/// temporal terms (regressor: the product of every mode's row).
+///
+/// Records are in ascending linear order and the last mode varies slowest,
+/// so each last-mode row's records form one contiguous run: its gradient
+/// row and trace lanes stay in registers for the run and are stored when
+/// the index moves on. The other modes' rows take their records in the same
+/// ascending order straight in memory. The temporal sums keep lane-wise
+/// partials per kReductionBlock records, added to `grads` in block order.
+template <size_t kR, size_t kN>
+void SofiaStepPass(const CooList& coo, const double* y,
+                   const std::vector<Matrix>& factors, const double* u_hat,
+                   const SofiaStepRobust& robust, size_t rank, double* sigma,
+                   double* forecast, double* outliers, StepGradients* grads) {
+  const size_t R = kR == 0 ? rank : kR;
+  const size_t N = kN == 0 ? coo.order() : kN;
+  const size_t last = N - 1;
+  const size_t nnz = coo.nnz();
+  const double phi = robust.phi;
+  const double k = robust.huber_k;
+  const double ck = robust.biweight_ck;
+  const bool reject = robust.reject_outliers;
+  const bool scale_first = robust.scale_before_reject;
+
+  PerMode<kN, const double*> factor_buf;
+  PerMode<kN, double*> grad_buf, trace_buf;
+  const double** factor = factor_buf.get(N);
+  double** grad = grad_buf.get(N);
+  double** trace = trace_buf.get(N);
+  for (size_t l = 0; l < N; ++l) {
+    factor[l] = factors[l].data();
+    grad[l] = grads->row_grads[l].data();
+    trace[l] = grads->row_trace[l].data();
   }
+  constexpr size_t kRegressors = kN == 0 || kR == 0 ? 0 : kN * kR;
+  RankBuffer<kRegressors> h_buf;
+  RankBuffer<kR> full_buf, run_grad_buf, run_trace_buf, block_grad_buf,
+      block_trace_buf;
+  double* SOFIA_RESTRICT h = h_buf.get(N * R);
+  double* SOFIA_RESTRICT full = full_buf.get(R);
+  double* SOFIA_RESTRICT run_grad = run_grad_buf.get(R);
+  double* SOFIA_RESTRICT run_trace = run_trace_buf.get(R);
+  double* SOFIA_RESTRICT block_grad = block_grad_buf.get(R);
+  double* SOFIA_RESTRICT block_trace = block_trace_buf.get(R);
+
+  size_t run_row = nnz == 0 ? 0 : coo.Coords(0)[last];
+  simd::Fill(run_grad, R, 0.0);
+  simd::Fill(run_trace, R, 0.0);
+  auto store_run = [&]() {
+    simd::Copy(grad[last] + run_row * R, run_grad, R);
+    double t = 0.0;
+    for (size_t r = 0; r < R; ++r) t += run_trace[r];
+    trace[last][run_row] = t;
+  };
+
+  for (size_t begin = 0; begin < nnz; begin += kReductionBlock) {
+    const size_t end = std::min(begin + kReductionBlock, nnz);
+    simd::Fill(block_grad, R, 0.0);
+    simd::Fill(block_trace, R, 0.0);
+    for (size_t rec = begin; rec < end; ++rec) {
+      const uint32_t* idx = coo.Coords(rec);
+      if (idx[last] != run_row) {
+        store_run();
+        run_row = idx[last];
+        simd::Fill(run_grad, R, 0.0);
+        simd::Fill(run_trace, R, 0.0);
+      }
+      simd::Copy(full, factor[0] + idx[0] * R, R);
+      for (size_t l = 1; l < N; ++l) {
+        simd::MulIn(full, factor[l] + idx[l] * R, R);
+      }
+      for (size_t l = 0; l < N; ++l) {
+        double* SOFIA_RESTRICT hl = h + l * R;
+        simd::Copy(hl, u_hat, R);
+        for (size_t m = 0; m < N; ++m) {
+          if (m != l) simd::MulIn(hl, factor[m] + idx[m] * R, R);
+        }
+      }
+
+      // Eq. (20) at this entry, then Eqs. (21) and (8).
+      const double* h_last = h + last * R;
+      const double* row_last = factor[last] + idx[last] * R;
+      double f = 0.0;
+      for (size_t r = 0; r < R; ++r) f += h_last[r] * row_last[r];
+      const size_t lin = coo.LinearIndex(rec);
+      const double yv = y[lin];
+      const double resid = yv - f;
+      const double sig = sigma[lin];
+      const double z = resid / sig;
+      double o = 0.0;
+      if (scale_first) {
+        const double updated = UpdateErrorScaleStandardized(z, sig, phi, k, ck);
+        sigma[lin] = updated;
+        if (reject) o = resid - HuberPsi(resid / updated, k) * updated;
+      } else {
+        if (reject) o = resid - HuberPsi(z, k) * sig;
+        sigma[lin] = UpdateErrorScaleStandardized(z, sig, phi, k, ck);
+      }
+      forecast[rec] = f;
+      outliers[rec] = o;
+      const double e = yv - o - f;
+
+      // Eqs. (24)-(25): gradients and curvature traces.
+      for (size_t l = 0; l < last; ++l) {
+        const double* hl = h + l * R;
+        double& t = trace[l][idx[l]];
+        for (size_t r = 0; r < R; ++r) t += hl[r] * hl[r];
+        if (e != 0.0) simd::MulAddIn(grad[l] + idx[l] * R, e, hl, R);
+      }
+      simd::MulArrAddIn(run_trace, h_last, h_last, R);
+      simd::MulArrAddIn(block_trace, full, full, R);
+      if (e != 0.0) {
+        simd::MulAddIn(run_grad, e, h_last, R);
+        simd::MulAddIn(block_grad, e, full, R);
+      }
+    }
+    double t = 0.0;
+    for (size_t r = 0; r < R; ++r) {
+      grads->temporal_grad[r] += block_grad[r];
+      t += block_trace[r];
+    }
+    grads->temporal_trace += t;
+  }
+  if (nnz > 0) store_run();
+}
+
+/// Shapes `grads` to `factors` (reusing its storage) and zeroes it.
+void ResetStepGradients(const std::vector<Matrix>& factors, size_t rank,
+                        StepGradients* grads) {
+  grads->row_grads.resize(factors.size());
+  grads->row_trace.resize(factors.size());
+  for (size_t n = 0; n < factors.size(); ++n) {
+    Matrix& g = grads->row_grads[n];
+    if (g.rows() != factors[n].rows() || g.cols() != rank) {
+      g = Matrix(factors[n].rows(), rank, 0.0);
+    } else {
+      std::fill(g.data(), g.data() + g.rows() * g.cols(), 0.0);
+    }
+    grads->row_trace[n].assign(factors[n].rows(), 0.0);
+  }
+  grads->temporal_grad.assign(rank, 0.0);
+  grads->temporal_trace = 0.0;
 }
 
 }  // namespace
@@ -1016,40 +1126,35 @@ void CooKruskalSliceGather(const CooList& coo,
   });
 }
 
-StepGradients CooStepGradients(const CooList& coo,
-                               const std::vector<double>& residuals,
-                               const std::vector<Matrix>& factors,
-                               const std::vector<double>& temporal_row,
-                               WorkerPool* pool) {
-  static const obs::KernelStats kStats = obs::MakeKernelStats("coo.step_gradients");
-  obs::CountKernel(kStats, coo.nnz(), 2 * (factors.empty() ? 0 : factors[0].cols()) * coo.order() * (coo.order() + 1));
-  SOFIA_CHECK_EQ(residuals.size(), coo.nnz());
+void CooSofiaStep(const CooList& coo, const DenseTensor& y,
+                  const std::vector<Matrix>& factors,
+                  const std::vector<double>& u_hat,
+                  const SofiaStepRobust& robust, DenseTensor* sigma,
+                  std::vector<double>* forecast,
+                  std::vector<double>* outliers, StepGradients* grads) {
+  static const obs::KernelStats kStats =
+      obs::MakeKernelStats("coo.sofia_step");
   const size_t rank = factors.empty() ? 0 : factors[0].cols();
+  obs::CountKernel(kStats, coo.nnz(),
+                   2 * rank * coo.order() * (coo.order() + 2));
   CheckFactors(coo, factors, rank);
-  SOFIA_CHECK_EQ(temporal_row.size(), rank);
+  SOFIA_CHECK_EQ(u_hat.size(), rank);
+  SOFIA_CHECK(y.shape() == coo.shape());
+  SOFIA_CHECK(sigma->shape() == coo.shape());
 
-  StepGradients g;
-  g.row_grads.reserve(factors.size());
-  g.row_trace.resize(factors.size());
-  for (size_t n = 0; n < factors.size(); ++n) {
-    g.row_grads.emplace_back(factors[n].rows(), rank, 0.0);
-    g.row_trace[n].assign(factors[n].rows(), 0.0);
-  }
-  g.temporal_grad.assign(rank, 0.0);
-
-  const std::vector<FactorView> views = MakeViews(factors);
-  DispatchRank(rank, [&](auto tag) {
-    for (size_t mode = 0; mode < factors.size(); ++mode) {
-      SOFIA_CHECK(coo.has_mode_bucket(mode));
-      CooModeGradientImpl<decltype(tag)::value>(
-          coo, residuals, views, temporal_row.data(), mode, pool,
-          rank, &g.row_grads[mode], &g.row_trace[mode]);
-    }
-    CooTemporalGradientImpl<decltype(tag)::value>(
-        coo, residuals, views, pool, rank, &g.temporal_grad,
-        &g.temporal_trace);
+  ResetStepGradients(factors, rank, grads);
+  forecast->resize(coo.nnz());
+  outliers->resize(coo.nnz());
+  DispatchOrder<2>(coo.order(), [&](auto order_tag) {
+    DispatchRank(rank, [&](auto rank_tag) {
+      auto pass = [&](auto, size_t) {
+        SofiaStepPass<decltype(rank_tag)::value, decltype(order_tag)::value>(
+            coo, y.data(), factors, u_hat.data(), robust, rank,
+            sigma->data(), forecast->data(), outliers->data(), grads);
+      };
+      simd::SelectLanes(pass)(0);
+    });
   });
-  return g;
 }
 
 double CooDataNorm(const std::vector<double>& values) {

@@ -7,6 +7,7 @@
 #include "tensor/coo_list.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/mask.hpp"
+#include "timeseries/robust.hpp"
 #include "util/parallel.hpp"
 
 /// \file sparse_kernels.hpp
@@ -20,12 +21,12 @@
 /// Three kernels stay scalar and keep the dense scans' order of operations,
 /// so on inputs of one reduction block they reproduce the oracle bit for
 /// bit: CooNormalSystem, CooKruskalSliceGather and CooResidualSquaredNorm.
-/// All of them split the work into disjoint units (mode slices, or
-/// fixed-size record blocks for the reductions) and run the units on the
-/// `pool` they are handed, or inline when it is null. Results are bitwise
-/// identical for every pool: only the assignment of units to threads
-/// varies, never the accumulation order within a unit or the order units
-/// are combined in.
+/// All of them but SOFIA's step (CooSofiaStep, one serial pass) split the
+/// work into disjoint units (mode slices, or fixed-size record blocks for
+/// the reductions) and run the units on the `pool` they are handed, or
+/// inline when it is null. Results are bitwise identical for every pool:
+/// only the assignment of units to threads varies, never the accumulation
+/// order within a unit or the order units are combined in.
 ///
 /// `values` arguments are record-aligned (see CooList::Gather); passing the
 /// gathered y* = y - o of Theorem 1 yields the paper's robust updates.
@@ -206,18 +207,42 @@ struct StepGradients {
   double temporal_trace = 0.0;                 ///< tr(H) of the row solve.
 };
 
-/// Accumulate StepGradients from a slice CooList (`factors` are the
-/// non-temporal factor matrices; `residuals` holds the record-aligned
-/// Ω ⊛ (Y - O - Ŷ) values). One O(|Ω_t| N R) pass per mode plus a blocked
-/// reduction for the temporal terms — Lemma 2's per-step cost. Row blocks
-/// are owned by mode slices and the reduction combines fixed-size record
-/// blocks in order, so results are bitwise identical for every thread
-/// count. Requires a CooList built with mode buckets.
-StepGradients CooStepGradients(const CooList& coo,
-                               const std::vector<double>& residuals,
-                               const std::vector<Matrix>& factors,
-                               const std::vector<double>& temporal_row,
-                               WorkerPool* pool = nullptr);
+/// The robust-statistics settings of one SOFIA step: Eq. (8)'s smoothing
+/// phi, the Huber cap k and biweight plateau ck of Eqs. (7)-(8), and the
+/// two robust arms of SofiaAblation.
+struct SofiaStepRobust {
+  double phi = 0.0;
+  double huber_k = kHuberK;
+  double biweight_ck = kBiweightCk;
+  bool reject_outliers = true;      ///< Eq. (21); off = O_t ≡ 0.
+  bool scale_before_reject = false;  ///< Gelper order: update Σ̂ first.
+};
+
+/// SOFIA's dynamic update over Ω_t (Algorithm 3 lines 4-8) in one pass over
+/// the records, in record order. Per record it gathers y, evaluates the
+/// Eq. (20) forecast f = Σ_r u_hat_r Π_l u^(l)_{i_l r}, applies the Eq. (21)
+/// Huber rejection and the Eq. (8) error-scale update (reject first, so an
+/// extreme value cannot inflate the scale it is judged by; the reverse with
+/// scale_before_reject), forms the residual y - o - f, and scatters it into
+/// every mode's gradient row and curvature trace (regressor u_hat ⊛ the
+/// other modes' rows) and into the temporal gradient and trace (regressor
+/// the product of all `factors` rows) — Lemma 2's O(|Ω_t| N R).
+///
+/// `forecast` and `outliers` are resized to nnz and written record-aligned;
+/// `sigma` (slice-shaped Σ̂) is updated in place at the observed entries;
+/// `grads` is resized to the factors and overwritten, reusing its storage
+/// across calls. Each mode row adds its records in ascending linear order;
+/// the temporal terms are summed per fixed 4096-record block and the blocks
+/// added in order. Runs inline, on no pool; specialized on rank and on
+/// order 2, and compiled for scalar and AVX2+FMA (the latter fuses
+/// multiply-adds, so the two differ by rounding). Works on bucket-less
+/// CooLists.
+void CooSofiaStep(const CooList& coo, const DenseTensor& y,
+                  const std::vector<Matrix>& factors,
+                  const std::vector<double>& u_hat,
+                  const SofiaStepRobust& robust, DenseTensor* sigma,
+                  std::vector<double>* forecast,
+                  std::vector<double>* outliers, StepGradients* grads);
 
 /// ||values||_2 — e.g. the masked data norm ||Ω ⊛ Y*||_F of the fitness
 /// denominator when `values` is a GatherResidual result.

@@ -40,9 +40,14 @@ Mask SparseMask::ToMask() const {
 }
 
 bool SparseMask::Matches(const Mask& omega) const {
-  if (!valid() || !(shape_ == omega.shape())) return false;
-  if (omega.CountObserved() != indices_.size()) return false;
-  for (size_t idx : indices_) {
+  return valid() && SameObservedSet(shape_, indices_, omega);
+}
+
+bool SameObservedSet(const Shape& shape, const std::vector<size_t>& sorted,
+                     const Mask& omega) {
+  if (!(shape == omega.shape())) return false;
+  if (omega.CountObserved() != sorted.size()) return false;
+  for (size_t idx : sorted) {
     if (!omega.Get(idx)) return false;
   }
   return true;

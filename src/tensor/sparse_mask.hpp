@@ -86,6 +86,12 @@ class SparseMask {
   std::vector<size_t> indices_;  ///< Sorted ascending, no duplicates.
 };
 
+/// SparseMask::Matches over any sorted, duplicate-free index array of
+/// `shape` — e.g. a cached CooList's LinearIndices(), which needs no
+/// SparseMask copy to be compared.
+bool SameObservedSet(const Shape& shape, const std::vector<size_t>& sorted,
+                     const Mask& omega);
+
 }  // namespace sofia
 
 #endif  // SOFIA_TENSOR_SPARSE_MASK_H_

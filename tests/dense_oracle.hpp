@@ -8,7 +8,9 @@
 //  - SOFIA's dense kernels: the Theorem 1 row systems and fitness norms of
 //    the ALS (DenseRowSystems, DenseResidualNorm, DenseDataNorm), and the
 //    dynamic update's Algorithm 3 lines 4-8 (DenseStepGradients,
-//    SofiaDenseStep);
+//    DenseSofiaStep, SofiaDenseStep) — the oracles of the fused
+//    CooSofiaStep — plus the three-pass CooList gradient kernel that the
+//    fused step replaced (CooStepGradients);
 //  - the baselines' shared motifs: the temporal-row solve, factor
 //    gradients, per-row slice systems and the proximal row update;
 //  - a dense reference of each of the six streaming baselines built on
@@ -137,8 +139,9 @@ inline double DenseDataNorm(const DenseTensor& y, const Mask& omega,
   return std::sqrt(s);
 }
 
-/// Reference for CooStepGradients: one pass over the full index space with
-/// prefix/suffix leave-one-out products, on the residual Ω ⊛ (Y - O - Ŷ).
+/// Reference for CooSofiaStep's gradients: one pass over the full index
+/// space with prefix/suffix leave-one-out products, on the residual
+/// Ω ⊛ (Y - O - Ŷ).
 inline StepGradients DenseStepGradients(
     const DenseTensor& y, const Mask& omega, const DenseTensor& outliers,
     const DenseTensor& forecast, const std::vector<Matrix>& factors,
@@ -205,6 +208,65 @@ inline StepGradients DenseStepGradients(
   return g;
 }
 
+/// Temporal gradient + trace of CooStepGradients: fixed-size record blocks,
+/// each owning R + 1 partial accumulators, combined in block order.
+inline void CooTemporalGradientImpl(const CooList& coo,
+                                    const std::vector<double>& residuals,
+                                    const std::vector<Matrix>& factors,
+                                    size_t rank,
+                                    std::vector<double>* temporal_grad,
+                                    double* temporal_trace) {
+  constexpr size_t kReductionBlock = 4096;
+  const size_t num_modes = factors.size();
+  const size_t num_blocks = (coo.nnz() + kReductionBlock - 1) / kReductionBlock;
+  std::vector<double> partial(num_blocks * (rank + 1), 0.0);
+  std::vector<double> full(rank);
+  for (size_t block = 0; block < num_blocks; ++block) {
+    double* out = partial.data() + block * (rank + 1);
+    const size_t begin = block * kReductionBlock;
+    const size_t end = std::min(begin + kReductionBlock, coo.nnz());
+    for (size_t k = begin; k < end; ++k) {
+      const uint32_t* idx = coo.Coords(k);
+      std::fill(full.begin(), full.end(), 1.0);
+      for (size_t l = 0; l < num_modes; ++l) {
+        const double* row = factors[l].Row(idx[l]);
+        for (size_t r = 0; r < rank; ++r) full[r] *= row[r];
+      }
+      const double resid = residuals[k];
+      for (size_t r = 0; r < rank; ++r) out[rank] += full[r] * full[r];
+      if (resid != 0.0) {
+        for (size_t r = 0; r < rank; ++r) out[r] += resid * full[r];
+      }
+    }
+  }
+  for (size_t block = 0; block < num_blocks; ++block) {
+    const double* out = partial.data() + block * (rank + 1);
+    for (size_t r = 0; r < rank; ++r) (*temporal_grad)[r] += out[r];
+    *temporal_trace += out[rank];
+  }
+}
+
+/// The library's step gradients before the fused CooSofiaStep, from
+/// record-aligned residuals y - o - f: per-mode gradients and traces from
+/// CooModeGradients (one pass per mode through its slice buckets), then the
+/// temporal pass. Requires a CooList built with mode buckets.
+inline StepGradients CooStepGradients(const CooList& coo,
+                                      const std::vector<double>& residuals,
+                                      const std::vector<Matrix>& factors,
+                                      const std::vector<double>& temporal_row,
+                                      WorkerPool* pool = nullptr) {
+  const size_t rank = factors.empty() ? 0 : factors[0].cols();
+  ModeGradients modes =
+      CooModeGradients(coo, residuals, factors, temporal_row, pool);
+  StepGradients g;
+  g.row_grads = std::move(modes.row_grads);
+  g.row_trace = std::move(modes.row_trace);
+  g.temporal_grad.assign(rank, 0.0);
+  CooTemporalGradientImpl(coo, residuals, factors, rank, &g.temporal_grad,
+                          &g.temporal_trace);
+  return g;
+}
+
 /// What SofiaModel::Step computes before its gradient step (Algorithm 3
 /// lines 3-8), as dense slices.
 struct SofiaStepReference {
@@ -215,6 +277,53 @@ struct SofiaStepReference {
   StepGradients grads;        ///< Eq. (24)/(25) accumulations.
 };
 
+/// Dense reference of CooSofiaStep: the forecast from `factors` and
+/// `u_hat`, the robust updates of Eqs. (21) and (8) against `sigma` (the
+/// error scale before the step) in the order `robust` selects, and the
+/// gradients, each as its own scan over the full index space.
+inline SofiaStepReference DenseSofiaStep(const DenseTensor& y,
+                                         const Mask& omega,
+                                         const std::vector<Matrix>& factors,
+                                         const std::vector<double>& u_hat,
+                                         const DenseTensor& sigma_before,
+                                         const SofiaStepRobust& robust) {
+  SofiaStepReference ref;
+  ref.u_hat = u_hat;
+  ref.forecast = KruskalSlice(factors, u_hat);
+  ref.error_scale = sigma_before;
+  DenseTensor& sigma = ref.error_scale;
+  const DenseTensor& forecast = ref.forecast;
+
+  DenseTensor outliers(y.shape(), 0.0);
+  auto update_scale = [&]() {
+    for (size_t k = 0; k < y.NumElements(); ++k) {
+      if (!omega.Get(k)) continue;
+      sigma[k] = UpdateErrorScale(y[k], forecast[k], sigma[k], robust.phi,
+                                  robust.huber_k, robust.biweight_ck);
+    }
+  };
+  auto reject = [&]() {
+    if (!robust.reject_outliers) return;
+    for (size_t k = 0; k < y.NumElements(); ++k) {
+      if (!omega.Get(k)) continue;
+      const double resid = y[k] - forecast[k];
+      outliers[k] =
+          resid - HuberPsi(resid / sigma[k], robust.huber_k) * sigma[k];
+    }
+  };
+  if (robust.scale_before_reject) {
+    update_scale();
+    reject();
+  } else {
+    reject();
+    update_scale();
+  }
+  ref.grads =
+      DenseStepGradients(y, omega, outliers, forecast, factors, u_hat);
+  ref.outliers = std::move(outliers);
+  return ref;
+}
+
 /// Computes SofiaStepReference from the model's public state before a Step
 /// on (y, omega); `ablation` must be the one the model was built with.
 inline SofiaStepReference SofiaDenseStep(const SofiaModel& model,
@@ -222,46 +331,14 @@ inline SofiaStepReference SofiaDenseStep(const SofiaModel& model,
                                          const Mask& omega,
                                          const SofiaAblation& ablation = {}) {
   const SofiaConfig& config = model.config();
-  const double k_huber = config.huber_k;
-  const double ck = config.biweight_ck;
-  const std::vector<Matrix>& factors = model.nontemporal_factors();
-
-  SofiaStepReference ref;
-  ref.u_hat = model.ForecastRow(1);
-  ref.forecast = KruskalSlice(factors, ref.u_hat);
-  ref.error_scale = model.error_scale();
-  DenseTensor& sigma = ref.error_scale;
-  const DenseTensor& forecast = ref.forecast;
-
-  // The paper rejects outliers *first* so extreme values cannot inflate the
-  // scale; the Gelper ordering is the scale_before_reject ablation.
-  DenseTensor outliers(y.shape(), 0.0);
-  auto update_scale = [&]() {
-    for (size_t k = 0; k < y.NumElements(); ++k) {
-      if (!omega.Get(k)) continue;
-      sigma[k] = UpdateErrorScale(y[k], forecast[k], sigma[k], config.phi,
-                                  k_huber, ck);
-    }
-  };
-  auto reject = [&]() {
-    if (!ablation.reject_outliers) return;
-    for (size_t k = 0; k < y.NumElements(); ++k) {
-      if (!omega.Get(k)) continue;
-      const double resid = y[k] - forecast[k];
-      outliers[k] = resid - HuberPsi(resid / sigma[k], k_huber) * sigma[k];
-    }
-  };
-  if (ablation.scale_before_reject) {
-    update_scale();
-    reject();
-  } else {
-    reject();
-    update_scale();
-  }
-  ref.grads = DenseStepGradients(y, omega, outliers, forecast, factors,
-                                 ref.u_hat);
-  ref.outliers = std::move(outliers);
-  return ref;
+  SofiaStepRobust robust;
+  robust.phi = config.phi;
+  robust.huber_k = config.huber_k;
+  robust.biweight_ck = config.biweight_ck;
+  robust.reject_outliers = ablation.reject_outliers;
+  robust.scale_before_reject = ablation.scale_before_reject;
+  return DenseSofiaStep(y, omega, model.nontemporal_factors(),
+                        model.ForecastRow(1), model.error_scale(), robust);
 }
 
 // --- Baseline motifs --------------------------------------------------------

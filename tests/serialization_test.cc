@@ -19,8 +19,9 @@ struct Fixture {
   SofiaModel model;
 };
 
-Fixture MakeFixture(uint64_t seed) {
+Fixture MakeFixture(uint64_t seed, size_t num_threads = 0) {
   SofiaConfig config;
+  config.num_threads = num_threads;
   config.rank = 3;
   config.period = 6;
   config.init_seasons = 3;
@@ -139,15 +140,16 @@ TEST(SerializationTest, V2CheckpointRestoresAndStepsLikeV3) {
   // v2 added a config line with two kernel-path knobs (the dense-scan
   // switch and the mask-reuse switch); v3 dropped it with the dense path.
   // A v2 checkpoint with both knobs off must restore into exactly the v3
-  // state and step bit-for-bit like the v3 round trip. num_threads is
-  // runtime-only in both: results are thread-count invariant and the
-  // worker count belongs to the restoring machine.
-  Fixture f = MakeFixture(69);
+  // state and step bit-for-bit like the v3 round trip. num_threads (here
+  // the 3 workers init ran on) is runtime-only in both: results are
+  // thread-count invariant and the worker count belongs to the restoring
+  // machine.
+  Fixture f = MakeFixture(69, /*num_threads=*/3);
+  EXPECT_EQ(f.model.config().num_threads, 3u);
   const size_t w = f.config.InitWindow();
   for (size_t t = w; t < w + 5; ++t) {
     f.model.Step(f.stream.slices[t], f.stream.masks[t]);
   }
-  f.model.set_num_threads(3);
   std::stringstream v3_buffer;
   f.model.Serialize(v3_buffer);
   const std::string v3 = v3_buffer.str();

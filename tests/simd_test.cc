@@ -3,7 +3,9 @@
 // binary pins the contract between the two instantiations:
 //  - every vectorized kernel agrees with its scalar twin to ≤1e-12
 //    (relative) across shapes, densities, and ranks — including rank 16
-//    (the widest compile-time dispatch) and a dynamic-rank fallback;
+//    (the widest compile-time dispatch) and a dynamic-rank fallback — SOFIA's
+//    fused step (CooSofiaStep) in every robust arm and at slice order 2,
+//    its specialized order, too;
 //  - the vectorized path stays bitwise identical across thread counts
 //    (the ISA choice is hoisted per kernel call, so the owner-per-unit /
 //    blocked-reduction determinism argument is ISA-independent);
@@ -21,6 +23,7 @@
 #include <cmath>
 #include <vector>
 
+#include "expect_close.hpp"
 #include "linalg/matrix.hpp"
 #include "tensor/coo_list.hpp"
 #include "tensor/mask.hpp"
@@ -96,16 +99,17 @@ void ExpectRowSystemsNear(const RowSystems& a, const RowSystems& b,
   }
 }
 
-void ExpectStepGradientsNear(const StepGradients& a, const StepGradients& b,
-                             const char* what) {
-  ASSERT_EQ(a.row_grads.size(), b.row_grads.size()) << what;
-  for (size_t n = 0; n < a.row_grads.size(); ++n) {
-    ExpectMatrixNear(a.row_grads[n], b.row_grads[n], what);
-    ExpectVectorNear(a.row_trace[n], b.row_trace[n], what);
+/// The fused step's outputs, pinned at 1e-12 relative to the scalar run's
+/// max-abs (tests/expect_close.hpp).
+void ExpectStepGradientsClose(const StepGradients& scalar,
+                              const StepGradients& simd) {
+  ASSERT_EQ(scalar.row_grads.size(), simd.row_grads.size());
+  for (size_t n = 0; n < scalar.row_grads.size(); ++n) {
+    ExpectClose(scalar.row_grads[n], simd.row_grads[n], 1e-12);
+    ExpectClose(scalar.row_trace[n], simd.row_trace[n], 1e-12);
   }
-  ExpectVectorNear(a.temporal_grad, b.temporal_grad, what);
-  EXPECT_NEAR(a.temporal_trace, b.temporal_trace, Tol(a.temporal_trace))
-      << what;
+  ExpectClose(scalar.temporal_grad, simd.temporal_grad, 1e-12);
+  ExpectClose({scalar.temporal_trace}, {simd.temporal_trace}, 1e-12);
 }
 
 /// One randomized problem instance: pattern, factors, record-aligned
@@ -211,23 +215,74 @@ TEST_F(SimdParityTest, GradientsAndGathersMatchScalar) {
       simd::SetEnabled(false);
       ModeGradients mg_coo_s =
           CooModeGradients(p.coo, p.values, p.factors, p.temporal_row);
-      StepGradients sg_coo_s =
-          CooStepGradients(p.coo, p.values, p.factors, p.temporal_row);
       std::vector<double> g_coo_s =
           CooKruskalGather(p.coo, p.factors, p.temporal_row);
       simd::SetEnabled(true);
       ModeGradients mg_coo_v =
           CooModeGradients(p.coo, p.values, p.factors, p.temporal_row);
-      StepGradients sg_coo_v =
-          CooStepGradients(p.coo, p.values, p.factors, p.temporal_row);
       std::vector<double> g_coo_v =
           CooKruskalGather(p.coo, p.factors, p.temporal_row);
       for (size_t n = 0; n < shape.order(); ++n) {
         ExpectMatrixNear(mg_coo_s.row_grads[n], mg_coo_v.row_grads[n],
                          "CooModeGradients");
       }
-      ExpectStepGradientsNear(sg_coo_s, sg_coo_v, "CooStepGradients");
       ExpectVectorNear(g_coo_s, g_coo_v, "CooKruskalGather");
+    }
+  }
+}
+
+/// CooSofiaStep's AVX2+FMA instantiation against its scalar one: slice
+/// orders 2 (the specialized order), 3 and 4, every rank of kRanks, all
+/// three robust arms, with an error scale that mixes inliers and outliers.
+TEST_F(SimdParityTest, SofiaStepMatchesScalar) {
+  std::vector<Shape> shapes = ParityShapes();
+  shapes.push_back(Shape({9, 7}));
+  SofiaStepRobust paper;
+  paper.phi = 0.3;
+  paper.huber_k = 2.0;
+  paper.biweight_ck = 2.52;
+  SofiaStepRobust scale_first = paper;
+  scale_first.scale_before_reject = true;
+  SofiaStepRobust no_reject = paper;
+  no_reject.reject_outliers = false;
+  for (const Shape& shape : shapes) {
+    for (size_t rank : kRanks) {
+      SCOPED_TRACE(::testing::Message() << shape.ToString() << " rank "
+                                        << rank);
+      Problem p = MakeProblem(shape, rank, 450 + rank);
+      Rng rng(460 + rank);
+      DenseTensor y(shape, 0.0);
+      DenseTensor sigma(shape, 0.0);
+      for (size_t k = 0; k < shape.NumElements(); ++k) {
+        y[k] = rng.Uniform(-2.0, 2.0);
+        sigma[k] = rng.Uniform(0.05, 1.5);
+      }
+      for (const SofiaStepRobust& robust : {paper, scale_first, no_reject}) {
+        DenseTensor sigma_s = sigma;
+        DenseTensor sigma_v = sigma;
+        std::vector<double> f_s, o_s, f_v, o_v;
+        StepGradients g_s, g_v;
+        simd::SetEnabled(false);
+        CooSofiaStep(p.coo, y, p.factors, p.temporal_row, robust, &sigma_s,
+                     &f_s, &o_s, &g_s);
+        simd::SetEnabled(true);
+        CooSofiaStep(p.coo, y, p.factors, p.temporal_row, robust, &sigma_v,
+                     &f_v, &o_v, &g_v);
+        // Forecast and outliers at the data's scale: y - f and y - o.
+        std::vector<double> r_s(f_s.size()), r_v(f_v.size());
+        std::vector<double> c_s(o_s.size()), c_v(o_v.size());
+        for (size_t k = 0; k < p.coo.nnz(); ++k) {
+          const double yk = y[p.coo.LinearIndex(k)];
+          r_s[k] = yk - f_s[k];
+          r_v[k] = yk - f_v[k];
+          c_s[k] = yk - o_s[k];
+          c_v[k] = yk - o_v[k];
+        }
+        ExpectClose(r_s, r_v, 1e-12);
+        ExpectClose(c_s, c_v, 1e-12);
+        ExpectClose(sigma_s, sigma_v, 1e-12);
+        ExpectStepGradientsClose(g_s, g_v);
+      }
     }
   }
 }
@@ -241,8 +296,8 @@ TEST_F(SimdParityTest, VectorizedPathIsBitwiseThreadDeterministic) {
   ShardExecutor pool4(4);
   for (size_t rank : {size_t{3}, size_t{16}}) {
     Problem p = MakeProblem(Shape({7, 6, 5}), rank, 500 + rank);
-    const StepGradients s1 =
-        CooStepGradients(p.coo, p.values, p.factors, p.temporal_row);
+    const ModeGradients g1 =
+        CooModeGradients(p.coo, p.values, p.factors, p.temporal_row);
     for (ShardExecutor* pool : {&pool2, &pool4}) {
       SCOPED_TRACE(pool->num_threads());
       for (size_t mode = 0; mode < 3; ++mode) {
@@ -250,15 +305,12 @@ TEST_F(SimdParityTest, VectorizedPathIsBitwiseThreadDeterministic) {
         Matrix m4 = CooMttkrp(p.coo, p.values, p.factors, mode, pool);
         EXPECT_EQ(m1.MaxAbsDiff(m4), 0.0) << "CooMttkrp mode=" << mode;
       }
-      StepGradients s4 =
-          CooStepGradients(p.coo, p.values, p.factors, p.temporal_row, pool);
+      const ModeGradients g4 =
+          CooModeGradients(p.coo, p.values, p.factors, p.temporal_row, pool);
       for (size_t n = 0; n < 3; ++n) {
-        EXPECT_EQ(s1.row_grads[n].MaxAbsDiff(s4.row_grads[n]), 0.0);
+        EXPECT_EQ(g1.row_grads[n].MaxAbsDiff(g4.row_grads[n]), 0.0);
+        EXPECT_EQ(g1.row_trace[n], g4.row_trace[n]);
       }
-      for (size_t r = 0; r < rank; ++r) {
-        EXPECT_EQ(s1.temporal_grad[r], s4.temporal_grad[r]);
-      }
-      EXPECT_EQ(s1.temporal_trace, s4.temporal_trace);
     }
   }
 }

@@ -242,12 +242,13 @@ std::vector<double> Values(const Matrix& m) {
 }
 
 TEST(SofiaModelTest, InitializeIsBitwiseIndependentOfThePool) {
-  // Init runs on the model's step pool. The ALS kernels split each sweep
-  // into thread-owned units, so every worker count, and an adopted
-  // executor, must give the same bits: factors, the init completion, the
-  // Holt-Winters fit, σ, and the next step. 20 x 16 x 24 at 70% observed is
-  // past one 4096-record reduction block, so any blocked reduction splits
-  // across threads too.
+  // Init runs on the pool it is handed, or on an executor of
+  // config.num_threads workers local to the call. The ALS kernels split
+  // each sweep into thread-owned units, so every worker count, and an
+  // adopted executor, must give the same bits: factors, the init
+  // completion, the Holt-Winters fit, σ, and the next step. 20 x 16 x 24
+  // at 70% observed is past one 4096-record reduction block, so any
+  // blocked reduction splits across threads too.
   StreamProblem p = MakeStream(32, 61, /*lambda=*/0.5, 20, 16);
   CorruptedStream stream = Corrupt(p.truth, {30.0, 5.0, 4.0}, 62);
   const size_t w = p.config.InitWindow();
@@ -266,8 +267,9 @@ TEST(SofiaModelTest, InitializeIsBitwiseIndependentOfThePool) {
     models.push_back(SofiaModel::Initialize(slices, masks, config));
     labels.push_back("num_threads=" + std::to_string(threads));
   }
-  models.push_back(SofiaModel::Initialize(
-      slices, masks, p.config, {}, std::make_shared<ShardExecutor>(3)));
+  ShardExecutor adopted(3);
+  models.push_back(
+      SofiaModel::Initialize(slices, masks, p.config, {}, &adopted));
   labels.push_back("adopted 3-thread executor");
 
   const SofiaModel& ref = models[0];

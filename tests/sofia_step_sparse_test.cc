@@ -7,8 +7,10 @@
 
 #include "core/sofia_model.hpp"
 #include "dense_oracle.hpp"
+#include "expect_close.hpp"
 #include "linalg/vector_ops.hpp"
 #include "tensor/kruskal.hpp"
+#include "tensor/simd.hpp"
 #include "tensor/sparse_kernels.hpp"
 #include "util/rng.hpp"
 #include "util/shard_executor.hpp"
@@ -17,10 +19,11 @@ namespace sofia {
 namespace {
 
 /// Dense≡sparse parity harness for the dynamic update: SofiaModel::Step,
-/// which runs on the CooList kernels, must produce the imputed/outlier/
-/// forecast slices and the Holt-Winters state that the dense-scan oracle
-/// (tests/dense_oracle.hpp) predicts from the model's public state to
-/// ≤ 1e-12, and must be bitwise identical for every thread count.
+/// one fused pass over the observed entries (CooSofiaStep), must produce
+/// the imputed/outlier/forecast slices and the Holt-Winters state that the
+/// dense-scan oracle (tests/dense_oracle.hpp) predicts from the model's
+/// public state to ≤ 1e-12 relative, under either ISA and every robust
+/// arm, and must step bitwise alike whatever executor ran its init.
 
 constexpr double kTol = 1e-12;
 
@@ -68,7 +71,8 @@ SofiaConfig MakeConfig(size_t rank, size_t period) {
 }
 
 SofiaModel MakeModel(const std::vector<size_t>& dims, size_t rank,
-                     uint64_t seed) {
+                     uint64_t seed, const SofiaAblation& ablation = {},
+                     WorkerPool* pool = nullptr) {
   SofiaConfig config = MakeConfig(rank, /*period=*/4);
   config.seed = seed;
   const size_t w = config.InitWindow();
@@ -79,7 +83,7 @@ SofiaModel MakeModel(const std::vector<size_t>& dims, size_t rank,
   for (size_t t = 0; t < w; ++t) {
     masks.push_back(RandomMask(slices[t].shape(), 0.8, rng));
   }
-  return SofiaModel::Initialize(slices, masks, config);
+  return SofiaModel::Initialize(slices, masks, config, ablation, pool);
 }
 
 /// Checkpoint-based clone: Serialize/Deserialize restores the exact
@@ -109,10 +113,10 @@ struct ExpectedStep {
 };
 
 ExpectedStep PredictStep(const SofiaModel& model, const DenseTensor& y,
-                         const Mask& omega) {
+                         const Mask& omega, const SofiaAblation& ablation) {
   const SofiaConfig& config = model.config();
   ExpectedStep e;
-  e.ref = dense_oracle::SofiaDenseStep(model, y, omega);
+  e.ref = dense_oracle::SofiaDenseStep(model, y, omega, ablation);
   const StepGradients& g = e.ref.grads;
   const std::vector<double>& u_hat = e.ref.u_hat;
   const size_t rank = config.rank;
@@ -157,15 +161,27 @@ ExpectedStep PredictStep(const SofiaModel& model, const DenseTensor& y,
   return e;
 }
 
+/// The three robust arms of SofiaAblation.
+std::vector<SofiaAblation> RobustArms() {
+  SofiaAblation scale_first;
+  scale_first.scale_before_reject = true;
+  SofiaAblation no_reject;
+  no_reject.reject_outliers = false;
+  return {SofiaAblation{}, scale_first, no_reject};
+}
+
 /// Step one model through seeded slices and compare every per-step output
-/// and all HW state against the dense oracle's prediction.
+/// and all HW state against the dense oracle's prediction: the observed
+/// forecast, error scale, factors and temporal row at 1e-12 relative to
+/// the oracle's max-abs, the dense slices, outliers and HW state at 1e-12
+/// of the reconstruction's scale.
 void RunStepParity(const std::vector<size_t>& dims, size_t rank,
-                   double missing, uint64_t seed) {
+                   double missing, uint64_t seed,
+                   const SofiaAblation& ablation) {
   SCOPED_TRACE(::testing::Message() << "rank=" << rank
                                     << " missing=" << missing
                                     << " seed=" << seed);
-  SofiaModel model = MakeModel(dims, rank, seed);
-  model.set_num_threads(2);
+  SofiaModel model = MakeModel(dims, rank, seed, ablation);
   const size_t m = model.config().period;
 
   const size_t kSteps = 5;
@@ -178,7 +194,7 @@ void RunStepParity(const std::vector<size_t>& dims, size_t rank,
     if (y.NumElements() > 0) y[t % y.NumElements()] += 25.0;
     Mask omega = RandomMask(y.shape(), 1.0 - missing, rng);
 
-    const ExpectedStep e = PredictStep(model, y, omega);
+    const ExpectedStep e = PredictStep(model, y, omega, ablation);
     SofiaStepResult b = model.Step(y, omega);
 
     const double scale = 1.0 + e.imputed.MaxAbs();
@@ -187,18 +203,19 @@ void RunStepParity(const std::vector<size_t>& dims, size_t rank,
     EXPECT_LE(MaxAbsDiff(e.imputed, b.imputed()), kTol * scale);
     ASSERT_EQ(omega.CountObserved(), b.num_observed());
     std::vector<size_t> observed;
+    std::vector<double> forecast_at;
     for (size_t k = 0; k < omega.shape().NumElements(); ++k) {
-      if (omega.Get(k)) observed.push_back(k);
+      if (!omega.Get(k)) continue;
+      observed.push_back(k);
+      forecast_at.push_back(e.ref.forecast[k]);
     }
     EXPECT_EQ(observed, b.observed_indices());
-    EXPECT_LE(MaxAbsDiff(e.ref.error_scale, model.error_scale()),
-              kTol * scale);
+    ExpectClose(forecast_at, b.observed_forecast(), kTol);
+    ExpectClose(e.ref.error_scale, model.error_scale(), kTol);
     for (size_t n = 0; n < e.factors.size(); ++n) {
-      EXPECT_LE(e.factors[n].MaxAbsDiff(model.nontemporal_factors()[n]),
-                kTol * scale);
+      ExpectClose(e.factors[n], model.nontemporal_factors()[n], kTol);
     }
-    EXPECT_LE(MaxAbsDiffVec(e.temporal_row, model.last_temporal_row()),
-              kTol * scale);
+    ExpectClose(e.temporal_row, model.last_temporal_row(), kTol);
     EXPECT_LE(MaxAbsDiffVec(e.level, model.level()), kTol * scale);
     EXPECT_LE(MaxAbsDiffVec(e.trend, model.trend()), kTol * scale);
     // The slot Eq. (26) rewrote is the one ForecastRow(m) reads.
@@ -211,38 +228,54 @@ void RunStepParity(const std::vector<size_t>& dims, size_t rank,
   }
 }
 
-TEST(SofiaStepSparseTest, DenseSparseStepParityOrderThree) {
-  uint64_t seed = 510;
-  for (size_t rank : {1u, 3u, 8u}) {
-    for (double missing : {0.0, 0.5, 0.99}) {
-      RunStepParity({6, 5}, rank, missing, seed++);
+/// Ranks 1-8 (7 takes the run-time-rank path), Ω from full to empty, all
+/// three robust arms, both ISAs.
+void RunStepParityGrid(const std::vector<size_t>& dims, uint64_t seed) {
+  const bool prev = simd::Enabled();
+  for (bool vectorized : {false, true}) {
+    SCOPED_TRACE(vectorized ? "avx2" : "scalar");
+    simd::SetEnabled(vectorized);
+    for (const SofiaAblation& ablation : RobustArms()) {
+      SCOPED_TRACE(::testing::Message()
+                   << "reject " << ablation.reject_outliers
+                   << " scale-first " << ablation.scale_before_reject);
+      for (size_t rank = 1; rank <= 8; ++rank) {
+        for (double missing : {0.0, 0.5, 0.99, 1.0}) {
+          RunStepParity(dims, rank, missing, seed++, ablation);
+        }
+      }
     }
   }
+  simd::SetEnabled(prev);
+}
+
+TEST(SofiaStepSparseTest, DenseSparseStepParityOrderThree) {
+  RunStepParityGrid({6, 5}, 510);
 }
 
 TEST(SofiaStepSparseTest, DenseSparseStepParityOrderFour) {
-  uint64_t seed = 530;
-  for (size_t rank : {2u, 5u}) {
-    for (double missing : {0.0, 0.5, 0.99}) {
-      RunStepParity({4, 3, 3}, rank, missing, seed++);
-    }
-  }
+  RunStepParityGrid({4, 3, 3}, 530);
 }
 
-/// The sparse path must be bitwise identical for every thread count: work
-/// units (mode slices, fixed record blocks) are owned by single threads and
-/// combined in a thread-count-independent order.
+/// Init's result is bitwise the same on any executor, and the step runs
+/// no pool, so models initialized on 1-, 2- and 4-thread executors step
+/// bitwise alike.
 TEST(SofiaStepSparseTest, StepBitwiseDeterministicAcrossThreadCounts) {
   const std::vector<size_t> dims = {7, 6};
-  SofiaModel base = MakeModel(dims, /*rank=*/4, 551);
   const size_t kSteps = 4;
   std::vector<DenseTensor> slices = MakeSlices(dims, 4, 4, 12 + kSteps, 557);
 
   std::vector<SofiaModel> models;
-  for (size_t threads : {1u, 2u, 8u}) {
-    SofiaModel m = Clone(base);
-    m.set_num_threads(threads);
-    models.push_back(std::move(m));
+  for (size_t threads : {1u, 2u, 4u}) {
+    ShardExecutor pool(threads);
+    models.push_back(MakeModel(dims, /*rank=*/4, 551, {}, &pool));
+  }
+  for (size_t i = 1; i < models.size(); ++i) {
+    for (size_t n = 0; n < dims.size(); ++n) {
+      EXPECT_EQ(models[0].nontemporal_factors()[n].MaxAbsDiff(
+                    models[i].nontemporal_factors()[n]),
+                0.0);
+    }
   }
   Rng rng(559);
   for (size_t t = 0; t < kSteps; ++t) {
@@ -257,16 +290,22 @@ TEST(SofiaStepSparseTest, StepBitwiseDeterministicAcrossThreadCounts) {
       EXPECT_EQ(ref.temporal_row(), out.temporal_row());
       EXPECT_EQ(models[0].level(), models[i].level());
       EXPECT_EQ(models[0].trend(), models[i].trend());
+      EXPECT_EQ(MaxAbsDiff(models[0].error_scale(), models[i].error_scale()),
+                0.0);
     }
   }
 }
 
-/// Kernel-level parity: CooStepGradients against the dense-scan reference,
-/// at several densities and orders, plus thread determinism.
-TEST(SofiaStepSparseTest, CooStepGradientsMatchDenseReference) {
+/// Kernel-level parity: CooSofiaStep against the dense-scan oracle and
+/// against the three-pass CooList gradients it replaced (fed the fused
+/// pass's own residuals), at several densities and slice orders, 1e-12
+/// relative.
+TEST(SofiaStepSparseTest, CooSofiaStepMatchesOracles) {
   Rng rng(571);
-  ShardExecutor pool2(2);
-  ShardExecutor pool4(4);
+  SofiaStepRobust robust;
+  robust.phi = 0.2;
+  robust.huber_k = 2.0;
+  robust.biweight_ck = 2.52;
   for (const auto& dims : {std::vector<size_t>{7, 5},
                            std::vector<size_t>{4, 3, 5}}) {
     Shape shape(dims);
@@ -277,41 +316,40 @@ TEST(SofiaStepSparseTest, CooStepGradientsMatchDenseReference) {
     }
     std::vector<double> u_hat = rng.NormalVector(rank);
     DenseTensor y = DenseTensor::RandomNormal(shape, rng);
-    DenseTensor o = DenseTensor::RandomNormal(shape, rng, 0.2);
+    DenseTensor sigma0(shape, 0.0);
+    for (size_t k = 0; k < shape.NumElements(); ++k) {
+      sigma0[k] = rng.Uniform(0.1, 2.0);
+    }
     for (double density : {0.0, 0.1, 0.6, 1.0}) {
+      SCOPED_TRACE(::testing::Message() << shape.ToString() << " density "
+                                        << density);
       Mask omega = RandomMask(shape, density, rng);
-      DenseTensor forecast = KruskalSlice(factors, u_hat);
-      StepGradients dense = dense_oracle::DenseStepGradients(
-          y, omega, o, forecast, factors, u_hat);
+      const dense_oracle::SofiaStepReference dense =
+          dense_oracle::DenseSofiaStep(y, omega, factors, u_hat, sigma0,
+                                       robust);
 
       CooList coo = CooList::Build(omega);
+      DenseTensor sigma = sigma0;
+      std::vector<double> forecast, outliers;
+      StepGradients fused;
+      CooSofiaStep(coo, y, factors, u_hat, robust, &sigma, &forecast,
+                   &outliers, &fused);
       std::vector<double> resid(coo.nnz());
       for (size_t k = 0; k < coo.nnz(); ++k) {
-        const size_t lin = coo.LinearIndex(k);
-        resid[k] = y[lin] - o[lin] - forecast[lin];
+        resid[k] = y[coo.LinearIndex(k)] - outliers[k] - forecast[k];
       }
-      StepGradients sparse = CooStepGradients(coo, resid, factors, u_hat);
+      const StepGradients three_pass =
+          dense_oracle::CooStepGradients(coo, resid, factors, u_hat);
 
-      ASSERT_EQ(dense.row_grads.size(), sparse.row_grads.size());
-      for (size_t n = 0; n < dense.row_grads.size(); ++n) {
-        EXPECT_LE(sparse.row_grads[n].MaxAbsDiff(dense.row_grads[n]), kTol);
-        EXPECT_LE(MaxAbsDiffVec(sparse.row_trace[n], dense.row_trace[n]),
-                  kTol);
-      }
-      EXPECT_LE(MaxAbsDiffVec(sparse.temporal_grad, dense.temporal_grad),
-                kTol);
-      EXPECT_NEAR(sparse.temporal_trace, dense.temporal_trace, kTol);
-      // Thread-count invariance is exact, not approximate.
-      for (ShardExecutor* pool : {&pool2, &pool4}) {
-        StepGradients threaded =
-            CooStepGradients(coo, resid, factors, u_hat, pool);
-        for (size_t n = 0; n < dense.row_grads.size(); ++n) {
-          EXPECT_EQ(threaded.row_grads[n].MaxAbsDiff(sparse.row_grads[n]),
-                    0.0);
-          EXPECT_EQ(threaded.row_trace[n], sparse.row_trace[n]);
+      ExpectClose(dense.error_scale, sigma, kTol);
+      for (const StepGradients* want : {&dense.grads, &three_pass}) {
+        ASSERT_EQ(want->row_grads.size(), fused.row_grads.size());
+        for (size_t n = 0; n < fused.row_grads.size(); ++n) {
+          ExpectClose(want->row_grads[n], fused.row_grads[n], kTol);
+          ExpectClose(want->row_trace[n], fused.row_trace[n], kTol);
         }
-        EXPECT_EQ(threaded.temporal_grad, sparse.temporal_grad);
-        EXPECT_EQ(threaded.temporal_trace, sparse.temporal_trace);
+        ExpectClose(want->temporal_grad, fused.temporal_grad, kTol);
+        ExpectClose({want->temporal_trace}, {fused.temporal_trace}, kTol);
       }
     }
   }
@@ -342,17 +380,19 @@ TEST(SofiaStepSparseTest, CooKruskalGatherMatchesKruskalSlice) {
 }
 
 /// The mask-reuse fast path: consecutive steps with an identical mask (the
-/// fixed-sensor-outage case) build the CooList exactly once.
+/// fixed-sensor-outage case) build the CooList exactly once, and a step
+/// that adopted a shared pattern seeds the cache for the next unshared one.
 TEST(SofiaStepSparseTest, IdenticalMasksReuseTheStepPattern) {
   const std::vector<size_t> dims = {6, 5};
   SofiaModel model = MakeModel(dims, /*rank=*/3, 591);
-  std::vector<DenseTensor> slices = MakeSlices(dims, 3, 4, 20, 593);
+  std::vector<DenseTensor> slices = MakeSlices(dims, 3, 4, 21, 593);
   Rng rng(595);
   Mask fixed = RandomMask(slices[0].shape(), 0.5, rng);
 
   EXPECT_EQ(model.step_pattern_builds(), 0u);
   for (size_t t = 12; t < 16; ++t) model.Step(slices[t], fixed);
   EXPECT_EQ(model.step_pattern_builds(), 1u);
+  EXPECT_EQ(model.step_pattern_reuses(), 3u);
 
   Mask changed = RandomMask(slices[0].shape(), 0.5, rng);
   model.Step(slices[16], changed);
@@ -363,10 +403,17 @@ TEST(SofiaStepSparseTest, IdenticalMasksReuseTheStepPattern) {
   changed.Set(0, !changed.Get(0));
   model.Step(slices[18], changed);
   EXPECT_EQ(model.step_pattern_builds(), 3u);
+
+  Mask shared_mask = RandomMask(slices[0].shape(), 0.5, rng);
+  model.Step(slices[19], shared_mask, MakeSharedPattern(shared_mask));
+  model.Step(slices[20], shared_mask);
+  EXPECT_EQ(model.step_pattern_builds(), 3u);
+  EXPECT_EQ(model.step_pattern_reuses(), 5u);
 }
 
 /// Copying a model branches the stream: learned state duplicates, derived
-/// caches (pattern cache, pool) reset, and both branches step bit-for-bit.
+/// working state (pattern cache, step scratch) resets, and both branches
+/// step bit-for-bit.
 TEST(SofiaStepSparseTest, CopiedModelStepsBitwiseIdentically) {
   const std::vector<size_t> dims = {6, 5};
   SofiaModel original = MakeModel(dims, /*rank=*/3, 611);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "dense_oracle.hpp"
+#include "expect_close.hpp"
 #include "tensor/coo_list.hpp"
 #include "tensor/kruskal.hpp"
 #include "tensor/products.hpp"
@@ -410,23 +411,130 @@ TEST(SparseKernelsGridTest, GlobalKernelsMatchDenseOracles) {
         g.y, g.omega, nullptr, g.factors, g.w, &traces);
     const ModeGradients mode_grads =
         CooModeGradients(g.coo, residuals, g.factors, g.w);
-    // SOFIA's step gradients on the residual y (no outliers, no forecast).
-    const DenseTensor zeros(g.y.shape(), 0.0);
-    const StepGradients step_want = dense_oracle::DenseStepGradients(
-        g.y, g.omega, zeros, zeros, g.factors, g.w);
-    const StepGradients step_got =
-        CooStepGradients(g.coo, g.values, g.factors, g.w);
     for (size_t n = 0; n < g.factors.size(); ++n) {
       SCOPED_TRACE(::testing::Message() << "mode " << n);
       ExpectMatrixNear(mode_grads.row_grads[n], grads[n]);
       ExpectVectorNear(mode_grads.row_trace[n], traces[n]);
-      ExpectMatrixNear(step_got.row_grads[n], step_want.row_grads[n]);
-      ExpectVectorNear(step_got.row_trace[n], step_want.row_trace[n]);
     }
-    ExpectVectorNear(step_got.temporal_grad, step_want.temporal_grad);
-    EXPECT_NEAR(step_got.temporal_trace, step_want.temporal_trace,
-                Tol(step_want.temporal_trace));
   });
+}
+
+/// The three robust arms of SofiaAblation: the paper's order (reject, then
+/// scale), Gelper's (scale first), and no rejection.
+std::vector<SofiaStepRobust> RobustArms() {
+  SofiaStepRobust paper;
+  paper.phi = 0.3;
+  paper.huber_k = 2.0;
+  paper.biweight_ck = 2.52;
+  SofiaStepRobust scale_first = paper;
+  scale_first.scale_before_reject = true;
+  SofiaStepRobust no_reject = paper;
+  no_reject.reject_outliers = false;
+  return {paper, scale_first, no_reject};
+}
+
+/// CooSofiaStep (one fused pass) against the dense oracle's separate scans
+/// at every grid point — slice orders 2, 3 and 4, ranks 1..17 (16 the
+/// widest compile-time rank; 7, 9, 11, 13-15 and 17 run-time), Ω from
+/// empty (the guard's empty-Ω clock advance) to full — for all three
+/// robust arms, under both ISAs. The error scale mixes inliers and
+/// outliers; everything the step writes is compared at 1e-12 relative to
+/// the oracle's max-abs — the forecast and outliers through the residual
+/// y - f and the cleaned values y - o, at the data's scale (a forecast
+/// that cancels to ~0 at a single observed entry has no scale of its own).
+TEST(SparseKernelsGridTest, SofiaStepMatchesDenseOracle) {
+  const bool prev = simd::Enabled();
+  for (bool vectorized : {false, true}) {
+    SCOPED_TRACE(vectorized ? "avx2" : "scalar");
+    simd::SetEnabled(vectorized);
+    ForEachGridCase(6000, [](const GridCase& g) {
+      Rng rng(g.coo.nnz() + 61 * g.w.size());
+      DenseTensor sigma(g.y.shape(), 0.0);
+      for (size_t k = 0; k < sigma.NumElements(); ++k) {
+        sigma[k] = rng.Uniform(0.05, 1.5);
+      }
+      for (const SofiaStepRobust& robust : RobustArms()) {
+        SCOPED_TRACE(::testing::Message()
+                     << "reject " << robust.reject_outliers << " scale-first "
+                     << robust.scale_before_reject);
+        const dense_oracle::SofiaStepReference want =
+            dense_oracle::DenseSofiaStep(g.y, g.omega, g.factors, g.w, sigma,
+                                         robust);
+        DenseTensor got_sigma = sigma;
+        std::vector<double> forecast, outliers;
+        StepGradients grads;
+        CooSofiaStep(g.coo, g.y, g.factors, g.w, robust, &got_sigma,
+                     &forecast, &outliers, &grads);
+
+        const size_t nnz = g.coo.nnz();
+        ASSERT_EQ(forecast.size(), nnz);
+        ASSERT_EQ(outliers.size(), nnz);
+        std::vector<double> want_resid(nnz), got_resid(nnz);
+        std::vector<double> want_clean(nnz), got_clean(nnz);
+        for (size_t k = 0; k < nnz; ++k) {
+          const size_t lin = g.coo.LinearIndex(k);
+          want_resid[k] = g.y[lin] - want.forecast[lin];
+          got_resid[k] = g.y[lin] - forecast[k];
+          want_clean[k] = g.y[lin] - want.outliers[lin];
+          got_clean[k] = g.y[lin] - outliers[k];
+        }
+        ExpectClose(want_resid, got_resid, 1e-12);
+        ExpectClose(want_clean, got_clean, 1e-12);
+        ExpectClose(want.error_scale, got_sigma, 1e-12);
+        ASSERT_EQ(grads.row_grads.size(), g.factors.size());
+        for (size_t n = 0; n < g.factors.size(); ++n) {
+          SCOPED_TRACE(::testing::Message() << "mode " << n);
+          ExpectClose(want.grads.row_grads[n], grads.row_grads[n], 1e-12);
+          ExpectClose(want.grads.row_trace[n], grads.row_trace[n], 1e-12);
+        }
+        ExpectClose(want.grads.temporal_grad, grads.temporal_grad, 1e-12);
+        ExpectClose({want.grads.temporal_trace}, {grads.temporal_trace},
+                    1e-12);
+      }
+    });
+  }
+  simd::SetEnabled(prev);
+}
+
+/// The step's gradient scratch is reused across calls: a second call on a
+/// smaller pattern and rank overwrites every field of the first.
+TEST(SparseKernelsTest, SofiaStepOverwritesReusedScratch) {
+  Rng rng(6100);
+  SofiaStepRobust robust = RobustArms()[0];
+  const Shape big({8, 7});
+  const Shape small({3, 4, 2});
+  std::vector<Matrix> big_factors = RandomFactors(big, 5, rng);
+  std::vector<Matrix> small_factors = RandomFactors(small, 3, rng);
+  const Mask big_mask = RandomMask(big, 0.7, rng);
+  const Mask small_mask = RandomMask(small, 0.5, rng);
+  const CooList big_coo = CooList::Build(big_mask, false);
+  const CooList small_coo = CooList::Build(small_mask, false);
+  const DenseTensor big_y = DenseTensor::RandomNormal(big, rng);
+  const DenseTensor small_y = DenseTensor::RandomNormal(small, rng);
+  const std::vector<double> big_w = rng.NormalVector(5);
+  const std::vector<double> small_w = rng.NormalVector(3);
+
+  DenseTensor fresh_sigma(small, 0.4), reused_sigma(small, 0.4);
+  DenseTensor big_sigma(big, 0.4);
+  std::vector<double> f_fresh, o_fresh, f_reused, o_reused;
+  StepGradients fresh, reused;
+  CooSofiaStep(big_coo, big_y, big_factors, big_w, robust, &big_sigma,
+               &f_reused, &o_reused, &reused);
+  CooSofiaStep(small_coo, small_y, small_factors, small_w, robust,
+               &reused_sigma, &f_reused, &o_reused, &reused);
+  CooSofiaStep(small_coo, small_y, small_factors, small_w, robust,
+               &fresh_sigma, &f_fresh, &o_fresh, &fresh);
+  EXPECT_EQ(f_fresh, f_reused);
+  EXPECT_EQ(o_fresh, o_reused);
+  EXPECT_TRUE(CloseTo(fresh_sigma, reused_sigma, 0.0));
+  ASSERT_EQ(reused.row_grads.size(), small.order());
+  for (size_t n = 0; n < small.order(); ++n) {
+    EXPECT_EQ(fresh.row_grads[n].MaxAbsDiff(reused.row_grads[n]), 0.0);
+    EXPECT_EQ(reused.row_grads[n].rows(), small.dim(n));
+    EXPECT_EQ(fresh.row_trace[n], reused.row_trace[n]);
+  }
+  EXPECT_EQ(fresh.temporal_grad, reused.temporal_grad);
+  EXPECT_EQ(fresh.temporal_trace, reused.temporal_trace);
 }
 
 /// CooProximalRowUpdates and CooWeightedRowSystems build their systems in
