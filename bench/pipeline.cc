@@ -123,14 +123,10 @@ void LegacyDenseComparison(const std::vector<StreamingMethod*>& methods,
     }
   }
   std::shared_ptr<const CooList> pattern;
-  Mask pattern_mask;
-  bool pattern_valid = false;
   for (size_t t = 0; t < truth.size(); ++t) {
     const Mask& omega = stream.masks[t];
-    if (!pattern_valid || pattern_mask != omega) {
+    if (pattern == nullptr || !pattern->SameObservedSet(omega)) {
       pattern = MakeSharedPattern(omega);
-      pattern_mask = omega;
-      pattern_valid = true;
     }
     for (size_t m = 0; m < methods.size(); ++m) {
       if (t < windows[m]) continue;

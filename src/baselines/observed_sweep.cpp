@@ -21,22 +21,15 @@ void ObservedSweep::BeginStep(const DenseTensor& y, const Mask& omega,
   steps->Add(1);
   SOFIA_CHECK(y.shape() == omega.shape());
   if (shared != nullptr) {
+    // The adopted pattern is also the reuse cache, so a later unshared
+    // step with the same mask still skips its rebuild.
     SOFIA_CHECK(shared->shape() == omega.shape());
     coo_ = std::move(shared);
-    // Seed the reuse cache so a later unshared step with the same mask can
-    // still skip its rebuild. The cache is a SparseMask built from the
-    // records just adopted, so both the staleness check and the reseed are
-    // O(|Ω_t|) — never a dense indicator copy or byte scan.
-    if (!mask_.Matches(omega)) mask_ = SparseMask::FromCoo(*coo_);
+  } else if (coo_ != nullptr && coo_->SameObservedSet(omega)) {
+    ++pattern_reuses_;
   } else {
-    const bool reusable = coo_ != nullptr && mask_.Matches(omega);
-    if (!reusable) {
-      coo_ = MakeSharedPattern(omega, options_.with_mode_buckets);
-      mask_ = SparseMask::FromCoo(*coo_);
-      ++pattern_builds_;
-    } else {
-      ++pattern_reuses_;
-    }
+    coo_ = MakeSharedPattern(omega, options_.with_mode_buckets);
+    ++pattern_builds_;
   }
   coo_->GatherInto(y, &values_);
 }

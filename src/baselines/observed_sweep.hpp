@@ -10,7 +10,6 @@
 #include "tensor/dense_tensor.hpp"
 #include "tensor/mask.hpp"
 #include "tensor/sparse_kernels.hpp"
-#include "tensor/sparse_mask.hpp"
 #include "util/parallel.hpp"
 
 /// \file observed_sweep.hpp
@@ -30,8 +29,8 @@
 ///
 /// - a mask-reuse pattern cache: the CooList depends only on the mask, so
 ///   identical consecutive masks (fixed sensor outages) skip the rebuild —
-///   the only O(volume) term of a step — for an O(|Ω_t|) SparseMask
-///   compare;
+///   the only O(volume) term of a step — for an O(|Ω_t|)
+///   CooList::SameObservedSet compare;
 /// - shared patterns: comparison runners that drive several methods through
 ///   the same stream build each slice's CooList once (MakeSharedPattern) and
 ///   hand it to every method's BeginStep;
@@ -154,12 +153,10 @@ class ObservedSweep {
   WorkerPool* Pool() const;
 
   ObservedSweepOptions options_;
+  // The bound pattern, and the mask-reuse cache: the next step reuses it
+  // when its mask has the same observed set.
   std::shared_ptr<const CooList> coo_;
   std::vector<double> values_;
-  // Mask-reuse cache as a SparseMask: O(|Ω|) storage and compare instead
-  // of the dense indicator's O(volume) bytes (see tensor/sparse_mask.hpp);
-  // default-constructed it is invalid and Matches() nothing.
-  SparseMask mask_;
   size_t pattern_builds_ = 0;
   size_t pattern_reuses_ = 0;
   std::shared_ptr<WorkerPool> pool_;

@@ -7,7 +7,6 @@
 #include "obs/obs.hpp"
 #include "tensor/kruskal.hpp"
 #include "tensor/sparse_kernels.hpp"
-#include "tensor/sparse_mask.hpp"
 #include "timeseries/hw_fit.hpp"
 #include "util/check.hpp"
 #include "util/shard_executor.hpp"
@@ -134,9 +133,7 @@ const CooList& SofiaModel::StepPattern(const Mask& omega,
   if (shared != nullptr) {
     SOFIA_CHECK(shared->shape() == omega.shape());
     step_coo_ = std::move(shared);
-  } else if (step_coo_ != nullptr &&
-             SameObservedSet(step_coo_->shape(), step_coo_->LinearIndices(),
-                             omega)) {
+  } else if (step_coo_ != nullptr && step_coo_->SameObservedSet(omega)) {
     ++step_pattern_reuses_;
   } else {
     // The fused step walks records in order and never reads mode buckets.

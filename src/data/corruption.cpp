@@ -10,17 +10,13 @@ namespace sofia {
 
 namespace {
 
-/// Prime each mask's observed-count and content-hash caches at generation
-/// time, where the O(volume) pass folds into building the mask anyway.
-/// The streaming loops' mask-reuse checks (SparseMask::Matches needs the
-/// count; Mask::operator== uses count + hash for its O(1) rejects) then
+/// Prime each mask's observed-count cache at generation time, where the
+/// O(volume) pass folds into building the mask anyway. The streaming
+/// loops' mask-reuse checks (CooList::SameObservedSet needs the count) then
 /// stay O(|Ω|) per step — a stream whose masks arrive cold would instead
 /// pay one full bit scan per step object inside the step loop.
 void PrimeMaskCaches(CorruptedStream* stream) {
-  for (const Mask& m : stream->masks) {
-    m.CountObserved();
-    m.ContentHash();
-  }
+  for (const Mask& m : stream->masks) m.CountObserved();
 }
 
 }  // namespace

@@ -17,13 +17,11 @@ namespace {
 constexpr uint64_t kOutageSalt = 0x0a17a6eULL;
 constexpr uint64_t kBurstSalt = 0x0b1257ULL;
 
-/// Re-prime the mask caches after post-Corrupt() mutations (the Set()s
-/// invalidate them); same rationale as the corruption builders.
+/// Re-prime the masks' observed-count caches after post-Corrupt()
+/// mutations (the Set()s invalidate them); same rationale as the
+/// corruption builders.
 void PrimeMaskCaches(CorruptedStream* stream) {
-  for (const Mask& m : stream->masks) {
-    m.CountObserved();
-    m.ContentHash();
-  }
+  for (const Mask& m : stream->masks) m.CountObserved();
 }
 
 /// Markov bursty outages: each mode-0 row is an up/down chain; down rows

@@ -22,9 +22,9 @@
 ///  - kBurstyOutage: every mode-0 row (sensor) follows a two-state Markov
 ///    chain (up -> down with `outage_fail_prob`, down -> up with
 ///    `outage_recover_prob`); down rows are fully missing. The drifting
-///    masks exercise the runner's SparseMask delta path under realistic
-///    churn — `outage_flips` records the per-step flip counts so tests can
-///    pin the delta telemetry to the generated churn exactly.
+///    masks exercise the runner's pattern rebuilds under realistic churn —
+///    `outage_flips` records the per-step flip counts so tests can pin the
+///    mask churn to the generated chain exactly.
 ///  - kRegimeChange: at step `regime_step` the ground truth's amplitude
 ///    scales by `regime_amplitude` — a mid-stream seasonal regime change
 ///    that invalidates every learned level/season. Scoring targets the

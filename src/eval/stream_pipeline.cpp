@@ -94,16 +94,9 @@ uint64_t StreamPipeline::LaneArenaGrowth() const {
 
 void StreamPipeline::Ingest(size_t t) {
   const Mask& omega = stream_.masks[t];
-  if (!cache_mask_.valid() || !cache_mask_.Matches(omega)) {
+  if (cache_pattern_ == nullptr || !cache_pattern_->SameObservedSet(omega)) {
     cache_pattern_ = MakeSharedPattern(omega);
     cache_eval_ = BuildEvalPattern(*cache_pattern_, options_.max_eval_entries);
-    SparseMask next = SparseMask::FromCoo(*cache_pattern_);
-    // Rebuild telemetry: how far did the mask actually move? (The first
-    // build has no predecessor and logs no delta.)
-    if (cache_mask_.valid()) {
-      pattern_delta_sizes_.push_back(cache_mask_.DeltaSize(next));
-    }
-    cache_mask_ = std::move(next);
     ++pattern_builds_;
   } else {
     ++pattern_reuses_;
@@ -124,12 +117,10 @@ std::vector<MethodRunResult> StreamPipeline::Run(
 
   // Fresh cache + telemetry per Run; the executor and the per-method pools
   // (and their warm arenas) persist across calls.
-  cache_mask_ = SparseMask();
   cache_pattern_.reset();
   cache_eval_.reset();
   pattern_builds_ = 0;
   pattern_reuses_ = 0;
-  pattern_delta_sizes_.clear();
   telemetry_ = PipelineTelemetry{};
   telemetry_.workers = executor_->num_threads();
   telemetry_.steps = total;
@@ -258,7 +249,6 @@ std::vector<MethodRunResult> StreamPipeline::Run(
     // the same rebuild + pipeline telemetry.
     out[m].run.pattern_builds = pattern_builds_;
     out[m].run.pattern_reuses = pattern_reuses_;
-    out[m].run.pattern_delta_sizes = pattern_delta_sizes_;
     out[m].run.pipeline = telemetry_;
     AttachGuardTelemetry(methods[m], &out[m].run);
     methods[m]->AdoptWorkerPool(nullptr);

@@ -9,7 +9,6 @@
 #include "eval/stream_runner.hpp"
 #include "eval/streaming_method.hpp"
 #include "tensor/coo_list.hpp"
-#include "tensor/sparse_mask.hpp"
 #include "util/shard_executor.hpp"
 
 /// \file stream_pipeline.hpp
@@ -112,12 +111,10 @@ class StreamPipeline {
   SliceIngest ingest_;
 
   // Shared pattern cache, advanced only by ingest, on the calling thread.
-  SparseMask cache_mask_;
   std::shared_ptr<const CooList> cache_pattern_;
   std::shared_ptr<const CooList> cache_eval_;
   size_t pattern_builds_ = 0;
   size_t pattern_reuses_ = 0;
-  std::vector<size_t> pattern_delta_sizes_;
 
   // Lane executor: one task per method per slice.
   std::unique_ptr<ShardExecutor> executor_;

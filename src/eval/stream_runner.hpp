@@ -89,14 +89,9 @@ struct StreamRunResult {
   // Pattern-rebuild telemetry of the comparison runner's shared per-mask
   // cache (identical for every method of a run — the cache is shared).
   // Steady-state streams (fixed sensor outages) show builds == 1 and
-  // reuses == steps - 1; mask churn is no longer silent: every rebuild
-  // after the first logs how far the mask actually moved.
+  // reuses == steps - 1.
   size_t pattern_builds = 0;   ///< Shared pattern compactions performed.
   size_t pattern_reuses = 0;   ///< Steps served by the cached pattern.
-  /// |Ω_prev Δ Ω_new| of every rebuild after the first (one entry per
-  /// rebuild) — the bitmap delta between the outgoing and incoming masks,
-  /// computed by an O(|Ω_prev| + |Ω_new|) merge walk.
-  std::vector<size_t> pattern_delta_sizes;
 
   // Fault-tolerance telemetry, populated when the method is a StreamGuard
   // wrapper. `guarded` distinguishes an unguarded run from a guarded run

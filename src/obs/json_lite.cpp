@@ -30,9 +30,15 @@ std::string JsonValue::StringOr(const std::string& key,
 
 namespace {
 
+/// Deepest array/object nesting ParseJson accepts. The trace and metrics
+/// writers nest a handful of levels; the bound keeps the recursive descent
+/// from overflowing the stack on a malformed or hostile file.
+constexpr size_t kMaxJsonDepth = 512;
+
 struct Parser {
   const std::string& text;
   size_t pos = 0;
+  size_t depth = 0;  ///< Arrays and objects currently open.
   std::string error;
 
   bool Fail(const std::string& what) {
@@ -96,8 +102,13 @@ struct Parser {
     SkipWs();
     if (pos >= text.size()) return Fail("unexpected end of input");
     const char c = text[pos];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth == kMaxJsonDepth) return Fail("nesting too deep");
+      ++depth;
+      const bool ok = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth;
+      return ok;
+    }
     if (c == '"') {
       out->type = JsonValue::Type::kString;
       return ParseString(&out->string);

@@ -47,6 +47,8 @@ class JsonValue {
 
 /// Parses one JSON document from `text`. On failure returns false and
 /// describes the problem (with byte offset) in *error when non-null.
+/// Arrays and objects nested more than 512 deep fail with "nesting too
+/// deep".
 bool ParseJson(const std::string& text, JsonValue* out,
                std::string* error = nullptr);
 

@@ -94,13 +94,13 @@ void CooList::FinishFromLinear(bool with_mode_buckets) {
   }
 }
 
-CooList CooList::BuildForMode(const Mask& omega, size_t mode) {
-  CooList coo = Build(omega, /*with_mode_buckets=*/false);
-  SOFIA_CHECK_LT(mode, coo.order_);
-  coo.mode_order_.resize(coo.order_);
-  coo.slice_ptr_.resize(coo.order_);
-  BucketMode(coo, mode, &coo.slice_ptr_[mode], &coo.mode_order_[mode]);
-  return coo;
+bool CooList::SameObservedSet(const Mask& omega) const {
+  if (!(shape_ == omega.shape())) return false;
+  if (omega.CountObserved() != linear_.size()) return false;
+  for (size_t idx : linear_) {
+    if (!omega.Get(idx)) return false;
+  }
+  return true;
 }
 
 std::vector<double> CooList::Gather(const DenseTensor& x) const {

@@ -42,16 +42,23 @@ class CooList {
   static CooList Build(const Mask& omega, bool with_mode_buckets = true);
 
   /// Build directly from already-sorted ascending linear indices — O(|Ω|
-  /// order), no dense scan. This is the SparseMask → kernel-layer
-  /// conversion and the |Ω|-scaling eval-pattern build of the comparison
-  /// runner (which derives its held-out picks from the observed pattern's
-  /// gaps instead of re-walking the index space).
+  /// order), no dense scan. This is how observed-only input (a decoded
+  /// `.slices` record) reaches the kernel layer, and the |Ω|-scaling
+  /// eval-pattern build of the comparison runner (which derives its
+  /// held-out picks from the observed pattern's gaps instead of re-walking
+  /// the index space).
   static CooList FromIndices(const Shape& shape, std::vector<size_t> sorted,
                              bool with_mode_buckets = true);
 
-  /// Like Build, but buckets only the given mode — for one-shot kernels
-  /// (e.g. a single MaskedMttkrp) that never read the other modes' tables.
-  static CooList BuildForMode(const Mask& omega, size_t mode);
+  /// Whether `omega` has this list's shape and exactly its observed set —
+  /// the question every mask-reuse cache asks of its cached pattern. The
+  /// count comparison rules out extra entries, then the record walk checks
+  /// each record is observed: equal sizes plus containment is equality,
+  /// and the walk never touches the volume − |Ω| unobserved entries.
+  /// O(|Ω|) when omega's observed count is already cached; a cold mask pays
+  /// its one CountObserved() scan here, so stream producers prime the count
+  /// at generation time (Corrupt() does).
+  bool SameObservedSet(const Mask& omega) const;
 
   /// True if mode `mode`'s slice bucket was built (required by the
   /// slice-parallel kernels CooMttkrp / CooRowSystems on that mode).

@@ -1,56 +1,16 @@
 #include "tensor/mask.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "util/check.hpp"
 
 namespace sofia {
 
-namespace {
-/// Full byte-scan equality compares (the O(volume) operator== fallback).
-std::atomic<size_t> g_deep_equality_scans{0};
-}  // namespace
-
 Mask::Mask(Shape shape, bool observed)
     : shape_(std::move(shape)),
       bits_(shape_.NumElements(), observed ? 1 : 0),
       count_(observed ? bits_.size() : 0) {}
-
-uint64_t Mask::ContentHash() const {
-  if (!hash_valid_) {
-    // FNV-1a over the indicator bytes: cheap, order-sensitive, and stable
-    // across processes (no seeding) so hashes are comparable anywhere.
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : bits_) {
-      h ^= b;
-      h *= 1099511628211ull;
-    }
-    hash_ = h;
-    hash_valid_ = true;
-  }
-  return hash_;
-}
-
-bool Mask::operator==(const Mask& other) const {
-  if (!(shape_ == other.shape_)) return false;
-  if (count_ != kCountUnknown && other.count_ != kCountUnknown &&
-      count_ != other.count_) {
-    return false;
-  }
-  if (hash_valid_ && other.hash_valid_ && hash_ != other.hash_) return false;
-  g_deep_equality_scans.fetch_add(1, std::memory_order_relaxed);
-  return bits_ == other.bits_;
-}
-
-size_t Mask::deep_equality_scans() {
-  return g_deep_equality_scans.load(std::memory_order_relaxed);
-}
-
-void Mask::ResetDeepEqualityScans() {
-  g_deep_equality_scans.store(0, std::memory_order_relaxed);
-}
 
 size_t Mask::CountObserved() const {
   if (count_ == kCountUnknown) {
@@ -105,7 +65,6 @@ Mask Mask::StackSlices(const std::vector<Mask>& slices) {
               out.bits_.begin() + t * slice_elems);
   }
   out.count_ = kCountUnknown;  // Bits were written behind Set()'s back.
-  out.hash_valid_ = false;
   return out;
 }
 
@@ -119,7 +78,6 @@ Mask Mask::SliceLastMode(size_t t) const {
   std::copy(bits_.begin() + t * slice_elems,
             bits_.begin() + (t + 1) * slice_elems, out.bits_.begin());
   out.count_ = kCountUnknown;  // Bits were written behind Set()'s back.
-  out.hash_valid_ = false;
   return out;
 }
 

@@ -25,7 +25,6 @@ class Mask {
   void Set(size_t linear, bool observed) {
     bits_[linear] = observed ? 1 : 0;
     count_ = kCountUnknown;
-    hash_valid_ = false;
   }
 
   bool At(const std::vector<size_t>& idx) const {
@@ -54,31 +53,11 @@ class Mask {
   /// Slice of the trailing mode (mirrors DenseTensor::SliceLastMode).
   Mask SliceLastMode(size_t t) const;
 
-  /// 64-bit hash of the observed set (FNV-1a over the indicator bytes).
-  /// Computed once and cached; any Set() invalidates the cache. Equal masks
-  /// always hash equal; unequal masks collide with probability ~2^-64.
-  /// The operator== fast path below only fires when *both* sides carry a
-  /// cached hash, so producers of long-lived masks should prime it once at
-  /// construction time (the corruption stream builders do).
-  uint64_t ContentHash() const;
-
-  /// Same shape and same observed set. Two O(1) rejects run before the
-  /// element scan whenever both sides carry the corresponding cache:
-  /// unequal observed counts (any prior CountObserved() on a frozen mask),
-  /// then unequal content hashes (any prior ContentHash()) — so masks that
-  /// differ only near the end of the index space, which the count check
-  /// cannot separate, still reject without the almost-full byte scan. Only
-  /// masks that actually match (or collide, ~2^-64) pay the byte compare.
-  bool operator==(const Mask& other) const;
+  /// Same shape and same observed set (a full indicator compare).
+  bool operator==(const Mask& other) const {
+    return shape_ == other.shape_ && bits_ == other.bits_;
+  }
   bool operator!=(const Mask& other) const { return !(*this == other); }
-
-  /// Process-wide count of full byte-scan equality compares (the O(volume)
-  /// fallback of operator==). The steady-state streaming loops hold their
-  /// mask caches as SparseMask and must keep this flat — test-pinned in
-  /// tests/stream_pipeline_test.cc, mirroring
-  /// StepResult::materializations().
-  static size_t deep_equality_scans();
-  static void ResetDeepEqualityScans();
 
  private:
   /// Sentinel for "observed count not computed yet".
@@ -87,8 +66,6 @@ class Mask {
   Shape shape_;
   std::vector<uint8_t> bits_;
   mutable size_t count_ = kCountUnknown;  ///< CountObserved() cache.
-  mutable uint64_t hash_ = 0;             ///< ContentHash() cache.
-  mutable bool hash_valid_ = false;
 };
 
 }  // namespace sofia

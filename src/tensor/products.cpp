@@ -81,7 +81,7 @@ Matrix Mttkrp(const DenseTensor& x, const std::vector<Matrix>& factors,
 Matrix MaskedMttkrp(const DenseTensor& x, const Mask& omega,
                     const std::vector<Matrix>& factors, size_t mode) {
   SOFIA_CHECK(omega.shape() == x.shape());
-  const CooList coo = CooList::BuildForMode(omega, mode);
+  const CooList coo = CooList::Build(omega);
   return CooMttkrp(coo, coo.Gather(x), factors, mode);
 }
 

@@ -4,13 +4,65 @@
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "obs/obs.hpp"
 
 namespace sofia {
 
+/// A worker thread that outlives its executor: ~ShardExecutor parks it, and
+/// new executors take the last parked first, so worker w keeps the thread of
+/// the last executor's worker w, and with it the malloc arena holding what
+/// that thread freed. Pipeline after pipeline, a lane reuses its own memory.
+struct WorkerThread {
+  std::mutex mutex;
+  std::condition_variable wake;
+  std::function<void()> body;
+  bool busy = false;  ///< body handed over and not yet returned.
+};
+
 namespace {
+
+std::mutex g_parked_mutex;
+std::vector<WorkerThread*>& Parked() {
+  static auto* parked = new std::vector<WorkerThread*>;  // Never freed.
+  return *parked;
+}
+
+void Serve(WorkerThread* self) {
+  std::unique_lock<std::mutex> lock(self->mutex);
+  for (;;) {
+    self->wake.wait(lock, [&] { return self->busy; });
+    lock.unlock();
+    self->body();
+    lock.lock();
+    self->busy = false;
+    self->wake.notify_all();
+  }
+}
+
+/// Runs `body` on the last parked thread, or on a new one.
+WorkerThread* StartWorker(std::function<void()> body) {
+  std::unique_lock<std::mutex> parked(g_parked_mutex);
+  WorkerThread* worker = Parked().empty() ? nullptr : Parked().back();
+  if (worker != nullptr) Parked().pop_back();
+  parked.unlock();
+  if (worker == nullptr) std::thread(Serve, worker = new WorkerThread).detach();
+  std::lock_guard<std::mutex> lock(worker->mutex);
+  worker->body = std::move(body);
+  worker->busy = true;
+  worker->wake.notify_all();
+  return worker;
+}
+
+/// Waits for the worker's body to return, then parks the worker.
+void ParkWorker(WorkerThread* worker) {
+  std::unique_lock<std::mutex> lock(worker->mutex);
+  worker->wake.wait(lock, [&] { return !worker->busy; });
+  std::lock_guard<std::mutex> parked(g_parked_mutex);
+  Parked().push_back(worker);
+}
 
 /// How long a thread polls for the next hand-off (a worker for the next
 /// batch, the caller for the end of its batch) before parking on a
@@ -155,7 +207,7 @@ ShardExecutor::ShardExecutor(size_t num_threads) {
   const size_t n = num_threads == 0 ? 1 : num_threads;
   workers_.reserve(n - 1);
   for (size_t i = 0; i + 1 < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i + 1); });
+    workers_.push_back(StartWorker([this, i] { WorkerLoop(i + 1); }));
   }
 }
 
@@ -166,13 +218,14 @@ ShardExecutor::~ShardExecutor() {
     aux_stop_ = true;
   }
   aux_ready_.notify_all();
-  if (aux_thread_.joinable()) aux_thread_.join();
+  if (aux_thread_ != nullptr) ParkWorker(aux_thread_);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
   work_ready_.notify_all();
-  for (std::thread& w : workers_) w.join();
+  // Last parked, first taken: worker 1's thread goes back on top.
+  for (size_t w = workers_.size(); w-- > 0;) ParkWorker(workers_[w]);
 }
 
 std::pair<size_t, size_t> ShardExecutor::OwnedRange(size_t num_tasks,
@@ -281,7 +334,7 @@ void ShardExecutor::AuxLoop() {
       metrics.queue_depth->Set(static_cast<double>(aux_queue_.size()));
     }
     {
-      // Aux jobs are rare (window prefetch, checkpoint serialization), so
+      // Aux jobs are rare (guard checkpoint serialization, durable IO), so
       // their spans are always recorded when a trace session is active.
       obs::ObsSpan span("executor.aux.job", metrics.busy_us);
       job();
@@ -297,9 +350,8 @@ void ShardExecutor::AuxLoop() {
 
 uint64_t ShardExecutor::Submit(std::function<void()> job) {
   std::unique_lock<std::mutex> lock(aux_mutex_);
-  if (!aux_started_) {
-    aux_started_ = true;
-    aux_thread_ = std::thread([this] { AuxLoop(); });
+  if (aux_thread_ == nullptr) {
+    aux_thread_ = StartWorker([this] { AuxLoop(); });
   }
   aux_queue_.push_back(std::move(job));
   Aux().queue_depth->Set(static_cast<double>(aux_queue_.size()));

@@ -8,7 +8,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "util/parallel.hpp"
@@ -38,15 +37,17 @@
 ///  - per-slot ScratchArena buffers, so kernels' blocked-reduction scratch
 ///    is allocation-free in steady state (growth is counter-pinned);
 ///  - an auxiliary lane: a dedicated background thread running FIFO jobs
-///    (Submit/Wait tickets). The streaming pipeline uses it to overlap
-///    slice t+1's ingest (pattern build) and StreamGuard's
-///    checkpoint serialization with slice t's compute;
+///    (Submit/Wait tickets). StreamGuard serializes its ring checkpoints
+///    there, and DurableGuard runs its journal and snapshot IO there, so
+///    both overlap the next slices' compute;
 ///  - spin-then-park hand-offs: a worker that finished a batch, and a Run
 ///    caller waiting for its batch to finish, poll for up to 2 ms before
 ///    sleeping on a condition variable, so back-to-back batches do not pay
 ///    a thread wake-up each.
 
 namespace sofia {
+
+struct WorkerThread;
 
 /// Slot-keyed reusable scratch buffers. A slot identifies a *purpose*
 /// (e.g. "MTTKRP slab partials"); the buffer behind each slot grows
@@ -81,7 +82,7 @@ constexpr size_t kPaddedRows = 1;      // Row-system kernels' padded factors.
 constexpr size_t kFirstFreeSlot = 8;
 }  // namespace arena_slots
 
-/// Persistent sharded executor. `ShardExecutor(n)` spawns n-1 worker
+/// Persistent sharded executor. `ShardExecutor(n)` runs n-1 recycled worker
 /// threads; the Run caller acts as worker 0 and owns the first task block.
 ///
 /// Partition: with T tasks and W threads, worker w executes the contiguous
@@ -116,7 +117,7 @@ class ShardExecutor : public WorkerPool {
 
   // --- Auxiliary lane -----------------------------------------------------
 
-  /// Enqueue a background job on the aux thread (spawned lazily on first
+  /// Enqueue a background job on the aux thread (taken lazily on first
   /// Submit). Jobs run FIFO, one at a time, concurrently with Run batches.
   /// Returns a ticket; Wait(ticket) blocks until that job has finished.
   uint64_t Submit(std::function<void()> job);
@@ -136,7 +137,7 @@ class ShardExecutor : public WorkerPool {
   void RunOwnedBlock(size_t w);
   void AuxLoop();
 
-  std::vector<std::thread> workers_;
+  std::vector<WorkerThread*> workers_;
   ScratchArena caller_arena_;
 
   // Compute-lane batch state (each worker's range is fixed by the
@@ -158,8 +159,7 @@ class ShardExecutor : public WorkerPool {
   std::mutex aux_mutex_;
   std::condition_variable aux_ready_;
   std::condition_variable aux_done_;
-  std::thread aux_thread_;
-  bool aux_started_ = false;
+  WorkerThread* aux_thread_ = nullptr;
   bool aux_stop_ = false;
   std::deque<std::function<void()>> aux_queue_;
   uint64_t aux_submitted_ = 0;

@@ -71,73 +71,34 @@ TEST(MaskTest, CountCacheTracksMutation) {
   EXPECT_EQ(m.CountObserved(), 2u);
 }
 
-TEST(MaskTest, ContentHashTracksMutationAndMatchesEquality) {
-  Mask a(Shape({4, 4}), false);
-  Mask b(Shape({4, 4}), false);
-  a.Set(3, true);
-  b.Set(3, true);
-  EXPECT_EQ(a.ContentHash(), b.ContentHash());  // Equal masks hash equal.
-  const uint64_t before = a.ContentHash();
-  a.Set(7, true);
-  EXPECT_NE(a.ContentHash(), before);  // Set() invalidates the cache.
-  a.Set(7, false);
-  EXPECT_EQ(a.ContentHash(), before);  // Content-determined, not history.
-  EXPECT_NE(a.ContentHash(), Mask(Shape({4, 4}), false).ContentHash());
-}
-
-TEST(MaskTest, HashRejectsLateMismatchWithoutDeepScan) {
-  // Two same-count masks differing only in their last entries: the count
-  // check cannot separate them, and the byte compare would scan almost the
-  // whole volume before failing. With both content hashes cached the
-  // compare rejects in O(1) — pinned via the deep-scan counter.
-  Mask a(Shape({64, 64}), false);
-  Mask b(Shape({64, 64}), false);
-  a.Set(0, true);
-  a.Set(64 * 64 - 1, true);
-  b.Set(0, true);
-  b.Set(64 * 64 - 2, true);
-  EXPECT_EQ(a.CountObserved(), b.CountObserved());  // Prime the counts.
-  a.ContentHash();                                  // Prime the hashes.
-  b.ContentHash();
-  Mask::ResetDeepEqualityScans();
-  EXPECT_TRUE(a != b);
-  EXPECT_EQ(Mask::deep_equality_scans(), 0u);
-  // Genuinely equal masks still pay (exactly) the one confirming scan.
-  Mask c = a;
-  c.ContentHash();
-  EXPECT_TRUE(a == c);
-  EXPECT_EQ(Mask::deep_equality_scans(), 1u);
-  // Uncached hashes fall back to the byte scan rather than computing
-  // full-volume hashes inside the compare.
-  Mask d(Shape({64, 64}), false);
-  Mask e(Shape({64, 64}), false);
-  d.Set(5, true);
-  e.Set(6, true);
-  Mask::ResetDeepEqualityScans();
-  EXPECT_TRUE(d != e);
-  EXPECT_EQ(Mask::deep_equality_scans(), 1u);
-}
-
-TEST(MaskTest, EqualityEarlyExitsOnCachedCounts) {
-  // Masks with cached, different observed counts must compare unequal
-  // (the O(1) reject of the mask-reuse caches) — and equal-count masks
-  // still fall through to the exact byte comparison.
+TEST(MaskTest, EqualityComparesShapeAndObservedSet) {
+  // Different counts, equal counts with different support, and different
+  // shapes all compare unequal; clearing the extra entry restores equality.
   Mask a(Shape({8, 8}), false);
   Mask b(Shape({8, 8}), false);
   a.Set(0, true);
   b.Set(0, true);
   b.Set(1, true);
-  EXPECT_EQ(a.CountObserved(), 1u);  // Prime both caches.
+  EXPECT_EQ(a.CountObserved(), 1u);
   EXPECT_EQ(b.CountObserved(), 2u);
   EXPECT_TRUE(a != b);
   b.Set(1, false);
   EXPECT_TRUE(a == b);
-  // Same count, different support: the byte scan must still catch it.
+  // Same count, different support.
   Mask c(Shape({8, 8}), false);
   c.Set(5, true);
   EXPECT_EQ(c.CountObserved(), 1u);
   EXPECT_TRUE(a != c);
-  // Shape mismatch rejects before anything else.
+  // Same count, supports differing only in the last two entries.
+  Mask d(Shape({8, 8}), false);
+  Mask e(Shape({8, 8}), false);
+  d.Set(0, true);
+  d.Set(63, true);
+  e.Set(0, true);
+  e.Set(62, true);
+  EXPECT_TRUE(d != e);
+  EXPECT_TRUE(d == Mask(d));
+  // Shape mismatch.
   EXPECT_TRUE(a != Mask(Shape({8, 9}), false));
 }
 

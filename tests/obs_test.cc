@@ -271,6 +271,29 @@ TEST_F(ObsTest, JsonLiteParsesAndRejects) {
   EXPECT_EQ(value.NumberOr("n", 0.0), 2.0);
 }
 
+TEST_F(ObsTest, JsonLiteRejectsDeepNestingWithoutOverflow) {
+  // A malformed trace of 10^5 nested openers must fail cleanly rather than
+  // recurse once per level until the stack overflows.
+  JsonValue value;
+  std::string error;
+  const size_t kDeep = 100000;
+  EXPECT_FALSE(ParseJson(std::string(kDeep, '['), &value, &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  std::string objects;
+  for (size_t i = 0; i < kDeep; ++i) objects += "{\"a\":";
+  error.clear();
+  EXPECT_FALSE(ParseJson(objects, &value, &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+
+  // The bound is 512 levels: 512 parse, 513 do not.
+  EXPECT_TRUE(ParseJson(std::string(512, '[') + std::string(512, ']'),
+                        &value, &error))
+      << error;
+  EXPECT_FALSE(ParseJson(std::string(513, '[') + std::string(513, ']'),
+                         &value, &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+}
+
 TEST_F(ObsTest, ReportChecksCoverageBounds) {
   const char* good = R"({"counters": {
     "time.pipeline.wall_us": 1000, "time.pipeline.init_us": 100,

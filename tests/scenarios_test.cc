@@ -1,9 +1,9 @@
 // The adversarial scenario generators (data/scenarios.hpp):
 //  - same (truth, options, seed) => bitwise-identical streams, including
 //    the NaN payloads of garbage slices (memcmp-pinned);
-//  - bursty-outage mask churn matches the recorded Markov flip counts, and
-//    the comparison runner's SparseMask delta telemetry reports exactly
-//    flips x row-volume per rebuild;
+//  - bursty-outage mask churn is exactly the recorded Markov flip counts x
+//    row-volume per step, and the comparison runner rebuilds its pattern
+//    on exactly the steps whose mask moved;
 //  - regime change transforms the scoring truth from the change point on;
 //  - structured outliers are whole-row, constant-offset bursts;
 //  - garbage slices alternate NaN and huge-finite payloads at the recorded
@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "baselines/online_sgd.hpp"
@@ -86,7 +88,7 @@ TEST(ScenariosTest, SameSeedIsBitwiseIdenticalForEveryScenario) {
   }
 }
 
-TEST(ScenariosTest, OutageFlipsMatchMaskChurnAndRunnerDeltaTelemetry) {
+TEST(ScenariosTest, OutageFlipsMatchMaskChurnAndRunnerRebuilds) {
   std::vector<DenseTensor> truth = MakeTruth(24, 181);
   ScenarioOptions options;
   // Pure outages: no element-wise missingness, so the mask delta between
@@ -105,19 +107,27 @@ TEST(ScenariosTest, OutageFlipsMatchMaskChurnAndRunnerDeltaTelemetry) {
   // Row volume of mode 0: a 6x5 slice changes 5 entries per flipped row.
   const size_t row_volume = truth[0].shape().NumElements() /
                             truth[0].shape().dim(0);
-  std::vector<size_t> expected_deltas;
+  size_t churn_steps = 0;
   for (size_t t = 1; t < scenario.outage_flips.size(); ++t) {
-    if (scenario.outage_flips[t] > 0) {
-      expected_deltas.push_back(scenario.outage_flips[t] * row_volume);
-    }
+    const std::vector<size_t> before =
+        scenario.stream.masks[t - 1].ObservedIndices();
+    const std::vector<size_t> after =
+        scenario.stream.masks[t].ObservedIndices();
+    std::vector<size_t> delta;
+    std::set_symmetric_difference(before.begin(), before.end(),
+                                  after.begin(), after.end(),
+                                  std::back_inserter(delta));
+    EXPECT_EQ(delta.size(), scenario.outage_flips[t] * row_volume)
+        << "mask churn disagrees with the Markov flips at step " << t;
+    if (scenario.outage_flips[t] > 0) ++churn_steps;
   }
 
   OnlineSgd method(OnlineSgdOptions{.rank = 3});
   std::vector<StreamingMethod*> methods = {&method};
   std::vector<MethodRunResult> results = RunImputationComparison(
       methods, scenario.stream, scenario.truth);
-  EXPECT_EQ(results[0].run.pattern_delta_sizes, expected_deltas)
-      << "runner mask-delta telemetry disagrees with the Markov churn";
+  EXPECT_EQ(results[0].run.pattern_builds, 1 + churn_steps)
+      << "the runner must rebuild on exactly the steps whose mask moved";
   EXPECT_EQ(results[0].run.pattern_builds + results[0].run.pattern_reuses,
             truth.size());
 }

@@ -117,6 +117,41 @@ TEST(ShardExecutorTest, SingleThreadRunsInline) {
   for (const auto& id : owner) EXPECT_EQ(id, std::this_thread::get_id());
 }
 
+/// A number no other thread of the process ever gets (std::thread::id
+/// values can repeat once a thread has ended).
+uint64_t ThreadSerial() {
+  static std::atomic<uint64_t> next{0};
+  thread_local const uint64_t serial = next++;
+  return serial;
+}
+
+TEST(ShardExecutorTest, NextExecutorRunsEachWorkerOnTheSameThread) {
+  // ~ShardExecutor parks its threads and the next executor takes them back
+  // in worker order, so worker w keeps its thread (and the thread's malloc
+  // arena) from one executor to the next.
+  const auto workers = [] {
+    ShardExecutor executor(4);
+    std::vector<uint64_t> owner(4);
+    executor.Run(4, [&](size_t t) { owner[t] = ThreadSerial(); });
+    return owner;
+  };
+  const std::vector<uint64_t> first = workers();
+  EXPECT_EQ(workers(), first);
+  for (size_t w = 1; w < first.size(); ++w) {
+    EXPECT_NE(first[w], ThreadSerial()) << "worker " << w;
+  }
+  // The aux thread is recycled the same way.
+  const auto aux = [] {
+    ShardExecutor executor(1);
+    uint64_t serial = 0;
+    executor.Wait(executor.Submit([&] { serial = ThreadSerial(); }));
+    return serial;
+  };
+  const uint64_t aux_serial = aux();
+  EXPECT_EQ(aux(), aux_serial);
+  EXPECT_NE(aux_serial, ThreadSerial());
+}
+
 TEST(ShardExecutorTest, NestedHandOffsCountOnlyDispatchFromInsideATask) {
   // A top-level multi-thread batch and an inline nested one are not nested
   // parallelism; a multi-thread Run from inside a task is, whatever the

@@ -80,21 +80,85 @@ TEST(CooListTest, SliceBucketsPartitionRecords) {
   }
 }
 
-TEST(CooListTest, BuildForModeBucketsOnlyThatMode) {
+TEST(CooListTest, ModeBucketsAreOptional) {
   Rng rng(304);
   Shape shape({4, 6, 3});
   Mask omega = RandomMask(shape, 0.4, rng);
   CooList full = CooList::Build(omega);
   CooList records = CooList::Build(omega, /*with_mode_buckets=*/false);
-  CooList one = CooList::BuildForMode(omega, 1);
   for (size_t mode = 0; mode < shape.order(); ++mode) {
     EXPECT_TRUE(full.has_mode_bucket(mode));
     EXPECT_FALSE(records.has_mode_bucket(mode));
-    EXPECT_EQ(one.has_mode_bucket(mode), mode == 1);
   }
-  EXPECT_EQ(one.ModeOrder(1), full.ModeOrder(1));
-  EXPECT_EQ(one.SlicePtr(1), full.SlicePtr(1));
   EXPECT_EQ(records.nnz(), full.nnz());
+  EXPECT_EQ(records.LinearIndices(), full.LinearIndices());
+}
+
+TEST(CooListTest, FromIndicesMatchesDenseBuild) {
+  // The |Ω|-scaling construction path must produce the identical
+  // structure (records, coords, buckets) as the dense-mask build.
+  Rng rng(306);
+  Mask omega = RandomMask(Shape({4, 3, 5}), 0.25, rng);
+  CooList dense_built = CooList::Build(omega);
+  CooList from_idx =
+      CooList::FromIndices(omega.shape(), omega.ObservedIndices());
+  ASSERT_EQ(from_idx.nnz(), dense_built.nnz());
+  EXPECT_EQ(from_idx.LinearIndices(), dense_built.LinearIndices());
+  for (size_t k = 0; k < from_idx.nnz(); ++k) {
+    for (size_t n = 0; n < from_idx.order(); ++n) {
+      EXPECT_EQ(from_idx.Index(k, n), dense_built.Index(k, n));
+    }
+  }
+  for (size_t n = 0; n < from_idx.order(); ++n) {
+    EXPECT_EQ(from_idx.ModeOrder(n), dense_built.ModeOrder(n));
+    EXPECT_EQ(from_idx.SlicePtr(n), dense_built.SlicePtr(n));
+  }
+}
+
+TEST(CooListTest, SameObservedSetRejectsSubsetsAndSupersets) {
+  // Equal count + containment is the equality proof SameObservedSet relies
+  // on; strict subsets and supersets must both reject.
+  Mask omega(Shape({4, 4}), false);
+  omega.Set(1, true);
+  omega.Set(9, true);
+  CooList coo = CooList::Build(omega);
+
+  Mask superset = omega;
+  superset.Set(12, true);
+  EXPECT_FALSE(coo.SameObservedSet(superset));  // Count differs.
+  EXPECT_FALSE(CooList::Build(superset).SameObservedSet(omega));
+
+  Mask shifted(Shape({4, 4}), false);
+  shifted.Set(1, true);
+  shifted.Set(10, true);  // Same count, different support.
+  EXPECT_FALSE(coo.SameObservedSet(shifted));
+
+  EXPECT_FALSE(coo.SameObservedSet(Mask(Shape({4, 5}), false)));  // Shape.
+  EXPECT_TRUE(coo.SameObservedSet(omega));
+  EXPECT_TRUE(CooList::Build(Mask(Shape({4, 4}), false))
+                  .SameObservedSet(Mask(Shape({4, 4}), false)));
+}
+
+TEST(CooListTest, SameObservedSetRejectsMismatchAtLastRecord) {
+  // Equal counts, identical supports up to the last record: the walk must
+  // reach the end of the records to tell the masks apart.
+  Rng rng(307);
+  const Shape shape({6, 7});
+  const size_t last = shape.NumElements() - 1;
+  Mask a = RandomMask(shape, 0.5, rng);
+  a.Set(last - 1, false);
+  a.Set(last, true);
+  Mask b = a;
+  b.Set(last, false);
+  b.Set(last - 1, true);
+  ASSERT_EQ(a.CountObserved(), b.CountObserved());
+
+  const CooList coo_a = CooList::Build(a);
+  const CooList coo_b = CooList::Build(b);
+  EXPECT_FALSE(coo_a.SameObservedSet(b));
+  EXPECT_FALSE(coo_b.SameObservedSet(a));
+  EXPECT_TRUE(coo_a.SameObservedSet(a));
+  EXPECT_TRUE(coo_b.SameObservedSet(b));
 }
 
 TEST(CooListTest, GatherAndGatherResidual) {
