@@ -8,9 +8,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include "baselines/observed_sweep.hpp"
 #include "core/sofia_als.hpp"
 #include "core/sofia_model.hpp"
 #include "data/corruption.hpp"
+#include "data/slice_format.hpp"
 #include "data/synthetic.hpp"
 #include "tensor/coo_list.hpp"
 #include "tensor/khatri_rao.hpp"
@@ -18,6 +20,7 @@
 #include "tensor/sparse_kernels.hpp"
 #include "tensor/unfold.hpp"
 #include "timeseries/hw_fit.hpp"
+#include "util/durable_io.hpp"
 #include "util/rng.hpp"
 
 namespace sofia {
@@ -199,6 +202,53 @@ void BM_SofiaStepSparse(benchmark::State& state) {
 }
 
 BENCHMARK(BM_SofiaStepSparse)->Arg(1)->Arg(10)->Arg(100);
+
+/// MakeSharedPattern on 64x64 slices (argument 0 = percent observed,
+/// argument 1 = with mode buckets): the per-slice ingest of a stream. The
+/// loop cycles through 64 random masks so the branch predictor cannot learn
+/// one; each mask's observed count is cached up front, as a decoded
+/// stream mask's is by its first use.
+void BM_PatternBuild(benchmark::State& state) {
+  const double density = static_cast<double>(state.range(0)) / 100.0;
+  const bool buckets = state.range(1) != 0;
+  Rng rng(41);
+  std::vector<Mask> masks;
+  for (size_t i = 0; i < 64; ++i) {
+    masks.push_back(BernoulliMask(Shape({64, 64}), density, rng));
+    masks.back().CountObserved();
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MakeSharedPattern(masks[i], buckets));
+    i = (i + 1) % masks.size();
+  }
+}
+BENCHMARK(BM_PatternBuild)
+    ->ArgsProduct({{25, 75, 100}, {0, 1}})
+    ->ArgNames({"pct", "buckets"});
+
+/// One 64x64 journal record at 75% observed (~49 KB): the index-driven
+/// encode plus its CRC-32, into a reused buffer (DurableGuard's append).
+void BM_JournalEncode(benchmark::State& state) {
+  Rng rng(43);
+  const Shape shape({64, 64});
+  const DenseTensor slice = DenseTensor::RandomNormal(shape, rng);
+  const CooList pattern =
+      CooList::Build(BernoulliMask(shape, 0.75, rng), false);
+  const std::vector<size_t>& indices = pattern.LinearIndices();
+  std::string record;
+  uint64_t step = 0;
+  for (auto _ : state) {
+    slicefmt::EncodeRecord(step++, slice, indices.data(), indices.size(),
+                           &record);
+    benchmark::DoNotOptimize(record.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
+                                               record.size()));
+  state.SetLabel(durable::Crc32Path());
+}
+BENCHMARK(BM_JournalEncode);
 
 void BM_HoltWintersFit(benchmark::State& state) {
   const size_t seasons = static_cast<size_t>(state.range(0));

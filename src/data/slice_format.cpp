@@ -91,35 +91,38 @@ bool WriteAllFd(int fd, const char* data, size_t size, const char* site) {
 
 }  // namespace
 
-void EncodeRecord(uint64_t step, const DenseTensor& slice, const Mask& mask,
-                  std::string* out) {
-  SOFIA_CHECK(slice.shape() == mask.shape())
-      << "slice/mask shape mismatch in journal encode";
-  // Sized once from the mask's observed count (a Mask holds exactly that
-  // many set indicators), so every field below is a store into place.
-  const uint64_t nnz = mask.CountObserved();
-  const size_t crc_offset =
-      kRecordPrefixBytes + static_cast<size_t>(nnz) * sizeof(SliceEntry);
+void EncodeRecord(uint64_t step, const DenseTensor& slice,
+                  const size_t* indices, size_t nnz, std::string* out) {
+  SOFIA_CHECK(nnz == 0 || indices[nnz - 1] < slice.NumElements())
+      << "journal index out of the slice";
+  const size_t crc_offset = kRecordPrefixBytes + nnz * sizeof(SliceEntry);
   out->resize(crc_offset + kRecordSuffixBytes);
   char* rec = &(*out)[0];
   const uint32_t magic = kRecordMagic;
   const uint32_t pad = 0;
+  const uint64_t count = nnz;
   std::memcpy(rec, &magic, 4);
   std::memcpy(rec + 4, &pad, 4);
   std::memcpy(rec + 8, &step, 8);
-  std::memcpy(rec + 16, &nnz, 8);
+  std::memcpy(rec + 16, &count, 8);
   char* entry = rec + kRecordPrefixBytes;
-  const size_t volume = slice.NumElements();
-  for (size_t idx = 0; idx < volume; ++idx) {
-    if (!mask.Get(idx)) continue;
-    const SliceEntry e{static_cast<uint64_t>(idx), slice[idx]};
+  const double* values = slice.data();
+  for (size_t k = 0; k < nnz; ++k, entry += sizeof(SliceEntry)) {
+    const SliceEntry e{static_cast<uint64_t>(indices[k]), values[indices[k]]};
     std::memcpy(entry, &e, sizeof(SliceEntry));
-    entry += sizeof(SliceEntry);
   }
   const uint32_t crc = durable::Crc32(rec, crc_offset);
   std::memcpy(rec + crc_offset, &crc, 4);
   // The trailing pad keeps the next record 8-byte aligned.
   std::memcpy(rec + crc_offset + 4, &pad, 4);
+}
+
+void EncodeRecord(uint64_t step, const DenseTensor& slice, const Mask& mask,
+                  std::string* out) {
+  SOFIA_CHECK(slice.shape() == mask.shape())
+      << "slice/mask shape mismatch in journal encode";
+  const std::vector<size_t> observed = mask.ObservedIndices();
+  EncodeRecord(step, slice, observed.data(), observed.size(), out);
 }
 
 SliceFileWriter::~SliceFileWriter() { Close(); }
@@ -244,7 +247,12 @@ bool SliceFileReader::Open(const std::string& path, std::string* error) {
   }
   size_ = static_cast<size_t>(st.st_size);
   if (size_ > 0) {
-    void* map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    // The fault site stands in for a filesystem without mmap.
+    const bool no_mmap =
+        fault::Enabled() && fault::OnIo("journal.mmap", 0).io_error;
+    void* map = no_mmap ? MAP_FAILED
+                        : ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd,
+                                 0);
     if (map != MAP_FAILED) {
       data_ = static_cast<const char*>(map);
       mapped_ = true;
@@ -284,14 +292,17 @@ bool SliceFileReader::Open(const std::string& path, std::string* error) {
     return fail("header CRC mismatch");
   }
   std::vector<size_t> dims(order);
+  uint64_t volume = 1;
   for (uint32_t n = 0; n < order; ++n) {
     const uint64_t d = GetU64(data_ + kHeaderFixedBytes + 8 * n);
     if (d == 0 || d > (1ull << 32)) return fail("implausible dimension");
+    // Shape would wrap an overflowing product silently.
+    if (volume > UINT64_MAX / d) return fail("slice volume overflows");
+    volume *= d;
     dims[n] = static_cast<size_t>(d);
   }
   slice_shape_ = Shape(std::move(dims));
   sequence_ = GetU64(data_ + 16);
-  const uint64_t volume = slice_shape_.NumElements();
 
   // --- Valid-prefix record scan ---
   size_t offset = header_bytes;
@@ -300,11 +311,15 @@ bool SliceFileReader::Open(const std::string& path, std::string* error) {
     const char* rec = data_ + offset;
     if (GetU32(rec) != kRecordMagic) break;
     const uint64_t nnz = GetU64(rec + 16);
-    if (nnz > volume) break;  // Bit-flipped count: cap before sizing.
+    // Cap the count by the volume and by the bytes left before sizing the
+    // record: a count near 2^60 would wrap nnz * 16 to a small size.
+    const size_t entry_room =
+        (size_ - offset - kRecordPrefixBytes - kRecordSuffixBytes) /
+        sizeof(SliceEntry);
+    if (nnz > volume || nnz > entry_room) break;  // Torn tail or bit flip.
     const size_t record_bytes =
         kRecordPrefixBytes + static_cast<size_t>(nnz) * sizeof(SliceEntry) +
         kRecordSuffixBytes;
-    if (size_ - offset < record_bytes) break;  // Torn tail.
     const size_t crc_offset = record_bytes - kRecordSuffixBytes;
     if (GetU32(rec + crc_offset) != durable::Crc32(rec, crc_offset)) break;
     // Indices must be in range and strictly ascending (canonical form).
@@ -334,11 +349,24 @@ void SliceFileReader::Decode(size_t i, DenseTensor* slice,
                              Mask* mask) const {
   SOFIA_CHECK(i < records_.size()) << "slice record index out of range";
   const SliceRecordView& view = records_[i];
-  *slice = DenseTensor(slice_shape_, 0.0);
-  *mask = Mask(slice_shape_, /*observed=*/false);
-  for (size_t k = 0; k < view.nnz; ++k) {
-    const size_t idx = static_cast<size_t>(view.entries[k].index);
-    (*slice)[idx] = view.entries[k].value;
+  if (slice->shape() == slice_shape_) {
+    slice->Fill(0.0);
+  } else {
+    *slice = DenseTensor(slice_shape_, 0.0);
+  }
+  if (mask->shape() == slice_shape_) {
+    mask->Fill(false);
+  } else {
+    *mask = Mask(slice_shape_, /*observed=*/false);
+  }
+  // Locals, so the indicator stores (char-typed, which may alias
+  // anything) do not force the record view to be reloaded per entry.
+  const SliceEntry* entries = view.entries;
+  const size_t nnz = view.nnz;
+  double* values = slice->data();
+  for (size_t k = 0; k < nnz; ++k) {
+    const size_t idx = static_cast<size_t>(entries[k].index);
+    values[idx] = entries[k].value;
     mask->Set(idx, true);
   }
 }

@@ -63,10 +63,18 @@ struct SliceRecordView {
   size_t nnz = 0;
 };
 
-/// Serializes one record (step + observed entries of `slice` under `mask`)
-/// into `out`, replacing its contents: one pass over the mask into a buffer
-/// sized from CountObserved(), then one CRC. Pure encode — no IO — so the
-/// journal can reuse one buffer per append.
+/// Serializes one record into `out`, replacing its contents: the step, then
+/// (index, slice[index]) for each of the `nnz` strictly ascending linear
+/// `indices`, then one CRC. Sized once, so every field is a store into
+/// place; the cost is O(nnz), independent of the slice volume. Pure encode
+/// — no IO — so the journal can reuse one buffer per append. The durable
+/// guard passes the indices of the slice's CooList; nnz = 0 writes an
+/// empty record (no observed entry) of any slice.
+void EncodeRecord(uint64_t step, const DenseTensor& slice,
+                  const size_t* indices, size_t nnz, std::string* out);
+
+/// The record of the observed entries of `slice` under `mask`: the mask's
+/// observed indices through the encoder above.
 void EncodeRecord(uint64_t step, const DenseTensor& slice, const Mask& mask,
                   std::string* out);
 
@@ -142,7 +150,10 @@ class SliceFileReader {
   bool truncated() const { return truncated_; }
 
   /// Materializes record `i` as a zero-filled slice + mask (the canonical
-  /// decoded form every consumer — live or replay — sees).
+  /// decoded form every consumer — live or replay — sees). A `slice` and
+  /// `mask` that already have the file's slice shape are overwritten in
+  /// place (a fill and one store per entry, no allocation); any other
+  /// shape is reallocated.
   void Decode(size_t i, DenseTensor* slice, Mask* mask) const;
 
  private:

@@ -216,7 +216,7 @@ void DurableGuard::TakeSnapshot() {
 }
 
 void DurableGuard::JournalSlice(const DenseTensor& decoded,
-                                const Mask& omega) {
+                                const Mask& omega, const CooList* pattern) {
   if (!options_.journal) return;
   {
     std::lock_guard<std::mutex> lock(io_mutex_);
@@ -226,7 +226,13 @@ void DurableGuard::JournalSlice(const DenseTensor& decoded,
       return;
     }
   }
-  slicefmt::EncodeRecord(step_, decoded, omega, &encode_buf_);
+  if (pattern != nullptr) {
+    const std::vector<size_t>& indices = pattern->LinearIndices();
+    slicefmt::EncodeRecord(step_, decoded, indices.data(), indices.size(),
+                           &encode_buf_);
+  } else {
+    slicefmt::EncodeRecord(step_, decoded, omega, &encode_buf_);
+  }
   ++telemetry_.journal_appends;
   telemetry_.journal_bytes += encode_buf_.size();
   Dm().journal_appends->Add(1);
@@ -252,6 +258,46 @@ void DurableGuard::JournalSlice(const DenseTensor& decoded,
   SubmitIo([append, bytes = std::move(encode_buf_)] { append(bytes); });
 }
 
+bool DurableGuard::BeginSlice(const DenseTensor& y, const Mask& omega,
+                              const CooList* pattern) {
+  RethrowPendingCrash();
+  const bool consistent =
+      omega.shape() == y.shape() &&
+      (pattern == nullptr || pattern->shape() == y.shape());
+  if (slice_shape_.order() == 0) {
+    // Only a consistent slice fixes the segment's shape. Before one
+    // arrives there is no segment and no snapshot: the first consistent
+    // slice takes the pristine one below, capturing whatever the inner
+    // method made of the slices before it.
+    if (!consistent) return false;
+    slice_shape_ = y.shape();
+  }
+  // Init-less methods skip Initialize: write the pristine baseline
+  // generation before the first slice, for the same reason as there.
+  if (next_seq_ == 0) TakeSnapshot();
+  const bool shape_ok = consistent && y.shape() == slice_shape_;
+  // A slice the segment cannot hold is journaled as an empty record at its
+  // step. The segment's shape is fixed, so a guarded inner method has fixed
+  // it too: it rejects both forms as input faults and only advances its
+  // clock, so the replay matches the live stack.
+  if (!shape_ok) {
+    const CooList no_entries;
+    JournalSlice(y, omega, &no_entries);
+  }
+  return shape_ok;
+}
+
+void DurableGuard::EndSlice() {
+  ++step_;
+  ++telemetry_.steps;
+  Dm().steps->Add(1);
+  // No cadence before the segment's shape is fixed (see BeginSlice).
+  if (options_.snapshot_every > 0 && slice_shape_.order() != 0 &&
+      ++steps_since_snapshot_ >= options_.snapshot_every) {
+    TakeSnapshot();
+  }
+}
+
 std::vector<DenseTensor> DurableGuard::Initialize(
     const std::vector<DenseTensor>& slices, const std::vector<Mask>& masks) {
   RethrowPendingCrash();
@@ -266,42 +312,32 @@ std::vector<DenseTensor> DurableGuard::Initialize(
 
 StepResult DurableGuard::StepLazy(const DenseTensor& y, const Mask& omega,
                                   std::shared_ptr<const CooList> pattern) {
-  RethrowPendingCrash();
-  if (slice_shape_.order() == 0) slice_shape_ = y.shape();
-  // Init-less methods skip Initialize: write the pristine baseline
-  // generation before the first slice, for the same reason as above.
-  if (next_seq_ == 0) TakeSnapshot();
-  // The journal stores — and the inner method consumes — the canonical
-  // decoded form: observed entries only, zero elsewhere. Live and replayed
-  // runs therefore feed the model byte-identical inputs even if a method
-  // peeks at unobserved entries.
-  DenseTensor decoded = omega.Apply(y);
-  JournalSlice(decoded, omega);
-  StepResult result = inner_->StepLazy(decoded, omega, std::move(pattern));
-  ++step_;
-  ++telemetry_.steps;
-  Dm().steps->Add(1);
-  if (options_.snapshot_every > 0 &&
-      ++steps_since_snapshot_ >= options_.snapshot_every) {
-    TakeSnapshot();
+  StepResult result;
+  if (!BeginSlice(y, omega, pattern.get())) {
+    // The slice as given: the inner guard takes its shape trip.
+    result = inner_->StepLazy(y, omega, std::move(pattern));
+  } else {
+    // The journal stores — and the inner method consumes — the canonical
+    // decoded form: observed entries only, zero elsewhere. Live and
+    // replayed runs therefore feed the model byte-identical inputs even if
+    // a method peeks at unobserved entries.
+    const DenseTensor decoded = omega.Apply(y);
+    JournalSlice(decoded, omega, pattern.get());
+    result = inner_->StepLazy(decoded, omega, std::move(pattern));
   }
+  EndSlice();
   return result;
 }
 
 void DurableGuard::Observe(const DenseTensor& y, const Mask& omega) {
-  RethrowPendingCrash();
-  if (slice_shape_.order() == 0) slice_shape_ = y.shape();
-  if (next_seq_ == 0) TakeSnapshot();
-  DenseTensor decoded = omega.Apply(y);
-  JournalSlice(decoded, omega);
-  inner_->Observe(decoded, omega);
-  ++step_;
-  ++telemetry_.steps;
-  Dm().steps->Add(1);
-  if (options_.snapshot_every > 0 &&
-      ++steps_since_snapshot_ >= options_.snapshot_every) {
-    TakeSnapshot();
+  if (!BeginSlice(y, omega, nullptr)) {
+    inner_->Observe(y, omega);
+  } else {
+    const DenseTensor decoded = omega.Apply(y);
+    JournalSlice(decoded, omega, nullptr);
+    inner_->Observe(decoded, omega);
   }
+  EndSlice();
 }
 
 void DurableGuard::SaveState(std::ostream& out) const {
@@ -379,6 +415,8 @@ RecoveryReport DurableGuard::Recover() {
   // the first gap or torn record; nothing after a torn record is trusted.
   uint64_t expected = report.snapshot_step;
   bool stop = false;
+  DenseTensor slice;  // Decoded in place record after record.
+  Mask mask;
   for (const uint64_t seq : ListSegments()) {
     if (stop || seq < report.snapshot_seq) continue;
     slicefmt::SliceFileReader reader;
@@ -399,8 +437,6 @@ RecoveryReport DurableGuard::Recover() {
         const fault::Decision decision = fault::OnIo("recover.replay", 0);
         if (decision.crash) fault::Crash("recover.replay");
       }
-      DenseTensor slice;
-      Mask mask;
       reader.Decode(i, &slice, &mask);
       inner_->StepLazy(slice, mask);
       ++expected;

@@ -103,7 +103,12 @@ class DurableGuard : public StreamingMethod {
 
   /// Journal-then-step: appends the canonical decoded slice to the WAL,
   /// feeds the same decoded slice to the inner method, and snapshots on
-  /// cadence. Rethrows a pending aux-lane SimulatedCrash first.
+  /// cadence. Rethrows a pending aux-lane SimulatedCrash first. The record
+  /// is encoded from the indices of `pattern` when one is handed in (and
+  /// passed down), else from the mask, with null passed down so the inner
+  /// method builds or reuses its own. A slice whose tensor, mask or pattern
+  /// does not have the segment's shape is journaled as an empty record and
+  /// handed to the inner method as given (a StreamGuard rejects it).
   StepResult StepLazy(const DenseTensor& y, const Mask& omega,
                       std::shared_ptr<const CooList> pattern =
                           nullptr) override;
@@ -163,8 +168,20 @@ class DurableGuard : public StreamingMethod {
   void MarkJournalLost();
   /// Journal segments on disk, ascending seq.
   std::vector<uint64_t> ListSegments() const;
-  /// Shared step path of StepLazy/Observe up to the inner call.
-  void JournalSlice(const DenseTensor& decoded, const Mask& omega);
+  /// Encodes the record of `decoded` at the current step, its entries at
+  /// the indices of `pattern` or, when that is null, at the observed
+  /// entries of `omega`, and ships it to the journal.
+  void JournalSlice(const DenseTensor& decoded, const Mask& omega,
+                    const CooList* pattern);
+  /// Shared head of StepLazy/Observe: rethrows a pending crash, takes the
+  /// pristine snapshot, and checks the slice against the segment's shape.
+  /// Returns false for a slice whose tensor, mask or pattern has another
+  /// shape, after journaling an empty record once the segment's shape is
+  /// fixed (before that, nothing is journaled).
+  bool BeginSlice(const DenseTensor& y, const Mask& omega,
+                  const CooList* pattern);
+  /// Shared tail: advances the step and snapshots on cadence.
+  void EndSlice();
 
   std::unique_ptr<StreamingMethod> inner_;
   DurableGuardOptions options_;

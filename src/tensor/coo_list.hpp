@@ -35,18 +35,21 @@ class CooList {
  public:
   CooList() = default;
 
-  /// Compact the observed entries of `omega`. One pass over the dense index
-  /// space; everything afterwards is O(|Ω|). `with_mode_buckets = false`
-  /// skips the N per-mode bucket tables (O(N |Ω|) time and memory) for
-  /// consumers that only stream the record list (gradients, norms).
+  /// Compact the observed entries of `omega`. One branch-free pass over the
+  /// mask, 8 indicator bytes per word with all-zero words skipped, writes
+  /// each record's linear index and coordinates from the loop counters (no
+  /// division); everything afterwards is O(|Ω|). `with_mode_buckets =
+  /// false` skips the N per-mode bucket tables (O(N |Ω|) time and memory)
+  /// for consumers that only stream the record list (gradients, norms).
   static CooList Build(const Mask& omega, bool with_mode_buckets = true);
 
   /// Build directly from already-sorted ascending linear indices — O(|Ω|
-  /// order), no dense scan. This is how observed-only input (a decoded
-  /// `.slices` record) reaches the kernel layer, and the |Ω|-scaling
-  /// eval-pattern build of the comparison runner (which derives its
-  /// held-out picks from the observed pattern's gaps instead of re-walking
-  /// the index space).
+  /// order), no dense scan. Coordinates advance by carry from the previous
+  /// record (a division only where a gap skips whole mode-0 fibers). This
+  /// is how observed-only input (a decoded `.slices` record) reaches the
+  /// kernel layer, and the |Ω|-scaling eval-pattern build of the comparison
+  /// runner (which derives its held-out picks from the observed pattern's
+  /// gaps instead of re-walking the index space).
   static CooList FromIndices(const Shape& shape, std::vector<size_t> sorted,
                              bool with_mode_buckets = true);
 
@@ -96,7 +99,8 @@ class CooList {
 
   /// Per-mode slice buckets: the records whose mode-`mode` index equals s
   /// are ModeOrder(mode)[SlicePtr(mode)[s] ... SlicePtr(mode)[s + 1]), in
-  /// ascending linear order (the bucketing sort is stable).
+  /// ascending linear order (the bucketing sort is stable). The slowest
+  /// mode's (order() - 1) permutation is the identity.
   const std::vector<uint32_t>& ModeOrder(size_t mode) const {
     return mode_order_[mode];
   }
@@ -106,9 +110,10 @@ class CooList {
   }
 
  private:
-  /// Shared tail of the factories: delinearize `linear_` into `coords_`
-  /// and (optionally) build the per-mode buckets.
-  void FinishFromLinear(bool with_mode_buckets);
+  /// CHECKs that coordinates and record indices fit in 32 bits.
+  void CheckLimits(size_t nnz) const;
+  /// Builds every mode's bucket from `coords_`.
+  void BuildModeBuckets();
 
   Shape shape_;
   size_t order_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/check.hpp"
 
@@ -36,11 +37,24 @@ std::vector<size_t> Mask::ObservedIndices() const {
   return idx;
 }
 
+void Mask::Fill(bool observed) {
+  std::fill(bits_.begin(), bits_.end(), observed ? 1 : 0);
+  count_ = observed ? bits_.size() : 0;
+}
+
 DenseTensor Mask::Apply(const DenseTensor& t) const {
   SOFIA_CHECK(t.shape() == shape_);
   DenseTensor out(shape_);
+  const uint8_t* bits = bits_.data();
+  const double* in = t.data();
+  double* dst = out.data();
+  // Each indicator byte widens to an all-ones or all-zero 64-bit mask, so
+  // the loop has no branch and vectorizes.
   for (size_t k = 0; k < bits_.size(); ++k) {
-    if (bits_[k]) out[k] = t[k];
+    uint64_t v;
+    std::memcpy(&v, in + k, sizeof(v));
+    v &= uint64_t{0} - bits[k];
+    std::memcpy(dst + k, &v, sizeof(v));
   }
   return out;
 }

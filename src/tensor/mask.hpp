@@ -27,6 +27,12 @@ class Mask {
     count_ = kCountUnknown;
   }
 
+  /// The indicator bytes (each 0 or 1), one per entry in linear order.
+  const uint8_t* data() const { return bits_.data(); }
+
+  /// Marks every entry observed (or missing), keeping the shape.
+  void Fill(bool observed);
+
   bool At(const std::vector<size_t>& idx) const {
     return Get(shape_.Linearize(idx));
   }
@@ -42,6 +48,8 @@ class Mask {
   std::vector<size_t> ObservedIndices() const;
 
   /// Ω ⊛ T: zero out unobserved entries of a tensor (shape-checked copy).
+  /// A bitwise select: observed entries keep their exact bits (−0.0, NaN
+  /// payloads, ±∞), unobserved ones become +0.0 whatever they held.
   DenseTensor Apply(const DenseTensor& t) const;
 
   /// Frobenius norm of Ω ⊛ T without materializing the product.

@@ -1,7 +1,9 @@
 // Randomized dense≡sparse parity for every baseline ported onto the
 // ObservedSweep core: a dense-scan reference of each method's step
 // (tests/dense_oracle.hpp), stepped in lockstep with the library method,
-// must agree with it to ≤1e-12 on every step output of a corrupted stream;
+// must agree with it to 1e-12 of the oracle's max-abs on every step output
+// of a corrupted stream (tests/expect_close.hpp), in builds with and
+// without FMA contraction;
 // the library method must be bitwise identical for every thread count, and
 // an externally shared CooList must change nothing. Degenerate masks
 // (empty Ω, full Ω) are exercised explicitly.
@@ -23,6 +25,7 @@
 #include "data/synthetic.hpp"
 #include "dense_oracle.hpp"
 #include "eval/streaming_method.hpp"
+#include "expect_close.hpp"
 #include "tensor/simd.hpp"
 #include "util/rng.hpp"
 #include "util/shard_executor.hpp"
@@ -123,9 +126,9 @@ TEST_P(BaselineParityTest, DenseAndSparsePathsAgreeOnCorruptedStream) {
     DenseTensor b = sparse->Step(slice, omega);
     DenseTensor d = shared->Step(slice, omega, MakeSharedPattern(omega));
     // Dense oracle vs the library's observed-entry step: same math over
-    // the same observed set, different traversal — ≤1e-12 across the whole
-    // stream.
-    EXPECT_LE(MaxAbsDiff(a, b), 1e-12) << GetParam() << " t=" << t;
+    // the same observed set, different traversal and contraction — 1e-12
+    // relative across the whole stream.
+    EXPECT_TRUE(CloseTo(a, b, 1e-12)) << GetParam() << " t=" << t;
     // Thread count must not change a single bit.
     for (const auto& method : threaded) {
       EXPECT_EQ(MaxAbsDiff(b, method->Step(slice, omega)), 0.0)
@@ -177,7 +180,7 @@ TEST_P(BaselineParityTest, DegenerateMasksAgreeAcrossPaths) {
   for (size_t t = 0; t < truth.size(); ++t) {
     DenseTensor a = dense->Step(truth[t], masks[t]);
     DenseTensor b = sparse->Step(truth[t], masks[t]);
-    EXPECT_LE(MaxAbsDiff(a, b), 1e-12) << GetParam() << " t=" << t;
+    EXPECT_TRUE(CloseTo(a, b, 1e-12)) << GetParam() << " t=" << t;
   }
 }
 

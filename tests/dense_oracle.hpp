@@ -5,6 +5,8 @@
 // records, so the parity suites compare each kernel against arithmetic it
 // does not share. Contents:
 //
+//  - the division-based CooList build (DivisionCooBuild), the oracle of the
+//    branch-free CooList::Build and the carry-based CooList::FromIndices;
 //  - SOFIA's dense kernels: the Theorem 1 row systems and fitness norms of
 //    the ALS (DenseRowSystems, DenseResidualNorm, DenseDataNorm), and the
 //    dynamic update's Algorithm 3 lines 4-8 (DenseStepGradients,
@@ -28,6 +30,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -59,6 +62,56 @@
 
 namespace sofia {
 namespace dense_oracle {
+
+// --- CooList construction ---------------------------------------------------
+
+/// A CooList's contents as plain vectors: linear indices, record-major
+/// coordinates, and (when built) each mode's bucket permutation and offsets.
+struct CooRecords {
+  std::vector<size_t> linear;
+  std::vector<uint32_t> coords;
+  std::vector<std::vector<uint32_t>> mode_order;
+  std::vector<std::vector<size_t>> slice_ptr;
+};
+
+/// The division-based CooList::Build the branch-free one replaced: a
+/// bytewise scan of the mask, each record's coordinates by stride division,
+/// and every mode's bucket by a stable counting sort (the slowest mode's
+/// included).
+inline CooRecords DivisionCooBuild(const Mask& omega, bool with_mode_buckets) {
+  const Shape& shape = omega.shape();
+  const size_t order = shape.order();
+  CooRecords out;
+  for (size_t linear = 0; linear < shape.NumElements(); ++linear) {
+    if (omega.Get(linear)) out.linear.push_back(linear);
+  }
+  const size_t nnz = out.linear.size();
+  out.coords.resize(nnz * order);
+  for (size_t k = 0; k < nnz; ++k) {
+    size_t rest = out.linear[k];
+    for (size_t n = order; n-- > 0;) {
+      const size_t i = rest / shape.stride(n);
+      rest -= i * shape.stride(n);
+      out.coords[k * order + n] = static_cast<uint32_t>(i);
+    }
+  }
+  if (!with_mode_buckets) return out;
+  out.mode_order.resize(order);
+  out.slice_ptr.resize(order);
+  for (size_t n = 0; n < order; ++n) {
+    std::vector<size_t>& ptr = out.slice_ptr[n];
+    ptr.assign(shape.dim(n) + 1, 0);
+    for (size_t k = 0; k < nnz; ++k) ++ptr[out.coords[k * order + n] + 1];
+    for (size_t s = 0; s < shape.dim(n); ++s) ptr[s + 1] += ptr[s];
+    std::vector<size_t> fill(ptr.begin(), ptr.end() - 1);
+    out.mode_order[n].resize(nnz);
+    for (size_t k = 0; k < nnz; ++k) {
+      out.mode_order[n][fill[out.coords[k * order + n]]++] =
+          static_cast<uint32_t>(k);
+    }
+  }
+  return out;
+}
 
 // --- SOFIA kernels ----------------------------------------------------------
 

@@ -12,9 +12,11 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/online_sgd.hpp"
+#include "baselines/smf.hpp"
 #include "core/sofia_stream.hpp"
 #include "data/corruption.hpp"
 #include "data/synthetic.hpp"
@@ -23,6 +25,7 @@
 #include "tensor/coo_list.hpp"
 #include "util/durable_io.hpp"
 #include "util/fault_injection.hpp"
+#include "util/rng.hpp"
 #include "util/shard_executor.hpp"
 
 namespace sofia {
@@ -389,6 +392,186 @@ TEST(DurableGuardTest, ReplayThroughGuardRejectsGarbageLikeTheLiveGuard) {
     ASSERT_EQ(GatherStep(&rebooted, stream, t), reference[t])
         << "step " << t;
   }
+}
+
+TEST(DurableGuardTest, WrongShapedSlicesAfterSnapshotRecoverBitwise) {
+  // DurableGuard(StreamGuard(SOFIA)) on 6x5 slices. After the newest
+  // snapshot (step 64) the stack is handed a larger slice, a smaller one
+  // (whose entries would fit a 6x5 record), and a 6x5 slice under a 7x5
+  // mask. The live guard rejects each as a shape fault; the journal holds
+  // an empty record at each step, which the replayed guard rejects as an
+  // empty slice. Both only advance the inner clock, so the recovered stack
+  // resumes where the live one stopped and continues bit for bit.
+  constexpr size_t kSliceCount = 80;
+  SofiaConfig config;
+  config.rank = 3;
+  config.period = 4;
+  config.lambda1 = 0.5;
+  config.lambda2 = 0.5;
+  config.max_init_iterations = 5;  // Init quality is beside the point.
+  const size_t window = config.InitWindow();
+  SyntheticTensor syn = MakeSinusoidTensor(6, 5, window + kSliceCount, 3, 4,
+                                           271);
+  std::vector<DenseTensor> truth;
+  for (size_t t = 0; t < window + kSliceCount; ++t) {
+    truth.push_back(syn.tensor.SliceLastMode(t));
+  }
+  const CorruptedStream stream = Corrupt(truth, {20.0, 5.0, 2.0}, 272);
+  const std::vector<DenseTensor> init_slices(stream.slices.begin(),
+                                             stream.slices.begin() + window);
+  const std::vector<Mask> init_masks(stream.masks.begin(),
+                                     stream.masks.begin() + window);
+
+  // Steps 65-67 carry the wrong shapes; the others the stream's slices.
+  Rng rng(273);
+  const DenseTensor larger = DenseTensor::RandomNormal(Shape({7, 5}), rng);
+  const DenseTensor smaller = DenseTensor::RandomNormal(Shape({4, 5}), rng);
+  const Mask larger_mask(Shape({7, 5}), true);
+  const Mask smaller_mask(Shape({4, 5}), true);
+  const auto slice_at = [&](size_t step) -> std::pair<const DenseTensor*,
+                                                      const Mask*> {
+    const size_t t = window + step;
+    if (step == 65) return {&larger, &larger_mask};
+    if (step == 66) return {&smaller, &smaller_mask};
+    if (step == 67) return {&stream.slices[t], &larger_mask};
+    return {&stream.slices[t], &stream.masks[t]};
+  };
+  // Estimates gathered at the stream mask of each step.
+  const auto step_and_gather = [&](StreamingMethod* method, size_t step) {
+    const auto [y, omega] = slice_at(step);
+    StepResult result = method->StepLazy(*y, *omega);
+    const CooList pattern = CooList::Build(
+        stream.masks[window + step], /*with_mode_buckets=*/false);
+    return result.GatherAt(pattern);
+  };
+  const auto make_guard = [&] {
+    return std::make_unique<StreamGuard>(std::make_unique<SofiaStream>(config),
+                                         StreamGuardOptions{});
+  };
+  DurableGuardOptions options = MakeOptions(MakeTempDir());
+  options.snapshot_every = 16;
+
+  std::vector<std::vector<double>> reference;
+  {
+    std::unique_ptr<StreamGuard> plain = make_guard();
+    plain->Initialize(init_slices, init_masks);
+    for (size_t step = 0; step < kSliceCount; ++step) {
+      reference.push_back(step_and_gather(plain.get(), step));
+    }
+    ASSERT_EQ(plain->telemetry().input_trips, 3u);
+  }
+
+  const size_t ran = 70;  // Killed after step 69: tail = steps 64..69.
+  {
+    DurableGuard guard(make_guard(), options);
+    guard.Initialize(init_slices, init_masks);
+    for (size_t step = 0; step < ran; ++step) {
+      ASSERT_EQ(step_and_gather(&guard, step), reference[step])
+          << "step " << step;
+    }
+    guard.Drain();
+  }
+
+  auto recovered_guard = make_guard();
+  const StreamGuard* recovered_view = recovered_guard.get();
+  DurableGuard rebooted(std::move(recovered_guard), options);
+  const RecoveryReport report = rebooted.Recover();
+  ASSERT_TRUE(report.restored);
+  EXPECT_EQ(report.snapshot_step, 64u);
+  EXPECT_FALSE(report.journal_truncated);
+  EXPECT_EQ(report.resume_step, ran);
+  EXPECT_EQ(recovered_view->telemetry().input_trips, 3u);
+  for (size_t step = report.resume_step; step < kSliceCount; ++step) {
+    ASSERT_EQ(step_and_gather(&rebooted, step), reference[step])
+        << "step " << step;
+  }
+}
+
+TEST(DurableGuardTest, InconsistentFirstSlicesOfInitlessStackRecoverBitwise) {
+  // DurableGuard(StreamGuard(SMF)), no Initialize. Steps 0 and 1 hand in a
+  // tensor and a mask of different shapes. The live StreamGuard rejects
+  // them before it has fixed a shape, so it leaves SMF's clock alone; a
+  // journaled record of either would fix a shape on replay and advance the
+  // clock. The durable guard therefore journals neither, and the first
+  // consistent slice (step 2) takes the pristine snapshot.
+  const CorruptedStream stream = MakeStream(281);
+  const DenseTensor wide(Shape({7, 5}), 1.0);
+  const Mask wide_mask(Shape({7, 5}), true);
+  const auto step_and_gather = [&](StreamingMethod* method, size_t t) {
+    if (t > 1) return GatherStep(method, stream, t);
+    // The inconsistent slices' estimates have no stream shape to gather at.
+    if (t == 0) method->StepLazy(stream.slices[t], wide_mask);
+    if (t == 1) method->StepLazy(wide, stream.masks[t]);
+    return std::vector<double>();
+  };
+  const auto make_guard = [] {
+    return std::make_unique<StreamGuard>(
+        std::make_unique<Smf>(SmfOptions{.rank = 3, .period = 4}),
+        StreamGuardOptions{});
+  };
+
+  std::vector<std::vector<double>> reference;
+  {
+    std::unique_ptr<StreamGuard> plain = make_guard();
+    for (size_t t = 0; t < kSteps; ++t) {
+      reference.push_back(step_and_gather(plain.get(), t));
+    }
+    ASSERT_EQ(plain->telemetry().input_trips, 2u);
+  }
+
+  const std::string dir = MakeTempDir();
+  const size_t ran = 6;  // Before the first cadence snapshot (every 7).
+  {
+    DurableGuard guard(make_guard(), MakeOptions(dir));
+    for (size_t t = 0; t < ran; ++t) {
+      ASSERT_EQ(step_and_gather(&guard, t), reference[t]) << "step " << t;
+    }
+    guard.Drain();
+    EXPECT_EQ(guard.telemetry().journal_appends, ran - 2);
+  }
+
+  auto recovered_guard = make_guard();
+  const StreamGuard* recovered_view = recovered_guard.get();
+  DurableGuard rebooted(std::move(recovered_guard), MakeOptions(dir));
+  const RecoveryReport report = rebooted.Recover();
+  ASSERT_TRUE(report.restored);
+  EXPECT_EQ(report.snapshot_step, 2u);
+  EXPECT_FALSE(report.journal_truncated);
+  EXPECT_EQ(report.resume_step, ran);
+  EXPECT_EQ(recovered_view->telemetry().input_trips, 0u);
+  for (size_t t = report.resume_step; t < kSteps; ++t) {
+    ASSERT_EQ(step_and_gather(&rebooted, t), reference[t]) << "step " << t;
+  }
+}
+
+TEST(DurableGuardTest, PatternlessStepsKeepTheInnerPatternCache) {
+  // Handed no pattern, the guard journals from the mask and hands none
+  // down, so SOFIA's own cache still serves a run of identical masks from
+  // one build.
+  SofiaConfig config;
+  config.rank = 3;
+  config.period = 4;
+  config.max_init_iterations = 5;
+  const size_t window = config.InitWindow();
+  constexpr size_t kRun = 10;
+  SyntheticTensor syn = MakeSinusoidTensor(6, 5, window + kRun, 3, 4, 291);
+  std::vector<DenseTensor> slices;
+  for (size_t t = 0; t < window + kRun; ++t) {
+    slices.push_back(syn.tensor.SliceLastMode(t));
+  }
+  Mask omega(Shape({6, 5}), true);
+  omega.Set(7, false);
+  const std::vector<DenseTensor> init(slices.begin(),
+                                      slices.begin() + window);
+
+  DurableGuard guard(std::make_unique<SofiaStream>(config),
+                     MakeOptions(MakeTempDir()));
+  guard.Initialize(init, std::vector<Mask>(window, omega));
+  for (size_t t = 0; t < kRun; ++t) guard.StepLazy(slices[window + t], omega);
+  const auto& sofia = dynamic_cast<const SofiaStream&>(guard.inner());
+  EXPECT_EQ(sofia.model().step_pattern_builds(), 1u);
+  EXPECT_EQ(sofia.model().step_pattern_reuses(), kRun - 1);
+  EXPECT_EQ(guard.telemetry().journal_appends, kRun);
 }
 
 TEST(DurableGuardTest, SnapshotIoErrorsDegradeWithoutDataLoss) {

@@ -33,8 +33,8 @@ RetryPolicy FastRetry() {
 }
 
 /// Reference CRC-32 (reflected IEEE polynomial 0xEDB88320), one byte per
-/// step with the byte shifted in bit by bit: no table, so it shares nothing
-/// with the slicing-by-8 implementation under test.
+/// step with the byte shifted in bit by bit: no table and no carry-less
+/// multiply, so it shares nothing with either path under test.
 uint32_t ReferenceCrc32(const unsigned char* p, size_t size, uint32_t seed) {
   uint32_t crc = ~seed;
   for (size_t i = 0; i < size; ++i) {
@@ -47,28 +47,74 @@ uint32_t ReferenceCrc32(const unsigned char* p, size_t size, uint32_t seed) {
 }
 
 TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthOffsetAndSplit) {
-  // Lengths 0..300 cover the bytewise tail alone, every tail length after
-  // whole 8-byte blocks, and many blocks; start offsets 0..7 cover every
-  // alignment of the 8-byte loads. Each case, split at every point and
-  // chained through `seed`, must equal the one-shot CRC.
-  constexpr size_t kMaxLength = 300;
-  std::vector<unsigned char> buf(kMaxLength + 8);
+  // Every length 0..4096 crosses each 64-byte fold boundary and each
+  // 16-byte tail boundary of the carry-less-multiply path, and every tail
+  // length of slicing-by-8; start offsets 0..15 cover every alignment of
+  // the 16-byte loads. Short lengths are split at every point and chained
+  // through `seed`; longer ones at the points around the fold boundaries.
+  std::printf("Crc32 path for >= 64 bytes: %s\n", Crc32Path());
+  RecordProperty("crc32_path", Crc32Path());
+  constexpr size_t kMaxLength = 4096;
+  constexpr size_t kFullSplitLength = 160;
+  std::vector<unsigned char> buf(kMaxLength + 16);
   uint64_t x = 0x9E3779B97F4A7C15ull;
   for (unsigned char& b : buf) {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
     b = static_cast<unsigned char>(x >> 56);
   }
-  for (size_t offset = 0; offset < 8; ++offset) {
+  for (size_t offset = 0; offset < 16; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    // The reference of every prefix, extended one byte at a time.
+    std::vector<uint32_t> prefix(kMaxLength + 1);
+    prefix[0] = ReferenceCrc32(p, 0, 0);
+    for (size_t length = 1; length <= kMaxLength; ++length) {
+      prefix[length] = ReferenceCrc32(p + length - 1, 1, prefix[length - 1]);
+    }
     for (size_t length = 0; length <= kMaxLength; ++length) {
-      const unsigned char* p = buf.data() + offset;
-      const uint32_t expected = ReferenceCrc32(p, length, 0);
+      const uint32_t expected = prefix[length];
       ASSERT_EQ(Crc32(p, length), expected)
           << "offset " << offset << " length " << length;
-      for (size_t split = 0; split <= length; ++split) {
-        ASSERT_EQ(Crc32(p + split, length - split, Crc32(p, split)),
-                  expected)
+      std::vector<size_t> splits;
+      if (length <= kFullSplitLength) {
+        for (size_t split = 0; split <= length; ++split) {
+          splits.push_back(split);
+        }
+      } else if (length % 61 == 0 || length % 64 <= 1 || length % 64 == 63) {
+        for (const size_t split :
+             {size_t{1}, size_t{15}, size_t{16}, size_t{17}, size_t{63},
+              size_t{64}, size_t{65}, length / 2, length - 65, length - 64,
+              length - 16, length - 1}) {
+          splits.push_back(split);
+        }
+      }
+      for (const size_t split : splits) {
+        ASSERT_EQ(Crc32(p + split, length - split, prefix[split]), expected)
             << "offset " << offset << " length " << length << " split "
             << split;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, NonZeroSeedsMatchReference) {
+  // A seed is the CRC of earlier bytes; the folded path XORs it into its
+  // first lane, the table path into its first word.
+  std::vector<unsigned char> buf(4096 + 16);
+  uint64_t x = 0x243F6A8885A308D3ull;
+  for (unsigned char& b : buf) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<unsigned char>(x >> 56);
+  }
+  for (const uint32_t seed : {1u, 0x80000000u, 0xDEADBEEFu, 0xFFFFFFFFu}) {
+    for (const size_t offset : {size_t{0}, size_t{3}, size_t{8}, size_t{15}}) {
+      for (const size_t length :
+           {size_t{0}, size_t{1}, size_t{15}, size_t{63}, size_t{64},
+            size_t{65}, size_t{79}, size_t{80}, size_t{127}, size_t{128},
+            size_t{129}, size_t{1000}, size_t{4095}, size_t{4096}}) {
+        const unsigned char* p = buf.data() + offset;
+        EXPECT_EQ(Crc32(p, length, seed), ReferenceCrc32(p, length, seed))
+            << "seed " << seed << " offset " << offset << " length "
+            << length;
       }
     }
   }

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 namespace sofia {
 namespace {
@@ -29,6 +33,50 @@ TEST(MaskTest, ApplyZeroesUnobserved) {
   DenseTensor masked = m.Apply(t);
   EXPECT_DOUBLE_EQ(masked[0], 0.0);
   EXPECT_DOUBLE_EQ(masked[1], 5.0);
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+TEST(MaskTest, ApplyKeepsObservedBitsAndZeroesTheRest) {
+  // Observed entries keep their exact bits: -0.0, a NaN payload, and both
+  // infinities. Unobserved NaN and infinities become +0.0.
+  const double nan_payload = [] {
+    const uint64_t b = 0x7FF80000DEADBEEFull;
+    double v;
+    std::memcpy(&v, &b, sizeof(v));
+    return v;
+  }();
+  const double inf = std::numeric_limits<double>::infinity();
+  DenseTensor t(Shape({4, 2}));
+  const std::vector<double> values = {-0.0, nan_payload, inf, -inf,
+                                      nan_payload, inf, -inf, -0.0};
+  for (size_t k = 0; k < values.size(); ++k) t[k] = values[k];
+  Mask m(Shape({4, 2}), false);
+  for (size_t k = 0; k < 4; ++k) m.Set(k, true);
+  const DenseTensor masked = m.Apply(t);
+  for (size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(Bits(masked[k]), Bits(values[k])) << "observed entry " << k;
+  }
+  for (size_t k = 4; k < 8; ++k) {
+    EXPECT_EQ(Bits(masked[k]), 0u) << "unobserved entry " << k;
+  }
+}
+
+TEST(MaskTest, FillSetsEveryIndicatorAndTheCount) {
+  Mask m(Shape({3, 3}), false);
+  m.Set(4, true);
+  m.Fill(true);
+  EXPECT_EQ(m.CountObserved(), 9u);
+  EXPECT_TRUE(m == Mask(Shape({3, 3}), true));
+  m.Fill(false);
+  EXPECT_EQ(m.CountObserved(), 0u);
+  m.Set(2, true);
+  EXPECT_EQ(m.CountObserved(), 1u);
+  EXPECT_EQ(m.ObservedIndices(), (std::vector<size_t>{2}));
 }
 
 TEST(MaskTest, MaskedFrobeniusNormMatchesApply) {

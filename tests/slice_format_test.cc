@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -296,6 +298,131 @@ TEST(SliceFormatTest, EncodeRecordMatchesPerEntryOracle) {
       step += 1000;
     }
   }
+}
+
+void PutU32(std::string* out, uint32_t v) {
+  out->append(reinterpret_cast<const char*>(&v), 4);
+}
+void PutU64(std::string* out, uint64_t v) {
+  out->append(reinterpret_cast<const char*>(&v), 8);
+}
+
+/// A slice-file header of the given dims, CRC included.
+std::string Header(const std::vector<uint64_t>& dims) {
+  std::string bytes;
+  PutU32(&bytes, 0x4C534653u);  // "SFSL"
+  PutU32(&bytes, 1);            // version
+  PutU32(&bytes, static_cast<uint32_t>(dims.size()));
+  PutU32(&bytes, 0);  // flags
+  PutU64(&bytes, 0);  // sequence
+  for (const uint64_t d : dims) PutU64(&bytes, d);
+  PutU32(&bytes, durable::Crc32(bytes.data(), bytes.size()));
+  PutU32(&bytes, 0);
+  return bytes;
+}
+
+TEST(SliceFormatTest, RecordCountCannotWrapTheRecordSize) {
+  // A header volume of 2^60 admits a record claiming nnz = 2^60, whose
+  // nnz * 16 wraps to 0: sized as a 32-byte record, it would pass the size
+  // and CRC checks and send the index scan past the end of the file. The
+  // rest of the 4096-byte file holds ascending in-range entries, so only
+  // the end of the buffer would stop that scan. The scan runs over the
+  // heap copy (mmap refused through its fault site), where AddressSanitizer
+  // sees an overread; the mapping would hide it.
+  std::string bytes = Header({uint64_t{1} << 32, uint64_t{1} << 28});
+  const size_t record = bytes.size();
+  PutU32(&bytes, 0x43455253u);  // "SREC"
+  PutU32(&bytes, 0);
+  PutU64(&bytes, 0);                   // step
+  PutU64(&bytes, uint64_t{1} << 60);  // nnz
+  PutU32(&bytes, durable::Crc32(bytes.data() + record, 24));
+  PutU32(&bytes, 0);
+  // The entries start at the CRC: entry 0's index is the CRC (below 2^32).
+  PutU64(&bytes, 0);  // Entry 0's value.
+  for (uint64_t index = uint64_t{1} << 33; bytes.size() < 4096; ++index) {
+    PutU64(&bytes, index);
+    PutU64(&bytes, 0);
+  }
+  bytes.resize(4096);
+  const std::string path = MakeTempDir() + "/wrapped.slices";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  fault::ScopedFaultPlan heap_copy(
+      {"journal.mmap", fault::FaultKind::kIoError, 0, 1, 0.5});
+  SliceFileReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Open(path, &error)) << error;
+  EXPECT_EQ(fault::InjectedCount(), 1u) << "the scan ran over the mapping";
+  EXPECT_EQ(reader.num_records(), 0u);
+  EXPECT_TRUE(reader.truncated());
+}
+
+TEST(SliceFormatTest, RejectsHeaderWhoseVolumeOverflows) {
+  // 2^32 * 2^32 * 2 = 2^65 entries: Shape would wrap the product silently.
+  const std::string path = MakeTempDir() + "/overflow.slices";
+  const std::string bytes =
+      Header({uint64_t{1} << 32, uint64_t{1} << 32, 2});
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  SliceFileReader reader;
+  std::string error;
+  EXPECT_FALSE(reader.Open(path, &error));
+  EXPECT_NE(error.find("overflows"), std::string::npos) << error;
+}
+
+TEST(SliceFormatTest, DecodeIntoStaleBuffersMatchesFreshDecode) {
+  // A slice and mask of the file's shape are overwritten in place: stale
+  // values and indicators from an earlier, denser record must not survive,
+  // and the mask's count must be the new record's.
+  const std::string path = MakeTempDir() + "/stream.slices";
+  TensorStream stream = MakeStream(4, 13);
+  stream.masks[1] = Mask(Shape({3, 4}), /*observed=*/false);
+  stream.masks[1].Set(5, true);
+  stream.slices[1] = stream.masks[1].Apply(stream.slices[1]);
+  ASSERT_TRUE(WriteSliceFile(path, stream, 0));
+  SliceFileReader reader;
+  ASSERT_TRUE(reader.Open(path));
+
+  DenseTensor slice(Shape({3, 4}), -7.0);  // Stale contents everywhere.
+  Mask mask(Shape({3, 4}), /*observed=*/true);
+  const double* storage = slice.data();
+  for (const size_t i : {size_t{0}, size_t{1}, size_t{3}, size_t{2}}) {
+    DenseTensor fresh_slice;
+    Mask fresh_mask;
+    reader.Decode(i, &fresh_slice, &fresh_mask);
+    reader.Decode(i, &slice, &mask);
+    EXPECT_EQ(slice.data(), storage) << "record " << i << " reallocated";
+    ASSERT_EQ(slice.shape(), fresh_slice.shape());
+    EXPECT_EQ(std::memcmp(slice.data(), fresh_slice.data(),
+                          slice.NumElements() * sizeof(double)),
+              0)
+        << "record " << i;
+    EXPECT_TRUE(mask == fresh_mask) << "record " << i;
+    EXPECT_EQ(mask.CountObserved(), stream.masks[i].CountObserved())
+        << "record " << i;
+  }
+}
+
+TEST(SliceFormatTest, DecodeIntoAnotherShapeReallocates) {
+  const std::string path = MakeTempDir() + "/stream.slices";
+  const TensorStream stream = MakeStream(2, 14);
+  ASSERT_TRUE(WriteSliceFile(path, stream, 0));
+  SliceFileReader reader;
+  ASSERT_TRUE(reader.Open(path));
+  DenseTensor slice(Shape({2, 2}), 1.0);
+  Mask mask(Shape({5}), /*observed=*/true);
+  reader.Decode(1, &slice, &mask);
+  ASSERT_EQ(slice.shape(), Shape({3, 4}));
+  ASSERT_EQ(mask.shape(), Shape({3, 4}));
+  for (size_t k = 0; k < slice.NumElements(); ++k) {
+    EXPECT_EQ(slice[k], stream.slices[1][k]) << "entry " << k;
+    EXPECT_EQ(mask.Get(k), stream.masks[1].Get(k)) << "entry " << k;
+  }
+  EXPECT_EQ(mask.CountObserved(), stream.masks[1].CountObserved());
 }
 
 TEST(SliceFormatTest, RejectsGarbageAndEmptyFiles) {

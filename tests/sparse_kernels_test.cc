@@ -115,6 +115,70 @@ TEST(CooListTest, FromIndicesMatchesDenseBuild) {
   }
 }
 
+/// Every field of `coo` equals the division-based build's, bitwise.
+void ExpectMatchesDivisionBuild(const CooList& coo,
+                                const dense_oracle::CooRecords& want,
+                                bool with_mode_buckets) {
+  ASSERT_EQ(coo.nnz(), want.linear.size());
+  EXPECT_EQ(coo.LinearIndices(), want.linear);
+  const size_t order = coo.order();
+  for (size_t k = 0; k < coo.nnz(); ++k) {
+    for (size_t n = 0; n < order; ++n) {
+      ASSERT_EQ(coo.Index(k, n), want.coords[k * order + n])
+          << "record " << k << " mode " << n;
+    }
+  }
+  for (size_t n = 0; n < order; ++n) {
+    ASSERT_EQ(coo.has_mode_bucket(n), with_mode_buckets) << "mode " << n;
+    if (!with_mode_buckets) continue;
+    EXPECT_EQ(coo.ModeOrder(n), want.mode_order[n]) << "mode " << n;
+    EXPECT_EQ(coo.SlicePtr(n), want.slice_ptr[n]) << "mode " << n;
+  }
+}
+
+TEST(CooListTest, BuildAndFromIndicesMatchDivisionOracle) {
+  // Orders 1-4 over dims 1, 3 and 65 (a word-multiple fiber plus a tail,
+  // a tail-only fiber, and one-entry fibers), 8x8 (whole words only) and
+  // 64x64 (the stream slices), at 0%, 1%, 50% and 100% observed.
+  const std::vector<Shape> shapes = {
+      Shape({65}),         Shape({1}),          Shape({3, 65}),
+      Shape({65, 3}),      Shape({1, 65}),      Shape({65, 1}),
+      Shape({8, 8}),       Shape({64, 64}),     Shape({3, 1, 65}),
+      Shape({65, 3, 1}),   Shape({1, 65, 3}),   Shape({3, 65, 1, 3}),
+      Shape({1, 3, 1, 65}), Shape({65, 1, 3, 3})};
+  Rng rng(308);
+  for (const Shape& shape : shapes) {
+    for (const double density : {0.0, 0.01, 0.5, 1.0}) {
+      const Mask omega = RandomMask(shape, density, rng);
+      for (const bool buckets : {false, true}) {
+        SCOPED_TRACE(shape.ToString() + " density " +
+                     std::to_string(density) + " buckets " +
+                     std::to_string(buckets));
+        const dense_oracle::CooRecords want =
+            dense_oracle::DivisionCooBuild(omega, buckets);
+        ExpectMatchesDivisionBuild(CooList::Build(omega, buckets), want,
+                                   buckets);
+        ExpectMatchesDivisionBuild(
+            CooList::FromIndices(shape, want.linear, buckets), want, buckets);
+      }
+    }
+  }
+}
+
+TEST(CooListTest, FromIndicesCarriesAcrossSkippedFibers) {
+  // Gaps that skip one fiber, many fibers, and a whole mode-1 block at
+  // once exercise each branch of the carry.
+  const Shape shape({5, 4, 3, 2});
+  const std::vector<size_t> linear = {0, 4, 5, 9, 30, 59, 60, 61, 119};
+  Mask omega(shape, false);
+  for (const size_t idx : linear) omega.Set(idx, true);
+  const dense_oracle::CooRecords want =
+      dense_oracle::DivisionCooBuild(omega, true);
+  ASSERT_EQ(want.linear, linear);
+  ExpectMatchesDivisionBuild(CooList::FromIndices(shape, linear), want, true);
+  ExpectMatchesDivisionBuild(CooList::Build(omega), want, true);
+}
+
 TEST(CooListTest, SameObservedSetRejectsSubsetsAndSupersets) {
   // Equal count + containment is the equality proof SameObservedSet relies
   // on; strict subsets and supersets must both reject.
