@@ -148,6 +148,28 @@ void BM_CooAccumulate(benchmark::State& state) {
 }
 BENCHMARK(BM_CooAccumulate)->Arg(1)->Arg(10)->Arg(100);
 
+/// The baselines' temporal normal system (CooNormalSystem) at rank 5 and
+/// 70% observed: order 2 is one 40x40 slice of compare-nine (~1,100
+/// records, one block), order 3 a 24x24x24 slice (~9,700 records, three
+/// blocks). Single thread.
+void BM_NormalSystem(benchmark::State& state) {
+  const size_t order = static_cast<size_t>(state.range(0));
+  const Shape shape = order == 2 ? Shape({40, 40}) : Shape({24, 24, 24});
+  Rng rng(45);
+  const CooList coo = CooList::Build(BernoulliMask(shape, 0.7, rng), false);
+  std::vector<Matrix> factors;
+  for (size_t n = 0; n < shape.order(); ++n) {
+    factors.push_back(Matrix::RandomNormal(shape.dim(n), 5, rng));
+  }
+  std::vector<double> values(coo.nnz());
+  for (double& v : values) v = rng.Normal();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CooNormalSystem(coo, values, factors));
+  }
+  state.SetComplexityN(static_cast<int64_t>(coo.nnz()));
+}
+BENCHMARK(BM_NormalSystem)->Arg(2)->Arg(3)->ArgName("order");
+
 /// End-to-end SOFIA_ALS (3 sweeps) on a 10%-observed synthetic tensor; see
 /// BENCH_kernels.json.
 void BM_SofiaAls10pct(benchmark::State& state) {

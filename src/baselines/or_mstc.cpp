@@ -67,7 +67,8 @@ StepResult OrMstc::StepShared(const DenseTensor& y, const Mask& omega,
     // Sparse slab: soft-threshold the observed residual. SliceReconstruct
     // reproduces KruskalSlice's entry arithmetic, keeping the slab
     // decisions aligned with the dense oracle (bitwise whenever the
-    // temporal solves agree bitwise — see CooNormalSystem's blocking note).
+    // temporal solves agree bitwise: with SIMD off, on one reduction block
+    // — see CooNormalSystem).
     const std::vector<double>& recon = sweep_.SliceReconstruct(factors_, w);
     for (size_t k = 0; k < nnz; ++k) {
       outliers[k] = SoftThreshold(values[k] - recon[k],

@@ -454,35 +454,43 @@ StepResult StreamGuard::StepLazy(const DenseTensor& y, const Mask& omega,
   }
   if (expected_shape_.order() == 0) expected_shape_ = y.shape();
 
-  // Standalone use (no comparison runner): build the pattern once here and
-  // hand it to the inner method, replacing — not duplicating — its own
-  // build.
-  if (pattern == nullptr) {
-    pattern = std::make_shared<const CooList>(CooList::Build(omega));
-  }
-
   // --- Layer 1b: the single O(|Ω|) payload scan ------------------------
   // Doubles as the collection pass of the strided health probe, so the
-  // probe values come for free.
+  // probe values come for free. It walks the observed entries in ascending
+  // order: the pattern's records, or, in standalone use (handed no
+  // pattern), the mask itself. The inner method then gets no pattern
+  // either, so its own cache (SofiaModel::StepPattern,
+  // ObservedSweep::BeginStep) still serves a run of repeated masks.
   ++telemetry_.validation_passes;
   Gm().validation_passes->Add(1);
-  const size_t nnz = pattern->nnz();
+  const size_t nnz =
+      pattern != nullptr ? pattern->nnz() : omega.CountObserved();
   const size_t probe_cap = std::max<size_t>(1, options_.health_probe_entries);
   const size_t stride = std::max<size_t>(1, nnz / probe_cap);
   probe_linear_.clear();
   probe_scratch_.clear();
-  bool finite = true;
   double slice_max = 0.0;
-  for (size_t k = 0; k < nnz; ++k) {
-    const double v = y[pattern->LinearIndex(k)];
-    if (!std::isfinite(v)) {
-      finite = false;
-      break;
-    }
+  size_t k = 0;
+  auto scan = [&](size_t linear) {
+    const double v = y[linear];
+    if (!std::isfinite(v)) return false;
     slice_max = std::max(slice_max, std::fabs(v));
-    if (k % stride == 0 && probe_linear_.size() < probe_cap) {
-      probe_linear_.push_back(pattern->LinearIndex(k));
+    if (k++ % stride == 0 && probe_linear_.size() < probe_cap) {
+      probe_linear_.push_back(linear);
       probe_scratch_.push_back(v);
+    }
+    return true;
+  };
+  bool finite = true;
+  if (pattern != nullptr) {
+    for (size_t i = 0; i < nnz && finite; ++i) {
+      finite = scan(pattern->LinearIndex(i));
+    }
+  } else {
+    const uint8_t* observed = omega.data();
+    const size_t volume = omega.shape().NumElements();
+    for (size_t linear = 0; linear < volume && finite; ++linear) {
+      if (observed[linear] != 0) finite = scan(linear);
     }
   }
   // Payload-scale watch: huge-but-finite garbage saturates the NRE probe

@@ -39,7 +39,10 @@
 /// Clean-stream overhead is one O(|Ω|) validation scan per slice plus
 /// O(probe N R) health probes and an O(state) checkpoint serialization —
 /// never an extra pattern build, estimate materialization, or O(volume)
-/// pass (counter-verified in tests/stream_guard_test.cc).
+/// pass (counter-verified in tests/stream_guard_test.cc). Handed no
+/// pattern (standalone use), the scan walks the mask's indicator bytes
+/// instead of a pattern's records, and the inner method builds or reuses
+/// its own pattern.
 ///
 /// Recovery metric: a trip opens a fault episode; each later slice
 /// increments the episode's step count (renewed trips reset it); the

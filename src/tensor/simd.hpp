@@ -28,9 +28,8 @@
 /// scalar path is the ≤1e-12 parity reference (tests/simd_test.cc).
 ///
 /// Kernels whose outputs are bitwise-pinned against a differently-ordered
-/// reference chain (CooKruskalSliceGather vs the dense KruskalSlice fold,
-/// CooNormalSystem vs the dense oracle's SolveTemporalRow in
-/// tests/dense_oracle.hpp) intentionally stay scalar-only.
+/// reference chain (CooKruskalSliceGather vs the dense KruskalSlice fold)
+/// and the residual norms intentionally stay scalar-only.
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #define SOFIA_SIMD_X86 1

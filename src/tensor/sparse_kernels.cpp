@@ -118,13 +118,14 @@ struct ReduceScratch {
 /// of the row-system kernel's accumulator rows.
 constexpr size_t PaddedRank(size_t rank) { return (rank + 3) / 4 * 4; }
 
-/// The regressor inputs of the row-system kernel, set up once per call:
-/// every other mode's factor with its rows padded to PaddedRank(R) doubles
-/// (zero pad lanes), so a record's h is built from whole-vector loads, and
-/// the row h starts from (the weights, or ones for the plain Theorem-1
-/// systems) at the same width. Ranks that are a multiple of 4 read the
-/// factors in place. The copies live in the pool's arena when it has one —
-/// allocation-free in steady state, like ReduceScratch — else in `local`.
+/// The regressor inputs of the normal-system accumulator, set up once per
+/// call: every factor but the solved `mode`'s (every factor when `mode` is
+/// factors.size()) with its rows padded to PaddedRank(R) doubles (zero pad
+/// lanes), so a record's h is built from whole-vector loads, and the row h
+/// starts from (the weights, or ones) at the same width. Ranks that are a
+/// multiple of 4 read the factors in place. The copies live in the pool's
+/// arena when it has one — allocation-free in steady state, like
+/// ReduceScratch — else in `local`.
 struct PaddedRows {
   std::vector<double> local;
   std::vector<const double*> base;  // Per mode; the solved mode's is null.
@@ -169,7 +170,7 @@ struct PaddedRows {
   }
 };
 
-/// Accumulator rows of one mode slice: R rows of B, then c, then the
+/// Accumulator rows of one normal system: R rows of B, then c, then the
 /// current record's h, each PaddedRank(R) lanes of type V wide. A fixed
 /// rank keeps them in a local array, which the compiler holds in registers
 /// at small ranks; the dynamic rank allocates per task. Both are 32-byte
@@ -249,34 +250,36 @@ void CooMttkrpImpl(const CooList& coo, const std::vector<double>& values,
   RunTasks(pool, out->rows(), simd::Select(task));
 }
 
-/// One mode slice's Theorem-1 system, written (not added) to `bdata` (full
-/// R x R, row-major) and `c`: per record, h = start ⊛ (⊛_{l != mode}
-/// u^(l)_{i_l}) with the other modes multiplied in ascending order, then
-/// c += y* h and B += h h^T. B and c stay in accumulator rows of
-/// PaddedRank(R) lanes for the whole slice, as vectors of type V (Vec4 in
+/// One normal system B = Σ h h^T, c = Σ values[k] h, written (not added)
+/// to `bdata` (full R x R, row-major) and `c`. With kBucket it walks
+/// records [begin, end) of mode `mode`'s bucket order and leaves `mode` out
+/// of h: one Theorem-1 row system. Without, it walks records [begin, end)
+/// in record order, ignores `mode`, and h takes every mode: one block of
+/// the temporal system. Per record, h = start ⊛ the padded rows of those
+/// modes, multiplied in ascending mode order. B and c stay in rows of
+/// PaddedRank(R) lanes for the whole walk, as vectors of type V (Vec4 in
 /// the AVX2+FMA instantiation, Vec2 in the scalar one) that the compiler
 /// holds in registers at small ranks, and h is built from whole-vector
 /// loads of the padded factor rows. Each B and c element takes exactly one
-/// multiply-add per record, in bucket order: a fused one in the AVX2+FMA
+/// multiply-add per record, in walk order: a fused one in the AVX2+FMA
 /// instantiation, multiply-then-add in the scalar one. Full rows of B are
 /// accumulated and the upper triangle is mirrored at the end, so B is
-/// exactly symmetric. The single source of this arithmetic for both the
-/// materialized row-system kernels and the fused proximal updates, so the
-/// two stay bitwise aligned.
-template <size_t kR, size_t kN, typename V>
-void AccumulateSliceRowSystem(const CooList& coo,
-                              const std::vector<double>& values,
-                              const PaddedRows& rows, size_t mode,
-                              size_t slice, size_t rank,
-                              double* SOFIA_RESTRICT bdata,
-                              double* SOFIA_RESTRICT c) {
+/// exactly symmetric. The single source of this arithmetic for the
+/// materialized row systems, the fused proximal updates and the temporal
+/// system.
+template <size_t kR, size_t kN, typename V, bool kBucket>
+void AccumulateNormalSystem(const CooList& coo,
+                            const std::vector<double>& values,
+                            const PaddedRows& rows, size_t mode, size_t begin,
+                            size_t end, size_t rank,
+                            double* SOFIA_RESTRICT bdata,
+                            double* SOFIA_RESTRICT c) {
   constexpr size_t L = sizeof(V) / sizeof(double);
-  const std::vector<uint32_t>& order = coo.ModeOrder(mode);
-  const std::vector<size_t>& ptr = coo.SlicePtr(mode);
+  const uint32_t* order = kBucket ? coo.ModeOrder(mode).data() : nullptr;
   const size_t R = kR == 0 ? rank : kR;
   const size_t stride = PaddedRank(R);
   const size_t W = stride / L;
-  const size_t others = (kN == 0 ? coo.order() : kN) - 1;
+  const size_t modes = (kN == 0 ? coo.order() : kN) - (kBucket ? 1 : 0);
   LaneRows<kR, V> lanes;
   V* SOFIA_RESTRICT acc = lanes.get(R);
   V* SOFIA_RESTRICT cacc = acc + R * W;
@@ -284,14 +287,14 @@ void AccumulateSliceRowSystem(const CooList& coo,
   V zero;
   for (size_t i = 0; i < L; ++i) zero[i] = 0.0;
   for (size_t j = 0; j < (R + 1) * W; ++j) acc[j] = zero;
-  for (size_t p = ptr[slice]; p < ptr[slice + 1]; ++p) {
-    const size_t k = order[p];
+  for (size_t p = begin; p < end; ++p) {
+    const size_t k = kBucket ? order[p] : p;
     const uint32_t* idx = coo.Coords(k);
     for (size_t j = 0; j < W; ++j) {
       std::memcpy(&h[j], rows.start + L * j, sizeof(V));
     }
-    for (size_t o = 0; o < others; ++o) {
-      const size_t l = o + (o >= mode ? 1 : 0);  // o-th mode != `mode`.
+    for (size_t o = 0; o < modes; ++o) {
+      const size_t l = kBucket && o >= mode ? o + 1 : o;  // o-th mode in h.
       const double* row = rows.base[l] + idx[l] * stride;
       for (size_t j = 0; j < W; ++j) {
         V x;
@@ -323,17 +326,18 @@ template <size_t kR, size_t kN>
 void CooRowSystemsImpl(const CooList& coo, const std::vector<double>& values,
                        const PaddedRows& rows, size_t mode, WorkerPool* pool,
                        size_t rank, RowSystems* sys) {
+  const std::vector<size_t>& ptr = coo.SlicePtr(mode);
   auto task = [&](auto lanes, size_t slice) {
-    AccumulateSliceRowSystem<kR, kN, typename decltype(lanes)::type>(
-        coo, values, rows, mode, slice, rank, sys->b[slice].data(),
-        sys->c[slice].data());
+    AccumulateNormalSystem<kR, kN, typename decltype(lanes)::type, true>(
+        coo, values, rows, mode, ptr[slice], ptr[slice + 1], rank,
+        sys->b[slice].data(), sys->c[slice].data());
   };
   RunTasks(pool, sys->b.size(), simd::SelectLanes(task));
 }
 
 /// Fused row-system accumulation + proximal solve of one mode. Per task
 /// (= one mode slice = one output row): build B/c via the shared
-/// AccumulateSliceRowSystem, then hand the system to the shared
+/// AccumulateNormalSystem, then hand the system to the shared
 /// ProximalRowSolve in stack buffers — the same routines the materialized
 /// kernels and the dense oracle's proximal updates run, so the fused and
 /// materialized paths stay bitwise aligned.
@@ -343,14 +347,15 @@ void CooProximalRowUpdatesImpl(const CooList& coo,
                                const PaddedRows& rows, size_t mode,
                                const Matrix& previous, double mu,
                                WorkerPool* pool, size_t rank, Matrix* u) {
+  const std::vector<size_t>& ptr = coo.SlicePtr(mode);
   auto task = [&](auto lanes, size_t slice) {
     const size_t R = kR == 0 ? rank : kR;
     RankBuffer<kR> cbuf, rhsbuf;
     RankSquareBuffer<kR> bbuf, abuf;
     double* b = bbuf.get(R);
     double* c = cbuf.get(R);
-    AccumulateSliceRowSystem<kR, kN, typename decltype(lanes)::type>(
-        coo, values, rows, mode, slice, rank, b, c);
+    AccumulateNormalSystem<kR, kN, typename decltype(lanes)::type, true>(
+        coo, values, rows, mode, ptr[slice], ptr[slice + 1], rank, b, c);
     // ProximalRowSolve is an out-of-line call: its arithmetic stays scalar
     // under both instantiations; only the B/c accumulation vectorizes.
     ProximalRowSolve(b, c, previous.Row(slice), mu, R, abuf.get(R),
@@ -360,51 +365,11 @@ void CooProximalRowUpdatesImpl(const CooList& coo,
 }
 
 /// Runs fn(kR, kN) on the rank- and order-specialized instantiation of the
-/// row-system kernels.
+/// normal-system kernels.
 template <typename Fn>
 void DispatchRowSystems(size_t order, size_t rank, Fn&& fn) {
   DispatchOrder<2, 3>(order, [&](auto order_tag) {
     DispatchRank(rank, [&](auto rank_tag) { fn(rank_tag, order_tag); });
-  });
-}
-
-/// Blocked accumulation of the slice-global temporal system: each block owns
-/// a packed [B | c] accumulator of R*R + R doubles, combined in block order
-/// by the caller. Per record the full R x R matrix is accumulated in the
-/// dense-scan order (c then each row of B), so a single-block run matches
-/// the test oracle's SolveTemporalRow accumulation bitwise. That pin is why
-/// this kernel stays scalar-only (no simd::Select): FMA contraction would
-/// break the bit-for-bit match.
-template <size_t kR>
-void CooNormalSystemImpl(const CooList& coo, const std::vector<double>& values,
-                         const std::vector<FactorView>& views,
-                         WorkerPool* pool, size_t rank,
-                         double* partial) {
-  const size_t num_modes = views.size();
-  const size_t num_blocks = (coo.nnz() + kReductionBlock - 1) / kReductionBlock;
-  RunTasks(pool, num_blocks, [&](size_t block) {
-    const size_t R = kR == 0 ? rank : kR;
-    RankBuffer<kR> buf;
-    double* h = buf.get(R);
-    double* out = partial + block * (R * R + R);  // [B rows | c].
-    const size_t begin = block * kReductionBlock;
-    const size_t end = std::min(begin + kReductionBlock, coo.nnz());
-    for (size_t k = begin; k < end; ++k) {
-      const uint32_t* idx = coo.Coords(k);
-      for (size_t r = 0; r < R; ++r) h[r] = 1.0;
-      for (size_t l = 0; l < num_modes; ++l) {
-        const double* row = views[l].data + idx[l] * views[l].cols;
-        for (size_t r = 0; r < R; ++r) h[r] *= row[r];
-      }
-      const double v = values[k];
-      double* c = out + R * R;
-      for (size_t r = 0; r < R; ++r) {
-        const double hr = h[r];
-        c[r] += v * hr;
-        double* brow = out + r * R;
-        for (size_t q = 0; q < R; ++q) brow[q] += hr * h[q];
-      }
-    }
   });
 }
 
@@ -968,19 +933,32 @@ NormalSystem CooNormalSystem(const CooList& coo,
   const size_t rank = factors.empty() ? 0 : factors[0].cols();
   CheckFactors(coo, factors, rank);
 
-  const size_t num_blocks = (coo.nnz() + kReductionBlock - 1) / kReductionBlock;
-  ReduceScratch scratch(pool, num_blocks * (rank * rank + rank));
-  const std::vector<FactorView> views = MakeViews(factors);
-  DispatchRank(rank, [&](auto tag) {
-    CooNormalSystemImpl<decltype(tag)::value>(coo, values, views, pool, rank,
-                                              scratch.partials);
+  // Fixed kReductionBlock-record blocks, each writing its [B | c] to its
+  // own partial, added in block order: the same sums on every pool.
+  const size_t nnz = coo.nnz();
+  const size_t num_blocks = (nnz + kReductionBlock - 1) / kReductionBlock;
+  const size_t partial_size = rank * rank + rank;
+  ReduceScratch scratch(pool, num_blocks * partial_size);
+  const size_t no_mode = factors.size();  // h takes every mode.
+  const PaddedRows rows(pool, factors, /*weights=*/nullptr, no_mode, rank);
+  DispatchRowSystems(coo.order(), rank, [&](auto rank_tag, auto order_tag) {
+    auto task = [&](auto lanes, size_t block) {
+      double* out = scratch.partials + block * partial_size;
+      const size_t begin = block * kReductionBlock;
+      AccumulateNormalSystem<decltype(rank_tag)::value,
+                             decltype(order_tag)::value,
+                             typename decltype(lanes)::type, false>(
+          coo, values, rows, no_mode, begin,
+          std::min(begin + kReductionBlock, nnz), rank, out, out + rank * rank);
+    };
+    RunTasks(pool, num_blocks, simd::SelectLanes(task));
   });
 
   NormalSystem sys;
   sys.b = Matrix(rank, rank);
   sys.c.assign(rank, 0.0);
   for (size_t block = 0; block < num_blocks; ++block) {
-    const double* out = scratch.partials + block * (rank * rank + rank);
+    const double* out = scratch.partials + block * partial_size;
     double* bdata = sys.b.data();
     for (size_t e = 0; e < rank * rank; ++e) bdata[e] += out[e];
     for (size_t r = 0; r < rank; ++r) sys.c[r] += out[rank * rank + r];

@@ -18,9 +18,9 @@
 /// only the |Ω| records of a prebuilt CooList instead of rescanning the full
 /// dense index space once per mode per sweep. Their dense-scan references
 /// live in tests/dense_oracle.hpp, the oracle of the kernel parity tests.
-/// Three kernels stay scalar and keep the dense scans' order of operations,
+/// Two kernels stay scalar and keep the dense scans' order of operations,
 /// so on inputs of one reduction block they reproduce the oracle bit for
-/// bit: CooNormalSystem, CooKruskalSliceGather and CooResidualSquaredNorm.
+/// bit: CooKruskalSliceGather and CooResidualSquaredNorm.
 /// All of them but SOFIA's step (CooSofiaStep, one serial pass) split the
 /// work into disjoint units (mode slices, or fixed-size record blocks for
 /// the reductions) and run the units on the `pool` they are handed, or
@@ -77,12 +77,14 @@ RowSystems CooRowSystems(const CooList& coo, const std::vector<double>& values,
 
 /// Accumulate the slice-global temporal normal equations from observed
 /// entries: h_k is the Hadamard product over *all* modes' factor rows at
-/// record k (multiplied in mode order, matching the dense scan), and the
-/// full R x R matrix is accumulated per record in the dense-scan order of
-/// the test oracle's SolveTemporalRow.
-/// Blocked over fixed-size record ranges with partials combined in block
-/// order — bitwise identical for every thread count. Works on bucket-less
-/// CooLists.
+/// record k (multiplied in mode order, matching the dense scan), on the
+/// row systems' register-blocked accumulator. B's upper triangle is
+/// mirrored, so it is exactly symmetric. Blocked over fixed 4096-record
+/// ranges in record order with partials combined in block order — bitwise
+/// identical for every thread count. The scalar instantiation gives the
+/// bits of the record-order scalar kernel (tests/dense_oracle.hpp's
+/// RecordOrderNormalSystem); the AVX2+FMA one differs by fused rounding.
+/// Works on bucket-less CooLists.
 NormalSystem CooNormalSystem(const CooList& coo,
                              const std::vector<double>& values,
                              const std::vector<Matrix>& factors,

@@ -14,7 +14,9 @@
 //    CooSofiaStep — plus the three-pass CooList gradient kernel that the
 //    fused step replaced (CooStepGradients);
 //  - the baselines' shared motifs: the temporal-row solve, factor
-//    gradients, per-row slice systems and the proximal row update;
+//    gradients, per-row slice systems and the proximal row update, plus the
+//    scalar record-order temporal system that CooNormalSystem replaced
+//    (RecordOrderNormalSystem);
 //  - a dense reference of each of the six streaming baselines built on
 //    ObservedSweep (MakeDenseBaseline), which tests/baseline_parity_test.cc
 //    steps in lockstep with the library method;
@@ -444,6 +446,49 @@ inline std::vector<double> SolveTemporalRow(const DenseTensor& y,
                   });
   for (size_t r = 0; r < rank; ++r) b(r, r) += ridge;
   return SolveRidge(b, c);
+}
+
+/// The scalar CooNormalSystem the lane accumulator replaced: per record,
+/// h = the product of every mode's factor row (ones, then each mode in
+/// ascending order), then c[r] += values[k] h[r] and B[r][q] += h[r] h[q]
+/// over the full R x R matrix, in record order within fixed 4096-record
+/// blocks whose partials are added in block order. Every product rounds
+/// before its add, even in builds that contract multiply-adds (-mfma), as in
+/// CooNormalSystem's scalar instantiation, which must equal it bit for bit.
+inline NormalSystem RecordOrderNormalSystem(
+    const CooList& coo, const std::vector<double>& values,
+    const std::vector<Matrix>& factors) {
+  constexpr size_t kBlock = 4096;
+  const size_t rank = factors.empty() ? 0 : factors[0].cols();
+  NormalSystem sys;
+  sys.b = Matrix(rank, rank);
+  sys.c.assign(rank, 0.0);
+  std::vector<double> h(rank);
+  for (size_t begin = 0; begin < coo.nnz(); begin += kBlock) {
+    Matrix b(rank, rank);
+    std::vector<double> c(rank, 0.0);
+    for (size_t k = begin; k < std::min(begin + kBlock, coo.nnz()); ++k) {
+      const uint32_t* idx = coo.Coords(k);
+      std::fill(h.begin(), h.end(), 1.0);
+      for (size_t l = 0; l < factors.size(); ++l) {
+        const double* row = factors[l].Row(idx[l]);
+        for (size_t r = 0; r < rank; ++r) h[r] *= row[r];
+      }
+      for (size_t r = 0; r < rank; ++r) {
+        volatile double term = values[k] * h[r];  // Rounded: no FMA.
+        c[r] += term;
+        for (size_t q = 0; q < rank; ++q) {
+          volatile double product = h[r] * h[q];
+          b(r, q) += product;
+        }
+      }
+    }
+    for (size_t r = 0; r < rank; ++r) {
+      sys.c[r] += c[r];
+      for (size_t q = 0; q < rank; ++q) sys.b(r, q) += b(r, q);
+    }
+  }
+  return sys;
 }
 
 /// Descent direction (resid * regressor) of

@@ -211,6 +211,13 @@ TEST(ObservedSweepKernelsTest, KernelsAreBitwiseThreadDeterministic) {
   std::vector<double> values = coo.Gather(p.y);
   NormalSystem serial_sys = CooNormalSystem(coo, values, p.factors);
   ModeGradients serial_g = CooModeGradients(coo, values, p.factors, p.w);
+  // The temporal system past one reduction block: ~9,700 records in three
+  // 4096-record blocks, whose partials every pool must add in block order.
+  Problem big = MakeProblem(Shape({24, 24, 24}), 5, 0.7, 28);
+  CooList big_coo = CooList::Build(big.omega, false);
+  ASSERT_GT(big_coo.nnz(), 2u * 4096u);
+  std::vector<double> big_values = big_coo.Gather(big.y);
+  NormalSystem serial_big = CooNormalSystem(big_coo, big_values, big.factors);
 
   // Each executor size is a different task-to-thread map.
   for (size_t threads : {2, 3, 4}) {
@@ -219,6 +226,10 @@ TEST(ObservedSweepKernelsTest, KernelsAreBitwiseThreadDeterministic) {
     NormalSystem pooled_sys = CooNormalSystem(coo, values, p.factors, &pool);
     EXPECT_EQ(serial_sys.b.MaxAbsDiff(pooled_sys.b), 0.0);
     EXPECT_EQ(MaxAbsDiffVec(serial_sys.c, pooled_sys.c), 0.0);
+    NormalSystem pooled_big =
+        CooNormalSystem(big_coo, big_values, big.factors, &pool);
+    EXPECT_EQ(serial_big.b.MaxAbsDiff(pooled_big.b), 0.0);
+    EXPECT_EQ(MaxAbsDiffVec(serial_big.c, pooled_big.c), 0.0);
 
     for (size_t mode = 0; mode < p.factors.size(); ++mode) {
       RowSystems serial =

@@ -302,6 +302,32 @@ TEST(StreamGuardTest, CleanStreamsPayOnlyTheValidationScan) {
             telemetry.steps / StreamGuardOptions{}.checkpoint_every);
 }
 
+TEST(StreamGuardTest, PatternlessStepsKeepTheInnerPatternCache) {
+  // Handed no pattern, the guard scans the mask and hands none down, so
+  // SOFIA's own cache still serves a run of identical masks from one build.
+  SofiaConfig config;
+  config.rank = 3;
+  config.period = 4;
+  config.max_init_iterations = 5;
+  const size_t window = config.InitWindow();
+  constexpr size_t kRun = 10;
+  std::vector<DenseTensor> slices = MakeTruth(6, 5, window + kRun, 291);
+  Mask omega(Shape({6, 5}), true);
+  omega.Set(7, false);
+  const std::vector<DenseTensor> init(slices.begin(),
+                                      slices.begin() + window);
+
+  StreamGuard guard(std::make_unique<SofiaStream>(config));
+  guard.Initialize(init, std::vector<Mask>(window, omega));
+  for (size_t t = 0; t < kRun; ++t) guard.StepLazy(slices[window + t], omega);
+  const auto& sofia = dynamic_cast<const SofiaStream&>(guard.inner());
+  EXPECT_EQ(sofia.model().step_pattern_builds(), 1u);
+  EXPECT_EQ(sofia.model().step_pattern_reuses(), kRun - 1);
+  EXPECT_EQ(guard.telemetry().validation_passes, window + kRun);
+  EXPECT_EQ(guard.telemetry().input_trips + guard.telemetry().health_trips,
+            0u);
+}
+
 // ------------------------------------------- checkpoint ring + walk-back
 
 /// Checkpointable fake whose serialized state is a step counter, so a test
