@@ -1,22 +1,21 @@
 // Durability-layer benchmark: what crash consistency costs on the step
 // path, and what recovery costs after a kill. Two representative methods
 // (OnlineSGD — cheap steps, small state; SOFIA — the real workload) are
-// driven over the same corrupted stream four ways:
+// driven over the same corrupted stream three ways:
 //
 //  - raw:            the bare method (baseline wall time);
-//  - durable:        DurableGuard, journal + snapshots written inline on
-//                    the ingest thread;
-//  - durable_async:  the same writes riding a ShardExecutor's aux lane —
-//                    the deployment configuration, where journal encoding
-//                    stays on the ingest thread but disk IO overlaps the
-//                    next step's compute;
-//  - durable_fsync:  inline with sync_each_append=true — the group-commit
+//  - durable:        DurableGuard, journal + snapshots written on the
+//                    ingest thread, the journal fsynced at each snapshot;
+//  - durable_fsync:  the same with sync_each_append=true — the group-commit
 //                    lower bound for callers that need every slice durable
 //                    the moment StepLazy returns.
 //
-// It also times Recover() (newest snapshot + full journal-tail replay,
-// which re-runs inner steps) and reports journal throughput. The
-// speedup_durability map holds the overhead ratios the README quotes.
+// Each mode keeps its best rep as <method>/<mode>_s, with the median and
+// worst rep beside it (_median_rep_s, _worst_rep_s), so a slow phase of a
+// shared host shows. It also times Recover() (newest snapshot + full
+// journal-tail replay, which re-runs inner steps) and reports journal
+// throughput. The speedup_durability map holds the overhead ratios (best
+// over best) the README quotes.
 //
 //   bench_durability [--out=BENCH_durability.json] [--rows=64] [--cols=64]
 //                    [--steps=128] [--reps=3] [--snapshot-every=16]
@@ -24,13 +23,13 @@
 // The driving CMake target is gated behind SOFIA_BUILD_BENCH like every
 // other bench binary.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cmath>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/online_sgd.hpp"
@@ -40,7 +39,6 @@
 #include "eval/durable_guard.hpp"
 #include "util/bench_json.hpp"
 #include "util/flags.hpp"
-#include "util/shard_executor.hpp"
 #include "util/stopwatch.hpp"
 
 namespace sofia {
@@ -76,10 +74,12 @@ std::unique_ptr<StreamingMethod> MakeMethod(const std::string& name) {
   return std::make_unique<SofiaStream>(config);
 }
 
-enum class Mode { kRaw, kDurable, kDurableAsync, kDurableFsync };
+enum class Mode { kRaw, kDurable, kDurableFsync };
 
 struct ModeResult {
-  double seconds = 0.0;       ///< Best (min) stream wall time.
+  double seconds = 0.0;         ///< Best (min) stream wall time.
+  double median_seconds = 0.0;  ///< Median rep's stream wall time.
+  double worst_seconds = 0.0;   ///< Slowest rep's stream wall time.
   double recover_seconds = 0.0;
   DurableTelemetry telemetry;  ///< From the rep that set `seconds`.
 };
@@ -88,11 +88,11 @@ ModeResult RunMode(const std::string& method_name, Mode mode,
                    const CorruptedStream& stream, size_t snapshot_every,
                    size_t reps) {
   ModeResult best;
+  std::vector<double> rep_seconds;
   for (size_t rep = 0; rep < reps; ++rep) {
     const std::string dir = MakeTempDir();
     std::unique_ptr<StreamingMethod> method = MakeMethod(method_name);
     std::unique_ptr<DurableGuard> durable;
-    std::shared_ptr<ShardExecutor> executor;
     StreamingMethod* driven = method.get();
     if (mode != Mode::kRaw) {
       DurableGuardOptions options;
@@ -100,10 +100,6 @@ ModeResult RunMode(const std::string& method_name, Mode mode,
       options.snapshot_every = snapshot_every;
       options.sync_each_append = mode == Mode::kDurableFsync;
       durable = std::make_unique<DurableGuard>(std::move(method), options);
-      if (mode == Mode::kDurableAsync) {
-        executor = std::make_shared<ShardExecutor>(2);
-        durable->AdoptWorkerPool(executor);
-      }
       driven = durable.get();
     }
 
@@ -121,6 +117,7 @@ ModeResult RunMode(const std::string& method_name, Mode mode,
     }
     if (durable) durable->Drain();
     const double seconds = timer.ElapsedSeconds();
+    rep_seconds.push_back(seconds);
 
     double recover_seconds = 0.0;
     if (durable) {
@@ -138,6 +135,9 @@ ModeResult RunMode(const std::string& method_name, Mode mode,
     durable.reset();  // Close the journal before deleting the tree.
     RemoveTree(dir);
   }
+  std::sort(rep_seconds.begin(), rep_seconds.end());
+  best.median_seconds = rep_seconds[rep_seconds.size() / 2];
+  best.worst_seconds = rep_seconds.back();
   return best;
 }
 
@@ -152,7 +152,8 @@ int main(int argc, char** argv) {
   const size_t rows = static_cast<size_t>(flags.GetInt("rows", 64));
   const size_t cols = static_cast<size_t>(flags.GetInt("cols", 64));
   const size_t steps = static_cast<size_t>(flags.GetInt("steps", 128));
-  const size_t reps = static_cast<size_t>(flags.GetInt("reps", 3));
+  const size_t reps =
+      std::max<size_t>(1, static_cast<size_t>(flags.GetInt("reps", 3)));
   const size_t snapshot_every =
       static_cast<size_t>(flags.GetInt("snapshot-every", 16));
 
@@ -174,15 +175,17 @@ int main(int argc, char** argv) {
         RunMode(method, Mode::kRaw, stream, snapshot_every, reps);
     const ModeResult durable =
         RunMode(method, Mode::kDurable, stream, snapshot_every, reps);
-    const ModeResult async =
-        RunMode(method, Mode::kDurableAsync, stream, snapshot_every, reps);
     const ModeResult fsync =
         RunMode(method, Mode::kDurableFsync, stream, snapshot_every, reps);
 
-    results[method + "/raw_s"] = raw.seconds;
-    results[method + "/durable_s"] = durable.seconds;
-    results[method + "/durable_async_s"] = async.seconds;
-    results[method + "/durable_fsync_s"] = fsync.seconds;
+    for (const auto& [mode, result] :
+         {std::make_pair("raw", &raw), std::make_pair("durable", &durable),
+          std::make_pair("durable_fsync", &fsync)}) {
+      const std::string key = method + "/" + mode;
+      results[key + "_s"] = result->seconds;
+      results[key + "_median_rep_s"] = result->median_seconds;
+      results[key + "_worst_rep_s"] = result->worst_seconds;
+    }
     results[method + "/recover_s"] = durable.recover_seconds;
     results[method + "/journal_mb"] =
         static_cast<double>(durable.telemetry.journal_bytes) / (1 << 20);
@@ -190,8 +193,6 @@ int main(int argc, char** argv) {
         static_cast<double>(durable.telemetry.snapshots_written);
     overhead["durable_overhead_" + method] =
         raw.seconds > 0.0 ? durable.seconds / raw.seconds : 0.0;
-    overhead["durable_async_overhead_" + method] =
-        raw.seconds > 0.0 ? async.seconds / raw.seconds : 0.0;
     overhead["durable_fsync_overhead_" + method] =
         raw.seconds > 0.0 ? fsync.seconds / raw.seconds : 0.0;
     overhead["journal_mb_per_s_" + method] =
@@ -200,10 +201,11 @@ int main(int argc, char** argv) {
                   (1 << 20) / durable.seconds
             : 0.0;
 
-    std::printf("%-10s raw %6.3f s | durable %6.3f s (inline) %6.3f s "
-                "(async) %6.3f s (fsync) | recover %6.3f s | %zu snapshots, "
+    std::printf("%-10s raw %6.3f s | durable %6.3f s (median %6.3f, worst "
+                "%6.3f) | fsync %6.3f s | recover %6.3f s | %zu snapshots, "
                 "%.2f MiB journaled\n",
-                method.c_str(), raw.seconds, durable.seconds, async.seconds,
+                method.c_str(), raw.seconds, durable.seconds,
+                durable.median_seconds, durable.worst_seconds,
                 fsync.seconds, durable.recover_seconds,
                 static_cast<size_t>(durable.telemetry.snapshots_written),
                 static_cast<double>(durable.telemetry.journal_bytes) /
@@ -221,13 +223,14 @@ int main(int argc, char** argv) {
                "and SOFIA over a %zu-step stream of %zux%zu slices (rank "
                "%zu, 20%% missing + 5%% outliers), raw vs DurableGuard "
                "with the write-ahead slice journal and a rotated atomic "
-               "snapshot every %zu steps — journal+snapshot IO inline on "
-               "the ingest thread, riding a ShardExecutor aux lane "
-               "(deployment config), and inline with per-append fsync "
-               "(group-commit lower bound). recover_s times Recover(): "
-               "newest-valid-snapshot restore plus full journal-tail "
-               "replay through real inner steps. Wall times are best of "
-               "%zu (bench_durability --out=BENCH_durability.json).\",\n",
+               "snapshot every %zu steps, journal+snapshot IO on the ingest "
+               "thread — fsynced at each snapshot (durable) or after every "
+               "append (durable_fsync, the group-commit lower bound). "
+               "recover_s times Recover(): newest-valid-snapshot restore "
+               "plus full journal-tail replay through real inner steps. "
+               "Wall times <mode>_s are best of %zu, with the median and "
+               "worst rep in <mode>_median_rep_s and _worst_rep_s "
+               "(bench_durability --out=BENCH_durability.json).\",\n",
                steps, rows, cols, kRank, snapshot_every, reps);
   bench::WriteMachineBlock(f);
   std::fprintf(f, "  \"unit\": \"s\",\n");

@@ -248,11 +248,8 @@ int main(int argc, char** argv) {
                 res.guard.input_trips, res.guard.health_trips,
                 res.guard.recoveries);
   }
-  const PipelineTelemetry& pipe = res.pipeline;
-  std::printf("runtime: %zu lane(s) — %zu steps, %llu arena growths after "
-              "warm-up\n",
-              pipe.workers, pipe.steps,
-              static_cast<unsigned long long>(pipe.arena_growth_steady));
+  std::printf("runtime: %zu lane(s) — %zu steps\n", res.pipeline.workers,
+              res.pipeline.steps);
   std::remove(path.c_str());
   obs::FinishObs(obs_config);
   return 0;

@@ -100,9 +100,8 @@ class SliceFileWriter {
   /// handles).
   bool Append(uint64_t step, const DenseTensor& slice, const Mask& mask);
 
-  /// Appends bytes already produced by EncodeRecord. The durable guard
-  /// encodes on the ingest thread (cheap, O(|Ω|)) and ships the bytes to
-  /// the ShardExecutor aux lane, where this performs the actual write.
+  /// Appends bytes already produced by EncodeRecord (the durable guard
+  /// encodes each record from its pattern's indices, then writes it here).
   bool AppendEncoded(const std::string& encoded);
 
   /// fsyncs the file. Append does NOT sync per record (group commit is the

@@ -23,7 +23,6 @@ struct DurableMetrics {
   obs::Counter* steps;
   obs::Counter* journal_appends;
   obs::Counter* journal_bytes;
-  obs::Counter* async_appends;
   obs::Counter* journal_failures;
   obs::Counter* snapshots_written;
   obs::Counter* snapshot_failures;
@@ -37,7 +36,6 @@ DurableMetrics& Dm() {
       r.FindOrCreateCounter("durable.steps"),
       r.FindOrCreateCounter("durable.journal_appends"),
       r.FindOrCreateCounter("durable.journal_bytes"),
-      r.FindOrCreateCounter("durable.async_appends"),
       r.FindOrCreateCounter("durable.journal_failures"),
       r.FindOrCreateCounter("durable.snapshots_written"),
       r.FindOrCreateCounter("durable.snapshot_failures"),
@@ -63,74 +61,24 @@ DurableGuard::DurableGuard(std::unique_ptr<StreamingMethod> inner,
   durable::EnsureDir(options_.state_dir);
 }
 
-DurableGuard::~DurableGuard() {
-  // Land in-flight aux IO so no job outlives its captured `this`. A crash
-  // captured here is dropped on purpose: the "process" is being torn down
-  // either way, and a destructor cannot throw.
-  if (executor_ != nullptr && pending_ticket_ != 0) {
-    executor_->Wait(pending_ticket_);
-    pending_ticket_ = 0;
-  }
-  journal_.Close();
-}
-
 std::string DurableGuard::SegmentPath(uint64_t seq) const {
   return options_.state_dir + "/wal-" + std::to_string(seq) + ".slices";
 }
 
-void DurableGuard::RethrowPendingCrash() {
-  std::exception_ptr crash;
-  {
-    std::lock_guard<std::mutex> lock(crash_mutex_);
-    crash = std::exchange(pending_crash_, nullptr);
-  }
-  if (crash) std::rethrow_exception(crash);
-}
-
-void DurableGuard::SyncAux() {
-  if (executor_ != nullptr && pending_ticket_ != 0) {
-    executor_->Wait(pending_ticket_);
-    pending_ticket_ = 0;
-  }
-}
-
-void DurableGuard::SubmitIo(std::function<void()> job) {
-  if (executor_ == nullptr) {
-    // Inline: a SimulatedCrash propagates straight out of the ingest call,
-    // exactly where a real synchronous-IO death would surface.
-    job();
-    return;
-  }
-  pending_ticket_ = executor_->Submit([this, job = std::move(job)] {
-    try {
-      job();
-    } catch (...) {
-      // Includes SimulatedCrash (deliberately not a std::exception).
-      // Escaping an executor thread would std::terminate; park it for the
-      // ingest thread to rethrow at its next step.
-      std::lock_guard<std::mutex> lock(crash_mutex_);
-      if (!pending_crash_) pending_crash_ = std::current_exception();
-    }
-  });
-}
-
 void DurableGuard::MarkJournalLost() {
-  std::lock_guard<std::mutex> lock(io_mutex_);
   journal_lost_ = true;
   ++telemetry_.journal_failures;
   Dm().journal_failures->Add(1);
 }
 
-void DurableGuard::RotateJournalLocked(uint64_t seq) {
+void DurableGuard::RotateJournal(uint64_t seq) {
   journal_.Close();
   if (!options_.journal) return;  // Snapshot-only mode: no segments.
   if (slice_shape_.order() == 0) return;  // No slice seen yet; no segment.
-  const bool lost = !journal_.Create(SegmentPath(seq), slice_shape_, seq);
-  if (lost) {
-    MarkJournalLost();
-  } else {
-    std::lock_guard<std::mutex> lock(io_mutex_);
+  if (journal_.Create(SegmentPath(seq), slice_shape_, seq)) {
     journal_lost_ = false;
+  } else {
+    MarkJournalLost();
   }
 }
 
@@ -161,7 +109,7 @@ std::vector<uint64_t> DurableGuard::ListSegments() const {
   return out;
 }
 
-void DurableGuard::PruneSegmentsLocked() {
+void DurableGuard::PruneSegments() {
   // A segment is needed as long as some retained snapshot might replay
   // through it: keep every segment >= the oldest snapshot generation.
   const std::vector<uint64_t> gens = snapshots_.ListGenerations();
@@ -172,59 +120,47 @@ void DurableGuard::PruneSegmentsLocked() {
 }
 
 void DurableGuard::TakeSnapshot() {
-  // Serialize synchronously — the bytes must capture the state *now*,
-  // before the next step mutates it. The disk write rides the aux lane.
   std::ostringstream out;
   out << step_ << '\n';
   inner_->SaveState(out);
-  std::string payload = out.str();
+  const std::string payload = out.str();
   const uint64_t seq = next_seq_++;
-  SubmitIo([this, seq, payload = std::move(payload)] {
-    // Group-commit point: everything journaled so far becomes durable
-    // before the snapshot that supersedes it lands.
-    if (journal_.is_open()) journal_.Sync();
-    const bool measured = obs::Enabled() || obs::TraceActive();
-    const uint64_t start = measured ? obs::NowNs() : 0;
-    const durable::IoStatus status = snapshots_.Write(seq, payload);
-    if (measured) {
-      const uint64_t dur = obs::NowNs() - start;
-      Dm().snapshot_time_us->Add(dur / 1000);
-      Dm().snapshot_us->Observe(static_cast<double>(dur) / 1e3);
-      if (obs::TraceActive()) {
-        obs::TraceRecord("durable.snapshot", start, dur, payload.size(),
-                         "bytes");
-      }
+  steps_since_snapshot_ = 0;
+  // Group-commit point: everything journaled so far becomes durable
+  // before the snapshot that supersedes it lands.
+  if (journal_.is_open() && !journal_.Sync()) MarkJournalLost();
+  const bool measured = obs::Enabled() || obs::TraceActive();
+  const uint64_t start = measured ? obs::NowNs() : 0;
+  const durable::IoStatus status = snapshots_.Write(seq, payload);
+  if (measured) {
+    const uint64_t dur = obs::NowNs() - start;
+    Dm().snapshot_time_us->Add(dur / 1000);
+    Dm().snapshot_us->Observe(static_cast<double>(dur) / 1e3);
+    if (obs::TraceActive()) {
+      obs::TraceRecord("durable.snapshot", start, dur, payload.size(),
+                       "bytes");
     }
-    const bool landed = status == durable::IoStatus::kOk;
-    {
-      std::lock_guard<std::mutex> lock(io_mutex_);
-      if (landed) {
-        ++telemetry_.snapshots_written;
-        Dm().snapshots_written->Add(1);
-      } else {
-        ++telemetry_.snapshot_failures;
-        Dm().snapshot_failures->Add(1);
-      }
-    }
+  }
+  if (status != durable::IoStatus::kOk) {
     // Fail-soft: older generations remain, and the journal keeps
     // accumulating into the *current* segment so they can still replay.
-    if (!landed) return;
-    RotateJournalLocked(seq);
-    PruneSegmentsLocked();
-  });
-  steps_since_snapshot_ = 0;
+    ++telemetry_.snapshot_failures;
+    Dm().snapshot_failures->Add(1);
+    return;
+  }
+  ++telemetry_.snapshots_written;
+  Dm().snapshots_written->Add(1);
+  RotateJournal(seq);
+  PruneSegments();
 }
 
 void DurableGuard::JournalSlice(const DenseTensor& decoded,
                                 const Mask& omega, const CooList* pattern) {
   if (!options_.journal) return;
-  {
-    std::lock_guard<std::mutex> lock(io_mutex_);
-    if (journal_lost_) {
-      ++telemetry_.journal_failures;
-      Dm().journal_failures->Add(1);
-      return;
-    }
+  if (journal_lost_) {
+    ++telemetry_.journal_failures;
+    Dm().journal_failures->Add(1);
+    return;
   }
   if (pattern != nullptr) {
     const std::vector<size_t>& indices = pattern->LinearIndices();
@@ -237,30 +173,14 @@ void DurableGuard::JournalSlice(const DenseTensor& decoded,
   telemetry_.journal_bytes += encode_buf_.size();
   Dm().journal_appends->Add(1);
   Dm().journal_bytes->Add(encode_buf_.size());
-  if (executor_ != nullptr) {
-    ++telemetry_.async_appends;
-    Dm().async_appends->Add(1);
+  if (!journal_.is_open() || !journal_.AppendEncoded(encode_buf_) ||
+      (options_.sync_each_append && !journal_.Sync())) {
+    MarkJournalLost();
   }
-  const bool sync_each = options_.sync_each_append;
-  const auto append = [this, sync_each](const std::string& bytes) {
-    if (!journal_.is_open() || !journal_.AppendEncoded(bytes)) {
-      MarkJournalLost();
-      return;
-    }
-    if (sync_each && !journal_.Sync()) MarkJournalLost();
-  };
-  if (executor_ == nullptr) {
-    // Inline IO (see SubmitIo): the write lands before the next encode
-    // reuses the buffer, so it needs no copy.
-    append(encode_buf_);
-    return;
-  }
-  SubmitIo([append, bytes = std::move(encode_buf_)] { append(bytes); });
 }
 
 bool DurableGuard::BeginSlice(const DenseTensor& y, const Mask& omega,
                               const CooList* pattern) {
-  RethrowPendingCrash();
   const bool consistent =
       omega.shape() == y.shape() &&
       (pattern == nullptr || pattern->shape() == y.shape());
@@ -300,7 +220,6 @@ void DurableGuard::EndSlice() {
 
 std::vector<DenseTensor> DurableGuard::Initialize(
     const std::vector<DenseTensor>& slices, const std::vector<Mask>& masks) {
-  RethrowPendingCrash();
   SOFIA_CHECK(!slices.empty());
   slice_shape_ = slices[0].shape();
   std::vector<DenseTensor> out = inner_->Initialize(slices, masks);
@@ -340,29 +259,8 @@ void DurableGuard::Observe(const DenseTensor& y, const Mask& omega) {
   EndSlice();
 }
 
-void DurableGuard::SaveState(std::ostream& out) const {
-  const_cast<DurableGuard*>(this)->SyncAux();
-  inner_->SaveState(out);
-}
-
-void DurableGuard::RestoreState(std::istream& in) {
-  SyncAux();
-  inner_->RestoreState(in);
-}
-
-void DurableGuard::AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) {
-  SyncAux();
-  adopted_pool_ = pool;
-  executor_ = dynamic_cast<ShardExecutor*>(pool.get());
-  inner_->AdoptWorkerPool(std::move(pool));
-}
-
 void DurableGuard::Drain() {
-  SubmitIo([this] {
-    if (journal_.is_open()) journal_.Sync();
-  });
-  SyncAux();
-  RethrowPendingCrash();
+  if (journal_.is_open() && !journal_.Sync()) MarkJournalLost();
 }
 
 RecoveryReport DurableGuard::Recover() {

@@ -1,17 +1,14 @@
 #ifndef SOFIA_EVAL_DURABLE_GUARD_H_
 #define SOFIA_EVAL_DURABLE_GUARD_H_
 
-#include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/slice_format.hpp"
 #include "eval/streaming_method.hpp"
 #include "util/durable_io.hpp"
-#include "util/shard_executor.hpp"
 
 /// \file durable_guard.hpp
 /// \brief Crash-consistent persistence wrapper for streaming methods.
@@ -23,9 +20,8 @@
 ///
 ///  1. **Write-ahead slice journal.** Every ingested slice is appended to
 ///     the current journal segment (`wal-<seq>.slices`, data/slice_format)
-///     before the inner method consumes it. With an adopted ShardExecutor
-///     the append bytes are encoded on the ingest thread and written on the
-///     executor's aux lane, off the step path.
+///     before the inner method consumes it: the record is written before
+///     the inner step starts.
 ///  2. **Atomic snapshots.** Every `snapshot_every` accepted steps (and
 ///     once right after Initialize) the inner state is serialized and
 ///     written through durable::SnapshotStore — write-temp/fsync/rename,
@@ -43,11 +39,13 @@
 ///     writing a *fresh* snapshot + segment — it never appends to a torn
 ///     file — which makes a crash during recovery itself re-recoverable.
 ///
-/// Fault semantics: a SimulatedCrash (util/fault_injection) raised by an
-/// aux-lane write is captured and rethrown on the ingest thread at the next
-/// step — the process "dies" where main() would have seen it. Real IO
-/// errors degrade: the journal stops (journal_lost in telemetry) but the
-/// stream continues, and the next snapshot re-establishes durability.
+/// Every write and fsync runs on the calling thread. A SimulatedCrash
+/// (util/fault_injection) therefore leaves the call that made the write
+/// (Initialize, StepLazy, Observe, Recover or Drain): the process "dies"
+/// where main() would have seen it. Real IO errors degrade: a failed
+/// journal append or fsync stops the journal (journal_failures in
+/// telemetry) but the stream continues, and the next snapshot that lands
+/// re-establishes durability.
 
 namespace sofia {
 
@@ -70,7 +68,6 @@ struct DurableTelemetry {
   uint64_t journal_failures = 0;   ///< Appends lost to IO errors.
   uint64_t snapshots_written = 0;  ///< Snapshot generations that landed.
   uint64_t snapshot_failures = 0;  ///< Snapshot writes that exhausted retry.
-  uint64_t async_appends = 0;      ///< Appends performed on the aux lane.
 };
 
 /// What Recover() found and did.
@@ -88,9 +85,6 @@ class DurableGuard : public StreamingMethod {
  public:
   DurableGuard(std::unique_ptr<StreamingMethod> inner,
                DurableGuardOptions options);
-  /// Drains in-flight aux IO (swallowing a pending simulated crash — the
-  /// "process" is gone either way) and closes the journal.
-  ~DurableGuard() override;
 
   std::string name() const override { return inner_->name() + "+durable"; }
   size_t init_window() const override { return inner_->init_window(); }
@@ -103,12 +97,12 @@ class DurableGuard : public StreamingMethod {
 
   /// Journal-then-step: appends the canonical decoded slice to the WAL,
   /// feeds the same decoded slice to the inner method, and snapshots on
-  /// cadence. Rethrows a pending aux-lane SimulatedCrash first. The record
-  /// is encoded from the indices of `pattern` when one is handed in (and
-  /// passed down), else from the mask, with null passed down so the inner
-  /// method builds or reuses its own. A slice whose tensor, mask or pattern
-  /// does not have the segment's shape is journaled as an empty record and
-  /// handed to the inner method as given (a StreamGuard rejects it).
+  /// cadence. The record is encoded from the indices of `pattern` when one
+  /// is handed in (and passed down), else from the mask, with null passed
+  /// down so the inner method builds or reuses its own. A slice whose
+  /// tensor, mask or pattern does not have the segment's shape is
+  /// journaled as an empty record and handed to the inner method as given
+  /// (a StreamGuard rejects it).
   StepResult StepLazy(const DenseTensor& y, const Mask& omega,
                       std::shared_ptr<const CooList> pattern =
                           nullptr) override;
@@ -123,12 +117,13 @@ class DurableGuard : public StreamingMethod {
   bool SupportsStateCheckpoint() const override {
     return inner_->SupportsStateCheckpoint();
   }
-  void SaveState(std::ostream& out) const override;
-  void RestoreState(std::istream& in) override;
-
-  /// Forwards the pool inner-ward and, when it is a ShardExecutor, moves
-  /// journal/snapshot writes onto its aux lane.
-  void AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) override;
+  void SaveState(std::ostream& out) const override {
+    inner_->SaveState(out);
+  }
+  void RestoreState(std::istream& in) override { inner_->RestoreState(in); }
+  void AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) override {
+    inner_->AdoptWorkerPool(std::move(pool));
+  }
 
   /// Restores from disk: newest usable snapshot + journal replay (see file
   /// comment). Must run on a freshly constructed guard (same inner
@@ -137,8 +132,8 @@ class DurableGuard : public StreamingMethod {
   /// is on disk, returns restored=false and the caller runs from scratch.
   RecoveryReport Recover();
 
-  /// Lands all pending aux IO and fsyncs the journal (a consistency point
-  /// the kill-matrix uses before ripping the "power" out).
+  /// fsyncs the journal (a consistency point the kill-matrix uses before
+  /// ripping the "power" out). A failed fsync counts as a lost journal.
   void Drain();
 
   const DurableTelemetry& telemetry() const { return telemetry_; }
@@ -148,23 +143,15 @@ class DurableGuard : public StreamingMethod {
   std::string SegmentPath(uint64_t seq) const;
 
  private:
-  /// Rethrows a SimulatedCrash captured on the aux lane, on this thread.
-  void RethrowPendingCrash();
-  /// Waits for the in-flight aux job (if any); captures its crash.
-  void SyncAux();
-  /// Runs `job` on the aux lane when an executor is adopted, else inline.
-  /// Aux exceptions are captured into pending_crash_.
-  void SubmitIo(std::function<void()> job);
-  /// Serializes inner state (+ step counter) and writes snapshot `seq`,
-  /// then rotates the journal to segment `seq`. Serialization is
-  /// synchronous (the state must be captured before the next mutation);
-  /// the disk write rides the aux lane.
+  /// Serializes inner state (+ step counter), fsyncs the journal (group
+  /// commit) and writes snapshot `seq`, then rotates the journal to
+  /// segment `seq`.
   void TakeSnapshot();
-  /// Opens journal segment `seq`, closing the previous one. Aux-lane side.
-  void RotateJournalLocked(uint64_t seq);
+  /// Opens journal segment `seq`, closing the previous one.
+  void RotateJournal(uint64_t seq);
   /// Deletes journal segments older than the retained snapshot window.
-  void PruneSegmentsLocked();
-  /// Flags the current segment dead and counts the loss (either thread).
+  void PruneSegments();
+  /// Flags the current segment dead and counts the loss.
   void MarkJournalLost();
   /// Journal segments on disk, ascending seq.
   std::vector<uint64_t> ListSegments() const;
@@ -173,8 +160,8 @@ class DurableGuard : public StreamingMethod {
   /// entries of `omega`, and ships it to the journal.
   void JournalSlice(const DenseTensor& decoded, const Mask& omega,
                     const CooList* pattern);
-  /// Shared head of StepLazy/Observe: rethrows a pending crash, takes the
-  /// pristine snapshot, and checks the slice against the segment's shape.
+  /// Shared head of StepLazy/Observe: takes the pristine snapshot and
+  /// checks the slice against the segment's shape.
   /// Returns false for a slice whose tensor, mask or pattern has another
   /// shape, after journaling an empty record once the segment's shape is
   /// fixed (before that, nothing is journaled).
@@ -187,11 +174,7 @@ class DurableGuard : public StreamingMethod {
   DurableGuardOptions options_;
   DurableTelemetry telemetry_;
   durable::SnapshotStore snapshots_;
-  slicefmt::SliceFileWriter journal_;  ///< Touched only via SubmitIo jobs.
-  /// Guards journal_lost_ and the telemetry counters aux jobs increment
-  /// (journal_failures, snapshots_written, snapshot_failures) — the ingest
-  /// thread reads/writes them between aux sync points.
-  std::mutex io_mutex_;
+  slicefmt::SliceFileWriter journal_;
   bool journal_lost_ = false;  ///< IO error stopped the current segment.
 
   Shape slice_shape_;       ///< Locked in by Initialize/first slice.
@@ -199,15 +182,7 @@ class DurableGuard : public StreamingMethod {
   uint64_t next_seq_ = 0;   ///< Next snapshot generation number.
   size_t steps_since_snapshot_ = 0;
 
-  std::shared_ptr<WorkerPool> adopted_pool_;
-  ShardExecutor* executor_ = nullptr;  ///< Non-owning view of adopted_pool_.
-  uint64_t pending_ticket_ = 0;        ///< 0 = no aux IO in flight.
-  std::mutex crash_mutex_;             ///< Guards pending_crash_.
-  std::exception_ptr pending_crash_;   ///< Captured aux-lane crash.
-
-  /// EncodeRecord output: reused when IO runs inline, moved into the job
-  /// when it rides the aux lane.
-  std::string encode_buf_;
+  std::string encode_buf_;  ///< EncodeRecord output, reused per record.
 };
 
 }  // namespace sofia

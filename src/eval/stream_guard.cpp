@@ -75,10 +75,8 @@ class StringSink : public std::streambuf {
   std::string* out_;
 };
 
-/// Serializes `method` state into `slot`, reusing its capacity. Runs on
-/// the caller thread or the executor's aux lane — the timing lands in the
-/// same histogram either way, so checkpoint cost is visible even when it
-/// is hidden off the critical path.
+/// Serializes `method` state into `slot`, reusing its capacity, and times
+/// it into the checkpoint histogram.
 void SerializeInto(const StreamingMethod& method, std::string* slot) {
   const bool measured = obs::Enabled() || obs::TraceActive();
   const uint64_t start = measured ? obs::NowNs() : 0;
@@ -174,19 +172,6 @@ StreamGuard::StreamGuard(std::unique_ptr<StreamingMethod> inner,
   ring_.resize(options_.checkpoint_slots);
 }
 
-StreamGuard::~StreamGuard() {
-  // An in-flight aux-lane save reads inner_ and writes a ring slot; both
-  // die with this object, so land it first.
-  SyncCheckpoint();
-}
-
-void StreamGuard::AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) {
-  SyncCheckpoint();  // A pool swap must not orphan an in-flight save.
-  adopted_pool_ = pool;
-  executor_ = dynamic_cast<ShardExecutor*>(pool.get());
-  inner_->AdoptWorkerPool(std::move(pool));
-}
-
 bool StreamGuard::CanCheckpoint() const {
   return inner_->SupportsStateCheckpoint() && options_.checkpoint_slots > 0;
 }
@@ -199,26 +184,7 @@ void StreamGuard::SaveCheckpoint() {
   // A fresh health-accepted checkpoint is the new best rollback target:
   // restart any in-episode walk-back from it.
   episode_rollback_depth_ = 0;
-  if (executor_ != nullptr) {
-    // Serialize on the executor's aux lane: the O(state) write overlaps the
-    // caller's scoring of this step and the next slice's ingest. The job
-    // only *reads* inner state, and every inner-state mutation first passes
-    // SyncCheckpoint(), so the serialized bytes match a synchronous save
-    // exactly (checkpoint_test.cc pins restore parity).
-    StreamingMethod* inner = inner_.get();
-    std::string* dst = &ring_[slot];
-    pending_ticket_ =
-        executor_->Submit([inner, dst] { SerializeInto(*inner, dst); });
-    return;
-  }
   SerializeInto(*inner_, &ring_[slot]);
-}
-
-void StreamGuard::SyncCheckpoint() const {
-  if (executor_ != nullptr && pending_ticket_ != 0) {
-    executor_->Wait(pending_ticket_);
-    pending_ticket_ = 0;
-  }
 }
 
 void StreamGuard::CaptureReinitSnapshot() {
@@ -226,7 +192,6 @@ void StreamGuard::CaptureReinitSnapshot() {
 }
 
 void StreamGuard::SaveState(std::ostream& out) const {
-  SyncCheckpoint();
   state_io::BeginState(out, kGuardStateTag, kGuardStateVersion);
   state_io::WriteShape(out, expected_shape_);
   WriteWindow(out, payload_window_);
@@ -239,7 +204,6 @@ void StreamGuard::SaveState(std::ostream& out) const {
 }
 
 void StreamGuard::RestoreState(std::istream& in) {
-  SyncCheckpoint();  // Restores mutate inner state.
   // Parse everything before assigning anything, so a corrupt checkpoint
   // leaves the guard as it was. A checkpoint without the guard's header was
   // written before the guard saved state of its own and holds the inner
@@ -309,7 +273,6 @@ std::vector<DenseTensor> StreamGuard::Initialize(
       payload_window_.pop_front();
     }
   }
-  SyncCheckpoint();  // Initialize mutates inner state.
   std::vector<DenseTensor> completed = inner_->Initialize(slices, masks);
   if (!slices.empty()) expected_shape_ = slices.front().shape();
   if (CanCheckpoint()) CaptureReinitSnapshot();
@@ -326,7 +289,6 @@ void StreamGuard::BeginFault() {
 }
 
 bool StreamGuard::DegradeState() {
-  SyncCheckpoint();  // Restores mutate inner state and read ring slots.
   switch (options_.policy) {
     case GuardPolicy::kSkipSlice:
       ++telemetry_.skips;
@@ -429,9 +391,6 @@ StepResult StreamGuard::StepLazy(const DenseTensor& y, const Mask& omega,
                                  std::shared_ptr<const CooList> pattern) {
   ++telemetry_.steps;
   Gm().steps->Add(1);
-  // Land the previous step's async checkpoint before anything below can
-  // mutate inner state (the inner step, clock advances, restores).
-  SyncCheckpoint();
   // Init-less methods: their pristine state is the kReinit target, captured
   // before the first slice can touch it.
   if (reinit_snapshot_.empty() && CanCheckpoint()) CaptureReinitSnapshot();

@@ -5,10 +5,10 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/streaming_method.hpp"
-#include "util/shard_executor.hpp"
 
 /// \file stream_guard.hpp
 /// \brief Fault-tolerance wrapper for any StreamingMethod.
@@ -37,7 +37,8 @@
 ///     only the returned estimate degrades.
 ///
 /// Clean-stream overhead is one O(|Ω|) validation scan per slice plus
-/// O(probe N R) health probes and an O(state) checkpoint serialization —
+/// O(probe N R) health probes and, every `checkpoint_every` accepted
+/// steps, an O(state) checkpoint serialized on the calling thread —
 /// never an extra pattern build, estimate materialization, or O(volume)
 /// pass (counter-verified in tests/stream_guard_test.cc). Handed no
 /// pattern (standalone use), the scan walks the mask's indicator bytes
@@ -130,8 +131,6 @@ class StreamGuard : public StreamingMethod {
  public:
   explicit StreamGuard(std::unique_ptr<StreamingMethod> inner,
                        StreamGuardOptions options = {});
-  /// Waits for an in-flight async checkpoint before tearing down.
-  ~StreamGuard() override;
 
   std::string name() const override { return inner_->name() + "+guard"; }
   size_t init_window() const override { return inner_->init_window(); }
@@ -154,11 +153,9 @@ class StreamGuard : public StreamingMethod {
     return inner_->ForecastLazy(h);
   }
 
-  /// Forwards the pool to the inner method and, when it is a ShardExecutor,
-  /// keeps a handle so ring-checkpoint serialization moves onto the
-  /// executor's aux lane: the O(state) write then overlaps the caller's
-  /// scoring and next-slice ingest instead of serializing with them.
-  void AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) override;
+  void AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) override {
+    inner_->AdoptWorkerPool(std::move(pool));
+  }
 
   /// Checkpoints are the guard's decision state followed by the inner
   /// method's state, under a versioned "stream-guard" header. The decision
@@ -186,14 +183,9 @@ class StreamGuard : public StreamingMethod {
  private:
   /// True when checkpoint/restore degradation is available.
   bool CanCheckpoint() const;
-  /// Serializes the inner state into the next ring slot — asynchronously on
-  /// the adopted executor's aux lane when one is available.
+  /// Serializes the inner state into the next ring slot, on the calling
+  /// thread, before the next step can mutate it.
   void SaveCheckpoint();
-  /// Blocks until the in-flight async checkpoint (if any) has landed.
-  /// Called before every inner-state mutation or read-back (next step,
-  /// restore, external SaveState, pool swap, destruction), which is what
-  /// keeps async saves bitwise identical to synchronous ones.
-  void SyncCheckpoint() const;
   /// Captures the snapshot kReinit restores (post-Initialize state, or the
   /// pristine pre-first-step state of init-less methods).
   void CaptureReinitSnapshot();
@@ -219,11 +211,6 @@ class StreamGuard : public StreamingMethod {
   std::unique_ptr<StreamingMethod> inner_;
   StreamGuardOptions options_;
   GuardTelemetry telemetry_;
-
-  // Async-checkpoint state: set when the adopted pool is a ShardExecutor.
-  std::shared_ptr<WorkerPool> adopted_pool_;
-  ShardExecutor* executor_ = nullptr;  ///< Non-owning view of adopted_pool_.
-  mutable uint64_t pending_ticket_ = 0;  ///< 0 = no save in flight.
 
   Shape expected_shape_;  ///< Slice shape locked in by the first valid slice.
 

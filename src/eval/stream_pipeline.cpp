@@ -1,7 +1,6 @@
 #include "eval/stream_pipeline.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <exception>
 #include <utility>
 
@@ -24,15 +23,13 @@ namespace {
 
 /// Registry handles for the pipeline stages, looked up once. The driver
 /// stage counters partition the driver thread's wall clock: init + ingest +
-/// stall + compute must account for time.pipeline.wall_us, where compute is
-/// the time in each slice's lane batch and stall the wait for the method
-/// pools' async guard checkpoints (tools/obs_report pins the sum). Score
+/// compute must account for time.pipeline.wall_us, where compute is the
+/// time in each slice's lane batch (tools/obs_report pins the sum). Score
 /// runs inside the lanes, summed over them, so it is reported but not part
 /// of that identity.
 struct PipelineMetrics {
   obs::Counter* init_us;
   obs::Counter* ingest_us;
-  obs::Counter* stall_us;
   obs::Counter* compute_us;
   obs::Counter* score_us;
   obs::Counter* wall_us;
@@ -40,7 +37,6 @@ struct PipelineMetrics {
   obs::Counter* pattern_builds;
   obs::Counter* pattern_reuses;
   obs::Histogram* step_latency_us;
-  obs::Gauge* arena_growth;
 };
 
 PipelineMetrics& Metrics() {
@@ -48,7 +44,6 @@ PipelineMetrics& Metrics() {
   static PipelineMetrics m{
       r.FindOrCreateCounter("time.pipeline.init_us"),
       r.FindOrCreateCounter("time.pipeline.ingest_us"),
-      r.FindOrCreateCounter("time.pipeline.stall_us"),
       r.FindOrCreateCounter("time.pipeline.compute_us"),
       r.FindOrCreateCounter("time.pipeline.score_us"),
       r.FindOrCreateCounter("time.pipeline.wall_us"),
@@ -56,7 +51,6 @@ PipelineMetrics& Metrics() {
       r.FindOrCreateCounter("pipeline.pattern_builds"),
       r.FindOrCreateCounter("pipeline.pattern_reuses"),
       r.FindOrCreateHistogram("pipeline.step_latency_us"),
-      r.FindOrCreateGauge("pipeline.arena_growth_events"),
   };
   return m;
 }
@@ -84,14 +78,6 @@ void StreamPipeline::PrepareLanes(size_t num_methods) {
   }
 }
 
-uint64_t StreamPipeline::LaneArenaGrowth() const {
-  uint64_t growth = 0;
-  for (const auto& pool : method_pools_) {
-    growth += pool->arena()->growth_events();
-  }
-  return growth;
-}
-
 void StreamPipeline::Ingest(size_t t) {
   const Mask& omega = stream_.masks[t];
   if (cache_pattern_ == nullptr || !cache_pattern_->SameObservedSet(omega)) {
@@ -116,7 +102,7 @@ std::vector<MethodRunResult> StreamPipeline::Run(
   PrepareLanes(num_methods);
 
   // Fresh cache + telemetry per Run; the executor and the per-method pools
-  // (and their warm arenas) persist across calls.
+  // persist across calls.
   cache_pattern_.reset();
   cache_eval_.reset();
   pattern_builds_ = 0;
@@ -124,11 +110,6 @@ std::vector<MethodRunResult> StreamPipeline::Run(
   telemetry_ = PipelineTelemetry{};
   telemetry_.workers = executor_->num_threads();
   telemetry_.steps = total;
-  const uint64_t arena_base = LaneArenaGrowth();
-  // Pool m's arena growth once method m has taken its first step: the
-  // warm-up the steady-state figure excludes.
-  constexpr uint64_t kNotWarm = UINT64_MAX;
-  std::vector<uint64_t> arena_warm(num_methods, kNotWarm);
 
   std::vector<MethodRunResult> out(num_methods);
   std::vector<size_t> windows(num_methods, 0);
@@ -183,9 +164,6 @@ std::vector<MethodRunResult> StreamPipeline::Run(
     run->step_seconds.push_back(step_seconds);
     Metrics().steps->Add(1);
     Metrics().step_latency_us->Observe(step_seconds * 1e6);
-    if (arena_warm[m] == kNotWarm) {
-      arena_warm[m] = method_pools_[m]->arena()->growth_events();
-    }
     {
       obs::ObsSpan score_span("pipeline.score", Metrics().score_us, t,
                               "slice");
@@ -221,27 +199,10 @@ std::vector<MethodRunResult> StreamPipeline::Run(
     }
   }
 
-  // Land the async guard checkpoints on the method pools before reading
-  // shared telemetry.
-  {
-    // Draining counts as stall: the driver is blocked on aux lanes.
-    obs::ObsSpan drain_span("pipeline.drain", Metrics().stall_us);
-    for (const auto& pool : method_pools_) pool->DrainAux();
-  }
-  const uint64_t arena_now = LaneArenaGrowth();
-  telemetry_.arena_growth_total = arena_now - arena_base;
-  telemetry_.arena_growth_steady = 0;
-  for (size_t m = 0; m < num_methods; ++m) {
-    if (arena_warm[m] == kNotWarm) continue;  // Never stepped this Run.
-    telemetry_.arena_growth_steady +=
-        method_pools_[m]->arena()->growth_events() - arena_warm[m];
-  }
-
-  // Mirror the per-run pattern/arena telemetry onto the registry (the
-  // struct fields stay as the per-run compatibility view).
+  // Mirror the per-run pattern telemetry onto the registry (the struct
+  // fields stay as the per-run compatibility view).
   Metrics().pattern_builds->Add(pattern_builds_);
   Metrics().pattern_reuses->Add(pattern_reuses_);
-  Metrics().arena_growth->Set(static_cast<double>(arena_now));
 
   for (size_t m = 0; m < num_methods; ++m) {
     FinalizeRunMetrics(windows[m], &out[m].run);

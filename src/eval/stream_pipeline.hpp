@@ -32,13 +32,11 @@
 ///    ends in a barrier, so every method has been stepped and scored on
 ///    slice t before any method sees slice t+1.
 ///  - Inside a lane everything is serial: each method adopts its own
-///    single-thread ShardExecutor for the run (an arena, no threads), so
-///    its kernels and gathers never dispatch across lanes. At paper scale a
-///    step is far too small to split one method's kernels across workers;
-///    the parallelism is across the methods.
-///  - Kernel reduction scratch comes from each method's pool arena; after
-///    a method's first step a steady-state stream allocates nothing there
-///    (PipelineTelemetry::arena_growth_steady pins zero).
+///    single-thread ShardExecutor for the run (no threads), so its kernels
+///    and gathers never dispatch across lanes, and a guarded method saves
+///    its checkpoints on the lane that steps it. At paper scale a step is
+///    far too small to split one method's kernels across workers; the
+///    parallelism is across the methods.
 ///
 /// Scores are bitwise identical for every worker count, and identical to a
 /// sequential loop: a method's step and scoring run on one thread in the
@@ -51,8 +49,8 @@ namespace sofia {
 /// Persistent runtime for one stream + truth pair. Owns the lane executor,
 /// the per-method pools, and the shared pattern cache; Run() drives a set
 /// of methods through the stream. Reusable: consecutive Run() calls share
-/// the executor and the per-method pools (and their warm arenas), which is
-/// how re-runs and mid-stream stops are tested.
+/// the executor and the per-method pools, which is how re-runs and
+/// mid-stream stops are tested.
 class StreamPipeline {
  public:
   StreamPipeline(const CorruptedStream& stream,
@@ -90,8 +88,6 @@ class StreamPipeline {
   /// Sizes the lane executor to min(workers, num_methods) lanes and keeps
   /// one single-thread pool per method.
   void PrepareLanes(size_t num_methods);
-  /// Growth events of every per-method pool arena, summed.
-  uint64_t LaneArenaGrowth() const;
 
   const CorruptedStream& stream_;
   const std::vector<DenseTensor>& truth_;
@@ -100,8 +96,7 @@ class StreamPipeline {
   PipelineTelemetry telemetry_;
 
   // Pool m is adopted by method m for a Run: its kernels run inline on the
-  // lane stepping it, with scratch from the pool's own arena. Persistent
-  // across Runs so the arenas stay warm.
+  // lane stepping it. Persistent across Runs.
   std::vector<std::shared_ptr<ShardExecutor>> method_pools_;
 
   // The current slice's ingest, rewritten in place each slice (its vectors

@@ -50,19 +50,11 @@ struct StreamEvalOptions {
   static constexpr size_t window = 1;
 };
 
-/// What the pipeline did, beyond the per-method metrics: the lane count
-/// and the kernel-scratch allocation watch (identical for every method of
-/// a run).
+/// What the pipeline did, beyond the per-method metrics (identical for
+/// every method of a run).
 struct PipelineTelemetry {
   size_t workers = 1;         ///< Method lanes: min(workers, methods).
   size_t steps = 0;           ///< Slices driven through the pipeline.
-  /// ScratchArena growth events of the per-method pools, summed: over the
-  /// whole run, and over the run excluding each method's first step. A
-  /// steady-state stream (stable mask) holds arena_growth_steady == 0:
-  /// every post-warm-up step runs allocation-free through the kernel
-  /// scratch (test-pinned).
-  uint64_t arena_growth_total = 0;
-  uint64_t arena_growth_steady = 0;
 };
 
 /// Per-run measurements.

@@ -101,7 +101,8 @@ class StreamingMethod {
 
   /// Adopt an externally owned worker pool for the observed-entry kernels
   /// instead of a lazily spawned one of the method's own (the comparison
-  /// runtime lends each method a single-thread pool with a scratch arena).
+  /// runtime lends each method a single-thread pool, so its kernels run
+  /// inline on its lane).
   /// Results are bitwise identical with or without it — the kernels'
   /// work units are owner-partitioned for every thread count. Default:
   /// ignore (dense-only methods have no kernel work to thread).

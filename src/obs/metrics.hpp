@@ -86,7 +86,7 @@ class Counter {
   Cell cells_[kShards];
 };
 
-/// Last-writer-wins instantaneous value (queue depths, arena growth).
+/// Last-writer-wins instantaneous value.
 class Gauge {
  public:
   void Set(double value) {

@@ -21,7 +21,6 @@ constexpr const char* kWallCounter = "time.pipeline.wall_us";
 const char* const kDriverStages[] = {
     "time.pipeline.init_us",
     "time.pipeline.ingest_us",
-    "time.pipeline.stall_us",
     "time.pipeline.compute_us",
 };
 

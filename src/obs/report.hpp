@@ -27,9 +27,9 @@ struct AttributionReport {
   double wall_us = 0.0;
   /// All time.*_us rows, sorted by descending time.
   std::vector<AttributionRow> rows;
-  /// Stage sum of the Run() caller's thread (init + ingest + stall +
-  /// compute) over wall_us — the "do the spans account for the run" ratio the
-  /// acceptance criteria pin within 10%. 0 when wall_us is 0.
+  /// Stage sum of the Run() caller's thread (init + ingest + compute) over
+  /// wall_us — the "do the spans account for the run" ratio the acceptance
+  /// criteria pin within 10%. 0 when wall_us is 0.
   double driver_coverage = 0.0;
 };
 

@@ -10,9 +10,9 @@
 /// One snapshot line captures the entire registry — every counter, gauge,
 /// and histogram (count/sum/p50/p90/p99) — as a single JSON object, so a
 /// `tail -f` of the stats file is a live view of steps/sec, p99 step
-/// latency, guard trips, journal bytes, and arena growth without a bench
-/// build. The pipeline calls StatsTick() once per method step, on the lane
-/// that ran it; emission happens every `every_steps` ticks (snapshot + one
+/// latency, guard trips, and journal bytes without a bench build. The
+/// pipeline calls StatsTick() once per method step, on the lane that ran
+/// it; emission happens every `every_steps` ticks (snapshot + one
 /// write under the sink's lock, off the kernel hot path). Values are
 /// cumulative since process start — consumers diff consecutive lines for
 /// rates.

@@ -16,9 +16,8 @@
 /// them to disk *after* the run, as a Chrome trace-event JSON file that
 /// chrome://tracing and https://ui.perfetto.dev load directly. Threads are
 /// attributed to named tracks: the ShardExecutor registers
-/// "shard-worker-N" and "aux-lane", the pipeline driver registers
-/// "driver", so the ingest/compute overlap and the async checkpoint lane
-/// are visible as parallel tracks.
+/// "shard-worker-N" and the pipeline driver registers "driver", so the
+/// method lanes of each slice's batch are visible as parallel tracks.
 ///
 /// Span naming convention: `<layer>.<what>` with a static string (the ring
 /// stores the pointer — never pass a temporary std::string's c_str()).
@@ -47,9 +46,9 @@ uint64_t NowNs();
 /// order); doubles as the Chrome trace `tid`.
 uint32_t CurrentThreadId();
 
-/// Names the calling thread's trace track ("driver", "shard-worker-2",
-/// "aux-lane"). Sticky across sessions; re-naming overwrites. Cheap enough
-/// for thread entry points, not for hot loops.
+/// Names the calling thread's trace track ("driver", "shard-worker-2").
+/// Sticky across sessions; re-naming overwrites. Cheap enough for thread
+/// entry points, not for hot loops.
 void SetThreadName(const std::string& name);
 
 struct TraceOptions {

@@ -13,7 +13,6 @@
 #include "timeseries/robust.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
-#include "util/shard_executor.hpp"
 
 namespace sofia {
 
@@ -92,28 +91,6 @@ struct RankSquareBuffer<0> {
   std::vector<double> dynamic;
 };
 
-/// Zeroed partial accumulators behind the blocked reductions (record
-/// blocks). Arena-backed when the pool provides one (ShardExecutor) — the
-/// buffer then persists across calls and steps, so a steady-state stream
-/// step performs zero scratch allocations (ScratchArena::growth_events pins
-/// this). Call-local vector otherwise. The block boundaries and combine
-/// order never depend on which storage backs the scratch, so results are
-/// bitwise identical either way.
-struct ReduceScratch {
-  std::vector<double> local;
-  double* partials = nullptr;
-
-  ReduceScratch(WorkerPool* pool, size_t partial_count) {
-    ScratchArena* arena = pool == nullptr ? nullptr : pool->arena();
-    if (arena != nullptr) {
-      partials = arena->Doubles(arena_slots::kReducePartials, partial_count);
-    } else {
-      local.assign(partial_count, 0.0);
-      partials = local.data();
-    }
-  }
-};
-
 /// Rank rounded up to whole 4-lane vectors: the row width of PaddedRows and
 /// of the row-system kernel's accumulator rows.
 constexpr size_t PaddedRank(size_t rank) { return (rank + 3) / 4 * 4; }
@@ -123,16 +100,14 @@ constexpr size_t PaddedRank(size_t rank) { return (rank + 3) / 4 * 4; }
 /// factors.size()) with its rows padded to PaddedRank(R) doubles (zero pad
 /// lanes), so a record's h is built from whole-vector loads, and the row h
 /// starts from (the weights, or ones) at the same width. Ranks that are a
-/// multiple of 4 read the factors in place. The copies live in the pool's
-/// arena when it has one — allocation-free in steady state, like
-/// ReduceScratch — else in `local`.
+/// multiple of 4 read the factors in place.
 struct PaddedRows {
   std::vector<double> local;
   std::vector<const double*> base;  // Per mode; the solved mode's is null.
   const double* start = nullptr;
 
-  PaddedRows(WorkerPool* pool, const std::vector<Matrix>& factors,
-             const double* weights, size_t mode, size_t rank)
+  PaddedRows(const std::vector<Matrix>& factors, const double* weights,
+             size_t mode, size_t rank)
       : base(factors.size(), nullptr) {
     const size_t width = PaddedRank(rank);
     const bool pad = width != rank;
@@ -140,14 +115,8 @@ struct PaddedRows {
     for (size_t l = 0; l < factors.size() && pad; ++l) {
       if (l != mode) count += factors[l].rows() * width;
     }
-    ScratchArena* arena = pool == nullptr ? nullptr : pool->arena();
-    double* buf = nullptr;
-    if (arena != nullptr) {
-      buf = arena->RawDoubles(arena_slots::kPaddedRows, count);
-    } else {
-      local.resize(count);
-      buf = local.data();
-    }
+    local.resize(count);
+    double* buf = local.data();
     for (size_t r = 0; r < width; ++r) {
       buf[r] = r >= rank ? 0.0 : weights != nullptr ? weights[r] : 1.0;
     }
@@ -509,11 +478,10 @@ double CpWoptLossImpl(const CooList& coo, const std::vector<double>& values,
                                    std::min(begin + kReductionBlock, nnz));
   };
   if (num_blocks <= 1) return block(0);
-  ReduceScratch scratch(pool, num_blocks);
-  RunTasks(pool, num_blocks,
-           [&](size_t b) { scratch.partials[b] = block(b); });
+  std::vector<double> partials(num_blocks);
+  RunTasks(pool, num_blocks, [&](size_t b) { partials[b] = block(b); });
   double total = 0.0;
-  for (size_t b = 0; b < num_blocks; ++b) total += scratch.partials[b];
+  for (size_t b = 0; b < num_blocks; ++b) total += partials[b];
   return total;
 }
 
@@ -538,13 +506,12 @@ void CpWoptGradientImpl(const CooList& coo, const std::vector<double>& values,
     range(0, grad);
     return;
   }
-  ReduceScratch scratch(pool, (tasks - 1) * params);
-  double* slabs = scratch.partials;
+  std::vector<double> slabs((tasks - 1) * params, 0.0);
   RunTasks(pool, tasks, [&](size_t t) {
-    range(t, t == 0 ? grad : slabs + (t - 1) * params);
+    range(t, t == 0 ? grad : slabs.data() + (t - 1) * params);
   });
   for (size_t t = 1; t < tasks; ++t) {
-    const double* slab = slabs + (t - 1) * params;
+    const double* slab = slabs.data() + (t - 1) * params;
     for (size_t i = 0; i < params; ++i) grad[i] += slab[i];
   }
 }
@@ -867,7 +834,7 @@ RowSystems CooRowSystems(const CooList& coo, const std::vector<double>& values,
   RowSystems sys;
   sys.b.assign(coo.shape().dim(mode), Matrix(rank, rank));
   sys.c.assign(coo.shape().dim(mode), std::vector<double>(rank, 0.0));
-  const PaddedRows rows(pool, factors, /*weights=*/nullptr, mode, rank);
+  const PaddedRows rows(factors, /*weights=*/nullptr, mode, rank);
   DispatchRowSystems(coo.order(), rank, [&](auto rank_tag, auto order_tag) {
     CooRowSystemsImpl<decltype(rank_tag)::value, decltype(order_tag)::value>(
         coo, values, rows, mode, pool, rank, &sys);
@@ -892,7 +859,7 @@ RowSystems CooWeightedRowSystems(const CooList& coo,
   RowSystems sys;
   sys.b.assign(coo.shape().dim(mode), Matrix(rank, rank));
   sys.c.assign(coo.shape().dim(mode), std::vector<double>(rank, 0.0));
-  const PaddedRows rows(pool, factors, temporal_row.data(), mode, rank);
+  const PaddedRows rows(factors, temporal_row.data(), mode, rank);
   DispatchRowSystems(coo.order(), rank, [&](auto rank_tag, auto order_tag) {
     CooRowSystemsImpl<decltype(rank_tag)::value, decltype(order_tag)::value>(
         coo, values, rows, mode, pool, rank, &sys);
@@ -917,7 +884,7 @@ void CooProximalRowUpdates(const CooList& coo,
   SOFIA_CHECK_EQ(previous.rows(), u->rows());
   SOFIA_CHECK_EQ(previous.cols(), rank);
 
-  const PaddedRows rows(pool, factors, temporal_row.data(), mode, rank);
+  const PaddedRows rows(factors, temporal_row.data(), mode, rank);
   DispatchRowSystems(coo.order(), rank, [&](auto rank_tag, auto order_tag) {
     CooProximalRowUpdatesImpl<decltype(rank_tag)::value,
                               decltype(order_tag)::value>(
@@ -938,12 +905,12 @@ NormalSystem CooNormalSystem(const CooList& coo,
   const size_t nnz = coo.nnz();
   const size_t num_blocks = (nnz + kReductionBlock - 1) / kReductionBlock;
   const size_t partial_size = rank * rank + rank;
-  ReduceScratch scratch(pool, num_blocks * partial_size);
+  std::vector<double> partials(num_blocks * partial_size, 0.0);
   const size_t no_mode = factors.size();  // h takes every mode.
-  const PaddedRows rows(pool, factors, /*weights=*/nullptr, no_mode, rank);
+  const PaddedRows rows(factors, /*weights=*/nullptr, no_mode, rank);
   DispatchRowSystems(coo.order(), rank, [&](auto rank_tag, auto order_tag) {
     auto task = [&](auto lanes, size_t block) {
-      double* out = scratch.partials + block * partial_size;
+      double* out = partials.data() + block * partial_size;
       const size_t begin = block * kReductionBlock;
       AccumulateNormalSystem<decltype(rank_tag)::value,
                              decltype(order_tag)::value,
@@ -958,7 +925,7 @@ NormalSystem CooNormalSystem(const CooList& coo,
   sys.b = Matrix(rank, rank);
   sys.c.assign(rank, 0.0);
   for (size_t block = 0; block < num_blocks; ++block) {
-    const double* out = scratch.partials + block * partial_size;
+    const double* out = partials.data() + block * partial_size;
     double* bdata = sys.b.data();
     for (size_t e = 0; e < rank * rank; ++e) bdata[e] += out[e];
     for (size_t r = 0; r < rank; ++r) sys.c[r] += out[rank * rank + r];
@@ -1015,17 +982,14 @@ double CooResidualSquaredNorm(const CooList& coo,
   // order; both the block boundaries and the combine order are independent
   // of the thread count.
   const size_t num_blocks = (coo.nnz() + kReductionBlock - 1) / kReductionBlock;
-  ReduceScratch scratch(pool, num_blocks);
+  std::vector<double> partials(num_blocks, 0.0);
   const std::vector<FactorView> views = MakeViews(factors);
   DispatchRank(rank, [&](auto tag) {
     CooResidualBlocksImpl<decltype(tag)::value>(
-        coo, values, views, pool, rank, num_blocks,
-        scratch.partials);
+        coo, values, views, pool, rank, num_blocks, partials.data());
   });
   double total = 0.0;
-  for (size_t block = 0; block < num_blocks; ++block) {
-    total += scratch.partials[block];
-  }
+  for (size_t block = 0; block < num_blocks; ++block) total += partials[block];
   return total;
 }
 

@@ -13,9 +13,10 @@ namespace fault {
 
 namespace {
 
-/// All armed-plan state behind one mutex. IO sites are consulted from both
-/// the compute thread and the ShardExecutor aux lane (async journal
-/// appends), so the counters must be coherent across threads.
+/// All armed-plan state behind one mutex. Methods stepped side by side on
+/// pipeline lanes can reach IO sites at the same time (each DurableGuard
+/// writing its own journal), so the counters must be coherent across
+/// threads.
 struct PlanState {
   std::mutex mutex;
   std::vector<FaultSpec> specs;

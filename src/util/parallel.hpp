@@ -15,10 +15,10 @@
 /// per-task accumulation order — varies. A kernel runs its tasks on the
 /// pool it is handed (ShardExecutor, util/shard_executor.hpp, is the one
 /// implementation) or inline on the calling thread when it is handed none.
+/// A pool lends threads and nothing else: each kernel call keeps its
+/// scratch (block partials, padded factor rows) in vectors of its own.
 
 namespace sofia {
-
-class ScratchArena;
 
 /// Resolve a `num_threads` knob: 0 means "use the hardware concurrency",
 /// anything else is clamped below by 1.
@@ -41,13 +41,6 @@ class WorkerPool {
   /// Run fn(0) .. fn(num_tasks - 1), blocking until every task returns.
   virtual void Run(size_t num_tasks,
                    const std::function<void(size_t)>& fn) = 0;
-
-  /// Reusable caller-side scratch storage, or nullptr when this pool offers
-  /// none (kernels then fall back to call-local vectors). Pools that return
-  /// an arena (ShardExecutor) make the kernels' blocked-reduction scratch
-  /// allocation-free in steady state: slot-keyed buffers grow monotonically
-  /// and are reused across calls and steps.
-  virtual ScratchArena* arena() { return nullptr; }
 };
 
 /// Run fn(0) .. fn(num_tasks - 1) on `pool`, or inline on the calling

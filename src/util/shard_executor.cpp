@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -122,24 +121,6 @@ class InBatchScope {
   bool outermost_;
 };
 
-/// Aux-lane registry handles (the compute lane uses per-worker counters
-/// looked up at thread start instead — see WorkerLoop).
-struct AuxMetrics {
-  obs::Counter* jobs;
-  obs::Counter* busy_us;
-  obs::Gauge* queue_depth;
-};
-
-AuxMetrics& Aux() {
-  obs::Registry& r = obs::Registry::Global();
-  static AuxMetrics m{
-      r.FindOrCreateCounter("executor.aux.jobs"),
-      r.FindOrCreateCounter("executor.aux.busy_us"),
-      r.FindOrCreateGauge("executor.aux.queue_depth"),
-  };
-  return m;
-}
-
 obs::Counter* WorkerBusyCounter(size_t worker_index) {
   return obs::Registry::Global().FindOrCreateCounter(
       "executor.w" + std::to_string(worker_index) + ".busy_us");
@@ -185,24 +166,6 @@ uint64_t NestedHandOffs() {
   return g_nested_handoffs.load(std::memory_order_relaxed);
 }
 
-double* ScratchArena::RawDoubles(size_t slot, size_t count) {
-  if (slot >= slots_.size()) slots_.resize(slot + 1);
-  std::vector<double>& buf = slots_[slot];
-  if (buf.size() < count) {
-    buf.resize(std::max(count, buf.size() * 2));
-    ++growth_events_;
-  }
-  return buf.data();
-}
-
-double* ScratchArena::Doubles(size_t slot, size_t count) {
-  double* ptr = RawDoubles(slot, count);
-  // A slot that never grew has no buffer: memset on its null pointer is
-  // undefined even for zero bytes.
-  if (count > 0) std::memset(ptr, 0, count * sizeof(double));
-  return ptr;
-}
-
 ShardExecutor::ShardExecutor(size_t num_threads) {
   const size_t n = num_threads == 0 ? 1 : num_threads;
   workers_.reserve(n - 1);
@@ -212,13 +175,6 @@ ShardExecutor::ShardExecutor(size_t num_threads) {
 }
 
 ShardExecutor::~ShardExecutor() {
-  DrainAux();
-  {
-    std::lock_guard<std::mutex> lock(aux_mutex_);
-    aux_stop_ = true;
-  }
-  aux_ready_.notify_all();
-  if (aux_thread_ != nullptr) ParkWorker(aux_thread_);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
@@ -318,57 +274,6 @@ void ShardExecutor::Run(size_t num_tasks,
   std::unique_lock<std::mutex> lock(mutex_);
   batch_done_.wait(lock, [&] { return busy_workers_.load() == 0; });
   fn_ = nullptr;
-}
-
-void ShardExecutor::AuxLoop() {
-  obs::SetThreadName("aux-lane");
-  AuxMetrics& metrics = Aux();
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(aux_mutex_);
-      aux_ready_.wait(lock, [&] { return aux_stop_ || !aux_queue_.empty(); });
-      if (aux_queue_.empty()) return;  // aux_stop_ with an empty queue.
-      job = std::move(aux_queue_.front());
-      aux_queue_.pop_front();
-      metrics.queue_depth->Set(static_cast<double>(aux_queue_.size()));
-    }
-    {
-      // Aux jobs are rare (guard checkpoint serialization, durable IO), so
-      // their spans are always recorded when a trace session is active.
-      obs::ObsSpan span("executor.aux.job", metrics.busy_us);
-      job();
-    }
-    metrics.jobs->Add(1);
-    {
-      std::lock_guard<std::mutex> lock(aux_mutex_);
-      ++aux_completed_;
-    }
-    aux_done_.notify_all();
-  }
-}
-
-uint64_t ShardExecutor::Submit(std::function<void()> job) {
-  std::unique_lock<std::mutex> lock(aux_mutex_);
-  if (aux_thread_ == nullptr) {
-    aux_thread_ = StartWorker([this] { AuxLoop(); });
-  }
-  aux_queue_.push_back(std::move(job));
-  Aux().queue_depth->Set(static_cast<double>(aux_queue_.size()));
-  const uint64_t ticket = ++aux_submitted_;
-  lock.unlock();
-  aux_ready_.notify_one();
-  return ticket;
-}
-
-void ShardExecutor::Wait(uint64_t ticket) {
-  std::unique_lock<std::mutex> lock(aux_mutex_);
-  aux_done_.wait(lock, [&] { return aux_completed_ >= ticket; });
-}
-
-void ShardExecutor::DrainAux() {
-  std::unique_lock<std::mutex> lock(aux_mutex_);
-  aux_done_.wait(lock, [&] { return aux_completed_ >= aux_submitted_; });
 }
 
 }  // namespace sofia

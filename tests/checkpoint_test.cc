@@ -427,65 +427,5 @@ TEST(CheckpointTest, GuardRingWrapsAndRollbackRestoresNewestState) {
   }
 }
 
-TEST(CheckpointTest, AsyncCheckpointsMatchSynchronousBitwise) {
-  // When a guard adopts a ShardExecutor, SaveCheckpoint serializes on the
-  // executor's aux lane, off the step path. The ring bytes, the rollback
-  // behavior, and every later estimate must be bitwise identical to the
-  // synchronous guard — async moves *when* the bytes are written, never
-  // what they are (every inner-state mutation syncs the pending job first).
-  const size_t steps = 14;
-  std::vector<DenseTensor> truth = MakeTruth(steps, 151);
-  CorruptedStream stream = Corrupt(truth, {20.0, 0.0, 0.0}, 152);
-
-  StreamGuardOptions options;
-  options.policy = GuardPolicy::kRollback;
-  options.checkpoint_every = 1;
-  options.checkpoint_slots = 2;
-  options.payload_explosion_factor = 0.0;
-  StreamGuard sync_guard(
-      std::make_unique<OnlineSgd>(OnlineSgdOptions{.rank = 3}), options);
-  StreamGuard async_guard(
-      std::make_unique<OnlineSgd>(OnlineSgdOptions{.rank = 3}), options);
-  auto executor = std::make_shared<ShardExecutor>(2);
-  async_guard.AdoptWorkerPool(executor);
-
-  const size_t fault_step = 8;
-  std::vector<double> sync_pre =
-      DriveAndGather(&sync_guard, stream, 0, fault_step);
-  std::vector<double> async_pre =
-      DriveAndGather(&async_guard, stream, 0, fault_step);
-  ASSERT_EQ(sync_pre, async_pre);
-  EXPECT_EQ(async_guard.telemetry().checkpoints_saved, fault_step);
-
-  // SaveState must first land the in-flight aux serialization; the full
-  // guard state (ring included) then matches the synchronous twin's bytes.
-  std::ostringstream sync_state, async_state;
-  sync_guard.SaveState(sync_state);
-  async_guard.SaveState(async_state);
-  EXPECT_EQ(sync_state.str(), async_state.str());
-
-  // Rollback restores from an async-written ring slot: same recovery.
-  DenseTensor poisoned = stream.slices[fault_step];
-  for (size_t k = 0; k < poisoned.NumElements(); ++k) {
-    poisoned[k] = (stream.max_abs + 1.0) * 1e9;
-  }
-  sync_guard.StepLazy(poisoned, stream.masks[fault_step]);
-  async_guard.StepLazy(poisoned, stream.masks[fault_step]);
-  EXPECT_EQ(async_guard.telemetry().rollbacks, 1u);
-  std::vector<double> sync_post =
-      DriveAndGather(&sync_guard, stream, fault_step + 1, steps);
-  std::vector<double> async_post =
-      DriveAndGather(&async_guard, stream, fault_step + 1, steps);
-  ASSERT_EQ(sync_post.size(), async_post.size());
-  for (size_t k = 0; k < sync_post.size(); ++k) {
-    ASSERT_EQ(sync_post[k], async_post[k])
-        << "async-checkpoint rollback diverged (value " << k << ")";
-  }
-
-  // Revoking the pool syncs and returns the guard to inline saves.
-  async_guard.AdoptWorkerPool(nullptr);
-  DriveAndGather(&async_guard, stream, steps - 1, steps);
-}
-
 }  // namespace
 }  // namespace sofia

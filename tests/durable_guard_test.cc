@@ -7,9 +7,12 @@
 // and when nothing on disk is usable the guard reports that instead of
 // crashing, hanging, or silently answering wrong.
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,6 +22,7 @@
 #include "baselines/smf.hpp"
 #include "core/sofia_stream.hpp"
 #include "data/corruption.hpp"
+#include "data/slice_format.hpp"
 #include "data/synthetic.hpp"
 #include "eval/durable_guard.hpp"
 #include "eval/stream_guard.hpp"
@@ -26,7 +30,6 @@
 #include "util/durable_io.hpp"
 #include "util/fault_injection.hpp"
 #include "util/rng.hpp"
-#include "util/shard_executor.hpp"
 
 namespace sofia {
 namespace {
@@ -251,49 +254,122 @@ TEST(DurableGuardTest, AllGenerationsCorruptReportsNotRestored) {
   EXPECT_GE(report.skipped_generations, 2u);
 }
 
-TEST(DurableGuardTest, AsyncJournalOnAuxLaneMatchesInlineBitwise) {
-  const CorruptedStream stream = MakeStream(239);
+TEST(DurableGuardTest, FailedJournalFsyncIsCountedAsALostJournal) {
+  // The group-commit fsync at a snapshot boundary fails. The journal then
+  // counts as lost, as after a failed per-record fsync; the stream goes
+  // on, and the snapshot that lands there opens a fresh segment. The
+  // pristine snapshot (this init-less stack's Initialize point) has no
+  // segment to sync, so journal.fsync's first operation is the group
+  // commit of the first cadence snapshot after it.
+  const CorruptedStream stream = MakeStream(261);
   const std::vector<std::vector<double>> reference = Reference(stream);
   const std::string dir = MakeTempDir();
-
-  DurableGuard guard(MakeInner(), MakeOptions(dir));
-  auto executor = std::make_shared<ShardExecutor>(2);
-  guard.AdoptWorkerPool(executor);
-  for (size_t t = 0; t < kSteps; ++t) {
-    EXPECT_EQ(GatherStep(&guard, stream, t), reference[t]) << "step " << t;
+  {
+    DurableGuard guard(MakeInner(), MakeOptions(dir));
+    fault::ScopedFaultPlan plan(
+        {"journal.fsync", fault::FaultKind::kIoError, 0, 1, 0.5});
+    for (size_t t = 0; t < kSteps; ++t) {
+      EXPECT_EQ(GatherStep(&guard, stream, t), reference[t]) << "step " << t;
+    }
+    guard.Drain();
+    EXPECT_EQ(fault::InjectedCount(), 1u);
+    EXPECT_GT(guard.telemetry().journal_failures, 0u);
   }
-  guard.Drain();
-  EXPECT_EQ(guard.telemetry().async_appends, kSteps);
-  EXPECT_EQ(guard.telemetry().journal_failures, 0u);
-
-  // The drained journal tail + snapshots recover to the exact stream end.
   DurableGuard rebooted(MakeInner(), MakeOptions(dir));
   const RecoveryReport report = rebooted.Recover();
   ASSERT_TRUE(report.restored);
   EXPECT_EQ(report.resume_step, kSteps);
 }
 
-TEST(DurableGuardTest, AuxLaneCrashSurfacesOnIngestThread) {
-  const CorruptedStream stream = MakeStream(241);
-  const std::string dir = MakeTempDir();
-  DurableGuard guard(MakeInner(), MakeOptions(dir));
-  auto executor = std::make_shared<ShardExecutor>(2);
-  guard.AdoptWorkerPool(executor);
+/// Pass-through method that, each time it is handed a slice, reads the
+/// newest journal segment in `dir` from disk and keeps its last record.
+class JournalProbe : public StreamingMethod {
+ public:
+  explicit JournalProbe(std::string dir)
+      : inner_(MakeInner()), dir_(std::move(dir)) {}
 
-  fault::ScopedFaultPlan plan(
-      {"journal.append", fault::FaultKind::kTornWrite, 10, 1, 0.5});
-  bool crashed = false;
-  try {
-    for (size_t t = 0; t < kSteps; ++t) {
-      GatherStep(&guard, stream, t);
-    }
-    guard.Drain();
-  } catch (const fault::SimulatedCrash& crash) {
-    crashed = true;
-    EXPECT_EQ(crash.site, "journal.append");
+  std::string name() const override { return inner_->name(); }
+  StepResult StepLazy(const DenseTensor& y, const Mask& omega,
+                      std::shared_ptr<const CooList> pattern) override {
+    ReadNewestRecord(y, omega);
+    return inner_->StepLazy(y, omega, std::move(pattern));
   }
-  fault::Reset();
-  EXPECT_TRUE(crashed);  // Parked by the aux shim, rethrown on this thread.
+  void Observe(const DenseTensor& y, const Mask& omega) override {
+    ReadNewestRecord(y, omega);
+    inner_->Observe(y, omega);
+  }
+  bool SupportsStateCheckpoint() const override { return true; }
+  void SaveState(std::ostream& out) const override { inner_->SaveState(out); }
+  void RestoreState(std::istream& in) override { inner_->RestoreState(in); }
+
+  /// Per slice handed in: the step of the newest segment's last record
+  /// (UINT64_MAX when there was none), and whether that record decodes to
+  /// exactly the slice and mask the probe was handed.
+  std::vector<uint64_t> last_steps;
+  std::vector<bool> same_slice;
+
+ private:
+  void ReadNewestRecord(const DenseTensor& y, const Mask& omega) {
+    // Segment names are wal-<seq>.slices; the newest has the largest seq.
+    std::string newest;
+    uint64_t newest_seq = 0;
+    if (DIR* d = ::opendir(dir_.c_str())) {
+      while (const dirent* entry = ::readdir(d)) {
+        const std::string name = entry->d_name;
+        if (name.rfind("wal-", 0) != 0) continue;
+        const uint64_t seq = std::stoull(name.substr(4));
+        if (newest.empty() || seq > newest_seq) {
+          newest = dir_ + "/" + name;
+          newest_seq = seq;
+        }
+      }
+      ::closedir(d);
+    }
+    slicefmt::SliceFileReader reader;
+    if (newest.empty() || !reader.Open(newest) ||
+        reader.num_records() == 0) {
+      last_steps.push_back(UINT64_MAX);
+      same_slice.push_back(false);
+      return;
+    }
+    const size_t last = reader.num_records() - 1;
+    DenseTensor slice;
+    Mask mask;
+    reader.Decode(last, &slice, &mask);
+    last_steps.push_back(reader.record(last).step);
+    same_slice.push_back(
+        slice.shape() == y.shape() && mask == omega &&
+        std::memcmp(slice.data(), y.data(),
+                    y.NumElements() * sizeof(double)) == 0);
+  }
+
+  std::unique_ptr<StreamingMethod> inner_;
+  std::string dir_;
+};
+
+TEST(DurableGuardTest, EachRecordIsOnDiskBeforeTheInnerMethodSeesIt) {
+  // Write-ahead order: the guard writes a slice's record to the current
+  // segment before it hands the slice on, so a crash inside the inner step
+  // never loses a slice the method saw. Both entry points, on and between
+  // snapshot boundaries.
+  const CorruptedStream stream = MakeStream(263);
+  const std::string dir = MakeTempDir();
+  auto owned = std::make_unique<JournalProbe>(dir);
+  const JournalProbe& probe = *owned;
+  DurableGuard guard(std::move(owned), MakeOptions(dir));
+  for (size_t t = 0; t < kSteps; ++t) {
+    if (t % 3 == 2) {
+      guard.Observe(stream.slices[t], stream.masks[t]);
+    } else {
+      guard.StepLazy(stream.slices[t], stream.masks[t]);
+    }
+  }
+  ASSERT_EQ(probe.last_steps.size(), kSteps);
+  for (size_t t = 0; t < kSteps; ++t) {
+    EXPECT_EQ(probe.last_steps[t], t) << "slice " << t;
+    EXPECT_TRUE(probe.same_slice[t]) << "slice " << t;
+  }
+  EXPECT_GT(guard.telemetry().snapshots_written, 2u);
 }
 
 TEST(DurableGuardTest, ComposesOverStreamGuardAndRecoversBitwise) {

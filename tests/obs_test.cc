@@ -297,8 +297,8 @@ TEST_F(ObsTest, JsonLiteRejectsDeepNestingWithoutOverflow) {
 TEST_F(ObsTest, ReportChecksCoverageBounds) {
   const char* good = R"({"counters": {
     "time.pipeline.wall_us": 1000, "time.pipeline.init_us": 100,
-    "time.pipeline.ingest_us": 100, "time.pipeline.stall_us": 100,
-    "time.pipeline.compute_us": 650, "time.pipeline.score_us": 150},
+    "time.pipeline.ingest_us": 200, "time.pipeline.compute_us": 650,
+    "time.pipeline.score_us": 150},
     "gauges": {}, "histograms": {}})";
   JsonValue snapshot;
   std::string error;

@@ -1,24 +1,17 @@
 // ShardExecutor contract tests: the static block partition (contiguous,
 // disjoint, balanced, and *identical* across Runs — the property slab
 // ownership is built on), every-task-once execution, the caller acting as
-// worker 0, nested hand-off counting, arena growth accounting, aux-lane
-// FIFO/ticket semantics, and clean shutdown with jobs still pending.
+// worker 0, worker threads recycled from one executor to the next, and
+// nested hand-off counting.
 
 #include "util/shard_executor.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <cstdlib>
-#include <mutex>
-#include <string>
+#include <cstdint>
 #include <thread>
 #include <vector>
-
-#include "data/slice_format.hpp"
-#include "tensor/dense_tensor.hpp"
-#include "tensor/mask.hpp"
 
 namespace sofia {
 namespace {
@@ -140,16 +133,6 @@ TEST(ShardExecutorTest, NextExecutorRunsEachWorkerOnTheSameThread) {
   for (size_t w = 1; w < first.size(); ++w) {
     EXPECT_NE(first[w], ThreadSerial()) << "worker " << w;
   }
-  // The aux thread is recycled the same way.
-  const auto aux = [] {
-    ShardExecutor executor(1);
-    uint64_t serial = 0;
-    executor.Wait(executor.Submit([&] { serial = ThreadSerial(); }));
-    return serial;
-  };
-  const uint64_t aux_serial = aux();
-  EXPECT_EQ(aux(), aux_serial);
-  EXPECT_NE(aux_serial, ThreadSerial());
 }
 
 TEST(ShardExecutorTest, NestedHandOffsCountOnlyDispatchFromInsideATask) {
@@ -170,142 +153,6 @@ TEST(ShardExecutorTest, NestedHandOffsCountOnlyDispatchFromInsideATask) {
   ShardExecutor two(2);
   three.Run(1, [&](size_t) { two.Run(4, noop); });
   EXPECT_EQ(NestedHandOffs(), before + 2);
-}
-
-TEST(ScratchArenaTest, GrowthEventsCountOnlyActualGrowth) {
-  ScratchArena arena;
-  EXPECT_EQ(arena.growth_events(), 0u);
-  arena.Doubles(0, 100);
-  EXPECT_EQ(arena.growth_events(), 1u);
-  // Smaller and equal requests reuse the buffer.
-  arena.Doubles(0, 50);
-  arena.Doubles(0, 100);
-  EXPECT_EQ(arena.growth_events(), 1u);
-  // Doubling policy: 150 fits the 2x-grown capacity after one more event.
-  arena.Doubles(0, 150);
-  EXPECT_EQ(arena.growth_events(), 2u);
-  arena.Doubles(0, 200);
-  EXPECT_EQ(arena.growth_events(), 2u);
-  // A different slot grows independently.
-  arena.Doubles(3, 10);
-  EXPECT_EQ(arena.growth_events(), 3u);
-}
-
-TEST(ScratchArenaTest, DoublesZeroFillsAndRawPreserves) {
-  ScratchArena arena;
-  double* a = arena.Doubles(0, 8);
-  for (size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(a[i], 0.0);
-    a[i] = static_cast<double>(i + 1);
-  }
-  // Raw re-request of the same slot: contents survive.
-  double* b = arena.RawDoubles(0, 8);
-  EXPECT_EQ(b, a);
-  for (size_t i = 0; i < 8; ++i) EXPECT_EQ(b[i], static_cast<double>(i + 1));
-  // Zeroing re-request wipes them again.
-  double* c = arena.Doubles(0, 8);
-  for (size_t i = 0; i < 8; ++i) EXPECT_EQ(c[i], 0.0);
-}
-
-TEST(ShardExecutorTest, AuxJobsRunInSubmissionOrder) {
-  ShardExecutor executor(2);
-  std::mutex mutex;
-  std::vector<int> order;
-  uint64_t last = 0;
-  for (int i = 0; i < 8; ++i) {
-    last = executor.Submit([&, i] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      std::lock_guard<std::mutex> lock(mutex);
-      order.push_back(i);
-    });
-  }
-  executor.Wait(last);
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ShardExecutorTest, WaitCoversEarlierTicketsAndStaleOnes) {
-  ShardExecutor executor(2);
-  std::atomic<int> done{0};
-  uint64_t first = executor.Submit([&] { ++done; });
-  uint64_t second = executor.Submit([&] { ++done; });
-  executor.Wait(second);  // FIFO: waiting on the later job covers both.
-  EXPECT_EQ(done.load(), 2);
-  executor.Wait(first);   // Already satisfied — returns immediately.
-  executor.DrainAux();
-  executor.Wait(second);  // Stale after drain — still a no-op.
-}
-
-TEST(ShardExecutorTest, AuxLaneOverlapsComputeRuns) {
-  ShardExecutor executor(2);
-  std::atomic<bool> aux_ran{false};
-  executor.Submit([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    aux_ran = true;
-  });
-  // Compute batches proceed while the aux job is still in flight.
-  std::atomic<int> sum{0};
-  executor.Run(16, [&](size_t t) { sum += static_cast<int>(t); });
-  EXPECT_EQ(sum.load(), 120);
-  executor.DrainAux();
-  EXPECT_TRUE(aux_ran.load());
-}
-
-TEST(ShardExecutorTest, DestructionDrainsPendingAuxJobs) {
-  std::atomic<int> completed{0};
-  {
-    ShardExecutor executor(3);
-    for (int i = 0; i < 5; ++i) {
-      executor.Submit([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        ++completed;
-      });
-    }
-    // No Wait: the destructor must drain the queue, not abandon it.
-  }
-  EXPECT_EQ(completed.load(), 5);
-}
-
-TEST(ShardExecutorTest, DestructionDrainsPendingJournalAppendsToDisk) {
-  // The durability layer's shutdown-ordering contract: journal appends
-  // submitted to the aux lane and never Wait()ed on must still reach the
-  // file before the executor dies — a clean process exit loses nothing.
-  char tmpl[] = "/tmp/sofia_shardwal_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  ASSERT_NE(dir, nullptr);
-  const std::string path = std::string(dir) + "/wal-0.slices";
-
-  const Shape shape({2, 3});
-  constexpr size_t kRecords = 12;
-  {
-    slicefmt::SliceFileWriter writer;
-    ASSERT_TRUE(writer.Create(path, shape, 0));
-    ShardExecutor executor(3);
-    for (size_t step = 0; step < kRecords; ++step) {
-      executor.Submit([&writer, &shape, step] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        DenseTensor slice(shape);
-        for (size_t k = 0; k < slice.NumElements(); ++k) {
-          slice[k] = static_cast<double>(step * 100 + k);
-        }
-        writer.Append(step, slice, Mask(shape, /*observed=*/true));
-      });
-    }
-    // Executor destroyed first (drains the lane), THEN the writer closes:
-    // the ordering DurableGuard's member layout relies on.
-  }
-  slicefmt::SliceFileReader reader;
-  std::string error;
-  ASSERT_TRUE(reader.Open(path, &error)) << error;
-  EXPECT_FALSE(reader.truncated());
-  ASSERT_EQ(reader.num_records(), kRecords);
-  for (size_t step = 0; step < kRecords; ++step) {
-    EXPECT_EQ(reader.record(step).step, step);  // FIFO lane: in order.
-    DenseTensor slice;
-    Mask mask;
-    reader.Decode(step, &slice, &mask);
-    EXPECT_EQ(slice[1], static_cast<double>(step * 100 + 1));
-  }
 }
 
 }  // namespace

@@ -2,9 +2,6 @@
 //  - a 60-step guarded comparison, and all nine methods guarded and
 //    unguarded, are *bitwise* identical across workers in {1, 2, 4, 8} —
 //    the lane count moves wall-clock shape only;
-//  - a stable-mask stream runs allocation-free through the per-method
-//    kernel scratch after each method's first step (arena growth pinned at
-//    zero);
 //  - every slice is exactly one lane-executor batch, and lane tasks never
 //    hand work to other threads through any pool: each method's kernels
 //    run inline on its own single-thread pool;
@@ -53,9 +50,8 @@ std::vector<DenseTensor> MakeTruth(size_t steps, uint64_t seed) {
 }
 
 /// Fresh guarded-SOFIA + OnlineSGD pair. Methods are stateful, so every
-/// runtime configuration gets its own instances; the guard's checkpoint
-/// ring exercises the async aux-lane serialization whenever the pipeline's
-/// executor is adopted.
+/// runtime configuration gets its own instances; the guard serializes its
+/// checkpoint ring on whichever lane steps it.
 std::vector<std::unique_ptr<StreamingMethod>> MakeMethods() {
   SofiaConfig config;
   config.rank = 3;
@@ -153,8 +149,8 @@ TEST(StreamPipelineTest, GuardedRunBitwiseIdenticalAcrossRuntimeKnobs) {
       SCOPED_TRACE(got[m].name);
       ExpectBitwiseEqual(got[m].run, reference[m].run);
     }
-    // The guard saw the same stream: identical trip/checkpoint history
-    // (async checkpointing changes when bytes are written, not what).
+    // The guard saw the same stream on whichever lane stepped it:
+    // identical trip/checkpoint history.
     EXPECT_EQ(got[0].run.guard.checkpoints_saved,
               reference[0].run.guard.checkpoints_saved);
     EXPECT_EQ(got[0].run.guard.input_trips,
@@ -171,6 +167,7 @@ TEST(StreamPipelineTest, GuardedRunBitwiseIdenticalAcrossRuntimeKnobs) {
 TEST(StreamPipelineTest, NineMethodsBitwiseIdenticalAcrossLanes) {
   // The comparison protocol's nine methods, guarded and unguarded: however
   // the lanes split them, every method's scores match the one-lane run.
+  // Guarded, each lane also serializes its methods' ring checkpoints.
   const size_t steps = 40;
   std::vector<DenseTensor> truth = MakeTruth(steps, 81);
   CorruptedStream stream = Corrupt(truth, {30.0, 10.0, 3.0}, 82);
@@ -328,29 +325,6 @@ TEST(StreamPipelineTest, LaneExceptionSurfacesOnTheCaller) {
   EXPECT_THROW(pipeline.Run(Raw(owned)), std::runtime_error);
 }
 
-TEST(StreamPipelineTest, SteadyStateStepsAreAllocationFree) {
-  // One fixed outage mask across the whole stream: after each method's
-  // first step warms its pool's arena, no kernel-scratch growth may occur.
-  std::vector<DenseTensor> truth = MakeTruth(30, 31);
-  CorruptedStream stream = Corrupt(truth, {40.0, 0.0, 0.0}, 32);
-  for (size_t t = 1; t < stream.masks.size(); ++t) {
-    stream.masks[t] = stream.masks[0];
-  }
-
-  StreamEvalOptions options;
-  options.workers = 2;
-  auto owned = MakeMethods();
-  StreamPipeline pipeline(stream, truth, options);
-  std::vector<MethodRunResult> results = pipeline.Run(Raw(owned));
-
-  const PipelineTelemetry& telemetry = pipeline.telemetry();
-  EXPECT_GT(telemetry.arena_growth_total, 0u) << "arena never used";
-  EXPECT_EQ(telemetry.arena_growth_steady, 0u)
-      << "a steady-state step allocated kernel scratch";
-  EXPECT_EQ(results[0].run.pattern_builds, 1u);
-  EXPECT_EQ(results[0].run.pattern_reuses, truth.size() - 1);
-}
-
 TEST(StreamPipelineTest, MidStreamDrainReturnsCleanlyAndMatchesPrefix) {
   const size_t steps = 40;
   std::vector<DenseTensor> truth = MakeTruth(steps, 51);
@@ -363,9 +337,8 @@ TEST(StreamPipelineTest, MidStreamDrainReturnsCleanlyAndMatchesPrefix) {
   std::vector<MethodRunResult> full =
       RunImputationComparison(Raw(full_owned), stream, truth, options);
 
-  // Same runtime, stopped mid-stream: the guard's async checkpoints still
-  // in flight at the limit are drained, not leaked (TSan-checked in CI),
-  // and the scored prefix must match the full run.
+  // Same runtime, stopped mid-stream: Run returns cleanly after the
+  // limit's batch, and the scored prefix must match the full run.
   const size_t limit = 20;
   auto drained_owned = MakeMethods();
   StreamPipeline pipeline(stream, truth, options);
