@@ -1,9 +1,10 @@
 #include "baselines/olstec.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "baselines/common.hpp"
-#include "linalg/vector_ops.hpp"
+#include "tensor/sparse_kernels.hpp"
 #include "util/check.hpp"
 #include "util/state_io.hpp"
 
@@ -12,8 +13,16 @@ namespace sofia {
 void Olstec::SaveState(std::ostream& out) const {
   state_io::BeginState(out, "olstec", 1);
   state_io::WriteMatrixList(out, factors_);
+  // Each mode's covariance block is written as one R x R matrix per row.
+  const size_t rank = options_.rank;
   out << cov_.size() << '\n';
-  for (const auto& mode_cov : cov_) state_io::WriteMatrixList(out, mode_cov);
+  for (const Matrix& blocks : cov_) {
+    std::vector<Matrix> per_row(blocks.rows() / rank, Matrix(rank, rank));
+    for (size_t i = 0; i < per_row.size(); ++i) {
+      std::copy_n(blocks.Row(i * rank), rank * rank, per_row[i].data());
+    }
+    state_io::WriteMatrixList(out, per_row);
+  }
 }
 
 void Olstec::RestoreState(std::istream& in) {
@@ -31,61 +40,21 @@ void Olstec::RestoreState(std::istream& in) {
   const size_t rank = options_.rank;
   state_io::Require(cov.size() == factors.size(),
                     "olstec checkpoint has the wrong covariance count");
+  std::vector<Matrix> blocks;
   for (size_t n = 0; n < factors.size(); ++n) {
     state_io::Require(factors[n].cols() == rank &&
                           cov[n].size() == factors[n].rows(),
                       "olstec checkpoint has the wrong shape");
-    for (const Matrix& p : cov[n]) {
+    blocks.emplace_back(cov[n].size() * rank, rank);
+    for (size_t i = 0; i < cov[n].size(); ++i) {
+      const Matrix& p = cov[n][i];
       state_io::Require(p.rows() == rank && p.cols() == rank,
                         "olstec checkpoint has the wrong rank");
+      std::copy_n(p.data(), rank * rank, blocks.back().Row(i * rank));
     }
   }
   factors_ = std::move(factors);
-  cov_ = std::move(cov);
-}
-
-/// One entry's RLS update, applied to every mode's factor row: the regressor
-/// is h = w ⊛ (⊛_{l != mode} u^(l)) and the target is the entry value; P and
-/// the row are updated with exponential forgetting. Entries are visited in
-/// ascending linear order — the update is order-dependent, which is also
-/// why the sweep stays sequential.
-void Olstec::RlsUpdate(const uint32_t* idx, double value,
-                       const std::vector<double>& w, std::vector<double>* h_buf,
-                       std::vector<double>* ph_buf) {
-  const size_t rank = options_.rank;
-  const double lambda_f = options_.forgetting;
-  std::vector<double>& h = *h_buf;
-  std::vector<double>& ph = *ph_buf;
-  for (size_t mode = 0; mode < factors_.size(); ++mode) {
-    for (size_t r = 0; r < rank; ++r) {
-      double p = w[r];
-      for (size_t l = 0; l < factors_.size(); ++l) {
-        if (l != mode) p *= factors_[l](idx[l], r);
-      }
-      h[r] = p;
-    }
-    Matrix& p_mat = cov_[mode][idx[mode]];
-    // Gain k = P h / (λ_f + h^T P h); P <- (P - k h^T P) / λ_f.
-    for (size_t r = 0; r < rank; ++r) {
-      const double* prow = p_mat.Row(r);
-      double s = 0.0;
-      for (size_t q = 0; q < rank; ++q) s += prow[q] * h[q];
-      ph[r] = s;
-    }
-    const double denom = lambda_f + Dot(h, ph);
-    double* urow = factors_[mode].Row(idx[mode]);
-    double pred = 0.0;
-    for (size_t r = 0; r < rank; ++r) pred += urow[r] * h[r];
-    const double err = value - pred;
-    for (size_t r = 0; r < rank; ++r) {
-      const double gain = ph[r] / denom;
-      urow[r] += gain * err;
-      double* prow = p_mat.Row(r);
-      for (size_t q = 0; q < rank; ++q) {
-        prow[q] = (prow[q] - gain * ph[q]) / lambda_f;
-      }
-    }
-  }
+  cov_ = std::move(blocks);
 }
 
 StepResult Olstec::StepLazy(const DenseTensor& y, const Mask& omega,
@@ -105,10 +74,14 @@ StepResult Olstec::StepShared(const DenseTensor& y, const Mask& omega,
   // random start.
   if (!FitsSliceShape(factors_, y.shape())) {
     factors_ = RandomNontemporalFactors(y.shape(), rank, options_.seed);
-    cov_.resize(factors_.size());
-    for (size_t l = 0; l < factors_.size(); ++l) {
-      cov_[l].assign(factors_[l].rows(), Matrix::Identity(rank) *
-                                             options_.delta);
+    // P_i = delta * I for every row: rows of δ·I stacked per mode.
+    const Matrix start = Matrix::Identity(rank) * options_.delta;
+    cov_.clear();
+    for (const Matrix& factor : factors_) {
+      cov_.emplace_back(factor.rows() * rank, rank);
+      for (size_t i = 0; i < factor.rows(); ++i) {
+        std::copy_n(start.data(), rank * rank, cov_.back().Row(i * rank));
+      }
     }
   }
   sweep_.BeginStep(y, omega, std::move(pattern));
@@ -120,10 +93,7 @@ StepResult Olstec::StepShared(const DenseTensor& y, const Mask& omega,
 
   // Row-wise RLS sweep over the compacted records, in ascending linear
   // order (the bucket-free record order).
-  std::vector<double> h(rank), ph(rank);
-  for (size_t k = 0; k < coo.nnz(); ++k) {
-    RlsUpdate(coo.Coords(k), values[k], w, &h, &ph);
-  }
+  CooOlstecSweep(coo, values, w, options_.forgetting, &factors_, &cov_);
 
   if (!want_result) return StepResult();
   // Re-solve the temporal row against the refreshed factors; the estimate

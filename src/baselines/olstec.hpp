@@ -62,17 +62,13 @@ class Olstec : public StreamingMethod {
   StepResult StepShared(const DenseTensor& y, const Mask& omega,
                         std::shared_ptr<const CooList> pattern,
                         bool want_result);
-  /// The entry-wise RLS update of one observed entry (`idx[l]` is the
-  /// mode-l index, `value` the observed entry).
-  void RlsUpdate(const uint32_t* idx, double value,
-                 const std::vector<double>& w, std::vector<double>* h,
-                 std::vector<double>* ph);
 
   OlstecOptions options_;
   ObservedSweep sweep_;
   std::vector<Matrix> factors_;
-  /// cov_[mode][row] is the R x R inverse covariance P of that factor row.
-  std::vector<std::vector<Matrix>> cov_;
+  /// cov_[mode] stacks the R x R inverse covariance P of every row of that
+  /// factor: row i's P is rows [i R, (i + 1) R) (CooOlstecSweep's layout).
+  std::vector<Matrix> cov_;
 };
 
 }  // namespace sofia

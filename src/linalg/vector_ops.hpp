@@ -12,11 +12,14 @@
 
 namespace sofia {
 
-/// Inner product <a, b>.
+/// Inner product <a, b>, summed in a fixed order that depends only on the
+/// length: eight interleaved partial sums from 8 elements up, the plain
+/// ascending sum below that. The same inputs give the same bits on every
+/// call.
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
-/// Euclidean norm.
+/// Euclidean norm (Dot's summation order).
 double Norm2(const std::vector<double>& a);
-/// Squared Euclidean norm.
+/// Squared Euclidean norm (Dot's summation order).
 double SquaredNorm2(const std::vector<double>& a);
 /// y += alpha * x.
 void Axpy(double alpha, const std::vector<double>& x, std::vector<double>* y);

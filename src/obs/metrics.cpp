@@ -144,7 +144,6 @@ struct Registry::Impl {
   // std::map: stable iteration order (snapshots are name-sorted) and stable
   // element addresses (handed-out pointers never move).
   std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
 
@@ -163,14 +162,6 @@ Counter* Registry::FindOrCreateCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(i.mutex);
   std::unique_ptr<Counter>& slot = i.counters[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
-}
-
-Gauge* Registry::FindOrCreateGauge(const std::string& name) {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  std::unique_ptr<Gauge>& slot = i.gauges[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
   return slot.get();
 }
 
@@ -194,17 +185,6 @@ std::vector<std::pair<std::string, const Counter*>> Registry::Counters()
   return out;
 }
 
-std::vector<std::pair<std::string, const Gauge*>> Registry::Gauges() const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  std::vector<std::pair<std::string, const Gauge*>> out;
-  out.reserve(i.gauges.size());
-  for (const auto& [name, gauge] : i.gauges) {
-    out.emplace_back(name, gauge.get());
-  }
-  return out;
-}
-
 std::vector<std::pair<std::string, const Histogram*>> Registry::Histograms()
     const {
   Impl& i = impl();
@@ -221,7 +201,6 @@ void Registry::ResetAllForTest() {
   Impl& i = impl();
   std::lock_guard<std::mutex> lock(i.mutex);
   for (auto& [name, counter] : i.counters) counter->Reset();
-  for (auto& [name, gauge] : i.gauges) gauge->Reset();
   for (auto& [name, histogram] : i.histograms) histogram->Reset();
 }
 

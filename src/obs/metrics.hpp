@@ -9,8 +9,8 @@
 #include <vector>
 
 /// \file metrics.hpp
-/// \brief Lock-light metrics registry: named counters, gauges, and
-/// fixed-bucket latency histograms shared by the whole runtime.
+/// \brief Lock-light metrics registry: named counters and fixed-bucket
+/// latency histograms shared by the whole runtime.
 ///
 /// The streaming stack (kernels, pipeline stages, executor lanes, guard
 /// wrappers, durability IO) each kept private telemetry structs; this
@@ -86,20 +86,6 @@ class Counter {
   Cell cells_[kShards];
 };
 
-/// Last-writer-wins instantaneous value.
-class Gauge {
- public:
-  void Set(double value) {
-    if (!Enabled()) return;
-    value_.store(value, std::memory_order_relaxed);
-  }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 /// Fixed-bucket log-linear histogram: values land in 8 linear sub-buckets
 /// per power of two (bucket relative width <= 1/8), sharded like Counter.
 /// Unit-agnostic; latency histograms store microseconds by convention.
@@ -149,13 +135,11 @@ class Registry {
   static Registry& Global();
 
   Counter* FindOrCreateCounter(const std::string& name);
-  Gauge* FindOrCreateGauge(const std::string& name);
   Histogram* FindOrCreateHistogram(const std::string& name);
 
   /// Name-sorted views for snapshot/emission (copies the name+pointer list,
   /// not the metric payloads).
   std::vector<std::pair<std::string, const Counter*>> Counters() const;
-  std::vector<std::pair<std::string, const Gauge*>> Gauges() const;
   std::vector<std::pair<std::string, const Histogram*>> Histograms() const;
 
   /// Zeroes every registered metric (registrations and pointers survive —
@@ -186,13 +170,6 @@ class Counter {
   void Reset() {}
 };
 
-class Gauge {
- public:
-  void Set(double) {}
-  double Value() const { return 0.0; }
-  void Reset() {}
-};
-
 class Histogram {
  public:
   static constexpr size_t kSubBits = 3;
@@ -219,18 +196,11 @@ class Registry {
     static Counter counter;
     return &counter;
   }
-  Gauge* FindOrCreateGauge(const std::string&) {
-    static Gauge gauge;
-    return &gauge;
-  }
   Histogram* FindOrCreateHistogram(const std::string&) {
     static Histogram histogram;
     return &histogram;
   }
   std::vector<std::pair<std::string, const Counter*>> Counters() const {
-    return {};
-  }
-  std::vector<std::pair<std::string, const Gauge*>> Gauges() const {
     return {};
   }
   std::vector<std::pair<std::string, const Histogram*>> Histograms() const {

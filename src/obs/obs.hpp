@@ -3,7 +3,7 @@
 
 /// \file obs.hpp
 /// \brief Umbrella header for the observability subsystem: metrics
-/// registry (counters / gauges / histograms), tracing spans (Chrome
+/// registry (counters / histograms), tracing spans (Chrome
 /// trace-event JSON), and the periodic stats emitter. Instrumented code
 /// includes this one header; everything compiles to no-ops under
 /// -DSOFIA_OBS_DISABLED.

@@ -50,8 +50,9 @@ struct CheckResult {
   }
 };
 
-/// Structural validation of a metrics snapshot: counters/gauges/histograms
-/// objects present, counters non-empty, and — when a pipeline ran
+/// Structural validation of a metrics snapshot: counters and histograms
+/// objects present (any other object, such as the "gauges" of older
+/// snapshots, is ignored), counters non-empty, and — when a pipeline ran
 /// (time.pipeline.wall_us > 0) — driver stage sums within 10% of wall.
 CheckResult CheckMetricsSnapshot(const JsonValue& snapshot);
 

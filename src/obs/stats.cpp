@@ -70,14 +70,6 @@ void AppendSnapshotLine(std::string* out) {
     AppendKey(name, out);
     AppendU64(counter->Value(), out);
   }
-  out->append("}, \"gauges\": {");
-  first = true;
-  for (const auto& [name, gauge] : registry.Gauges()) {
-    if (!first) out->append(", ");
-    first = false;
-    AppendKey(name, out);
-    AppendDouble(gauge->Value(), out);
-  }
   out->append("}, \"histograms\": {");
   first = true;
   for (const auto& [name, histogram] : registry.Histograms()) {

@@ -7,8 +7,8 @@
 /// \file stats.hpp
 /// \brief Live-stats emitter: periodic JSON-lines snapshots of the registry.
 ///
-/// One snapshot line captures the entire registry — every counter, gauge,
-/// and histogram (count/sum/p50/p90/p99) — as a single JSON object, so a
+/// One snapshot line captures the entire registry — every counter and
+/// histogram (count/sum/p50/p90/p99) — as a single JSON object, so a
 /// `tail -f` of the stats file is a live view of steps/sec, p99 step
 /// latency, guard trips, and journal bytes without a bench build. The
 /// pipeline calls StatsTick() once per method step, on the lane that ran
@@ -26,7 +26,7 @@ namespace obs {
 #ifndef SOFIA_OBS_DISABLED
 
 /// Appends one JSON object line (no trailing newline) describing the full
-/// registry: {"ts_us":..., "counters":{...}, "gauges":{...},
+/// registry: {"ts_us":..., "counters":{...},
 /// "histograms":{name:{"count":..,"sum":..,"p50":..,"p90":..,"p99":..}}}.
 void AppendSnapshotLine(std::string* out);
 

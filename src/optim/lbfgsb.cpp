@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 
 #include "linalg/vector_ops.hpp"
@@ -21,17 +20,19 @@ void Project(const std::vector<double>& lower, const std::vector<double>& upper,
 }
 
 /// Infinity norm of the projected gradient: the first-order optimality
-/// measure for box-constrained problems (P(x - g) - x).
+/// measure for box-constrained problems (P(x - g) - x). Four running maxima
+/// (element i goes to max i mod 4) keep the compares off one chain; a max is
+/// exact in any order, and a NaN step is skipped as std::max skips it.
 double ProjectedGradientNorm(const std::vector<double>& x,
                              const std::vector<double>& g,
                              const std::vector<double>& lower,
                              const std::vector<double>& upper) {
-  double norm = 0.0;
+  double norm[4] = {0.0, 0.0, 0.0, 0.0};
   for (size_t i = 0; i < x.size(); ++i) {
     double step = std::clamp(x[i] - g[i], lower[i], upper[i]) - x[i];
-    norm = std::max(norm, std::fabs(step));
+    norm[i % 4] = std::max(norm[i % 4], std::fabs(step));
   }
-  return norm;
+  return std::max(std::max(norm[0], norm[1]), std::max(norm[2], norm[3]));
 }
 
 /// True if coordinate i sits on a bound that the gradient pushes against.
@@ -60,9 +61,18 @@ LbfgsbResult LbfgsbMinimize(const Objective& obj, std::vector<double> x0,
   std::vector<double> g;
   obj.Gradient(x, &g);
 
-  // L-BFGS correction pairs, newest at the back.
-  std::deque<std::vector<double>> s_hist, y_hist;
-  std::deque<double> rho_hist;
+  // Every vector an iteration uses is sized here, once per call. The
+  // L-BFGS correction pairs live in a ring of `history` slots: pair k
+  // (k = 0 the oldest) sits in slot (head + k) % history.
+  const size_t history = static_cast<size_t>(std::max(options.history, 0));
+  std::vector<std::vector<double>> s_hist(history, std::vector<double>(n));
+  std::vector<std::vector<double>> y_hist(history, std::vector<double>(n));
+  std::vector<double> rho_hist(history), alpha(history);
+  size_t head = 0;
+  size_t count = 0;
+  auto slot = [&](size_t k) { return (head + k) % history; };
+  std::vector<double> q(n), direction(n), x_new(n), g_new(n), x_best(n);
+  std::vector<double> s(n), y(n);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
@@ -76,26 +86,28 @@ LbfgsbResult LbfgsbMinimize(const Objective& obj, std::vector<double> x0,
     // Two-loop recursion over free variables only: gradient components that
     // push against an active bound are zeroed so the direction stays in the
     // feasible cone.
-    std::vector<double> q = g;
+    std::copy(g.begin(), g.end(), q.begin());
     for (size_t i = 0; i < n; ++i) {
       if (AtActiveBound(x[i], g[i], lower[i], upper[i])) q[i] = 0.0;
     }
-    std::vector<double> alpha(s_hist.size());
-    for (size_t k = s_hist.size(); k-- > 0;) {
-      alpha[k] = rho_hist[k] * Dot(s_hist[k], q);
-      Axpy(-alpha[k], y_hist[k], &q);
+    for (size_t k = count; k-- > 0;) {
+      const size_t j = slot(k);
+      alpha[k] = rho_hist[j] * Dot(s_hist[j], q);
+      Axpy(-alpha[k], y_hist[j], &q);
     }
-    if (!s_hist.empty()) {
-      const auto& s = s_hist.back();
-      const auto& y = y_hist.back();
-      const double gamma = Dot(s, y) / std::max(Dot(y, y), 1e-300);
+    if (count > 0) {
+      const size_t newest = slot(count - 1);
+      const double gamma = Dot(s_hist[newest], y_hist[newest]) /
+                           std::max(Dot(y_hist[newest], y_hist[newest]),
+                                    1e-300);
       Scale(gamma, &q);
     }
-    for (size_t k = 0; k < s_hist.size(); ++k) {
-      const double beta = rho_hist[k] * Dot(y_hist[k], q);
-      Axpy(alpha[k] - beta, s_hist[k], &q);
+    for (size_t k = 0; k < count; ++k) {
+      const size_t j = slot(k);
+      const double beta = rho_hist[j] * Dot(y_hist[j], q);
+      Axpy(alpha[k] - beta, s_hist[j], &q);
     }
-    std::vector<double> direction = q;
+    std::copy(q.begin(), q.end(), direction.begin());
     Scale(-1.0, &direction);
     for (size_t i = 0; i < n; ++i) {
       if (AtActiveBound(x[i], g[i], lower[i], upper[i])) direction[i] = 0.0;
@@ -108,9 +120,8 @@ LbfgsbResult LbfgsbMinimize(const Objective& obj, std::vector<double> x0,
     double dg = Dot(direction, g);
     const double angle_floor = -1e-6 * Norm2(direction) * Norm2(g);
     if (dg >= angle_floor) {
-      s_hist.clear();
-      y_hist.clear();
-      rho_hist.clear();
+      head = 0;
+      count = 0;
       for (size_t i = 0; i < n; ++i) {
         direction[i] =
             AtActiveBound(x[i], g[i], lower[i], upper[i]) ? 0.0 : -g[i];
@@ -132,10 +143,8 @@ LbfgsbResult LbfgsbMinimize(const Objective& obj, std::vector<double> x0,
     double t_lo = 0.0;
     double t_hi = std::numeric_limits<double>::infinity();
     double t = 1.0;
-    std::vector<double> x_new(n), g_new;
     double f_new = f;
     bool accepted = false;
-    std::vector<double> x_best;
     double f_best = f;
     for (int ls = 0; ls < options.max_line_search_steps; ++ls) {
       for (size_t i = 0; i < n; ++i) x_new[i] = x[i] + t * direction[i];
@@ -143,11 +152,11 @@ LbfgsbResult LbfgsbMinimize(const Objective& obj, std::vector<double> x0,
       f_new = obj.Value(x_new);
       if (f_new < f_best) {
         f_best = f_new;
-        x_best = x_new;
+        std::copy(x_new.begin(), x_new.end(), x_best.begin());
       }
       // Sufficient decrease relative to the *actual* projected displacement.
-      double decrease = 0.0;
-      for (size_t i = 0; i < n; ++i) decrease += g[i] * (x_new[i] - x[i]);
+      for (size_t i = 0; i < n; ++i) s[i] = x_new[i] - x[i];
+      const double decrease = Dot(g, s);
       if (f_new > f + options.armijo_c1 * decrease || f_new >= f) {
         t_hi = t;  // Step too long (or no progress): shrink.
         t = 0.5 * (t_lo + t_hi);
@@ -166,7 +175,7 @@ LbfgsbResult LbfgsbMinimize(const Objective& obj, std::vector<double> x0,
     if (!accepted && f_best < f) {
       // Wolfe curvature never satisfied, but decrease was found: take the
       // best point seen (the curvature filter below guards the history).
-      x_new = std::move(x_best);
+      std::swap(x_new, x_best);
       f_new = f_best;
       obj.Gradient(x_new, &g_new);
       accepted = true;
@@ -175,10 +184,9 @@ LbfgsbResult LbfgsbMinimize(const Objective& obj, std::vector<double> x0,
       // One retry from a clean slate: a poisoned history can make every
       // quasi-Newton step unacceptable while plain gradient descent still
       // works. If the history is already empty, we are genuinely done.
-      if (!s_hist.empty()) {
-        s_hist.clear();
-        y_hist.clear();
-        rho_hist.clear();
+      if (count > 0) {
+        head = 0;
+        count = 0;
         continue;
       }
       result.converged = true;
@@ -186,24 +194,29 @@ LbfgsbResult LbfgsbMinimize(const Objective& obj, std::vector<double> x0,
       break;
     }
 
-    std::vector<double> s = Sub(x_new, x);
-    std::vector<double> y = Sub(g_new, g);
+    for (size_t i = 0; i < n; ++i) {
+      s[i] = x_new[i] - x[i];
+      y[i] = g_new[i] - g[i];
+    }
     const double sy = Dot(s, y);
-    if (sy > 1e-12 * Norm2(s) * Norm2(y)) {  // Curvature condition.
-      s_hist.push_back(std::move(s));
-      y_hist.push_back(std::move(y));
-      rho_hist.push_back(1.0 / sy);
-      if (static_cast<int>(s_hist.size()) > options.history) {
-        s_hist.pop_front();
-        y_hist.pop_front();
-        rho_hist.pop_front();
+    if (sy > 1e-12 * Norm2(s) * Norm2(y) && history > 0) {
+      // Curvature condition met: the pair takes the next slot, or the
+      // oldest pair's once the ring is full.
+      size_t j = slot(count);
+      if (count < history) {
+        ++count;
+      } else {
+        head = (head + 1) % history;
       }
+      std::swap(s_hist[j], s);
+      std::swap(y_hist[j], y);
+      rho_hist[j] = 1.0 / sy;
     }
 
     const double f_old = f;
-    x = std::move(x_new);
+    std::swap(x, x_new);
     f = f_new;
-    g = std::move(g_new);
+    std::swap(g, g_new);
     if (std::fabs(f_old - f) <=
         options.f_tolerance * std::max({std::fabs(f_old), std::fabs(f), 1.0})) {
       result.converged = true;

@@ -41,6 +41,8 @@ struct LbfgsbResult {
 
 /// Minimize `obj` over the box [lower_i, upper_i]^n starting from x0 (which
 /// is clamped into the box). Pass +/-infinity for unbounded coordinates.
+/// Every working vector, the correction history included, is sized once per
+/// call; the inner products sum in Dot's fixed order (linalg/vector_ops.hpp).
 LbfgsbResult LbfgsbMinimize(const Objective& obj, std::vector<double> x0,
                             const std::vector<double>& lower,
                             const std::vector<double>& upper,

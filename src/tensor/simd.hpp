@@ -29,7 +29,12 @@
 ///
 /// Kernels whose outputs are bitwise-pinned against a differently-ordered
 /// reference chain (CooKruskalSliceGather vs the dense KruskalSlice fold)
-/// and the residual norms intentionally stay scalar-only.
+/// and the residual norms (CooResidualSquaredNorm, CooResidualNorm)
+/// intentionally stay scalar-only. Every other Coo kernel — SOFIA's step,
+/// OLSTEC's RLS sweep, CP-WOPT's loss and gradient included — runs through
+/// Select or SelectLanes. The proximal row solves of the fused MAST /
+/// OR-MSTC update run one row per lane in an AVX2 body compiled without
+/// FMA, so they keep the scalar solve's bits.
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #define SOFIA_SIMD_X86 1
@@ -39,9 +44,9 @@
 
 /// Marks the AVX2+FMA trampoline: `flatten` pulls the task body (and its
 /// inline callees) into the trampoline so the vectorizer sees the loops
-/// under the wider ISA. Out-of-line callees (e.g. ProximalRowSolve) stay
-/// calls and keep their scalar code — only the accumulation around them
-/// vectorizes.
+/// under the wider ISA. Out-of-line callees (e.g. ProximalRowSolve, and the
+/// lane solve of the fused proximal update) stay calls and keep the
+/// arithmetic they were compiled with.
 #if SOFIA_SIMD_X86
 #define SOFIA_TARGET_AVX2 __attribute__((target("avx2,fma"), flatten))
 #else

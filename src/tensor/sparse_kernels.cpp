@@ -139,20 +139,17 @@ struct PaddedRows {
   }
 };
 
-/// Accumulator rows of one normal system: R rows of B, then c, then the
-/// current record's h, each PaddedRank(R) lanes of type V wide. A fixed
-/// rank keeps them in a local array, which the compiler holds in registers
-/// at small ranks; the dynamic rank allocates per task. Both are 32-byte
-/// aligned: the AVX2 instantiation moves Vec4s with aligned stores.
-template <size_t kR, typename V>
-struct LaneRows {
+/// `count` vectors of lane type V, 32-byte aligned: a local array when
+/// kCount fixes the count at compile time, a heap block otherwise.
+template <size_t kCount, typename V>
+struct LaneBuffer {
   V* get(size_t) { return fixed; }
-  alignas(32) V fixed[(kR + 2) * PaddedRank(kR) / (sizeof(V) / 8)];
+  alignas(32) V fixed[kCount];
 };
 template <typename V>
-struct LaneRows<0, V> {
-  V* get(size_t rank) {
-    const size_t bytes = (rank + 2) * PaddedRank(rank) * sizeof(double);
+struct LaneBuffer<0, V> {
+  V* get(size_t count) {
+    const size_t bytes = (count * sizeof(V) + 31) / 32 * 32;
     storage.reset(static_cast<V*>(std::aligned_alloc(32, bytes)));
     return storage.get();
   }
@@ -160,6 +157,19 @@ struct LaneRows<0, V> {
     void operator()(void* p) const { std::free(p); }
   };
   std::unique_ptr<V, Free> storage;
+};
+
+/// Accumulator rows of one normal system: R rows of B, then c, then the
+/// current record's h, each PaddedRank(R) lanes of type V wide. A fixed
+/// rank keeps them in a local array, which the compiler holds in registers
+/// at small ranks; the dynamic rank allocates per task. Both are 32-byte
+/// aligned: the AVX2 instantiation moves Vec4s with aligned stores.
+template <size_t kR, typename V>
+struct LaneRows {
+  V* get(size_t rank) {
+    return buf.get((rank + 2) * PaddedRank(rank) / (sizeof(V) / 8));
+  }
+  LaneBuffer<(kR + 2) * PaddedRank(kR) / (sizeof(V) / 8), V> buf;
 };
 
 void CheckFactors(const CooList& coo, const std::vector<Matrix>& factors,
@@ -304,12 +314,152 @@ void CooRowSystemsImpl(const CooList& coo, const std::vector<double>& values,
   RunTasks(pool, sys->b.size(), simd::SelectLanes(task));
 }
 
+/// Rows per task of the fused proximal update: their Cholesky solves run
+/// side by side, one row per vector lane.
+constexpr size_t kSolveRows = 4;
+
+/// Lane-wise square root, in place.
+#if SOFIA_SIMD_X86
+SOFIA_ALWAYS_INLINE void SqrtIn(simd::Vec2* v) {
+  *v = __builtin_ia32_sqrtpd(*v);
+}
+/// Not always_inline: it is inlined once its caller sits in an AVX2 body.
+__attribute__((target("avx2"))) inline void SqrtIn(simd::Vec4* v) {
+  *v = __builtin_ia32_sqrtpd256(*v);
+}
+#else
+template <typename V>
+SOFIA_ALWAYS_INLINE void SqrtIn(V* v) {
+  for (size_t i = 0; i < sizeof(V) / sizeof(double); ++i) {
+    (*v)[i] = std::sqrt((*v)[i]);
+  }
+}
+#endif
+
+/// CholeskySolveInPlace<kR> (linalg/solve.hpp) on lane vectors: lane j of
+/// `a` (R x R) and `rhs` (R) is one system, and every lane takes the scalar
+/// solve's operations in its order. Vector square roots and divisions round
+/// like scalar ones, and the callers compile this without fused
+/// multiply-adds, so each lane gets the scalar solve's bits. `ok` (a lane
+/// mask, all lanes set on entry) is cleared where a pivot is not positive.
+template <size_t kR, typename V, typename M>
+SOFIA_ALWAYS_INLINE void CholeskyLanes(V* SOFIA_RESTRICT a,
+                                       V* SOFIA_RESTRICT rhs, size_t n,
+                                       M* ok) {
+  const size_t N = kR == 0 ? n : kR;
+  for (size_t j = 0; j < N; ++j) {
+    V d = a[j * N + j];
+    for (size_t k = 0; k < j; ++k) d -= a[j * N + k] * a[j * N + k];
+    *ok &= d > 0.0;
+    V ljj = d;
+    SqrtIn(&ljj);
+    a[j * N + j] = ljj;
+    for (size_t i = j + 1; i < N; ++i) {
+      V s = a[i * N + j];
+      for (size_t k = 0; k < j; ++k) s -= a[i * N + k] * a[j * N + k];
+      a[i * N + j] = s / ljj;
+    }
+  }
+  for (size_t i = 0; i < N; ++i) {
+    V s = rhs[i];
+    for (size_t k = 0; k < i; ++k) s -= a[i * N + k] * rhs[k];
+    rhs[i] = s / a[i * N + i];
+  }
+  for (size_t i = N; i-- > 0;) {
+    V s = rhs[i];
+    for (size_t k = i + 1; k < N; ++k) s -= a[k * N + i] * rhs[k];
+    rhs[i] = s / a[i * N + i];
+  }
+}
+
+/// The regular case of ProximalRowSolve<kR> for rows [0, count) (count <=
+/// kSolveRows), in groups of one row per lane of V: out[j] = (B_j + μI)^{-1}
+/// (c_j + μ prev_j). Lanes past `count` solve an identity system. Returns a
+/// bit mask of the rows left to the scalar ProximalRowSolve: an empty system
+/// (its short-circuit), a non-positive pivot or a non-finite solution (its
+/// ridge fallback); their `out` is not written.
+template <size_t kR, typename V>
+SOFIA_ALWAYS_INLINE unsigned ProximalSolveLanes(
+    const double* const* b, const double* const* c,
+    const double* const* prev, double mu, size_t n, size_t count,
+    double* const* out) {
+  constexpr size_t L = sizeof(V) / sizeof(double);
+  const size_t N = kR == 0 ? n : kR;
+  LaneBuffer<kR * (kR + 1), V> buf;
+  V* SOFIA_RESTRICT a = buf.get(N * (N + 1));
+  V* SOFIA_RESTRICT rhs = a + N * N;
+  unsigned irregular = 0;
+  for (size_t g = 0; g < count; g += L) {
+    for (size_t j = 0; j < L; ++j) {
+      const size_t row = g + j;
+      for (size_t e = 0; e < N * N; ++e) {
+        a[e][j] = row < count ? b[row][e] : (e % (N + 1) == 0 ? 1.0 : 0.0);
+      }
+      for (size_t r = 0; r < N; ++r) {
+        rhs[r][j] = row < count ? c[row][r] : 0.0;
+      }
+    }
+    V mu_prev;
+    for (size_t r = 0; r < N; ++r) {
+      for (size_t j = 0; j < L; ++j) {
+        mu_prev[j] = g + j < count ? mu * prev[g + j][r] : 0.0;
+      }
+      a[r * N + r] += mu;
+      rhs[r] += mu_prev;
+    }
+    auto ok = a[0] == a[0];
+    ok |= ~ok;  // All lanes set.
+    CholeskyLanes<kR>(a, rhs, N, &ok);
+    for (size_t j = 0; j < L && g + j < count; ++j) {
+      const size_t row = g + j;
+      // ProximalRowSolve's short-circuit: B = 0 and c = 0 with μ != 0.
+      bool empty = mu != 0.0;
+      for (size_t e = 0; e < N * N && empty; ++e) empty = b[row][e] == 0.0;
+      for (size_t r = 0; r < N && empty; ++r) empty = c[row][r] == 0.0;
+      bool regular = ok[j] != 0;
+      for (size_t r = 0; r < N && regular; ++r) {
+        regular = std::isfinite(rhs[r][j]);
+      }
+      if (empty || !regular) {
+        irregular |= 1u << row;
+        continue;
+      }
+      for (size_t r = 0; r < N; ++r) out[row][r] = rhs[r][j];
+    }
+  }
+  return irregular;
+}
+
+/// ProximalSolveLanes on 128-bit lanes, out of line (one copy per rank,
+/// not one per kernel instantiation) and without contraction.
+template <size_t kR>
+__attribute__((noinline, flatten)) SOFIA_NO_CONTRACT unsigned
+ProximalSolvePairs(const double* const* b, const double* const* c,
+                   const double* const* prev, double mu, size_t n,
+                   size_t count, double* const* out) {
+  return ProximalSolveLanes<kR, simd::Vec2>(b, c, prev, mu, n, count, out);
+}
+
+#if SOFIA_SIMD_X86
+/// ProximalSolveLanes on 256-bit lanes. Out of line, for AVX2 without FMA
+/// and without contraction, so the lanes keep the scalar solve's bits
+/// inside the AVX2+FMA instantiation of the fused kernel.
+template <size_t kR>
+__attribute__((target("avx2"), noinline, flatten)) SOFIA_NO_CONTRACT unsigned
+ProximalSolveAvx2(const double* const* b, const double* const* c,
+                  const double* const* prev, double mu, size_t n,
+                  size_t count, double* const* out) {
+  return ProximalSolveLanes<kR, simd::Vec4>(b, c, prev, mu, n, count, out);
+}
+#endif
+
 /// Fused row-system accumulation + proximal solve of one mode. Per task
-/// (= one mode slice = one output row): build B/c via the shared
-/// AccumulateNormalSystem, then hand the system to the shared
-/// ProximalRowSolve in stack buffers — the same routines the materialized
-/// kernels and the dense oracle's proximal updates run, so the fused and
-/// materialized paths stay bitwise aligned.
+/// (= kSolveRows consecutive mode slices = output rows): build each row's
+/// B/c via the shared AccumulateNormalSystem, then solve the rows side by
+/// side (ProximalSolveLanes), and hand any row whose solve is not the
+/// regular one to the shared ProximalRowSolve — the routines the
+/// materialized kernels and the dense oracle's proximal updates run, so
+/// the fused and materialized paths stay bitwise aligned.
 template <size_t kR, size_t kN>
 void CooProximalRowUpdatesImpl(const CooList& coo,
                                const std::vector<double>& values,
@@ -317,20 +467,50 @@ void CooProximalRowUpdatesImpl(const CooList& coo,
                                const Matrix& previous, double mu,
                                WorkerPool* pool, size_t rank, Matrix* u) {
   const std::vector<size_t>& ptr = coo.SlicePtr(mode);
-  auto task = [&](auto lanes, size_t slice) {
+  const size_t num_rows = u->rows();
+  auto task = [&](auto lanes, size_t group) {
+    using V = typename decltype(lanes)::type;
     const size_t R = kR == 0 ? rank : kR;
-    RankBuffer<kR> cbuf, rhsbuf;
-    RankSquareBuffer<kR> bbuf, abuf;
-    double* b = bbuf.get(R);
-    double* c = cbuf.get(R);
-    AccumulateNormalSystem<kR, kN, typename decltype(lanes)::type, true>(
-        coo, values, rows, mode, ptr[slice], ptr[slice + 1], rank, b, c);
-    // ProximalRowSolve is an out-of-line call: its arithmetic stays scalar
-    // under both instantiations; only the B/c accumulation vectorizes.
-    ProximalRowSolve(b, c, previous.Row(slice), mu, R, abuf.get(R),
-                     rhsbuf.get(R), u->Row(slice));
+    const size_t first = group * kSolveRows;
+    const size_t count = std::min(kSolveRows, num_rows - first);
+    RankSquareBuffer<kR> bbuf[kSolveRows];
+    RankBuffer<kR> cbuf[kSolveRows];
+    const double* b[kSolveRows];
+    const double* c[kSolveRows];
+    const double* prev[kSolveRows];
+    double* out[kSolveRows];
+    for (size_t j = 0; j < count; ++j) {
+      const size_t row = first + j;
+      double* bj = bbuf[j].get(R);
+      double* cj = cbuf[j].get(R);
+      AccumulateNormalSystem<kR, kN, V, true>(coo, values, rows, mode,
+                                              ptr[row], ptr[row + 1], rank,
+                                              bj, cj);
+      b[j] = bj;
+      c[j] = cj;
+      prev[j] = previous.Row(row);
+      out[j] = u->Row(row);
+    }
+    unsigned irregular;
+#if SOFIA_SIMD_X86
+    if constexpr (sizeof(V) == 32) {
+      irregular = ProximalSolveAvx2<kR>(b, c, prev, mu, R, count, out);
+    } else
+#endif
+    {
+      irregular = ProximalSolvePairs<kR>(b, c, prev, mu, R, count, out);
+    }
+    if (irregular == 0) return;
+    RankSquareBuffer<kR> abuf;
+    RankBuffer<kR> rhsbuf;
+    for (size_t j = 0; j < count; ++j) {
+      if ((irregular >> j & 1u) == 0) continue;
+      ProximalRowSolve<kR>(b[j], c[j], prev[j], mu, R, abuf.get(R),
+                           rhsbuf.get(R), out[j]);
+    }
   };
-  RunTasks(pool, u->rows(), simd::SelectLanes(task));
+  RunTasks(pool, (num_rows + kSolveRows - 1) / kSolveRows,
+           simd::SelectLanes(task));
 }
 
 /// Runs fn(kR, kN) on the rank- and order-specialized instantiation of the
@@ -403,14 +583,13 @@ double CpWoptLossRange(const CooList& coo, const std::vector<double>& values,
   const size_t R = kR == 0 ? rank : kR;
   const size_t N = kN == 0 ? coo.order() : kN;
   RankBuffer<kR> buf;
-  double* prod = buf.get(R);
+  double* SOFIA_RESTRICT prod = buf.get(R);
   double s = 0.0;
   for (size_t k = begin; k < end; ++k) {
     const uint32_t* idx = coo.Coords(k);
-    for (size_t r = 0; r < R; ++r) prod[r] = 1.0;
-    for (size_t l = 0; l < N; ++l) {
-      const double* row = x + offsets[l] + idx[l] * R;
-      for (size_t r = 0; r < R; ++r) prod[r] *= row[r];
+    simd::Copy(prod, x + offsets[0] + idx[0] * R, R);
+    for (size_t l = 1; l < N; ++l) {
+      simd::MulIn(prod, x + offsets[l] + idx[l] * R, R);
     }
     double recon = 0.0;
     for (size_t r = 0; r < R; ++r) recon += prod[r];
@@ -423,63 +602,83 @@ double CpWoptLossRange(const CooList& coo, const std::vector<double>& values,
 /// Accumulates the gradient of records [begin, end) into `g` (packed like
 /// `x`). Per record, prefix[l] = Π_{l' < l} and suffix[l] = Π_{l' >= l} of
 /// the factor rows, and row i_l of mode l takes
-/// -resid · prefix[l] ⊛ suffix[l + 1].
+/// -resid · (prefix[l] ⊛ suffix[l + 1]). Records are in ascending linear
+/// order and the last mode varies slowest, so the last mode's gradient row
+/// takes a contiguous run of records: it is held in a local row for the
+/// run (no store-to-load chain through memory) and written back when the
+/// index moves on.
 template <size_t kR, size_t kN>
 void CpWoptGradientRange(const CooList& coo,
-                           const std::vector<double>& values, const double* x,
-                           const size_t* offsets, size_t rank, size_t begin,
-                           size_t end, double* g) {
+                         const std::vector<double>& values, const double* x,
+                         const size_t* offsets, size_t rank, size_t begin,
+                         size_t end, double* g) {
+  if (begin == end) return;
   const size_t R = kR == 0 ? rank : kR;
   const size_t N = kN == 0 ? coo.order() : kN;
+  const size_t last = N - 1;
   constexpr size_t kChain = kN == 0 ? 0 : (kN + 1) * kR;
   RankBuffer<kChain> prefix_buf, suffix_buf;
-  double* prefix = prefix_buf.get((N + 1) * R);
-  double* suffix = suffix_buf.get((N + 1) * R);
+  RankBuffer<kR> loo_buf, run_buf;
+  double* SOFIA_RESTRICT prefix = prefix_buf.get((N + 1) * R);
+  double* SOFIA_RESTRICT suffix = suffix_buf.get((N + 1) * R);
+  double* SOFIA_RESTRICT loo = loo_buf.get(R);
+  double* SOFIA_RESTRICT run = run_buf.get(R);
+  double* last_grad = g + offsets[last];
+  size_t run_row = coo.Coords(begin)[last];
+  simd::Copy(run, last_grad + run_row * R, R);
+  simd::Fill(prefix, R, 1.0);
+  simd::Fill(suffix + N * R, R, 1.0);
   for (size_t k = begin; k < end; ++k) {
     const uint32_t* idx = coo.Coords(k);
-    for (size_t r = 0; r < R; ++r) prefix[r] = 1.0;
+    if (idx[last] != run_row) {
+      simd::Copy(last_grad + run_row * R, run, R);
+      run_row = idx[last];
+      simd::Copy(run, last_grad + run_row * R, R);
+    }
     for (size_t l = 0; l < N; ++l) {
-      const double* row = x + offsets[l] + idx[l] * R;
-      const double* cur = prefix + l * R;
-      double* nxt = prefix + (l + 1) * R;
-      for (size_t r = 0; r < R; ++r) nxt[r] = cur[r] * row[r];
+      simd::MulTo(prefix + (l + 1) * R, prefix + l * R,
+                  x + offsets[l] + idx[l] * R, R);
     }
     // suffix[0] would be the full product again; nothing reads it.
-    for (size_t r = 0; r < R; ++r) suffix[N * R + r] = 1.0;
     for (size_t l = N; l-- > 1;) {
-      const double* row = x + offsets[l] + idx[l] * R;
-      const double* cur = suffix + (l + 1) * R;
-      double* nxt = suffix + l * R;
-      for (size_t r = 0; r < R; ++r) nxt[r] = cur[r] * row[r];
+      simd::MulTo(suffix + l * R, suffix + (l + 1) * R,
+                  x + offsets[l] + idx[l] * R, R);
     }
     double recon = 0.0;
     const double* full = prefix + N * R;
     for (size_t r = 0; r < R; ++r) recon += full[r];
-    const double resid = values[k] - recon;
-    for (size_t l = 0; l < N; ++l) {
-      double* grow = g + offsets[l] + idx[l] * R;
-      const double* pre = prefix + l * R;
-      const double* suf = suffix + (l + 1) * R;
-      for (size_t r = 0; r < R; ++r) grow[r] -= resid * pre[r] * suf[r];
+    const double scale = recon - values[k];  // -resid.
+    for (size_t l = 0; l < last; ++l) {
+      simd::MulTo(loo, prefix + l * R, suffix + (l + 1) * R, R);
+      simd::MulAddIn(g + offsets[l] + idx[l] * R, scale, loo, R);
     }
+    simd::MulTo(loo, prefix + last * R, suffix + N * R, R);
+    simd::MulAddIn(run, scale, loo, R);
   }
+  simd::Copy(last_grad + run_row * R, run, R);
 }
 
-/// Loss pass: fixed record blocks, partial sums added in block order.
+/// Loss pass: fixed record blocks, partial sums added in block order. Each
+/// block runs in the ISA simd::SelectLanes picks for the call.
 template <size_t kR, size_t kN>
 double CpWoptLossImpl(const CooList& coo, const std::vector<double>& values,
                       const double* x, const size_t* offsets, size_t rank,
                       WorkerPool* pool) {
   const size_t nnz = coo.nnz();
   const size_t num_blocks = (nnz + kReductionBlock - 1) / kReductionBlock;
-  auto block = [&](size_t b) {
+  double single = 0.0;
+  std::vector<double> partials(num_blocks > 1 ? num_blocks : 0);
+  double* out = num_blocks > 1 ? partials.data() : &single;
+  auto block = [&](auto, size_t b) {
     const size_t begin = b * kReductionBlock;
-    return CpWoptLossRange<kR, kN>(coo, values, x, offsets, rank, begin,
-                                   std::min(begin + kReductionBlock, nnz));
+    out[b] = CpWoptLossRange<kR, kN>(coo, values, x, offsets, rank, begin,
+                                     std::min(begin + kReductionBlock, nnz));
   };
-  if (num_blocks <= 1) return block(0);
-  std::vector<double> partials(num_blocks);
-  RunTasks(pool, num_blocks, [&](size_t b) { partials[b] = block(b); });
+  if (num_blocks <= 1) {
+    simd::SelectLanes(block)(0);
+    return single;
+  }
+  RunTasks(pool, num_blocks, simd::SelectLanes(block));
   double total = 0.0;
   for (size_t b = 0; b < num_blocks; ++b) total += partials[b];
   return total;
@@ -498,18 +697,18 @@ void CpWoptGradientImpl(const CooList& coo, const std::vector<double>& values,
       1, std::min(kMaxCpWoptGradientTasks,
                   (nnz + kReductionBlock - 1) / kReductionBlock));
   std::fill(grad, grad + params, 0.0);
-  auto range = [&](size_t t, double* g) {
-    CpWoptGradientRange<kR, kN>(coo, values, x, offsets, rank,
-                                t * nnz / tasks, (t + 1) * nnz / tasks, g);
+  std::vector<double> slabs((tasks - 1) * params, 0.0);
+  auto range = [&](auto, size_t t) {
+    CpWoptGradientRange<kR, kN>(
+        coo, values, x, offsets, rank, t * nnz / tasks,
+        (t + 1) * nnz / tasks,
+        t == 0 ? grad : slabs.data() + (t - 1) * params);
   };
   if (tasks == 1) {
-    range(0, grad);
+    simd::SelectLanes(range)(0);
     return;
   }
-  std::vector<double> slabs((tasks - 1) * params, 0.0);
-  RunTasks(pool, tasks, [&](size_t t) {
-    range(t, t == 0 ? grad : slabs.data() + (t - 1) * params);
-  });
+  RunTasks(pool, tasks, simd::SelectLanes(range));
   for (size_t t = 1; t < tasks; ++t) {
     const double* slab = slabs.data() + (t - 1) * params;
     for (size_t i = 0; i < params; ++i) grad[i] += slab[i];
@@ -778,6 +977,51 @@ void SofiaStepPass(const CooList& coo, const double* y,
     grads->temporal_trace += t;
   }
   if (nnz > 0) store_run();
+}
+
+/// The RLS sweep of CooOlstecSweep over every record, in record order.
+template <size_t kR, size_t kN>
+void OlstecSweepPass(const CooList& coo, const double* values,
+                     const double* w, double forgetting, size_t rank,
+                     double* const* factor, double* const* cov) {
+  const size_t R = kR == 0 ? rank : kR;
+  const size_t N = kN == 0 ? coo.order() : kN;
+  const double inv_forgetting = 1.0 / forgetting;
+  RankBuffer<kR> h_buf, ph_buf;
+  double* SOFIA_RESTRICT h = h_buf.get(R);
+  double* SOFIA_RESTRICT ph = ph_buf.get(R);
+  for (size_t rec = 0; rec < coo.nnz(); ++rec) {
+    const uint32_t* idx = coo.Coords(rec);
+    const double value = values[rec];
+    for (size_t mode = 0; mode < N; ++mode) {
+      for (size_t r = 0; r < R; ++r) h[r] = w[r];
+      for (size_t l = 0; l < N; ++l) {
+        if (l == mode) continue;
+        const double* row = factor[l] + idx[l] * R;
+        for (size_t r = 0; r < R; ++r) h[r] *= row[r];
+      }
+      double* SOFIA_RESTRICT p = cov[mode] + idx[mode] * R * R;
+      double hph = 0.0;
+      for (size_t r = 0; r < R; ++r) {
+        double s = 0.0;
+        for (size_t q = 0; q < R; ++q) s += p[r * R + q] * h[q];
+        ph[r] = s;
+      }
+      for (size_t r = 0; r < R; ++r) hph += h[r] * ph[r];
+      const double inv_denom = 1.0 / (forgetting + hph);
+      double* SOFIA_RESTRICT urow = factor[mode] + idx[mode] * R;
+      double pred = 0.0;
+      for (size_t r = 0; r < R; ++r) pred += urow[r] * h[r];
+      const double err = value - pred;
+      for (size_t r = 0; r < R; ++r) {
+        const double gain = ph[r] * inv_denom;
+        urow[r] += gain * err;
+        for (size_t q = 0; q < R; ++q) {
+          p[r * R + q] = (p[r * R + q] - gain * ph[q]) * inv_forgetting;
+        }
+      }
+    }
+  }
 }
 
 /// Shapes `grads` to `factors` (reusing its storage) and zeroes it.
@@ -1093,6 +1337,38 @@ void CooSofiaStep(const CooList& coo, const DenseTensor& y,
         SofiaStepPass<decltype(rank_tag)::value, decltype(order_tag)::value>(
             coo, y.data(), factors, u_hat.data(), robust, rank,
             sigma->data(), forecast->data(), outliers->data(), grads);
+      };
+      simd::SelectLanes(pass)(0);
+    });
+  });
+}
+
+void CooOlstecSweep(const CooList& coo, const std::vector<double>& values,
+                    const std::vector<double>& w, double forgetting,
+                    std::vector<Matrix>* factors, std::vector<Matrix>* cov) {
+  static const obs::KernelStats kStats =
+      obs::MakeKernelStats("coo.olstec_sweep");
+  const size_t rank = factors->empty() ? 0 : (*factors)[0].cols();
+  obs::CountKernel(kStats, coo.nnz(),
+                   coo.order() * rank * (4 * rank + coo.order() + 6));
+  CheckFactors(coo, *factors, rank);
+  SOFIA_CHECK_EQ(values.size(), coo.nnz());
+  SOFIA_CHECK_EQ(w.size(), rank);
+  SOFIA_CHECK_EQ(cov->size(), factors->size());
+  const size_t order = coo.order();
+  std::vector<double*> factor(order), block(order);
+  for (size_t l = 0; l < order; ++l) {
+    SOFIA_CHECK_EQ((*cov)[l].rows(), (*factors)[l].rows() * rank);
+    SOFIA_CHECK_EQ((*cov)[l].cols(), rank);
+    factor[l] = (*factors)[l].data();
+    block[l] = (*cov)[l].data();
+  }
+  DispatchOrder<2, 3>(order, [&](auto order_tag) {
+    DispatchRank(rank, [&](auto rank_tag) {
+      auto pass = [&](auto, size_t) {
+        OlstecSweepPass<decltype(rank_tag)::value, decltype(order_tag)::value>(
+            coo, values.data(), w.data(), forgetting, rank, factor.data(),
+            block.data());
       };
       simd::SelectLanes(pass)(0);
     });

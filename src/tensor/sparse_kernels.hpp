@@ -21,7 +21,8 @@
 /// Two kernels stay scalar and keep the dense scans' order of operations,
 /// so on inputs of one reduction block they reproduce the oracle bit for
 /// bit: CooKruskalSliceGather and CooResidualSquaredNorm.
-/// All of them but SOFIA's step (CooSofiaStep, one serial pass) split the
+/// All of them but SOFIA's step (CooSofiaStep) and OLSTEC's RLS sweep
+/// (CooOlstecSweep), each one serial pass, split the
 /// work into disjoint units (mode slices, or fixed-size record blocks for
 /// the reductions) and run the units on the `pool` they are handed, or
 /// inline when it is null. Results are bitwise identical for every pool:
@@ -107,9 +108,13 @@ RowSystems CooWeightedRowSystems(const CooList& coo,
 /// closed-form row update (linalg/solve.hpp's ProximalRowSolve: empty-system
 /// short-circuit, in-place Cholesky, SolveRidge fallback) without
 /// materializing the row-system table, whose
-/// Σ_n I_n per-sweep heap allocations dominate sparse slices. `u` may alias
-/// `factors[mode]`: the regressors only read the *other* modes' rows, and
-/// each task owns exactly its output row. Requires mode buckets.
+/// Σ_n I_n per-sweep heap allocations dominate sparse slices. Each task
+/// takes four consecutive rows and runs their Cholesky solves side by side,
+/// one row per vector lane with the scalar solve's operations, so every row
+/// gets ProximalRowSolve's bits; rows the Cholesky solve does not take go
+/// to ProximalRowSolve itself. `u` may alias `factors[mode]`: the
+/// regressors only read the *other* modes' rows, and each task owns exactly
+/// its output rows. Requires mode buckets.
 void CooProximalRowUpdates(const CooList& coo,
                            const std::vector<double>& values,
                            const std::vector<Matrix>& factors,
@@ -150,7 +155,9 @@ double CooResidualNorm(const CooList& coo, const std::vector<double>& values,
 /// I_n x `rank`, row-major), so factor rows are read in place with no
 /// unpacking. Specialized at compile time on the common ranks (as every
 /// kernel here) and on tensor order 2; other orders loop at run time with
-/// the same arithmetic. Deterministic for every pool.
+/// the same arithmetic. Compiled for scalar and AVX2+FMA (the latter fuses
+/// multiply-adds, so the two differ by rounding). Deterministic for every
+/// pool.
 ///
 /// CooCpWoptLoss returns f, summing fixed 4096-record blocks in block order
 /// (the grouping of CooResidualSquaredNorm).
@@ -162,7 +169,9 @@ double CooCpWoptLoss(const CooList& coo, const std::vector<double>& values,
 /// layout of `x`, built per record from prefix and suffix leave-one-out
 /// products: ∂f/∂U^(l)(i_l, r) accumulates -resid · Π_{l' != l}
 /// U^(l')(i_{l'}, r). The records split into min(16, ceil(|Ω| / 4096))
-/// contiguous tasks with private accumulators added in task order.
+/// contiguous tasks with private accumulators added in task order; within
+/// a task, the last mode's gradient row is held locally over its run of
+/// records.
 void CooCpWoptGradient(const CooList& coo, const std::vector<double>& values,
                        const std::vector<double>& x, size_t rank,
                        std::vector<double>* grad, WorkerPool* pool = nullptr);
@@ -245,6 +254,25 @@ void CooSofiaStep(const CooList& coo, const DenseTensor& y,
                   const SofiaStepRobust& robust, DenseTensor* sigma,
                   std::vector<double>* forecast,
                   std::vector<double>* outliers, StepGradients* grads);
+
+/// OLSTEC's recursive-least-squares sweep over Ω_t (Kasai, ICASSP 2016):
+/// for every record in record order, and for each mode n in ascending
+/// order, the regressor h = w ⊛ (⊛_{l != n} u^(l)_{i_l}) (multiplied in mode
+/// order), the row's inverse covariance P (block i_n of cov[n]), the gain
+/// k = P h / (λ_f + hᵀ P h), then u^(n)_{i_n} += k (values[k] - u^(n)_{i_n}
+/// · h) and P <- (P - k (P h)ᵀ) / λ_f. Both divisions are taken as
+/// multiplications by a reciprocal: one division per mode and record, and
+/// one per call. Each mode's update feeds the next mode's regressor and
+/// the next record, so the sweep is one serial pass, run inline on no pool.
+///
+/// `factors` are updated in place; `cov[n]` holds dim(n) R x R blocks,
+/// contiguous and row-major (a (dim(n)·R) x R matrix), updated in place.
+/// Specialized on rank and on orders 2 and 3, and compiled for scalar and
+/// AVX2+FMA (the latter fuses multiply-adds, so the two differ by
+/// rounding). Works on bucket-less CooLists.
+void CooOlstecSweep(const CooList& coo, const std::vector<double>& values,
+                    const std::vector<double>& w, double forgetting,
+                    std::vector<Matrix>* factors, std::vector<Matrix>* cov);
 
 /// ||values||_2 — e.g. the masked data norm ||Ω ⊛ Y*||_F of the fitness
 /// denominator when `values` is a GatherResidual result.

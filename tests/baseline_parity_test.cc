@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "dense_oracle.hpp"
 #include "eval/streaming_method.hpp"
 #include "expect_close.hpp"
+#include "tensor/kruskal.hpp"
 #include "tensor/simd.hpp"
 #include "util/rng.hpp"
 #include "util/shard_executor.hpp"
@@ -55,6 +57,28 @@ std::vector<DenseTensor> MakeTruth(size_t steps, uint64_t seed) {
     truth.push_back(syn.tensor.SliceLastMode(t));
   }
   return truth;
+}
+
+/// A rank-3 Kruskal stream of `dims`-shaped slices whose temporal weights
+/// follow a period-4 season.
+std::vector<DenseTensor> MakeKruskalStream(const std::vector<size_t>& dims,
+                                           size_t steps, uint64_t seed) {
+  constexpr size_t kRank = 3;
+  Rng rng(seed);
+  std::vector<Matrix> factors;
+  for (size_t dim : dims) {
+    factors.push_back(Matrix::Random(dim, kRank, rng, 0.0, 1.0));
+  }
+  std::vector<DenseTensor> slices;
+  std::vector<double> w(kRank);
+  for (size_t t = 0; t < steps; ++t) {
+    for (size_t r = 0; r < kRank; ++r) {
+      w[r] = 1.5 + std::sin(1.5707963267948966 * static_cast<double>(t % 4) +
+                            static_cast<double>(r));
+    }
+    slices.push_back(KruskalSlice(factors, w));
+  }
+  return slices;
 }
 
 /// The library method `name` (dense = false) or its dense-scan reference
@@ -136,6 +160,31 @@ TEST_P(BaselineParityTest, DenseAndSparsePathsAgreeOnCorruptedStream) {
     }
     // An externally shared pattern must not change a single bit either.
     EXPECT_EQ(MaxAbsDiff(b, d), 0.0) << GetParam() << " t=" << t;
+  }
+}
+
+TEST_P(BaselineParityTest, DenseAndSparsePathsAgreeOnMultiwaySlices) {
+  // The other tests stream 2-way slices. Order 3 runs the kernels' order-3
+  // instantiations, order 4 their run-time-order loops; both stay pinned to
+  // the dense oracles at the same bound.
+  for (const std::vector<size_t>& dims :
+       {std::vector<size_t>{5, 4, 3}, std::vector<size_t>{4, 3, 2, 2}}) {
+    SCOPED_TRACE(::testing::Message() << dims.size() << "-way slices");
+    std::vector<DenseTensor> truth = MakeKruskalStream(dims, 16, 97);
+    CorruptedStream stream = Corrupt(truth, {25.0, 10.0, 3.0}, 98);
+    std::unique_ptr<StreamingMethod> dense = MakeMethod(GetParam(), true);
+    std::unique_ptr<StreamingMethod> sparse = MakeMethod(GetParam(), false);
+    std::unique_ptr<StreamingMethod> threaded = MakeMethod(GetParam(), false);
+    threaded->AdoptWorkerPool(std::make_shared<ShardExecutor>(3));
+    for (size_t t = 0; t < truth.size(); ++t) {
+      const DenseTensor& slice = stream.slices[t];
+      const Mask& omega = stream.masks[t];
+      DenseTensor a = dense->Step(slice, omega);
+      DenseTensor b = sparse->Step(slice, omega);
+      EXPECT_TRUE(CloseTo(a, b, 1e-12)) << GetParam() << " t=" << t;
+      EXPECT_EQ(MaxAbsDiff(b, threaded->Step(slice, omega)), 0.0)
+          << GetParam() << " t=" << t;
+    }
   }
 }
 

@@ -687,12 +687,15 @@ class DenseOlstec : public StreamingMethod {
   }
 
  private:
-  /// Olstec's entry-wise RLS update of every mode's factor row.
+  /// Olstec's entry-wise RLS update of every mode's factor row, dividing
+  /// by the gain's denominator and by λ_f through their reciprocals, as
+  /// CooOlstecSweep does.
   void RlsUpdate(const std::vector<size_t>& idx, double value,
                  const std::vector<double>& w, std::vector<double>* h_buf,
                  std::vector<double>* ph_buf) {
     const size_t rank = options_.rank;
     const double lambda_f = options_.forgetting;
+    const double inv_lambda = 1.0 / lambda_f;
     std::vector<double>& h = *h_buf;
     std::vector<double>& ph = *ph_buf;
     for (size_t mode = 0; mode < factors_.size(); ++mode) {
@@ -710,17 +713,17 @@ class DenseOlstec : public StreamingMethod {
         for (size_t q = 0; q < rank; ++q) s += prow[q] * h[q];
         ph[r] = s;
       }
-      const double denom = lambda_f + Dot(h, ph);
+      const double inv_denom = 1.0 / (lambda_f + Dot(h, ph));
       double* urow = factors_[mode].Row(idx[mode]);
       double pred = 0.0;
       for (size_t r = 0; r < rank; ++r) pred += urow[r] * h[r];
       const double err = value - pred;
       for (size_t r = 0; r < rank; ++r) {
-        const double gain = ph[r] / denom;
+        const double gain = ph[r] * inv_denom;
         urow[r] += gain * err;
         double* prow = p_mat.Row(r);
         for (size_t q = 0; q < rank; ++q) {
-          prow[q] = (prow[q] - gain * ph[q]) / lambda_f;
+          prow[q] = (prow[q] - gain * ph[q]) * inv_lambda;
         }
       }
     }

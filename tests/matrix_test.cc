@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#include "linalg/vector_ops.hpp"
 
 #include "util/rng.hpp"
 
@@ -136,6 +139,43 @@ TEST_P(MatMulPropertyTest, TransposeReversesProduct) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatMulPropertyTest,
                          ::testing::Range(1, 13));
+
+/// Dot sums eight interleaved partial sums from 8 elements up, so its
+/// summation order depends on the length alone.
+TEST(VectorOpsTest, DotBelowEightElementsIsTheSequentialSum) {
+  Rng rng(41);
+  for (size_t n = 0; n < 8; ++n) {
+    const std::vector<double> a = rng.NormalVector(n);
+    const std::vector<double> b = rng.NormalVector(n);
+    double sequential = 0.0;
+    for (size_t i = 0; i < n; ++i) sequential += a[i] * b[i];
+    EXPECT_EQ(Dot(a, b), sequential) << "n = " << n;
+  }
+}
+
+TEST(VectorOpsTest, DotOfFourHundredIsAccurateAndRepeatable) {
+  Rng rng(43);
+  std::vector<double> a(400), b(400);
+  for (size_t i = 0; i < a.size(); ++i) {
+    a[i] = rng.Uniform(0.0, 1.0);
+    b[i] = rng.Uniform(0.0, 1.0);
+  }
+  long double exact = 0.0L;
+  for (size_t i = 0; i < a.size(); ++i) {
+    exact += static_cast<long double>(a[i]) * static_cast<long double>(b[i]);
+  }
+  const double dot = Dot(a, b);
+  EXPECT_LE(std::fabs(static_cast<long double>(dot) - exact),
+            1e-15L * std::fabs(exact));
+  // The same inputs give the same bits on every call, and from a copy.
+  const std::vector<double> a_copy = a, b_copy = b;
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_EQ(Dot(a, b), dot);
+    EXPECT_EQ(Dot(a_copy, b_copy), dot);
+  }
+  EXPECT_EQ(SquaredNorm2(a), Dot(a, a));
+  EXPECT_EQ(Norm2(a), std::sqrt(Dot(a, a)));
+}
 
 }  // namespace
 }  // namespace sofia

@@ -200,7 +200,6 @@ TEST_F(ObsTest, TraceRingDropsInsteadOfWrapping) {
 
 TEST_F(ObsTest, StatsLinesAreParseableSnapshots) {
   Registry::Global().FindOrCreateCounter("test.stats_counter")->Add(3);
-  Registry::Global().FindOrCreateGauge("test.stats_gauge")->Set(2.5);
   Registry::Global()
       .FindOrCreateHistogram("test.stats_us")
       ->Observe(123.0);
@@ -292,6 +291,25 @@ TEST_F(ObsTest, JsonLiteRejectsDeepNestingWithoutOverflow) {
   EXPECT_FALSE(ParseJson(std::string(513, '[') + std::string(513, ']'),
                          &value, &error));
   EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+}
+
+TEST_F(ObsTest, TraceCoverageIsBoundedByTheLatestEnd) {
+  // One track, events in completion order: two children, then the outer
+  // span that encloses them and ends last. The track's extent runs to the
+  // outer span's end, not to the end of the child that begins last.
+  const char* trace_json = R"({"traceEvents": [
+    {"ph": "X", "name": "child", "ts": 10, "dur": 10, "tid": 1},
+    {"ph": "X", "name": "child", "ts": 70, "dur": 10, "tid": 1},
+    {"ph": "X", "name": "outer", "ts": 0, "dur": 100, "tid": 1}]})";
+  JsonValue trace;
+  std::string error;
+  ASSERT_TRUE(ParseJson(trace_json, &trace, &error)) << error;
+  TraceStats stats;
+  const CheckResult check = CheckTrace(trace, &stats);
+  EXPECT_TRUE(check.ok) << (check.problems.empty() ? ""
+                                                   : check.problems[0]);
+  EXPECT_EQ(stats.events, 3u);
+  EXPECT_EQ(stats.busiest_coverage, 1.0);
 }
 
 TEST_F(ObsTest, ReportChecksCoverageBounds) {

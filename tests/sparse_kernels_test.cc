@@ -704,9 +704,12 @@ TEST(SparseKernelsTest, SofiaStepOverwritesReusedScratch) {
 }
 
 /// CooProximalRowUpdates and CooWeightedRowSystems build their systems in
-/// one routine, so the fused update must equal ProximalRowSolve applied to
-/// the materialized systems bit for bit — under either ISA, inline or on a
-/// pool, at every grid point.
+/// one routine, so the fused update, which solves its rows side by side in
+/// vector lanes, must equal ProximalRowSolve applied to the materialized
+/// systems bit for bit — under either ISA, inline or on a pool, at every
+/// grid point. μ = 0 leaves rank-deficient rows to the SolveRidge fallback,
+/// and a NaN value poisons its rows' right-hand sides (the fallback's zero
+/// solution).
 TEST(SparseKernelsGridTest, ProximalUpdatesEqualSolvedWeightedSystems) {
   const bool prev = simd::Enabled();
   ShardExecutor pool(3);
@@ -715,21 +718,31 @@ TEST(SparseKernelsGridTest, ProximalUpdatesEqualSolvedWeightedSystems) {
     simd::SetEnabled(vectorized);
     ForEachGridCase(4000, [&](const GridCase& g) {
       Rng rng(53);
-      for (size_t mode = 0; mode < g.factors.size(); ++mode) {
-        SCOPED_TRACE(::testing::Message() << "mode " << mode);
-        const Matrix previous =
-            Matrix::Random(g.factors[mode].rows(), g.w.size(), rng, -1.0, 1.0);
-        Matrix want = previous;
-        dense_oracle::ApplyProximalRowUpdates(
-            CooWeightedRowSystems(g.coo, g.values, g.factors, g.w, mode),
-            previous, 0.7, &want);
-        for (WorkerPool* p : {static_cast<WorkerPool*>(nullptr),
-                              static_cast<WorkerPool*>(&pool)}) {
-          Matrix got = previous;
-          CooProximalRowUpdates(g.coo, g.values, g.factors, g.w, mode,
-                                previous, 0.7, &got, p);
-          for (size_t e = 0; e < want.size(); ++e) {
-            ASSERT_EQ(got.data()[e], want.data()[e]) << "[" << e << "]";
+      std::vector<double> poisoned = g.values;
+      if (!poisoned.empty()) poisoned[poisoned.size() / 2] = std::nan("");
+      for (const auto& [mu, values] :
+           {std::pair<double, const std::vector<double>*>{0.7, &g.values},
+            {0.0, &g.values},
+            {0.7, &poisoned}}) {
+        for (size_t mode = 0; mode < g.factors.size(); ++mode) {
+          SCOPED_TRACE(::testing::Message() << "mode " << mode << " mu " << mu
+                                            << (values == &poisoned
+                                                    ? " poisoned"
+                                                    : ""));
+          const Matrix previous = Matrix::Random(g.factors[mode].rows(),
+                                                 g.w.size(), rng, -1.0, 1.0);
+          Matrix want = previous;
+          dense_oracle::ApplyProximalRowUpdates(
+              CooWeightedRowSystems(g.coo, *values, g.factors, g.w, mode),
+              previous, mu, &want);
+          for (WorkerPool* p : {static_cast<WorkerPool*>(nullptr),
+                                static_cast<WorkerPool*>(&pool)}) {
+            Matrix got = previous;
+            CooProximalRowUpdates(g.coo, *values, g.factors, g.w, mode,
+                                  previous, mu, &got, p);
+            for (size_t e = 0; e < want.size(); ++e) {
+              ASSERT_EQ(got.data()[e], want.data()[e]) << "[" << e << "]";
+            }
           }
         }
       }
