@@ -119,9 +119,58 @@ std::vector<double> SolveRidge(const Matrix& a, const std::vector<double>& b,
   return {};
 }
 
-SOFIA_NO_CONTRACT void ProximalRidgeFallback(const double* b, const double* c,
-                                             const double* prev, double mu,
-                                             size_t n, double* out) {
+bool CholeskySolveInPlace(double* a, double* rhs, size_t n) {
+  // a = L L^T, L stored in the lower triangle of `a`.
+  for (size_t j = 0; j < n; ++j) {
+    double d = a[j * n + j];
+    for (size_t k = 0; k < j; ++k) d -= a[j * n + k] * a[j * n + k];
+    if (!(d > 0.0)) return false;
+    const double ljj = std::sqrt(d);
+    a[j * n + j] = ljj;
+    for (size_t i = j + 1; i < n; ++i) {
+      double s = a[i * n + j];
+      for (size_t k = 0; k < j; ++k) s -= a[i * n + k] * a[j * n + k];
+      a[i * n + j] = s / ljj;
+    }
+  }
+  // Forward substitution L y = rhs.
+  for (size_t i = 0; i < n; ++i) {
+    double s = rhs[i];
+    for (size_t k = 0; k < i; ++k) s -= a[i * n + k] * rhs[k];
+    rhs[i] = s / a[i * n + i];
+  }
+  // Back substitution L^T x = y.
+  for (size_t i = n; i-- > 0;) {
+    double s = rhs[i];
+    for (size_t k = i + 1; k < n; ++k) s -= a[k * n + i] * rhs[k];
+    rhs[i] = s / a[i * n + i];
+  }
+  // Finite pivots do not rule out a poisoned right-hand side (or NaN
+  // off-diagonals): report failure instead of handing back a NaN row.
+  return AllFinite(rhs, n);
+}
+
+void ProximalRowSolve(const double* b, const double* c, const double* prev,
+                      double mu, size_t n, double* a_scratch,
+                      double* rhs_scratch, double* out) {
+  bool empty = mu != 0.0;
+  for (size_t e = 0; e < n * n && empty; ++e) empty = b[e] == 0.0;
+  for (size_t r = 0; r < n && empty; ++r) empty = c[r] == 0.0;
+  if (empty) {
+    // (0 + μI) u = 0 + μ prev — the solve collapses to a scalar divide.
+    for (size_t r = 0; r < n; ++r) out[r] = (mu * prev[r]) / mu;
+    return;
+  }
+
+  std::copy(b, b + n * n, a_scratch);
+  for (size_t r = 0; r < n; ++r) {
+    a_scratch[r * n + r] += mu;
+    rhs_scratch[r] = c[r] + mu * prev[r];
+  }
+  if (CholeskySolveInPlace(a_scratch, rhs_scratch, n)) {
+    for (size_t r = 0; r < n; ++r) out[r] = rhs_scratch[r];
+    return;
+  }
   Matrix shifted(n, n);
   std::copy(b, b + n * n, shifted.data());
   std::vector<double> full_c(c, c + n);

@@ -1,8 +1,6 @@
 #ifndef SOFIA_LINALG_SOLVE_H_
 #define SOFIA_LINALG_SOLVE_H_
 
-#include <cmath>
-#include <cstddef>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -46,65 +44,16 @@ std::vector<double> SolveRidge(const Matrix& a, const std::vector<double>& b,
 /// (including NaN diagonals, which must not reach sqrt).
 bool CholeskyFactorize(const Matrix& a, Matrix* l);
 
-/// The fixed-size solves below are compiled without floating-point
-/// contraction (GCC), so they multiply then add in every build, -mfma
-/// included, and give the same bits at a compile-time and a run-time size.
-#if defined(__GNUC__) && !defined(__clang__)
-#define SOFIA_NO_CONTRACT __attribute__((optimize("fp-contract=off")))
-#else
-#define SOFIA_NO_CONTRACT
-#endif
-
 /// Allocation-free SPD solve: factor `a` (row-major n x n, overwritten with
 /// L in its lower triangle) and solve into `rhs` in place. Returns false on
 /// a non-positive (or NaN) pivot and on a non-finite solution — a finite
 /// pivot chain does not rule out a poisoned right-hand side — leaving the
 /// caller to fall back to a pivoted/ridge solver. For the hot small-R row
 /// solves (one per factor row per sweep) where per-solve heap traffic would
-/// dominate the arithmetic. `kN` is n fixed at compile time (the loops
-/// unroll), or 0 for a run-time n; every kN runs the same operations in the
-/// same order, so all give the same bits.
-template <size_t kN = 0>
-SOFIA_NO_CONTRACT inline bool CholeskySolveInPlace(double* a, double* rhs,
-                                                   size_t n) {
-  const size_t N = kN == 0 ? n : kN;
-  // a = L L^T, L stored in the lower triangle of `a`.
-  for (size_t j = 0; j < N; ++j) {
-    double d = a[j * N + j];
-    for (size_t k = 0; k < j; ++k) d -= a[j * N + k] * a[j * N + k];
-    if (!(d > 0.0)) return false;
-    const double ljj = std::sqrt(d);
-    a[j * N + j] = ljj;
-    for (size_t i = j + 1; i < N; ++i) {
-      double s = a[i * N + j];
-      for (size_t k = 0; k < j; ++k) s -= a[i * N + k] * a[j * N + k];
-      a[i * N + j] = s / ljj;
-    }
-  }
-  // Forward substitution L y = rhs.
-  for (size_t i = 0; i < N; ++i) {
-    double s = rhs[i];
-    for (size_t k = 0; k < i; ++k) s -= a[i * N + k] * rhs[k];
-    rhs[i] = s / a[i * N + i];
-  }
-  // Back substitution L^T x = y.
-  for (size_t i = N; i-- > 0;) {
-    double s = rhs[i];
-    for (size_t k = i + 1; k < N; ++k) s -= a[k * N + i] * rhs[k];
-    rhs[i] = s / a[i * N + i];
-  }
-  // Finite pivots do not rule out a poisoned right-hand side (or NaN
-  // off-diagonals): report failure instead of handing back a NaN row.
-  bool finite = true;
-  for (size_t i = 0; i < N; ++i) finite = finite && std::isfinite(rhs[i]);
-  return finite;
-}
-
-/// ProximalRowSolve's fallback for a system the Cholesky solve rejects:
-/// SolveRidge on (B + μI, c + μ prev), written to `out`.
-void ProximalRidgeFallback(const double* b, const double* c,
-                           const double* prev, double mu, size_t n,
-                           double* out);
+/// dominate the arithmetic. solve.cpp is compiled without floating-point
+/// contraction (CMakeLists.txt), so this multiplies then adds in every
+/// build, as the fused proximal update's lane solve does.
+bool CholeskySolveInPlace(double* a, double* rhs, size_t n);
 
 /// Proximal ridge row solve `out = (B + μI)^{-1} (c + μ prev)` on raw
 /// n-sized buffers (B row-major n x n). Single source of the arithmetic
@@ -114,34 +63,10 @@ void ProximalRidgeFallback(const double* b, const double* c,
 /// reduces to, the SPD case goes through CholeskySolveInPlace in the
 /// caller-provided scratch (each n * n and n doubles), and anything
 /// irregular (μ = 0 with rank-deficient B) falls back to SolveRidge.
-/// `out` may alias `prev`. `kN` fixes n at compile time (the observed-entry
-/// kernel's rank-specialized instantiations), or is 0 for a run-time n;
-/// all give the same bits. Out of line, so a caller's vectorized
-/// instantiation calls this scalar code rather than contracting it.
-template <size_t kN = 0>
-SOFIA_NO_CONTRACT __attribute__((noinline)) void ProximalRowSolve(
-    const double* b, const double* c, const double* prev, double mu,
-    size_t n, double* a_scratch, double* rhs_scratch, double* out) {
-  const size_t N = kN == 0 ? n : kN;
-  bool empty = mu != 0.0;
-  for (size_t e = 0; e < N * N && empty; ++e) empty = b[e] == 0.0;
-  for (size_t r = 0; r < N && empty; ++r) empty = c[r] == 0.0;
-  if (empty) {
-    // (0 + μI) u = 0 + μ prev — the solve collapses to a scalar divide.
-    for (size_t r = 0; r < N; ++r) out[r] = (mu * prev[r]) / mu;
-    return;
-  }
-  for (size_t e = 0; e < N * N; ++e) a_scratch[e] = b[e];
-  for (size_t r = 0; r < N; ++r) {
-    a_scratch[r * N + r] += mu;
-    rhs_scratch[r] = c[r] + mu * prev[r];
-  }
-  if (CholeskySolveInPlace<kN>(a_scratch, rhs_scratch, N)) {
-    for (size_t r = 0; r < N; ++r) out[r] = rhs_scratch[r];
-    return;
-  }
-  ProximalRidgeFallback(b, c, prev, mu, N, out);
-}
+/// `out` may alias `prev`.
+void ProximalRowSolve(const double* b, const double* c, const double* prev,
+                      double mu, size_t n, double* a_scratch,
+                      double* rhs_scratch, double* out);
 
 /// Solve SPD `A x = b` via Cholesky; falls back to LU when not SPD.
 std::vector<double> SolveSpd(const Matrix& a, const std::vector<double>& b);

@@ -53,15 +53,17 @@
 #define SOFIA_TARGET_AVX2
 #endif
 
-/// Marks the scalar trampoline of SelectLanes: the body is flattened into
-/// it and compiled without floating-point contraction, so the scalar
-/// instantiation multiplies then adds even in builds whose baseline ISA
-/// has FMA (-mfma, -march=native). (GCC only; Clang has no per-function
-/// switch and keeps its build-wide default there.)
+/// Compiles a function, and the callees flattened into it, without
+/// floating-point contraction, so it multiplies then adds even in builds
+/// whose baseline ISA has FMA (-mfma, -march=native): the scalar
+/// trampoline of SelectLanes, and the lane solves of the fused proximal
+/// update, which must round like linalg/solve.cpp's scalar solves. (GCC
+/// only; Clang has no per-function switch and keeps its build-wide default
+/// there.)
 #if defined(__GNUC__) && !defined(__clang__)
-#define SOFIA_TARGET_SCALAR __attribute__((optimize("fp-contract=off"), flatten))
+#define SOFIA_NO_CONTRACT __attribute__((optimize("fp-contract=off"), flatten))
 #else
-#define SOFIA_TARGET_SCALAR
+#define SOFIA_NO_CONTRACT
 #endif
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -115,7 +117,7 @@ SOFIA_TARGET_AVX2 void RunAvx2Lanes(const Body& body, size_t task) {
 #endif
 
 template <typename Body>
-SOFIA_TARGET_SCALAR void RunScalarLanes(const Body& body, size_t task) {
+SOFIA_NO_CONTRACT void RunScalarLanes(const Body& body, size_t task) {
   body(LaneTag<Vec2>{}, task);
 }
 
@@ -137,7 +139,7 @@ std::function<void(size_t)> Select(const Body& body) {
 /// and Vec2 in the scalar one. Lane rows a body keeps in locals then stay
 /// in registers on both: the default target has no 4-lane register, so a
 /// local Vec4 would live in memory there. The scalar instantiation never
-/// fuses a multiply-add (SOFIA_TARGET_SCALAR), so its bits do not depend
+/// fuses a multiply-add (SOFIA_NO_CONTRACT), so its bits do not depend
 /// on the build's baseline ISA.
 template <typename Body>
 std::function<void(size_t)> SelectLanes(const Body& body) {

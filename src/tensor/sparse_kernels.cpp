@@ -183,10 +183,11 @@ void CheckFactors(const CooList& coo, const std::vector<Matrix>& factors,
 
 /// Invoke fn(integral_constant<size_t, N>) with N a compile-time copy of
 /// `order` when it is one of kOrders, or 0 (= run-time order) otherwise.
-/// CP-WOPT fixes order 2 (the slices every CP-WOPT workload streams,
-/// compare-nine's 40x40 included); the row-system kernels fix orders 2 and
-/// 3 (stream slices and init windows). With rank and order both fixed, the
-/// per-record leave-one-out chains unroll completely.
+/// CP-WOPT, SOFIA's step and OLSTEC's RLS sweep fix order 2 (the stream
+/// slices they run on, compare-nine's 40x40 included); the row-system
+/// kernels fix orders 2 and 3 (stream slices and init windows). With rank
+/// and order both fixed, the per-record leave-one-out chains unroll
+/// completely.
 template <size_t... kOrders, typename Fn>
 void DispatchOrder(size_t order, Fn&& fn) {
   const bool fixed =
@@ -336,21 +337,21 @@ SOFIA_ALWAYS_INLINE void SqrtIn(V* v) {
 }
 #endif
 
-/// CholeskySolveInPlace<kR> (linalg/solve.hpp) on lane vectors: lane j of
-/// `a` (R x R) and `rhs` (R) is one system, and every lane takes the scalar
+/// CholeskySolveInPlace (linalg/solve.hpp) on lane vectors: lane j of `a`
+/// (R x R) and `rhs` (R) is one system, and every lane takes the scalar
 /// solve's operations in its order. Vector square roots and divisions round
 /// like scalar ones, and the callers compile this without fused
-/// multiply-adds, so each lane gets the scalar solve's bits. `ok` (a lane
-/// mask, all lanes set on entry) is cleared where a pivot is not positive.
-template <size_t kR, typename V, typename M>
+/// multiply-adds, so each lane gets the scalar solve's bits. Where the
+/// scalar solve stops at a pivot that is not positive, the lane runs on and
+/// ends with a non-finite solution: the square root of a negative or NaN
+/// pivot is NaN, and a zero pivot divides by zero.
+template <size_t kR, typename V>
 SOFIA_ALWAYS_INLINE void CholeskyLanes(V* SOFIA_RESTRICT a,
-                                       V* SOFIA_RESTRICT rhs, size_t n,
-                                       M* ok) {
+                                       V* SOFIA_RESTRICT rhs, size_t n) {
   const size_t N = kR == 0 ? n : kR;
   for (size_t j = 0; j < N; ++j) {
     V d = a[j * N + j];
     for (size_t k = 0; k < j; ++k) d -= a[j * N + k] * a[j * N + k];
-    *ok &= d > 0.0;
     V ljj = d;
     SqrtIn(&ljj);
     a[j * N + j] = ljj;
@@ -372,12 +373,12 @@ SOFIA_ALWAYS_INLINE void CholeskyLanes(V* SOFIA_RESTRICT a,
   }
 }
 
-/// The regular case of ProximalRowSolve<kR> for rows [0, count) (count <=
+/// The regular case of ProximalRowSolve for rows [0, count) (count <=
 /// kSolveRows), in groups of one row per lane of V: out[j] = (B_j + μI)^{-1}
 /// (c_j + μ prev_j). Lanes past `count` solve an identity system. Returns a
 /// bit mask of the rows left to the scalar ProximalRowSolve: an empty system
-/// (its short-circuit), a non-positive pivot or a non-finite solution (its
-/// ridge fallback); their `out` is not written.
+/// (its short-circuit) or a non-finite solution, which a non-positive pivot
+/// also leaves (its ridge fallback); their `out` is not written.
 template <size_t kR, typename V>
 SOFIA_ALWAYS_INLINE unsigned ProximalSolveLanes(
     const double* const* b, const double* const* c,
@@ -407,16 +408,14 @@ SOFIA_ALWAYS_INLINE unsigned ProximalSolveLanes(
       a[r * N + r] += mu;
       rhs[r] += mu_prev;
     }
-    auto ok = a[0] == a[0];
-    ok |= ~ok;  // All lanes set.
-    CholeskyLanes<kR>(a, rhs, N, &ok);
+    CholeskyLanes<kR>(a, rhs, N);
     for (size_t j = 0; j < L && g + j < count; ++j) {
       const size_t row = g + j;
       // ProximalRowSolve's short-circuit: B = 0 and c = 0 with μ != 0.
       bool empty = mu != 0.0;
       for (size_t e = 0; e < N * N && empty; ++e) empty = b[row][e] == 0.0;
       for (size_t r = 0; r < N && empty; ++r) empty = c[row][r] == 0.0;
-      bool regular = ok[j] != 0;
+      bool regular = true;
       for (size_t r = 0; r < N && regular; ++r) {
         regular = std::isfinite(rhs[r][j]);
       }
@@ -433,7 +432,7 @@ SOFIA_ALWAYS_INLINE unsigned ProximalSolveLanes(
 /// ProximalSolveLanes on 128-bit lanes, out of line (one copy per rank,
 /// not one per kernel instantiation) and without contraction.
 template <size_t kR>
-__attribute__((noinline, flatten)) SOFIA_NO_CONTRACT unsigned
+__attribute__((noinline)) SOFIA_NO_CONTRACT unsigned
 ProximalSolvePairs(const double* const* b, const double* const* c,
                    const double* const* prev, double mu, size_t n,
                    size_t count, double* const* out) {
@@ -445,7 +444,7 @@ ProximalSolvePairs(const double* const* b, const double* const* c,
 /// and without contraction, so the lanes keep the scalar solve's bits
 /// inside the AVX2+FMA instantiation of the fused kernel.
 template <size_t kR>
-__attribute__((target("avx2"), noinline, flatten)) SOFIA_NO_CONTRACT unsigned
+__attribute__((target("avx2"), noinline)) SOFIA_NO_CONTRACT unsigned
 ProximalSolveAvx2(const double* const* b, const double* const* c,
                   const double* const* prev, double mu, size_t n,
                   size_t count, double* const* out) {
@@ -505,8 +504,8 @@ void CooProximalRowUpdatesImpl(const CooList& coo,
     RankBuffer<kR> rhsbuf;
     for (size_t j = 0; j < count; ++j) {
       if ((irregular >> j & 1u) == 0) continue;
-      ProximalRowSolve<kR>(b[j], c[j], prev[j], mu, R, abuf.get(R),
-                           rhsbuf.get(R), out[j]);
+      ProximalRowSolve(b[j], c[j], prev[j], mu, R, abuf.get(R),
+                       rhsbuf.get(R), out[j]);
     }
   };
   RunTasks(pool, (num_rows + kSolveRows - 1) / kSolveRows,
@@ -1363,7 +1362,7 @@ void CooOlstecSweep(const CooList& coo, const std::vector<double>& values,
     factor[l] = (*factors)[l].data();
     block[l] = (*cov)[l].data();
   }
-  DispatchOrder<2, 3>(order, [&](auto order_tag) {
+  DispatchOrder<2>(order, [&](auto order_tag) {
     DispatchRank(rank, [&](auto rank_tag) {
       auto pass = [&](auto, size_t) {
         OlstecSweepPass<decltype(rank_tag)::value, decltype(order_tag)::value>(

@@ -267,9 +267,10 @@ void CooSofiaStep(const CooList& coo, const DenseTensor& y,
 ///
 /// `factors` are updated in place; `cov[n]` holds dim(n) R x R blocks,
 /// contiguous and row-major (a (dim(n)·R) x R matrix), updated in place.
-/// Specialized on rank and on orders 2 and 3, and compiled for scalar and
-/// AVX2+FMA (the latter fuses multiply-adds, so the two differ by
-/// rounding). Works on bucket-less CooLists.
+/// Specialized on rank and on order 2 (other orders take a run-time-order
+/// loop with the same arithmetic), and compiled for scalar and AVX2+FMA
+/// (the latter fuses multiply-adds, so the two differ by rounding). Works
+/// on bucket-less CooLists.
 void CooOlstecSweep(const CooList& coo, const std::vector<double>& values,
                     const std::vector<double>& w, double forgetting,
                     std::vector<Matrix>* factors, std::vector<Matrix>* cov);

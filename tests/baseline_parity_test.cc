@@ -164,8 +164,9 @@ TEST_P(BaselineParityTest, DenseAndSparsePathsAgreeOnCorruptedStream) {
 }
 
 TEST_P(BaselineParityTest, DenseAndSparsePathsAgreeOnMultiwaySlices) {
-  // The other tests stream 2-way slices. Order 3 runs the kernels' order-3
-  // instantiations, order 4 their run-time-order loops; both stay pinned to
+  // The other tests stream 2-way slices. Order 3 runs the row-system
+  // kernels' order-3 instantiations and the other kernels' run-time-order
+  // loops, order 4 every kernel's run-time-order loop; both stay pinned to
   // the dense oracles at the same bound.
   for (const std::vector<size_t>& dims :
        {std::vector<size_t>{5, 4, 3}, std::vector<size_t>{4, 3, 2, 2}}) {

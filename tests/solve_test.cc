@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <utility>
-#include <vector>
 
 #include "linalg/vector_ops.hpp"
 #include "util/rng.hpp"
@@ -85,69 +82,6 @@ TEST(SolveTest, SolveSpdMatchesLu) {
   std::vector<double> x1 = SolveSpd(a, rhs);
   std::vector<double> x2 = SolveLinear(a, rhs);
   EXPECT_LT(MaxAbsDiffVec(x1, x2), 1e-9);
-}
-
-/// ProximalRowSolve at compile-time size kN against its run-time-size
-/// instantiation and CholeskySolveInPlace: the same operations in the same
-/// order, so the same bits. Three systems: SPD (the Cholesky solve), an
-/// indefinite one with μ = 0 (the SolveRidge fallback) and a NaN right-hand
-/// side (the fallback's zero solution).
-template <size_t kN>
-void ExpectFixedSizeSolveMatchesRunTime(Rng* rng) {
-  SCOPED_TRACE(::testing::Message() << "n = " << kN);
-  const size_t n = kN;
-  std::vector<double> b(n * n, 0.0);
-  for (size_t k = 0; k < 2 * n; ++k) {
-    const std::vector<double> h = rng->NormalVector(n);
-    for (size_t e = 0; e < n * n; ++e) b[e] += h[e / n] * h[e % n];
-  }
-  std::vector<double> c = rng->NormalVector(n);
-  const std::vector<double> prev = rng->NormalVector(n);
-  std::vector<double> a(n * n), rhs(n), fixed(n), run_time(n);
-  auto solve_both = [&](double mu) {
-    ProximalRowSolve<kN>(b.data(), c.data(), prev.data(), mu, n, a.data(),
-                         rhs.data(), fixed.data());
-    ProximalRowSolve(b.data(), c.data(), prev.data(), mu, n, a.data(),
-                     rhs.data(), run_time.data());
-    for (size_t r = 0; r < n; ++r) ASSERT_EQ(fixed[r], run_time[r]) << r;
-  };
-
-  // SPD: the fixed-size Cholesky equals the run-time one on one system.
-  std::vector<double> a_fixed = b, a_run = b;
-  std::vector<double> rhs_fixed = c, rhs_run = c;
-  for (size_t r = 0; r < n; ++r) {
-    a_fixed[r * n + r] += 0.5;
-    a_run[r * n + r] += 0.5;
-  }
-  ASSERT_TRUE(CholeskySolveInPlace<kN>(a_fixed.data(), rhs_fixed.data(), n));
-  ASSERT_TRUE(CholeskySolveInPlace(a_run.data(), rhs_run.data(), n));
-  EXPECT_EQ(rhs_fixed, rhs_run);
-  EXPECT_EQ(a_fixed, a_run);
-  solve_both(0.5);
-
-  // Indefinite with μ = 0: a negative pivot sends both to SolveRidge.
-  for (size_t r = 0; r < n; ++r) b[r * n + r] -= 1e3;
-  solve_both(0.0);
-  Matrix shifted(n, n);
-  std::copy(b.begin(), b.end(), shifted.data());
-  EXPECT_EQ(fixed, SolveRidge(shifted, c));
-
-  // A NaN right-hand side passes the pivots but not the finite check, and
-  // SolveRidge fails soft to zero.
-  for (size_t r = 0; r < n; ++r) b[r * n + r] += 2e3;
-  c[n / 2] = std::nan("");
-  solve_both(0.5);
-  EXPECT_EQ(fixed, std::vector<double>(n, 0.0));
-}
-
-template <size_t... kSizes>
-void ExpectFixedSizeSolvesMatchRunTime(std::index_sequence<kSizes...>) {
-  Rng rng(29);
-  (ExpectFixedSizeSolveMatchesRunTime<kSizes + 1>(&rng), ...);
-}
-
-TEST(SolveTest, FixedSizeSolveMatchesRunTimeSolveBitwise) {
-  ExpectFixedSizeSolvesMatchRunTime(std::make_index_sequence<17>());
 }
 
 // Property: random well-conditioned systems solve to tiny residuals.
